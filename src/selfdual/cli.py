@@ -9,16 +9,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import comb
 
 from .codes import (
-    MdsVerdict,
     VerificationReport,
+    certify_mds,
     code_from_json,
     is_euclidean_self_dual,
     is_hermitian_self_dual,
-    mds_check,
-    min_distance_exhaustive,
 )
 from .config import current_guards
 from .constructions import (
@@ -30,10 +27,9 @@ from .constructions import (
     build_negacyclic_hermitian,
     exists_hermitian_dispatch,
 )
-from .cosets import DefiningSet, check_duadic_splitting, consecutive_run
+from .cosets import DefiningSet, check_duadic_splitting
 from .errors import (
     MalformedInput,
-    NoCyclicStructure,
     SelfDualError,
     VerificationFailed,
 )
@@ -131,56 +127,13 @@ def cmd_verify(args) -> int:
         except (SelfDualError, KeyError, TypeError, ValueError):
             defining = None
 
-    n, k, q = code.n, code.k, code.field.order
-    target = n - k + 1
-    d_exact = None
-    d_lower = None
-    warning = None
-
-    mode = args.mds
-    if mode == "auto":
-        if q ** k <= guards.exhaustive_tier_limit:
-            mode = "exhaustive"
-        elif (comb(n, k) <= guards.column_limit
-                and comb(n, k) * k ** 3 <= guards.column_work_limit
-                and q <= guards.dlog_limit):
-            mode = "columns"
-        elif defining is not None:
-            mode = "bch"
-        else:
-            mode = "monte-carlo"
-
-    if mode == "exhaustive":
-        if q ** k > guards.codeword_limit:
-            verdict = MdsVerdict("guarded")
-            warning = ("q**k = %d exceeds the codeword guard; "
-                       "no distance computed" % q ** k)
-        else:
-            d_exact = min_distance_exhaustive(code, guards)
-            verdict = (MdsVerdict("certified-exact") if d_exact == target
-                       else MdsVerdict("refuted"))
-    elif mode == "columns":
-        if comb(n, k) > guards.column_limit:
-            verdict = MdsVerdict("guarded")
-            warning = "C(n, k) = %d exceeds the column guard" % comb(n, k)
-        else:
-            verdict = mds_check(code, "exhaustive-columns", guards=guards)
-            if verdict.status == "certified-exact":
-                d_exact = target
-    elif mode == "bch":
-        if defining is None:
-            raise NoCyclicStructure("no defining set in the code metadata")
-        verdict = mds_check(code, "bch", defining=defining, guards=guards)
-        if verdict.status == "certified-bch":
-            d_lower = consecutive_run(defining) + 1
-    else:  # monte-carlo
-        verdict = mds_check(code, "monte-carlo", trials=args.trials,
-                            guards=guards)
-
-    if verdict.status == "refuted":
+    cert = certify_mds(code, defining=defining, mode=args.mds,
+                       trials=args.trials, guards=guards)
+    if cert.verdict.status == "refuted":
         ok = False
-    report = VerificationReport(euclid, herm, d_exact, d_lower, verdict,
-                                warning)
+    report = VerificationReport(euclid, herm, cert.distance_exact,
+                                cert.distance_lower_bound, cert.verdict,
+                                cert.warning)
     _emit(report.to_json(), args.pretty)
     return 0 if ok else 1
 

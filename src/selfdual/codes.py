@@ -7,7 +7,8 @@ the matrix rows are the shifts x**i * g(x) modulo x**n - lambda.
 Verification never approximates: self-duality is an exact matrix
 product, distances are exhaustive scans under a guard, and MDS checks
 are exhaustive column tests, seeded Monte-Carlo sampling, or a
-consecutive-root-run certificate.
+consecutive-root-run certificate.  ``certify_mds`` is the one ladder
+that chooses among them, for the builders and the CLI alike.
 """
 from __future__ import annotations
 
@@ -41,7 +42,6 @@ from .fields import (
 from .linalg import (
     dlog_table,
     det_nonzero,
-    mat_mul,
     mat_transpose,
     matrix_rank,
     null_space,
@@ -391,14 +391,6 @@ class MdsVerdict:
         return out
 
 
-def _encoded_columns(code: LinearCode, table):
-    cols = []
-    for j in range(code.n):
-        cols.append([table.encode(code.generator[i][j])
-                     for i in range(code.k)])
-    return cols
-
-
 def mds_check(code: LinearCode, mode: str, trials: int = 1000,
               defining: DefiningSet | None = None,
               guards: GuardConfig | None = None) -> MdsVerdict:
@@ -411,50 +403,145 @@ def mds_check(code: LinearCode, mode: str, trials: int = 1000,
     """
     guards = current_guards(guards)
     n, k = code.n, code.k
+    if mode == "bch":
+        if defining is None:
+            raise NoCyclicStructure("bch mode needs a defining set")
+        return certify_mds(code, defining=defining, mode="bch").verdict
     if mode == "exhaustive-columns":
         if comb(n, k) > guards.column_limit:
             raise GuardExceeded("C(n, k) = %d exceeds the column guard"
                                 % comb(n, k))
-        table = dlog_table(code.field, guards.dlog_limit)
-        if table is not None:
-            cols = _encoded_columns(code, table)
-            for subset in itertools.combinations(range(n), k):
-                mat = [[cols[j][i] for j in subset] for i in range(k)]
-                if not table.det_nonzero(mat):
-                    return MdsVerdict("refuted", witness=subset)
-        else:
-            columns = mat_transpose(code.generator)
-            for subset in itertools.combinations(range(n), k):
-                mat = [[columns[j][i] for j in subset] for i in range(k)]
-                if not det_nonzero(mat, code.field):
-                    return MdsVerdict("refuted", witness=subset)
-        return MdsVerdict("certified-exact")
-    if mode == "monte-carlo":
+        subsets = itertools.combinations(range(n), k)
+        sampled = None
+    elif mode == "monte-carlo":
         rng = random.Random("%d:%d:%d" % (n, k, code.field.order))
-        table = dlog_table(code.field, guards.dlog_limit)
-        columns = None if table else mat_transpose(code.generator)
-        cols = _encoded_columns(code, table) if table else None
-        passes = 0
-        for _ in range(trials):
-            subset = sorted(rng.sample(range(n), k))
-            if table is not None:
-                mat = [[cols[j][i] for j in subset] for i in range(k)]
-                good = table.det_nonzero(mat)
-            else:
-                mat = [[columns[j][i] for j in subset] for i in range(k)]
-                good = det_nonzero(mat, code.field)
-            if not good:
-                return MdsVerdict("refuted", trials=trials, passes=passes,
-                                  witness=tuple(subset))
-            passes += 1
-        return MdsVerdict("monte-carlo", trials=trials, passes=passes)
-    if mode == "bch":
-        if defining is None:
-            raise NoCyclicStructure("bch mode needs a defining set")
-        run = consecutive_run(defining)
-        if run + 1 >= n - k + 1:
-            return MdsVerdict("certified-bch")
-        return MdsVerdict("inconclusive")
+        subsets = (sorted(rng.sample(range(n), k)) for _ in range(trials))
+        sampled = trials
+    else:
+        raise ValueError("unknown mds mode %r" % mode)
+    # fields within the dlog guard test minors on Zech-table ints
+    columns = mat_transpose(code.generator)
+    table = dlog_table(code.field, guards.dlog_limit)
+    if table is None:
+        field = code.field
+
+        def nonsingular(mat):
+            return det_nonzero(mat, field)
+    else:
+        columns = [[table.encode(x) for x in col] for col in columns]
+        nonsingular = table.det_nonzero
+    passes = 0
+    for subset in subsets:
+        if not nonsingular([[columns[j][i] for j in subset]
+                            for i in range(k)]):
+            return MdsVerdict("refuted", trials=sampled,
+                              passes=None if sampled is None else passes,
+                              witness=tuple(subset))
+        passes += 1
+    if sampled is None:
+        return MdsVerdict("certified-exact")
+    return MdsVerdict("monte-carlo", trials=sampled, passes=passes)
+
+
+@dataclass(frozen=True)
+class MdsCertificate:
+    """The rung of the MDS ladder that ran and what it established.
+
+    ``reason`` explains any verdict short of a certificate: the guard
+    that stopped the rung, the measured distance, the singular subset
+    or the short root run.  ``warning`` is what a report shows for a
+    guarded rung.
+    """
+
+    tier: str  # exhaustive | columns | bch | extended-bch | monte-carlo
+    verdict: MdsVerdict
+    distance_exact: int | None = None
+    distance_lower_bound: int | None = None
+    reason: str | None = None
+    warning: str | None = None
+
+
+def certify_mds(code: LinearCode, *, defining: DefiningSet | None = None,
+                extended_defining: DefiningSet | None = None,
+                structural: bool = False, mode: str = "auto",
+                trials: int = 1000,
+                guards: GuardConfig | None = None) -> MdsCertificate:
+    """Establish the MDS property on one rung of the tier ladder.
+
+    The rungs, strongest first: exhaustive distance; every k-subset of
+    generator columns; the root-run certificate of ``defining``; the
+    root-run certificate of ``extended_defining``, the defining set of
+    the code before its last coordinate was appended; seeded
+    Monte-Carlo, reported as ``certified-structural`` with d = n - k + 1
+    when ``structural`` vouches that the code is an evaluation (GRS)
+    code.  ``mode="auto"`` takes the first rung the guards afford and
+    the facts allow; any other mode names the rung.  Refutations and
+    guard stops come back as verdicts, never as exceptions.
+    """
+    guards = current_guards(guards)
+    n, k, q = code.n, code.k, code.field.order
+    target = n - k + 1
+    tier = mode
+    if mode == "auto":
+        subsets = comb(n, k)
+        if q ** k <= guards.exhaustive_tier_limit:
+            tier = "exhaustive"
+        elif (subsets <= guards.column_limit
+                and subsets * k ** 3 <= guards.column_work_limit
+                and q <= guards.dlog_limit):
+            tier = "columns"
+        elif defining is not None:
+            tier = "bch"
+        elif extended_defining is not None:
+            tier = "extended-bch"
+        else:
+            tier = "monte-carlo"
+
+    if tier == "exhaustive":
+        try:
+            d = min_distance_exhaustive(code, guards)
+        except GuardExceeded as exc:
+            return MdsCertificate(
+                tier, MdsVerdict("guarded"), reason=exc.message,
+                warning=exc.message + "; no distance computed")
+        if d != target:
+            return MdsCertificate(
+                tier, MdsVerdict("refuted"), distance_exact=d,
+                reason="measured distance %d, expected %d" % (d, target))
+        return MdsCertificate(tier, MdsVerdict("certified-exact"),
+                              distance_exact=d)
+    if tier in ("columns", "monte-carlo"):
+        try:
+            verdict = mds_check(code, "exhaustive-columns"
+                                if tier == "columns" else tier,
+                                trials=trials, guards=guards)
+        except GuardExceeded as exc:
+            return MdsCertificate(tier, MdsVerdict("guarded"),
+                                  reason=exc.message, warning=exc.message)
+        if verdict.status == "refuted":
+            return MdsCertificate(
+                tier, verdict,
+                reason="singular column subset %r" % (verdict.witness,))
+        if verdict.status == "certified-exact":
+            return MdsCertificate(tier, verdict, distance_exact=target)
+        if structural:
+            return MdsCertificate(
+                tier, MdsVerdict("certified-structural", trials=verdict.trials,
+                                 passes=verdict.passes),
+                distance_exact=target)
+        return MdsCertificate(tier, verdict)
+    if tier in ("bch", "extended-bch"):
+        facts = defining if tier == "bch" else extended_defining
+        if facts is None:
+            raise NoCyclicStructure("no defining set in the code metadata")
+        # an extended code's run certifies the [n-1, k] code before the
+        # extension; appending a coordinate never lowers weights
+        bound = consecutive_run(facts) + 1
+        if bound < (target if tier == "bch" else target - 1):
+            return MdsCertificate(tier, MdsVerdict("inconclusive"),
+                                  reason="root run too short")
+        return MdsCertificate(tier, MdsVerdict("certified-bch"),
+                              distance_lower_bound=bound)
     raise ValueError("unknown mds mode %r" % mode)
 
 

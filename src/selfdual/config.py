@@ -8,12 +8,16 @@ comma-separated ``key=value`` list, e.g.::
     SELFDUAL_GUARD_OVERRIDE="codewords=20000000,columns=2000000"
 
 Recognized keys: ``field_size``, ``factor_limit``, ``dlog_limit``,
-``codewords``, ``columns``, ``column_work``, ``exhaustive_tier``.
+``codewords``, ``columns``, ``column_work``, ``exhaustive_tier``.  An
+unknown key, a non-integer or a limit below 1 is refused with
+``MalformedInput``.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
+
+from .errors import MalformedInput
 
 _ENV_VAR = "SELFDUAL_GUARD_OVERRIDE"
 
@@ -48,10 +52,12 @@ class GuardConfig:
 
     @staticmethod
     def from_env() -> "GuardConfig":
-        cfg = GuardConfig()
+        """Defaults overridden by ``SELFDUAL_GUARD_OVERRIDE``.
+
+        Raises ``MalformedInput`` on an unknown key, a value that is not
+        an integer, or a limit below 1.
+        """
         raw = os.environ.get(_ENV_VAR, "").strip()
-        if not raw:
-            return cfg
         overrides = {}
         for part in raw.split(","):
             part = part.strip()
@@ -59,13 +65,17 @@ class GuardConfig:
                 continue
             key, _, value = part.partition("=")
             field = _KEY_TO_FIELD.get(key.strip())
-            if field is None:
-                continue
             try:
-                overrides[field] = int(value.strip())
+                limit = int(value)
             except ValueError:
-                continue
-        return replace(cfg, **overrides)
+                limit = 0
+            if field is None or limit < 1:
+                raise MalformedInput(
+                    "%s: bad entry %r, expected key=limit with a limit "
+                    ">= 1 and a key among %s"
+                    % (_ENV_VAR, part, ", ".join(_KEY_TO_FIELD)))
+            overrides[field] = limit
+        return replace(GuardConfig(), **overrides)
 
 
 def current_guards(guards: "GuardConfig | None" = None) -> GuardConfig:

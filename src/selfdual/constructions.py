@@ -13,28 +13,27 @@ never returns an unverified code.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import comb, gcd
+from math import gcd
 
 from .codes import (
     CyclicSpec,
     LinearCode,
-    MdsVerdict,
     VerificationReport,
+    certify_mds,
     code_to_json,
     cyclic_generator_matrix,
     extend_code,
     generator_from_defining_set,
     is_euclidean_self_dual,
     is_hermitian_self_dual,
-    mds_check,
-    min_distance_exhaustive,
     poly_divmod,
 )
 from .config import GuardConfig, current_guards
-from .cosets import DefiningSet, SplittingReport, check_duadic_splitting, consecutive_run
+from .cosets import DefiningSet, SplittingReport, check_duadic_splitting
 from .errors import (
     CharDividesN,
     DuplicatePoints,
+    GuardExceeded,
     MalformedInput,
     NoGamma,
     NoSolution,
@@ -50,6 +49,7 @@ from .fields import (
     Element,
     Field,
     TowerSpec,
+    check_field_size,
     element_to_json,
     find_primitive_element,
     make_field,
@@ -67,6 +67,15 @@ def _v2(x: int) -> int:
         x //= 2
         v += 1
     return v
+
+
+def _route_field(p: int, t: int, guards: GuardConfig | None,
+                 degree: int = 1) -> Field:
+    """Canonical GF(p^t) for a route that computes in GF(p^(t*degree)),
+    refused when that largest field exceeds the size guard."""
+    field = make_field(p, t)
+    check_field_size(field.order ** degree, guards)
+    return field
 
 
 # ---------------------------------------------------------------------------
@@ -115,59 +124,38 @@ def solve_gamma_hermitian(tower: TowerSpec, n: int,
 # verification tiers
 # ---------------------------------------------------------------------------
 
-def _certify_mds(code: LinearCode, *, defining: DefiningSet | None = None,
-                 extended_defining: DefiningSet | None = None,
-                 structural: bool = False,
-                 guards: GuardConfig | None = None):
-    """Pick the strongest affordable MDS check and run it.
+# the VerificationFailed predicate for a rung that certified nothing
+_UNCERTIFIED_PREDICATE = {
+    "exhaustive": "mds_distance",
+    "columns": "mds_columns",
+    "bch": "bch_bound",
+    "extended-bch": "bch_bound",
+    "monte-carlo": "mds_monte_carlo",
+}
 
-    Returns (verdict, distance_exact, distance_lower_bound) and raises
-    ``VerificationFailed`` on any refutation.  Preference order:
-    exhaustive distance, exhaustive column minors, then the root-run
-    certificate (for codes carrying one) or seeded Monte-Carlo plus the
-    structural argument (for evaluation codes).
+
+def _verified_report(code: LinearCode, euclidean: bool,
+                     hermitian: bool | None, guards: GuardConfig,
+                     **facts) -> VerificationReport:
+    """Certify MDS through the tier ladder or refuse the code.
+
+    ``facts`` are the ``certify_mds`` keywords the route can vouch for.
+    A guarded rung raises ``GuardExceeded``, any other verdict short of
+    a certificate raises ``VerificationFailed``.  A lower bound that
+    meets the Singleton bound n - k + 1 is reported as the exact
+    distance.
     """
-    guards = current_guards(guards)
-    n, k, q = code.n, code.k, code.field.order
-    target = n - k + 1
-    if q ** k <= guards.exhaustive_tier_limit:
-        d = min_distance_exhaustive(code, guards)
-        if d != target:
-            raise VerificationFailed(
-                "mds_distance", "measured distance %d, expected %d" % (d, target)
-            )
-        return MdsVerdict("certified-exact"), d, None
-    subsets = comb(n, k)
-    if (subsets <= guards.column_limit
-            and subsets * k ** 3 <= guards.column_work_limit
-            and q <= guards.dlog_limit):
-        verdict = mds_check(code, "exhaustive-columns", guards=guards)
-        if verdict.status == "refuted":
-            raise VerificationFailed(
-                "mds_columns", "singular column subset %r" % (verdict.witness,)
-            )
-        return verdict, target, None
-    if defining is not None:
-        verdict = mds_check(code, "bch", defining=defining, guards=guards)
-        if verdict.status != "certified-bch":
-            raise VerificationFailed("bch_bound", "root run too short")
-        return verdict, target, None
-    if extended_defining is not None:
-        # the run certifies the unextended [n-1, k] code; extending a
-        # coordinate never lowers weights, so the bound carries over
-        run = consecutive_run(extended_defining)
-        if run + 1 < n - k:
-            raise VerificationFailed("bch_bound", "root run too short")
-        return MdsVerdict("certified-bch"), None, run + 1
-    if structural:
-        verdict = mds_check(code, "monte-carlo", trials=1000, guards=guards)
-        if verdict.status == "refuted":
-            raise VerificationFailed(
-                "mds_monte_carlo", "singular column subset %r" % (verdict.witness,)
-            )
-        return (MdsVerdict("certified-structural", trials=verdict.trials,
-                           passes=verdict.passes), target, None)
-    return MdsVerdict("guarded"), None, None
+    cert = certify_mds(code, guards=guards, **facts)
+    if cert.verdict.status == "guarded":
+        raise GuardExceeded(cert.reason)
+    if not cert.verdict.status.startswith("certified-"):
+        raise VerificationFailed(_UNCERTIFIED_PREDICATE[cert.tier],
+                                 cert.reason or "")
+    d_exact, d_lower = cert.distance_exact, cert.distance_lower_bound
+    if d_lower == code.n - code.k + 1:
+        d_exact, d_lower = d_lower, None
+    return VerificationReport(euclidean, hermitian, d_exact, d_lower,
+                              cert.verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +204,7 @@ def build_euclidean_duadic_extended(p: int, t: int, n: int,
     obstruction.
     """
     guards = current_guards(guards)
-    field = make_field(p, t)
+    field = _route_field(p, t, guards)
     q = field.order
     if n % 2 == 0 or n < 3:
         raise PreconditionFailed("EvenN", "length n = %d must be odd, >= 3" % n)
@@ -239,9 +227,7 @@ def build_euclidean_duadic_extended(p: int, t: int, n: int,
     code = extend_code(duadic, gamma)
     if not is_euclidean_self_dual(code):
         raise VerificationFailed("euclidean_self_dual")
-    mds, d_exact, d_lower = _certify_mds(code, extended_defining=T,
-                                         guards=guards)
-    report = VerificationReport(True, None, d_exact, d_lower, mds)
+    report = _verified_report(code, True, None, guards, extended_defining=T)
     return ConstructionResult(code, "Thm2", "euclidean-duadic", report,
                               gamma=gamma, cyclic=spec)
 
@@ -263,7 +249,7 @@ def build_grs_hermitian(p: int, t: int, n: int, points=None,
     whether the resulting code is actually Hermitian self-dual.
     """
     guards = current_guards(guards)
-    field = make_field(p, t)
+    field = _route_field(p, t, guards, 2)
     q = field.order
     if n % 2 != 0 or n < 2:
         raise OddLength("length n = %d must be even and >= 2" % n)
@@ -321,9 +307,8 @@ def build_grs_hermitian(p: int, t: int, n: int, points=None,
         for ui, vi in zip(u, v):
             if vi ** (q + 1) != tower.embed(ui):
                 raise VerificationFailed("norm_choice")
-    mds, d_exact, d_lower = _certify_mds(code, structural=True, guards=guards)
-    report = VerificationReport(is_euclidean_self_dual(code), True,
-                                d_exact, d_lower, mds)
+    report = _verified_report(code, is_euclidean_self_dual(code), True,
+                              guards, structural=True)
     return ConstructionResult(
         code, "Thm3", "grs-hermitian", report,
         extras={"points": indices, "v_choice": v_choice},
@@ -346,7 +331,7 @@ def build_constacyclic_hermitian(p: int, t: int, n: int, r: int,
     congruence q = -1 (mod 2**(a+b)) must not hold.
     """
     guards = current_guards(guards)
-    field = make_field(p, t)
+    field = _route_field(p, t, guards, 2)
     q = field.order
     if q % 2 == 0:
         raise PreconditionFailed("EvenQ", "q must be odd")
@@ -378,9 +363,8 @@ def build_constacyclic_hermitian(p: int, t: int, n: int, r: int,
     code = cyclic_generator_matrix(spec)
     if not is_hermitian_self_dual(code):
         raise VerificationFailed("hermitian_self_dual")
-    mds, d_exact, d_lower = _certify_mds(code, defining=T, guards=guards)
-    report = VerificationReport(is_euclidean_self_dual(code), True,
-                                d_exact, d_lower, mds)
+    report = _verified_report(code, is_euclidean_self_dual(code), True,
+                              guards, defining=T)
     return ConstructionResult(code, "Thm4", "constacyclic", report,
                               cyclic=spec, extras={"r": r})
 
@@ -394,7 +378,7 @@ def build_negacyclic_hermitian(p: int, t: int, n: int,
     2**a n'' | q + 1 for some odd multiple n'' of n' (equivalently
     2**a n' | q + 1).
     """
-    field = make_field(p, t)
+    field = _route_field(p, t, guards, 2)
     q = field.order
     a = _v2(n)
     if n < 2 or a == 0:
@@ -425,10 +409,8 @@ def _build_hermitian_extension(tower: TowerSpec, spec: CyclicSpec,
     code = extend_code(duadic, gamma)
     if not is_hermitian_self_dual(code):
         raise VerificationFailed("hermitian_self_dual")
-    mds, d_exact, d_lower = _certify_mds(code, extended_defining=spec.defining,
-                                         guards=guards)
-    report = VerificationReport(is_euclidean_self_dual(code), True,
-                                d_exact, d_lower, mds)
+    report = _verified_report(code, is_euclidean_self_dual(code), True,
+                              guards, extended_defining=spec.defining)
     return ConstructionResult(code, theorem, construction, report,
                               gamma=gamma, cyclic=spec)
 
@@ -444,7 +426,7 @@ def build_hermitian_extended_duadic(p: int, t: int, n: int,
     splitting is checked rather than assumed.
     """
     guards = current_guards(guards)
-    field = make_field(p, t)
+    field = _route_field(p, t, guards, 2)
     q = field.order
     if q % 2 == 0:
         raise PreconditionFailed("EvenQ", "q must be odd")
@@ -478,7 +460,7 @@ def build_hermitian_n5(p: int, t: int,
     is computed in GF(q^4) and its coefficients descend to GF(q^2).
     """
     guards = current_guards(guards)
-    field = make_field(p, t)
+    field = _route_field(p, t, guards, 4)
     q = field.order
     if q % 2 == 0:
         raise PreconditionFailed("EvenQ", "q must be odd")
@@ -535,7 +517,7 @@ def exists_hermitian_dispatch(p: int, t: int, n: int,
                               ) -> ConstructionResult:
     """Even lengths up to q + 1: GRS for n <= q, constacyclic r = 2 at
     n = q + 1."""
-    field = make_field(p, t)
+    field = _route_field(p, t, guards, 2)
     q = field.order
     if n % 2 != 0 or n < 2:
         raise OddLength("length n = %d must be even and >= 2" % n)

@@ -296,22 +296,29 @@ class FieldElement:
         return "GF(%d^%d)%r" % (self.field.p, self.field.t, list(self.coeffs))
 
 
+def check_field_size(order: int, guards: GuardConfig | None = None) -> None:
+    """Refuse a field with more than ``field_size_limit`` elements."""
+    if order > current_guards(guards).field_size_limit:
+        raise SizeGuardExceeded("field order %d exceeds the size guard"
+                                % order)
+
+
 @functools.lru_cache(maxsize=None)
-def make_field(p: int, t: int, size_limit: int | None = None) -> FieldSpec:
+def make_field(p: int, t: int) -> FieldSpec:
     """Canonical GF(p^t): least monic irreducible modulus.
 
     Candidates x**t + sum c_i x**i are ordered by the integer encoding
     sum c_i p**i (the same order used for elements), so GF(16) gets
     x**4 + x + 1, not x**4 + x**3 + 1.  For t = 1 this yields the
-    modulus x, i.e. the prime field itself.
+    modulus x, i.e. the prime field itself.  The size guard is read
+    when a field is first built; callers holding a ``GuardConfig``
+    check every field they work in with ``check_field_size``.
     """
     if not is_prime(p):
         raise NotPrime("p = %d is not prime" % p)
     if t < 1:
         raise DegreeZero("extension degree must be >= 1")
-    limit = size_limit if size_limit is not None else GuardConfig().field_size_limit
-    if p ** t > limit:
-        raise SizeGuardExceeded("p**t = %d exceeds the size guard" % p ** t)
+    check_field_size(p ** t)
     if t == 1:
         return FieldSpec(p, 1, (0, 1))
     for j in range(1, p ** t):
@@ -637,16 +644,18 @@ def field_to_json(field: Field):
 
 def field_from_json(obj) -> Field:
     if "p" in obj:
-        spec = make_field(int(obj["p"]), int(obj["t"]))
+        field = make_field(int(obj["p"]), int(obj["t"]))
         modulus = tuple(int(v) for v in obj["modulus"])
-        if modulus != spec.modulus:
-            if not poly_is_irreducible(modulus, spec.p) or len(modulus) != spec.t + 1:
+        if modulus != field.modulus:
+            if not poly_is_irreducible(modulus, field.p) or len(modulus) != field.t + 1:
                 raise ZeroElement("modulus in input is not monic irreducible")
-            return FieldSpec(spec.p, spec.t, modulus)
-        return spec
-    base = field_from_json(obj["base"])
-    coeffs = tuple(element_from_json(base, c) for c in obj["ext_modulus"])
-    return TowerSpec(base, coeffs)
+            field = FieldSpec(field.p, field.t, modulus)
+    else:
+        base = field_from_json(obj["base"])
+        coeffs = tuple(element_from_json(base, c) for c in obj["ext_modulus"])
+        field = TowerSpec(base, coeffs)
+    check_field_size(field.order)
+    return field
 
 
 def element_to_json(x: Element):

@@ -15,22 +15,6 @@ def mat_transpose(rows):
     return tuple(zip(*rows))
 
 
-def mat_mul(a, b_t, field: Field):
-    """Product a @ b given b transposed (rows of b_t are columns of b)."""
-    zero = field.zero
-    out = []
-    for row in a:
-        out_row = []
-        for col in b_t:
-            acc = zero
-            for x, y in zip(row, col):
-                if x and y:
-                    acc = acc + x * y
-            out_row.append(acc)
-        out.append(tuple(out_row))
-    return tuple(out)
-
-
 def row_reduce(rows, field: Field):
     """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
     mat = [list(r) for r in rows]

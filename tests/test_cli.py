@@ -162,3 +162,33 @@ def test_pretty_flag(capsys):
     assert rc == 0
     assert out.startswith("{\n")
     json.loads(out)
+
+
+@pytest.mark.parametrize("override", ["codewrods=1", "columns=abc",
+                                      "columns=0"])
+def test_malformed_guard_override_is_refused(override, monkeypatch, capsys):
+    monkeypatch.setenv("SELFDUAL_GUARD_OVERRIDE", override)
+    rc, lines = run_cli(capsys, "construct", "euclidean-duadic",
+                        "--p", "7", "--n", "3")
+    assert rc == 2
+    assert lines[0]["error"] == "MalformedInput"
+
+
+def test_field_size_override_refuses_larger_fields(tmp_path, monkeypatch,
+                                                   capsys):
+    rc, lines = run_cli(capsys, "construct", "euclidean-duadic",
+                        "--p", "7", "--n", "3")
+    assert rc == 0
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(lines[0]))
+    monkeypatch.setenv("SELFDUAL_GUARD_OVERRIDE", "field_size=5")
+    for argv in (["construct", "euclidean-duadic", "--p", "7", "--n", "3"],
+                 ["verify", str(path)]):
+        rc, lines = run_cli(capsys, *argv)
+        assert rc == 1
+        assert lines[0]["error"] == "SizeGuardExceeded"
+    # GF(5) fits, but the Hermitian route works in GF(25)
+    rc, lines = run_cli(capsys, "construct", "grs-hermitian",
+                        "--p", "5", "--n", "4")
+    assert rc == 1
+    assert lines[0]["error"] == "SizeGuardExceeded"

@@ -12,6 +12,7 @@ import pytest
 from selfdual.codes import (
     CyclicSpec,
     LinearCode,
+    certify_mds,
     code_from_json,
     code_to_json,
     constacyclic_shift,
@@ -285,6 +286,54 @@ def test_mds_bch_certificate():
     assert verdict.status == "certified-bch"
     # and the certificate is honest: true distance meets the bound
     assert min_distance_exhaustive(code) == 3
+
+
+@pytest.mark.parametrize("mode", ["exhaustive-columns", "monte-carlo"])
+def test_mds_check_log_tables_and_elements_agree(mode):
+    # dlog_limit=1 forces the element path: same draws, same witnesses
+    f = make_field(7, 1)
+    no_tables = GuardConfig(dlog_limit=1)
+    points = [f.from_int(i) for i in range(6)]
+    vandermonde = LinearCode(f, 6, 3, tuple(tuple(a ** l for a in points)
+                                            for l in range(3)))
+    codes = [vandermonde] + [rand_code(f, 6, 3, seed) for seed in range(4)]
+    statuses = set()
+    for code in codes:
+        a = mds_check(code, mode, trials=64)
+        assert a == mds_check(code, mode, trials=64, guards=no_tables)
+        statuses.add(a.status)
+    assert "refuted" in statuses and len(statuses) == 2
+
+
+def test_certify_mds_rung_follows_facts_and_guards():
+    tower = quadratic_extension(make_field(3, 1))
+    T = DefiningSet(8, (1, 3), step=2)
+    code = cyclic_generator_matrix(
+        generator_from_defining_set(tower, 4, -tower.one, T))
+    cert = certify_mds(code)
+    assert (cert.tier, cert.verdict.status, cert.distance_exact) == \
+        ("exhaustive", "certified-exact", 3)
+    # no exhaustive or column rung: the facts pick the next one
+    tight = GuardConfig(exhaustive_tier_limit=1, column_limit=1)
+    cert = certify_mds(code, defining=T, guards=tight)
+    assert (cert.tier, cert.verdict.status, cert.distance_lower_bound) == \
+        ("bch", "certified-bch", 3)
+    cert = certify_mds(code, extended_defining=DefiningSet(3, (1,)),
+                       guards=tight)
+    assert (cert.tier, cert.verdict.status, cert.distance_lower_bound) == \
+        ("extended-bch", "certified-bch", 2)
+    cert = certify_mds(code, guards=tight)
+    assert (cert.tier, cert.verdict.status, cert.distance_exact) == \
+        ("monte-carlo", "monte-carlo", None)
+    cert = certify_mds(code, structural=True, guards=tight)
+    assert (cert.verdict.status, cert.distance_exact) == \
+        ("certified-structural", 3)
+    # a forced rung beyond its guard is a verdict, not an exception
+    cert = certify_mds(code, mode="columns", guards=tight)
+    assert cert.verdict.status == "guarded"
+    assert cert.warning == cert.reason == "C(n, k) = 6 exceeds the column guard"
+    with pytest.raises(NoCyclicStructure):
+        certify_mds(code, mode="bch")
 
 
 def test_extension_weight_audit_reports_sums():

@@ -81,6 +81,12 @@ def test_field_is_cached():
     assert make_field(5, 2) is make_field(5, 2)
 
 
+def test_make_field_takes_no_size_limit():
+    # the size guard comes from GuardConfig, never from a per-call limit
+    with pytest.raises(TypeError):
+        make_field(5, 2, 10**6)
+
+
 # --- arithmetic ---
 
 def test_inverse_everywhere():
