@@ -12,7 +12,9 @@ that chooses among them, for the builders and the CLI alike.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from math import comb
@@ -298,37 +300,63 @@ def extend_code(code: LinearCode, gamma: Element) -> LinearCode:
 # distance and MDS verification
 # ---------------------------------------------------------------------------
 
-def _projective_scan(code: LinearCode, audit_sums: bool = False):
+def _projective_scan(code: LinearCode, guards: GuardConfig,
+                     audit_sums: bool = False):
     """Scan one codeword per projective message class.
 
     Returns (min_weight, sums_ok) where sums_ok reports whether every
     minimum-weight codeword found has a nonzero coordinate sum; scalar
-    scaling changes neither the weight nor that predicate.
+    scaling changes neither the weight nor that predicate.  For k >= 2
+    and q within the dlog guard the words are Zech-log ints (-1 for
+    zero), so w + c*r is one log sum and one Zech lookup per entry;
+    otherwise they are element objects.  A lone word (k = 1) costs less
+    than building a table.
     """
     field = code.field
-    zero = field.zero
-    elems = [field.from_int(i) for i in range(field.order)]
+    k = code.k
+    table = dlog_table(field, guards.dlog_limit) if k >= 2 else None
+    if table is None:
+        zero = field.zero
+        scalars = ([field.from_int(i) for i in range(1, field.order)]
+                   if k >= 2 else [])
+        G = code.generator
+        add = operator.add
+
+        def axpy(word, c, row):
+            return [w + c * r for w, r in zip(word, row)]
+    else:
+        zero = -1
+        m = table.q - 1
+        zech = table.zech
+        scalars = range(m)
+        G = [[table.encode(x) for x in row] for row in code.generator]
+        add = table.add
+
+        def axpy(word, c, row):
+            out = []
+            for w, r in zip(word, row):
+                if r != -1:
+                    term = (c + r) % m
+                    if w == -1:
+                        w = term
+                    else:
+                        z = zech[(term - w) % m]
+                        w = -1 if z == -1 else (w + z) % m
+                out.append(w)
+            return out
+
     best = code.n + 1
     sums_ok = True
-    k = code.k
-    G = code.generator
 
     def consider(word):
         nonlocal best, sums_ok
-        weight = sum(1 for x in word if x)
-        if weight < best:
-            best = weight
-            if audit_sums:
-                total = zero
-                for x in word:
-                    total = total + x
-                sums_ok = bool(total)
-        elif weight == best and audit_sums:
-            total = zero
-            for x in word:
-                total = total + x
-            if not total:
-                sums_ok = False
+        weight = len(word) - word.count(zero)
+        if weight > best:
+            return
+        if audit_sums:
+            nonzero_sum = functools.reduce(add, word, zero) != zero
+            sums_ok = nonzero_sum if weight < best else sums_ok and nonzero_sum
+        best = weight
 
     def rec(level, word):
         if level == k:
@@ -336,8 +364,8 @@ def _projective_scan(code: LinearCode, audit_sums: bool = False):
             return
         rec(level + 1, word)
         row = G[level]
-        for c in elems[1:]:
-            rec(level + 1, [w + c * r for w, r in zip(word, row)])
+        for c in scalars:
+            rec(level + 1, axpy(word, c, row))
 
     for pivot in range(k):
         rec(pivot + 1, list(G[pivot]))
@@ -358,7 +386,7 @@ def min_distance_exhaustive(code: LinearCode,
         raise GuardExceeded(
             "q**k = %d exceeds the codeword guard" % code.field.order ** code.k
         )
-    best, _ = _projective_scan(code)
+    best, _ = _projective_scan(code, guards)
     return best
 
 
@@ -368,7 +396,7 @@ def extension_weight_audit(code: LinearCode,
     guards = current_guards(guards)
     if code.field.order ** code.k > guards.codeword_limit:
         raise GuardExceeded("q**k exceeds the codeword guard")
-    return _projective_scan(code, audit_sums=True)
+    return _projective_scan(code, guards, audit_sums=True)
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,12 @@ from .errors import (
 )
 from .numtheory import factorize, is_prime
 
+# Bounds of the module caches.  A long-lived process that visits many
+# fields evicts the least recently used entry instead of growing; every
+# benchmark workload and the test suite stay well inside them.
+FIELD_CACHE_SIZE = 256   # make_field, find_primitive_element
+TOWER_CACHE_SIZE = 128   # quadratic_extension, _frobenius_y
+
 
 # ---------------------------------------------------------------------------
 # integer-coefficient polynomial helpers (mod p), constant term first
@@ -303,7 +309,7 @@ def check_field_size(order: int, guards: GuardConfig | None = None) -> None:
                                 % order)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=FIELD_CACHE_SIZE)
 def make_field(p: int, t: int) -> FieldSpec:
     """Canonical GF(p^t): least monic irreducible modulus.
 
@@ -458,7 +464,22 @@ Field = Union[FieldSpec, TowerSpec]
 Element = Union[FieldElement, ExtElement]
 
 
-@functools.lru_cache(maxsize=None)
+def _quadratic_is_irreducible(field: Field, c0, c1) -> bool:
+    """Whether y**2 + c1*y + c0 has no root in ``field``.
+
+    For odd q that means the discriminant c1**2 - 4*c0 is not a square
+    (a zero discriminant gives a double root); for even q the roots are
+    scanned.
+    """
+    q = field.order
+    if q % 2 == 1:
+        disc = c1 * c1 - field.scalar(4) * c0
+        return bool(disc) and disc ** ((q - 1) // 2) != field.one
+    zero = field.zero
+    return all(x * x + c1 * x + c0 != zero for x in field.elements())
+
+
+@functools.lru_cache(maxsize=TOWER_CACHE_SIZE)
 def quadratic_extension(field: Field) -> TowerSpec:
     """Deterministic GF(q^2) on top of ``field``.
 
@@ -478,20 +499,12 @@ def quadratic_extension(field: Field) -> TowerSpec:
     for i in range(q * q):
         c0 = field.from_int(i % q)
         c1 = field.from_int(i // q)
-        if not c0:
-            continue
-        # degree-2 irreducibility over the base is a root scan
-        has_root = False
-        for x in field.elements():
-            if x * x + c1 * x + c0 == field.zero:
-                has_root = True
-                break
-        if not has_root:
+        if c0 and _quadratic_is_irreducible(field, c0, c1):
             return TowerSpec(field, (c0, c1, field.one))
     raise ZeroElement("no irreducible quadratic found")  # unreachable
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=TOWER_CACHE_SIZE)
 def _frobenius_y(tower: TowerSpec) -> ExtElement:
     # y**q is fixed for the tower; a, b in the base are left alone by x -> x**q
     return tower.y ** tower.base.order
@@ -507,12 +520,25 @@ def frobenius(tower: TowerSpec, x: ExtElement) -> ExtElement:
 # multiplicative structure
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=FIELD_CACHE_SIZE)
 def find_primitive_element(field: Field) -> Element:
-    """Canonically least generator of the multiplicative group."""
+    """Canonically least generator of the multiplicative group.
+
+    The scan skips a prefix of indices that holds only subfield
+    elements.  In a tower over a base of order Q, every index below Q
+    has b = 0, so it is an embedded base element; its order divides
+    Q - 1 < Q**2 - 1.  In GF(p^t) with t > 1, the indices below p are
+    the constants of GF(p), whose orders divide p - 1 < p**t - 1.  No
+    skipped element is primitive, so the first generator after the
+    prefix is the least one overall.
+    """
     q = field.order
     prime_factors = [f for f, _ in factorize(q - 1)]
-    for i in range(1, q):
+    if isinstance(field, TowerSpec):
+        start = field.base.order
+    else:
+        start = field.p if field.t > 1 else 1
+    for i in range(start, q):
         g = field.from_int(i)
         if all(g ** ((q - 1) // ell) != field.one for ell in prime_factors):
             return g
@@ -655,6 +681,11 @@ def field_from_json(obj) -> Field:
         coeffs = tuple(element_from_json(base, c) for c in obj["ext_modulus"])
         field = TowerSpec(base, coeffs)
     check_field_size(field.order)
+    # log tables and every verdict over a tower assume it is a field
+    if isinstance(field, TowerSpec) and (
+            len(coeffs) != 3 or coeffs[2] != base.one
+            or not _quadratic_is_irreducible(base, coeffs[0], coeffs[1])):
+        raise ZeroElement("ext_modulus in input is not monic irreducible")
     return field
 
 

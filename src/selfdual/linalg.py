@@ -7,6 +7,8 @@ a discrete-log table turns every field operation into integer lookups.
 """
 from __future__ import annotations
 
+from collections import OrderedDict
+
 from .errors import ZeroElement
 from .fields import Element, Field, find_primitive_element
 
@@ -130,9 +132,15 @@ class DlogTable:
         return self.field.from_int(self.pow_idx[code])
 
     def det_nonzero(self, rows: list[list[int]]) -> bool:
-        """Nonsingularity of a square matrix of encoded entries."""
+        """Nonsingularity of a square matrix of encoded entries.
+
+        The field's -1 is g**half (half = 0 in characteristic 2), so
+        subtracting (entry/pivot) * v adds g**(log v + shift) with the
+        negation folded into ``shift``.
+        """
         k = len(rows)
         m = self.q - 1
+        half = 0 if self.field.char == 2 else m // 2
         zech = self.zech
         mat = [row[:] for row in rows]
         for col in range(k):
@@ -151,32 +159,24 @@ class DlogTable:
                 entry = mat[i][col]
                 if entry == -1:
                     continue
-                # row_i -= (entry/pivot) * row_col
-                shift = (entry - pivot) % m
+                # row_i += -(entry/pivot) * row_col
+                shift = (entry - pivot + half) % m
                 row = mat[i]
                 for j in range(col, k):
                     v = prow[j]
                     if v == -1:
                         continue
-                    sub = (v + shift) % m
+                    term = (v + shift) % m
                     cur = row[j]
                     if cur == -1:
-                        # 0 - g**sub
-                        row[j] = self._neg(sub)
+                        row[j] = term
                     else:
-                        row[j] = self._sub(cur, sub)
+                        z = zech[(term - cur) % m]
+                        row[j] = -1 if z == -1 else (cur + z) % m
         return True
 
-    def _neg(self, code: int) -> int:
-        if self.field.char == 2:
-            return code
-        return (code + (self.q - 1) // 2) % (self.q - 1)
-
-    def _sub(self, c1: int, c2: int) -> int:
-        # g**c1 - g**c2
-        return self._add(c1, self._neg(c2))
-
-    def _add(self, c1: int, c2: int) -> int:
+    def add(self, c1: int, c2: int) -> int:
+        """g**c1 + g**c2 through the Zech table."""
         if c1 == -1:
             return c2
         if c2 == -1:
@@ -189,7 +189,9 @@ class DlogTable:
         return (c1 + z) % m
 
 
-_DLOG_CACHE: dict = {}
+# tables kept at once; the least recently used one is dropped beyond it
+DLOG_CACHE_SIZE = 64
+_DLOG_CACHE: OrderedDict = OrderedDict()
 
 
 def dlog_table(field: Field, limit: int) -> DlogTable | None:
@@ -200,4 +202,8 @@ def dlog_table(field: Field, limit: int) -> DlogTable | None:
     if table is None:
         table = DlogTable(field)
         _DLOG_CACHE[field] = table
+        if len(_DLOG_CACHE) > DLOG_CACHE_SIZE:
+            _DLOG_CACHE.popitem(last=False)
+    else:
+        _DLOG_CACHE.move_to_end(field)
     return table

@@ -192,3 +192,18 @@ def test_field_size_override_refuses_larger_fields(tmp_path, monkeypatch,
                         "--p", "5", "--n", "4")
     assert rc == 1
     assert lines[0]["error"] == "SizeGuardExceeded"
+
+
+def test_verify_refuses_a_tower_over_a_reducible_quadratic(tmp_path, capsys):
+    rc, lines = run_cli(capsys, "construct", "grs-hermitian",
+                        "--p", "5", "--n", "4")
+    assert rc == 0
+    obj = lines[0]
+    # y**2 - 1 = (y - 1)(y + 1): GF(5)[y] modulo it has zero divisors
+    obj["field"]["ext_modulus"] = [[4], [0], [1]]
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(obj))
+    rc, lines = run_cli(capsys, "verify", str(path))
+    assert rc == 1
+    assert lines[0]["error"] == "ZeroElement"
+    assert "irreducible" in lines[0]["message"]

@@ -28,6 +28,7 @@ from selfdual.fields import (
     solve_norm,
     sqrt_in_field,
 )
+from selfdual.numtheory import factorize
 
 
 def brute_irreducible(coeffs, p):
@@ -139,6 +140,40 @@ def test_primitive_element_small_fields():
         # and nothing canonically smaller generates everything
         for j in range(1, field.index(g)):
             assert element_order(field.from_int(j)) < field.order - 1
+
+
+def brute_primitive(field):
+    """Reference search: every index from 1, no prefix skipped."""
+    q = field.order
+    prime_factors = [f for f, _ in factorize(q - 1)]
+    for i in range(1, q):
+        g = field.from_int(i)
+        if all(g ** ((q - 1) // ell) != field.one for ell in prime_factors):
+            return g
+    raise AssertionError("no primitive element")
+
+
+def _prime_powers(limit):
+    return [(p, t) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)
+            for t in range(1, 6) if p ** t <= limit]
+
+
+# (p, t, number of quadratic extensions on top of GF(p^t))
+PRIMITIVE_CASES = (
+    [(p, t, 0) for p in (2, 3, 5) for t in (1, 2, 3, 4)]
+    + [(p, t, 1) for p, t in _prime_powers(27)]
+    + [(q, 1, 2) for q in (2, 3, 5, 7)]
+)
+
+
+@pytest.mark.parametrize("p, t, towers", PRIMITIVE_CASES,
+                         ids=["GF(%d^%d)%s" % (p, t, "^2" * towers)
+                              for p, t, towers in PRIMITIVE_CASES])
+def test_primitive_search_matches_a_full_scan(p, t, towers):
+    field = make_field(p, t)
+    for _ in range(towers):
+        field = quadratic_extension(field)
+    assert find_primitive_element(field) == brute_primitive(field)
 
 
 def test_element_order_brute_agreement():
@@ -280,6 +315,35 @@ def test_field_json_roundtrip():
         assert field_to_json(back) == field_to_json(obj)
 
 
+@pytest.mark.parametrize("base, ext_modulus", [
+    ({"p": 5, "t": 1, "modulus": [0, 1]}, [[4], [0], [1]]),  # y^2 - 1
+    ({"p": 5, "t": 1, "modulus": [0, 1]}, [[0], [0], [1]]),  # y^2
+    ({"p": 7, "t": 1, "modulus": [0, 1]}, [[1], [1], [1]]),  # roots 2, 4
+    ({"p": 2, "t": 1, "modulus": [0, 1]}, [[1], [0], [1]]),  # (y + 1)^2
+    # y^2 + y + 1 over GF(4) = GF(2)[x]/(x^2 + x + 1) has the root x
+    ({"p": 2, "t": 2, "modulus": [1, 1, 1]}, [[1, 0], [1, 0], [1, 0]]),
+    ({"p": 3, "t": 1, "modulus": [0, 1]}, [[1], [0], [2]]),  # not monic
+    ({"p": 3, "t": 1, "modulus": [0, 1]}, [[1], [1]]),       # degree 1
+], ids=["gf5-y2-1", "gf5-y2", "gf7-two-roots", "gf2-square", "gf4-root-x",
+        "gf3-not-monic", "gf3-degree-1"])
+def test_field_from_json_refuses_reducible_ext_modulus(base, ext_modulus):
+    with pytest.raises(ZeroElement, match="irreducible"):
+        field_from_json({"base": base, "ext_modulus": ext_modulus})
+
+
+def test_field_from_json_keeps_any_irreducible_ext_modulus():
+    gf5 = {"p": 5, "t": 1, "modulus": [0, 1]}
+    # y^2 - 3 and y^2 + y + 1 are irreducible over GF(5), not canonical
+    for ext in ([[2], [0], [1]], [[1], [1], [1]]):
+        tower = field_from_json({"base": gf5, "ext_modulus": ext})
+        assert field_to_json(tower)["ext_modulus"] == ext
+    gf4 = {"p": 2, "t": 2, "modulus": [1, 1, 1]}
+    # over GF(4) = GF(2)[x]/(x^2 + x + 1): y^2 + y + x has no root
+    tower = field_from_json({"base": gf4, "ext_modulus": [[0, 1], [1, 0],
+                                                          [1, 0]]})
+    assert tower.order == 16
+
+
 def test_element_json_roundtrip():
     field = make_field(3, 2)
     tower = quadratic_extension(field)
@@ -287,3 +351,30 @@ def test_element_json_roundtrip():
         assert element_from_json(field, element_to_json(x)) == x
     for x in tower.elements():
         assert element_from_json(tower, element_to_json(x)) == x
+
+
+SYMPY_CASES = [(2, 1), (7, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 2),
+               (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (7, 3), (11, 2)]
+
+
+@pytest.mark.parametrize("p, t", SYMPY_CASES)
+def test_canonical_choices_agree_with_sympy(p, t):
+    # an independent oracle when sympy is installed; never a dependency
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_irreducible_p, gf_pow_mod, gf_strip
+
+    field = make_field(p, t)
+    q = p ** t
+    # the least monic irreducible in the constant-term-first order
+    for j in range(q):
+        least = [(j // p ** i) % p for i in range(t)] + [1]
+        if gf_irreducible_p(least[::-1], p, ZZ):
+            break
+    assert field.modulus == tuple(least)
+    # the canonical primitive element has order exactly q - 1
+    g = gf_strip(list(reversed(find_primitive_element(field).coeffs)))
+    modulus = list(reversed(field.modulus))
+    assert gf_pow_mod(g, q - 1, modulus, p, ZZ) == [1]
+    for ell in sympy.factorint(q - 1):
+        assert gf_pow_mod(g, (q - 1) // ell, modulus, p, ZZ) != [1]

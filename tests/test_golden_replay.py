@@ -1,16 +1,23 @@
-"""Replay part of the benchmark's cold-CLI goldens in-process.
+"""Replay the benchmark's goldens in-process, byte for byte.
 
-``perfbench/golden/cli-cold.json`` holds the byte-exact stdout and exit
-code of ``selfdual construct`` and of ``selfdual verify`` on its output,
-recorded when the goldens were made.  The instances below take every
-rung of the MDS tier ladder on one side or the other, so a change in
-tier choice, verdict or report shows up as a byte difference.
+``perfbench/golden/cli-cold.json`` holds the exact stdout and exit code
+of ``selfdual construct`` and of ``selfdual verify`` on its output for
+16 instances; ``perfbench/golden/hermitian-sweep.json`` holds, for the
+56 Hermitian builds of acceptance criteria 4 to 6, the sha256 of the
+JSON that ``construct`` would print and the stdout of ``verify`` on it.
+Both were recorded when the goldens were made, so any change in a
+canonical choice (modulus, primitive element, roots, gamma, generator
+rows), in tier choice, verdict or report shows up as a difference here.
+The goldens are only read.
 """
+import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+import selfdual
 from selfdual.codes import certify_mds, code_from_json
 from selfdual.cli import main
 from selfdual.config import GuardConfig
@@ -18,10 +25,20 @@ from selfdual.constructions import build_euclidean_duadic_extended
 from selfdual.cosets import DefiningSet
 from selfdual.errors import GuardExceeded
 
-GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "cli-cold.json"
+GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 
-# construct arguments -> the rung `verify` takes on the built code
-REPLAYED = {
+
+def _load(name):
+    with open(GOLDEN_DIR / name, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+CLI_GOLDEN = _load("cli-cold.json")
+SWEEP_GOLDEN = _load("hermitian-sweep.json")
+
+# construct arguments -> the rung `verify` takes on the built code; these
+# take every rung of the MDS tier ladder on one side or the other
+RUNGS = {
     "euclidean-duadic --p 7 --n 3": "exhaustive",
     "grs-hermitian --p 13 --n 12": "columns",
     "dispatch --p 31 --n 32": "bch",
@@ -32,29 +49,53 @@ REPLAYED = {
 }
 
 
-@pytest.fixture(scope="module")
-def golden():
-    with open(GOLDEN, encoding="utf-8") as fh:
-        return json.load(fh)
+def _verify(path, capsys):
+    rc = main(["verify", str(path)])
+    return rc, capsys.readouterr().out
 
 
-@pytest.mark.parametrize("args", sorted(REPLAYED))
-def test_construct_and_verify_match_golden(args, golden, tmp_path, capsys):
-    want = golden["construct " + args]
+@pytest.mark.parametrize("args", sorted(key.split(" ", 1)[1]
+                                        for key in CLI_GOLDEN))
+def test_construct_and_verify_match_golden(args, tmp_path, capsys):
+    want = CLI_GOLDEN["construct " + args]
     rc = main(["construct"] + args.split())
     out = capsys.readouterr().out
     assert (rc, out) == (want["construct"]["rc"], want["construct"]["stdout"])
 
     path = tmp_path / "code.json"
     path.write_text(out, encoding="utf-8")
-    rc = main(["verify", str(path)])
-    assert (rc, capsys.readouterr().out) == (want["verify"]["rc"],
-                                             want["verify"]["stdout"])
+    assert _verify(path, capsys) == (want["verify"]["rc"],
+                                     want["verify"]["stdout"])
 
-    code, metadata = code_from_json(json.loads(out))
-    defining = metadata.get("defining_set")
-    cert = certify_mds(code, defining=defining and DefiningSet.from_json(defining))
-    assert cert.tier == REPLAYED[args]
+    if args in RUNGS:
+        code, metadata = code_from_json(json.loads(out))
+        defining = metadata.get("defining_set")
+        cert = certify_mds(code, defining=defining
+                           and DefiningSet.from_json(defining))
+        assert cert.tier == RUNGS[args]
+
+
+def _parse_build(key):
+    name, args = re.fullmatch(r"(\w+)\(([\d, ]*)\)", key).groups()
+    return getattr(selfdual, name), [int(a) for a in args.split(", ")]
+
+
+@pytest.mark.parametrize("key", sorted(SWEEP_GOLDEN))
+def test_sweep_build_and_verify_match_golden(key, tmp_path, capsys):
+    want = SWEEP_GOLDEN[key]
+    builder, args = _parse_build(key)
+    result = builder(*args)
+    text = json.dumps(result.to_json()) + "\n"  # as `construct` prints it
+    got = {"sha256": hashlib.sha256(text.encode()).hexdigest(),
+           "construction": result.construction, "theorem": result.theorem,
+           "n": result.code.n, "k": result.code.k,
+           "verification": result.report.to_json()}
+    assert got == want["build"]
+
+    path = tmp_path / "code.json"
+    path.write_text(text, encoding="utf-8")
+    assert _verify(path, capsys) == (want["verify"]["rc"],
+                                     want["verify"]["stdout"])
 
 
 def test_builder_raises_when_the_chosen_rung_is_guarded():

@@ -1,0 +1,89 @@
+"""Log-table determinants against the element path, and cache bounds."""
+import random
+
+import pytest
+
+from selfdual.fields import (
+    FIELD_CACHE_SIZE,
+    TOWER_CACHE_SIZE,
+    _frobenius_y,
+    find_primitive_element,
+    frobenius,
+    make_field,
+    quadratic_extension,
+)
+from selfdual.linalg import (
+    DLOG_CACHE_SIZE,
+    _DLOG_CACHE,
+    DlogTable,
+    det_nonzero,
+    dlog_table,
+)
+from selfdual.numtheory import is_prime
+
+# (p, t, number of quadratic extensions on top of GF(p^t))
+DET_FIELDS = [(2, 1, 0), (2, 2, 0), (2, 3, 0), (2, 1, 1), (2, 2, 1),
+              (3, 1, 0), (7, 1, 0), (3, 2, 0), (3, 1, 1), (5, 1, 1)]
+
+
+def _field(p, t, towers):
+    field = make_field(p, t)
+    for _ in range(towers):
+        field = quadratic_extension(field)
+    return field
+
+
+def _singular(rng, field, k):
+    """A k x k matrix whose last row is a combination of the others."""
+    els = [field.from_int(i) for i in range(field.order)]
+    rows = [[rng.choice(els) for _ in range(k)] for _ in range(k - 1)]
+    last = [field.zero] * k
+    for row in rows:
+        c = rng.choice(els)
+        last = [a + c * b for a, b in zip(last, row)]
+    rows.insert(rng.randrange(k), last)
+    return rows
+
+
+@pytest.mark.parametrize("p, t, towers", DET_FIELDS,
+                         ids=["GF(%d^%d)%s" % (p, t, "^2" * towers)
+                              for p, t, towers in DET_FIELDS])
+def test_zech_determinant_matches_the_element_path(p, t, towers):
+    field = _field(p, t, towers)
+    table = DlogTable(field)
+    rng = random.Random("%d:%d:%d" % (p, t, towers))
+    els = [field.from_int(i) for i in range(field.order)]
+    verdicts = set()
+    for trial in range(60):
+        k = rng.randint(1, 6)
+        if trial % 3 == 0:
+            rows = _singular(rng, field, k) if k > 1 else [[field.zero]]
+        else:
+            rows = [[rng.choice(els) for _ in range(k)] for _ in range(k)]
+        encoded = [[table.encode(x) for x in row] for row in rows]
+        want = det_nonzero(rows, field)
+        assert table.det_nonzero(encoded) == want
+        if trial % 3 == 0:
+            assert not want
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_module_caches_stay_bounded():
+    primes = [p for p in range(2, 10**4) if is_prime(p)]
+    for p in primes[:FIELD_CACHE_SIZE + 8]:
+        find_primitive_element(make_field(p, 1))
+    for p in primes[:TOWER_CACHE_SIZE + 8]:
+        tower = quadratic_extension(make_field(p, 1))
+        frobenius(tower, tower.y)
+    for p in primes[:DLOG_CACHE_SIZE + 8]:
+        dlog_table(make_field(p, 1), p)
+    assert make_field.cache_info().currsize == FIELD_CACHE_SIZE
+    assert find_primitive_element.cache_info().currsize == FIELD_CACHE_SIZE
+    assert quadratic_extension.cache_info().currsize == TOWER_CACHE_SIZE
+    assert _frobenius_y.cache_info().currsize == TOWER_CACHE_SIZE
+    assert len(_DLOG_CACHE) == DLOG_CACHE_SIZE
+    # least recently used first out: the newest table is kept
+    newest = make_field(primes[DLOG_CACHE_SIZE + 7], 1)
+    assert newest in _DLOG_CACHE
+    assert make_field(2, 1) not in _DLOG_CACHE

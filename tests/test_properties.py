@@ -5,6 +5,7 @@ counterexample over small fields and codes.  Oracles are independent
 brute-force computations, never the functions under test.
 """
 import math
+from dataclasses import replace
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -384,11 +385,10 @@ def test_monte_carlo_never_certifies_and_never_lies(code):
 # extension bookkeeping
 # ---------------------------------------------------------------------------
 
-@settings(deadline=None, max_examples=60)
-@given(systematic_code(max_q=5, max_k=3, max_extra=3))
-def test_extension_audit_matches_brute_enumeration(code):
+def brute_weight_audit(code):
+    """(min distance, every minimum-weight word has a nonzero sum) from
+    all q**k - 1 nonzero messages."""
     field = code.field
-    d, all_nonzero = extension_weight_audit(code, guards=LOOSE)
     best = None
     clean = True
     for idx in range(1, field.order ** code.k):
@@ -407,8 +407,26 @@ def test_extension_audit_matches_brute_enumeration(code):
             clean = bool(s)
         elif w == best and not s:
             clean = False
-    assert d == best
-    assert all_nonzero == clean
+    return best, clean
+
+
+@settings(deadline=None, max_examples=60)
+@given(systematic_code(max_q=5, max_k=3, max_extra=3))
+def test_extension_audit_matches_brute_enumeration(code):
+    assert extension_weight_audit(code, guards=LOOSE) == \
+        brute_weight_audit(code)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.one_of(systematic_code(max_q=4, max_k=3, max_extra=4),
+                 systematic_tower_code(max_k=2, max_extra=3)))
+def test_zech_scan_matches_the_object_scan_and_brute_enumeration(code):
+    # a dlog guard below q sends the scan down the element-object path
+    objects = replace(LOOSE, dlog_limit=code.field.order - 1)
+    zech = extension_weight_audit(code, guards=LOOSE)
+    assert zech == extension_weight_audit(code, guards=objects)
+    assert zech == brute_weight_audit(code)
+    assert min_distance_exhaustive(code, guards=LOOSE) == zech[0]
 
 
 @settings(deadline=None, max_examples=40)
