@@ -96,6 +96,9 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     guards = current_guards(None)
+    if args.trials < 1:
+        raise MalformedInput("--trials must be at least 1, got %d"
+                             % args.trials)
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             obj = json.load(fh)

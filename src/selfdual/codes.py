@@ -13,7 +13,6 @@ that chooses among them, for the builders and the CLI alike.
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 import random
 from dataclasses import dataclass
@@ -23,6 +22,7 @@ from .config import GuardConfig, current_guards
 from .cosets import DefiningSet, consecutive_run
 from .errors import (
     GuardExceeded,
+    MalformedInput,
     NoCyclicStructure,
     NotDividing,
     NotOverTower,
@@ -419,15 +419,57 @@ class MdsVerdict:
         return out
 
 
+def _first_dependent_subset(columns, k: int, zero, eliminate):
+    """The lex-first linearly dependent k-subset of ``columns``, or None.
+
+    A depth-first walk over the subsets in ``itertools.combinations``
+    order.  With d columns chosen, every later column is held as its
+    residual modulo their span: k - d coordinates, the pivot rows
+    dropped.  Choosing column c pivots on its first nonzero residual
+    entry and hands the residuals of all columns after c, reduced by
+    ``eliminate(residual_c, pivot_row, later_residuals)``, to the next
+    depth.  A zero residual makes every subset with that prefix
+    dependent; the subsets before it in lex order were all independent,
+    so the first of them is the witness.
+    """
+    n = len(columns)
+    chosen = []
+
+    def walk(start, residuals):
+        need = k - len(chosen)
+        # a candidate must leave need - 1 columns after it
+        for c in range(start, n - need + 1):
+            residual = residuals[c - start]
+            for pivot, x in enumerate(residual):
+                if x != zero:
+                    break
+            else:
+                return tuple(chosen) + tuple(range(c, c + need))
+            if need > 1:
+                chosen.append(c)
+                found = walk(c + 1, eliminate(residual, pivot,
+                                              residuals[c - start + 1:]))
+                chosen.pop()
+                if found is not None:
+                    return found
+        return None
+
+    if k == 0:
+        return None
+    return walk(0, [list(col) for col in columns])
+
+
 def mds_check(code: LinearCode, mode: str, trials: int = 1000,
               defining: DefiningSet | None = None,
               guards: GuardConfig | None = None) -> MdsVerdict:
     """MDS verification in one of three modes.
 
-    ``exhaustive-columns`` tests nonsingularity of every k-subset of
-    generator columns (necessary and sufficient).  ``monte-carlo``
-    samples subsets with a seed derived from (n, k, q).  ``bch``
-    certifies from the root-run of the defining set.
+    ``exhaustive-columns`` tests that every k-subset of generator
+    columns is independent (necessary and sufficient) with one
+    elimination shared by all subsets, and refutes with the lex-first
+    dependent subset.  ``monte-carlo`` samples subsets with a seed
+    derived from (n, k, q) and tests each minor.  ``bch`` certifies
+    from the root-run of the defining set.
     """
     guards = current_guards(guards)
     n, k = code.n, code.k
@@ -435,40 +477,80 @@ def mds_check(code: LinearCode, mode: str, trials: int = 1000,
         if defining is None:
             raise NoCyclicStructure("bch mode needs a defining set")
         return certify_mds(code, defining=defining, mode="bch").verdict
-    if mode == "exhaustive-columns":
-        if comb(n, k) > guards.column_limit:
-            raise GuardExceeded("C(n, k) = %d exceeds the column guard"
-                                % comb(n, k))
-        subsets = itertools.combinations(range(n), k)
-        sampled = None
-    elif mode == "monte-carlo":
-        rng = random.Random("%d:%d:%d" % (n, k, code.field.order))
-        subsets = (sorted(rng.sample(range(n), k)) for _ in range(trials))
-        sampled = trials
-    else:
+    if mode not in ("exhaustive-columns", "monte-carlo"):
         raise ValueError("unknown mds mode %r" % mode)
-    # fields within the dlog guard test minors on Zech-table ints
+    if mode == "exhaustive-columns" and comb(n, k) > guards.column_limit:
+        raise GuardExceeded("C(n, k) = %d exceeds the column guard"
+                            % comb(n, k))
+    # fields within the dlog guard work on Zech-table ints
     columns = mat_transpose(code.generator)
     table = dlog_table(code.field, guards.dlog_limit)
     if table is None:
         field = code.field
+        zero = field.zero
 
         def nonsingular(mat):
             return det_nonzero(mat, field)
+
+        def eliminate(pivot_col, p, rows):
+            inv = pivot_col[p].inverse()
+            rest = [(t - (t > p), x) for t, x in enumerate(pivot_col)
+                    if t != p and x]
+            out = []
+            for row in rows:
+                new = row[:p] + row[p + 1:]
+                if row[p]:
+                    factor = row[p] * inv
+                    for t, x in rest:
+                        new[t] = new[t] - factor * x
+                out.append(new)
+            return out
     else:
+        zero = -1
         columns = [[table.encode(x) for x in col] for col in columns]
         nonsingular = table.det_nonzero
+        m = table.q - 1
+        half = 0 if table.field.char == 2 else m // 2
+        zech = table.zech
+
+        def eliminate(pivot_col, p, rows):
+            # row -= (row[p] / pivot) * pivot_col, the negation folded
+            # into the log shift as in DlogTable.det_nonzero
+            base = pivot_col[p] - half
+            rest = [(t - (t > p), x) for t, x in enumerate(pivot_col)
+                    if t != p and x != -1]
+            out = []
+            for row in rows:
+                new = row[:p] + row[p + 1:]
+                entry = row[p]
+                if entry != -1:
+                    shift = entry - base
+                    for t, x in rest:
+                        term = (x + shift) % m
+                        cur = new[t]
+                        if cur == -1:
+                            new[t] = term
+                        else:
+                            z = zech[(term - cur) % m]
+                            new[t] = -1 if z == -1 else (cur + z) % m
+                out.append(new)
+            return out
+
+    if mode == "exhaustive-columns":
+        witness = _first_dependent_subset(columns, k, zero, eliminate)
+        if witness is None:
+            return MdsVerdict("certified-exact")
+        return MdsVerdict("refuted", witness=witness)
+    rng = random.Random("%d:%d:%d" % (n, k, code.field.order))
     passes = 0
-    for subset in subsets:
+    for _ in range(trials):
+        subset = sorted(rng.sample(range(n), k))
         if not nonsingular([[columns[j][i] for j in subset]
                             for i in range(k)]):
-            return MdsVerdict("refuted", trials=sampled,
-                              passes=None if sampled is None else passes,
+            return MdsVerdict("refuted", trials=trials, passes=passes,
                               witness=tuple(subset))
         passes += 1
-    if sampled is None:
-        return MdsVerdict("certified-exact")
-    return MdsVerdict("monte-carlo", trials=sampled, passes=passes)
+    return MdsVerdict("monte-carlo", trials=trials, passes=passes)
 
 
 @dataclass(frozen=True)
@@ -621,6 +703,10 @@ def code_from_json(obj):
     field = field_from_json(obj["field"])
     n = int(obj["n"])
     k = int(obj["k"])
+    if k < 1:
+        # the zero code has no codeword, distance or column subset to
+        # verify; LinearCode still allows it as the dual of a k = n code
+        raise MalformedInput("a code record needs k >= 1, got k = %d" % k)
     rows = tuple(
         tuple(element_from_json(field, x) for x in row)
         for row in obj["generator"]

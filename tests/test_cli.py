@@ -207,3 +207,25 @@ def test_verify_refuses_a_tower_over_a_reducible_quadratic(tmp_path, capsys):
     assert rc == 1
     assert lines[0]["error"] == "ZeroElement"
     assert "irreducible" in lines[0]["message"]
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_refuses_fewer_than_one_trial(trials, tmp_path, capsys):
+    rc, lines = run_cli(capsys, "construct", "euclidean-duadic",
+                        "--p", "7", "--n", "3")
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(lines[0]))
+    rc, lines = run_cli(capsys, "verify", str(path), "--mds", "monte-carlo",
+                        "--trials", trials)
+    assert rc == 2
+    assert lines[0]["error"] == "MalformedInput"
+
+
+@pytest.mark.parametrize("mds", ["auto", "columns"])
+def test_verify_refuses_a_zero_dimensional_code(mds, tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"field": {"p": 5, "t": 1, "modulus": [0, 1]},
+                                "n": 3, "k": 0, "generator": []}))
+    rc, lines = run_cli(capsys, "verify", str(path), "--mds", mds)
+    assert rc == 2
+    assert lines[0]["error"] == "MalformedInput"

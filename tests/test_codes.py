@@ -6,12 +6,17 @@ enumeration written here, independent of the scan in the package.
 import itertools
 import json
 import random
+from collections import Counter
+from math import comb
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from selfdual import codes as codes_module
 from selfdual.codes import (
     CyclicSpec,
     LinearCode,
+    MdsVerdict,
     certify_mds,
     code_from_json,
     code_to_json,
@@ -35,12 +40,14 @@ from selfdual.config import GuardConfig
 from selfdual.cosets import DefiningSet
 from selfdual.errors import (
     GuardExceeded,
+    MalformedInput,
     NoCyclicStructure,
     NotDividing,
     NotOverTower,
     RootsNotInField,
 )
 from selfdual.fields import make_field, nth_root_of_unity, quadratic_extension
+from selfdual.linalg import DlogTable, det_nonzero, mat_transpose
 
 
 def naive_min_distance(code):
@@ -260,6 +267,106 @@ def test_mds_columns_iff_distance_meets_singleton():
             assert len(subset) == 3
 
 
+def lex_column_oracle(code):
+    """The per-subset loop: one determinant per k-subset of columns, in
+    itertools.combinations order, stopping at the first singular one."""
+    columns = mat_transpose(code.generator)
+    for subset in itertools.combinations(range(code.n), code.k):
+        if not det_nonzero([[columns[j][i] for j in subset]
+                            for i in range(code.k)], code.field):
+            return ("refuted", subset)
+    return ("certified-exact", None)
+
+
+# prime fields, characteristic 2 and towers over a prime and over GF(4)
+COLUMN_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (13, 1), (2, 2), (2, 3),
+                 ("tower", 2, 1), ("tower", 3, 1), ("tower", 2, 2)]
+
+
+def _column_field(spec):
+    if spec[0] == "tower":
+        return quadratic_extension(make_field(spec[1], spec[2]))
+    return make_field(*spec)
+
+
+@st.composite
+def code_with_planted_dependency(draw):
+    """A full-rank generator, often with a planted dependent column set.
+
+    Small fields give singular subsets on their own; the planted set
+    makes its last column a combination of the others (a zero column
+    when it has one member), so the first singular subset can sit deep
+    in the walk."""
+    field = _column_field(draw(st.sampled_from(COLUMN_FIELDS)))
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(1, n))
+    entry = st.integers(0, field.order - 1).map(field.from_int)
+    cols = [[draw(entry) for _ in range(k)] for _ in range(n)]
+    if draw(st.booleans()):
+        low = draw(st.integers(0, n - 1))
+        planted = sorted(draw(st.sets(st.integers(low, n - 1), min_size=1,
+                                      max_size=k)))
+        target = [field.zero] * k
+        for j in planted[:-1]:
+            c = draw(entry)
+            target = [t + c * x for t, x in zip(target, cols[j])]
+        cols[planted[-1]] = target
+    try:
+        return LinearCode(field, n, k, mat_transpose(cols))
+    except ValueError:  # dependent rows
+        assume(False)
+
+
+@settings(deadline=None, max_examples=200)
+@given(code_with_planted_dependency())
+def test_column_walk_matches_the_lex_determinant_loop(code):
+    want = lex_column_oracle(code)
+    # dlog_limit = q - 1 leaves the field without a table: element path
+    for guards in (None, GuardConfig(dlog_limit=code.field.order - 1)):
+        verdict = mds_check(code, "exhaustive-columns", guards=guards)
+        assert (verdict.status, verdict.witness) == want
+        assert verdict.trials is None and verdict.passes is None
+
+
+def vandermonde(field, n, k):
+    points = [field.from_int(i) for i in range(n)]
+    return LinearCode(field, n, k, tuple(tuple(a ** l for a in points)
+                                         for l in range(k)))
+
+
+@pytest.mark.parametrize("dlog_limit", [2**20, 1])
+def test_column_walk_expands_only_prefixes_that_fit(dlog_limit, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("determinant called")
+
+    walk = codes_module._first_dependent_subset
+    expanded = []
+
+    def counting_walk(columns, k, zero, eliminate):
+        def counted(pivot_col, p, rows):
+            expanded.append(len(pivot_col))
+            return eliminate(pivot_col, p, rows)
+        return walk(columns, k, zero, counted)
+
+    monkeypatch.setattr(codes_module, "det_nonzero", refuse)
+    monkeypatch.setattr(DlogTable, "det_nonzero", refuse)
+    monkeypatch.setattr(codes_module, "_first_dependent_subset",
+                        counting_walk)
+    guards = GuardConfig(dlog_limit=dlog_limit)
+    f = make_field(11, 1)
+    n, k = 9, 4
+    assert mds_check(vandermonde(f, n, k), "exhaustive-columns",
+                     guards=guards) == MdsVerdict("certified-exact")
+    # a prefix of j columns is expanded only while the k - j columns still
+    # missing fit after its last one: C(n - k + j, j) prefixes, each
+    # pivoting on a residual of k - j + 1 coordinates
+    assert Counter(expanded) == {k - j + 1: comb(n - k + j, j)
+                                 for j in range(1, k)}
+    code = rand_code(make_field(7, 1), 6, 3, 0)
+    assert mds_check(code, "exhaustive-columns", guards=guards) == \
+        MdsVerdict("refuted", witness=lex_column_oracle(code)[1])
+
+
 def test_mds_monte_carlo_is_deterministic():
     f = make_field(7, 1)
     code = rand_code(f, 6, 3, 5)
@@ -293,10 +400,8 @@ def test_mds_check_log_tables_and_elements_agree(mode):
     # dlog_limit=1 forces the element path: same draws, same witnesses
     f = make_field(7, 1)
     no_tables = GuardConfig(dlog_limit=1)
-    points = [f.from_int(i) for i in range(6)]
-    vandermonde = LinearCode(f, 6, 3, tuple(tuple(a ** l for a in points)
-                                            for l in range(3)))
-    codes = [vandermonde] + [rand_code(f, 6, 3, seed) for seed in range(4)]
+    codes = [vandermonde(f, 6, 3)] + [rand_code(f, 6, 3, seed)
+                                      for seed in range(4)]
     statuses = set()
     for code in codes:
         a = mds_check(code, mode, trials=64)
@@ -355,6 +460,15 @@ def test_code_json_roundtrip_with_metadata():
     assert same_code(back, code)
     assert meta == {"construction": "test", "r": 2}
     assert back.field.order == 9
+
+
+def test_code_json_refuses_the_zero_code():
+    # LinearCode keeps k = 0 (the dual of a k = n code); a record may not
+    f = make_field(5, 1)
+    zero_code = LinearCode(f, 3, 0, ())
+    assert euclidean_dual(euclidean_dual(zero_code)).k == 0
+    with pytest.raises(MalformedInput):
+        code_from_json(code_to_json(zero_code))
 
 
 def test_poly_helpers():

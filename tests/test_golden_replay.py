@@ -4,8 +4,11 @@
 of ``selfdual construct`` and of ``selfdual verify`` on its output for
 16 instances; ``perfbench/golden/hermitian-sweep.json`` holds, for the
 56 Hermitian builds of acceptance criteria 4 to 6, the sha256 of the
-JSON that ``construct`` would print and the stdout of ``verify`` on it.
-Both were recorded when the goldens were made, so any change in a
+JSON that ``construct`` would print and the stdout of ``verify`` on it;
+``perfbench/golden/euclidean-table.json`` holds, for the 22 reference
+table pairs, the ``run_table_pair`` row without its wall time and, for
+each confirmed pair, the built code and the stdout of ``verify`` on it.
+All three were recorded when the goldens were made, so any change in a
 canonical choice (modulus, primitive element, roots, gamma, generator
 rows), in tier choice, verdict or report shows up as a difference here.
 The goldens are only read.
@@ -24,6 +27,7 @@ from selfdual.config import GuardConfig
 from selfdual.constructions import build_euclidean_duadic_extended
 from selfdual.cosets import DefiningSet
 from selfdual.errors import GuardExceeded
+from selfdual.table import run_table_pair
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 
@@ -35,6 +39,7 @@ def _load(name):
 
 CLI_GOLDEN = _load("cli-cold.json")
 SWEEP_GOLDEN = _load("hermitian-sweep.json")
+TABLE_GOLDEN = _load("euclidean-table.json")
 
 # construct arguments -> the rung `verify` takes on the built code; these
 # take every rung of the MDS tier ladder on one side or the other
@@ -96,6 +101,21 @@ def test_sweep_build_and_verify_match_golden(key, tmp_path, capsys):
     path.write_text(text, encoding="utf-8")
     assert _verify(path, capsys) == (want["verify"]["rc"],
                                      want["verify"]["stdout"])
+
+
+@pytest.mark.parametrize("key", sorted(TABLE_GOLDEN))
+def test_table_pair_and_verify_match_golden(key, tmp_path, capsys):
+    want = TABLE_GOLDEN[key]
+    length, p, t = map(int, re.fullmatch(r"table (\d+) (\d+)\^(\d+)",
+                                         key).groups())
+    row = run_table_pair(length, p, t).to_json()
+    del row["seconds"]  # wall time, not output
+    assert row == want["row"]
+    if "code" in want:
+        path = tmp_path / "code.json"
+        path.write_text(want["code"], encoding="utf-8")
+        assert _verify(path, capsys) == (want["verify"]["rc"],
+                                         want["verify"]["stdout"])
 
 
 def test_builder_raises_when_the_chosen_rung_is_guarded():
