@@ -36,7 +36,7 @@ from .numtheory import factorize, is_prime
 # fields evicts the least recently used entry instead of growing; every
 # benchmark workload and the test suite stay well inside them.
 FIELD_CACHE_SIZE = 256   # make_field, find_primitive_element
-TOWER_CACHE_SIZE = 128   # quadratic_extension, _frobenius_y
+TOWER_CACHE_SIZE = 128   # quadratic_extension
 
 
 # ---------------------------------------------------------------------------
@@ -504,16 +504,16 @@ def quadratic_extension(field: Field) -> TowerSpec:
     raise ZeroElement("no irreducible quadratic found")  # unreachable
 
 
-@functools.lru_cache(maxsize=TOWER_CACHE_SIZE)
-def _frobenius_y(tower: TowerSpec) -> ExtElement:
-    # y**q is fixed for the tower; a, b in the base are left alone by x -> x**q
-    return tower.y ** tower.base.order
-
-
 def frobenius(tower: TowerSpec, x: ExtElement) -> ExtElement:
-    """The conjugation x -> x**q of GF(q^2) over its base."""
-    yq = _frobenius_y(tower)
-    return tower.embed(x.a) + tower.embed(x.b) * yq
+    """The conjugation x -> x**q of GF(q^2) over its base.
+
+    x -> x**q fixes the base and the coefficients of y**2 + c1*y + c0,
+    so it sends y to the other root of that irreducible quadratic, which
+    is -c1 - y by Vieta.  Hence (a + b*y)**q = (a - b*c1) - b*y, in
+    every characteristic.
+    """
+    c1 = tower.ext_modulus[1]
+    return ExtElement(tower, x.a - x.b * c1 if c1 else x.a, -x.b)
 
 
 # ---------------------------------------------------------------------------

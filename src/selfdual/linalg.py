@@ -7,6 +7,7 @@ a discrete-log table turns every field operation into integer lookups.
 """
 from __future__ import annotations
 
+import operator
 from collections import OrderedDict
 
 from .errors import ZeroElement
@@ -94,27 +95,58 @@ class DlogTable:
     Elements are encoded as the exponent of the canonical primitive
     element, with -1 for zero.  Addition goes through the table
     z[d] = log(1 + g**d), built once per field.
+
+    The powers of g come from a walk on integers.  The canonical index
+    of an element is sum(d_j * p**j) over its D = log_p(q) coordinates
+    in GF(p) (a tower's index base.index(a) + Q*base.index(b) carries
+    on the digits of a with those of b), and multiplication by g is
+    GF(p)-linear on them.  So the digits of x*g are the sum, digit by
+    digit mod p, of the images c*(p**j * g) of x's digits c, which are
+    precomputed as packed ints with one digit every ``width`` bits.
+    A sum of D images has digits up to D*(p - 1); when that fits a byte
+    one ``bytes.translate`` reduces them all.
     """
 
     def __init__(self, field: Field):
         q = field.order
-        g = find_primitive_element(field)
-        pow_idx = [0] * (q - 1)  # exponent -> canonical element index
-        log = [-1] * q           # canonical element index -> exponent
-        acc = field.one
-        for e in range(q - 1):
-            idx = field.index(acc)
-            pow_idx[e] = idx
-            log[idx] = e
-            acc = acc * g
         p = field.char
-        zech = [-1] * (q - 1)
-        for e in range(q - 1):
-            idx = pow_idx[e]
-            # adding one only touches the constant coefficient
-            low = idx % p
-            bumped = idx - low + (low + 1) % p
-            zech[e] = log[bumped]
+        g = find_primitive_element(field)
+        weights = [1]  # p**j for each digit position j
+        while weights[-1] * p < q:
+            weights.append(weights[-1] * p)
+        top = len(weights) * (p - 1)
+        width = 8 if top < 256 else top.bit_length()
+        shifts = [width * j for j in range(len(weights))]
+        images = []
+        for w in weights:
+            column = field.index(field.from_int(w) * g)
+            unit = [column // v % p for v in weights]
+            images.append([sum(c * d % p << sh for d, sh in zip(unit, shifts))
+                           for c in range(p)])
+        if width == 8:
+            residues = bytes(v % p for v in range(256))
+            length = len(weights)
+
+            def digits_of(packed):
+                return packed.to_bytes(length, "little").translate(residues)
+        else:
+            mask = (1 << width) - 1
+
+            def digits_of(packed):
+                return [(packed >> sh & mask) % p for sh in shifts]
+
+        pow_idx = []  # exponent -> canonical element index
+        append = pow_idx.append
+        digits = [1] + [0] * (len(weights) - 1)
+        for _ in range(q - 1):
+            append(sum(map(operator.mul, digits, weights)))
+            digits = digits_of(sum(map(operator.getitem, images, digits)))
+        log = [-1] * q  # canonical element index -> exponent
+        for e, idx in enumerate(pow_idx):
+            log[idx] = e
+        # adding one only touches the constant coefficient
+        zech = [log[idx + 1 if idx % p != p - 1 else idx + 1 - p]
+                for idx in pow_idx]
         self.field = field
         self.q = q
         self.log = log

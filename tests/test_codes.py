@@ -47,7 +47,7 @@ from selfdual.errors import (
     RootsNotInField,
 )
 from selfdual.fields import make_field, nth_root_of_unity, quadratic_extension
-from selfdual.linalg import DlogTable, det_nonzero, mat_transpose
+from selfdual.linalg import DlogTable, det_nonzero, mat_transpose, null_space
 
 
 def naive_min_distance(code):
@@ -217,6 +217,97 @@ def test_self_duality_predicates():
     assert not is_euclidean_self_dual(code3)
 
 
+def gram_is_zero_oracle(rows_a, rows_b, field):
+    """The Gram check as an element loop: every inner product is 0."""
+    for ra in rows_a:
+        for rb in rows_b:
+            acc = field.zero
+            for x, y in zip(ra, rb):
+                acc = acc + x * y
+            if acc:
+                return False
+    return True
+
+
+def _tower(p, t, levels):
+    field = make_field(p, t)
+    for _ in range(levels):
+        field = quadratic_extension(field)
+    return field
+
+
+# GF(2), GF(3), GF(31), GF(47), GF(2^3), GF(3^4), GF(7^2); towers over
+# GF(p) and over GF(p^t); GF(q^4) as towers of towers
+GRAM_FIELDS = [(2, 1, 0), (3, 1, 0), (31, 1, 0), (47, 1, 0), (2, 3, 0),
+               (3, 4, 0), (7, 2, 0), (3, 1, 1), (47, 1, 1), (2, 1, 1),
+               (2, 2, 1), (3, 2, 1), (2, 1, 2), (3, 1, 2), (5, 1, 2)]
+
+
+def widest_pair(field, n):
+    """Two rows with a zero inner product and the largest packed digits.
+
+    All coordinates of m are p - 1, so each of the first n - 1 products
+    reaches the digit bound; the last entry cancels their sum.
+    """
+    m = field.from_int(field.order - 1)
+    total = field.zero
+    for _ in range(n - 1):
+        total = total + m * m
+    return ((m,) * (n - 1) + (-total,),), ((m,) * (n - 1) + (field.one,),)
+
+
+@st.composite
+def gram_case(draw):
+    field = _tower(*draw(st.sampled_from(GRAM_FIELDS)))
+    n = draw(st.integers(1, 30))
+    k = draw(st.integers(1, min(n, 4)))
+    top = field.order - 1
+    entry = st.integers(0, top) | st.just(top)
+    rows = [tuple(field.from_int(draw(entry)) for _ in range(n))
+            for _ in range(k)]
+    kind = draw(st.sampled_from(["random", "planted", "perturbed", "widest"]))
+    if kind == "random":
+        other = [tuple(field.from_int(draw(entry)) for _ in range(n))
+                 for _ in range(draw(st.integers(1, 4)))]
+    elif kind == "widest":
+        rows, other = widest_pair(field, n)
+    else:
+        other = [list(r) for r in null_space(rows, n, field)[:4]]
+        if not other:
+            other = [[field.zero] * n]
+        if kind == "perturbed":
+            row = draw(st.integers(0, len(other) - 1))
+            col = draw(st.integers(0, n - 1))
+            bump = field.from_int(draw(st.integers(1, top)))
+            other[row][col] = other[row][col] + bump
+        other = [tuple(r) for r in other]
+    return field, kind, rows, other
+
+
+@settings(deadline=None, max_examples=100)
+@given(gram_case())
+def test_packed_gram_matches_the_element_loop(case):
+    field, kind, rows, other = case
+    want = gram_is_zero_oracle(rows, other, field)
+    if kind in ("planted", "widest"):
+        assert want
+    assert codes_module._gram_is_zero(rows, other, field) == want
+
+
+@pytest.mark.parametrize("p, t, levels", [(47, 1, 0), (47, 1, 1), (7, 2, 1),
+                                          (3, 1, 2)])
+def test_packed_gram_at_the_widest_digit_bound(p, t, levels):
+    # n = 30 over GF(47) puts close to n*(p - 1)**2 = 63480 in a digit,
+    # which overflows a digit one bit narrower than s = 16
+    field = _tower(p, t, levels)
+    rows, other = widest_pair(field, 30)
+    assert codes_module._gram_is_zero(rows, other, field)
+    assert codes_module._gram_is_zero(other, rows, field)
+    off = ((other[0][0] + field.one,) + other[0][1:],)
+    assert not gram_is_zero_oracle(rows, off, field)
+    assert not codes_module._gram_is_zero(rows, off, field)
+
+
 # --- extension ---
 
 def test_extend_code_appends_scaled_row_sums():
@@ -374,6 +465,18 @@ def test_mds_monte_carlo_is_deterministic():
     b = mds_check(code, "monte-carlo", trials=64)
     assert (a.status, a.trials, a.passes, a.witness) == \
         (b.status, b.trials, b.passes, b.witness)
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_fewer_than_one_trial_is_refused(trials):
+    # zero sampled minors must not come back as a structural certificate
+    code = vandermonde(make_field(7, 1), 6, 3)
+    with pytest.raises(MalformedInput):
+        mds_check(code, "monte-carlo", trials=trials)
+    with pytest.raises(MalformedInput):
+        certify_mds(code, structural=True, trials=trials, mode="monte-carlo")
+    with pytest.raises(MalformedInput):
+        certify_mds(code, trials=trials)
 
 
 def test_mds_bch_needs_defining_set():

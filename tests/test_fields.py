@@ -15,6 +15,7 @@ from selfdual.errors import (
     ZeroElement,
 )
 from selfdual.fields import (
+    TowerSpec,
     element_from_json,
     element_to_json,
     element_order,
@@ -270,9 +271,28 @@ def test_nested_tower_order():
     assert element_order(g) == 80
 
 
+def _odd_tower_with_linear_term(p, t):
+    """GF(q^2), q odd, by an irreducible y**2 + c1*y + c0 with c1 != 0."""
+    base = make_field(p, t)
+    for c1 in list(base.elements())[1:]:
+        for c0 in base.elements():
+            disc = c1 * c1 - base.scalar(4) * c0
+            if disc and disc ** ((base.order - 1) // 2) != base.one:
+                return TowerSpec(base, (c0, c1, base.one))
+    raise AssertionError("no irreducible quadratic with c1 != 0")
+
+
 def test_frobenius_is_conjugation():
-    for p, t in [(3, 1), (7, 1), (2, 2), (3, 2)]:
-        tower = quadratic_extension(make_field(p, t))
+    towers = [quadratic_extension(make_field(p, t))
+              for p, t in [(3, 1), (7, 1), (2, 2), (3, 2)]]
+    # Vieta's conjugate (a - b*c1) - b*y needs c1 != 0 for odd q too,
+    # and GF(q^4) conjugates over GF(q^2)
+    linear = [_odd_tower_with_linear_term(5, 1),
+              _odd_tower_with_linear_term(3, 2)]
+    assert all(tower.ext_modulus[1] for tower in linear)
+    towers += linear + [
+        quadratic_extension(quadratic_extension(make_field(3, 1)))]
+    for tower in towers:
         q = tower.base.order
         for x in tower.elements():
             assert frobenius(tower, x) == x ** q

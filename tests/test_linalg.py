@@ -6,9 +6,7 @@ import pytest
 from selfdual.fields import (
     FIELD_CACHE_SIZE,
     TOWER_CACHE_SIZE,
-    _frobenius_y,
     find_primitive_element,
-    frobenius,
     make_field,
     quadratic_extension,
 )
@@ -69,19 +67,45 @@ def test_zech_determinant_matches_the_element_path(p, t, towers):
     assert verdicts == {True, False}
 
 
+def power_walk_tables(field):
+    """pow_idx, log and zech by element multiplies and additions."""
+    g = find_primitive_element(field)
+    pow_idx, acc = [], field.one
+    for _ in range(field.order - 1):
+        pow_idx.append(field.index(acc))
+        acc = acc * g
+    log = [-1] * field.order
+    for e, idx in enumerate(pow_idx):
+        log[idx] = e
+    zech = [log[field.index(field.from_int(idx) + field.one)]
+            for idx in pow_idx]
+    return pow_idx, log, zech
+
+
+WALK_FIELDS = DET_FIELDS + [(31, 3, 0), (2, 12, 0), (131, 2, 0)]
+
+
+@pytest.mark.parametrize("p, t, towers", WALK_FIELDS,
+                         ids=["GF(%d^%d)%s" % (p, t, "^2" * towers)
+                              for p, t, towers in WALK_FIELDS])
+def test_digit_walk_matches_the_power_walk(p, t, towers):
+    # GF(131^2) sums digits past one byte, the other fields within it
+    field = _field(p, t, towers)
+    table = DlogTable(field)
+    assert (table.pow_idx, table.log, table.zech) == power_walk_tables(field)
+
+
 def test_module_caches_stay_bounded():
     primes = [p for p in range(2, 10**4) if is_prime(p)]
     for p in primes[:FIELD_CACHE_SIZE + 8]:
         find_primitive_element(make_field(p, 1))
     for p in primes[:TOWER_CACHE_SIZE + 8]:
-        tower = quadratic_extension(make_field(p, 1))
-        frobenius(tower, tower.y)
+        quadratic_extension(make_field(p, 1))
     for p in primes[:DLOG_CACHE_SIZE + 8]:
         dlog_table(make_field(p, 1), p)
     assert make_field.cache_info().currsize == FIELD_CACHE_SIZE
     assert find_primitive_element.cache_info().currsize == FIELD_CACHE_SIZE
     assert quadratic_extension.cache_info().currsize == TOWER_CACHE_SIZE
-    assert _frobenius_y.cache_info().currsize == TOWER_CACHE_SIZE
     assert len(_DLOG_CACHE) == DLOG_CACHE_SIZE
     # least recently used first out: the newest table is kept
     newest = make_field(primes[DLOG_CACHE_SIZE + 7], 1)
