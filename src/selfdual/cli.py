@@ -127,8 +127,8 @@ def cmd_verify(args) -> int:
     if isinstance(metadata, dict) and metadata.get("defining_set"):
         try:
             defining = DefiningSet.from_json(metadata["defining_set"])
-        except (SelfDualError, KeyError, TypeError, ValueError):
-            defining = None
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedInput("bad defining_set: %s" % exc) from exc
 
     cert = certify_mds(code, defining=defining, mode=args.mds,
                        trials=args.trials, guards=guards)

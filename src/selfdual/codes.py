@@ -46,7 +46,6 @@ from .linalg import (
     det_nonzero,
     mat_transpose,
     matrix_rank,
-    null_space,
     row_reduce,
 )
 
@@ -230,23 +229,8 @@ def cyclic_generator_matrix(spec: CyclicSpec) -> LinearCode:
 
 
 # ---------------------------------------------------------------------------
-# duals and self-duality
+# self-duality
 # ---------------------------------------------------------------------------
-
-def euclidean_dual(code: LinearCode) -> LinearCode:
-    basis = null_space(code.generator, code.n, code.field)
-    return LinearCode(code.field, code.n, code.n - code.k, basis)
-
-
-def hermitian_dual(code: LinearCode) -> LinearCode:
-    if not isinstance(code.field, TowerSpec):
-        raise NotOverTower("Hermitian duality needs a quadratic extension")
-    tower = code.field
-    conj = tuple(tuple(frobenius(tower, x) for x in row)
-                 for row in code.generator)
-    basis = null_space(conj, code.n, tower)
-    return LinearCode(tower, code.n, code.n - code.k, basis)
-
 
 def _pack_coeffs(x, shifts) -> int:
     return sum(map(operator.lshift, x.coeffs, shifts))
@@ -390,55 +374,53 @@ def _projective_scan(code: LinearCode, guards: GuardConfig,
 
     Returns (min_weight, sums_ok) where sums_ok reports whether every
     minimum-weight codeword found has a nonzero coordinate sum; scalar
-    scaling changes neither the weight nor that predicate.  For k >= 2
-    and q within the dlog guard the words are Zech-log ints (-1 for
-    zero), so w + c*r is one log sum and one Zech lookup per entry;
-    otherwise they are element objects.  A lone word (k = 1) costs less
-    than building a table.
+    scaling changes neither the weight nor that predicate.  Refuses the
+    zero code and q**k above the codeword guard.
+
+    For k >= 2 the words are Zech-log ints (-1 for zero), so w + c*r is
+    one log sum and one Zech lookup per entry.  The table needs no guard
+    of its own: its q entries cost less than the (q**k - 1)/(q - 1) >=
+    q + 1 words the scan visits, which the codeword guard bounds.  A
+    lone word (k = 1) is the generator row itself.
     """
-    field = code.field
-    k = code.k
-    table = dlog_table(field, guards.dlog_limit) if k >= 2 else None
-    if table is None:
-        zero = field.zero
-        scalars = ([field.from_int(i) for i in range(1, field.order)]
-                   if k >= 2 else [])
-        G = code.generator
-        add = operator.add
+    field, k = code.field, code.k
+    if k == 0:
+        raise ValueError("the zero code has no nonzero codeword")
+    if field.order ** k > guards.codeword_limit:
+        raise GuardExceeded(
+            "q**k = %d exceeds the codeword guard" % field.order ** k)
+    if k == 1:
+        row = code.generator[0]
+        return (code.n - row.count(field.zero),
+                functools.reduce(operator.add, row, field.zero) != field.zero)
+    table = dlog_table(field, field.order)
+    m = table.q - 1
+    zech = table.zech
+    G = [[table.encode(x) for x in row] for row in code.generator]
 
-        def axpy(word, c, row):
-            return [w + c * r for w, r in zip(word, row)]
-    else:
-        zero = -1
-        m = table.q - 1
-        zech = table.zech
-        scalars = range(m)
-        G = [[table.encode(x) for x in row] for row in code.generator]
-        add = table.add
-
-        def axpy(word, c, row):
-            out = []
-            for w, r in zip(word, row):
-                if r != -1:
-                    term = (c + r) % m
-                    if w == -1:
-                        w = term
-                    else:
-                        z = zech[(term - w) % m]
-                        w = -1 if z == -1 else (w + z) % m
-                out.append(w)
-            return out
+    def axpy(word, c, row):
+        out = []
+        for w, r in zip(word, row):
+            if r != -1:
+                term = (c + r) % m
+                if w == -1:
+                    w = term
+                else:
+                    z = zech[(term - w) % m]
+                    w = -1 if z == -1 else (w + z) % m
+            out.append(w)
+        return out
 
     best = code.n + 1
     sums_ok = True
 
     def consider(word):
         nonlocal best, sums_ok
-        weight = len(word) - word.count(zero)
+        weight = len(word) - word.count(-1)
         if weight > best:
             return
         if audit_sums:
-            nonzero_sum = functools.reduce(add, word, zero) != zero
+            nonzero_sum = functools.reduce(table.add, word, -1) != -1
             sums_ok = nonzero_sum if weight < best else sums_ok and nonzero_sum
         best = weight
 
@@ -448,7 +430,7 @@ def _projective_scan(code: LinearCode, guards: GuardConfig,
             return
         rec(level + 1, word)
         row = G[level]
-        for c in scalars:
+        for c in range(m):
             rec(level + 1, axpy(word, c, row))
 
     for pivot in range(k):
@@ -463,24 +445,14 @@ def min_distance_exhaustive(code: LinearCode,
     One representative per scalar class is enough, so the walk visits
     (q**k - 1)/(q - 1) words; the guard is still stated on q**k.
     """
-    guards = current_guards(guards)
-    if code.k == 0:
-        raise ValueError("the zero code has no nonzero codeword")
-    if code.field.order ** code.k > guards.codeword_limit:
-        raise GuardExceeded(
-            "q**k = %d exceeds the codeword guard" % code.field.order ** code.k
-        )
-    best, _ = _projective_scan(code, guards)
+    best, _ = _projective_scan(code, current_guards(guards))
     return best
 
 
 def extension_weight_audit(code: LinearCode,
                            guards: GuardConfig | None = None):
     """(min distance, all-minimum-weight-words-have-nonzero-sum)."""
-    guards = current_guards(guards)
-    if code.field.order ** code.k > guards.codeword_limit:
-        raise GuardExceeded("q**k exceeds the codeword guard")
-    return _projective_scan(code, guards, audit_sums=True)
+    return _projective_scan(code, current_guards(guards), audit_sums=True)
 
 
 @dataclass(frozen=True)
@@ -550,25 +522,20 @@ def _check_trials(trials: int) -> None:
 
 
 def mds_check(code: LinearCode, mode: str, trials: int = 1000,
-              defining: DefiningSet | None = None,
               guards: GuardConfig | None = None) -> MdsVerdict:
-    """MDS verification in one of three modes.
+    """MDS verification in one of two modes.
 
     ``exhaustive-columns`` tests that every k-subset of generator
     columns is independent (necessary and sufficient) with one
     elimination shared by all subsets, and refutes with the lex-first
     dependent subset.  ``monte-carlo`` samples subsets with a seed
-    derived from (n, k, q) and tests each minor.  ``bch`` certifies
-    from the root-run of the defining set.  Fewer than one trial is
-    refused with ``MalformedInput`` in every mode.
+    derived from (n, k, q) and tests each minor.  The root-run
+    certificate is a rung of ``certify_mds``.  Fewer than one trial is
+    refused with ``MalformedInput`` in either mode.
     """
     _check_trials(trials)
     guards = current_guards(guards)
     n, k = code.n, code.k
-    if mode == "bch":
-        if defining is None:
-            raise NoCyclicStructure("bch mode needs a defining set")
-        return certify_mds(code, defining=defining, mode="bch").verdict
     if mode not in ("exhaustive-columns", "monte-carlo"):
         raise ValueError("unknown mds mode %r" % mode)
     if mode == "exhaustive-columns" and comb(n, k) > guards.column_limit:

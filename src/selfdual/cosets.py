@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import NotCoprime, ZeroInSet
-from .numtheory import factorize
 
 
 @dataclass(frozen=True)
@@ -68,19 +67,6 @@ def cyclotomic_coset(i: int, n: int, q: int) -> tuple[int, ...]:
         orbit.add(x)
         x = (x * q) % n
     return tuple(sorted(orbit))
-
-
-def multiplier_image(T: DefiningSet, a: int) -> DefiningSet:
-    """Image of a defining set under x -> a*x (a coprime to the modulus)."""
-    if gcd(a, T.modulus) != 1:
-        raise NotCoprime(
-            "multiplier %d shares a factor with modulus %d" % (a, T.modulus)
-        )
-    image = tuple((a * x) % T.modulus for x in T.elements)
-    step = T.step
-    if step > 1 and any(x % step != 1 % step for x in image):
-        step = 1
-    return DefiningSet(T.modulus, image, step)
 
 
 @dataclass(frozen=True)
@@ -202,30 +188,3 @@ def consecutive_run(T: DefiningSet) -> int:
             length += 1
         best = max(best, length)
     return best
-
-
-def extended_selfdual_cyclic_exists(n: int, q: int) -> bool:
-    """Existence test for length n cyclic codes over GF(q^2) whose
-    extension can be Hermitian self-dual: every prime r dividing n must
-    have ord_r(q) odd or ord_r(q^2) even."""
-    if gcd(n, q) != 1:
-        raise NotCoprime("q = %d shares a factor with n = %d" % (q, n))
-    for r, _ in factorize(n):
-        o1 = _mult_order(q % r, r)
-        o2 = _mult_order((q * q) % r, r)
-        if o1 % 2 == 1 or o2 % 2 == 0:
-            continue
-        return False
-    return True
-
-
-def _mult_order(x: int, r: int) -> int:
-    x %= r
-    if gcd(x, r) != 1:
-        raise NotCoprime("%d is not a unit modulo %d" % (x, r))
-    order = 1
-    acc = x
-    while acc != 1:
-        acc = (acc * x) % r
-        order += 1
-    return order

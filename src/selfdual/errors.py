@@ -49,14 +49,6 @@ class FactorizationGuardExceeded(SelfDualError):
     code = "FactorizationGuardExceeded"
 
 
-class NotOddPrime(SelfDualError):
-    code = "NotOddPrime"
-
-
-class EvenModulus(SelfDualError):
-    code = "EvenModulus"
-
-
 class NotDivisor(SelfDualError):
     code = "NotDivisor"
 

@@ -622,37 +622,27 @@ def solve_norm(tower: TowerSpec, u, guards: GuardConfig | None = None) -> ExtEle
 
     The relative norm maps the canonical primitive g onto a generator of
     the base group, so the least exponent is the discrete log of u with
-    respect to that generator.  The walk is bounded by the dlog guard;
-    beyond it a deterministic exponent identity is tried instead.
+    respect to that generator, found by a walk of at most q - 1 steps.
+    A base field beyond the dlog guard is refused with
+    ``DiscreteLogGuardExceeded``.
     """
     guards = current_guards(guards)
-    base = tower.base
     if not u:
         raise ZeroElement("norm equation needs a nonzero right-hand side")
-    q = base.order
+    q = tower.base.order
+    if q > guards.dlog_limit:
+        raise DiscreteLogGuardExceeded(
+            "base field order %d exceeds the discrete-log guard %d"
+            % (q, guards.dlog_limit))
     target = tower.embed(u)
-    if q <= guards.dlog_limit:
-        g = find_primitive_element(tower)
-        gen = g ** (q + 1)  # generates the embedded base group
-        w = tower.one
-        for m in range(q - 1):
-            if w == target:
-                return g ** m
-            w = w * gen
-        raise ZeroElement("norm walk failed")  # unreachable: the norm is onto
-    d = element_order(u)
-    if _gcd(q + 1, d) == 1:
-        s = pow(q + 1, -1, d)
-        return target ** s
-    raise DiscreteLogGuardExceeded(
-        "group order %d exceeds the discrete-log guard" % (q * q - 1)
-    )
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+    g = find_primitive_element(tower)
+    gen = g ** (q + 1)  # generates the embedded base group
+    w = tower.one
+    for m in range(q - 1):
+        if w == target:
+            return g ** m
+        w = w * gen
+    raise ZeroElement("norm walk failed")  # unreachable: the norm is onto
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Elementary number theory: factorization, residue symbols, solvability.
+"""Elementary number theory: primality, factorization, solvability.
 
 The solvability classifier decides, from q = p**t and n alone, whether
 1 + g**2 * n = 0 has a solution g in GF(q).  For q = 3 (mod 4) the answer
@@ -8,16 +8,10 @@ primes of n that are 3 (mod 4) carry an odd total exponent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .config import GuardConfig, current_guards
-from .errors import (
-    EvenModulus,
-    EvenN,
-    FactorizationGuardExceeded,
-    NotDivisor,
-    NotOddPrime,
-    NotPrime,
-)
+from .errors import EvenN, FactorizationGuardExceeded, NotDivisor, NotPrime
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -67,22 +61,16 @@ def _pollard_rho(n: int) -> int:
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
-                g = _gcd(q, n)
+                g = gcd(q, n)
                 k += m
             r *= 2
         if g == n:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = _gcd(abs(x - ys), n)
+                g = gcd(abs(x - ys), n)
         if g != n:
             return g
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @dataclass(frozen=True)
@@ -137,35 +125,6 @@ def factorize(n: int, guards: GuardConfig | None = None) -> Factorization:
         stack.append(f)
         stack.append(m // f)
     return Factorization(tuple(sorted(counts.items())))
-
-
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a/p) via Euler's criterion; p must be an odd prime."""
-    if p <= 2 or not is_prime(p):
-        raise NotOddPrime("p = %d is not an odd prime" % p)
-    a %= p
-    if a == 0:
-        return 0
-    e = pow(a, (p - 1) // 2, p)
-    return 1 if e == 1 else -1
-
-
-def jacobi(m: int, n: int) -> int:
-    """Jacobi symbol (m/n) for odd n >= 1, by binary reciprocity."""
-    if n < 1 or n % 2 == 0:
-        raise EvenModulus("Jacobi symbol needs an odd positive modulus")
-    m %= n
-    result = 1
-    while m:
-        while m % 2 == 0:
-            m //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        m, n = n, m
-        if m % 4 == 3 and n % 4 == 3:
-            result = -result
-        m %= n
-    return result if n == 1 else 0
 
 
 @dataclass(frozen=True)

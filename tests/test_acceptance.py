@@ -22,10 +22,8 @@ from selfdual import (
     build_hermitian_n5,
     check_centered_duadic_splitting,
     cyclic_generator_matrix,
-    euclidean_dual,
     exists_hermitian_dispatch,
     gamma_solvability,
-    hermitian_dual,
     is_euclidean_self_dual,
     is_hermitian_self_dual,
     make_field,
@@ -36,6 +34,8 @@ from selfdual.cli import main as cli_main
 from selfdual.codes import extension_weight_audit, same_code
 from selfdual.errors import PreconditionFailed
 from selfdual.table import EXPECTED_UNSUPPORTED
+
+from oracles import euclidean_dual, hermitian_dual
 
 RESULTS: dict[int, tuple[bool, str]] = {}
 

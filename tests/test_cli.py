@@ -229,3 +229,32 @@ def test_verify_refuses_a_zero_dimensional_code(mds, tmp_path, capsys):
     rc, lines = run_cli(capsys, "verify", str(path), "--mds", mds)
     assert rc == 2
     assert lines[0]["error"] == "MalformedInput"
+
+
+@pytest.mark.parametrize("mds", ["auto", "bch"])
+@pytest.mark.parametrize("defining", [
+    {"modulus": "x", "step": 1, "elements": [1]},
+    {"modulus": 3, "step": 1},
+    {"modulus": 0, "step": 1, "elements": [1]},
+    [3, 1],
+])
+def test_verify_refuses_a_malformed_defining_set(defining, mds, tmp_path,
+                                                 capsys):
+    rc, lines = run_cli(capsys, "construct", "euclidean-duadic",
+                        "--p", "7", "--n", "3")
+    obj = lines[0]
+    obj["metadata"]["defining_set"] = defining
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(obj))
+    rc, lines = run_cli(capsys, "verify", str(path), "--mds", mds)
+    assert rc == 2
+    assert lines[0]["error"] == "MalformedInput"
+
+
+def test_norm_equation_beyond_the_dlog_guard_is_refused(monkeypatch, capsys):
+    # GF(8) exceeds dlog_limit = 4: no walk, and no other exponent either
+    monkeypatch.setenv("SELFDUAL_GUARD_OVERRIDE", "dlog_limit=4")
+    rc, lines = run_cli(capsys, "construct", "grs-hermitian",
+                        "--p", "2", "--t", "3", "--n", "4")
+    assert rc == 1
+    assert lines[0]["error"] == "DiscreteLogGuardExceeded"

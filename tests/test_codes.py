@@ -22,11 +22,9 @@ from selfdual.codes import (
     code_to_json,
     constacyclic_shift,
     cyclic_generator_matrix,
-    euclidean_dual,
     extend_code,
     extension_weight_audit,
     generator_from_defining_set,
-    hermitian_dual,
     is_euclidean_self_dual,
     is_hermitian_self_dual,
     mds_check,
@@ -46,8 +44,22 @@ from selfdual.errors import (
     NotOverTower,
     RootsNotInField,
 )
-from selfdual.fields import make_field, nth_root_of_unity, quadratic_extension
-from selfdual.linalg import DlogTable, det_nonzero, mat_transpose, null_space
+from selfdual.fields import (
+    ExtElement,
+    FieldElement,
+    make_field,
+    nth_root_of_unity,
+    quadratic_extension,
+)
+from selfdual.linalg import (
+    DlogTable,
+    det_nonzero,
+    dlog_table,
+    mat_transpose,
+    null_space,
+)
+
+from oracles import euclidean_dual, gram_is_zero_oracle, hermitian_dual
 
 
 def naive_min_distance(code):
@@ -198,8 +210,6 @@ def test_hermitian_dual_needs_tower():
     f = make_field(5, 1)
     code = rand_code(f, 4, 2, 3)
     with pytest.raises(NotOverTower):
-        hermitian_dual(code)
-    with pytest.raises(NotOverTower):
         is_hermitian_self_dual(code)
 
 
@@ -215,18 +225,6 @@ def test_self_duality_predicates():
     assert is_euclidean_self_dual(code2)
     code3 = LinearCode(f, 2, 1, ((f.one, f.one),))
     assert not is_euclidean_self_dual(code3)
-
-
-def gram_is_zero_oracle(rows_a, rows_b, field):
-    """The Gram check as an element loop: every inner product is 0."""
-    for ra in rows_a:
-        for rb in rows_b:
-            acc = field.zero
-            for x, y in zip(ra, rb):
-                acc = acc + x * y
-            if acc:
-                return False
-    return True
 
 
 def _tower(p, t, levels):
@@ -341,6 +339,33 @@ def test_min_distance_guard():
     tiny = GuardConfig(codeword_limit=100)
     with pytest.raises(GuardExceeded):
         min_distance_exhaustive(code, tiny)
+
+
+@pytest.mark.parametrize("field", [make_field(7, 1), make_field(2, 3),
+                                   quadratic_extension(make_field(3, 1))])
+def test_zech_scan_multiplies_no_element_objects(field, monkeypatch):
+    code = rand_code(field, 5, 2, 4)
+    want = naive_min_distance(code)
+    dlog_table(field, field.order)  # the table build may multiply
+
+    def refuse(*args):
+        raise AssertionError("element multiply in the scan")
+
+    for cls in (FieldElement, ExtElement):
+        monkeypatch.setattr(cls, "__mul__", refuse)
+    # a dlog_limit below q still leaves the scan on log integers
+    no_tables = GuardConfig(dlog_limit=1)
+    assert min_distance_exhaustive(code, no_tables) == want
+    assert extension_weight_audit(code, no_tables)[0] == want
+
+
+def test_zero_code_is_refused_by_both_scans():
+    # a [4, 0] code has no nonzero word, so no distance to report
+    zero_code = LinearCode(make_field(7, 1), 4, 0, ())
+    with pytest.raises(ValueError):
+        min_distance_exhaustive(zero_code)
+    with pytest.raises(ValueError):
+        extension_weight_audit(zero_code)
 
 
 def test_mds_columns_iff_distance_meets_singleton():
@@ -483,6 +508,9 @@ def test_mds_bch_needs_defining_set():
     f = make_field(7, 1)
     code = rand_code(f, 4, 2, 2)
     with pytest.raises(NoCyclicStructure):
+        certify_mds(code, mode="bch")
+    # the root-run certificate is a rung of the ladder, not a check mode
+    with pytest.raises(ValueError):
         mds_check(code, "bch")
 
 
@@ -492,7 +520,7 @@ def test_mds_bch_certificate():
     T = DefiningSet(8, (1, 3), step=2)
     spec = generator_from_defining_set(tower, 4, lam, T)
     code = cyclic_generator_matrix(spec)
-    verdict = mds_check(code, "bch", defining=T)
+    verdict = certify_mds(code, defining=T, mode="bch").verdict
     assert verdict.status == "certified-bch"
     # and the certificate is honest: true distance meets the bound
     assert min_distance_exhaustive(code) == 3

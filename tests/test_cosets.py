@@ -12,8 +12,6 @@ from selfdual.cosets import (
     check_duadic_splitting,
     consecutive_run,
     cyclotomic_coset,
-    extended_selfdual_cyclic_exists,
-    multiplier_image,
 )
 from selfdual.errors import NotCoprime, ZeroInSet
 
@@ -61,22 +59,6 @@ def test_defining_set_json_roundtrip():
     obj = T.to_json()
     assert obj == {"modulus": 16, "step": 2, "elements": [1, 3, 5, 7]}
     assert DefiningSet.from_json(obj) == T
-
-
-def test_multiplier_image_constacyclic_fixtures():
-    # r*n = 8: -3 sends {1,3} to {5,7}
-    T = DefiningSet(8, (1, 3), step=2)
-    assert multiplier_image(T, -3).as_set() == {5, 7}
-    # r*n = 16: -7 sends {1,3,5,7} to {9,11,13,15}
-    T = DefiningSet(16, (1, 3, 5, 7), step=2)
-    assert multiplier_image(T, -7).as_set() == {9, 11, 13, 15}
-
-
-def test_multiplier_inverse_roundtrip():
-    T = DefiningSet(25, tuple(range(7, 19)))
-    img = multiplier_image(T, 18)
-    # 18 * 18 = 324 = -1 + 325, so 18 is an involution mod 25
-    assert multiplier_image(img, 18).as_set() == T.as_set()
 
 
 # --- splitting checks ---
@@ -182,36 +164,3 @@ def test_consecutive_run_bounded_by_size():
 def test_full_set_run_is_modulus():
     T = DefiningSet(5, (0, 1, 2, 3, 4))
     assert consecutive_run(T) == 5
-
-
-# --- extension existence predicate ---
-
-def test_existence_predicate_fixtures():
-    assert extended_selfdual_cyclic_exists(1, 3) is True
-    # ord_5(3) = 4 even but ord_5(9) = 2 even
-    assert extended_selfdual_cyclic_exists(5, 3) is True
-    # ord_3(5) = 2 not odd, ord_3(25) = 1 not even
-    assert extended_selfdual_cyclic_exists(3, 5) is False
-    with pytest.raises(NotCoprime):
-        extended_selfdual_cyclic_exists(9, 3)
-
-
-def test_existence_predicate_brute_agreement():
-    def ord_mod(a, r):
-        m, acc = 1, a % r
-        while acc != 1:
-            acc = acc * a % r
-            m += 1
-        return m
-
-    from math import gcd
-
-    for q in (3, 5, 7, 9):
-        for n in range(1, 40):
-            if gcd(n, q) != 1:
-                continue
-            primes = {d for d in range(2, n + 1)
-                      if n % d == 0 and all(d % e for e in range(2, d))}
-            want = all(ord_mod(q, r) % 2 == 1 or ord_mod(q * q, r) % 2 == 0
-                       for r in primes)
-            assert extended_selfdual_cyclic_exists(n, q) == want, (n, q)

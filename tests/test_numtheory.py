@@ -1,19 +1,11 @@
 import pytest
 
-from selfdual.errors import (
-    EvenModulus,
-    EvenN,
-    NotDivisor,
-    NotOddPrime,
-    NotPrime,
-)
+from selfdual.errors import EvenN, NotDivisor, NotPrime
 from selfdual.numtheory import (
     Factorization,
     factorize,
     gamma_solvability,
     is_prime,
-    jacobi,
-    legendre,
 )
 
 
@@ -56,36 +48,6 @@ def test_factorize_roundtrip():
             value *= p ** e
         assert value == n
         assert [p for p, _ in fac.factors] == sorted(set(brute_factor(n)))
-
-
-def test_legendre_brute_agreement():
-    for p in [3, 5, 7, 11, 13, 17, 19, 23]:
-        squares = {(x * x) % p for x in range(1, p)}
-        for a in range(0, 2 * p):
-            want = 0 if a % p == 0 else (1 if a % p in squares else -1)
-            assert legendre(a, p) == want
-    with pytest.raises(NotOddPrime):
-        legendre(3, 2)
-    with pytest.raises(NotOddPrime):
-        legendre(3, 15)
-
-
-def test_jacobi_is_product_of_legendre():
-    for n in range(3, 200, 2):
-        fac = brute_factor(n)
-        for m in range(0, n):
-            want = 1
-            for p in fac:
-                want *= legendre(m, p)
-            assert jacobi(m, n) == want, (m, n)
-    with pytest.raises(EvenModulus):
-        jacobi(3, 10)
-
-
-def test_jacobi_unit_modulus():
-    # n = 1: empty product of symbols
-    assert jacobi(0, 1) == 1
-    assert jacobi(5, 1) == 1
 
 
 # --- solvability of 1 + g^2 n = 0 ---

@@ -7,7 +7,7 @@ brute-force computations, never the functions under test.
 import math
 from dataclasses import replace
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from selfdual import (
     DefiningSet,
@@ -17,23 +17,19 @@ from selfdual import (
     consecutive_run,
     cyclic_generator_matrix,
     cyclotomic_coset,
-    euclidean_dual,
     extend_code,
-    factorize,
     frobenius,
     generator_from_defining_set,
-    hermitian_dual,
-    jacobi,
-    legendre,
     make_field,
     mds_check,
     min_distance_exhaustive,
-    multiplier_image,
     quadratic_extension,
     solve_norm,
 )
-from selfdual.codes import extension_weight_audit, same_code
+from selfdual.codes import certify_mds, extension_weight_audit, same_code
 from selfdual.linalg import mat_transpose, matrix_rank
+
+from oracles import brute_weight_audit, euclidean_dual, hermitian_dual
 
 FIELD_POOL = [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1),
               (2, 2), (3, 2), (2, 3), (5, 2), (2, 4)]
@@ -198,31 +194,6 @@ def test_norm_value_lands_in_base_for_every_element(pt, data):
 
 
 # ---------------------------------------------------------------------------
-# jacobi / legendre
-# ---------------------------------------------------------------------------
-
-@settings(deadline=None, max_examples=200)
-@given(st.integers(-50, 200), st.integers(0, 120))
-def test_jacobi_is_multiplicative_over_the_factorization(a, half):
-    n = 2 * half + 1
-    prod = 1
-    for p, e in factorize(n).factors:
-        prod *= legendre(a, p) ** e
-    assert jacobi(a, n) == prod
-
-
-ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43]
-
-
-@settings(deadline=None, max_examples=120)
-@given(st.sampled_from(ODD_PRIMES), st.sampled_from(ODD_PRIMES))
-def test_quadratic_reciprocity(p, q):
-    assume(p != q)
-    sign = -1 if (p % 4 == 3 and q % 4 == 3) else 1
-    assert legendre(p, q) * legendre(q, p) == sign
-
-
-# ---------------------------------------------------------------------------
 # duals
 # ---------------------------------------------------------------------------
 
@@ -270,16 +241,6 @@ def set_and_multiplier(draw):
     mask = draw(st.integers(0, 2 ** (n - 1) - 1))
     elements = tuple(i for i in range(1, n) if mask >> (i - 1) & 1)
     return DefiningSet(n, elements), a, n
-
-
-@settings(deadline=None, max_examples=150)
-@given(set_and_multiplier())
-def test_multiplier_is_a_bijection_with_inverse(tam):
-    T, a, n = tam
-    image = multiplier_image(T, a)
-    assert len(image) == len(T)
-    back = multiplier_image(image, pow(a, -1, n))
-    assert back.as_set() == T.as_set()
 
 
 @settings(deadline=None, max_examples=150)
@@ -345,7 +306,7 @@ def test_consecutive_root_run_lower_bounds_the_distance(sc):
 @given(measurable_cyclic_code())
 def test_bch_verdict_is_sound(sc):
     spec, code = sc
-    verdict = mds_check(code, "bch", defining=spec.defining)
+    verdict = certify_mds(code, defining=spec.defining, mode="bch").verdict
     assert verdict.status in ("certified-bch", "inconclusive")
     d = min_distance_exhaustive(code, guards=LOOSE)
     if verdict.status == "certified-bch":
@@ -385,31 +346,6 @@ def test_monte_carlo_never_certifies_and_never_lies(code):
 # extension bookkeeping
 # ---------------------------------------------------------------------------
 
-def brute_weight_audit(code):
-    """(min distance, every minimum-weight word has a nonzero sum) from
-    all q**k - 1 nonzero messages."""
-    field = code.field
-    best = None
-    clean = True
-    for idx in range(1, field.order ** code.k):
-        msg = []
-        v = idx
-        for _ in range(code.k):
-            msg.append(field.from_int(v % field.order))
-            v //= field.order
-        word = code.codeword(msg)
-        w = sum(1 for x in word if x)
-        s = field.zero
-        for x in word:
-            s = s + x
-        if best is None or w < best:
-            best = w
-            clean = bool(s)
-        elif w == best and not s:
-            clean = False
-    return best, clean
-
-
 @settings(deadline=None, max_examples=60)
 @given(systematic_code(max_q=5, max_k=3, max_extra=3))
 def test_extension_audit_matches_brute_enumeration(code):
@@ -417,16 +353,29 @@ def test_extension_audit_matches_brute_enumeration(code):
         brute_weight_audit(code)
 
 
+def code_from_indices(field, rows):
+    rows = tuple(tuple(field.from_int(i) for i in row) for row in rows)
+    return LinearCode(field, len(rows[0]), len(rows), rows)
+
+
 @settings(deadline=None, max_examples=80)
 @given(st.one_of(systematic_code(max_q=4, max_k=3, max_extra=4),
                  systematic_tower_code(max_k=2, max_extra=3)))
+@example(code_from_indices(make_field(2, 2), [[1, 2, 3, 0]]))
+@example(code_from_indices(quadratic_extension(make_field(3, 1)),
+                           [[1, 0, 5, 8]]))
+@example(code_from_indices(quadratic_extension(make_field(2, 2)),
+                           [[1, 0, 7, 13], [0, 1, 3, 0]]))
+@example(code_from_indices(make_field(3, 1),
+                           [[1, 0, 0, 2], [0, 1, 0, 1], [0, 0, 1, 1]]))
 def test_zech_scan_matches_the_object_scan_and_brute_enumeration(code):
-    # a dlog guard below q sends the scan down the element-object path
-    objects = replace(LOOSE, dlog_limit=code.field.order - 1)
+    # the scan's result may not depend on dlog_limit, even below q
+    below = replace(LOOSE, dlog_limit=code.field.order - 1)
     zech = extension_weight_audit(code, guards=LOOSE)
-    assert zech == extension_weight_audit(code, guards=objects)
+    assert zech == extension_weight_audit(code, guards=below)
     assert zech == brute_weight_audit(code)
     assert min_distance_exhaustive(code, guards=LOOSE) == zech[0]
+    assert min_distance_exhaustive(code, guards=below) == zech[0]
 
 
 @settings(deadline=None, max_examples=40)
