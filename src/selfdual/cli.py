@@ -33,7 +33,7 @@ from .errors import (
     SelfDualError,
     VerificationFailed,
 )
-from .fields import TowerSpec
+from .fields import TowerSpec, element_from_json
 
 CONSTRUCT_ROUTES = (
     "euclidean-duadic",
@@ -123,14 +123,17 @@ def cmd_verify(args) -> int:
     herm = is_hermitian_self_dual(code) if over_tower else None
     ok = euclid if inner == "euclidean" else bool(herm)
 
-    defining = None
-    if isinstance(metadata, dict) and metadata.get("defining_set"):
+    defining = lam = None
+    if isinstance(metadata, dict):
         try:
-            defining = DefiningSet.from_json(metadata["defining_set"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedInput("bad defining_set: %s" % exc) from exc
+            if metadata.get("defining_set"):
+                defining = DefiningSet.from_json(metadata["defining_set"])
+            if "lambda" in metadata:
+                lam = element_from_json(code.field, metadata["lambda"])
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            raise MalformedInput("bad defining_set/lambda: %s" % exc) from exc
 
-    cert = certify_mds(code, defining=defining, mode=args.mds,
+    cert = certify_mds(code, defining=defining, lam=lam, mode=args.mds,
                        trials=args.trials, guards=guards)
     if cert.verdict.status == "refuted":
         ok = False

@@ -13,10 +13,11 @@ that chooses among them, for the builders and the CLI alike.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import random
 from dataclasses import dataclass
-from math import comb
+from math import comb, gcd
 
 from .config import GuardConfig, current_guards
 from .cosets import DefiningSet, consecutive_run
@@ -42,10 +43,11 @@ from .fields import (
     nth_root_of_unity,
 )
 from .linalg import (
-    dlog_table,
     det_nonzero,
+    dlog_table,
+    eliminate,
+    first_dependent_subset,
     mat_transpose,
-    matrix_rank,
     row_reduce,
 )
 
@@ -91,13 +93,6 @@ def poly_divmod(num, den, field: Field):
     return quot, poly_trim(rem, field)
 
 
-def poly_eval(c, x: Element, field: Field) -> Element:
-    acc = field.zero
-    for coef in reversed(c):
-        acc = acc * x + coef
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # linear codes
 # ---------------------------------------------------------------------------
@@ -128,9 +123,9 @@ class LinearCode:
         for row in self.generator:
             if len(row) != self.n:
                 raise ValueError("row length does not match n")
-        if not _staircase_witness(self.generator):
-            if matrix_rank(self.generator, self.field) != self.k:
-                raise ValueError("generator rows are dependent")
+        if not (_staircase_witness(self.generator) or first_dependent_subset(
+                self.generator, self.k, self.field.zero, eliminate) is None):
+            raise ValueError("generator rows are dependent")
 
     def codeword(self, message) -> tuple:
         word = [self.field.zero] * self.n
@@ -169,6 +164,29 @@ class CyclicSpec:
         return self.n - len(self.defining)
 
 
+def _shift_root(field: Field, n: int, lam: Element, modulus: int) -> Element:
+    """The first power of the canonical (r*n)-th root of unity with order
+    r*n and alpha**n = lam, r the order of lam; ``modulus`` must be r*n."""
+    if not lam:
+        raise ZeroElement("shift constant must be nonzero")
+    q = field.order
+    r = 1 if lam == field.one else element_order(lam)
+    if (q - 1) % (r * n) != 0:
+        raise RootsNotInField("r*n = %d does not divide q - 1 = %d"
+                              % (r * n, q - 1))
+    if modulus != r * n:
+        raise ValueError("defining set modulus %d, expected %d"
+                         % (modulus, r * n))
+    base_root = nth_root_of_unity(field, r * n)
+    # base_root**i has order r*n / gcd(i, r*n) and n-th power shift**i
+    shift, acc, acc_n = base_root ** n, field.one, field.one
+    for i in range(r * n):
+        if acc_n == lam and gcd(i, r * n) == 1:
+            return acc
+        acc, acc_n = acc * base_root, acc_n * shift
+    raise RootsNotInField("no root of order %d with alpha**n = lam" % (r * n))
+
+
 def generator_from_defining_set(field: Field, n: int, lam: Element,
                                 T: DefiningSet) -> CyclicSpec:
     """Build the monic generator with roots alpha**i, i in T.
@@ -178,27 +196,7 @@ def generator_from_defining_set(field: Field, n: int, lam: Element,
     lam of order r).  Requires r*n | q - 1 so that all roots lie in
     the coefficient field.
     """
-    if not lam:
-        raise ZeroElement("shift constant must be nonzero")
-    q = field.order
-    r = 1 if lam == field.one else element_order(lam)
-    if (q - 1) % (r * n) != 0:
-        raise RootsNotInField(
-            "r*n = %d does not divide q - 1 = %d" % (r * n, q - 1)
-        )
-    if T.modulus != r * n:
-        raise ValueError("defining set modulus %d, expected %d"
-                         % (T.modulus, r * n))
-    base_root = nth_root_of_unity(field, r * n)
-    alpha = None
-    acc = field.one
-    for _ in range(r * n):
-        if acc ** n == lam and element_order(acc) == r * n:
-            alpha = acc
-            break
-        acc = acc * base_root
-    if alpha is None:
-        raise RootsNotInField("no root of order %d with alpha**n = lam" % (r * n))
+    alpha = _shift_root(field, n, lam, T.modulus)
     g = [field.one]
     for i in T.elements:
         root = alpha ** i
@@ -475,46 +473,6 @@ class MdsVerdict:
         return out
 
 
-def _first_dependent_subset(columns, k: int, zero, eliminate):
-    """The lex-first linearly dependent k-subset of ``columns``, or None.
-
-    A depth-first walk over the subsets in ``itertools.combinations``
-    order.  With d columns chosen, every later column is held as its
-    residual modulo their span: k - d coordinates, the pivot rows
-    dropped.  Choosing column c pivots on its first nonzero residual
-    entry and hands the residuals of all columns after c, reduced by
-    ``eliminate(residual_c, pivot_row, later_residuals)``, to the next
-    depth.  A zero residual makes every subset with that prefix
-    dependent; the subsets before it in lex order were all independent,
-    so the first of them is the witness.
-    """
-    n = len(columns)
-    chosen = []
-
-    def walk(start, residuals):
-        need = k - len(chosen)
-        # a candidate must leave need - 1 columns after it
-        for c in range(start, n - need + 1):
-            residual = residuals[c - start]
-            for pivot, x in enumerate(residual):
-                if x != zero:
-                    break
-            else:
-                return tuple(chosen) + tuple(range(c, c + need))
-            if need > 1:
-                chosen.append(c)
-                found = walk(c + 1, eliminate(residual, pivot,
-                                              residuals[c - start + 1:]))
-                chosen.pop()
-                if found is not None:
-                    return found
-        return None
-
-    if k == 0:
-        return None
-    return walk(0, [list(col) for col in columns])
-
-
 def _check_trials(trials: int) -> None:
     # zero sampled minors would pass a Monte-Carlo verdict vacuously
     if trials < 1:
@@ -545,71 +503,57 @@ def mds_check(code: LinearCode, mode: str, trials: int = 1000,
     columns = mat_transpose(code.generator)
     table = dlog_table(code.field, guards.dlog_limit)
     if table is None:
-        field = code.field
-        zero = field.zero
-
-        def nonsingular(mat):
-            return det_nonzero(mat, field)
-
-        def eliminate(pivot_col, p, rows):
-            inv = pivot_col[p].inverse()
-            rest = [(t - (t > p), x) for t, x in enumerate(pivot_col)
-                    if t != p and x]
-            out = []
-            for row in rows:
-                new = row[:p] + row[p + 1:]
-                if row[p]:
-                    factor = row[p] * inv
-                    for t, x in rest:
-                        new[t] = new[t] - factor * x
-                out.append(new)
-            return out
+        zero, step = code.field.zero, eliminate
     else:
-        zero = -1
+        zero, step = -1, table.eliminate
         columns = [[table.encode(x) for x in col] for col in columns]
-        nonsingular = table.det_nonzero
-        m = table.q - 1
-        half = 0 if table.field.char == 2 else m // 2
-        zech = table.zech
-
-        def eliminate(pivot_col, p, rows):
-            # row -= (row[p] / pivot) * pivot_col, the negation folded
-            # into the log shift as in DlogTable.det_nonzero
-            base = pivot_col[p] - half
-            rest = [(t - (t > p), x) for t, x in enumerate(pivot_col)
-                    if t != p and x != -1]
-            out = []
-            for row in rows:
-                new = row[:p] + row[p + 1:]
-                entry = row[p]
-                if entry != -1:
-                    shift = entry - base
-                    for t, x in rest:
-                        term = (x + shift) % m
-                        cur = new[t]
-                        if cur == -1:
-                            new[t] = term
-                        else:
-                            z = zech[(term - cur) % m]
-                            new[t] = -1 if z == -1 else (cur + z) % m
-                out.append(new)
-            return out
-
     if mode == "exhaustive-columns":
-        witness = _first_dependent_subset(columns, k, zero, eliminate)
-        if witness is None:
-            return MdsVerdict("certified-exact")
-        return MdsVerdict("refuted", witness=witness)
+        witness = first_dependent_subset(columns, k, zero, step)
+        return MdsVerdict("certified-exact" if witness is None
+                          else "refuted", witness=witness)
     rng = random.Random("%d:%d:%d" % (n, k, code.field.order))
     passes = 0
     for _ in range(trials):
         subset = sorted(rng.sample(range(n), k))
-        if not nonsingular([[columns[j][i] for j in subset]
-                            for i in range(k)]):
+        # a minor and its transpose are singular together
+        minor = [columns[j] for j in subset]
+        if not (det_nonzero(minor, code.field) if table is None
+                else table.det_nonzero(minor)):
             return MdsVerdict("refuted", trials=trials, passes=passes,
                               witness=tuple(subset))
         passes += 1
     return MdsVerdict("monte-carlo", trials=trials, passes=passes)
+
+
+def _roots_mismatch(code: LinearCode, T: DefiningSet, lam: Element | None,
+                    punctured: bool) -> str | None:
+    """Why not every row vanishes at alpha**e, e in T, or None.  alpha is
+    the root ``generator_from_defining_set`` picks from lam; with
+    ``punctured`` the rows lose their last coordinate but no dimension.
+    Vanishing on a run of delta - 1 such points proves d >= delta even
+    for a dishonest lam: alpha**step has order modulus/step >= n, so any
+    delta - 1 check columns form a scaled Vandermonde matrix."""
+    if punctured:
+        try:
+            code = LinearCode(code.field, code.n - 1, code.k,
+                              tuple(row[:-1] for row in code.generator))
+        except ValueError:
+            return "the first n - 1 coordinates lose a dimension"
+    field, n, m = code.field, code.n, T.modulus
+    if lam is None:
+        return "no lambda to place the roots of the defining set"
+    if m // T.step < n:
+        return "defining set modulus %d does not fit n = %d" % (m, n)
+    try:
+        alpha = _shift_root(field, n, lam, m)
+    except (ZeroElement, RootsNotInField, ValueError) as exc:
+        return "roots do not fit n = %d: %s" % (n, exc)
+    powers = list(itertools.accumulate([alpha] * (m - 1), operator.mul,
+                                       initial=field.one))
+    checks = [[powers[e * j % m] for j in range(n)] for e in T.elements]
+    if not _gram_is_zero(code.generator, checks, field):
+        return "generator rows do not vanish at the defining set's roots"
+    return None
 
 
 @dataclass(frozen=True)
@@ -632,6 +576,7 @@ class MdsCertificate:
 
 def certify_mds(code: LinearCode, *, defining: DefiningSet | None = None,
                 extended_defining: DefiningSet | None = None,
+                lam: Element | None = None,
                 structural: bool = False, mode: str = "auto",
                 trials: int = 1000,
                 guards: GuardConfig | None = None) -> MdsCertificate:
@@ -640,7 +585,8 @@ def certify_mds(code: LinearCode, *, defining: DefiningSet | None = None,
     The rungs, strongest first: exhaustive distance; every k-subset of
     generator columns; the root-run certificate of ``defining``; the
     root-run certificate of ``extended_defining``, the defining set of
-    the code before its last coordinate was appended; seeded
+    the code before its last coordinate was appended (both check that
+    the rows vanish at the roots the shift constant ``lam`` places); seeded
     Monte-Carlo, reported as ``certified-structural`` with d = n - k + 1
     when ``structural`` vouches that the code is an evaluation (GRS)
     code.  ``mode="auto"`` takes the first rung the guards afford and
@@ -709,8 +655,12 @@ def certify_mds(code: LinearCode, *, defining: DefiningSet | None = None,
         # extension; appending a coordinate never lowers weights
         bound = consecutive_run(facts) + 1
         if bound < (target if tier == "bch" else target - 1):
+            reason = "root run too short"
+        else:
+            reason = _roots_mismatch(code, facts, lam, tier == "extended-bch")
+        if reason is not None:
             return MdsCertificate(tier, MdsVerdict("inconclusive"),
-                                  reason="root run too short")
+                                  reason=reason)
         return MdsCertificate(tier, MdsVerdict("certified-bch"),
                               distance_lower_bound=bound)
     raise ValueError("unknown mds mode %r" % mode)

@@ -62,11 +62,8 @@ from .numtheory import gamma_solvability, is_prime
 
 
 def _v2(x: int) -> int:
-    v = 0
-    while x % 2 == 0:
-        x //= 2
-        v += 1
-    return v
+    """The 2-adic valuation of x; -1 for x = 0, which every caller refuses."""
+    return (x & -x).bit_length() - 1
 
 
 def _route_field(p: int, t: int, guards: GuardConfig | None,
@@ -227,7 +224,8 @@ def build_euclidean_duadic_extended(p: int, t: int, n: int,
     code = extend_code(duadic, gamma)
     if not is_euclidean_self_dual(code):
         raise VerificationFailed("euclidean_self_dual")
-    report = _verified_report(code, True, None, guards, extended_defining=T)
+    report = _verified_report(code, True, None, guards, extended_defining=T,
+                              lam=field.one)
     return ConstructionResult(code, "Thm2", "euclidean-duadic", report,
                               gamma=gamma, cyclic=spec)
 
@@ -337,10 +335,10 @@ def build_constacyclic_hermitian(p: int, t: int, n: int, r: int,
         raise PreconditionFailed("EvenQ", "q must be odd")
     a = _v2(n)
     if n < 2 or a == 0:
-        raise PreconditionFailed("OddLength", "n = %d must be even" % n)
+        raise PreconditionFailed("OddLength", "n = %d must be even > 0" % n)
     b = _v2(r)
     if r < 2 or b == 0:
-        raise PreconditionFailed("OddShiftOrder", "r = %d must be even" % r)
+        raise PreconditionFailed("OddShiftOrder", "r = %d must be even > 0" % r)
     if (q * q - 1) % (r * n) != 0:
         raise PreconditionFailed(
             "OrderNotInField", "r*n = %d does not divide q^2 - 1" % (r * n)
@@ -364,7 +362,7 @@ def build_constacyclic_hermitian(p: int, t: int, n: int, r: int,
     if not is_hermitian_self_dual(code):
         raise VerificationFailed("hermitian_self_dual")
     report = _verified_report(code, is_euclidean_self_dual(code), True,
-                              guards, defining=T)
+                              guards, defining=T, lam=lam)
     return ConstructionResult(code, "Thm4", "constacyclic", report,
                               cyclic=spec, extras={"r": r})
 
@@ -382,7 +380,7 @@ def build_negacyclic_hermitian(p: int, t: int, n: int,
     q = field.order
     a = _v2(n)
     if n < 2 or a == 0:
-        raise PreconditionFailed("OddLength", "n = %d must be even" % n)
+        raise PreconditionFailed("OddLength", "n = %d must be even > 0" % n)
     n_odd = n >> a
     if (q + 1) % (2 ** a * n_odd) != 0:
         raise PreconditionFailed(
@@ -410,7 +408,8 @@ def _build_hermitian_extension(tower: TowerSpec, spec: CyclicSpec,
     if not is_hermitian_self_dual(code):
         raise VerificationFailed("hermitian_self_dual")
     report = _verified_report(code, is_euclidean_self_dual(code), True,
-                              guards, extended_defining=spec.defining)
+                              guards, extended_defining=spec.defining,
+                              lam=spec.lam)
     return ConstructionResult(code, theorem, construction, report,
                               gamma=gamma, cyclic=spec)
 

@@ -1,16 +1,18 @@
 """Matrix routines over arbitrary field objects.
 
-Rows are tuples of elements.  Elimination uses deterministic pivoting:
+Rows are tuples of elements.  Every independence question (a minor, a
+generator's rank, all k-subsets of columns) is one lex column walk,
+``first_dependent_subset``, with a step per representation: element
+objects, or over small fields the integer logs of a discrete-log table.
+``row_reduce`` pivots deterministically for echelon forms and kernels:
 leftmost column first, and among candidate rows the one whose entry has
-the least canonical index.  For bulk determinant work over small fields
-a discrete-log table turns every field operation into integer lookups.
+the least canonical index.
 """
 from __future__ import annotations
 
 import operator
 from collections import OrderedDict
 
-from .errors import ZeroElement
 from .fields import Element, Field, find_primitive_element
 
 
@@ -46,11 +48,6 @@ def row_reduce(rows, field: Field):
     return tuple(tuple(row) for row in mat[:r] if any(row)), tuple(pivots)
 
 
-def matrix_rank(rows, field: Field) -> int:
-    reduced, _ = row_reduce(rows, field)
-    return len(reduced)
-
-
 def null_space(rows, n: int, field: Field):
     """Basis of the right kernel of a k x n matrix, as rows."""
     reduced, pivots = row_reduce(rows, field)
@@ -67,26 +64,70 @@ def null_space(rows, n: int, field: Field):
     return tuple(basis)
 
 
+def first_dependent_subset(columns, k: int, zero, step):
+    """The lex-first linearly dependent k-subset of ``columns``, or None.
+
+    A depth-first walk over the subsets in ``itertools.combinations``
+    order.  With d columns chosen, every later column is held as its
+    residual modulo their span, the pivot coordinates dropped.  Choosing
+    column c pivots on its first nonzero residual entry and hands the
+    residuals of all columns after c, reduced by ``step(residual_c,
+    pivot, later_residuals)``, to the next depth.  A zero residual makes
+    every subset with that prefix dependent, and the first of them is
+    the witness.  With k = len(columns) the walk decides whether the
+    given vectors are independent.
+    """
+    n = len(columns)
+    chosen = []
+
+    def walk(start, residuals):
+        need = k - len(chosen)
+        # a candidate must leave need - 1 columns after it
+        for c in range(start, n - need + 1):
+            residual = residuals[c - start]
+            for pivot, x in enumerate(residual):
+                if x != zero:
+                    break
+            else:
+                return tuple(chosen) + tuple(range(c, c + need))
+            if need > 1:
+                chosen.append(c)
+                found = walk(c + 1, step(residual, pivot,
+                                         residuals[c - start + 1:]))
+                chosen.pop()
+                if found is not None:
+                    return found
+        return None
+
+    if k == 0:
+        return None
+    return walk(0, [list(col) for col in columns])
+
+
+def eliminate(pivot_col, p, rows):
+    """The walk's step on element objects: each row drops coordinate p
+    after losing row[p]/pivot_col[p] times ``pivot_col``."""
+    rest = [(t - (t > p), x) for t, x in enumerate(pivot_col)
+            if t != p and x]
+    inv = None
+    out = []
+    for row in rows:
+        new = row[:p] + row[p + 1:]
+        if row[p]:
+            if inv is None:
+                inv = pivot_col[p].inverse()
+            factor = row[p] * inv
+            for t, x in rest:
+                new[t] = new[t] - factor * x
+        out.append(new)
+    return out
+
+
 def det_nonzero(rows, field: Field) -> bool:
-    """Whether a square matrix is nonsingular (generic, division-based)."""
-    mat = [list(r) for r in rows]
-    k = len(mat)
-    for col in range(k):
-        sel = None
-        for i in range(col, k):
-            if mat[i][col]:
-                sel = i
-                break
-        if sel is None:
-            return False
-        if sel != col:
-            mat[col], mat[sel] = mat[sel], mat[col]
-        inv = mat[col][col].inverse()
-        for i in range(col + 1, k):
-            if mat[i][col]:
-                factor = mat[i][col] * inv
-                mat[i] = [u - factor * v for u, v in zip(mat[i], mat[col])]
-    return True
+    """Whether a square matrix is nonsingular: its rows are independent
+    exactly when its columns are."""
+    return first_dependent_subset(rows, len(rows), field.zero,
+                                  eliminate) is None
 
 
 class DlogTable:
@@ -152,60 +193,43 @@ class DlogTable:
         self.log = log
         self.pow_idx = pow_idx
         self.zech = zech
+        self.half = 0 if p == 2 else (q - 1) // 2
 
     def encode(self, x: Element) -> int:
         if not x:
             return -1
         return self.log[self.field.index(x)]
 
-    def decode(self, code: int) -> Element:
-        if code == -1:
-            return self.field.zero
-        return self.field.from_int(self.pow_idx[code])
-
-    def det_nonzero(self, rows: list[list[int]]) -> bool:
-        """Nonsingularity of a square matrix of encoded entries.
-
-        The field's -1 is g**half (half = 0 in characteristic 2), so
-        subtracting (entry/pivot) * v adds g**(log v + shift) with the
-        negation folded into ``shift``.
-        """
-        k = len(rows)
+    def eliminate(self, pivot_col, p, rows):
+        """The walk's step on encoded entries: row -= (row[p] / pivot) *
+        pivot_col, the negation folded into the log shift, as the
+        field's -1 is g**half (half = 0 in characteristic 2)."""
         m = self.q - 1
-        half = 0 if self.field.char == 2 else m // 2
         zech = self.zech
-        mat = [row[:] for row in rows]
-        for col in range(k):
-            sel = None
-            for i in range(col, k):
-                if mat[i][col] != -1:
-                    sel = i
-                    break
-            if sel is None:
-                return False
-            if sel != col:
-                mat[col], mat[sel] = mat[sel], mat[col]
-            pivot = mat[col][col]
-            prow = mat[col]
-            for i in range(col + 1, k):
-                entry = mat[i][col]
-                if entry == -1:
-                    continue
-                # row_i += -(entry/pivot) * row_col
-                shift = (entry - pivot + half) % m
-                row = mat[i]
-                for j in range(col, k):
-                    v = prow[j]
-                    if v == -1:
-                        continue
-                    term = (v + shift) % m
-                    cur = row[j]
+        base = pivot_col[p] - self.half
+        rest = [(t - (t > p), x) for t, x in enumerate(pivot_col)
+                if t != p and x != -1]
+        out = []
+        for row in rows:
+            new = row[:p] + row[p + 1:]
+            entry = row[p]
+            if entry != -1:
+                shift = entry - base
+                for t, x in rest:
+                    term = (x + shift) % m
+                    cur = new[t]
                     if cur == -1:
-                        row[j] = term
+                        new[t] = term
                     else:
                         z = zech[(term - cur) % m]
-                        row[j] = -1 if z == -1 else (cur + z) % m
-        return True
+                        new[t] = -1 if z == -1 else (cur + z) % m
+            out.append(new)
+        return out
+
+    def det_nonzero(self, rows: list[list[int]]) -> bool:
+        """Nonsingularity of a square matrix of encoded entries."""
+        return first_dependent_subset(rows, len(rows), -1,
+                                      self.eliminate) is None
 
     def add(self, c1: int, c2: int) -> int:
         """g**c1 + g**c2 through the Zech table."""

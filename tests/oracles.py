@@ -1,10 +1,50 @@
 """Independent oracles the tests check the package against.
 
 Each is written from the definition on field element objects; the two
-duals build on the package's ``null_space`` and ``frobenius``.
+duals build on the package's ``null_space`` and ``frobenius``, and the
+rank on its ``row_reduce``.  None of them runs through the lex column
+walk, ``first_dependent_subset``, that the package decides independence
+with.
 """
 from selfdual import LinearCode, frobenius
-from selfdual.linalg import null_space
+from selfdual.linalg import null_space, row_reduce
+
+
+def poly_eval(c, x, field):
+    """The polynomial with coefficients c, constant term first, at x."""
+    acc = field.zero
+    for coef in reversed(c):
+        acc = acc * x + coef
+    return acc
+
+
+def matrix_rank(rows, field):
+    """The number of nonzero rows of the reduced echelon form."""
+    reduced, _ = row_reduce(rows, field)
+    return len(reduced)
+
+
+def det_nonzero_oracle(rows, field):
+    """Whether a square matrix is nonsingular, by column-wise Gaussian
+    elimination with a row swap to the first nonzero pivot."""
+    mat = [list(r) for r in rows]
+    k = len(mat)
+    for col in range(k):
+        sel = None
+        for i in range(col, k):
+            if mat[i][col]:
+                sel = i
+                break
+        if sel is None:
+            return False
+        if sel != col:
+            mat[col], mat[sel] = mat[sel], mat[col]
+        inv = mat[col][col].inverse()
+        for i in range(col + 1, k):
+            if mat[i][col]:
+                factor = mat[i][col] * inv
+                mat[i] = [u - factor * v for u, v in zip(mat[i], mat[col])]
+    return True
 
 
 def euclidean_dual(code):

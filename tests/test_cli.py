@@ -1,9 +1,36 @@
 """CLI behavior through main(argv); no subprocesses."""
+import contextlib
+import functools
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from selfdual.cli import main
+from selfdual.codes import (
+    certify_mds,
+    code_from_json,
+    code_to_json,
+    cyclic_generator_matrix,
+    generator_from_defining_set,
+    min_distance_exhaustive,
+)
+from selfdual.constructions import (
+    build_euclidean_duadic_extended,
+    build_hermitian_extended_duadic,
+    build_negacyclic_hermitian,
+)
+from selfdual.cosets import DefiningSet
+from selfdual.fields import (
+    element_from_json,
+    element_to_json,
+    field_from_json,
+    make_field,
+    solve_norm,
+)
 
 
 def run_cli(capsys, *argv):
@@ -258,3 +285,147 @@ def test_norm_equation_beyond_the_dlog_guard_is_refused(monkeypatch, capsys):
                         "--p", "2", "--t", "3", "--n", "4")
     assert rc == 1
     assert lines[0]["error"] == "DiscreteLogGuardExceeded"
+
+
+def _two_weight_dispatch_record(capsys):
+    """``construct dispatch --p 31 --n 32`` with its generator replaced by
+    the rows e_2i + a*e_2i+1, a**(q+1) = -1: a Hermitian self-dual
+    [32, 16, 2] code under the metadata of an MDS constacyclic code."""
+    rc, lines = run_cli(capsys, "construct", "dispatch",
+                        "--p", "31", "--n", "32")
+    assert rc == 0
+    obj = lines[0]
+    tower = field_from_json(obj["field"])
+    a = solve_norm(tower, -tower.base.one)
+    rows = []
+    for i in range(16):
+        row = [tower.zero] * 32
+        row[2 * i], row[2 * i + 1] = tower.one, a
+        rows.append([element_to_json(x) for x in row])
+    obj["generator"] = rows
+    return obj
+
+
+@pytest.mark.parametrize("mds", ["auto", "bch"])
+def test_root_run_rung_checks_the_roots_it_certifies(mds, tmp_path, capsys):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(_two_weight_dispatch_record(capsys)))
+    rc, lines = run_cli(capsys, "verify", str(path), "--mds", mds)
+    assert lines[0]["hermitian_self_dual"] is True
+    assert lines[0]["mds"] == {"status": "inconclusive"}
+    assert lines[0]["distance"] is None
+    rc, lines = run_cli(capsys, "verify", str(path), "--mds", "monte-carlo")
+    assert rc == 1 and lines[0]["mds"]["status"] == "refuted"
+
+
+@pytest.mark.parametrize("value", ["x", [1, 2], None, {"a": 1}])
+def test_verify_refuses_a_malformed_lambda(value, tmp_path, capsys):
+    rc, lines = run_cli(capsys, "construct", "negacyclic", "--p", "3",
+                        "--n", "4")
+    obj = lines[0]
+    obj["metadata"]["lambda"] = value
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(obj))
+    rc, lines = run_cli(capsys, "verify", str(path), "--mds", "bch")
+    assert rc == 2
+    assert lines[0]["error"] == "MalformedInput"
+
+
+def _cyclic_record(field, n, lam, T):
+    spec = generator_from_defining_set(field, n, lam, T)
+    return code_to_json(cyclic_generator_matrix(spec),
+                        {"defining_set": T.to_json(),
+                         "lambda": element_to_json(lam)})
+
+
+@functools.lru_cache(maxsize=None)
+def _hostile_sources():
+    """Honest records of small codes, q**k within the exhaustive guard:
+    cyclic, constacyclic and extended ones, in prime fields, GF(4) and
+    towers."""
+    gf7, gf4 = make_field(7, 1), make_field(2, 2)
+    return tuple(json.dumps(obj) for obj in (
+        _cyclic_record(gf7, 6, gf7.one, DefiningSet(6, (1, 2))),
+        _cyclic_record(gf7, 6, gf7.one, DefiningSet(6, (1, 2, 3))),
+        _cyclic_record(gf7, 3, -gf7.one, DefiningSet(6, (1, 3), step=2)),
+        _cyclic_record(gf4, 3, gf4.one, DefiningSet(3, (1,))),
+        build_negacyclic_hermitian(3, 1, 4).to_json(),
+        build_euclidean_duadic_extended(7, 1, 3).to_json(),
+        build_hermitian_extended_duadic(7, 1, 3).to_json(),
+    ))
+
+
+def _verify_in_process(obj, mds):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "code.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            main(["verify", path, "--mds", mds])
+    return json.loads(out.getvalue().splitlines()[0])
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_a_hostile_record_is_never_certified_below_singleton(data):
+    obj = json.loads(data.draw(st.sampled_from(_hostile_sources())))
+    field = field_from_json(obj["field"])
+    n, k = obj["n"], obj["k"]
+    meta = obj["metadata"]
+    element = st.integers(0, field.order - 1).map(
+        lambda i: element_to_json(field.from_int(i)))
+    for _ in range(data.draw(st.sampled_from([0, 0, 1, 2]))):
+        row, col = data.draw(st.integers(0, k - 1)), data.draw(
+            st.integers(0, n - 1))
+        obj["generator"][row][col] = data.draw(element)
+    if data.draw(st.integers(0, 3)) == 0:  # a row becomes a unit vector
+        row, col = data.draw(st.integers(0, k - 1)), data.draw(
+            st.integers(0, n - 1))
+        zero = element_to_json(field.zero)
+        obj["generator"][row] = [zero] * n
+        obj["generator"][row][col] = element_to_json(field.one)
+    if data.draw(st.integers(0, 3)) == 0:
+        m = meta["defining_set"]["modulus"]
+        modulus = data.draw(st.sampled_from(sorted({m, 2 * m, n - 1, n,
+                                                    n + 1} - {0})))
+        step = data.draw(st.sampled_from([s for s in (1, 2, 3)
+                                          if modulus % s == 0]))
+        positions = data.draw(st.sets(st.integers(0, modulus // step - 1)))
+        meta["defining_set"] = {"modulus": modulus, "step": step,
+                                "elements": [1 % step + step * j
+                                             for j in sorted(positions)]}
+    lam = data.draw(st.sampled_from(["keep", "keep", "drop", "redraw"]))
+    if lam == "drop":
+        del meta["lambda"]
+    elif lam == "redraw":
+        meta["lambda"] = data.draw(element)
+    try:
+        code, _ = code_from_json(obj)
+    except ValueError:  # the mutated rows are dependent
+        assume(False)
+    singleton = n - k + 1
+    for mds in ("auto", "bch"):
+        out = _verify_in_process(obj, mds)
+        if out.get("mds", {}).get("status", "").startswith("certified-"):
+            assert min_distance_exhaustive(code) == singleton
+    # the extended rung, reached only from the builders, bounds d below
+    T = DefiningSet.from_json(meta["defining_set"])
+    lam = element_from_json(field, meta["lambda"]) if "lambda" in meta \
+        else None
+    cert = certify_mds(code, extended_defining=T, lam=lam,
+                       mode="extended-bch")
+    if cert.verdict.status == "certified-bch":
+        assert min_distance_exhaustive(code) >= cert.distance_lower_bound
+
+
+@pytest.mark.parametrize("argv", [
+    ("negacyclic", "--n", "0"),
+    ("constacyclic", "--n", "0", "--r", "2"),
+    ("constacyclic", "--n", "4", "--r", "0"),
+])
+def test_zero_length_or_shift_order_is_refused(argv, capsys):
+    # the 2-adic valuation of 0 once looped forever
+    rc, lines = run_cli(capsys, "construct", *argv, "--p", "3")
+    assert rc == 1
+    assert lines[0]["error"] == "PreconditionFailed"

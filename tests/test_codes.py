@@ -30,7 +30,6 @@ from selfdual.codes import (
     mds_check,
     min_distance_exhaustive,
     poly_divmod,
-    poly_eval,
     poly_mul,
     same_code,
 )
@@ -47,6 +46,7 @@ from selfdual.errors import (
 from selfdual.fields import (
     ExtElement,
     FieldElement,
+    element_order,
     make_field,
     nth_root_of_unity,
     quadratic_extension,
@@ -59,7 +59,14 @@ from selfdual.linalg import (
     null_space,
 )
 
-from oracles import euclidean_dual, gram_is_zero_oracle, hermitian_dual
+from oracles import (
+    det_nonzero_oracle,
+    euclidean_dual,
+    gram_is_zero_oracle,
+    hermitian_dual,
+    matrix_rank,
+    poly_eval,
+)
 
 
 def naive_min_distance(code):
@@ -142,6 +149,26 @@ def test_generator_requires_roots_in_field():
         generator_from_defining_set(f, 3, f.one, DefiningSet(3, (1,)))
 
 
+def test_shift_root_is_the_first_power_of_full_order_over_lam():
+    # the definition on element powers and orders, for every shift
+    # constant and fitting length of a few small fields
+    for field in (make_field(7, 1), make_field(13, 1), make_field(2, 4),
+                  quadratic_extension(make_field(3, 1))):
+        q = field.order
+        for lam in list(field.elements())[1:]:
+            r = element_order(lam)
+            for n in (n for n in range(1, q) if (q - 1) % (r * n) == 0):
+                base = nth_root_of_unity(field, r * n)
+                want = next((acc for acc in (base ** i for i in range(r * n))
+                             if acc ** n == lam
+                             and element_order(acc) == r * n), None)
+                try:
+                    got = codes_module._shift_root(field, n, lam, r * n)
+                except RootsNotInField:
+                    got = None
+                assert got == want
+
+
 def test_constacyclic_spec_negacyclic_gf9():
     tower = quadratic_extension(make_field(3, 1))
     lam = nth_root_of_unity(tower, 2)
@@ -156,7 +183,6 @@ def test_constacyclic_spec_negacyclic_gf9():
     code = cyclic_generator_matrix(spec)
     assert (code.n, code.k) == (4, 2)
     # the lambda-shift of any row stays inside the span
-    from selfdual.linalg import matrix_rank
     for row in code.generator:
         shifted = constacyclic_shift(row, lam)
         assert matrix_rank(list(code.generator) + [shifted], tower) == 2
@@ -167,7 +193,6 @@ def test_cyclic_code_words_shift_closed():
     T = DefiningSet(3, (1,))
     spec = generator_from_defining_set(f, 3, f.one, T)
     code = cyclic_generator_matrix(spec)
-    from selfdual.linalg import matrix_rank
     for row in code.generator:
         shifted = constacyclic_shift(row, f.one)
         assert matrix_rank(list(code.generator) + [shifted], f) == code.k
@@ -388,8 +413,8 @@ def lex_column_oracle(code):
     itertools.combinations order, stopping at the first singular one."""
     columns = mat_transpose(code.generator)
     for subset in itertools.combinations(range(code.n), code.k):
-        if not det_nonzero([[columns[j][i] for j in subset]
-                            for i in range(code.k)], code.field):
+        if not det_nonzero_oracle([[columns[j][i] for j in subset]
+                                   for i in range(code.k)], code.field):
             return ("refuted", subset)
     return ("certified-exact", None)
 
@@ -455,23 +480,25 @@ def test_column_walk_expands_only_prefixes_that_fit(dlog_limit, monkeypatch):
     def refuse(*args):
         raise AssertionError("determinant called")
 
-    walk = codes_module._first_dependent_subset
+    walk = codes_module.first_dependent_subset
     expanded = []
 
-    def counting_walk(columns, k, zero, eliminate):
+    def counting_walk(columns, k, zero, step):
         def counted(pivot_col, p, rows):
             expanded.append(len(pivot_col))
-            return eliminate(pivot_col, p, rows)
+            return step(pivot_col, p, rows)
         return walk(columns, k, zero, counted)
 
-    monkeypatch.setattr(codes_module, "det_nonzero", refuse)
-    monkeypatch.setattr(DlogTable, "det_nonzero", refuse)
-    monkeypatch.setattr(codes_module, "_first_dependent_subset",
-                        counting_walk)
-    guards = GuardConfig(dlog_limit=dlog_limit)
     f = make_field(11, 1)
     n, k = 9, 4
-    assert mds_check(vandermonde(f, n, k), "exhaustive-columns",
+    # built first: its rank check runs the same walk
+    code = vandermonde(f, n, k)
+    monkeypatch.setattr(codes_module, "det_nonzero", refuse)
+    monkeypatch.setattr(DlogTable, "det_nonzero", refuse)
+    monkeypatch.setattr(codes_module, "first_dependent_subset",
+                        counting_walk)
+    guards = GuardConfig(dlog_limit=dlog_limit)
+    assert mds_check(code, "exhaustive-columns",
                      guards=guards) == MdsVerdict("certified-exact")
     # a prefix of j columns is expanded only while the k - j columns still
     # missing fit after its last one: C(n - k + j, j) prefixes, each
@@ -481,6 +508,69 @@ def test_column_walk_expands_only_prefixes_that_fit(dlog_limit, monkeypatch):
     code = rand_code(make_field(7, 1), 6, 3, 0)
     assert mds_check(code, "exhaustive-columns", guards=guards) == \
         MdsVerdict("refuted", witness=lex_column_oracle(code)[1])
+
+
+@pytest.mark.parametrize("dlog_limit", [2**20, 1])
+def test_monte_carlo_calls_det_nonzero_once_per_trial(dlog_limit,
+                                                      monkeypatch):
+    # the minors go through the two det_nonzero names, so a tracer that
+    # wraps them counts every one
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(codes_module, "det_nonzero",
+                        counting("element", det_nonzero))
+    monkeypatch.setattr(DlogTable, "det_nonzero",
+                        counting("zech", DlogTable.det_nonzero))
+    name = "zech" if dlog_limit > 1 else "element"
+    guards = GuardConfig(dlog_limit=dlog_limit)
+    mds = vandermonde(make_field(11, 1), 9, 4)
+    assert mds_check(mds, "monte-carlo", trials=50, guards=guards) == \
+        MdsVerdict("monte-carlo", trials=50, passes=50)
+    assert calls == {name: 50}
+    calls.clear()
+    verdict = mds_check(rand_code(make_field(7, 1), 6, 3, 0), "monte-carlo",
+                        trials=50, guards=guards)
+    assert verdict.status == "refuted"
+    assert calls == {name: verdict.passes + 1}
+
+
+@st.composite
+def generator_with_planted_dependency(draw):
+    """k rows of length n over a column-test field, often with one row
+    a combination of the others; such rows have no staircase of leading
+    positions, so only the rank check can tell them apart."""
+    field = _column_field(draw(st.sampled_from(COLUMN_FIELDS)))
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 5))
+    entry = st.integers(0, field.order - 1).map(field.from_int)
+    rows = [[draw(entry) for _ in range(n)] for _ in range(k)]
+    if k > 1 and draw(st.booleans()):
+        target = draw(st.integers(0, k - 1))
+        combo = [field.zero] * n
+        for i, row in enumerate(rows):
+            if i != target:
+                c = draw(entry)
+                combo = [a + c * x for a, x in zip(combo, row)]
+        rows[target] = combo
+    return field, n, tuple(tuple(row) for row in rows)
+
+
+@settings(deadline=None, max_examples=200)
+@given(generator_with_planted_dependency())
+def test_linear_code_accepts_exactly_the_full_rank_generators(case):
+    field, n, rows = case
+    try:
+        LinearCode(field, n, len(rows), rows)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == (matrix_rank(rows, field) == len(rows))
 
 
 def test_mds_monte_carlo_is_deterministic():
@@ -520,7 +610,7 @@ def test_mds_bch_certificate():
     T = DefiningSet(8, (1, 3), step=2)
     spec = generator_from_defining_set(tower, 4, lam, T)
     code = cyclic_generator_matrix(spec)
-    verdict = certify_mds(code, defining=T, mode="bch").verdict
+    verdict = certify_mds(code, defining=T, lam=lam, mode="bch").verdict
     assert verdict.status == "certified-bch"
     # and the certificate is honest: true distance meets the bound
     assert min_distance_exhaustive(code) == 3
@@ -551,10 +641,14 @@ def test_certify_mds_rung_follows_facts_and_guards():
         ("exhaustive", "certified-exact", 3)
     # no exhaustive or column rung: the facts pick the next one
     tight = GuardConfig(exhaustive_tier_limit=1, column_limit=1)
-    cert = certify_mds(code, defining=T, guards=tight)
+    cert = certify_mds(code, defining=T, lam=-tower.one, guards=tight)
     assert (cert.tier, cert.verdict.status, cert.distance_lower_bound) == \
         ("bch", "certified-bch", 3)
-    cert = certify_mds(code, extended_defining=DefiningSet(3, (1,)),
+    # the [4, 3] cyclic code with root alpha, extended to [5, 3]
+    short = DefiningSet(4, (1,))
+    extended = extend_code(cyclic_generator_matrix(
+        generator_from_defining_set(tower, 4, tower.one, short)), tower.one)
+    cert = certify_mds(extended, extended_defining=short, lam=tower.one,
                        guards=tight)
     assert (cert.tier, cert.verdict.status, cert.distance_lower_bound) == \
         ("extended-bch", "certified-bch", 2)
@@ -570,6 +664,25 @@ def test_certify_mds_rung_follows_facts_and_guards():
     assert cert.warning == cert.reason == "C(n, k) = 6 exceeds the column guard"
     with pytest.raises(NoCyclicStructure):
         certify_mds(code, mode="bch")
+
+
+def test_extended_root_run_needs_the_first_coordinates_to_keep_rank():
+    f = make_field(7, 1)
+    T = DefiningSet(3, (1,))
+    code = extend_code(cyclic_generator_matrix(
+        generator_from_defining_set(f, 3, f.one, T)), f.one)
+    cert = certify_mds(code, extended_defining=T, lam=f.one,
+                       mode="extended-bch")
+    assert cert.verdict.status == "certified-bch"
+    # a row on the appended coordinate alone vanishes at every root, yet
+    # it is a word of weight 1
+    unit = (f.zero,) * 3 + (f.one,)
+    hostile = LinearCode(f, 4, 2, (code.generator[0], unit))
+    assert min_distance_exhaustive(hostile) == 1
+    cert = certify_mds(hostile, extended_defining=T, lam=f.one,
+                       mode="extended-bch")
+    assert cert.verdict.status == "inconclusive"
+    assert cert.reason == "the first n - 1 coordinates lose a dimension"
 
 
 def test_extension_weight_audit_reports_sums():

@@ -27,6 +27,7 @@ from selfdual.config import GuardConfig
 from selfdual.constructions import build_euclidean_duadic_extended
 from selfdual.cosets import DefiningSet
 from selfdual.errors import GuardExceeded
+from selfdual.fields import element_from_json
 from selfdual.table import run_table_pair
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
@@ -74,9 +75,10 @@ def test_construct_and_verify_match_golden(args, tmp_path, capsys):
 
     if args in RUNGS:
         code, metadata = code_from_json(json.loads(out))
-        defining = metadata.get("defining_set")
+        defining, lam = metadata.get("defining_set"), metadata.get("lambda")
         cert = certify_mds(code, defining=defining
-                           and DefiningSet.from_json(defining))
+                           and DefiningSet.from_json(defining),
+                           lam=lam and element_from_json(code.field, lam))
         assert cert.tier == RUNGS[args]
 
 

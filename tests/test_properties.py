@@ -27,9 +27,14 @@ from selfdual import (
     solve_norm,
 )
 from selfdual.codes import certify_mds, extension_weight_audit, same_code
-from selfdual.linalg import mat_transpose, matrix_rank
+from selfdual.linalg import mat_transpose
 
-from oracles import brute_weight_audit, euclidean_dual, hermitian_dual
+from oracles import (
+    brute_weight_audit,
+    euclidean_dual,
+    hermitian_dual,
+    matrix_rank,
+)
 
 FIELD_POOL = [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1),
               (2, 2), (3, 2), (2, 3), (5, 2), (2, 4)]
@@ -306,7 +311,8 @@ def test_consecutive_root_run_lower_bounds_the_distance(sc):
 @given(measurable_cyclic_code())
 def test_bch_verdict_is_sound(sc):
     spec, code = sc
-    verdict = certify_mds(code, defining=spec.defining, mode="bch").verdict
+    verdict = certify_mds(code, defining=spec.defining, lam=spec.lam,
+                          mode="bch").verdict
     assert verdict.status in ("certified-bch", "inconclusive")
     d = min_distance_exhaustive(code, guards=LOOSE)
     if verdict.status == "certified-bch":
