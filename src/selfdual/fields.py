@@ -12,14 +12,21 @@ GF(q^2) is represented on top of any field object as pairs (a, b)
 standing for ``a + b*y`` where y is a root of a fixed monic irreducible
 quadratic over the base.  Towers nest, which gives GF(q^4) when needed.
 
-Everything is immutable; field and element values hash and compare by
-value, so they are safe to share across threads and use as cache keys.
+Each field owns the encoding of its element values: a GF(p^t) value is
+its coefficient tuple, a tower value the pair of its base values.  Field
+methods do the arithmetic on values, so a tower multiplies raw values
+level by level; ``Element`` pairs a value with its field for everything
+outside this module, which never reads a value's layout.
+
+Everything is immutable; fields and elements hash and compare by value,
+so they are safe to share across threads and use as cache keys.
 """
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 from .config import GuardConfig, current_guards
 from .errors import (
@@ -151,19 +158,73 @@ def poly_is_irreducible(coeffs: Sequence[int], p: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# base fields GF(p^t)
+# fields and their elements
 # ---------------------------------------------------------------------------
 
+class Field:
+    """What GF(p^t) and a quadratic tower share.
+
+    A subclass fixes how its element values are encoded and does all
+    arithmetic on them: ``_add``, ``_sub``, ``_neg``, ``_mul``, ``_inv``,
+    ``_from_int``, ``_index`` and the JSON codec ``_to_json`` and
+    ``_from_json``.  It also sets ``_zero`` and ``_one`` to the values of
+    0 and 1.  ``Element`` pairs a value with its field, and everything
+    below is written once on top of those methods.
+    """
+
+    @functools.cached_property
+    def zero(self) -> "Element":
+        return Element(self, self._zero)
+
+    @functools.cached_property
+    def one(self) -> "Element":
+        return Element(self, self._one)
+
+    def from_int(self, index: int) -> "Element":
+        return Element(self, self._from_int(index))
+
+    def index(self, x: "Element") -> int:
+        return self._index(x.value)
+
+    def scalar(self, value: int) -> "Element":
+        """Image of an integer under the canonical map Z -> field."""
+        # the indices below p are the prime subfield, in order
+        return self.from_int(value % self.char)
+
+    def elements(self) -> Iterator["Element"]:
+        for i in range(self.order):
+            yield self.from_int(i)
+
+    def _pow(self, v, e: int):
+        """v**e by square and multiply; a negative e inverts first."""
+        if e < 0:
+            v, e = self._inv(v), -e
+        mul = self._mul
+        result = self._one
+        while e:
+            if e & 1:
+                result = mul(result, v)
+            v = mul(v, v)
+            e >>= 1
+        return result
+
+
 @dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Field):
     """GF(p^t) presented as GF(p)[x] modulo a monic irreducible polynomial.
 
     ``modulus`` has length t+1, constant term first, leading coefficient 1.
+    A value is the tuple of the t coefficients of x**i, constant term
+    first.
     """
 
     p: int
     t: int
     modulus: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "_zero", (0,) * self.t)
+        object.__setattr__(self, "_one", (1,) + (0,) * (self.t - 1))
 
     @property
     def order(self) -> int:
@@ -173,43 +234,31 @@ class FieldSpec:
     def char(self) -> int:
         return self.p
 
-    @functools.cached_property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, (0,) * self.t)
-
-    @functools.cached_property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, (1,) + (0,) * (self.t - 1))
-
-    def element(self, coeffs: Sequence[int]) -> "FieldElement":
-        c = [v % self.p for v in coeffs]
-        if len(c) > self.t:
-            c = _pmod(c, self.modulus, self.p) if _ptrim(list(c)) else []
-        c = c + [0] * (self.t - len(c))
-        return FieldElement(self, tuple(c[: self.t]))
-
-    def scalar(self, value: int) -> "FieldElement":
-        """Image of an integer under the canonical map Z -> GF(p^t)."""
-        return self.element([value % self.p])
-
-    def from_int(self, index: int) -> "FieldElement":
+    def _from_int(self, index: int) -> tuple:
         coeffs = []
         for _ in range(self.t):
             coeffs.append(index % self.p)
             index //= self.p
-        return FieldElement(self, tuple(coeffs))
+        return tuple(coeffs)
 
-    def index(self, x: "FieldElement") -> int:
+    def _index(self, v) -> int:
         acc = 0
-        for c in reversed(x.coeffs):
+        for c in reversed(v):
             acc = acc * self.p + c
         return acc
 
-    def elements(self) -> Iterator["FieldElement"]:
-        for i in range(self.order):
-            yield self.from_int(i)
+    def _reduce(self, coeffs: Sequence[int]) -> tuple:
+        """The value of the integer polynomial ``coeffs`` in x."""
+        c = [v % self.p for v in coeffs]
+        if len(c) > self.t:
+            c = _pmod(c, self.modulus, self.p)
+        return tuple(c + [0] * (self.t - len(c)))
 
-    # coefficient-level arithmetic used by FieldElement
+    def _to_json(self, v) -> list:
+        return list(v)
+
+    def _from_json(self, obj) -> tuple:
+        return self._reduce([int(v) for v in obj])
 
     def _add(self, a, b):
         p = self.p
@@ -246,60 +295,148 @@ class FieldSpec:
         if not any(a):
             raise ZeroElement("division by zero in GF(%d^%d)" % (self.p, self.t))
         # Fermat: a**(q-2); exact and branch-free for every t >= 1
-        e = self.order - 2
-        result = self.one.coeffs
-        acc = a
-        while e:
-            if e & 1:
-                result = self._mul(result, acc)
-            acc = self._mul(acc, acc)
-            e >>= 1
-        return result
+        return self._pow(a, self.order - 2)
+
+
+@dataclass(frozen=True)
+class TowerSpec(Field):
+    """GF(q^2) over a base field, elements a + b*y.
+
+    ``ext_modulus`` is the monic quadratic (c0, c1, 1), as base
+    elements, with y**2 = -c1*y - c0.  A value is the pair (a, b) of base
+    values.  The base may itself be a tower, giving GF(q^4) and so on.
+    """
+
+    base: Field
+    ext_modulus: tuple
+
+    def __post_init__(self):
+        base = self.base
+        c0, c1, _ = self.ext_modulus
+        object.__setattr__(self, "_zero", (base._zero, base._zero))
+        object.__setattr__(self, "_one", (base._one, base._zero))
+        object.__setattr__(self, "_c0", c0.value)
+        # None when c1 = 0, as in every canonical tower of odd q: the c1
+        # terms drop out
+        object.__setattr__(self, "_c1", c1.value if c1 else None)
+
+    @property
+    def order(self) -> int:
+        return self.base.order ** 2
+
+    @property
+    def char(self) -> int:
+        return self.base.char
+
+    @functools.cached_property
+    def y(self) -> "Element":
+        return Element(self, (self.base._zero, self.base._one))
+
+    def embed(self, x: "Element") -> "Element":
+        return Element(self, (x.value, self.base._zero))
+
+    def parts(self, x: "Element") -> tuple:
+        """(a, b) with x = a + b*y, as elements of the base."""
+        a, b = x.value
+        return Element(self.base, a), Element(self.base, b)
+
+    def _from_int(self, index: int) -> tuple:
+        base = self.base
+        q = base.order
+        return base._from_int(index % q), base._from_int(index // q)
+
+    def _index(self, v) -> int:
+        base = self.base
+        return base._index(v[0]) + base.order * base._index(v[1])
+
+    def _to_json(self, v) -> list:
+        return [self.base._to_json(v[0]), self.base._to_json(v[1])]
+
+    def _from_json(self, obj) -> tuple:
+        return self.base._from_json(obj[0]), self.base._from_json(obj[1])
+
+    def _add(self, x, y):
+        add = self.base._add
+        return add(x[0], y[0]), add(x[1], y[1])
+
+    def _sub(self, x, y):
+        sub = self.base._sub
+        return sub(x[0], y[0]), sub(x[1], y[1])
+
+    def _neg(self, x):
+        neg = self.base._neg
+        return neg(x[0]), neg(x[1])
+
+    def _mul(self, x, y):
+        # (a + b y)(c + d y) = (ac - bd c0) + (ad + bc - bd c1) y
+        base = self.base
+        mul, sub = base._mul, base._sub
+        a, b = x
+        c, d = y
+        bd = mul(b, d)
+        mid = base._add(mul(a, d), mul(b, c))
+        if self._c1 is not None:
+            mid = sub(mid, mul(bd, self._c1))
+        return sub(mul(a, c), mul(bd, self._c0)), mid
+
+    def _conj(self, x):
+        """x**q on values (see ``frobenius``)."""
+        base = self.base
+        a, b = x
+        if self._c1 is not None:
+            a = base._sub(a, base._mul(b, self._c1))
+        return a, base._neg(b)
+
+    def _inv(self, x):
+        if x == self._zero:
+            raise ZeroElement("division by zero in the extension")
+        # x * conj(x) = a*(a - b c1) + b**2 c0 lies in the base
+        base = self.base
+        mul = base._mul
+        a, b = x
+        ca, cb = self._conj(x)
+        ninv = base._inv(base._add(mul(a, ca), mul(mul(b, b), self._c0)))
+        return mul(ca, ninv), mul(cb, ninv)
 
 
 @dataclass(frozen=True, slots=True)
-class FieldElement:
-    field: FieldSpec
-    coeffs: tuple[int, ...]
+class Element:
+    """An element of ``field``, held as its value in the field's encoding.
+
+    The operators delegate to the field's arithmetic on values.  Elements
+    hash and compare by (field, value).
+    """
+
+    field: Field
+    value: tuple
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return self.value != self.field._zero
 
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.field, self.field._add(self.coeffs, other.coeffs))
+    def __add__(self, other: "Element") -> "Element":
+        return Element(self.field, self.field._add(self.value, other.value))
 
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.field, self.field._sub(self.coeffs, other.coeffs))
+    def __sub__(self, other: "Element") -> "Element":
+        return Element(self.field, self.field._sub(self.value, other.value))
 
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, self.field._neg(self.coeffs))
+    def __neg__(self) -> "Element":
+        return Element(self.field, self.field._neg(self.value))
 
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.field, self.field._mul(self.coeffs, other.coeffs))
+    def __mul__(self, other: "Element") -> "Element":
+        return Element(self.field, self.field._mul(self.value, other.value))
 
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(
-            self.field, self.field._mul(self.coeffs, self.field._inv(other.coeffs))
-        )
+    def __truediv__(self, other: "Element") -> "Element":
+        field = self.field
+        return Element(field, field._mul(self.value, field._inv(other.value)))
 
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field._inv(self.coeffs))
+    def inverse(self) -> "Element":
+        return Element(self.field, self.field._inv(self.value))
 
-    def __pow__(self, e: int) -> "FieldElement":
-        base = self
-        if e < 0:
-            base = self.inverse()
-            e = -e
-        result = self.field.one
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+    def __pow__(self, e: int) -> "Element":
+        return Element(self.field, self.field._pow(self.value, e))
 
     def __repr__(self) -> str:
-        return "GF(%d^%d)%r" % (self.field.p, self.field.t, list(self.coeffs))
+        return "GF(%d)%r" % (self.field.order, self.value)
 
 
 def check_field_size(order: int, guards: GuardConfig | None = None) -> None:
@@ -341,127 +478,16 @@ def make_field(p: int, t: int) -> FieldSpec:
 # quadratic extension towers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TowerSpec:
-    """GF(q^2) over a base field, elements (a, b) meaning a + b*y.
-
-    ``ext_modulus`` is the monic quadratic (c0, c1, 1) with y**2 = -c1*y - c0.
-    The base may itself be a tower, giving GF(q^4) and so on.
-    """
-
-    base: "Field"
-    ext_modulus: tuple
-
-    @property
-    def order(self) -> int:
-        return self.base.order ** 2
-
-    @property
-    def char(self) -> int:
-        return self.base.char
-
-    @functools.cached_property
-    def zero(self) -> "ExtElement":
-        z = self.base.zero
-        return ExtElement(self, z, z)
-
-    @functools.cached_property
-    def one(self) -> "ExtElement":
-        return ExtElement(self, self.base.one, self.base.zero)
-
-    @functools.cached_property
-    def y(self) -> "ExtElement":
-        return ExtElement(self, self.base.zero, self.base.one)
-
-    def embed(self, x) -> "ExtElement":
-        return ExtElement(self, x, self.base.zero)
-
-    def scalar(self, value: int) -> "ExtElement":
-        return self.embed(self.base.scalar(value))
-
-    def from_int(self, index: int) -> "ExtElement":
-        q = self.base.order
-        return ExtElement(self, self.base.from_int(index % q),
-                          self.base.from_int(index // q))
-
-    def index(self, x: "ExtElement") -> int:
-        q = self.base.order
-        return self.base.index(x.a) + q * self.base.index(x.b)
-
-    def elements(self) -> Iterator["ExtElement"]:
-        for i in range(self.order):
-            yield self.from_int(i)
-
-
-@dataclass(frozen=True, slots=True)
-class ExtElement:
-    tower: TowerSpec
-    a: "Element"
-    b: "Element"
-
-    @property
-    def field(self) -> TowerSpec:
-        return self.tower
-
-    def in_base(self) -> bool:
-        return not self.b
-
-    def __bool__(self) -> bool:
-        return bool(self.a) or bool(self.b)
-
-    def __add__(self, other: "ExtElement") -> "ExtElement":
-        return ExtElement(self.tower, self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: "ExtElement") -> "ExtElement":
-        return ExtElement(self.tower, self.a - other.a, self.b - other.b)
-
-    def __neg__(self) -> "ExtElement":
-        return ExtElement(self.tower, -self.a, -self.b)
-
-    def __mul__(self, other: "ExtElement") -> "ExtElement":
-        # (a + b y)(c + d y) with y**2 = -c1 y - c0
-        a, b = self.a, self.b
-        c, d = other.a, other.b
-        c0, c1, _ = self.tower.ext_modulus
-        bd = b * d
-        return ExtElement(
-            self.tower,
-            a * c - bd * c0,
-            a * d + b * c - bd * c1,
-        )
-
-    def inverse(self) -> "ExtElement":
-        if not self:
-            raise ZeroElement("division by zero in the extension")
-        a, b = self.a, self.b
-        c0, c1, _ = self.tower.ext_modulus
-        # (a + b y) * ((a - b c1) - b y) = a**2 - a b c1 + b**2 c0
-        norm = a * a - a * b * c1 + b * b * c0
-        ninv = norm.inverse()
-        return ExtElement(self.tower, (a - b * c1) * ninv, (-b) * ninv)
-
-    def __truediv__(self, other: "ExtElement") -> "ExtElement":
-        return self * other.inverse()
-
-    def __pow__(self, e: int) -> "ExtElement":
-        base = self
-        if e < 0:
-            base = self.inverse()
-            e = -e
-        result = self.tower.one
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def __repr__(self) -> str:
-        return "Ext(%r + %r*y)" % (self.a, self.b)
-
-
-Field = Union[FieldSpec, TowerSpec]
-Element = Union[FieldElement, ExtElement]
+@functools.lru_cache(maxsize=FIELD_CACHE_SIZE)
+def _least_nonsquare(field: Field) -> Element:
+    """The least-index non-square of a field of odd order, by Euler's
+    criterion; indices 0 and 1 are 0 and 1."""
+    q = field.order
+    half = (q - 1) // 2
+    for i in range(2, q):
+        if field._pow(field._from_int(i), half) != field._one:
+            return field.from_int(i)
+    raise ZeroElement("no non-square found")  # unreachable for odd q
 
 
 def _quadratic_is_irreducible(field: Field, c0, c1) -> bool:
@@ -489,13 +515,8 @@ def quadratic_extension(field: Field) -> TowerSpec:
     """
     q = field.order
     if q % 2 == 1:
-        half = (q - 1) // 2
-        for i in range(2, q):
-            d = field.from_int(i)
-            if d ** half != field.one:
-                c0 = -d
-                return TowerSpec(field, (c0, field.zero, field.one))
-        raise ZeroElement("no non-square found")  # unreachable for odd q
+        return TowerSpec(field, (-_least_nonsquare(field), field.zero,
+                                 field.one))
     for i in range(q * q):
         c0 = field.from_int(i % q)
         c1 = field.from_int(i // q)
@@ -504,7 +525,7 @@ def quadratic_extension(field: Field) -> TowerSpec:
     raise ZeroElement("no irreducible quadratic found")  # unreachable
 
 
-def frobenius(tower: TowerSpec, x: ExtElement) -> ExtElement:
+def frobenius(tower: TowerSpec, x: Element) -> Element:
     """The conjugation x -> x**q of GF(q^2) over its base.
 
     x -> x**q fixes the base and the coefficients of y**2 + c1*y + c0,
@@ -512,8 +533,7 @@ def frobenius(tower: TowerSpec, x: ExtElement) -> ExtElement:
     is -c1 - y by Vieta.  Hence (a + b*y)**q = (a - b*c1) - b*y, in
     every characteristic.
     """
-    c1 = tower.ext_modulus[1]
-    return ExtElement(tower, x.a - x.b * c1 if c1 else x.a, -x.b)
+    return Element(tower, tower._conj(x.value))
 
 
 # ---------------------------------------------------------------------------
@@ -533,15 +553,15 @@ def find_primitive_element(field: Field) -> Element:
     prefix is the least one overall.
     """
     q = field.order
-    prime_factors = [f for f, _ in factorize(q - 1)]
+    exponents = [(q - 1) // ell for ell, _ in factorize(q - 1)]
     if isinstance(field, TowerSpec):
         start = field.base.order
     else:
         start = field.p if field.t > 1 else 1
     for i in range(start, q):
-        g = field.from_int(i)
-        if all(g ** ((q - 1) // ell) != field.one for ell in prime_factors):
-            return g
+        g = field._from_int(i)
+        if all(field._pow(g, e) != field._one for e in exponents):
+            return Element(field, g)
     raise ZeroElement("no primitive element found")  # unreachable
 
 
@@ -553,7 +573,7 @@ def element_order(x: Element) -> int:
     m = field.order - 1
     for f, e in factorize(m):
         for _ in range(e):
-            if x ** (m // f) == field.one:
+            if field._pow(x.value, m // f) == field._one:
                 m //= f
             else:
                 break
@@ -574,7 +594,7 @@ def sqrt_in_field(x: Element):
 
     Even characteristic uses x**(q/2) (squaring is an automorphism);
     q = 3 (mod 4) uses x**((q+1)/4); otherwise Tonelli-Shanks runs
-    inside the field with a scanned non-residue.
+    inside the field with its least non-square.
     """
     field = x.field
     q = field.order
@@ -592,13 +612,7 @@ def sqrt_in_field(x: Element):
         while m % 2 == 0:
             m //= 2
             s += 1
-        z = None
-        for i in range(2, q):
-            cand = field.from_int(i)
-            if cand ** ((q - 1) // 2) != field.one:
-                z = cand
-                break
-        c = z ** m
+        c = _least_nonsquare(field) ** m
         r = x ** ((m + 1) // 2)
         u = x ** m
         while u != field.one:
@@ -617,7 +631,7 @@ def sqrt_in_field(x: Element):
     return r if field.index(r) <= field.index(other) else other
 
 
-def solve_norm(tower: TowerSpec, u, guards: GuardConfig | None = None) -> ExtElement:
+def solve_norm(tower: TowerSpec, u, guards: GuardConfig | None = None) -> Element:
     """Least-exponent v in GF(q^2) with v**(q+1) == u, for nonzero base u.
 
     The relative norm maps the canonical primitive g onto a generator of
@@ -634,15 +648,108 @@ def solve_norm(tower: TowerSpec, u, guards: GuardConfig | None = None) -> ExtEle
         raise DiscreteLogGuardExceeded(
             "base field order %d exceeds the discrete-log guard %d"
             % (q, guards.dlog_limit))
-    target = tower.embed(u)
+    target = tower.embed(u).value
     g = find_primitive_element(tower)
-    gen = g ** (q + 1)  # generates the embedded base group
-    w = tower.one
+    gen = tower._pow(g.value, q + 1)  # generates the embedded base group
+    w = tower._one
     for m in range(q - 1):
         if w == target:
             return g ** m
-        w = w * gen
+        w = tower._mul(w, gen)
     raise ZeroElement("norm walk failed")  # unreachable: the norm is onto
+
+
+# ---------------------------------------------------------------------------
+# Kronecker packing
+# ---------------------------------------------------------------------------
+
+def _pack_coeffs(v, shifts) -> int:
+    return sum(map(operator.lshift, v, shifts))
+
+
+def _packing(field: Field, s: int):
+    """(pack, reduce, width) of the Kronecker layout of ``field``.
+
+    ``pack`` maps a value to one int whose digits, s bits apart, are its
+    GF(p) coordinates: in GF(p^t) digit i is the coefficient of x**i.
+    ``width`` is the number of digits of a product of two packed values:
+    2t - 1 in GF(p^t).  A tower value (a, b) packs as pack(a) + pack(b)
+    shifted up by the base width, so the product of two packed tower
+    values holds ac, ad + bc and bd, the coefficients of 1, y and y**2,
+    in three blocks of the base width side by side.
+
+    ``reduce`` maps a product, or a sum of products whose digits did not
+    overflow, to the packed canonical value: each digit mod p, then
+    x**(t + j) -> its packed residue mod the modulus in GF(p^t), and
+    y**2 -> -c1*y - c0 at each tower level.  Those constants are packed
+    canonical values, so no digit inside ``reduce`` exceeds the bound of
+    one product in the field (see ``kronecker``).
+    """
+    if isinstance(field, TowerSpec):
+        base_pack, base_reduce, base_width = _packing(field.base, s)
+        shift = s * base_width
+        block = (1 << shift) - 1
+        c0, c1, _ = field.ext_modulus
+        neg_c0, neg_c1 = base_pack((-c0).value), base_pack((-c1).value)
+
+        def pack(v):
+            return base_pack(v[0]) + (base_pack(v[1]) << shift)
+
+        def reduce(v):
+            u0 = base_reduce(v & block)
+            u1 = base_reduce(v >> shift & block)
+            u2 = base_reduce(v >> 2 * shift)
+            return (base_reduce(u0 + neg_c0 * u2)
+                    + (base_reduce(u1 + neg_c1 * u2) << shift))
+
+        return pack, reduce, 3 * base_width
+    p, t = field.p, field.t
+    mask = (1 << s) - 1
+    if t == 1:  # no polynomial to reduce: one digit, one coefficient
+        return (lambda v: v[0]), (lambda v: (v & mask) % p), 1
+    shifts = [s * i for i in range(t)]
+    wide = [s * i for i in range(2 * t - 1)]
+    residues = [_pack_coeffs(field._reduce([0] * (t + j) + [1]), shifts)
+                for j in range(t - 1)]
+
+    def pack(v):
+        return _pack_coeffs(v, shifts)
+
+    def reduce(v):
+        d = [(v >> sh & mask) % p for sh in wide]
+        low = sum(map(operator.lshift, d[:t], shifts))
+        low += sum(map(operator.mul, d[t:], residues))
+        return sum(map(operator.lshift,
+                       [(low >> sh & mask) % p for sh in shifts], shifts))
+
+    return pack, reduce, 2 * t - 1
+
+
+def kronecker(field: Field, terms: int):
+    """(pack, reduce) for exact sums of up to ``terms`` products.
+
+    ``pack`` maps an element to one int (see ``_packing``), so that
+    Python's big-int multiply does the polynomial product of two
+    elements; ``reduce`` maps a sum of such products to an int that is 0
+    exactly when the sum of the element products is 0.  The digit width
+    s makes the sum exact.  In GF(p^t) a digit of a packed product is a
+    sum of at most t products of coordinates, each at most (p - 1)**2; a
+    tower level adds two such products in its middle block (ad + bc), so
+    with L levels above GF(p^t) a product digit is at most
+    t*(p - 1)**2 * 2**L.  A product has its digits at fixed positions,
+    so a sum of ``terms`` of them adds digit by digit, at most
+    terms*t*(p - 1)**2 * 2**L < 2**s: no digit carries into the next.
+    Inside ``reduce`` no digit exceeds one product's bound either: in
+    GF(p^t) a digit below p gains t - 1 residue terms of at most
+    (p - 1)**2 each, and a fold adds a coordinate below p to one
+    product of the level below, at most t*(p - 1)**2 * 2**(L - 1) + p - 1.
+    """
+    base, levels = field, 0
+    while isinstance(base, TowerSpec):
+        base, levels = base.base, levels + 1
+    s = (terms * base.t * (base.p - 1) ** 2 << levels).bit_length()
+    pack, reduce, _ = _packing(field, s)
+    return (lambda x: pack(x.value)), reduce
 
 
 # ---------------------------------------------------------------------------
@@ -666,28 +773,21 @@ def field_from_json(obj) -> Field:
             if not poly_is_irreducible(modulus, field.p) or len(modulus) != field.t + 1:
                 raise ZeroElement("modulus in input is not monic irreducible")
             field = FieldSpec(field.p, field.t, modulus)
-    else:
-        base = field_from_json(obj["base"])
-        coeffs = tuple(element_from_json(base, c) for c in obj["ext_modulus"])
-        field = TowerSpec(base, coeffs)
-    check_field_size(field.order)
+        check_field_size(field.order)
+        return field
+    base = field_from_json(obj["base"])
+    coeffs = tuple(element_from_json(base, c) for c in obj["ext_modulus"])
+    check_field_size(base.order ** 2)
     # log tables and every verdict over a tower assume it is a field
-    if isinstance(field, TowerSpec) and (
-            len(coeffs) != 3 or coeffs[2] != base.one
+    if (len(coeffs) != 3 or coeffs[2] != base.one
             or not _quadratic_is_irreducible(base, coeffs[0], coeffs[1])):
         raise ZeroElement("ext_modulus in input is not monic irreducible")
-    return field
+    return TowerSpec(base, coeffs)
 
 
 def element_to_json(x: Element):
-    if isinstance(x, FieldElement):
-        return list(x.coeffs)
-    return [element_to_json(x.a), element_to_json(x.b)]
+    return x.field._to_json(x.value)
 
 
 def element_from_json(field: Field, obj) -> Element:
-    if isinstance(field, FieldSpec):
-        return field.element([int(v) for v in obj])
-    a = element_from_json(field.base, obj[0])
-    b = element_from_json(field.base, obj[1])
-    return ExtElement(field, a, b)
+    return Element(field, field._from_json(obj))

@@ -4,9 +4,20 @@ Each is written from the definition on field element objects; the two
 duals build on the package's ``null_space`` and ``frobenius``, and the
 rank on its ``row_reduce``.  None of them runs through the lex column
 walk, ``first_dependent_subset``, that the package decides independence
-with.
+with.  The tower arithmetic recurses through element objects of every
+level, as the package did before its towers multiplied raw values, and
+the splitting check is the package's earlier, longer body.
 """
-from selfdual import LinearCode, frobenius
+from math import gcd
+
+from selfdual import (
+    LinearCode,
+    SplittingReport,
+    TowerSpec,
+    cyclotomic_coset,
+    frobenius,
+)
+from selfdual.errors import NotCoprime, ZeroInSet
 from selfdual.linalg import null_space, row_reduce
 
 
@@ -97,3 +108,119 @@ def brute_weight_audit(code):
         elif w == best and not s:
             clean = False
     return best, clean
+
+
+def _join(tower, a, b):
+    """a + b*y from base elements, through the documented index encoding
+    base.index(a) + Q*base.index(b), so without a tower multiply."""
+    base = tower.base
+    return tower.from_int(base.index(a) + base.order * base.index(b))
+
+
+def tower_mul_oracle(field, x, y):
+    """x*y with y**2 = -c1*y - c0 at every tower level, on objects."""
+    if not isinstance(field, TowerSpec):
+        return x * y
+    base = field.base
+    (a, b), (c, d) = field.parts(x), field.parts(y)
+    c0, c1, _ = field.ext_modulus
+    bd = tower_mul_oracle(base, b, d)
+    return _join(field,
+                 tower_mul_oracle(base, a, c) - tower_mul_oracle(base, bd, c0),
+                 tower_mul_oracle(base, a, d) + tower_mul_oracle(base, b, c)
+                 - tower_mul_oracle(base, bd, c1))
+
+
+def tower_inv_oracle(field, x):
+    """1/x from (a + b y)((a - b c1) - b y) = a**2 - a b c1 + b**2 c0."""
+    if not isinstance(field, TowerSpec):
+        return x.inverse()
+    base = field.base
+    a, b = field.parts(x)
+    c0, c1, _ = field.ext_modulus
+
+    def mul(u, v):
+        return tower_mul_oracle(base, u, v)
+
+    norm = mul(a, a) - mul(mul(a, b), c1) + mul(mul(b, b), c0)
+    ninv = tower_inv_oracle(base, norm)
+    return _join(field, mul(a - mul(b, c1), ninv), mul(-b, ninv))
+
+
+def tower_pow_oracle(field, x, e):
+    """x**e by square and multiply over ``tower_mul_oracle``."""
+    if e < 0:
+        x, e = tower_inv_oracle(field, x), -e
+    result = field.one
+    while e:
+        if e & 1:
+            result = tower_mul_oracle(field, result, x)
+        x = tower_mul_oracle(field, x, x)
+        e >>= 1
+    return result
+
+
+def splitting_oracle(T, a, n, q):
+    """``check_duadic_splitting`` as it was before its unreachable
+    branches went: it also checks that the multiplier maps S2 onto T and
+    that S2 is a union of q-cosets."""
+    if T.modulus != n:
+        raise ValueError("defining set modulus %d differs from n %d"
+                         % (T.modulus, n))
+    if gcd(n, q) != 1:
+        raise NotCoprime("coset base %d shares a factor with n %d" % (q, n))
+    if gcd(a, n) != 1:
+        raise NotCoprime("multiplier %d shares a factor with n %d" % (a, n))
+    s1 = set(T.elements)
+    if 0 in s1:
+        raise ZeroInSet("0 cannot appear in a splitting half")
+    a_norm = a % n
+    s2 = sorted(set(range(1, n)) - s1)
+    witness = None
+    ok = True
+
+    image1 = {(a_norm * x) % n for x in s1}
+    if image1 & s1:
+        ok = False
+        for i in sorted(s1):
+            img = (a_norm * i) % n
+            if img in s1:
+                witness = img
+                break
+    elif image1 != set(s2):
+        ok = False
+        witness = min(set(s2) - image1) if set(s2) - image1 else min(image1 - set(s2))
+
+    if ok:
+        image2 = {(a_norm * x) % n for x in s2}
+        if image2 != s1:
+            ok = False
+            overlap = image2 & set(s2)
+            if overlap:
+                for i in sorted(s2):
+                    img = (a_norm * i) % n
+                    if img in set(s2):
+                        witness = img
+                        break
+            else:
+                witness = min(s1 - image2) if s1 - image2 else min(image2 - s1)
+
+    if ok or witness is None:
+        for x in sorted(s1):
+            coset = set(cyclotomic_coset(x, n, q))
+            if not coset <= s1:
+                ok = False
+                if witness is None:
+                    witness = min(coset - s1)
+                break
+        else:
+            for x in s2:
+                coset = set(cyclotomic_coset(x, n, q))
+                if not coset <= set(s2):
+                    ok = False
+                    if witness is None:
+                        witness = min(coset - set(s2))
+                    break
+
+    return SplittingReport(n, a_norm, tuple(sorted(s1)), tuple(s2),
+                           ok, None if ok else witness)

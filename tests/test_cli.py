@@ -9,6 +9,7 @@ import tempfile
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from selfdual import constructions
 from selfdual.cli import main
 from selfdual.codes import (
     certify_mds,
@@ -118,10 +119,12 @@ def test_construct_domain_failures_exit_one(capsys):
     assert lines[0]["reason"] == "BadTwoAdicCongruence"
 
 
-def test_construct_verification_failure_exits_two(capsys):
-    # square scalars break self-duality here; builder refuses to emit
+def test_construct_verification_failure_exits_two(capsys, monkeypatch):
+    # a builder whose own self-duality check fails refuses to emit
+    monkeypatch.setattr(constructions, "is_hermitian_self_dual",
+                        lambda code: False)
     rc, lines = run_cli(capsys, "construct", "grs-hermitian",
-                        "--p", "3", "--n", "2", "--v-choice", "square")
+                        "--p", "3", "--n", "2")
     assert rc == 2
     assert lines[0]["error"] == "VerificationFailed"
     assert lines[0]["predicate"] == "hermitian_self_dual"

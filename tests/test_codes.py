@@ -44,8 +44,9 @@ from selfdual.errors import (
     RootsNotInField,
 )
 from selfdual.fields import (
-    ExtElement,
-    FieldElement,
+    Element,
+    FieldSpec,
+    TowerSpec,
     element_order,
     make_field,
     nth_root_of_unity,
@@ -376,8 +377,10 @@ def test_zech_scan_multiplies_no_element_objects(field, monkeypatch):
     def refuse(*args):
         raise AssertionError("element multiply in the scan")
 
-    for cls in (FieldElement, ExtElement):
-        monkeypatch.setattr(cls, "__mul__", refuse)
+    # raw values multiply through the fields, past the element class
+    monkeypatch.setattr(Element, "__mul__", refuse)
+    for cls in (FieldSpec, TowerSpec):
+        monkeypatch.setattr(cls, "_mul", refuse)
     # a dlog_limit below q still leaves the scan on log integers
     no_tables = GuardConfig(dlog_limit=1)
     assert min_distance_exhaustive(code, no_tables) == want

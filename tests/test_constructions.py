@@ -29,7 +29,6 @@ from selfdual.errors import (
     OddLength,
     PreconditionFailed,
     TooLong,
-    VerificationFailed,
 )
 from selfdual.fields import make_field, quadratic_extension
 
@@ -162,18 +161,6 @@ def test_grs_point_validation():
         build_grs_hermitian(7, 1, 3)
     with pytest.raises(TooLong):
         build_grs_hermitian(7, 1, 8)
-
-
-def test_grs_square_choice_verified_not_assumed():
-    # u = (2, 1) over GF(3): 2 is not a square in the base, so the
-    # square choice breaks Hermitian self-duality and must be rejected
-    with pytest.raises(VerificationFailed) as err:
-        build_grs_hermitian(3, 1, 2, v_choice="square")
-    assert err.value.predicate == "hermitian_self_dual"
-    # over GF(5) with n = 2 both weights are base squares; square works
-    r = build_grs_hermitian(5, 1, 2, v_choice="square")
-    assert r.report.hermitian_self_dual is True
-    assert r.extras["v_choice"] == "square"
 
 
 # --- constacyclic and negacyclic ---

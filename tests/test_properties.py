@@ -7,6 +7,7 @@ brute-force computations, never the functions under test.
 import math
 from dataclasses import replace
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from selfdual import (
@@ -27,6 +28,8 @@ from selfdual import (
     solve_norm,
 )
 from selfdual.codes import certify_mds, extension_weight_audit, same_code
+from selfdual.errors import NotCoprime, ZeroElement, ZeroInSet
+from selfdual.fields import TowerSpec
 from selfdual.linalg import mat_transpose
 
 from oracles import (
@@ -34,6 +37,10 @@ from oracles import (
     euclidean_dual,
     hermitian_dual,
     matrix_rank,
+    splitting_oracle,
+    tower_inv_oracle,
+    tower_mul_oracle,
+    tower_pow_oracle,
 )
 
 FIELD_POOL = [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1),
@@ -170,7 +177,44 @@ def test_conjugation_is_an_involution_matching_qth_power(tx):
 def test_conjugation_fixes_exactly_the_base_field(pt, data):
     tower = quadratic_extension(make_field(*pt))
     a = tower.from_int(data.draw(st.integers(0, tower.order - 1)))
-    assert (frobenius(tower, a) == a) == a.in_base()
+    _, b = tower.parts(a)
+    assert (frobenius(tower, a) == a) == (not b)
+
+
+def _odd_linear_tower():
+    """GF(25) as GF(5)[y]/(y**2 + y + 1): odd q with c1 != 0."""
+    gf5 = make_field(5, 1)
+    return TowerSpec(gf5, (gf5.one, gf5.one, gf5.one))
+
+
+# GF(3)^2, GF(9)^2 over both presentations of GF(9), GF(2)^2 (c1 != 0),
+# GF(4)^2, GF(47^2)^2 and an odd tower with c1 != 0
+ORACLE_TOWERS = [
+    quadratic_extension(make_field(3, 1)),
+    quadratic_extension(make_field(3, 2)),
+    quadratic_extension(quadratic_extension(make_field(3, 1))),
+    quadratic_extension(make_field(2, 1)),
+    quadratic_extension(make_field(2, 2)),
+    quadratic_extension(quadratic_extension(make_field(47, 1))),
+    _odd_linear_tower(),
+]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(ORACLE_TOWERS), st.data())
+def test_tower_arithmetic_matches_the_object_formulas(tower, data):
+    x, y = (tower.from_int(data.draw(st.integers(0, tower.order - 1)))
+            for _ in range(2))
+    e = data.draw(st.integers(-tower.order, tower.order))
+    assert x * y == tower_mul_oracle(tower, x, y)
+    assert x ** abs(e) == tower_pow_oracle(tower, x, abs(e))
+    if y:
+        assert y.inverse() == tower_inv_oracle(tower, y)
+        assert x / y == tower_mul_oracle(tower, x, tower_inv_oracle(tower, y))
+        assert y ** e == tower_pow_oracle(tower, y, e)
+    else:
+        with pytest.raises(ZeroElement):
+            y.inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +238,8 @@ def test_norm_value_lands_in_base_for_every_element(pt, data):
     tower = quadratic_extension(make_field(*pt))
     q = tower.base.order
     a = tower.from_int(data.draw(st.integers(0, tower.order - 1)))
-    assert (a * frobenius(tower, a)).in_base()
-    assert (a ** (q + 1)).in_base()
+    assert not tower.parts(a * frobenius(tower, a))[1]
+    assert not tower.parts(a ** (q + 1))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +307,42 @@ def test_splitting_checker_agrees_with_naive_set_algebra(tam, q):
     assert report.is_splitting == (swaps and closed)
     if not report.is_splitting:
         assert report.witness is not None
+
+
+@st.composite
+def splitting_inputs(draw):
+    """Valid and invalid inputs, with many splittings: for a unit
+    multiplier the set often pairs each q-coset C with a*C."""
+    n = draw(st.integers(1, 40))
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 9, 11, 13, 25, 43]))
+    units = [x for x in range(-n, 2 * n + 1) if math.gcd(x, n) == 1]
+    a = draw(st.sampled_from(units) if draw(st.booleans())
+             else st.integers(-2 * n, 2 * n))
+    if math.gcd(n, q) == 1 and math.gcd(a, n) == 1 and draw(st.booleans()):
+        elements, taken = set(), set()
+        for i in range(1, n):
+            coset = set(cyclotomic_coset(i, n, q))
+            image = {a * x % n for x in coset}
+            if i in taken or image == coset:
+                continue  # a self-paired coset stays in the complement
+            taken |= coset | image
+            elements |= coset if draw(st.booleans()) else image
+    else:
+        elements = draw(st.sets(st.integers(0, max(n - 1, 0))))
+    modulus = n + 1 if draw(st.integers(0, 9)) == 9 else n
+    return DefiningSet(modulus, tuple(elements)), a, n, q
+
+
+@settings(deadline=None, max_examples=400)
+@given(splitting_inputs())
+def test_splitting_check_matches_its_earlier_body(args):
+    outcomes = []
+    for check in (check_duadic_splitting, splitting_oracle):
+        try:
+            outcomes.append(check(*args))
+        except (ValueError, NotCoprime, ZeroInSet) as exc:
+            outcomes.append(type(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 @settings(deadline=None, max_examples=100)
