@@ -48,7 +48,6 @@ from .linalg import (
     dlog_table,
     eliminate,
     first_dependent_subset,
-    mat_transpose,
     row_reduce,
 )
 
@@ -241,9 +240,15 @@ def _gram_is_zero(rows_a, rows_b, field: Field) -> bool:
     if not rows_a or not rows_b:
         return True
     pack, reduce = kronecker(field, len(rows_a[0]))
-    packed_b = [list(map(pack, rb)) for rb in rows_b]
-    for ra in rows_a:
-        pa = list(map(pack, ra))
+    return _packed_gram_is_zero((list(map(pack, ra)) for ra in rows_a),
+                                [list(map(pack, rb)) for rb in rows_b],
+                                reduce)
+
+
+def _packed_gram_is_zero(packed_a, packed_b, reduce) -> bool:
+    """``_gram_is_zero`` on rows already packed; ``packed_a`` is read
+    once and may be lazy, so a nonzero entry stops its packing."""
+    for pa in packed_a:
         for pb in packed_b:
             if reduce(sum(map(operator.mul, pa, pb))):
                 return False
@@ -409,8 +414,12 @@ def mds_check(code: LinearCode, mode: str, trials: int = 1000,
     ``exhaustive-columns`` tests that every k-subset of generator
     columns is independent (necessary and sufficient) with one
     elimination shared by all subsets, and refutes with the lex-first
-    dependent subset.  ``monte-carlo`` samples subsets with a seed
-    derived from (n, k, q) and tests each minor.  The root-run
+    dependent subset.  When n = 2k and the code is self-dual, which is
+    checked here, a k-subset is an information set exactly when its
+    complement is one, so the lex-first dependent subset holds column 0
+    and only the subsets that hold it are walked.  ``monte-carlo``
+    samples subsets with a seed derived from (n, k, q) and tests each
+    minor on the reduced echelon form of the generator.  The root-run
     certificate is a rung of ``certify_mds``.  Fewer than one trial is
     refused with ``MalformedInput`` in either mode.
     """
@@ -423,23 +432,49 @@ def mds_check(code: LinearCode, mode: str, trials: int = 1000,
         raise GuardExceeded("C(n, k) = %d exceeds the column guard"
                             % comb(n, k))
     # fields within the dlog guard work on Zech-table ints
-    columns = mat_transpose(code.generator)
+    rows = code.generator
     table = dlog_table(code.field, guards.dlog_limit)
     if table is None:
         zero, step = code.field.zero, eliminate
     else:
         zero, step = -1, table.eliminate
-        columns = [[table.encode(x) for x in col] for col in columns]
+        rows = [[table.encode(x) for x in row] for row in rows]
     if mode == "exhaustive-columns":
-        witness = first_dependent_subset(columns, k, zero, step)
+        columns = [list(col) for col in zip(*rows)]
+        if 2 * k == n and (isinstance(code.field, TowerSpec)
+                           and is_hermitian_self_dual(code)
+                           or is_euclidean_self_dual(code)):
+            # every subset without column 0 comes after those with it in
+            # lex order and is the complement of one of them
+            first = columns[0]
+            pivot = next((i for i, x in enumerate(first) if x != zero),
+                         None)
+            if pivot is None:
+                witness = tuple(range(k))
+            else:
+                tail = first_dependent_subset(
+                    step(first, pivot, columns[1:]), k - 1, zero, step)
+                witness = (None if tail is None
+                           else (0,) + tuple(j + 1 for j in tail))
+        else:
+            witness = first_dependent_subset(columns, k, zero, step)
         return MdsVerdict("certified-exact" if witness is None
                           else "refuted", witness=witness)
+    # R = M G with M invertible and R's pivot columns the unit vectors:
+    # G_S is singular exactly when R restricted to the rows of the pivots
+    # outside S and the columns of S that are not pivots is singular
+    reduced, pivots = (row_reduce(rows, code.field) if table is None
+                       else table.row_reduce(rows))
+    pivot_set = set(pivots)
     rng = random.Random("%d:%d:%d" % (n, k, code.field.order))
     passes = 0
     for _ in range(trials):
         subset = sorted(rng.sample(range(n), k))
+        chosen = set(subset)
+        free = [i for i, c in enumerate(pivots) if c not in chosen]
         # a minor and its transpose are singular together
-        minor = [columns[j] for j in subset]
+        minor = [[reduced[i][j] for i in free]
+                 for j in subset if j not in pivot_set]
         if not (det_nonzero(minor, code.field) if table is None
                 else table.det_nonzero(minor)):
             return MdsVerdict("refuted", trials=trials, passes=passes,
@@ -471,10 +506,13 @@ def _roots_mismatch(code: LinearCode, T: DefiningSet, lam: Element | None,
         alpha = _shift_root(field, n, lam, m)
     except (ZeroElement, RootsNotInField, ValueError) as exc:
         return "roots do not fit n = %d: %s" % (n, exc)
-    powers = list(itertools.accumulate([alpha] * (m - 1), operator.mul,
-                                       initial=field.one))
+    pack, reduce = kronecker(field, n)
+    # V has |T| * n entries but only m distinct ones: pack each power once
+    powers = [pack(x) for x in itertools.accumulate(
+        [alpha] * (m - 1), operator.mul, initial=field.one)]
     checks = [[powers[e * j % m] for j in range(n)] for e in T.elements]
-    if not _gram_is_zero(code.generator, checks, field):
+    rows = (list(map(pack, row)) for row in code.generator)
+    if not _packed_gram_is_zero(rows, checks, reduce):
         return "generator rows do not vanish at the defining set's roots"
     return None
 

@@ -225,6 +225,11 @@ class FieldSpec(Field):
     def __post_init__(self):
         object.__setattr__(self, "_zero", (0,) * self.t)
         object.__setattr__(self, "_one", (1,) + (0,) * (self.t - 1))
+        object.__setattr__(self, "_hash", hash((self.p, self.t,
+                                                self.modulus)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def order(self) -> int:
@@ -262,14 +267,20 @@ class FieldSpec(Field):
 
     def _add(self, a, b):
         p = self.p
+        if self.t == 1:
+            return ((a[0] + b[0]) % p,)
         return tuple((x + y) % p for x, y in zip(a, b))
 
     def _sub(self, a, b):
         p = self.p
+        if self.t == 1:
+            return ((a[0] - b[0]) % p,)
         return tuple((x - y) % p for x, y in zip(a, b))
 
     def _neg(self, a):
         p = self.p
+        if self.t == 1:
+            return (-a[0] % p,)
         return tuple((-x) % p for x in a)
 
     def _mul(self, a, b):
@@ -319,6 +330,13 @@ class TowerSpec(Field):
         # None when c1 = 0, as in every canonical tower of odd q: the c1
         # terms drop out
         object.__setattr__(self, "_c1", c1.value if c1 else None)
+        object.__setattr__(self, "_hash", hash((self.base,
+                                                self.ext_modulus)))
+
+    def __hash__(self) -> int:
+        # a tower's hash walks its base and modulus elements, so it is
+        # computed once; every cache keyed by a field looks it up
+        return self._hash
 
     @property
     def order(self) -> int:

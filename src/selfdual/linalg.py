@@ -226,6 +226,42 @@ class DlogTable:
             out.append(new)
         return out
 
+    def row_reduce(self, rows: list[list[int]]):
+        """Gauss-Jordan on encoded rows; returns (rref_rows, pivot_columns).
+        The reduced form is unique, so decoded it equals ``row_reduce``
+        of the elements whichever nonzero entry each step pivots on."""
+        m = self.q - 1
+        zech = self.zech
+        mat = [list(row) for row in rows]
+        pivots = []
+        for col in range(len(mat[0]) if mat else 0):
+            r = len(pivots)
+            sel = next((i for i in range(r, len(mat)) if mat[i][col] != -1),
+                       None)
+            if sel is None:
+                continue
+            lead = mat[sel][col]
+            top = [-1 if x == -1 else (x - lead) % m for x in mat[sel]]
+            mat[sel], mat[r] = mat[r], top
+            rest = [(t, x) for t, x in enumerate(top) if x != -1]
+            for i, row in enumerate(mat):
+                if i == r or row[col] == -1:
+                    continue
+                # row -= row[col] * top, the negation as a shift by half
+                shift = row[col] + self.half
+                for t, x in rest:
+                    term = (x + shift) % m
+                    cur = row[t]
+                    if cur == -1:
+                        row[t] = term
+                    else:
+                        z = zech[(term - cur) % m]
+                        row[t] = -1 if z == -1 else (cur + z) % m
+            pivots.append(col)
+            if len(pivots) == len(mat):
+                break
+        return mat[:len(pivots)], tuple(pivots)
+
     def det_nonzero(self, rows: list[list[int]]) -> bool:
         """Nonsingularity of a square matrix of encoded entries."""
         return first_dependent_subset(rows, len(rows), -1,

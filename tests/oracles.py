@@ -4,10 +4,12 @@ Each is written from the definition on field element objects; the two
 duals build on the package's ``null_space`` and ``frobenius``, and the
 rank on its ``row_reduce``.  None of them runs through the lex column
 walk, ``first_dependent_subset``, that the package decides independence
-with.  The tower arithmetic recurses through element objects of every
-level, as the package did before its towers multiplied raw values, and
-the splitting check is the package's earlier, longer body.
+with, and the lex oracle tests every k-subset of columns, self-dual
+code or not.  The tower arithmetic recurses through element objects of
+every level, as the package did before its towers multiplied raw
+values, and the splitting check is the package's earlier, longer body.
 """
+import itertools
 from math import gcd
 
 from selfdual import (
@@ -56,6 +58,17 @@ def det_nonzero_oracle(rows, field):
                 factor = mat[i][col] * inv
                 mat[i] = [u - factor * v for u, v in zip(mat[i], mat[col])]
     return True
+
+
+def lex_column_oracle(code):
+    """The per-subset loop: one determinant per k-subset of columns, in
+    itertools.combinations order, stopping at the first singular one."""
+    columns = list(zip(*code.generator))
+    for subset in itertools.combinations(range(code.n), code.k):
+        if not det_nonzero_oracle([[columns[j][i] for j in subset]
+                                   for i in range(code.k)], code.field):
+            return ("refuted", subset)
+    return ("certified-exact", None)
 
 
 def euclidean_dual(code):

@@ -3,6 +3,7 @@
 Minimum distances are cross-checked against a naive full message
 enumeration written here, independent of the scan in the package.
 """
+import functools
 import itertools
 import json
 import random
@@ -34,6 +35,10 @@ from selfdual.codes import (
     same_code,
 )
 from selfdual.config import GuardConfig
+from selfdual.constructions import (
+    build_euclidean_duadic_extended,
+    exists_hermitian_dispatch,
+)
 from selfdual.cosets import DefiningSet
 from selfdual.errors import (
     GuardExceeded,
@@ -51,6 +56,7 @@ from selfdual.fields import (
     make_field,
     nth_root_of_unity,
     quadratic_extension,
+    sqrt_in_field,
 )
 from selfdual.linalg import (
     DlogTable,
@@ -65,6 +71,7 @@ from oracles import (
     euclidean_dual,
     gram_is_zero_oracle,
     hermitian_dual,
+    lex_column_oracle,
     matrix_rank,
     poly_eval,
 )
@@ -411,17 +418,6 @@ def test_mds_columns_iff_distance_meets_singleton():
             assert len(subset) == 3
 
 
-def lex_column_oracle(code):
-    """The per-subset loop: one determinant per k-subset of columns, in
-    itertools.combinations order, stopping at the first singular one."""
-    columns = mat_transpose(code.generator)
-    for subset in itertools.combinations(range(code.n), code.k):
-        if not det_nonzero_oracle([[columns[j][i] for j in subset]
-                                   for i in range(code.k)], code.field):
-            return ("refuted", subset)
-    return ("certified-exact", None)
-
-
 # prime fields, characteristic 2 and towers over a prime and over GF(4)
 COLUMN_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (13, 1), (2, 2), (2, 3),
                  ("tower", 2, 1), ("tower", 3, 1), ("tower", 2, 2)]
@@ -511,6 +507,128 @@ def test_column_walk_expands_only_prefixes_that_fit(dlog_limit, monkeypatch):
     code = rand_code(make_field(7, 1), 6, 3, 0)
     assert mds_check(code, "exhaustive-columns", guards=guards) == \
         MdsVerdict("refuted", witness=lex_column_oracle(code)[1])
+
+
+@pytest.mark.parametrize("dlog_limit", [2**20, 1])
+def test_n_equal_2k_without_self_duality_walks_every_subset(dlog_limit):
+    # the only dependent pair, columns 1 and 2, avoids column 0: a walk
+    # that took self-duality for granted would certify this code
+    f = make_field(5, 1)
+    cols = [(1, 0), (0, 1), (0, 2), (1, 1)]
+    code = LinearCode(f, 4, 2, mat_transpose(
+        [[f.from_int(x) for x in col] for col in cols]))
+    assert not is_euclidean_self_dual(code)
+    guards = GuardConfig(dlog_limit=dlog_limit)
+    assert mds_check(code, "exhaustive-columns", guards=guards) == \
+        MdsVerdict("refuted", witness=(1, 2))
+
+
+@pytest.mark.parametrize("dlog_limit", [2**20, 1])
+def test_self_dual_walk_expands_only_prefixes_holding_column_0(
+        dlog_limit, monkeypatch):
+    expanded = []
+
+    def counting(step):
+        def counted(*args):  # (self,) pivot_col, p, rows
+            expanded.append(len(args[-3]))
+            return step(*args)
+        return counted
+
+    code = build_euclidean_duadic_extended(29, 1, 7).code
+    n, k = code.n, code.k
+    assert (n, k) == (8, 4) and is_euclidean_self_dual(code)
+    monkeypatch.setattr(codes_module, "eliminate",
+                        counting(codes_module.eliminate))
+    monkeypatch.setattr(DlogTable, "eliminate",
+                        counting(DlogTable.eliminate))
+    guards = GuardConfig(dlog_limit=dlog_limit)
+    assert mds_check(code, "exhaustive-columns",
+                     guards=guards) == MdsVerdict("certified-exact")
+    # of the C(n - k + j, j) prefixes of j columns that the full walk
+    # expands, the C(n - k + j - 1, j - 1) that start with column 0
+    assert Counter(expanded) == {k - j + 1: comb(n - k + j - 1, j - 1)
+                                 for j in range(1, k)}
+
+
+@functools.lru_cache(maxsize=None)
+def _self_dual_blocks(field_id):
+    """(field, generators of small self-dual codes over it, the column
+    scalars that keep a code self-dual: +-1, or u with u**(q+1) = 1)."""
+    if field_id[0] == "euclidean":
+        _, p, lengths = field_id
+        field = make_field(p, 1)
+        blocks = [build_euclidean_duadic_extended(p, 1, n).code.generator
+                  for n in lengths]
+        root = sqrt_in_field(-field.one)
+        if root is not None:  # the [2, 1] code (1, i), i**2 = -1
+            blocks.append(((field.one, root),))
+        return field, blocks, (field.one, -field.one)
+    _, p, t, lengths = field_id
+    blocks = [exists_hermitian_dispatch(p, t, n).code.generator
+              for n in lengths]
+    tower = blocks[0][0][0].field
+    q = tower.base.order
+    units = tuple(x for x in tower.elements()
+                  if x and x ** (q + 1) == tower.one)
+    return tower, blocks, units
+
+
+SELF_DUAL_FIELDS = [("euclidean", 7, (3,)), ("euclidean", 13, (3,)),
+                    ("euclidean", 29, (7,)), ("hermitian", 3, 1, (2, 4)),
+                    ("hermitian", 5, 1, (2, 4, 6)),
+                    ("hermitian", 2, 2, (2, 4))]
+
+
+@st.composite
+def self_dual_code(draw):
+    """A direct sum of built self-dual codes, its columns permuted and
+    scaled by units that keep it self-dual.  One block is MDS; a sum of
+    two is not, so its refutations test the witness."""
+    field, blocks, units = _self_dual_blocks(
+        draw(st.sampled_from(SELF_DUAL_FIELDS)))
+    chosen = draw(st.lists(st.sampled_from(blocks), min_size=1, max_size=4)
+                  .filter(lambda bs: sum(len(b[0]) for b in bs) <= 8))
+    n = sum(len(b[0]) for b in chosen)
+    rows, offset = [], 0
+    for block in chosen:
+        width = len(block[0])
+        rows += [(field.zero,) * offset + tuple(row)
+                 + (field.zero,) * (n - offset - width) for row in block]
+        offset += width
+    perm = draw(st.permutations(range(n)))
+    scale = draw(st.lists(st.sampled_from(units), min_size=n, max_size=n))
+    return LinearCode(field, n, n // 2, tuple(
+        tuple(row[perm[j]] * scale[j] for j in range(n)) for row in rows))
+
+
+@settings(deadline=None, max_examples=100)
+@given(self_dual_code())
+def test_self_dual_walk_matches_the_lex_determinant_loop(code):
+    assert is_euclidean_self_dual(code) or is_hermitian_self_dual(code)
+    want = lex_column_oracle(code)
+    # dlog_limit = q - 1 leaves the field without a table: element path
+    for guards in (None, GuardConfig(dlog_limit=code.field.order - 1)):
+        verdict = mds_check(code, "exhaustive-columns", guards=guards)
+        assert (verdict.status, verdict.witness) == want
+
+
+@settings(deadline=None, max_examples=150)
+@given(code_with_planted_dependency(), st.integers(1, 30))
+def test_monte_carlo_matches_the_full_minor_oracle(code, trials):
+    n, k = code.n, code.k
+    rng = random.Random("%d:%d:%d" % (n, k, code.field.order))
+    columns = mat_transpose(code.generator)
+    want = MdsVerdict("monte-carlo", trials=trials, passes=trials)
+    for passes in range(trials):
+        subset = sorted(rng.sample(range(n), k))
+        if not det_nonzero_oracle([[columns[j][i] for j in subset]
+                                   for i in range(k)], code.field):
+            want = MdsVerdict("refuted", trials=trials, passes=passes,
+                              witness=tuple(subset))
+            break
+    for guards in (None, GuardConfig(dlog_limit=code.field.order - 1)):
+        assert mds_check(code, "monte-carlo", trials=trials,
+                         guards=guards) == want
 
 
 @pytest.mark.parametrize("dlog_limit", [2**20, 1])

@@ -2,6 +2,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from selfdual.fields import (
     FIELD_CACHE_SIZE,
@@ -16,6 +17,7 @@ from selfdual.linalg import (
     DlogTable,
     det_nonzero,
     dlog_table,
+    row_reduce,
 )
 from selfdual.numtheory import is_prime
 
@@ -96,6 +98,29 @@ def test_digit_walk_matches_the_power_walk(p, t, towers):
     field = _field(p, t, towers)
     table = DlogTable(field)
     assert (table.pow_idx, table.log, table.zech) == power_walk_tables(field)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from(DET_FIELDS), st.data())
+def test_zech_row_reduce_decodes_to_the_element_form(spec, data):
+    field = _field(*spec)
+    table = dlog_table(field, field.order)
+    n = data.draw(st.integers(1, 7))
+    entry = st.integers(0, field.order - 1).map(field.from_int)
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                              min_size=1, max_size=5))
+    if data.draw(st.booleans()):  # a dependent row, rank below the count
+        combo = [field.zero] * n
+        for row in rows:
+            c = data.draw(entry)
+            combo = [a + c * x for a, x in zip(combo, row)]
+        rows.insert(data.draw(st.integers(0, len(rows))), combo)
+    reduced, pivots = table.row_reduce(
+        [[table.encode(x) for x in row] for row in rows])
+    decoded = tuple(tuple(field.zero if e == -1
+                          else field.from_int(table.pow_idx[e])
+                          for e in row) for row in reduced)
+    assert (decoded, pivots) == row_reduce(rows, field)
 
 
 def test_module_caches_stay_bounded():
