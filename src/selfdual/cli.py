@@ -7,6 +7,7 @@ input or a construction that failed its own verification.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -164,6 +165,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_splitting(args) -> int:
+    if args.n < 1:
+        raise MalformedInput("--n must be at least 1, got %d" % args.n)
     if args.set_from > args.set_to:
         raise MalformedInput("--set-from exceeds --set-to")
     T = DefiningSet(args.n, tuple(range(args.set_from, args.set_to + 1)))
@@ -172,7 +175,10 @@ def cmd_splitting(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args``
+    keeps no state between calls, so every ``main()`` shares it."""
     ap = argparse.ArgumentParser(
         prog="selfdual",
         description="Construct and verify MDS self-dual codes over "

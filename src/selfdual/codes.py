@@ -16,7 +16,6 @@ import functools
 import itertools
 import operator
 import random
-from dataclasses import dataclass
 from math import comb, gcd
 
 from .config import GuardConfig, current_guards
@@ -43,6 +42,7 @@ from .fields import (
     kronecker,
     nth_root_of_unity,
 )
+from .frozen import Frozen
 from .linalg import (
     det_nonzero,
     dlog_table,
@@ -108,23 +108,20 @@ def _staircase_witness(rows) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class LinearCode:
+class LinearCode(Frozen):
     """An [n, k] code given by a full-rank k x n generator matrix."""
 
-    field: Field
-    n: int
-    k: int
-    generator: tuple
+    _fields = ("field", "n", "k", "generator")
 
-    def __post_init__(self):
-        if self.k != len(self.generator):
+    def __init__(self, field: Field, n: int, k: int, generator: tuple):
+        self._assign(field, n, k, generator)
+        if k != len(generator):
             raise ValueError("k does not match the number of rows")
-        for row in self.generator:
-            if len(row) != self.n:
+        for row in generator:
+            if len(row) != n:
                 raise ValueError("row length does not match n")
-        if not (_staircase_witness(self.generator) or first_dependent_subset(
-                self.generator, self.k, self.field.zero, eliminate) is None):
+        if not (_staircase_witness(generator) or first_dependent_subset(
+                generator, k, field.zero, eliminate) is None):
             raise ValueError("generator rows are dependent")
 
     def codeword(self, message) -> tuple:
@@ -144,20 +141,18 @@ def same_code(a: LinearCode, b: LinearCode) -> bool:
     return ra == rb
 
 
-@dataclass(frozen=True)
-class CyclicSpec:
+class CyclicSpec(Frozen):
     """Constacyclic structure: length, shift constant, roots, generator.
 
     ``g`` is monic, divides x**n - lam, and vanishes exactly at
     alpha**i for i in the defining set.
     """
 
-    field: Field
-    n: int
-    lam: Element
-    defining: DefiningSet
-    g: tuple
-    alpha: Element
+    _fields = ("field", "n", "lam", "defining", "g", "alpha")
+
+    def __init__(self, field: Field, n: int, lam: Element,
+                 defining: DefiningSet, g: tuple, alpha: Element | None):
+        self._assign(field, n, lam, defining, g, alpha)
 
     @property
     def k(self) -> int:
@@ -381,15 +376,18 @@ def extension_weight_audit(code: LinearCode,
     return _projective_scan(code, current_guards(guards), audit_sums=True)
 
 
-@dataclass(frozen=True)
-class MdsVerdict:
-    """How (and whether) the MDS property was established."""
+class MdsVerdict(Frozen):
+    """How (and whether) the MDS property was established.
 
-    status: str  # certified-exact | certified-bch | certified-structural
-    #            | monte-carlo | refuted | inconclusive | guarded
-    trials: int | None = None
-    passes: int | None = None
-    witness: tuple | None = None
+    ``status`` is one of certified-exact, certified-bch,
+    certified-structural, monte-carlo, refuted, inconclusive, guarded.
+    """
+
+    _fields = ("status", "trials", "passes", "witness")
+
+    def __init__(self, status: str, trials: int | None = None,
+                 passes: int | None = None, witness: tuple | None = None):
+        self._assign(status, trials, passes, witness)
 
     def to_json(self):
         out = {"status": self.status}
@@ -517,22 +515,25 @@ def _roots_mismatch(code: LinearCode, T: DefiningSet, lam: Element | None,
     return None
 
 
-@dataclass(frozen=True)
-class MdsCertificate:
+class MdsCertificate(Frozen):
     """The rung of the MDS ladder that ran and what it established.
 
+    ``tier`` is exhaustive, columns, bch, extended-bch or monte-carlo.
     ``reason`` explains any verdict short of a certificate: the guard
     that stopped the rung, the measured distance, the singular subset
     or the short root run.  ``warning`` is what a report shows for a
     guarded rung.
     """
 
-    tier: str  # exhaustive | columns | bch | extended-bch | monte-carlo
-    verdict: MdsVerdict
-    distance_exact: int | None = None
-    distance_lower_bound: int | None = None
-    reason: str | None = None
-    warning: str | None = None
+    _fields = ("tier", "verdict", "distance_exact", "distance_lower_bound",
+               "reason", "warning")
+
+    def __init__(self, tier: str, verdict: MdsVerdict,
+                 distance_exact: int | None = None,
+                 distance_lower_bound: int | None = None,
+                 reason: str | None = None, warning: str | None = None):
+        self._assign(tier, verdict, distance_exact, distance_lower_bound,
+                     reason, warning)
 
 
 def certify_mds(code: LinearCode, *, defining: DefiningSet | None = None,
@@ -627,16 +628,19 @@ def certify_mds(code: LinearCode, *, defining: DefiningSet | None = None,
     raise ValueError("unknown mds mode %r" % mode)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Frozen):
     """Everything the verifier established about one code."""
 
-    euclidean_self_dual: bool
-    hermitian_self_dual: bool | None
-    distance_exact: int | None
-    distance_lower_bound: int | None
-    mds: MdsVerdict
-    warning: str | None = None
+    _fields = ("euclidean_self_dual", "hermitian_self_dual",
+               "distance_exact", "distance_lower_bound", "mds", "warning")
+
+    def __init__(self, euclidean_self_dual: bool,
+                 hermitian_self_dual: bool | None,
+                 distance_exact: int | None,
+                 distance_lower_bound: int | None, mds: MdsVerdict,
+                 warning: str | None = None):
+        self._assign(euclidean_self_dual, hermitian_self_dual,
+                     distance_exact, distance_lower_bound, mds, warning)
 
     def to_json(self):
         if self.distance_exact is not None:

@@ -15,9 +15,9 @@ unknown key, a non-integer or a limit below 1 is refused with
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
 
 from .errors import MalformedInput
+from .frozen import Frozen
 
 _ENV_VAR = "SELFDUAL_GUARD_OVERRIDE"
 
@@ -32,23 +32,36 @@ _KEY_TO_FIELD = {
 }
 
 
-@dataclass(frozen=True)
-class GuardConfig:
-    # largest admissible field order
-    field_size_limit: int = 2**31
-    # factorize() refuses integers above this
-    factor_limit: int = 2**40
-    # brute-force discrete logs only in groups up to this order
-    dlog_limit: int = 2**20
-    # min_distance_exhaustive() refuses when q**k exceeds this
-    codeword_limit: int = 10**7
-    # mds_check(exhaustive-columns) refuses when C(n, k) exceeds this
-    column_limit: int = 10**6
-    # verification tier selection: the columns tier is only chosen
-    # automatically when C(n, k) * k**3 stays below this work estimate
-    column_work_limit: int = 8 * 10**6
-    # verification tier selection: exhaustive distance when q**k <= this
-    exhaustive_tier_limit: int = 10**6
+class GuardConfig(Frozen):
+    """The guard limits; a keyword argument overrides its default.
+
+    - ``field_size_limit``: largest admissible field order.
+    - ``factor_limit``: ``factorize()`` refuses integers above this.
+    - ``dlog_limit``: brute-force discrete logs only in groups up to
+      this order.
+    - ``codeword_limit``: ``min_distance_exhaustive()`` refuses when
+      q**k exceeds this.
+    - ``column_limit``: ``mds_check(exhaustive-columns)`` refuses when
+      C(n, k) exceeds this.
+    - ``column_work_limit``: verification tier selection: the columns
+      tier is only chosen automatically when C(n, k) * k**3 stays below
+      this work estimate.
+    - ``exhaustive_tier_limit``: verification tier selection:
+      exhaustive distance when q**k <= this.
+    """
+
+    _fields = ("field_size_limit", "factor_limit", "dlog_limit",
+               "codeword_limit", "column_limit", "column_work_limit",
+               "exhaustive_tier_limit")
+
+    def __init__(self, field_size_limit: int = 2**31,
+                 factor_limit: int = 2**40, dlog_limit: int = 2**20,
+                 codeword_limit: int = 10**7, column_limit: int = 10**6,
+                 column_work_limit: int = 8 * 10**6,
+                 exhaustive_tier_limit: int = 10**6):
+        self._assign(field_size_limit, factor_limit, dlog_limit,
+                     codeword_limit, column_limit, column_work_limit,
+                     exhaustive_tier_limit)
 
     @staticmethod
     def from_env() -> "GuardConfig":
@@ -75,7 +88,7 @@ class GuardConfig:
                     ">= 1 and a key among %s"
                     % (_ENV_VAR, part, ", ".join(_KEY_TO_FIELD)))
             overrides[field] = limit
-        return replace(GuardConfig(), **overrides)
+        return GuardConfig(**overrides)
 
 
 def current_guards(guards: "GuardConfig | None" = None) -> GuardConfig:

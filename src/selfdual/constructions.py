@@ -12,7 +12,6 @@ never returns an unverified code.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from math import gcd
 
 from .codes import (
@@ -58,6 +57,7 @@ from .fields import (
     solve_norm,
     sqrt_in_field,
 )
+from .frozen import Frozen
 from .numtheory import gamma_solvability, is_prime
 
 
@@ -159,17 +159,31 @@ def _verified_report(code: LinearCode, euclidean: bool,
 # results
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class ConstructionResult:
-    """A verified code plus the route that produced it."""
+class ConstructionResult(Frozen):
+    """A verified code plus the route that produced it.
 
-    code: LinearCode
-    theorem: str
-    construction: str
-    report: VerificationReport
-    gamma: Element | None = None
-    cyclic: CyclicSpec | None = None
-    extras: dict | None = None
+    Two results are equal only when they are the same object.
+    """
+
+    _fields = ("code", "theorem", "construction", "report", "gamma",
+               "cyclic", "extras")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, code: LinearCode, theorem: str, construction: str,
+                 report: VerificationReport, gamma: Element | None = None,
+                 cyclic: CyclicSpec | None = None,
+                 extras: dict | None = None):
+        self._assign(code, theorem, construction, report, gamma, cyclic,
+                     extras)
+
+    def renamed(self, theorem: str,
+                construction: str | None = None) -> "ConstructionResult":
+        """This result under another theorem, and construction if given."""
+        return ConstructionResult(self.code, theorem,
+                                  construction or self.construction,
+                                  self.report, self.gamma, self.cyclic,
+                                  self.extras)
 
     def to_json(self):
         meta: dict = {"construction": self.construction}
@@ -272,22 +286,22 @@ def build_grs_hermitian(p: int, t: int, n: int, points=None,
         u.append(prod.inverse())
     v = [solve_norm(tower, ui, guards) for ui in u]
 
+    # row l is (v_i * a_i**l): each row is the one before times the points
     emb = [tower.embed(a) for a in pts]
     k = n // 2
-    rows = tuple(
-        tuple(vi * (ai ** l) for vi, ai in zip(v, emb))
-        for l in range(k)
-    )
-    code = LinearCode(tower, n, k, rows)
+    rows = [tuple(v)]
+    for _ in range(k - 1):
+        rows.append(tuple(x * ai for x, ai in zip(rows[-1], emb)))
+    code = LinearCode(tower, n, k, tuple(rows))
 
     if not is_hermitian_self_dual(code):
         raise VerificationFailed("hermitian_self_dual")
+    # moment m is sum u_i * a_i**m, over the running terms u_i * a_i**m
+    terms = u
     for m in range(n - 1):
-        acc = field.zero
-        for ui, ai in zip(u, pts):
-            acc = acc + ui * ai ** m
-        if acc:
+        if sum(terms, field.zero):
             raise VerificationFailed("interpolation_moment", "m = %d" % m)
+        terms = [term * ai for term, ai in zip(terms, pts)]
     for ui, vi in zip(u, v):
         if vi ** (q + 1) != tower.embed(ui):
             raise VerificationFailed("norm_choice")
@@ -379,7 +393,7 @@ def build_negacyclic_hermitian(p: int, t: int, n: int,
             "q is not 2^%d - 1 modulo 2^%d" % (a, a + 1),
         )
     result = build_constacyclic_hermitian(p, t, n, 2, guards)
-    return replace(result, theorem="Cor2", construction="negacyclic")
+    return result.renamed("Cor2", "negacyclic")
 
 
 # ---------------------------------------------------------------------------
@@ -512,4 +526,4 @@ def exists_hermitian_dispatch(p: int, t: int, n: int,
         result = build_grs_hermitian(p, t, n, guards=guards)
     else:
         result = build_constacyclic_hermitian(p, t, n, 2, guards)
-    return replace(result, theorem="Thm5-dispatch")
+    return result.renamed("Thm5-dispatch")

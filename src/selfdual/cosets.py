@@ -6,37 +6,38 @@ residue class 1 (mod r), and runs are measured inside that class.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import NotCoprime, ZeroInSet
+from .frozen import Frozen
 
 
-@dataclass(frozen=True)
-class DefiningSet:
+class DefiningSet(Frozen):
     """A set of root exponents modulo ``modulus``.
 
     ``step`` is 1 for cyclic codes; for constacyclic codes it is r and
-    every member is then congruent to 1 (mod r).
+    every member is then congruent to 1 (mod r).  ``elements`` is kept
+    sorted and reduced modulo ``modulus``.
     """
 
-    modulus: int
-    elements: tuple[int, ...]
-    step: int = 1
+    _fields = ("modulus", "elements", "step")
 
-    def __post_init__(self):
-        if self.modulus < 1:
+    def __init__(self, modulus: int, elements: tuple[int, ...],
+                 step: int = 1):
+        if modulus < 1:
             raise ValueError("modulus must be positive")
-        norm = sorted({x % self.modulus for x in self.elements})
-        object.__setattr__(self, "elements", tuple(norm))
-        if self.step > 1:
-            if self.modulus % self.step != 0:
+        if step < 1:
+            raise ValueError("step must be positive")
+        norm = tuple(sorted({x % modulus for x in elements}))
+        self._assign(modulus, norm, step)
+        if step > 1:
+            if modulus % step != 0:
                 raise ValueError("step must divide the modulus")
-            for x in self.elements:
-                if x % self.step != 1 % self.step:
+            for x in norm:
+                if x % step != 1 % step:
                     raise ValueError(
                         "element %d is outside the residue class 1 mod %d"
-                        % (x, self.step)
+                        % (x, step)
                     )
 
     def as_set(self) -> frozenset:
@@ -69,16 +70,15 @@ def cyclotomic_coset(i: int, n: int, q: int) -> tuple[int, ...]:
     return tuple(sorted(orbit))
 
 
-@dataclass(frozen=True)
-class SplittingReport:
+class SplittingReport(Frozen):
     """Result of checking one multiplier-candidate pair for a splitting."""
 
-    n: int
-    multiplier: int
-    s1: tuple[int, ...]
-    s2: tuple[int, ...]
-    is_splitting: bool
-    witness: int | None
+    _fields = ("n", "multiplier", "s1", "s2", "is_splitting", "witness")
+
+    def __init__(self, n: int, multiplier: int, s1: tuple[int, ...],
+                 s2: tuple[int, ...], is_splitting: bool,
+                 witness: int | None):
+        self._assign(n, multiplier, s1, s2, is_splitting, witness)
 
     def to_json(self):
         return {

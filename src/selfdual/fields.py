@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from .config import GuardConfig, current_guards
 from .errors import (
@@ -37,6 +36,7 @@ from .errors import (
     SizeGuardExceeded,
     ZeroElement,
 )
+from .frozen import Frozen
 from .numtheory import factorize, is_prime
 
 # Bounds of the module caches.  A long-lived process that visits many
@@ -209,8 +209,7 @@ class Field:
         return result
 
 
-@dataclass(frozen=True)
-class FieldSpec(Field):
+class FieldSpec(Field, Frozen):
     """GF(p^t) presented as GF(p)[x] modulo a monic irreducible polynomial.
 
     ``modulus`` has length t+1, constant term first, leading coefficient 1.
@@ -218,15 +217,13 @@ class FieldSpec(Field):
     first.
     """
 
-    p: int
-    t: int
-    modulus: tuple[int, ...]
+    _fields = ("p", "t", "modulus")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_zero", (0,) * self.t)
-        object.__setattr__(self, "_one", (1,) + (0,) * (self.t - 1))
-        object.__setattr__(self, "_hash", hash((self.p, self.t,
-                                                self.modulus)))
+    def __init__(self, p: int, t: int, modulus: tuple[int, ...]):
+        self._assign(p, t, modulus)
+        object.__setattr__(self, "_zero", (0,) * t)
+        object.__setattr__(self, "_one", (1,) + (0,) * (t - 1))
+        object.__setattr__(self, "_hash", hash((p, t, modulus)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -309,8 +306,7 @@ class FieldSpec(Field):
         return self._pow(a, self.order - 2)
 
 
-@dataclass(frozen=True)
-class TowerSpec(Field):
+class TowerSpec(Field, Frozen):
     """GF(q^2) over a base field, elements a + b*y.
 
     ``ext_modulus`` is the monic quadratic (c0, c1, 1), as base
@@ -318,20 +314,18 @@ class TowerSpec(Field):
     values.  The base may itself be a tower, giving GF(q^4) and so on.
     """
 
-    base: Field
-    ext_modulus: tuple
+    _fields = ("base", "ext_modulus")
 
-    def __post_init__(self):
-        base = self.base
-        c0, c1, _ = self.ext_modulus
+    def __init__(self, base: Field, ext_modulus: tuple):
+        self._assign(base, ext_modulus)
+        c0, c1, _ = ext_modulus
         object.__setattr__(self, "_zero", (base._zero, base._zero))
         object.__setattr__(self, "_one", (base._one, base._zero))
         object.__setattr__(self, "_c0", c0.value)
         # None when c1 = 0, as in every canonical tower of odd q: the c1
         # terms drop out
         object.__setattr__(self, "_c1", c1.value if c1 else None)
-        object.__setattr__(self, "_hash", hash((self.base,
-                                                self.ext_modulus)))
+        object.__setattr__(self, "_hash", hash((base, ext_modulus)))
 
     def __hash__(self) -> int:
         # a tower's hash walks its base and modulus elements, so it is
@@ -417,16 +411,31 @@ class TowerSpec(Field):
         return mul(ca, ninv), mul(cb, ninv)
 
 
-@dataclass(frozen=True, slots=True)
-class Element:
+_set = object.__setattr__  # bound once: Element() is the hot constructor
+
+
+class Element(Frozen):
     """An element of ``field``, held as its value in the field's encoding.
 
     The operators delegate to the field's arithmetic on values.  Elements
     hash and compare by (field, value).
     """
 
-    field: Field
-    value: tuple
+    __slots__ = _fields = ("field", "value")
+
+    def __init__(self, field: Field, value: tuple):
+        _set(self, "field", field)
+        _set(self, "value", value)
+
+    # written out, not the generic Frozen ones: elements compare and hash
+    # in inner loops
+    def __eq__(self, other):
+        if other.__class__ is Element:
+            return (self.field, self.value) == (other.field, other.value)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.value))
 
     def __bool__(self) -> bool:
         return self.value != self.field._zero

@@ -7,11 +7,11 @@ primes of n that are 3 (mod 4) carry an odd total exponent.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .config import GuardConfig, current_guards
 from .errors import EvenN, FactorizationGuardExceeded, NotDivisor, NotPrime
+from .frozen import Frozen
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -73,11 +73,13 @@ def _pollard_rho(n: int) -> int:
             return g
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Frozen):
     """Prime factorization as ((p1, e1), (p2, e2), ...) with p1 < p2 < ..."""
 
-    factors: tuple[tuple[int, int], ...]
+    _fields = ("factors",)
+
+    def __init__(self, factors: tuple[tuple[int, int], ...]):
+        self._assign(factors)
 
     def __iter__(self):
         return iter(self.factors)
@@ -127,17 +129,17 @@ def factorize(n: int, guards: GuardConfig | None = None) -> Factorization:
     return Factorization(tuple(sorted(counts.items())))
 
 
-@dataclass(frozen=True)
-class SolvabilityVerdict:
+class SolvabilityVerdict(Frozen):
     """Outcome of the quadratic extension-coefficient solvability test.
 
     ``odd_sum`` is the total exponent, in n, of primes that are 3 (mod 4);
     it decides the q = 3 (mod 4) case.
     """
 
-    solvable: bool
-    case: str
-    odd_sum: int
+    _fields = ("solvable", "case", "odd_sum")
+
+    def __init__(self, solvable: bool, case: str, odd_sum: int):
+        self._assign(solvable, case, odd_sum)
 
     def to_json(self):
         return {"solvable": self.solvable, "case": self.case,

@@ -7,11 +7,11 @@ the expected verdict, so the sweep doubles as a regression gate.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from .config import GuardConfig, current_guards
 from .constructions import build_euclidean_duadic_extended
 from .errors import NoGamma, PreconditionFailed, SelfDualError
+from .frozen import Frozen
 
 # (length, ((p, t), ...)) with length = n + 1
 TABLE_ROWS: tuple[tuple[int, tuple[tuple[int, int], ...]], ...] = (
@@ -43,15 +43,14 @@ def field_label(p: int, t: int) -> str:
     return "%d^%d" % (p, t) if t > 1 else str(p)
 
 
-@dataclass(frozen=True)
-class TableOutcome:
-    length: int
-    p: int
-    t: int
-    verdict: str            # CONFIRMED | UNSUPPORTED | GUARDED
-    reason: str | None
-    seconds: float
-    detail: dict | None
+class TableOutcome(Frozen):
+    """One table pair; ``verdict`` is CONFIRMED, UNSUPPORTED or GUARDED."""
+
+    _fields = ("length", "p", "t", "verdict", "reason", "seconds", "detail")
+
+    def __init__(self, length: int, p: int, t: int, verdict: str,
+                 reason: str | None, seconds: float, detail: dict | None):
+        self._assign(length, p, t, verdict, reason, seconds, detail)
 
     @property
     def expected(self) -> tuple[str, str | None]:

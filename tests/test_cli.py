@@ -432,3 +432,50 @@ def test_zero_length_or_shift_order_is_refused(argv, capsys):
     rc, lines = run_cli(capsys, "construct", *argv, "--p", "3")
     assert rc == 1
     assert lines[0]["error"] == "PreconditionFailed"
+
+
+@functools.lru_cache(maxsize=None)
+def _hermitian_duadic_record():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["construct", "hermitian-duadic", "--p", "11",
+                     "--n", "5"]) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("mds", ["auto", "exhaustive", "columns",
+                                 "monte-carlo", "bch"])
+@pytest.mark.parametrize("step", [0, -1])
+def test_verify_refuses_a_defining_set_step_below_one(step, mds, tmp_path,
+                                                      capsys):
+    # step 0 once divided by zero in the root-run rung, and step -1 was
+    # read as a run of a cyclic code
+    obj = json.loads(_hermitian_duadic_record())
+    obj["metadata"]["defining_set"]["step"] = step
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(obj))
+    rc, lines = run_cli(capsys, "verify", str(path), "--mds", mds)
+    assert rc == 2
+    assert lines[0]["error"] == "MalformedInput"
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_splitting_refuses_a_length_below_one(n, capsys):
+    rc, lines = run_cli(capsys, "splitting", "--n", n, "--q", "4",
+                        "--multiplier", "1", "--set-from", "1",
+                        "--set-to", "2")
+    assert rc == 2 and lines[0]["error"] == "MalformedInput"
+
+
+def test_successive_main_calls_keep_their_flags_apart(tmp_path, capsys):
+    path = tmp_path / "code.json"
+    path.write_text(_hermitian_duadic_record())
+    capsys.readouterr()
+    plain = run_cli(capsys, "verify", str(path))
+    assert main(["verify", str(path), "--mds", "monte-carlo",
+                 "--trials", "7", "--inner", "euclidean", "--pretty"]) == 1
+    flagged = capsys.readouterr().out
+    assert flagged.startswith("{\n")
+    assert json.loads(flagged)["mds"]["trials"] == 7
+    assert run_cli(capsys, "verify", str(path)) == plain
+    assert plain[0] == 0 and plain[1][0]["mds"]["status"] == "certified-exact"
