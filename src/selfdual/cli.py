@@ -169,7 +169,10 @@ def cmd_splitting(args) -> int:
         raise MalformedInput("--n must be at least 1, got %d" % args.n)
     if args.set_from > args.set_to:
         raise MalformedInput("--set-from exceeds --set-to")
-    T = DefiningSet(args.n, tuple(range(args.set_from, args.set_to + 1)))
+    # only residues mod n matter, and a range as wide as n holds them all
+    wide = args.set_to - args.set_from + 1 >= args.n
+    T = DefiningSet(args.n, range(args.n) if wide
+                    else range(args.set_from, args.set_to + 1))
     report = check_duadic_splitting(T, args.multiplier, args.n, args.q)
     _emit(report.to_json(), args.pretty)
     return 0

@@ -124,6 +124,19 @@ class LinearCode(Frozen):
                 generator, k, field.zero, eliminate) is None):
             raise ValueError("generator rows are dependent")
 
+    # computed once per code: a builder, verify and mds_check all ask
+    @functools.cached_property
+    def _euclidean_self_dual(self) -> bool:
+        return 2 * self.k == self.n and _gram_is_zero(
+            self.generator, self.generator, self.field)
+
+    @functools.cached_property
+    def _hermitian_self_dual(self) -> bool:
+        conj = (tuple(frobenius(self.field, x) for x in row)
+                for row in self.generator)
+        return 2 * self.k == self.n and _gram_is_zero(
+            self.generator, tuple(conj), self.field)
+
     def codeword(self, message) -> tuple:
         word = [self.field.zero] * self.n
         for m, row in zip(message, self.generator):
@@ -251,22 +264,15 @@ def _packed_gram_is_zero(packed_a, packed_b, reduce) -> bool:
 
 
 def is_euclidean_self_dual(code: LinearCode) -> bool:
-    """2k == n and G @ G^T == 0, checked by the exact matrix product."""
-    if 2 * code.k != code.n:
-        return False
-    return _gram_is_zero(code.generator, code.generator, code.field)
+    """2k == n and G @ G^T == 0 by the exact matrix product, once."""
+    return code._euclidean_self_dual
 
 
 def is_hermitian_self_dual(code: LinearCode) -> bool:
-    """2k == n and G @ conj(G)^T == 0 over a quadratic extension."""
+    """2k == n and G @ conj(G)^T == 0 over a quadratic extension, once."""
     if not isinstance(code.field, TowerSpec):
         raise NotOverTower("Hermitian duality needs a quadratic extension")
-    if 2 * code.k != code.n:
-        return False
-    tower = code.field
-    conj = tuple(tuple(frobenius(tower, x) for x in row)
-                 for row in code.generator)
-    return _gram_is_zero(code.generator, conj, tower)
+    return code._hermitian_self_dual
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +418,8 @@ def mds_check(code: LinearCode, mode: str, trials: int = 1000,
     ``exhaustive-columns`` tests that every k-subset of generator
     columns is independent (necessary and sufficient) with one
     elimination shared by all subsets, and refutes with the lex-first
-    dependent subset.  When n = 2k and the code is self-dual, which is
-    checked here, a k-subset is an information set exactly when its
+    dependent subset.  When n = 2k and the code is self-dual, checked
+    here once per code, a k-subset is an information set exactly when its
     complement is one, so the lex-first dependent subset holds column 0
     and only the subsets that hold it are walked.  ``monte-carlo``
     samples subsets with a seed derived from (n, k, q) and tests each

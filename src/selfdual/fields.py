@@ -47,117 +47,6 @@ TOWER_CACHE_SIZE = 128   # quadratic_extension
 
 
 # ---------------------------------------------------------------------------
-# integer-coefficient polynomial helpers (mod p), constant term first
-# ---------------------------------------------------------------------------
-
-def _ptrim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _pmul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
-def _pmod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
-    # m must be monic
-    r = list(a)
-    dm = len(m) - 1
-    while len(r) - 1 >= dm and r:
-        lead = r[-1]
-        if lead:
-            shift = len(r) - 1 - dm
-            for i in range(dm):
-                r[shift + i] = (r[shift + i] - lead * m[i]) % p
-        r.pop()
-    return _ptrim(r)
-
-
-def _pmulmod(a: Sequence[int], b: Sequence[int], m: Sequence[int], p: int) -> list[int]:
-    return _pmod(_pmul(a, b, p), m, p)
-
-
-def _ppowmod(base: Sequence[int], e: int, m: Sequence[int], p: int) -> list[int]:
-    result = [1]
-    acc = _pmod(base, m, p)
-    while e:
-        if e & 1:
-            result = _pmulmod(result, acc, m, p)
-        acc = _pmulmod(acc, acc, m, p)
-        e >>= 1
-    return result
-
-
-def _pgcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    x, y = _ptrim(list(a)), _ptrim(list(b))
-    while y:
-        # reduce x mod y after making y monic
-        inv_lead = pow(y[-1], p - 2, p)
-        y_monic = [(c * inv_lead) % p for c in y]
-        x, y = y, _pmod(x, y_monic, p)
-    if x:
-        inv_lead = pow(x[-1], p - 2, p)
-        x = [(c * inv_lead) % p for c in x]
-    return x
-
-
-def _psub(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    size = max(len(a), len(b))
-    out = [0] * size
-    for i, v in enumerate(a):
-        out[i] = v
-    for i, v in enumerate(b):
-        out[i] = (out[i] - v) % p
-    return _ptrim(out)
-
-
-def poly_is_irreducible(coeffs: Sequence[int], p: int) -> bool:
-    """Irreducibility of a monic polynomial over GF(p).
-
-    Degree <= 3 reduces to a root scan; in general f of degree t is
-    irreducible iff x**(p**t) == x (mod f) and gcd(x**(p**(t/l)) - x, f)
-    is 1 for every prime l dividing t.
-    """
-    c = _ptrim(list(coeffs))
-    t = len(c) - 1
-    if t < 1 or c[-1] != 1:
-        return False
-    if t == 1:
-        return True
-    if c[0] == 0:
-        return False
-    if t <= 3:
-        for a in range(p):
-            acc = 0
-            for coef in reversed(c):
-                acc = (acc * a + coef) % p
-            if acc == 0:
-                return False
-        return True
-    x = [0, 1]
-    frob = list(x)
-    images = {}
-    for i in range(1, t + 1):
-        frob = _ppowmod(frob, p, c, p)
-        images[i] = frob
-    if _psub(images[t], x, p):
-        return False
-    for ell in {f for f, _ in factorize(t)}:
-        g = _pgcd(_psub(images[t // ell], x, p), c, p)
-        if len(g) - 1 >= 1:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # fields and their elements
 # ---------------------------------------------------------------------------
 
@@ -250,11 +139,26 @@ class FieldSpec(Field, Frozen):
         return acc
 
     def _reduce(self, coeffs: Sequence[int]) -> tuple:
-        """The value of the integer polynomial ``coeffs`` in x."""
-        c = [v % self.p for v in coeffs]
-        if len(c) > self.t:
-            c = _pmod(c, self.modulus, self.p)
-        return tuple(c + [0] * (self.t - len(c)))
+        """The value of the integer polynomial ``coeffs`` in x; longer
+        input is folded by Horner over blocks of t coefficients, in
+        powers of x**t = -(c_0 + ... + c_(t-1) x**(t-1))."""
+        p, t = self.p, self.t
+        c = [v % p for v in coeffs]
+        if len(c) <= t:
+            return tuple(c + [0] * (t - len(c)))
+        xt = tuple(-v % p for v in self.modulus[:t])
+        c += [0] * (-len(c) % t)
+        acc = tuple(c[-t:])
+        for i in range(len(c) - 2 * t, -1, -t):
+            acc = self._add(self._mul(acc, xt), tuple(c[i:i + t]))
+        return acc
+
+    @functools.cached_property
+    def _high_powers(self) -> list:
+        """The values of x**(t + j), j < t - 1, that the high digits of a
+        product fold to (see ``_packing``); built once per field."""
+        return [self._reduce([0] * (self.t + j) + [1])
+                for j in range(self.t - 1)]
 
     def _to_json(self, v) -> list:
         return list(v)
@@ -471,6 +375,30 @@ def check_field_size(order: int, guards: GuardConfig | None = None) -> None:
     if order > current_guards(guards).field_size_limit:
         raise SizeGuardExceeded("field order %d exceeds the size guard"
                                 % order)
+
+
+def poly_is_irreducible(coeffs: Sequence[int], p: int) -> bool:
+    """Irreducibility over GF(p) of c, monic of degree t >= 1 once its
+    trailing zeros are dropped (Rabin, SIAM J. Comput. 1980).
+
+    In the ring R = GF(p)[x]/(c) of ``FieldSpec``, c is irreducible iff
+    x**(p**t) = x and, for each prime l | t, x**(p**(t/l)) - x is a unit
+    (Rabin's gcd with c is 1).  The first condition makes c divide
+    x**(p**t) - x, so R is a product of fields GF(p**d) with d | t.  As
+    p**d - 1 divides p**t - 1, u is a unit (no component is 0) iff
+    u**(p**t - 1) = 1.
+    """
+    c = list(coeffs)
+    while c and c[-1] == 0:
+        c.pop()
+    t = len(c) - 1
+    if t < 1 or c[-1] != 1:
+        return False
+    ring = FieldSpec(p, t, tuple(c))
+    x = ring._reduce([0, 1])
+    return ring._pow(x, p ** t) == x and all(
+        ring._pow(ring._sub(ring._pow(x, p ** (t // ell)), x), p ** t - 1)
+        == ring._one for ell, _ in factorize(t))
 
 
 @functools.lru_cache(maxsize=FIELD_CACHE_SIZE)
@@ -736,8 +664,7 @@ def _packing(field: Field, s: int):
         return (lambda v: v[0]), (lambda v: (v & mask) % p), 1
     shifts = [s * i for i in range(t)]
     wide = [s * i for i in range(2 * t - 1)]
-    residues = [_pack_coeffs(field._reduce([0] * (t + j) + [1]), shifts)
-                for j in range(t - 1)]
+    residues = [_pack_coeffs(v, shifts) for v in field._high_powers]
 
     def pack(v):
         return _pack_coeffs(v, shifts)
@@ -797,7 +724,10 @@ def field_from_json(obj) -> Field:
         field = make_field(int(obj["p"]), int(obj["t"]))
         modulus = tuple(int(v) for v in obj["modulus"])
         if modulus != field.modulus:
-            if not poly_is_irreducible(modulus, field.p) or len(modulus) != field.t + 1:
+            # the shape first: the ring test costs about len(modulus)**3
+            if (len(modulus) != field.t + 1 or modulus[-1] != 1
+                    or not all(0 <= v < field.p for v in modulus)
+                    or not poly_is_irreducible(modulus, field.p)):
                 raise ZeroElement("modulus in input is not monic irreducible")
             field = FieldSpec(field.p, field.t, modulus)
         check_field_size(field.order)

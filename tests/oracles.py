@@ -8,6 +8,9 @@ with, and the lex oracle tests every k-subset of columns, self-dual
 code or not.  The tower arithmetic recurses through element objects of
 every level, as the package did before its towers multiplied raw
 values, and the splitting check is the package's earlier, longer body.
+The irreducibility test is the package's earlier one, with its own
+integer-list polynomial arithmetic mod p instead of the ring of
+``FieldSpec``.
 """
 import itertools
 from math import gcd
@@ -21,6 +24,7 @@ from selfdual import (
 )
 from selfdual.errors import NotCoprime, ZeroInSet
 from selfdual.linalg import null_space, row_reduce
+from selfdual.numtheory import factorize
 
 
 def poly_eval(c, x, field):
@@ -237,3 +241,110 @@ def splitting_oracle(T, a, n, q):
 
     return SplittingReport(n, a_norm, tuple(sorted(s1)), tuple(s2),
                            ok, None if ok else witness)
+
+
+def _ptrim(c: list[int]) -> list[int]:
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return _ptrim(out)
+
+
+def _pmod(a: list[int], m: list[int], p: int) -> list[int]:
+    # m must be monic
+    r = list(a)
+    dm = len(m) - 1
+    while len(r) - 1 >= dm and r:
+        lead = r[-1]
+        if lead:
+            shift = len(r) - 1 - dm
+            for i in range(dm):
+                r[shift + i] = (r[shift + i] - lead * m[i]) % p
+        r.pop()
+    return _ptrim(r)
+
+
+def _pmulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
+    return _pmod(_pmul(a, b, p), m, p)
+
+
+def _ppowmod(base: list[int], e: int, m: list[int], p: int) -> list[int]:
+    result = [1]
+    acc = _pmod(base, m, p)
+    while e:
+        if e & 1:
+            result = _pmulmod(result, acc, m, p)
+        acc = _pmulmod(acc, acc, m, p)
+        e >>= 1
+    return result
+
+
+def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
+    x, y = _ptrim(list(a)), _ptrim(list(b))
+    while y:
+        # reduce x mod y after making y monic
+        inv_lead = pow(y[-1], p - 2, p)
+        y_monic = [(c * inv_lead) % p for c in y]
+        x, y = y, _pmod(x, y_monic, p)
+    if x:
+        inv_lead = pow(x[-1], p - 2, p)
+        x = [(c * inv_lead) % p for c in x]
+    return x
+
+
+def _psub(a: list[int], b: list[int], p: int) -> list[int]:
+    size = max(len(a), len(b))
+    out = [0] * size
+    for i, v in enumerate(a):
+        out[i] = v
+    for i, v in enumerate(b):
+        out[i] = (out[i] - v) % p
+    return _ptrim(out)
+
+
+def poly_is_irreducible_oracle(coeffs, p):
+    """Irreducibility of a monic polynomial over GF(p), on integer lists.
+
+    Degree <= 3 reduces to a root scan; in general f of degree t is
+    irreducible iff x**(p**t) == x (mod f) and gcd(x**(p**(t/l)) - x, f)
+    is 1 for every prime l dividing t.
+    """
+    c = _ptrim(list(coeffs))
+    t = len(c) - 1
+    if t < 1 or c[-1] != 1:
+        return False
+    if t == 1:
+        return True
+    if c[0] == 0:
+        return False
+    if t <= 3:
+        for a in range(p):
+            acc = 0
+            for coef in reversed(c):
+                acc = (acc * a + coef) % p
+            if acc == 0:
+                return False
+        return True
+    x = [0, 1]
+    frob = list(x)
+    images = {}
+    for i in range(1, t + 1):
+        frob = _ppowmod(frob, p, c, p)
+        images[i] = frob
+    if _psub(images[t], x, p):
+        return False
+    for ell in {f for f, _ in factorize(t)}:
+        g = _pgcd(_psub(images[t // ell], x, p), c, p)
+        if len(g) - 1 >= 1:
+            return False
+    return True

@@ -9,7 +9,7 @@ import tempfile
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from selfdual import constructions
+from selfdual import cli, codes, constructions
 from selfdual.cli import main
 from selfdual.codes import (
     certify_mds,
@@ -169,6 +169,49 @@ def test_splitting_malformed_range(capsys):
                         "--multiplier", "18", "--set-from", "18",
                         "--set-to", "7")
     assert rc == 2 and lines[0]["error"] == "MalformedInput"
+
+
+def test_splitting_hands_at_most_n_members_to_the_defining_set(
+        capsys, monkeypatch):
+    seen = []
+
+    def spy(modulus, elements, *rest):
+        seen.append(len(elements))
+        return DefiningSet(modulus, elements, *rest)
+
+    monkeypatch.setattr(cli, "DefiningSet", spy)
+    outputs = []
+    for set_to in ("2000000", "7", "3"):
+        outputs.append(run_cli(capsys, "splitting", "--n", "7", "--q", "2",
+                               "--multiplier", "3", "--set-from", "1",
+                               "--set-to", set_to))
+    assert seen == [7, 7, 3]
+    # a range of width n or more holds 0, refused like any other
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1][0]["error"] == "ZeroInSet"
+    assert outputs[2] == (0, [{"n": 7, "multiplier": 3, "s1": [1, 2, 3],
+                               "s2": [4, 5, 6], "is_splitting": False,
+                               "witness": 3}])
+
+
+def test_construct_checks_each_code_self_dual_once(capsys, monkeypatch):
+    counts = {}
+    keep = []  # keeps the counted rows alive, so no id is reused
+    gram = codes._gram_is_zero
+
+    def spy(rows_a, rows_b, field):
+        keep.append(rows_a)
+        key = (id(rows_a), rows_a is rows_b)
+        counts[key] = counts.get(key, 0) + 1
+        return gram(rows_a, rows_b, field)
+
+    monkeypatch.setattr(codes, "_gram_is_zero", spy)
+    rc, lines = run_cli(capsys, "construct", "dispatch", "--p", "7",
+                        "--n", "8")
+    assert rc == 0
+    assert lines[0]["verification"]["mds"]["status"] == "certified-exact"
+    # one Euclidean and one Hermitian check of the one code
+    assert sorted(counts.values()) == [1, 1]
 
 
 def test_splitting_domain_error(capsys):

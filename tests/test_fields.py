@@ -3,10 +3,14 @@
 Expected moduli below were frozen from exhaustive irreducibility scans
 done by hand (degree <= 2) or by the brute_irreducible oracle here.
 """
+import itertools
 import json
+import random
 
 import pytest
 
+from oracles import _pmod, poly_is_irreducible_oracle
+from selfdual import fields
 from selfdual.errors import (
     DegreeZero,
     NotPrime,
@@ -15,6 +19,7 @@ from selfdual.errors import (
     ZeroElement,
 )
 from selfdual.fields import (
+    FieldSpec,
     TowerSpec,
     element_from_json,
     element_to_json,
@@ -25,6 +30,7 @@ from selfdual.fields import (
     frobenius,
     make_field,
     nth_root_of_unity,
+    poly_is_irreducible,
     quadratic_extension,
     solve_norm,
     sqrt_in_field,
@@ -77,6 +83,77 @@ def test_make_field_errors():
         make_field(5, 0)
     with pytest.raises(SizeGuardExceeded):
         make_field(2, 40)
+
+
+def _monic_irreducible_count(p, t):
+    """Gauss: (1/t) * sum over d | t of mu(d) * p**(t/d)."""
+    total = 0
+    for d in range(1, t + 1):
+        if t % d == 0:
+            primes = list(factorize(d))
+            if all(e == 1 for _, e in primes):
+                total += (-1) ** len(primes) * p ** (t // d)
+    return total // t
+
+
+@pytest.mark.parametrize("p, max_degree", [(2, 6), (3, 6), (5, 4), (7, 4)])
+def test_irreducibility_agrees_with_oracle_on_every_small_polynomial(
+        p, max_degree):
+    for t in range(1, max_degree + 1):
+        found = 0
+        for low in itertools.product(range(p), repeat=t):
+            c = list(low) + [1]
+            verdict = poly_is_irreducible(c, p)
+            assert verdict == poly_is_irreducible_oracle(c, p), c
+            found += verdict
+        assert found == _monic_irreducible_count(p, t)
+
+
+def test_irreducibility_agrees_with_oracle_on_higher_degrees():
+    rng = random.Random(20161)
+    for _ in range(60):
+        p = rng.choice([2, 3, 5, 7, 11, 13])
+        t = rng.randint(7, 14)
+        c = [rng.randrange(p) for _ in range(t)] + [1]
+        assert poly_is_irreducible(c, p) == poly_is_irreducible_oracle(c, p)
+    # canonical moduli, where both must say yes
+    for p, t in [(2, 12), (3, 11), (3, 16), (5, 9), (7, 9), (101, 3)]:
+        c = make_field(p, t).modulus
+        assert poly_is_irreducible(c, p) and poly_is_irreducible_oracle(c, p)
+
+
+@pytest.mark.parametrize("c, p", [
+    ([], 3), ([0], 3), ([1], 3), ([0, 0], 5),           # degree < 1
+    ([1, 1, 0], 3), ([1, 1, 0, 1, 0, 0], 2),            # trailing zeros
+    ([1, 0, 2], 3), ([2, 1, 0, 3], 5), ([1, 2], 3),     # not monic
+    ([0, 1], 5), ([0, 1, 1], 3), ([0, 0, 0, 0, 1], 2),  # c0 = 0
+    ([0, 1, 0, 1, 1], 3), ([0, 2, 0, 0, 0, 0, 1], 7),
+])
+def test_irreducibility_agrees_with_oracle_on_degenerate_input(c, p):
+    assert poly_is_irreducible(c, p) == poly_is_irreducible_oracle(c, p)
+
+
+REDUCE_FIELDS = [(2, 1), (7, 1), (2, 4), (3, 2), (3, 5), (5, 6), (7, 3)]
+
+
+@pytest.mark.parametrize("p, t", REDUCE_FIELDS)
+def test_reduce_folds_long_input_like_polynomial_remainder(p, t):
+    field = make_field(p, t)
+    rng = random.Random(p * 100 + t)
+    for length in range(t + 1, 4 * t + 3):
+        coeffs = [rng.randrange(-2 * p, 3 * p) for _ in range(length)]
+        rem = _pmod([v % p for v in coeffs], field.modulus, p)
+        assert field._reduce(coeffs) == tuple(rem + [0] * (t - len(rem)))
+
+
+@pytest.mark.parametrize("p, t", REDUCE_FIELDS)
+def test_high_powers_of_x_are_cached_remainders(p, t):
+    field = FieldSpec(p, t, make_field(p, t).modulus)
+    powers = field._high_powers
+    assert len(powers) == t - 1 and field._high_powers is powers
+    for j, v in enumerate(powers):
+        rem = _pmod([0] * (t + j) + [1], field.modulus, p)
+        assert v == tuple(rem + [0] * (t - len(rem)))
 
 
 def test_field_is_cached():
@@ -333,6 +410,38 @@ def test_field_json_roundtrip():
         back = field_from_json(json.loads(blob))
         assert back.order == obj.order
         assert field_to_json(back) == field_to_json(obj)
+
+
+@pytest.mark.parametrize("modulus", [
+    [1, 1, 1, 1], [1],                        # wrong length for t = 2
+    [1] + [0] * 199 + [1],                    # degree 200, declared t = 2
+])
+def test_field_from_json_checks_the_length_before_the_ring_test(
+        modulus, monkeypatch):
+    def unreachable(coeffs, p):
+        raise AssertionError("irreducibility tested on a wrong length")
+
+    monkeypatch.setattr(fields, "poly_is_irreducible", unreachable)
+    with pytest.raises(ZeroElement, match="irreducible"):
+        field_from_json({"p": 3, "t": 2, "modulus": modulus})
+
+
+@pytest.mark.parametrize("modulus", [
+    [4, 0, 1],    # x**2 + 1 with a coefficient outside [0, 3)
+    [-2, 0, 1],
+    [1, 0, 4],    # not monic
+    [1, 1, 0],    # x + 1 padded to length 3: degree 1, not 2
+])
+def test_field_from_json_refuses_a_modulus_that_is_not_canonical_form(
+        modulus):
+    with pytest.raises(ZeroElement, match="irreducible"):
+        field_from_json({"p": 3, "t": 2, "modulus": modulus})
+
+
+def test_field_from_json_keeps_any_irreducible_modulus():
+    # x**2 + x + 2 is irreducible over GF(3), not the canonical x**2 + 1
+    field = field_from_json({"p": 3, "t": 2, "modulus": [2, 1, 1]})
+    assert field == FieldSpec(3, 2, (2, 1, 1))
 
 
 @pytest.mark.parametrize("base, ext_modulus", [
