@@ -295,13 +295,9 @@ def extend_code(code: LinearCode, gamma: Element) -> LinearCode:
 # distance and MDS verification
 # ---------------------------------------------------------------------------
 
-def _projective_scan(code: LinearCode, guards: GuardConfig,
-                     audit_sums: bool = False):
-    """Scan one codeword per projective message class.
-
-    Returns (min_weight, sums_ok) where sums_ok reports whether every
-    minimum-weight codeword found has a nonzero coordinate sum; scalar
-    scaling changes neither the weight nor that predicate.  Refuses the
+def _projective_scan(field: Field, rows, guards: GuardConfig) -> int:
+    """Minimum weight over one codeword per projective message class of
+    the row space of ``rows``, which must be independent.  Refuses the
     zero code and q**k above the codeword guard.
 
     For k >= 2 the words are Zech-log ints (-1 for zero), so w + c*r is
@@ -310,20 +306,18 @@ def _projective_scan(code: LinearCode, guards: GuardConfig,
     q + 1 words the scan visits, which the codeword guard bounds.  A
     lone word (k = 1) is the generator row itself.
     """
-    field, k = code.field, code.k
+    k = len(rows)
     if k == 0:
         raise ValueError("the zero code has no nonzero codeword")
     if field.order ** k > guards.codeword_limit:
         raise GuardExceeded(
             "q**k = %d exceeds the codeword guard" % field.order ** k)
     if k == 1:
-        row = code.generator[0]
-        return (code.n - row.count(field.zero),
-                functools.reduce(operator.add, row, field.zero) != field.zero)
+        return len(rows[0]) - rows[0].count(field.zero)
     table = dlog_table(field, field.order)
     m = table.q - 1
     zech = table.zech
-    G = [[table.encode(x) for x in row] for row in code.generator]
+    G = [[table.encode(x) for x in row] for row in rows]
 
     def axpy(word, c, row):
         out = []
@@ -338,22 +332,14 @@ def _projective_scan(code: LinearCode, guards: GuardConfig,
             out.append(w)
         return out
 
-    best = code.n + 1
-    sums_ok = True
-
-    def consider(word):
-        nonlocal best, sums_ok
-        weight = len(word) - word.count(-1)
-        if weight > best:
-            return
-        if audit_sums:
-            nonzero_sum = functools.reduce(table.add, word, -1) != -1
-            sums_ok = nonzero_sum if weight < best else sums_ok and nonzero_sum
-        best = weight
+    best = len(G[0])
 
     def rec(level, word):
+        nonlocal best
         if level == k:
-            consider(word)
+            weight = len(word) - word.count(-1)
+            if weight < best:
+                best = weight
             return
         rec(level + 1, word)
         row = G[level]
@@ -362,7 +348,7 @@ def _projective_scan(code: LinearCode, guards: GuardConfig,
 
     for pivot in range(k):
         rec(pivot + 1, list(G[pivot]))
-    return best, sums_ok
+    return best
 
 
 def min_distance_exhaustive(code: LinearCode,
@@ -372,14 +358,23 @@ def min_distance_exhaustive(code: LinearCode,
     One representative per scalar class is enough, so the walk visits
     (q**k - 1)/(q - 1) words; the guard is still stated on q**k.
     """
-    best, _ = _projective_scan(code, current_guards(guards))
-    return best
+    return _projective_scan(code.field, code.generator,
+                            current_guards(guards))
 
 
 def extension_weight_audit(code: LinearCode,
                            guards: GuardConfig | None = None):
-    """(min distance, all-minimum-weight-words-have-nonzero-sum)."""
-    return _projective_scan(code, current_guards(guards), audit_sums=True)
+    """(min distance, all-minimum-weight-words-have-nonzero-sum).
+
+    Appending the coordinate sum (its sign changes no weight) raises the
+    weight of exactly the words with a nonzero sum, so the extended rows
+    span a code of distance d + 1 iff every word of weight d has one.
+    """
+    guards = current_guards(guards)
+    field, rows = code.field, code.generator
+    d = _projective_scan(field, rows, guards)
+    extended = [(*row, functools.reduce(operator.add, row)) for row in rows]
+    return d, _projective_scan(field, extended, guards) == d + 1
 
 
 class MdsVerdict(Frozen):
@@ -451,15 +446,13 @@ def mds_check(code: LinearCode, mode: str, trials: int = 1000,
             # every subset without column 0 comes after those with it in
             # lex order and is the complement of one of them
             first = columns[0]
-            pivot = next((i for i, x in enumerate(first) if x != zero),
-                         None)
-            if pivot is None:
-                witness = tuple(range(k))
-            else:
-                tail = first_dependent_subset(
-                    step(first, pivot, columns[1:]), k - 1, zero, step)
-                witness = (None if tail is None
-                           else (0,) + tuple(j + 1 for j in tail))
+            # a zero column 0 would put e_0 in the dual, which is C, yet
+            # every codeword is 0 at coordinate 0
+            pivot = next(i for i, x in enumerate(first) if x != zero)
+            tail = first_dependent_subset(
+                step(first, pivot, columns[1:]), k - 1, zero, step)
+            witness = (None if tail is None
+                       else (0,) + tuple(j + 1 for j in tail))
         else:
             witness = first_dependent_subset(columns, k, zero, step)
         return MdsVerdict("certified-exact" if witness is None

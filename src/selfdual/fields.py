@@ -164,7 +164,11 @@ class FieldSpec(Field, Frozen):
         return list(v)
 
     def _from_json(self, obj) -> tuple:
-        return self._reduce([int(v) for v in obj])
+        # bool is a subclass of int, and a string iterates as digits
+        if type(obj) is not list or any(type(v) is not int for v in obj):
+            raise ValueError("an element of GF(p^t) must be an array of "
+                             "integers, got %r" % (obj,))
+        return self._reduce(obj)
 
     def _add(self, a, b):
         p = self.p
@@ -269,6 +273,9 @@ class TowerSpec(Field, Frozen):
         return [self.base._to_json(v[0]), self.base._to_json(v[1])]
 
     def _from_json(self, obj) -> tuple:
+        if type(obj) is not list or len(obj) != 2:
+            raise ValueError("a tower element must be an array of two base "
+                             "elements, got %r" % (obj,))
         return self.base._from_json(obj[0]), self.base._from_json(obj[1])
 
     def _add(self, x, y):

@@ -4,14 +4,14 @@ Rows are tuples of elements.  Every independence question (a minor, a
 generator's rank, all k-subsets of columns) is one lex column walk,
 ``first_dependent_subset``, with a step per representation: element
 objects, or over small fields the integer logs of a discrete-log table.
-``row_reduce`` pivots deterministically for echelon forms and kernels:
-leftmost column first, and among candidate rows the one whose entry has
-the least canonical index.
+``row_reduce`` gives echelon forms and kernels; it pivots on the first
+nonzero entry of each column, since the reduced form and its pivot
+columns are unique whatever the choice.
 """
 from __future__ import annotations
 
+import functools
 import operator
-from collections import OrderedDict
 
 from .fields import Element, Field, find_primitive_element
 
@@ -31,11 +31,9 @@ def row_reduce(rows, field: Field):
     for col in range(ncols):
         if r >= len(mat):
             break
-        candidates = [(field.index(mat[i][col]), i)
-                      for i in range(r, len(mat)) if mat[i][col]]
-        if not candidates:
+        sel = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if sel is None:
             continue
-        _, sel = min(candidates)
         mat[r], mat[sel] = mat[sel], mat[r]
         inv = mat[r][col].inverse()
         mat[r] = [v * inv for v in mat[r]]
@@ -267,35 +265,16 @@ class DlogTable:
         return first_dependent_subset(rows, len(rows), -1,
                                       self.eliminate) is None
 
-    def add(self, c1: int, c2: int) -> int:
-        """g**c1 + g**c2 through the Zech table."""
-        if c1 == -1:
-            return c2
-        if c2 == -1:
-            return c1
-        m = self.q - 1
-        d = (c2 - c1) % m
-        z = self.zech[d]
-        if z == -1:
-            return -1
-        return (c1 + z) % m
-
 
 # tables kept at once; the least recently used one is dropped beyond it
 DLOG_CACHE_SIZE = 64
-_DLOG_CACHE: OrderedDict = OrderedDict()
+
+
+@functools.lru_cache(maxsize=DLOG_CACHE_SIZE)
+def _cached_table(field: Field) -> DlogTable:
+    return DlogTable(field)
 
 
 def dlog_table(field: Field, limit: int) -> DlogTable | None:
     """Cached table for fields up to ``limit`` elements; None beyond."""
-    if field.order > limit:
-        return None
-    table = _DLOG_CACHE.get(field)
-    if table is None:
-        table = DlogTable(field)
-        _DLOG_CACHE[field] = table
-        if len(_DLOG_CACHE) > DLOG_CACHE_SIZE:
-            _DLOG_CACHE.popitem(last=False)
-    else:
-        _DLOG_CACHE.move_to_end(field)
-    return table
+    return None if field.order > limit else _cached_table(field)

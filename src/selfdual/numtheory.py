@@ -7,8 +7,6 @@ primes of n that are 3 (mod 4) carry an odd total exponent.
 """
 from __future__ import annotations
 
-from math import gcd
-
 from .config import GuardConfig, current_guards
 from .errors import EvenN, FactorizationGuardExceeded, NotDivisor, NotPrime
 from .frozen import Frozen
@@ -41,38 +39,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_rho(n: int) -> int:
-    # Brent's cycle variant; n must be odd composite
-    if n % 2 == 0:
-        return 2
-    seed = 1
-    while True:
-        seed += 1
-        y, c, m = seed, seed + 1, 128
-        g = r = q = 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
-        if g != n:
-            return g
-
-
 class Factorization(Frozen):
     """Prime factorization as ((p1, e1), (p2, e2), ...) with p1 < p2 < ..."""
 
@@ -93,7 +59,13 @@ class Factorization(Frozen):
 
 
 def factorize(n: int, guards: GuardConfig | None = None) -> Factorization:
-    """Full factorization by trial division plus Pollard rho."""
+    """Full factorization by trial division on the 2*3*5 wheel.
+
+    Division stops once d*d exceeds what is left, so at most about
+    sqrt(n) * 8/30 candidates are tried: about 2.8e5 for n up to the
+    default ``factor_limit`` of 2**40, and under 1.3e4 for any q - 1
+    below the default ``field_size_limit`` of 2**31.
+    """
     guards = current_guards(guards)
     if n < 1:
         raise FactorizationGuardExceeded("factorize needs a positive integer")
@@ -109,23 +81,14 @@ def factorize(n: int, guards: GuardConfig | None = None) -> Factorization:
     d = 7
     steps = (4, 2, 4, 2, 4, 6, 2, 6)
     i = 0
-    while d * d <= n and d < 10**4:
+    while d * d <= n:
         while n % d == 0:
             counts[d] = counts.get(d, 0) + 1
             n //= d
         d += steps[i]
         i = (i + 1) % 8
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
-            counts[m] = counts.get(m, 0) + 1
-            continue
-        f = _pollard_rho(m)
-        stack.append(f)
-        stack.append(m // f)
+    if n > 1:
+        counts[n] = 1  # a prime above every divisor tried
     return Factorization(tuple(sorted(counts.items())))
 
 

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from selfdual import cli, codes, constructions
 from selfdual.cli import main
 from selfdual.codes import (
+    LinearCode,
     certify_mds,
     code_from_json,
     code_to_json,
@@ -30,6 +31,7 @@ from selfdual.fields import (
     element_to_json,
     field_from_json,
     make_field,
+    quadratic_extension,
     solve_norm,
 )
 
@@ -373,6 +375,46 @@ def test_verify_refuses_a_malformed_lambda(value, tmp_path, capsys):
     path = tmp_path / "code.json"
     path.write_text(json.dumps(obj))
     rc, lines = run_cli(capsys, "verify", str(path), "--mds", "bch")
+    assert rc == 2
+    assert lines[0]["error"] == "MalformedInput"
+
+
+def test_verify_refuses_a_string_element(tmp_path, capsys):
+    rc, lines = run_cli(capsys, "construct", "euclidean-duadic",
+                        "--p", "7", "--n", "3")
+    obj = lines[0]
+    # a string iterates as its digits: "3" once decoded as [3]
+    obj["generator"] = [["%d" % entry[0] for entry in row]
+                        for row in obj["generator"]]
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(obj))
+    rc, lines = run_cli(capsys, "verify", str(path))
+    assert rc == 2
+    assert lines[0]["error"] == "MalformedInput"
+
+
+@pytest.mark.parametrize("where", ["generator", "ext_modulus", "lambda"])
+def test_verify_refuses_a_tower_element_of_three_parts(where, tmp_path,
+                                                        capsys):
+    if where == "ext_modulus":
+        # only a tower over a tower has tower elements in its ext_modulus
+        gf81 = quadratic_extension(quadratic_extension(make_field(3, 1)))
+        obj = code_to_json(LinearCode(gf81, 2, 1, ((gf81.one, gf81.one),)))
+        obj["field"]["ext_modulus"][0].append([1])
+    else:
+        route = (("grs-hermitian", "--p", "5") if where == "generator"
+                 else ("negacyclic", "--p", "3"))
+        rc, lines = run_cli(capsys, "construct", *route, "--n", "4")
+        obj = lines[0]
+        if where == "generator":
+            for row in obj["generator"]:
+                for entry in row:
+                    entry.append([4])
+        else:
+            obj["metadata"]["lambda"].append([4])
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(obj))
+    rc, lines = run_cli(capsys, "verify", str(path))
     assert rc == 2
     assert lines[0]["error"] == "MalformedInput"
 

@@ -482,6 +482,30 @@ def test_element_json_roundtrip():
         assert element_from_json(tower, element_to_json(x)) == x
 
 
+@pytest.mark.parametrize("obj", ["12", [True, 0], [1, "2"], [1.0], (1, 2),
+                                 None, {"a": 1}, 7])
+def test_element_json_must_be_an_array_of_integers(obj):
+    gf49 = make_field(7, 2)
+    # the string "12" once iterated to the digits (1, 2)
+    with pytest.raises(ValueError):
+        element_from_json(gf49, obj)
+
+
+@pytest.mark.parametrize("obj", [[[1], [2], [4]], [[1]], [], "ab",
+                                 [[1], [2], []], None])
+def test_tower_element_json_must_be_a_pair(obj):
+    tower = quadratic_extension(make_field(5, 1))
+    with pytest.raises(ValueError):
+        element_from_json(tower, obj)
+
+
+def test_element_json_longer_than_t_is_folded():
+    gf49 = make_field(7, 2)
+    x = gf49.from_int(7)  # the class of x
+    assert element_from_json(gf49, [1, 2, 3]) == (
+        gf49.one + gf49.scalar(2) * x + gf49.scalar(3) * x * x)
+
+
 SYMPY_CASES = [(2, 1), (7, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 2),
                (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (7, 3), (11, 2)]
 

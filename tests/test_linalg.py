@@ -13,8 +13,8 @@ from selfdual.fields import (
 )
 from selfdual.linalg import (
     DLOG_CACHE_SIZE,
-    _DLOG_CACHE,
     DlogTable,
+    _cached_table,
     det_nonzero,
     dlog_table,
     row_reduce,
@@ -134,8 +134,11 @@ def test_module_caches_stay_bounded():
     assert make_field.cache_info().currsize == FIELD_CACHE_SIZE
     assert find_primitive_element.cache_info().currsize == FIELD_CACHE_SIZE
     assert quadratic_extension.cache_info().currsize == TOWER_CACHE_SIZE
-    assert len(_DLOG_CACHE) == DLOG_CACHE_SIZE
-    # least recently used first out: the newest table is kept
-    newest = make_field(primes[DLOG_CACHE_SIZE + 7], 1)
-    assert newest in _DLOG_CACHE
-    assert make_field(2, 1) not in _DLOG_CACHE
+    info = _cached_table.cache_info()
+    assert info.currsize == DLOG_CACHE_SIZE
+    # least recently used first out: the newest table is kept, the
+    # oldest is built again
+    dlog_table(make_field(primes[DLOG_CACHE_SIZE + 7], 1), 10**4)
+    assert _cached_table.cache_info().hits == info.hits + 1
+    dlog_table(make_field(2, 1), 2)
+    assert _cached_table.cache_info().misses == info.misses + 1

@@ -1,6 +1,12 @@
 import pytest
 
-from selfdual.errors import EvenN, NotDivisor, NotPrime
+from selfdual.config import GuardConfig
+from selfdual.errors import (
+    EvenN,
+    FactorizationGuardExceeded,
+    NotDivisor,
+    NotPrime,
+)
 from selfdual.numtheory import (
     Factorization,
     factorize,
@@ -48,6 +54,30 @@ def test_factorize_roundtrip():
             value *= p ** e
         assert value == n
         assert [p for p, _ in fac.factors] == sorted(set(brute_factor(n)))
+
+
+def test_factorize_refuses_nonpositive_and_guarded_input():
+    for n in (0, -12):
+        with pytest.raises(FactorizationGuardExceeded):
+            factorize(n)
+    guards = GuardConfig(factor_limit=1000)
+    assert factorize(1000, guards).value == 1000
+    with pytest.raises(FactorizationGuardExceeded):
+        factorize(1001, guards)
+
+
+@pytest.mark.parametrize("n", [
+    10007 * 10009,                  # both primes above 10**4
+    46337 * 46349,                  # a semiprime near 2**31
+    10007 ** 2 * 10009,             # a repeated factor above 10**4
+    1099511627689,                  # the largest prime below 2**40
+])
+def test_factorize_large_prime_factors(n):
+    fac = factorize(n)
+    assert fac.value == n
+    assert all(is_prime(p) for p, _ in fac)
+    want = brute_factor(n)
+    assert fac.factors == tuple((p, want.count(p)) for p in sorted(set(want)))
 
 
 # --- solvability of 1 + g^2 n = 0 ---

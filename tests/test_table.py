@@ -1,6 +1,11 @@
+import json
+
+from selfdual import table
+from selfdual.cli import main
 from selfdual.table import (
     EXPECTED_UNSUPPORTED,
     TABLE_ROWS,
+    TableOutcome,
     field_label,
     run_table_pair,
 )
@@ -46,3 +51,30 @@ def test_mismatch_detection():
     assert out.matches_expected
     forged = type(out)(30, 59, 1, "CONFIRMED", None, 0.0, None)
     assert not forged.matches_expected
+
+
+def _table_lines(monkeypatch, capsys, outcomes):
+    monkeypatch.setattr(table, "run_table", lambda: outcomes)
+    rc = main(["table"])
+    return rc, [json.loads(line)
+                for line in capsys.readouterr().out.splitlines()]
+
+
+def test_table_command_summarizes_fixed_outcomes(monkeypatch, capsys):
+    matching = [
+        TableOutcome(4, 7, 1, "CONFIRMED", None, 0.1, {"n": 4, "k": 2}),
+        TableOutcome(16, 31, 1, "CONFIRMED", None, 0.2, None),
+        TableOutcome(30, 59, 1, "UNSUPPORTED", "NoGamma", 0.0, None),
+    ]
+    rc, lines = _table_lines(monkeypatch, capsys, matching)
+    assert rc == 0
+    assert [line["q"] for line in lines[:-1]] == ["7", "31", "59"]
+    assert lines[-1] == {"pairs": 3, "confirmed": 2, "unsupported": 1,
+                         "guarded": 0, "all_match_expected": True}
+    # a guarded pair where a code is expected is a mismatch
+    guarded = TableOutcome(18, 3, 16, "GUARDED", "GuardExceeded", 0.0, None)
+    rc, lines = _table_lines(monkeypatch, capsys, matching + [guarded])
+    assert rc == 1
+    assert lines[-2]["matches_expected"] is False
+    assert lines[-1] == {"pairs": 4, "confirmed": 2, "unsupported": 1,
+                         "guarded": 1, "all_match_expected": False}
