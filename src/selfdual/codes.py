@@ -28,6 +28,7 @@ from .errors import (
     NotOverTower,
     RootsNotInField,
     ZeroElement,
+    json_int,
 )
 from .fields import (
     Element,
@@ -97,17 +98,6 @@ def poly_divmod(num, den, field: Field):
 # linear codes
 # ---------------------------------------------------------------------------
 
-def _staircase_witness(rows) -> bool:
-    """Strictly increasing leading positions prove independence cheaply."""
-    last = -1
-    for row in rows:
-        lead = next((j for j, x in enumerate(row) if x), None)
-        if lead is None or lead <= last:
-            return False
-        last = lead
-    return True
-
-
 class LinearCode(Frozen):
     """An [n, k] code given by a full-rank k x n generator matrix."""
 
@@ -120,8 +110,8 @@ class LinearCode(Frozen):
         for row in generator:
             if len(row) != n:
                 raise ValueError("row length does not match n")
-        if not (_staircase_witness(generator) or first_dependent_subset(
-                generator, k, field.zero, eliminate) is None):
+        if first_dependent_subset(generator, k, field.zero,
+                                  eliminate) is not None:
             raise ValueError("generator rows are dependent")
 
     # computed once per code: a builder, verify and mds_check all ask
@@ -296,15 +286,11 @@ def extend_code(code: LinearCode, gamma: Element) -> LinearCode:
 # ---------------------------------------------------------------------------
 
 def _projective_scan(field: Field, rows, guards: GuardConfig) -> int:
-    """Minimum weight over one codeword per projective message class of
-    the row space of ``rows``, which must be independent.  Refuses the
-    zero code and q**k above the codeword guard.
-
-    For k >= 2 the words are Zech-log ints (-1 for zero), so w + c*r is
-    one log sum and one Zech lookup per entry.  The table needs no guard
-    of its own: its q entries cost less than the (q**k - 1)/(q - 1) >=
-    q + 1 words the scan visits, which the codeword guard bounds.  A
-    lone word (k = 1) is the generator row itself.
+    """``DlogTable.min_weight`` of ``rows``, which must be independent,
+    or for k = 1 the weight of the lone row.  Refuses the zero code and
+    q**k above the codeword guard.  The table needs no guard of its own:
+    its q entries cost less than the (q**k - 1)/(q - 1) >= q + 1 words
+    the scan visits, which the codeword guard bounds.
     """
     k = len(rows)
     if k == 0:
@@ -315,40 +301,7 @@ def _projective_scan(field: Field, rows, guards: GuardConfig) -> int:
     if k == 1:
         return len(rows[0]) - rows[0].count(field.zero)
     table = dlog_table(field, field.order)
-    m = table.q - 1
-    zech = table.zech
-    G = [[table.encode(x) for x in row] for row in rows]
-
-    def axpy(word, c, row):
-        out = []
-        for w, r in zip(word, row):
-            if r != -1:
-                term = (c + r) % m
-                if w == -1:
-                    w = term
-                else:
-                    z = zech[(term - w) % m]
-                    w = -1 if z == -1 else (w + z) % m
-            out.append(w)
-        return out
-
-    best = len(G[0])
-
-    def rec(level, word):
-        nonlocal best
-        if level == k:
-            weight = len(word) - word.count(-1)
-            if weight < best:
-                best = weight
-            return
-        rec(level + 1, word)
-        row = G[level]
-        for c in range(m):
-            rec(level + 1, axpy(word, c, row))
-
-    for pivot in range(k):
-        rec(pivot + 1, list(G[pivot]))
-    return best
+    return table.min_weight([[table.encode(x) for x in row] for row in rows])
 
 
 def min_distance_exhaustive(code: LinearCode,
@@ -436,7 +389,7 @@ def mds_check(code: LinearCode, mode: str, trials: int = 1000,
     if table is None:
         zero, step = code.field.zero, eliminate
     else:
-        zero, step = -1, table.eliminate
+        zero, step = table.zero, table.eliminate
         rows = [[table.encode(x) for x in row] for row in rows]
     if mode == "exhaustive-columns":
         columns = [list(col) for col in zip(*rows)]
@@ -676,8 +629,8 @@ def code_to_json(code: LinearCode, metadata: dict | None = None):
 
 def code_from_json(obj):
     field = field_from_json(obj["field"])
-    n = int(obj["n"])
-    k = int(obj["k"])
+    n = json_int(obj["n"])
+    k = json_int(obj["k"])
     if k < 1:
         # the zero code has no codeword, distance or column subset to
         # verify; LinearCode still allows it as the dual of a k = n code

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import NotCoprime, ZeroInSet
+from .errors import NotCoprime, ZeroInSet, json_int
 from .frozen import Frozen
 
 
@@ -52,9 +52,9 @@ class DefiningSet(Frozen):
 
     @staticmethod
     def from_json(obj) -> "DefiningSet":
-        return DefiningSet(int(obj["modulus"]),
-                           tuple(int(v) for v in obj["elements"]),
-                           int(obj.get("step", 1)))
+        return DefiningSet(json_int(obj["modulus"]),
+                           tuple(map(json_int, obj["elements"])),
+                           json_int(obj.get("step", 1)))
 
 
 def cyclotomic_coset(i: int, n: int, q: int) -> tuple[int, ...]:

@@ -143,3 +143,10 @@ class VerificationFailed(SelfDualError):
 
 class MalformedInput(SelfDualError):
     code = "MalformedInput"
+
+
+def json_int(value) -> int:
+    """``value`` if it is a JSON integer: not a float, str or bool."""
+    if type(value) is not int:
+        raise MalformedInput("expected a JSON integer, got %r" % (value,))
+    return value

@@ -35,6 +35,7 @@ from .errors import (
     OrderDoesNotDivide,
     SizeGuardExceeded,
     ZeroElement,
+    json_int,
 )
 from .frozen import Frozen
 from .numtheory import factorize, is_prime
@@ -728,8 +729,8 @@ def field_to_json(field: Field):
 
 def field_from_json(obj) -> Field:
     if "p" in obj:
-        field = make_field(int(obj["p"]), int(obj["t"]))
-        modulus = tuple(int(v) for v in obj["modulus"])
+        field = make_field(json_int(obj["p"]), json_int(obj["t"]))
+        modulus = tuple(map(json_int, obj["modulus"]))
         if modulus != field.modulus:
             # the shape first: the ring test costs about len(modulus)**3
             if (len(modulus) != field.t + 1 or modulus[-1] != 1

@@ -1,9 +1,10 @@
-"""Matrix routines over arbitrary field objects.
+"""Matrix routines over field objects and over discrete-log ints.
 
-Rows are tuples of elements.  Every independence question (a minor, a
-generator's rank, all k-subsets of columns) is one lex column walk,
-``first_dependent_subset``, with a step per representation: element
-objects, or over small fields the integer logs of a discrete-log table.
+Every independence question (a minor, a generator's rank, all k-subsets
+of columns) is one lex column walk, ``first_dependent_subset``, with a
+step per representation: element objects, or over small fields the
+integer logs of ``DlogTable``, which alone holds that encoding and its
+one addition, ``add_multiple``, shared by its steps and codeword scan.
 ``row_reduce`` gives echelon forms and kernels; it pivots on the first
 nonzero entry of each column, since the reduced form and its pivot
 columns are unique whatever the choice.
@@ -43,7 +44,7 @@ def row_reduce(rows, field: Field):
                 mat[i] = [u - factor * v for u, v in zip(mat[i], mat[r])]
         pivots.append(col)
         r += 1
-    return tuple(tuple(row) for row in mat[:r] if any(row)), tuple(pivots)
+    return tuple(map(tuple, mat[:r])), tuple(pivots)
 
 
 def null_space(rows, n: int, field: Field):
@@ -146,6 +147,8 @@ class DlogTable:
     one ``bytes.translate`` reduces them all.
     """
 
+    zero = -1  # the encoding of the field's zero
+
     def __init__(self, field: Field):
         q = field.order
         p = field.char
@@ -198,29 +201,32 @@ class DlogTable:
             return -1
         return self.log[self.field.index(x)]
 
+    def add_multiple(self, row, shift, terms):
+        """row[t] += g**shift * g**x for each (t, x) in ``terms``, in place,
+        as log(a + b) = log a + z[log b - log a]: the one Zech addition."""
+        m = self.q - 1
+        zech = self.zech
+        for t, x in terms:
+            term = (x + shift) % m
+            cur = row[t]
+            if cur == -1:
+                row[t] = term
+            else:
+                z = zech[(term - cur) % m]
+                row[t] = -1 if z == -1 else (cur + z) % m
+
     def eliminate(self, pivot_col, p, rows):
         """The walk's step on encoded entries: row -= (row[p] / pivot) *
         pivot_col, the negation folded into the log shift, as the
         field's -1 is g**half (half = 0 in characteristic 2)."""
-        m = self.q - 1
-        zech = self.zech
         base = pivot_col[p] - self.half
         rest = [(t - (t > p), x) for t, x in enumerate(pivot_col)
                 if t != p and x != -1]
         out = []
         for row in rows:
             new = row[:p] + row[p + 1:]
-            entry = row[p]
-            if entry != -1:
-                shift = entry - base
-                for t, x in rest:
-                    term = (x + shift) % m
-                    cur = new[t]
-                    if cur == -1:
-                        new[t] = term
-                    else:
-                        z = zech[(term - cur) % m]
-                        new[t] = -1 if z == -1 else (cur + z) % m
+            if row[p] != -1:
+                self.add_multiple(new, row[p] - base, rest)
             out.append(new)
         return out
 
@@ -229,7 +235,6 @@ class DlogTable:
         The reduced form is unique, so decoded it equals ``row_reduce``
         of the elements whichever nonzero entry each step pivots on."""
         m = self.q - 1
-        zech = self.zech
         mat = [list(row) for row in rows]
         pivots = []
         for col in range(len(mat[0]) if mat else 0):
@@ -243,26 +248,44 @@ class DlogTable:
             mat[sel], mat[r] = mat[r], top
             rest = [(t, x) for t, x in enumerate(top) if x != -1]
             for i, row in enumerate(mat):
-                if i == r or row[col] == -1:
-                    continue
                 # row -= row[col] * top, the negation as a shift by half
-                shift = row[col] + self.half
-                for t, x in rest:
-                    term = (x + shift) % m
-                    cur = row[t]
-                    if cur == -1:
-                        row[t] = term
-                    else:
-                        z = zech[(term - cur) % m]
-                        row[t] = -1 if z == -1 else (cur + z) % m
+                if i != r and row[col] != -1:
+                    self.add_multiple(row, row[col] + self.half, rest)
             pivots.append(col)
             if len(pivots) == len(mat):
                 break
         return mat[:len(pivots)], tuple(pivots)
 
+    def min_weight(self, rows: list[list[int]]) -> int:
+        """Minimum weight over one word per projective message class of
+        the row space of encoded ``rows``, which must be independent:
+        the words whose first nonzero coefficient is 1, each its parent
+        word plus 0 or g**c (c < q - 1) times the next row."""
+        k, m = len(rows), self.q - 1
+        terms = [[(t, x) for t, x in enumerate(row) if x != -1]
+                 for row in rows]
+        best = len(rows[0])
+
+        def rec(level, word):
+            nonlocal best
+            if level == k:
+                weight = len(word) - word.count(-1)
+                if weight < best:
+                    best = weight
+                return
+            rec(level + 1, word)
+            for c in range(m):
+                child = word[:]
+                self.add_multiple(child, c, terms[level])
+                rec(level + 1, child)
+
+        for pivot in range(k):
+            rec(pivot + 1, list(rows[pivot]))
+        return best
+
     def det_nonzero(self, rows: list[list[int]]) -> bool:
         """Nonsingularity of a square matrix of encoded entries."""
-        return first_dependent_subset(rows, len(rows), -1,
+        return first_dependent_subset(rows, len(rows), self.zero,
                                       self.eliminate) is None
 
 

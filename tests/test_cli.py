@@ -312,6 +312,10 @@ def test_verify_refuses_a_zero_dimensional_code(mds, tmp_path, capsys):
     {"modulus": 3, "step": 1},
     {"modulus": 0, "step": 1, "elements": [1]},
     [3, 1],
+    # int() read these as DefiningSet(3, (1,), 1)
+    {"modulus": 3.9, "step": 1, "elements": [1]},
+    {"modulus": 3, "step": 1, "elements": "1"},
+    {"modulus": 3, "step": True, "elements": [1]},
 ])
 def test_verify_refuses_a_malformed_defining_set(defining, mds, tmp_path,
                                                  capsys):
@@ -564,3 +568,25 @@ def test_successive_main_calls_keep_their_flags_apart(tmp_path, capsys):
     assert json.loads(flagged)["mds"]["trials"] == 7
     assert run_cli(capsys, "verify", str(path)) == plain
     assert plain[0] == 0 and plain[1][0]["mds"]["status"] == "certified-exact"
+
+
+# int() once read each of these as the integer the header must hold; a
+# string modulus iterates as digits, so "01" was GF(7)'s own (0, 1)
+@pytest.mark.parametrize("edits", [
+    {("field", "p"): "7", ("n",): 4.0, ("k",): "2"},
+    {("field", "p"): 3.7},
+    {("field", "t"): True},
+    {("field", "modulus"): "01"},
+])
+def test_verify_refuses_a_header_integer_that_is_not_a_json_integer(
+        edits, tmp_path, capsys):
+    rc, lines = run_cli(capsys, "construct", "euclidean-duadic",
+                        "--p", "7", "--n", "3")
+    obj = lines[0]
+    for (*where, key), value in edits.items():
+        functools.reduce(dict.__getitem__, where, obj)[key] = value
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(obj))
+    rc, lines = run_cli(capsys, "verify", str(path))
+    assert rc == 2 and lines[0]["error"] == "MalformedInput"
+

@@ -157,6 +157,17 @@ def test_generator_requires_roots_in_field():
         generator_from_defining_set(f, 3, f.one, DefiningSet(3, (1,)))
 
 
+def test_generator_refuses_roots_that_are_not_roots_of_the_binomial():
+    # lam = 6 has order 2, so alpha has order 6 and alpha**3 = 6; alpha**2
+    # cubes to 1, not 6, while alpha and alpha**3 cube to 6
+    f = make_field(7, 1)
+    lam = f.from_int(6)
+    with pytest.raises(NotDividing):
+        generator_from_defining_set(f, 3, lam, DefiningSet(6, (2,)))
+    spec = generator_from_defining_set(f, 3, lam, DefiningSet(6, (1, 3)))
+    assert spec.k == 1 and spec.alpha ** 3 == lam
+
+
 def test_shift_root_is_the_first_power_of_full_order_over_lam():
     # the definition on element powers and orders, for every shift
     # constant and fitting length of a few small fields

@@ -1,4 +1,5 @@
-"""Both determinant steps against an elimination oracle, and cache bounds."""
+"""The log-table kernels against element arithmetic and an elimination
+oracle, and cache bounds."""
 import random
 
 import pytest
@@ -121,6 +122,48 @@ def test_zech_row_reduce_decodes_to_the_element_form(spec, data):
                           else field.from_int(table.pow_idx[e])
                           for e in row) for row in reduced)
     assert (decoded, pivots) == row_reduce(rows, field)
+
+
+# a prime field, GF(p^t), a tower, and characteristic 2 (half = 0)
+ADD_FIELDS = [(7, 1, 0), (3, 2, 0), (5, 1, 1), (2, 3, 0)]
+
+
+@pytest.mark.parametrize("p, t, towers", ADD_FIELDS,
+                         ids=["GF(%d^%d)%s" % (p, t, "^2" * towers)
+                              for p, t, towers in ADD_FIELDS])
+@settings(deadline=None, max_examples=100)
+@given(data=st.data())
+def test_add_multiple_decodes_to_element_arithmetic(p, t, towers, data):
+    field = _field(p, t, towers)
+    table = dlog_table(field, field.order)
+    m = field.order - 1
+    log = st.integers(0, m - 1)
+
+    def decode(e):
+        return field.zero if e == -1 else field.from_int(table.pow_idx[e])
+
+    n = data.draw(st.integers(1, 6))
+    row = data.draw(st.lists(st.integers(-1, m - 1), min_size=n, max_size=n))
+    shift = data.draw(log)
+    terms = []
+    for pos in data.draw(st.lists(st.integers(0, n - 1), unique=True)):
+        if row[pos] != -1 and data.draw(st.booleans()):
+            # g**shift * g**x = -row[pos]: the sum cancels to zero
+            terms.append((pos, (row[pos] + table.half - shift) % m))
+        else:
+            terms.append((pos, data.draw(log)))
+    want = [decode(e) for e in row]
+    for pos, x in terms:
+        want[pos] = want[pos] + decode(shift) * decode(x)
+    got = list(row)
+    table.add_multiple(got, shift, terms)
+    assert [decode(e) for e in got] == want
+    # every example also cancels once: g**shift * g**(e + half - shift)
+    # is -g**e
+    e = data.draw(log)
+    cancelled = [e]
+    table.add_multiple(cancelled, shift, [(0, (e + table.half - shift) % m)])
+    assert cancelled == [-1]
 
 
 def test_module_caches_stay_bounded():
