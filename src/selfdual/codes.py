@@ -7,8 +7,11 @@ the matrix rows are the shifts x**i * g(x) modulo x**n - lambda.
 Verification never approximates: self-duality is an exact matrix
 product, distances are exhaustive scans under a guard, and MDS checks
 are exhaustive column tests, seeded Monte-Carlo sampling, or a
-consecutive-root-run certificate.  ``certify_mds`` is the one ladder
-that chooses among them, for the builders and the CLI alike.
+consecutive-root-run certificate.  Over fields with a log table the
+column tests and the sampler first try a Cauchy certificate on the
+reduced generator [I | A], which decides every GRS code without a
+search and leaves their verdicts unchanged.  ``certify_mds`` is the one
+ladder that chooses among them, for the builders and the CLI alike.
 """
 from __future__ import annotations
 
@@ -359,21 +362,37 @@ def _check_trials(trials: int) -> None:
         raise MalformedInput("trials must be at least 1, got %d" % trials)
 
 
+def _cauchy_certified(table, reduced, pivots) -> bool:
+    """Whether encoded reduced rows R = [I | A] have a Cauchy-like A, so
+    that no square block of A is singular and every k-subset of columns
+    of R is independent.  With one row or one column of A, nonzero
+    entries suffice.  False means only that this certificate does not
+    apply."""
+    k = len(reduced)
+    if pivots != tuple(range(k)):
+        return False
+    a_rows = [row[k:] for row in reduced]
+    if k <= 1 or len(a_rows[0]) <= 1:
+        return all(x != table.zero for row in a_rows for x in row)
+    return table.cauchy_points(a_rows) is not None
+
+
 def mds_check(code: LinearCode, mode: str, trials: int = 1000,
               guards: GuardConfig | None = None) -> MdsVerdict:
     """MDS verification in one of two modes.
 
-    ``exhaustive-columns`` tests that every k-subset of generator
-    columns is independent (necessary and sufficient) with one
-    elimination shared by all subsets, and refutes with the lex-first
-    dependent subset.  When n = 2k and the code is self-dual, checked
-    here once per code, a k-subset is an information set exactly when its
-    complement is one, so the lex-first dependent subset holds column 0
-    and only the subsets that hold it are walked.  ``monte-carlo``
-    samples subsets with a seed derived from (n, k, q) and tests each
-    minor on the reduced echelon form of the generator.  The root-run
-    certificate is a rung of ``certify_mds``.  Fewer than one trial is
-    refused with ``MalformedInput`` in either mode.
+    On the log-table path the generator is reduced once to R = [I | A];
+    when A is Cauchy-like (``DlogTable.cauchy_points``), as for every
+    GRS code of length at most q, every k-subset of columns is
+    independent, and each mode returns what its search below would:
+    ``certified-exact``, or every trial passing.  Otherwise ``exhaustive-columns`` tests that every
+    k-subset of generator columns is independent (necessary and
+    sufficient) with one elimination shared by all subsets, and refutes
+    with the lex-first dependent subset; ``monte-carlo`` samples subsets
+    with a seed derived from (n, k, q) and tests each minor on the
+    reduced echelon form of the generator.  The root-run certificate is
+    a rung of ``certify_mds``.  Fewer than one trial is refused with
+    ``MalformedInput`` in either mode.
     """
     _check_trials(trials)
     guards = current_guards(guards)
@@ -391,30 +410,21 @@ def mds_check(code: LinearCode, mode: str, trials: int = 1000,
     else:
         zero, step = table.zero, table.eliminate
         rows = [[table.encode(x) for x in row] for row in rows]
+        reduced, pivots = table.row_reduce(rows)
+        if _cauchy_certified(table, reduced, pivots):
+            return (MdsVerdict("certified-exact")
+                    if mode == "exhaustive-columns" else
+                    MdsVerdict("monte-carlo", trials=trials, passes=trials))
     if mode == "exhaustive-columns":
-        columns = [list(col) for col in zip(*rows)]
-        if 2 * k == n and (isinstance(code.field, TowerSpec)
-                           and is_hermitian_self_dual(code)
-                           or is_euclidean_self_dual(code)):
-            # every subset without column 0 comes after those with it in
-            # lex order and is the complement of one of them
-            first = columns[0]
-            # a zero column 0 would put e_0 in the dual, which is C, yet
-            # every codeword is 0 at coordinate 0
-            pivot = next(i for i, x in enumerate(first) if x != zero)
-            tail = first_dependent_subset(
-                step(first, pivot, columns[1:]), k - 1, zero, step)
-            witness = (None if tail is None
-                       else (0,) + tuple(j + 1 for j in tail))
-        else:
-            witness = first_dependent_subset(columns, k, zero, step)
+        witness = first_dependent_subset([list(col) for col in zip(*rows)],
+                                         k, zero, step)
         return MdsVerdict("certified-exact" if witness is None
                           else "refuted", witness=witness)
     # R = M G with M invertible and R's pivot columns the unit vectors:
     # G_S is singular exactly when R restricted to the rows of the pivots
     # outside S and the columns of S that are not pivots is singular
-    reduced, pivots = (row_reduce(rows, code.field) if table is None
-                       else table.row_reduce(rows))
+    if table is None:
+        reduced, pivots = row_reduce(rows, code.field)
     pivot_set = set(pivots)
     rng = random.Random("%d:%d:%d" % (n, k, code.field.order))
     passes = 0

@@ -4,7 +4,8 @@ Every independence question (a minor, a generator's rank, all k-subsets
 of columns) is one lex column walk, ``first_dependent_subset``, with a
 step per representation: element objects, or over small fields the
 integer logs of ``DlogTable``, which alone holds that encoding and its
-one addition, ``add_multiple``, shared by its steps and codeword scan.
+one addition, ``add_multiple``, shared by its steps, codeword scan and
+Cauchy certificate ``cauchy_points``.
 ``row_reduce`` gives echelon forms and kernels; it pivots on the first
 nonzero entry of each column, since the reduced form and its pivot
 columns are unique whatever the choice.
@@ -287,6 +288,66 @@ class DlogTable:
         """Nonsingularity of a square matrix of encoded entries."""
         return first_dependent_subset(rows, len(rows), self.zero,
                                       self.eliminate) is None
+
+    def cauchy_points(self, a_rows: list[list[int]]):
+        """Encoded (x, y, c, d) with A[i][j] * (x[i] - y[j]) = c[i] * d[j]
+        for every entry, the x distinct, the y distinct and every c, d
+        nonzero, or None when the recovery finds none.  A has at least
+        two rows and two columns.  Such an A is Cauchy-like: each square
+        block is a Cauchy matrix scaled by nonzero rows and columns, so
+        none is singular (Roth-Seroussi).
+
+        Up to a Moebius map and a scaling, x[0] = 0, x[1] = 1, c[0] = 1;
+        rows 0 and 1 then give every y and d from c[1], and columns 0 and
+        1 every other x and c.  For a Cauchy-like A each nonzero c[1] is
+        one placement of its n points, and at most n - 2 of them put a
+        point at infinity, so the trials c[1] = g**e, e <= n, find one
+        when n <= q.  The recovery only proposes; the check is the proof.
+        """
+        m, half, zero = self.q - 1, self.half, self.zero
+        a0, a1 = a_rows[0], a_rows[1]
+        width = len(a0)
+        if any(x == zero for row in a_rows for x in row):
+            return None
+        for e in range(min(len(a_rows) + width + 1, m)):
+            # y[j] = 1 / (1 - c1 * A[0][j] / A[1][j])
+            y = [0] * width
+            self.add_multiple(y, e + half, [(j, a - b) for j, (a, b)
+                                            in enumerate(zip(a0, a1))])
+            if zero in y:  # y[j] at infinity
+                continue
+            y = [-v % m for v in y]
+            d = [(v + a + half) % m for v, a in zip(y, a0)]  # -y[j] A[0][j]
+            # c[i] = (y1 - y0) / (d0 / A[i][0] - d1 / A[i][1])
+            # x[i] = y0 + c[i] * d0 / A[i][0]
+            gap = [y[1]]
+            self.add_multiple(gap, half, [(0, y[0])])
+            u = [(d[0] - row[0]) % m for row in a_rows[2:]]
+            den = u[:]
+            self.add_multiple(den, half, [(i, d[1] - row[1]) for i, row
+                                          in enumerate(a_rows[2:])])
+            if gap[0] == zero or zero in den:
+                continue
+            c = [0, e] + [(gap[0] - v) % m for v in den]
+            x = [zero, 0] + [y[0]] * len(u)
+            self.add_multiple(x, 0, [(i + 2, ci + ui) for i, (ci, ui)
+                                     in enumerate(zip(c[2:], u))])
+            if (len(set(x)) == len(x) and len(set(y)) == width
+                    and self._cauchy_holds(a_rows, x, y, c, d)):
+                return x, y, c, d
+        return None
+
+    def _cauchy_holds(self, a_rows, x, y, c, d) -> bool:
+        """Whether A[i][j] * (x[i] - y[j]) = c[i] * d[j] for every entry;
+        c and d are logs, so nonzero, and a zero x[i] - y[j] fails."""
+        m, minus_y = self.q - 1, list(enumerate(y))
+        for row, xi, ci in zip(a_rows, x, c):
+            diff = [xi] * len(y)
+            self.add_multiple(diff, self.half, minus_y)
+            if any(v == -1 or (a + v - ci - dj) % m
+                   for a, v, dj in zip(row, diff, d)):
+                return False
+        return True
 
 
 # tables kept at once; the least recently used one is dropped beyond it

@@ -37,6 +37,9 @@ from selfdual.codes import (
 from selfdual.config import GuardConfig
 from selfdual.constructions import (
     build_euclidean_duadic_extended,
+    build_grs_hermitian,
+    build_hermitian_extended_duadic,
+    build_hermitian_n5,
     exists_hermitian_dispatch,
 )
 from selfdual.cosets import DefiningSet
@@ -64,7 +67,9 @@ from selfdual.linalg import (
     dlog_table,
     mat_transpose,
     null_space,
+    row_reduce,
 )
+from selfdual.table import TABLE_ROWS
 
 from oracles import (
     det_nonzero_oracle,
@@ -485,6 +490,12 @@ def vandermonde(field, n, k):
                                          for l in range(k)))
 
 
+def hermitian_n5_code(p):
+    """A [6, 3, 4] code over GF(p^2) that is MDS but not GRS: the Cauchy
+    certificate declines it, so ``mds_check`` reaches its searches."""
+    return build_hermitian_n5(p, 1).code
+
+
 @pytest.mark.parametrize("dlog_limit", [2**20, 1])
 def test_column_walk_expands_only_prefixes_that_fit(dlog_limit, monkeypatch):
     def refuse(*args):
@@ -499,10 +510,9 @@ def test_column_walk_expands_only_prefixes_that_fit(dlog_limit, monkeypatch):
             return step(pivot_col, p, rows)
         return walk(columns, k, zero, counted)
 
-    f = make_field(11, 1)
-    n, k = 9, 4
     # built first: its rank check runs the same walk
-    code = vandermonde(f, n, k)
+    code = hermitian_n5_code(3)
+    n, k = code.n, code.k
     monkeypatch.setattr(codes_module, "det_nonzero", refuse)
     monkeypatch.setattr(DlogTable, "det_nonzero", refuse)
     monkeypatch.setattr(codes_module, "first_dependent_subset",
@@ -532,33 +542,6 @@ def test_n_equal_2k_without_self_duality_walks_every_subset(dlog_limit):
     guards = GuardConfig(dlog_limit=dlog_limit)
     assert mds_check(code, "exhaustive-columns", guards=guards) == \
         MdsVerdict("refuted", witness=(1, 2))
-
-
-@pytest.mark.parametrize("dlog_limit", [2**20, 1])
-def test_self_dual_walk_expands_only_prefixes_holding_column_0(
-        dlog_limit, monkeypatch):
-    expanded = []
-
-    def counting(step):
-        def counted(*args):  # (self,) pivot_col, p, rows
-            expanded.append(len(args[-3]))
-            return step(*args)
-        return counted
-
-    code = build_euclidean_duadic_extended(29, 1, 7).code
-    n, k = code.n, code.k
-    assert (n, k) == (8, 4) and is_euclidean_self_dual(code)
-    monkeypatch.setattr(codes_module, "eliminate",
-                        counting(codes_module.eliminate))
-    monkeypatch.setattr(DlogTable, "eliminate",
-                        counting(DlogTable.eliminate))
-    guards = GuardConfig(dlog_limit=dlog_limit)
-    assert mds_check(code, "exhaustive-columns",
-                     guards=guards) == MdsVerdict("certified-exact")
-    # of the C(n - k + j, j) prefixes of j columns that the full walk
-    # expands, the C(n - k + j - 1, j - 1) that start with column 0
-    assert Counter(expanded) == {k - j + 1: comb(n - k + j - 1, j - 1)
-                                 for j in range(1, k)}
 
 
 @functools.lru_cache(maxsize=None)
@@ -623,20 +606,24 @@ def test_self_dual_walk_matches_the_lex_determinant_loop(code):
         assert (verdict.status, verdict.witness) == want
 
 
-@settings(deadline=None, max_examples=150)
-@given(code_with_planted_dependency(), st.integers(1, 30))
-def test_monte_carlo_matches_the_full_minor_oracle(code, trials):
+def monte_carlo_oracle(code, trials):
+    """The sampler on full k x k minors of the generator, same seed."""
     n, k = code.n, code.k
     rng = random.Random("%d:%d:%d" % (n, k, code.field.order))
     columns = mat_transpose(code.generator)
-    want = MdsVerdict("monte-carlo", trials=trials, passes=trials)
     for passes in range(trials):
         subset = sorted(rng.sample(range(n), k))
         if not det_nonzero_oracle([[columns[j][i] for j in subset]
                                    for i in range(k)], code.field):
-            want = MdsVerdict("refuted", trials=trials, passes=passes,
+            return MdsVerdict("refuted", trials=trials, passes=passes,
                               witness=tuple(subset))
-            break
+    return MdsVerdict("monte-carlo", trials=trials, passes=trials)
+
+
+@settings(deadline=None, max_examples=150)
+@given(code_with_planted_dependency(), st.integers(1, 30))
+def test_monte_carlo_matches_the_full_minor_oracle(code, trials):
+    want = monte_carlo_oracle(code, trials)
     for guards in (None, GuardConfig(dlog_limit=code.field.order - 1)):
         assert mds_check(code, "monte-carlo", trials=trials,
                          guards=guards) == want
@@ -661,7 +648,7 @@ def test_monte_carlo_calls_det_nonzero_once_per_trial(dlog_limit,
                         counting("zech", DlogTable.det_nonzero))
     name = "zech" if dlog_limit > 1 else "element"
     guards = GuardConfig(dlog_limit=dlog_limit)
-    mds = vandermonde(make_field(11, 1), 9, 4)
+    mds = hermitian_n5_code(3)
     assert mds_check(mds, "monte-carlo", trials=50, guards=guards) == \
         MdsVerdict("monte-carlo", trials=50, passes=50)
     assert calls == {name: 50}
@@ -670,6 +657,147 @@ def test_monte_carlo_calls_det_nonzero_once_per_trial(dlog_limit,
                         trials=50, guards=guards)
     assert verdict.status == "refuted"
     assert calls == {name: verdict.passes + 1}
+
+
+def cauchy_certificate(code):
+    """(accepted, points) of the Cauchy certificate on the table path;
+    points are the decoded (x, y, c, d), or None."""
+    table = dlog_table(code.field, code.field.order)
+    reduced, pivots = table.row_reduce(
+        [[table.encode(x) for x in row] for row in code.generator])
+    accepted = codes_module._cauchy_certified(table, reduced, pivots)
+    k = code.k
+    if not accepted or k <= 1 or code.n - k <= 1:
+        return accepted, None
+    points = table.cauchy_points([row[k:] for row in reduced])
+
+    def decode(e):
+        return code.field.zero if e == -1 else \
+            code.field.from_int(table.pow_idx[e])
+    return accepted, tuple([decode(e) for e in part] for part in points)
+
+
+def assert_cauchy_like(code, points):
+    """A of the reduced generator [I | A] is c_i d_j / (x_i - y_j), by
+    element arithmetic, with distinct x, distinct y, nonzero c and d."""
+    x, y, c, d = points
+    reduced, pivots = row_reduce(code.generator, code.field)
+    assert pivots == tuple(range(code.k))
+    assert len(set(x)) == len(x) and len(set(y)) == len(y)
+    assert all(c) and all(d)
+    for i, row in enumerate(reduced):
+        for j, a in enumerate(row[code.k:]):
+            assert x[i] != y[j] and a * (x[i] - y[j]) == c[i] * d[j]
+
+
+@st.composite
+def grs_code(draw):
+    """A GRS generator v_j * a_j**i over a column-test field, often with
+    one entry changed, which may or may not keep it MDS.  Lengths start
+    at 4 where the field allows, so that A often has two rows and two
+    columns and the certificate must recover points."""
+    field = _column_field(draw(st.sampled_from(COLUMN_FIELDS)))
+    q = field.order
+    n = draw(st.integers(min(q, 4), min(q, 7)))
+    k = draw(st.integers(1, n))
+    points = draw(st.permutations(range(q)))[:n]
+    scales = draw(st.lists(st.integers(1, q - 1), min_size=n, max_size=n))
+    rows = [[field.from_int(v) * field.from_int(a) ** i
+             for a, v in zip(points, scales)] for i in range(k)]
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, n - 1))
+        rows[i][j] = field.from_int(draw(st.integers(0, q - 1)))
+    try:
+        return LinearCode(field, n, k, tuple(map(tuple, rows)))
+    except ValueError:  # dependent rows
+        assume(False)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(grs_code(), code_with_planted_dependency()),
+       st.integers(1, 30))
+def test_cauchy_certificate_is_sound(code, trials):
+    want = lex_column_oracle(code)
+    accepted, points = cauchy_certificate(code)
+    if accepted:
+        assert want == ("certified-exact", None)
+    if points is not None:
+        assert_cauchy_like(code, points)
+    # dlog_limit = q - 1 leaves the field without a table: element path
+    for guards in (None, GuardConfig(dlog_limit=code.field.order - 1)):
+        verdict = mds_check(code, "exhaustive-columns", guards=guards)
+        assert (verdict.status, verdict.witness) == want
+        assert mds_check(code, "monte-carlo", trials=trials,
+                         guards=guards) == monte_carlo_oracle(code, trials)
+
+
+def _table_code(length, p, t):
+    return build_euclidean_duadic_extended(p, t, length - 1).code
+
+
+GRS_FIXTURES = [(_table_code, row[0], p, t) for row in TABLE_ROWS
+                if 8 <= row[0] <= 16 for p, t in row[1]] + [
+    (lambda p, n: build_hermitian_extended_duadic(p, 1, n).code, 31, 15),
+    (lambda p, n: build_grs_hermitian(p, 1, n).code, 31, 30),
+    (lambda p, n: build_grs_hermitian(p, 3, n).code, 3, 26),
+]
+
+
+@pytest.mark.parametrize("fixture", GRS_FIXTURES,
+                         ids=lambda f: ",".join(map(str, f[1:])))
+def test_cauchy_certificate_accepts_the_shipped_grs_codes(fixture):
+    build, *args = fixture
+    code = build(*args)
+    accepted, points = cauchy_certificate(code)
+    assert accepted
+    assert_cauchy_like(code, points)
+
+
+@pytest.mark.parametrize("p", [3, 7, 13])
+def test_cauchy_certificate_declines_the_hermitian_n5_codes(p):
+    code = hermitian_n5_code(p)
+    assert cauchy_certificate(code) == (False, None)
+    assert mds_check(code, "exhaustive-columns") == \
+        MdsVerdict("certified-exact")
+
+
+@pytest.mark.parametrize("dlog_limit", [2**20, 1])
+def test_one_changed_entry_of_a_cauchy_block_is_refuted_by_the_walk(
+        dlog_limit):
+    f = make_field(11, 1)
+    k = 4
+    grs = vandermonde(f, 8, k)
+    reduced, _ = row_reduce(grs.generator, f)
+    rows = [list(row) for row in reduced]
+    # the recovery reads only rows 0-1 and columns 0-1 of A; make the
+    # 2 x 2 block of A on rows 1-2 and columns 1-2 singular outside them
+    a = [row[k:] for row in rows]
+    rows[2][k + 2] = a[1][2] * a[2][1] / a[1][1]
+    assert rows[2][k + 2] != a[2][2]
+    code = LinearCode(f, 8, k, tuple(map(tuple, rows)))
+    assert cauchy_certificate(code) == (False, None)
+    status, witness = lex_column_oracle(code)
+    assert status == "refuted"
+    guards = GuardConfig(dlog_limit=dlog_limit)
+    assert mds_check(code, "exhaustive-columns", guards=guards) == \
+        MdsVerdict("refuted", witness=witness)
+
+
+@pytest.mark.parametrize("mode", ["exhaustive-columns", "monte-carlo"])
+def test_a_grs_code_reaches_neither_search(mode, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("search reached")
+
+    # built first: their rank checks run the walk
+    codes = [vandermonde(make_field(11, 1), 9, 4),
+             build_grs_hermitian(13, 1, 12).code]
+    for name in ("first_dependent_subset", "det_nonzero"):
+        monkeypatch.setattr(codes_module, name, refuse)
+    monkeypatch.setattr(DlogTable, "det_nonzero", refuse)
+    for code in codes:
+        assert mds_check(code, mode, trials=50) == (
+            MdsVerdict("certified-exact") if mode == "exhaustive-columns"
+            else MdsVerdict("monte-carlo", trials=50, passes=50))
 
 
 @st.composite

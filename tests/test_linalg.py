@@ -166,6 +166,25 @@ def test_add_multiple_decodes_to_element_arithmetic(p, t, towers, data):
     assert cancelled == [-1]
 
 
+def test_cauchy_points_refuse_a_point_shared_by_x_and_y():
+    # A[i][j] = 1 / (x_i - y_j): c = d = 1, and the first trial recovers x
+    f = make_field(13, 1)
+    table = dlog_table(f, 13)
+
+    def cauchy(x, y):
+        return [[-1 if xi == yj else
+                 table.encode((f.from_int(xi) - f.from_int(yj)).inverse())
+                 for yj in y] for xi in x]
+
+    found = table.cauchy_points(cauchy((0, 1, 5), (2, 3, 4)))
+    assert found[0] == [table.encode(f.from_int(v)) for v in (0, 1, 5)]
+    # with y_2 = x_2 = 5, put A = g = c_2 * d_2 * g at the pole (2, 2):
+    # only the guard on x_i - y_j = 0 tells this A from a Cauchy-like one
+    a_rows = cauchy((0, 1, 5), (2, 3, 5))
+    a_rows[2][2] = 1
+    assert table.cauchy_points(a_rows) is None
+
+
 def test_module_caches_stay_bounded():
     primes = [p for p in range(2, 10**4) if is_prime(p)]
     for p in primes[:FIELD_CACHE_SIZE + 8]:
