@@ -9,9 +9,10 @@ product, distances are exhaustive scans under a guard, and MDS checks
 are exhaustive column tests, seeded Monte-Carlo sampling, or a
 consecutive-root-run certificate.  Over fields with a log table the
 column tests and the sampler first try a Cauchy certificate on the
-reduced generator [I | A], which decides every GRS code without a
-search and leaves their verdicts unchanged.  ``certify_mds`` is the one
-ladder that chooses among them, for the builders and the CLI alike.
+reduced generator [I | A], which decides every GRS code of length at
+most q without a search and leaves their verdicts unchanged.
+``certify_mds`` is the one ladder that chooses among them, for the
+builders and the CLI alike.
 """
 from __future__ import annotations
 
@@ -385,13 +386,14 @@ def mds_check(code: LinearCode, mode: str, trials: int = 1000,
     when A is Cauchy-like (``DlogTable.cauchy_points``), as for every
     GRS code of length at most q, every k-subset of columns is
     independent, and each mode returns what its search below would:
-    ``certified-exact``, or every trial passing.  Otherwise ``exhaustive-columns`` tests that every
-    k-subset of generator columns is independent (necessary and
-    sufficient) with one elimination shared by all subsets, and refutes
-    with the lex-first dependent subset; ``monte-carlo`` samples subsets
-    with a seed derived from (n, k, q) and tests each minor on the
-    reduced echelon form of the generator.  The root-run certificate is
-    a rung of ``certify_mds``.  Fewer than one trial is refused with
+    ``certified-exact``, or every trial passing.  Otherwise
+    ``exhaustive-columns`` tests that every k-subset of generator
+    columns is independent (necessary and sufficient) with one
+    elimination shared by all subsets, and refutes with the lex-first
+    dependent subset; ``monte-carlo`` samples subsets with a seed
+    derived from (n, k, q) and tests each minor on the reduced echelon
+    form of the generator.  The root-run certificate is a rung of
+    ``certify_mds``.  Fewer than one trial is refused with
     ``MalformedInput`` in either mode.
     """
     _check_trials(trials)
