@@ -469,9 +469,11 @@ def _roots_mismatch(code: LinearCode, T: DefiningSet, lam: Element | None,
     except (ZeroElement, RootsNotInField, ValueError) as exc:
         return "roots do not fit n = %d: %s" % (n, exc)
     pack, reduce = kronecker(field, n)
-    # V has |T| * n entries but only m distinct ones: pack each power once
-    powers = [pack(x) for x in itertools.accumulate(
-        [alpha] * (m - 1), operator.mul, initial=field.one)]
+    # V has |T| * n entries but only m distinct ones, built on packed
+    # ints: one product is within the n-term bound, so each is exact
+    powers = list(itertools.accumulate(
+        [pack(alpha)] * (m - 1), lambda r, x: reduce(r * x),
+        initial=pack(field.one)))
     checks = [[powers[e * j % m] for j in range(n)] for e in T.elements]
     rows = (list(map(pack, row)) for row in code.generator)
     if not _packed_gram_is_zero(rows, checks, reduce):

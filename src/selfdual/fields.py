@@ -18,6 +18,14 @@ methods do the arithmetic on values, so a tower multiplies raw values
 level by level; ``Element`` pairs a value with its field for everything
 outside this module, which never reads a value's layout.
 
+Powers square and multiply ints, not values.  GF(p) uses the built-in
+``pow``.  GF(p^t) squares and multiplies the value packed into one int
+by Kronecker substitution (see ``_packing``), packed once and unpacked
+once.  A tower over a base of order Q descends by the norm
+N(x) = x**(Q + 1) = x * conj(x), which lies in the base: with
+e = a*(Q + 1) + b, x**e = N(x)**a * x**b, so only x**b, b <= Q, is packed
+in the tower, and N(x)**a recurses, GF(q^4) -> GF(q^2) -> GF(q).
+
 Everything is immutable; fields and elements hash and compare by value,
 so they are safe to share across threads and use as cache keys.
 """
@@ -25,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import operator
+import sys
 from collections.abc import Iterator, Sequence
 
 from .config import GuardConfig, current_guards
@@ -85,18 +94,26 @@ class Field:
         for i in range(self.order):
             yield self.from_int(i)
 
+    @functools.cached_property
+    def _packed(self):
+        """(pack, reduce, unpack) of the Kronecker layout at the digit
+        bound of one product (see ``_packing``); built once per field."""
+        return _packing(self, _product_bound(self, 1))[:3]
+
     def _pow(self, v, e: int):
-        """v**e by square and multiply; a negative e inverts first."""
+        """v**e by square and multiply on the packed value, which is
+        packed once and unpacked once; a negative e inverts first."""
         if e < 0:
             v, e = self._inv(v), -e
-        mul = self._mul
-        result = self._one
-        while e:
-            if e & 1:
-                result = mul(result, v)
-            v = mul(v, v)
-            e >>= 1
-        return result
+        if not e:
+            return self._one
+        pack, reduce, unpack = self._packed
+        x = r = pack(v)
+        for bit in bin(e)[3:]:
+            r = reduce(r * r)
+            if bit == "1":
+                r = reduce(r * x)
+        return unpack(r)
 
 
 class FieldSpec(Field, Frozen):
@@ -154,13 +171,6 @@ class FieldSpec(Field, Frozen):
             acc = self._add(self._mul(acc, xt), tuple(c[i:i + t]))
         return acc
 
-    @functools.cached_property
-    def _high_powers(self) -> list:
-        """The values of x**(t + j), j < t - 1, that the high digits of a
-        product fold to (see ``_packing``); built once per field."""
-        return [self._reduce([0] * (self.t + j) + [1])
-                for j in range(self.t - 1)]
-
     def _to_json(self, v) -> list:
         return list(v)
 
@@ -213,6 +223,13 @@ class FieldSpec(Field, Frozen):
             raise ZeroElement("division by zero in GF(%d^%d)" % (self.p, self.t))
         # Fermat: a**(q-2); exact and branch-free for every t >= 1
         return self._pow(a, self.order - 2)
+
+    def _pow(self, v, e: int):
+        # GF(p): the built-in pow; 0 to a negative power is left to
+        # ``_inv``, which raises
+        if self.t == 1 and (e >= 0 or v[0]):
+            return (pow(v[0], e, self.p),)
+        return Field._pow(self, v, e)
 
 
 class TowerSpec(Field, Frozen):
@@ -311,16 +328,36 @@ class TowerSpec(Field, Frozen):
             a = base._sub(a, base._mul(b, self._c1))
         return a, base._neg(b)
 
-    def _inv(self, x):
-        if x == self._zero:
-            raise ZeroElement("division by zero in the extension")
-        # x * conj(x) = a*(a - b c1) + b**2 c0 lies in the base
+    def _norm(self, x):
+        """x * conj(x) = x**(Q + 1), a base value: a*(a - b c1) + b**2 c0."""
         base = self.base
         mul = base._mul
         a, b = x
+        return base._add(mul(a, self._conj(x)[0]), mul(mul(b, b), self._c0))
+
+    def _inv(self, x):
+        if x == self._zero:
+            raise ZeroElement("division by zero in the extension")
+        mul = self.base._mul
         ca, cb = self._conj(x)
-        ninv = base._inv(base._add(mul(a, ca), mul(mul(b, b), self._c0)))
+        ninv = self.base._inv(self._norm(x))
         return mul(ca, ninv), mul(cb, ninv)
+
+    def _pow(self, x, e: int):
+        """x**e by norm descent: with e = a*(Q + 1) + b, x**e is
+        N(x)**a * x**b, so only b <= Q is done in the tower and the
+        power of the norm N(x) = x**(Q + 1) recurses into the base.  A
+        negative e inverts first; x = 0 gives N(x) = 0, so 0**e is 0 for
+        e > 0 and 1 for e = 0."""
+        if e < 0:
+            x, e = self._inv(x), -e
+        base = self.base
+        a, b = divmod(e, base.order + 1)
+        low = Field._pow(self, x, b)
+        if not a:
+            return low
+        n = base._pow(self._norm(x), a)
+        return base._mul(n, low[0]), base._mul(n, low[1])
 
 
 _set = object.__setattr__  # bound once: Element() is the hot constructor
@@ -599,7 +636,8 @@ def solve_norm(tower: TowerSpec, u, guards: GuardConfig | None = None) -> Elemen
 
     The relative norm maps the canonical primitive g onto a generator of
     the base group, so the least exponent is the discrete log of u with
-    respect to that generator, found by a walk of at most q - 1 steps.
+    respect to that generator, found by a walk of at most q - 1 steps in
+    the base field.
     A base field beyond the dlog guard is refused with
     ``DiscreteLogGuardExceeded``.
     """
@@ -611,14 +649,14 @@ def solve_norm(tower: TowerSpec, u, guards: GuardConfig | None = None) -> Elemen
         raise DiscreteLogGuardExceeded(
             "base field order %d exceeds the discrete-log guard %d"
             % (q, guards.dlog_limit))
-    target = tower.embed(u).value
+    base = tower.base
     g = find_primitive_element(tower)
-    gen = tower._pow(g.value, q + 1)  # generates the embedded base group
-    w = tower._one
+    gen = tower._norm(g.value)  # g**(q + 1), a generator of the base group
+    w = base._one
     for m in range(q - 1):
-        if w == target:
+        if w == u.value:
             return g ** m
-        w = tower._mul(w, gen)
+        w = base._mul(w, gen)
     raise ZeroElement("norm walk failed")  # unreachable: the norm is onto
 
 
@@ -626,65 +664,111 @@ def solve_norm(tower: TowerSpec, u, guards: GuardConfig | None = None) -> Elemen
 # Kronecker packing
 # ---------------------------------------------------------------------------
 
-def _pack_coeffs(v, shifts) -> int:
-    return sum(map(operator.lshift, v, shifts))
+def _lanes(s: int, count: int):
+    """A map from an int below 2**(s*count) to its ``count`` digits of s
+    bits, lowest first: a cast of its bytes for 16-, 32- and 64-bit
+    lanes, shifts for any other s."""
+    fmt = {16: "H", 32: "I", 64: "Q"}.get(s)
+    if fmt is None:
+        mask = (1 << s) - 1
+        shifts = range(0, s * count, s)
+        return lambda v: [v >> sh & mask for sh in shifts]
+    size, order = s // 8 * count, sys.byteorder
+    return lambda v: memoryview(v.to_bytes(size, order)).cast(fmt)
 
 
-def _packing(field: Field, s: int):
-    """(pack, reduce, width) of the Kronecker layout of ``field``.
+def _packing(field: Field, bound: int):
+    """(pack, reduce, unpack, bits) of the Kronecker layout of ``field``
+    for product digits up to ``bound``.
 
     ``pack`` maps a value to one int whose digits, s bits apart, are its
-    GF(p) coordinates: in GF(p^t) digit i is the coefficient of x**i.
-    ``width`` is the number of digits of a product of two packed values:
-    2t - 1 in GF(p^t).  A tower value (a, b) packs as pack(a) + pack(b)
-    shifted up by the base width, so the product of two packed tower
-    values holds ac, ad + bc and bd, the coefficients of 1, y and y**2,
-    in three blocks of the base width side by side.
+    GF(p) coordinates: in GF(p^t) digit i is the coefficient of x**i;
+    ``unpack`` maps a packed canonical value back.  ``bits`` is the
+    length of a product of two packed values: 2t - 1 digits in GF(p^t).
+    A tower value (a, b) packs as pack(a) + pack(b) shifted up by the
+    base product's bits, so the product of two packed tower values holds
+    ac, ad + bc and bd, the coefficients of 1, y and y**2, in three
+    blocks of that length side by side.
 
-    ``reduce`` maps a product, or a sum of products whose digits did not
-    overflow, to the packed canonical value: each digit mod p, then
-    x**(t + j) -> its packed residue mod the modulus in GF(p^t), and
-    y**2 -> -c1*y - c0 at each tower level.  Those constants are packed
-    canonical values, so no digit inside ``reduce`` exceeds the bound of
-    one product in the field (see ``kronecker``).
+    ``reduce`` maps a product, or a sum of products with every digit at
+    most ``bound``, to the packed canonical value.  In GF(p^t), t > 1,
+    the digits of x**(t + j), j < t - 1, become the packed residues of
+    x**(t + j) mod the modulus, by one dot product of the t - 1 high
+    digits with those residues, added to the t low digits; then each
+    digit is taken mod p.  A folded digit is at most
+    bound*(1 + (t - 1)*(p - 1)), so s is the least of 16, 32 and 64 bits
+    that holds that, read by a cast of the bytes, or else that bit
+    length, read by shifts.  In GF(p) a digit is just taken mod p.  A
+    tower reduces its three blocks, then y**2 -> -c1*y - c0; those
+    constants are packed canonical values, so no digit inside ``reduce``
+    exceeds the bound of one product in the field (see ``kronecker``).
     """
     if isinstance(field, TowerSpec):
-        base_pack, base_reduce, base_width = _packing(field.base, s)
-        shift = s * base_width
-        block = (1 << shift) - 1
+        base_pack, base_reduce, base_unpack, bits = _packing(field.base, bound)
+        block = (1 << bits) - 1
         c0, c1, _ = field.ext_modulus
         neg_c0, neg_c1 = base_pack((-c0).value), base_pack((-c1).value)
 
         def pack(v):
-            return base_pack(v[0]) + (base_pack(v[1]) << shift)
+            return base_pack(v[0]) + (base_pack(v[1]) << bits)
 
         def reduce(v):
             u0 = base_reduce(v & block)
-            u1 = base_reduce(v >> shift & block)
-            u2 = base_reduce(v >> 2 * shift)
-            return (base_reduce(u0 + neg_c0 * u2)
-                    + (base_reduce(u1 + neg_c1 * u2) << shift))
+            u1 = base_reduce(v >> bits & block)
+            u2 = base_reduce(v >> 2 * bits)
+            if neg_c1:  # 0 in every canonical tower of odd q
+                u1 = base_reduce(u1 + neg_c1 * u2)
+            return base_reduce(u0 + neg_c0 * u2) + (u1 << bits)
 
-        return pack, reduce, 3 * base_width
+        def unpack(v):
+            return base_unpack(v & block), base_unpack(v >> bits)
+
+        return pack, reduce, unpack, 3 * bits
     p, t = field.p, field.t
-    mask = (1 << s) - 1
     if t == 1:  # no polynomial to reduce: one digit, one coefficient
-        return (lambda v: v[0]), (lambda v: (v & mask) % p), 1
+        return (operator.itemgetter(0), p.__rmod__, (lambda v: (v,)),
+                bound.bit_length())
+    fold = bound * (1 + (t - 1) * (p - 1))
+    s = next((w for w in (16, 32, 64) if fold >> w == 0), fold.bit_length())
     shifts = [s * i for i in range(t)]
-    wide = [s * i for i in range(2 * t - 1)]
-    residues = [_pack_coeffs(v, shifts) for v in field._high_powers]
 
     def pack(v):
-        return _pack_coeffs(v, shifts)
+        return sum(map(operator.lshift, v, shifts))
+
+    # x**t = -(c_0 + ... + c_(t-1) x**(t-1)); each further x shifts the
+    # coefficients up one and folds the one that leaves by that rule
+    xt = [-c % p for c in field.modulus[:t]]
+    residues, r = [], xt
+    for _ in range(t - 1):
+        residues.append(pack(r))
+        r = [(lo + r[-1] * c) % p for lo, c in zip([0] + r[:-1], xt)]
+    low, top = (1 << s * t) - 1, s * t
+    high_digits, digits = _lanes(s, t - 1), _lanes(s, t)
 
     def reduce(v):
-        d = [(v >> sh & mask) % p for sh in wide]
-        low = sum(map(operator.lshift, d[:t], shifts))
-        low += sum(map(operator.mul, d[t:], residues))
-        return sum(map(operator.lshift,
-                       [(low >> sh & mask) % p for sh in shifts], shifts))
+        v = (v & low) + sum(map(operator.mul, high_digits(v >> top), residues))
+        return pack(map(p.__rmod__, digits(v)))
 
-    return pack, reduce, 2 * t - 1
+    def unpack(v):
+        return tuple(digits(v))
+
+    return pack, reduce, unpack, s * (2 * t - 1)
+
+
+def _product_bound(field: Field, terms: int) -> int:
+    """The largest digit of a sum of ``terms`` packed products.
+
+    In GF(p^t) a digit of a packed product is a sum of at most t
+    products of coordinates, each at most (p - 1)**2; a tower level
+    adds two such products in its middle block (ad + bc), so with L
+    levels above GF(p^t) a product digit is at most
+    t*(p - 1)**2 * 2**L.  A product has its digits at fixed positions,
+    so a sum of ``terms`` of them adds digit by digit.
+    """
+    base, levels = field, 0
+    while isinstance(base, TowerSpec):
+        base, levels = base.base, levels + 1
+    return terms * base.t * (base.p - 1) ** 2 << levels
 
 
 def kronecker(field: Field, terms: int):
@@ -692,25 +776,24 @@ def kronecker(field: Field, terms: int):
 
     ``pack`` maps an element to one int (see ``_packing``), so that
     Python's big-int multiply does the polynomial product of two
-    elements; ``reduce`` maps a sum of such products to an int that is 0
-    exactly when the sum of the element products is 0.  The digit width
-    s makes the sum exact.  In GF(p^t) a digit of a packed product is a
-    sum of at most t products of coordinates, each at most (p - 1)**2; a
-    tower level adds two such products in its middle block (ad + bc), so
-    with L levels above GF(p^t) a product digit is at most
-    t*(p - 1)**2 * 2**L.  A product has its digits at fixed positions,
-    so a sum of ``terms`` of them adds digit by digit, at most
-    terms*t*(p - 1)**2 * 2**L < 2**s: no digit carries into the next.
-    Inside ``reduce`` no digit exceeds one product's bound either: in
-    GF(p^t) a digit below p gains t - 1 residue terms of at most
-    (p - 1)**2 each, and a fold adds a coordinate below p to one
-    product of the level below, at most t*(p - 1)**2 * 2**(L - 1) + p - 1.
+    elements; ``reduce`` maps a sum of such products to the packed
+    canonical value of the sum of the element products, 0 exactly when
+    that sum is 0.
+
+    The sum is exact.  Its products have their digits at fixed
+    positions, so it adds digit by digit, each digit at most the bound B
+    of ``_product_bound``.  In GF(p^t), t > 1, ``reduce`` adds to each of
+    the t low digits the dot product of the t - 1 high digits with one
+    coordinate of each packed residue of x**(t + j); the coordinates are
+    below p, so a folded digit is at most B*(1 + (t - 1)*(p - 1)), and
+    the lane width s of ``_packing`` holds that: no digit carries into
+    the next before each is taken mod p.  A tower reduces its three
+    blocks at the same bound, then folds y**2 by adding a value with
+    coordinates below p to one product of the level below, at most
+    t*(p - 1)**2 * 2**(L - 1) + p - 1 <= B, so no digit inside ``reduce``
+    exceeds the bound of one product either.
     """
-    base, levels = field, 0
-    while isinstance(base, TowerSpec):
-        base, levels = base.base, levels + 1
-    s = (terms * base.t * (base.p - 1) ** 2 << levels).bit_length()
-    pack, reduce, _ = _packing(field, s)
+    pack, reduce, _, _ = _packing(field, _product_bound(field, terms))
     return (lambda x: pack(x.value)), reduce
 
 

@@ -7,7 +7,9 @@ walk, ``first_dependent_subset``, that the package decides independence
 with, and the lex oracle tests every k-subset of columns, self-dual
 code or not.  The tower arithmetic recurses through element objects of
 every level, as the package did before its towers multiplied raw
-values, and the splitting check is the package's earlier, longer body.
+values; powers square and multiply those objects, as the package did
+before it packed them, and the splitting check is the package's
+earlier, longer body.
 The irreducibility test is the package's earlier one, with its own
 integer-list polynomial arithmetic mod p instead of the ring of
 ``FieldSpec``.
@@ -22,7 +24,7 @@ from selfdual import (
     cyclotomic_coset,
     frobenius,
 )
-from selfdual.errors import NotCoprime, ZeroInSet
+from selfdual.errors import NotCoprime, ZeroElement, ZeroInSet
 from selfdual.linalg import null_space, row_reduce
 from selfdual.numtheory import factorize
 
@@ -164,10 +166,14 @@ def tower_inv_oracle(field, x):
     return _join(field, mul(a - mul(b, c1), ninv), mul(-b, ninv))
 
 
-def tower_pow_oracle(field, x, e):
-    """x**e by square and multiply over ``tower_mul_oracle``."""
+def pow_oracle(field, x, e):
+    """x**e by square and multiply over ``tower_mul_oracle``, on element
+    objects in every field; a negative e first takes x**(q - 2), the
+    Fermat inverse, so no step runs through the package's powers."""
     if e < 0:
-        x, e = tower_inv_oracle(field, x), -e
+        if not x:
+            raise ZeroElement("division by zero")
+        x, e = pow_oracle(field, x, field.order - 2), -e
     result = field.one
     while e:
         if e & 1:

@@ -8,8 +8,9 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import _pmod, poly_is_irreducible_oracle
+from oracles import _pmod, poly_is_irreducible_oracle, pow_oracle
 from selfdual import fields
 from selfdual.errors import (
     DegreeZero,
@@ -28,6 +29,7 @@ from selfdual.fields import (
     field_to_json,
     find_primitive_element,
     frobenius,
+    kronecker,
     make_field,
     nth_root_of_unity,
     poly_is_irreducible,
@@ -148,12 +150,20 @@ def test_reduce_folds_long_input_like_polynomial_remainder(p, t):
 
 @pytest.mark.parametrize("p, t", REDUCE_FIELDS)
 def test_high_powers_of_x_are_cached_remainders(p, t):
+    # x**(t - 1) * x**(j + 1) packs to one digit at x**(t + j), so its
+    # reduction is that power's residue column of the cached layout
     field = FieldSpec(p, t, make_field(p, t).modulus)
-    powers = field._high_powers
-    assert len(powers) == t - 1 and field._high_powers is powers
-    for j, v in enumerate(powers):
+    layout = field._packed
+    assert field._packed is layout
+    pack, reduce, unpack = layout
+
+    def x_to(i):
+        return tuple(int(i == k) for k in range(t))
+
+    for j in range(t - 1):
         rem = _pmod([0] * (t + j) + [1], field.modulus, p)
-        assert v == tuple(rem + [0] * (t - len(rem)))
+        assert unpack(reduce(pack(x_to(t - 1)) * pack(x_to(j + 1)))) == \
+            tuple(rem + [0] * (t - len(rem)))
 
 
 def test_field_is_cached():
@@ -201,6 +211,79 @@ def test_pow_matches_repeated_multiplication():
         assert x ** e == acc
         acc = acc * x
     assert x ** -1 == x.inverse()
+
+
+# GF(p) up to 2**31 - 1; GF(p^t) up to t = 16; the ring GF(5)[x]/(x**3 + 1)
+# (x**3 + 1 = (x + 1)(x**2 - x + 1)), as Rabin's test builds; GF(q^2) and
+# GF(q^4) over prime and over GF(p^t) bases; characteristic 2, where c1 != 0
+POW_FIELDS = [
+    make_field(2**31 - 1, 1),
+    make_field(2, 1),
+    make_field(47, 1),
+    make_field(31, 3),
+    make_field(2, 8),
+    make_field(7, 9),
+    make_field(3, 16),
+    FieldSpec(5, 3, (1, 0, 0, 1)),
+    quadratic_extension(make_field(47, 1)),
+    quadratic_extension(quadratic_extension(make_field(47, 1))),
+    quadratic_extension(make_field(3, 2)),
+    quadratic_extension(quadratic_extension(make_field(5, 2))),
+    quadratic_extension(make_field(2, 3)),
+    quadratic_extension(quadratic_extension(make_field(2, 2))),
+]
+
+
+@st.composite
+def power_case(draw):
+    field = draw(st.sampled_from(POW_FIELDS))
+    q = field.order
+    # norm descent splits e at multiples of Q + 1, the order of the norm's
+    # kernel, with Q the order of the base
+    Q = field.base.order if isinstance(field, TowerSpec) else q
+    x = field.from_int(draw(st.just(0) | st.integers(0, q - 1)))
+    e = draw(st.sampled_from([0, 1, -1, q - 2, q - 1, q, q + 1])
+             | st.integers(-2 * q, 3 * q)
+             | st.builds(lambda a, b: a * (Q + 1) + b,
+                         st.integers(-3, 5), st.sampled_from([0, 1, Q])))
+    return field, x, e
+
+
+@settings(deadline=None, max_examples=300)
+@given(power_case())
+def test_pow_matches_the_object_square_and_multiply(case):
+    field, x, e = case
+    if not x and e < 0:
+        with pytest.raises(ZeroElement):
+            x ** e
+    else:
+        assert x ** e == pow_oracle(field, x, e)
+
+
+@pytest.mark.parametrize("p, t, terms, lane", [
+    (46337, 2, 10**4, 64),   # a folded lane fits 64 bits
+    (46337, 2, 10**5, 65),   # it does not: lanes read by shifts
+    (3, 16, 18, 16),         # the length-18 table code over GF(3^16)
+])
+def test_kronecker_is_exact_at_the_lane_width_edges(p, t, terms, lane):
+    field = make_field(p, t)
+    bits = fields._packing(field, fields._product_bound(field, terms))[3]
+    assert bits == lane * (2 * t - 1)
+    pack, reduce = kronecker(field, terms)
+    # every coordinate p - 1 puts each digit at its bound; a few random
+    # products stand in for the rest of a real sum
+    top = field.from_int(field.order - 1)
+    rng = random.Random(terms)
+    pairs = [(field.from_int(rng.randrange(field.order)),
+              field.from_int(rng.randrange(field.order))) for _ in range(8)]
+    packed = (terms - 8) * pack(top) ** 2
+    total = field.scalar(terms - 8) * top * top
+    for a, b in pairs:
+        packed += pack(a) * pack(b)
+        total = total + a * b
+    assert reduce(packed) == pack(total)
+    assert reduce(terms * pack(top) ** 2) == pack(field.scalar(terms)
+                                                  * top * top)
 
 
 # --- multiplicative structure ---
