@@ -7,10 +7,11 @@ the matrix rows are the shifts x**i * g(x) modulo x**n - lambda.
 Verification never approximates: self-duality is an exact matrix
 product, distances are exhaustive scans under a guard, and MDS checks
 are exhaustive column tests, seeded Monte-Carlo sampling, or a
-consecutive-root-run certificate.  Over fields with a log table the
-column tests and the sampler first try a Cauchy certificate on the
-reduced generator [I | A], which decides every GRS code of length at
-most q without a search and leaves their verdicts unchanged.
+consecutive-root-run certificate.  Each code reduces its generator once
+to [I | A], on log-table ints or packed values as a cost rule picks,
+and the column tests, the sampler and the automatic exhaustive rung
+first read a Cauchy certificate on it, which decides every GRS code of
+length at most q without a search and leaves their verdicts unchanged.
 ``certify_mds`` is the one ladder that chooses among them, for the
 builders and the CLI alike.
 """
@@ -53,7 +54,7 @@ from .linalg import (
     dlog_table,
     eliminate,
     first_dependent_subset,
-    row_reduce,
+    packed_field,
 )
 
 
@@ -102,8 +103,74 @@ def poly_divmod(num, den, field: Field):
 # linear codes
 # ---------------------------------------------------------------------------
 
+# The cost rule of a reduction.  A Zech table costs about q walk steps,
+# once per process, and then serves every reduction, column walk and
+# codeword scan over its field; a packed reduction costs about k*k*n
+# entry updates, each time it runs.  Measured on a 2-vCPU VM in GF(31^3),
+# GF(5^6), GF(2^12) and GF(7^4), a table step costs 1.6-2.1 us (the
+# linalg.dlog_build_ms.gf31_3 probe times one build) and a packed update
+# 3.5-6.4 us, and a builder and every later verify reduce the code again,
+# so a table is built when q is at most this many times k*k*n.  That
+# keeps GF(2^12) on its table for the [14, 7] table code (q = 6 k*k*n)
+# and sends GF(31^3) with [16, 8] and GF(5^6) with [10, 5] (29 and 62
+# times) to packed values: 2 and 1 ms of reduction against 50 and 25 ms
+# of table.
+TABLE_STEPS_PER_UPDATE = 8
+
+
+def _reduction_table(field: Field, k: int, n: int, dlog_limit: int,
+                     build: bool = True):
+    """The Zech table that reduces a k x n generator over ``field``, or
+    None for packed values.  Within ``dlog_limit``: the cached table, or
+    one built for a tower (packed tower products reduce three base
+    blocks each) or, with ``build``, when the cost rule above says the
+    table pays."""
+    table = dlog_table(field, dlog_limit, build=False)
+    if table is None and (isinstance(field, TowerSpec) or (
+            build and field.order <= TABLE_STEPS_PER_UPDATE * k * k * n)):
+        table = dlog_table(field, dlog_limit)
+    return table
+
+
+class ReducedForm(Frozen):
+    """A generator's reduced echelon form R = M G on one representation.
+
+    ``rows`` are R's rows as ``arith`` (a ``DlogTable`` or a
+    ``PackedField``) encodes them and ``pivots`` its pivot columns.
+    ``cauchy`` is the Cauchy certificate's verdict on R = [I | A]: when
+    it holds, every k-subset of columns is independent, so the code is
+    MDS.
+    """
+
+    _fields = ("arith", "rows", "pivots")
+
+    def __init__(self, arith, rows: list, pivots: tuple):
+        self._assign(arith, rows, pivots)
+
+    @functools.cached_property
+    def cauchy(self) -> bool:
+        return _cauchy_certified(self.arith, self.rows, self.pivots)
+
+    def rows_on(self, table) -> list:
+        """R's rows on ``table``'s log ints, or as element objects when
+        ``table`` is None."""
+        if table is self.arith:
+            return self.rows
+        rows = [list(map(self.arith.decode, row)) for row in self.rows]
+        if table is None:
+            return rows
+        return [list(map(table.encode, row)) for row in rows]
+
+
 class LinearCode(Frozen):
-    """An [n, k] code given by a full-rank k x n generator matrix."""
+    """An [n, k] code given by a full-rank k x n generator matrix.
+
+    Its reduced form is computed once, on first use (``_reduced``).  The
+    rank check needs no arithmetic when each row starts right of the one
+    above, as the shifted rows of the cyclic builders do.  Otherwise it
+    reads the reduced form when that runs on a table that is cached or
+    is a tower's, and else runs the lex walk on the element objects.
+    """
 
     _fields = ("field", "n", "k", "generator")
 
@@ -114,9 +181,33 @@ class LinearCode(Frozen):
         for row in generator:
             if len(row) != n:
                 raise ValueError("row length does not match n")
-        if first_dependent_subset(generator, k, field.zero,
-                                  eliminate) is not None:
+        # rows in echelon form are independent
+        leads = [next((j for j, x in enumerate(row) if x), n)
+                 for row in generator]
+        if all(map(operator.lt, leads, leads[1:] + [n])):
+            return
+        guards = current_guards()
+        if _reduction_table(field, k, n, guards.dlog_limit,
+                            build=False) is not None:
+            dependent = len(self._reduced(guards).pivots) < k
+        else:
+            dependent = first_dependent_subset(generator, k, field.zero,
+                                               eliminate) is not None
+        if dependent:
             raise ValueError("generator rows are dependent")
+
+    def _reduced(self, guards: GuardConfig | None = None) -> ReducedForm:
+        """The reduced form, on the representation ``_reduction_table``
+        picks under the guards of the first call."""
+        form = self.__dict__.get("_form")
+        if form is None:
+            table = _reduction_table(self.field, self.k, self.n,
+                                     current_guards(guards).dlog_limit)
+            arith = packed_field(self.field) if table is None else table
+            form = ReducedForm(arith, *arith.row_reduce(
+                [list(map(arith.encode, row)) for row in self.generator]))
+            self.__dict__["_form"] = form
+        return form
 
     # computed once per code: a builder, verify and mds_check all ask
     @functools.cached_property
@@ -143,9 +234,7 @@ def same_code(a: LinearCode, b: LinearCode) -> bool:
     """Row-space equality via the canonical reduced echelon form."""
     if a.n != b.n or a.k != b.k or a.field != b.field:
         return False
-    ra, _ = row_reduce(a.generator, a.field)
-    rb, _ = row_reduce(b.generator, b.field)
-    return ra == rb
+    return a._reduced().rows_on(None) == b._reduced().rows_on(None)
 
 
 class CyclicSpec(Frozen):
@@ -180,12 +269,17 @@ def _shift_root(field: Field, n: int, lam: Element, modulus: int) -> Element:
         raise ValueError("defining set modulus %d, expected %d"
                          % (modulus, r * n))
     base_root = nth_root_of_unity(field, r * n)
-    # base_root**i has order r*n / gcd(i, r*n) and n-th power shift**i
-    shift, acc, acc_n = base_root ** n, field.one, field.one
+    # base_root**i has order r*n / gcd(i, r*n) and n-th power shift**i;
+    # the walk multiplies packed ints, whose canonical values compare
+    # as ints
+    pack, reduce, unpack = field._packed
+    root, shift = pack(base_root.value), pack((base_root ** n).value)
+    want, acc = pack(lam.value), pack(field._one)
+    acc_n = acc
     for i in range(r * n):
-        if acc_n == lam and gcd(i, r * n) == 1:
-            return acc
-        acc, acc_n = acc * base_root, acc_n * shift
+        if acc_n == want and gcd(i, r * n) == 1:
+            return Element(field, unpack(acc))
+        acc, acc_n = reduce(acc * root), reduce(acc_n * shift)
     raise RootsNotInField("no root of order %d with alpha**n = lam" % (r * n))
 
 
@@ -289,19 +383,25 @@ def extend_code(code: LinearCode, gamma: Element) -> LinearCode:
 # distance and MDS verification
 # ---------------------------------------------------------------------------
 
-def _projective_scan(field: Field, rows, guards: GuardConfig) -> int:
-    """``DlogTable.min_weight`` of ``rows``, which must be independent,
-    or for k = 1 the weight of the lone row.  Refuses the zero code and
-    q**k above the codeword guard.  The table needs no guard of its own:
-    its q entries cost less than the (q**k - 1)/(q - 1) >= q + 1 words
-    the scan visits, which the codeword guard bounds.
-    """
-    k = len(rows)
+def _check_scan(field: Field, k: int, guards: GuardConfig) -> None:
+    """Refuse a scan of the zero code or of q**k above the codeword
+    guard."""
     if k == 0:
         raise ValueError("the zero code has no nonzero codeword")
     if field.order ** k > guards.codeword_limit:
         raise GuardExceeded(
             "q**k = %d exceeds the codeword guard" % field.order ** k)
+
+
+def _projective_scan(field: Field, rows, guards: GuardConfig) -> int:
+    """``DlogTable.min_weight`` of ``rows``, which must be independent,
+    or for k = 1 the weight of the lone row, after ``_check_scan``.  The
+    table needs no guard of its own: its q entries cost less than the
+    (q**k - 1)/(q - 1) >= q + 1 words the scan visits, which the
+    codeword guard bounds.
+    """
+    k = len(rows)
+    _check_scan(field, k, guards)
     if k == 1:
         return len(rows[0]) - rows[0].count(field.zero)
     table = dlog_table(field, field.order)
@@ -363,38 +463,38 @@ def _check_trials(trials: int) -> None:
         raise MalformedInput("trials must be at least 1, got %d" % trials)
 
 
-def _cauchy_certified(table, reduced, pivots) -> bool:
-    """Whether encoded reduced rows R = [I | A] have a Cauchy-like A, so
-    that no square block of A is singular and every k-subset of columns
-    of R is independent.  With one row or one column of A, nonzero
-    entries suffice.  False means only that this certificate does not
-    apply."""
+def _cauchy_certified(arith, reduced, pivots) -> bool:
+    """Whether reduced rows R = [I | A], encoded by ``arith`` (a
+    ``DlogTable`` or a ``PackedField``), have a Cauchy-like A, so that no
+    square block of A is singular and every k-subset of columns of R is
+    independent.  With one row or one column of A, nonzero entries
+    suffice.  False means only that this certificate does not apply."""
     k = len(reduced)
     if pivots != tuple(range(k)):
         return False
     a_rows = [row[k:] for row in reduced]
     if k <= 1 or len(a_rows[0]) <= 1:
-        return all(x != table.zero for row in a_rows for x in row)
-    return table.cauchy_points(a_rows) is not None
+        return all(x != arith.zero for row in a_rows for x in row)
+    return arith.cauchy_points(a_rows) is not None
 
 
 def mds_check(code: LinearCode, mode: str, trials: int = 1000,
               guards: GuardConfig | None = None) -> MdsVerdict:
     """MDS verification in one of two modes.
 
-    On the log-table path the generator is reduced once to R = [I | A];
-    when A is Cauchy-like (``DlogTable.cauchy_points``), as for every
-    GRS code of length at most q, every k-subset of columns is
-    independent, and each mode returns what its search below would:
+    Both first read the code's cached reduced form R = [I | A]
+    (``LinearCode._reduced``): when A is Cauchy-like, as for every GRS
+    code of length at most q, every k-subset of columns is independent,
+    and each mode returns what its search below would:
     ``certified-exact``, or every trial passing.  Otherwise
     ``exhaustive-columns`` tests that every k-subset of generator
     columns is independent (necessary and sufficient) with one
     elimination shared by all subsets, and refutes with the lex-first
     dependent subset; ``monte-carlo`` samples subsets with a seed
-    derived from (n, k, q) and tests each minor on the reduced echelon
-    form of the generator.  The root-run certificate is a rung of
-    ``certify_mds``.  Fewer than one trial is refused with
-    ``MalformedInput`` in either mode.
+    derived from (n, k, q) and tests each minor on R.  Only the searches
+    build a log table, for fields within ``dlog_limit``.  The root-run
+    certificate is a rung of ``certify_mds``.  Fewer than one trial is
+    refused with ``MalformedInput`` in either mode.
     """
     _check_trials(trials)
     guards = current_guards(guards)
@@ -404,29 +504,27 @@ def mds_check(code: LinearCode, mode: str, trials: int = 1000,
     if mode == "exhaustive-columns" and comb(n, k) > guards.column_limit:
         raise GuardExceeded("C(n, k) = %d exceeds the column guard"
                             % comb(n, k))
-    # fields within the dlog guard work on Zech-table ints
-    rows = code.generator
+    form = code._reduced(guards)
+    if form.cauchy:
+        return (MdsVerdict("certified-exact")
+                if mode == "exhaustive-columns" else
+                MdsVerdict("monte-carlo", trials=trials, passes=trials))
+    # the searches work on Zech-table ints within the dlog guard
     table = dlog_table(code.field, guards.dlog_limit)
-    if table is None:
-        zero, step = code.field.zero, eliminate
-    else:
-        zero, step = table.zero, table.eliminate
-        rows = [[table.encode(x) for x in row] for row in rows]
-        reduced, pivots = table.row_reduce(rows)
-        if _cauchy_certified(table, reduced, pivots):
-            return (MdsVerdict("certified-exact")
-                    if mode == "exhaustive-columns" else
-                    MdsVerdict("monte-carlo", trials=trials, passes=trials))
     if mode == "exhaustive-columns":
-        witness = first_dependent_subset([list(col) for col in zip(*rows)],
-                                         k, zero, step)
+        columns = [list(col) for col in zip(*code.generator)]
+        if table is None:
+            zero, step = code.field.zero, eliminate
+        else:
+            zero, step = table.zero, table.eliminate
+            columns = [list(map(table.encode, col)) for col in columns]
+        witness = first_dependent_subset(columns, k, zero, step)
         return MdsVerdict("certified-exact" if witness is None
                           else "refuted", witness=witness)
     # R = M G with M invertible and R's pivot columns the unit vectors:
     # G_S is singular exactly when R restricted to the rows of the pivots
     # outside S and the columns of S that are not pivots is singular
-    if table is None:
-        reduced, pivots = row_reduce(rows, code.field)
+    reduced, pivots = form.rows_on(table), form.pivots
     pivot_set = set(pivots)
     rng = random.Random("%d:%d:%d" % (n, k, code.field.order))
     passes = 0
@@ -544,7 +642,13 @@ def certify_mds(code: LinearCode, *, defining: DefiningSet | None = None,
 
     if tier == "exhaustive":
         try:
-            d = min_distance_exhaustive(code, guards)
+            _check_scan(code.field, k, guards)
+            # in auto mode a Cauchy-like reduced form proves
+            # d = n - k + 1 without the scan
+            if mode == "auto" and code._reduced(guards).cauchy:
+                d = target
+            else:
+                d = min_distance_exhaustive(code, guards)
         except GuardExceeded as exc:
             return MdsCertificate(
                 tier, MdsVerdict("guarded"), reason=exc.message,

@@ -1,11 +1,13 @@
-"""Matrix routines over field objects and over discrete-log ints.
+"""Matrix routines over field objects, discrete-log ints and packed ints.
 
 Every independence question (a minor, a generator's rank, all k-subsets
 of columns) is one lex column walk, ``first_dependent_subset``, with a
 step per representation: element objects, or over small fields the
 integer logs of ``DlogTable``, which alone holds that encoding and its
 one addition, ``add_multiple``, shared by its steps, codeword scan and
-Cauchy certificate ``cauchy_points``.
+Cauchy certificate ``cauchy_points``.  ``PackedField`` reduces and
+certifies on the packed values of ``fields._packing`` where no table is
+worth building.
 ``row_reduce`` gives echelon forms and kernels; it pivots on the first
 nonzero entry of each column, since the reduced form and its pivot
 columns are unique whatever the choice.
@@ -13,9 +15,16 @@ columns are unique whatever the choice.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 
-from .fields import Element, Field, find_primitive_element
+from .fields import (
+    Element,
+    Field,
+    _packing,
+    _product_bound,
+    find_primitive_element,
+)
 
 
 def mat_transpose(rows):
@@ -202,6 +211,11 @@ class DlogTable:
             return -1
         return self.log[self.field.index(x)]
 
+    def decode(self, e: int) -> Element:
+        if e == -1:
+            return self.field.zero
+        return self.field.from_int(self.pow_idx[e])
+
     def add_multiple(self, row, shift, terms):
         """row[t] += g**shift * g**x for each (t, x) in ``terms``, in place,
         as log(a + b) = log a + z[log b - log a]: the one Zech addition."""
@@ -352,13 +366,157 @@ class DlogTable:
 
 # tables kept at once; the least recently used one is dropped beyond it
 DLOG_CACHE_SIZE = 64
+_TABLES: dict = {}  # field -> DlogTable, least recently used first
+
+
+def dlog_table(field: Field, limit: int,
+               build: bool = True) -> DlogTable | None:
+    """Cached table for fields up to ``limit`` elements; None beyond, and
+    None when ``build`` is false and the field has no cached table.
+    Threads that ask for the same missing table at once may each build
+    one; every copy is the same table."""
+    if field.order > limit:
+        return None
+    table = _TABLES.pop(field, None)
+    if table is None:
+        if not build:
+            return None
+        table = DlogTable(field)
+        if len(_TABLES) >= DLOG_CACHE_SIZE:
+            _TABLES.pop(next(iter(_TABLES)), None)
+    _TABLES[field] = table
+    return table
+
+
+class PackedField:
+    """Packed-int arithmetic for a reduction and its Cauchy certificate
+    where no log table is worth building.
+
+    A value is one int of the Kronecker layout of ``fields._packing``
+    (0 is the zero), sized for one product plus a value: an entry update
+    u - f*v is ``reduce(u + (-f)*v)``, one reduction per update.  Every
+    int held is canonical, so equal values are equal ints.  An inverse
+    is one field inverse; ``inverses`` inverts a whole batch with one.
+    """
+
+    zero = 0
+
+    def __init__(self, field: Field):
+        self.pack, self.reduce, self.unpack, _ = _packing(
+            field, _product_bound(field, 1) + field.char)
+        self.field = field
+        self.one = self.pack(field._one)
+        self.minus_one = self.pack(field._neg(field._one))
+
+    def encode(self, x: Element) -> int:
+        return self.pack(x.value)
+
+    def decode(self, v: int) -> Element:
+        return Element(self.field, self.unpack(v))
+
+    def inverse(self, v: int) -> int:
+        return self.pack(self.field._inv(self.unpack(v)))
+
+    def inverses(self, values: list[int]) -> list[int]:
+        """1/v for each nonzero v by one field inverse of their product
+        (Montgomery): walking back, 1/v_i is the inverse of the prefix
+        product up to i times the prefix before it."""
+        if not values:
+            return []
+        reduce = self.reduce
+        prefix = list(itertools.accumulate(values,
+                                           lambda a, b: reduce(a * b)))
+        inv = self.inverse(prefix[-1])
+        out = [0] * len(values)
+        for i in range(len(values) - 1, 0, -1):
+            out[i] = reduce(inv * prefix[i - 1])
+            inv = reduce(inv * values[i])
+        out[0] = inv
+        return out
+
+    def row_reduce(self, rows: list[list[int]]):
+        """Gauss-Jordan on packed rows, as ``DlogTable.row_reduce``; the
+        reduced form is unique, so decoded it equals ``row_reduce``."""
+        reduce, minus_one = self.reduce, self.minus_one
+        mat = [list(row) for row in rows]
+        pivots = []
+        for col in range(len(mat[0]) if mat else 0):
+            r = len(pivots)
+            sel = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+            if sel is None:
+                continue
+            inv = self.inverse(mat[sel][col])
+            top = [reduce(x * inv) for x in mat[sel]]
+            mat[sel], mat[r] = mat[r], top
+            rest = [(t, x) for t, x in enumerate(top) if x]
+            for i, row in enumerate(mat):
+                if i != r and row[col]:
+                    factor = reduce(minus_one * row[col])
+                    for t, x in rest:
+                        row[t] = reduce(row[t] + factor * x)
+            pivots.append(col)
+            if len(pivots) == len(mat):
+                break
+        return mat[:len(pivots)], tuple(pivots)
+
+    def cauchy_points(self, a_rows: list[list[int]]):
+        """``DlogTable.cauchy_points`` on packed values: the same
+        recovery, formulas and check, with the trial values of c[1] the
+        first nonzero elements in canonical order instead of the first
+        powers of g, as many of them: the argument needs only distinct
+        nonzero trials.  The inverses of row 1 and of columns 0-1 of A
+        are one batch for all trials; each trial inverts one batch for y
+        and one for c."""
+        reduce, minus_one, one = self.reduce, self.minus_one, self.one
+        a0, a1, rest = a_rows[0], a_rows[1], a_rows[2:]
+        width = len(a0)
+        if not all(x for row in a_rows for x in row):
+            return None
+        inv = self.inverses(list(a1) + [row[0] for row in rest]
+                            + [row[1] for row in rest])
+        ratio = [reduce(a * b) for a, b in zip(a0, inv)]  # A[0][j] / A[1][j]
+        inv0, inv1 = inv[width:width + len(rest)], inv[width + len(rest):]
+        minus_a0 = [reduce(minus_one * a) for a in a0]
+        field = self.field
+        trials = min(len(a_rows) + width + 1, field.order - 1)
+        for index in range(1, trials + 1):
+            c1 = self.pack(field._from_int(index))
+            # y[j] = 1 / (1 - c1 * A[0][j] / A[1][j])
+            minus_c1 = reduce(minus_one * c1)
+            poles = [reduce(one + minus_c1 * v) for v in ratio]
+            if not all(poles):  # y[j] at infinity
+                continue
+            y = self.inverses(poles)
+            d = [reduce(v * a) for v, a in zip(y, minus_a0)]  # -y[j] A[0][j]
+            # c[i] = (y1 - y0) / (d0 / A[i][0] - d1 / A[i][1])
+            # x[i] = y0 + c[i] * d0 / A[i][0]
+            gap = reduce(y[1] + minus_one * y[0])
+            u = [reduce(d[0] * v) for v in inv0]
+            minus_d1 = reduce(minus_one * d[1])
+            den = [reduce(ui + minus_d1 * v) for ui, v in zip(u, inv1)]
+            if not gap or not all(den):
+                continue
+            c = [one, c1] + [reduce(gap * v) for v in self.inverses(den)]
+            x = [0, one] + [reduce(y[0] + ci * ui)
+                            for ci, ui in zip(c[2:], u)]
+            if (len(set(x)) == len(x) and len(set(y)) == width
+                    and self._cauchy_holds(a_rows, x, y, c, d)):
+                return x, y, c, d
+        return None
+
+    def _cauchy_holds(self, a_rows, x, y, c, d) -> bool:
+        """Whether A[i][j] * (x[i] - y[j]) = c[i] * d[j] for every entry
+        with x[i] - y[j] nonzero; c and d are nonzero by construction."""
+        reduce = self.reduce
+        minus_y = [reduce(self.minus_one * v) for v in y]
+        for row, xi, ci in zip(a_rows, x, c):
+            for a, my, dj in zip(row, minus_y, d):
+                diff = reduce(xi + my)
+                if not diff or reduce(a * diff) != reduce(ci * dj):
+                    return False
+        return True
 
 
 @functools.lru_cache(maxsize=DLOG_CACHE_SIZE)
-def _cached_table(field: Field) -> DlogTable:
-    return DlogTable(field)
-
-
-def dlog_table(field: Field, limit: int) -> DlogTable | None:
-    """Cached table for fields up to ``limit`` elements; None beyond."""
-    return None if field.order > limit else _cached_table(field)
+def packed_field(field: Field) -> PackedField:
+    return PackedField(field)

@@ -6,17 +6,21 @@ enumeration written here, independent of the scan in the package.
 import functools
 import itertools
 import json
+import os
 import random
 from collections import Counter
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from selfdual import codes as codes_module
+from selfdual import linalg as linalg_module
 from selfdual.codes import (
     CyclicSpec,
     LinearCode,
+    MdsCertificate,
     MdsVerdict,
     certify_mds,
     code_from_json,
@@ -798,6 +802,111 @@ def test_a_grs_code_reaches_neither_search(mode, monkeypatch):
         assert mds_check(code, mode, trials=50) == (
             MdsVerdict("certified-exact") if mode == "exhaustive-columns"
             else MdsVerdict("monte-carlo", trials=50, passes=50))
+
+
+@st.composite
+def grs_code_with_a_changed(draw):
+    """[I | A] of a GRS code with one entry of A changed (to zero, too):
+    full rank whatever the entry, MDS or not."""
+    code = draw(grs_code())
+    k = code.k
+    assume(k < code.n)
+    reduced, pivots = row_reduce(code.generator, code.field)
+    assume(pivots == tuple(range(k)))
+    rows = [list(row) for row in reduced]
+    i, j = draw(st.integers(0, k - 1)), draw(st.integers(k, code.n - 1))
+    rows[i][j] = code.field.from_int(draw(st.integers(0,
+                                                      code.field.order - 1)))
+    return LinearCode(code.field, code.n, k, tuple(map(tuple, rows)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(grs_code(), grs_code_with_a_changed(),
+                 code_with_planted_dependency()))
+def test_auto_exhaustive_rung_agrees_with_the_scan(code):
+    # auto mode reads the Cauchy verdict before it would scan; a forced
+    # exhaustive rung always scans: same tier, verdict and distance
+    assume(code.field.order ** code.k <= 10**5)
+    assert certify_mds(code) == certify_mds(code, mode="exhaustive")
+
+
+def test_auto_exhaustive_rung_scans_only_what_the_certificate_declines(
+        monkeypatch):
+    scans = []
+
+    def counting(code, guards=None):
+        scans.append(code)
+        return min_distance_exhaustive(code, guards)
+
+    # built first: the builder certifies its code
+    grs, n5 = vandermonde(make_field(11, 1), 8, 3), hermitian_n5_code(3)
+    monkeypatch.setattr(codes_module, "min_distance_exhaustive", counting)
+    for code in (grs, n5):
+        want = MdsCertificate("exhaustive", MdsVerdict("certified-exact"),
+                              distance_exact=code.n - code.k + 1)
+        assert certify_mds(code) == want
+        assert certify_mds(code, mode="exhaustive") == want
+    # the hermitian-n5 code is MDS but not GRS: auto mode scans it
+    assert scans == [grs, n5, n5]
+
+
+def test_auto_exhaustive_rung_keeps_its_codeword_guard():
+    code = vandermonde(make_field(11, 1), 8, 3)
+    assert code._reduced().cauchy
+    guards = GuardConfig(codeword_limit=11**3 - 1,
+                         exhaustive_tier_limit=11**3)
+    message = "q**k = 1331 exceeds the codeword guard"
+    assert certify_mds(code, guards=guards) == MdsCertificate(
+        "exhaustive", MdsVerdict("guarded"), reason=message,
+        warning=message + "; no distance computed")
+
+
+def test_a_packed_certificate_builds_no_table():
+    # GF(5^6) has 15625 elements against 8 k**2 n = 2000 updates of a
+    # [10, 5] reduction: the form is packed, and the certificate holds
+    field = make_field(5, 6)
+    linalg_module.dlog_table(field, field.order)
+    linalg_module._TABLES.pop(field)
+    points = [field.from_int(3 ** i) for i in range(10)]
+    code = LinearCode(field, 10, 5, tuple(tuple(a ** i for a in points)
+                                          for i in range(5)))
+    assert isinstance(code._reduced().arith, linalg_module.PackedField)
+    assert mds_check(code, "exhaustive-columns") == \
+        MdsVerdict("certified-exact")
+    assert mds_check(code, "monte-carlo", trials=5) == \
+        MdsVerdict("monte-carlo", trials=5, passes=5)
+    assert linalg_module.dlog_table(field, field.order, build=False) is None
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(COLUMN_FIELDS + [(3, 16), (7, 9)]), st.data())
+def test_rank_check_matches_the_rank_oracle(spec, data):
+    # the walk on element objects, a cached table's reduced form, and a
+    # tower's, each against the reduced echelon form of the oracle
+    field = _column_field(spec)
+    n = data.draw(st.integers(1, 7))
+    k = data.draw(st.integers(1, n))
+    entry = st.integers(0, field.order - 1).map(field.from_int)
+    rows = [[data.draw(entry) for _ in range(n)] for _ in range(k)]
+    if data.draw(st.booleans()):
+        combo = [field.zero] * n
+        for row in rows[1:]:
+            c = data.draw(entry)
+            combo = [a + c * x for a, x in zip(combo, row)]
+        rows[0] = combo
+    rows = tuple(map(tuple, rows))
+    full = matrix_rank(rows, field) == k
+    if field.order <= 2**20:  # a cached table carries the form
+        dlog_table(field, field.order)
+    for limit in (2**20, field.order - 1):
+        override = {"SELFDUAL_GUARD_OVERRIDE": "dlog_limit=%d" % limit}
+        with mock.patch.dict(os.environ, override):
+            try:
+                LinearCode(field, n, k, rows)
+                assert full
+            except ValueError:
+                assert not full
+
 
 
 @st.composite

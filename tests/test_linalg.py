@@ -3,7 +3,7 @@ oracle, and cache bounds."""
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from selfdual.fields import (
     FIELD_CACHE_SIZE,
@@ -15,9 +15,10 @@ from selfdual.fields import (
 from selfdual.linalg import (
     DLOG_CACHE_SIZE,
     DlogTable,
-    _cached_table,
+    _TABLES,
     det_nonzero,
     dlog_table,
+    packed_field,
     row_reduce,
 )
 from selfdual.numtheory import is_prime
@@ -101,27 +102,105 @@ def test_digit_walk_matches_the_power_walk(p, t, towers):
     assert (table.pow_idx, table.log, table.zech) == power_walk_tables(field)
 
 
-@settings(deadline=None, max_examples=200)
-@given(st.sampled_from(DET_FIELDS), st.data())
-def test_zech_row_reduce_decodes_to_the_element_form(spec, data):
-    field = _field(*spec)
-    table = dlog_table(field, field.order)
+def _random_rows(field, data):
+    """Up to 5 rows of up to 7 random entries, often with a dependent row
+    inserted, so that the rank is below the count."""
     n = data.draw(st.integers(1, 7))
     entry = st.integers(0, field.order - 1).map(field.from_int)
     rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
                               min_size=1, max_size=5))
-    if data.draw(st.booleans()):  # a dependent row, rank below the count
+    if data.draw(st.booleans()):
         combo = [field.zero] * n
         for row in rows:
             c = data.draw(entry)
             combo = [a + c * x for a, x in zip(combo, row)]
         rows.insert(data.draw(st.integers(0, len(rows))), combo)
+    return rows
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from(DET_FIELDS), st.data())
+def test_zech_row_reduce_decodes_to_the_element_form(spec, data):
+    field = _field(*spec)
+    table = dlog_table(field, field.order)
+    rows = _random_rows(field, data)
     reduced, pivots = table.row_reduce(
         [[table.encode(x) for x in row] for row in rows])
-    decoded = tuple(tuple(field.zero if e == -1
-                          else field.from_int(table.pow_idx[e])
-                          for e in row) for row in reduced)
+    decoded = tuple(tuple(map(table.decode, row)) for row in reduced)
     assert (decoded, pivots) == row_reduce(rows, field)
+
+
+# DET_FIELDS, then fields beyond any default table: GF(3^16) and GF(7^9)
+# of the reference table, a tower over GF(p^t) and GF(2^31 - 1)
+PACKED_FIELDS = DET_FIELDS + [(3, 16, 0), (7, 9, 0), (5, 2, 1),
+                              (2**31 - 1, 1, 0)]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from(PACKED_FIELDS), st.data())
+def test_packed_row_reduce_decodes_to_the_element_form(spec, data):
+    field = _field(*spec)
+    packed = packed_field(field)
+    rows = _random_rows(field, data)
+    reduced, pivots = packed.row_reduce(
+        [[packed.encode(x) for x in row] for row in rows])
+    decoded = tuple(tuple(map(packed.decode, row)) for row in reduced)
+    assert (decoded, pivots) == row_reduce(rows, field)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.sampled_from(PACKED_FIELDS), st.data())
+def test_packed_batch_inverse_matches_each_inverse(spec, data):
+    field = _field(*spec)
+    packed = packed_field(field)
+    values = data.draw(st.lists(st.integers(1, field.order - 1)
+                                .map(field.from_int), max_size=8))
+    got = packed.inverses([packed.encode(x) for x in values])
+    assert [packed.decode(v) for v in got] == [x.inverse() for x in values]
+
+
+@st.composite
+def cauchy_block(draw):
+    """(field, A) with A the block of a reduced GRS generator [I | A]
+    over a field within the default table cap, often with one entry
+    changed (to zero, too), so that both certificates must decline."""
+    field = _field(*draw(st.sampled_from(DET_FIELDS + [(13, 1, 0),
+                                                        (31, 2, 0)])))
+    q = field.order
+    n = draw(st.integers(min(q, 4), min(q, 9)))
+    k = draw(st.integers(2, max(2, n - 2)))
+    assume(n - k >= 2)
+    points = draw(st.permutations(range(q)))[:n]
+    scales = draw(st.lists(st.integers(1, q - 1), min_size=n, max_size=n))
+    rows = [[field.from_int(v) * field.from_int(a) ** i
+             for a, v in zip(points, scales)] for i in range(k)]
+    reduced, pivots = row_reduce(rows, field)
+    assume(pivots == tuple(range(k)))
+    a_rows = [list(row[k:]) for row in reduced]
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, n - k - 1))
+        a_rows[i][j] = field.from_int(draw(st.integers(0, q - 1)))
+    return field, a_rows
+
+
+@settings(deadline=None, max_examples=300)
+@given(cauchy_block())
+def test_packed_cauchy_points_accept_exactly_when_the_zech_ones_do(block):
+    field, a_rows = block
+    table = dlog_table(field, field.order)
+    packed = packed_field(field)
+    zech = table.cauchy_points([[table.encode(x) for x in row]
+                                for row in a_rows])
+    got = packed.cauchy_points([[packed.encode(x) for x in row]
+                                for row in a_rows])
+    assert (got is None) == (zech is None)
+    if got is not None:  # the identity, by element arithmetic
+        x, y, c, d = ([packed.decode(v) for v in part] for part in got)
+        assert len(set(x)) == len(x) and len(set(y)) == len(y)
+        assert all(c) and all(d)
+        for row, xi, ci in zip(a_rows, x, c):
+            for a, yj, dj in zip(row, y, d):
+                assert xi != yj and a * (xi - yj) == ci * dj
 
 
 # a prime field, GF(p^t), a tower, and characteristic 2 (half = 0)
@@ -196,11 +275,11 @@ def test_module_caches_stay_bounded():
     assert make_field.cache_info().currsize == FIELD_CACHE_SIZE
     assert find_primitive_element.cache_info().currsize == FIELD_CACHE_SIZE
     assert quadratic_extension.cache_info().currsize == TOWER_CACHE_SIZE
-    info = _cached_table.cache_info()
-    assert info.currsize == DLOG_CACHE_SIZE
+    assert len(_TABLES) == DLOG_CACHE_SIZE
     # least recently used first out: the newest table is kept, the
     # oldest is built again
-    dlog_table(make_field(primes[DLOG_CACHE_SIZE + 7], 1), 10**4)
-    assert _cached_table.cache_info().hits == info.hits + 1
-    dlog_table(make_field(2, 1), 2)
-    assert _cached_table.cache_info().misses == info.misses + 1
+    newest = make_field(primes[DLOG_CACHE_SIZE + 7], 1)
+    table = dlog_table(newest, 10**4, build=False)
+    assert table is not None and dlog_table(newest, 10**4) is table
+    assert dlog_table(make_field(2, 1), 2, build=False) is None
+    assert dlog_table(make_field(2, 1), 2) is not None
