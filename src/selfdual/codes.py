@@ -118,16 +118,15 @@ def poly_divmod(num, den, field: Field):
 TABLE_STEPS_PER_UPDATE = 8
 
 
-def _reduction_table(field: Field, k: int, n: int, dlog_limit: int,
-                     build: bool = True):
+def _reduction_table(field: Field, k: int, n: int, dlog_limit: int):
     """The Zech table that reduces a k x n generator over ``field``, or
     None for packed values.  Within ``dlog_limit``: the cached table, or
     one built for a tower (packed tower products reduce three base
-    blocks each) or, with ``build``, when the cost rule above says the
-    table pays."""
+    blocks each) or when the cost rule above says the table pays."""
     table = dlog_table(field, dlog_limit, build=False)
-    if table is None and (isinstance(field, TowerSpec) or (
-            build and field.order <= TABLE_STEPS_PER_UPDATE * k * k * n)):
+    steps = TABLE_STEPS_PER_UPDATE * k * k * n
+    if table is None and (isinstance(field, TowerSpec)
+                          or field.order <= steps):
         table = dlog_table(field, dlog_limit)
     return table
 
@@ -135,17 +134,29 @@ def _reduction_table(field: Field, k: int, n: int, dlog_limit: int,
 class ReducedForm(Frozen):
     """A generator's reduced echelon form R = M G on one representation.
 
-    ``rows`` are R's rows as ``arith`` (a ``DlogTable`` or a
-    ``PackedField``) encodes them and ``pivots`` its pivot columns.
+    ``rows`` are R's rows as packed values (``packed``) or as the log
+    ints of the field's Zech table, and ``pivots`` its pivot columns.
+    The form names its arithmetic by the field, not by a table, so it
+    keeps no table alive past ``DLOG_CACHE_SIZE``: log ints are the same
+    in every table of a field, and ``arith`` looks the table up again.
     ``cauchy`` is the Cauchy certificate's verdict on R = [I | A]: when
     it holds, every k-subset of columns is independent, so the code is
     MDS.
     """
 
-    _fields = ("arith", "rows", "pivots")
+    _fields = ("field", "packed", "rows", "pivots")
 
-    def __init__(self, arith, rows: list, pivots: tuple):
-        self._assign(arith, rows, pivots)
+    def __init__(self, field: Field, packed: bool, rows: list,
+                 pivots: tuple):
+        self._assign(field, packed, rows, pivots)
+
+    @property
+    def arith(self):
+        """The ``PackedField`` or the ``DlogTable`` that encodes ``rows``
+        (built again if the cache dropped it)."""
+        if self.packed:
+            return packed_field(self.field)
+        return dlog_table(self.field, self.field.order)
 
     @functools.cached_property
     def cauchy(self) -> bool:
@@ -154,9 +165,10 @@ class ReducedForm(Frozen):
     def rows_on(self, table) -> list:
         """R's rows on ``table``'s log ints, or as element objects when
         ``table`` is None."""
-        if table is self.arith:
+        if table is not None and not self.packed:
             return self.rows
-        rows = [list(map(self.arith.decode, row)) for row in self.rows]
+        arith = self.arith
+        rows = [list(map(arith.decode, row)) for row in self.rows]
         if table is None:
             return rows
         return [list(map(table.encode, row)) for row in rows]
@@ -167,9 +179,8 @@ class LinearCode(Frozen):
 
     Its reduced form is computed once, on first use (``_reduced``).  The
     rank check needs no arithmetic when each row starts right of the one
-    above, as the shifted rows of the cyclic builders do.  Otherwise it
-    reads the reduced form when that runs on a table that is cached or
-    is a tower's, and else runs the lex walk on the element objects.
+    above, as the shifted rows of the cyclic builders do; otherwise it
+    counts the reduced form's pivots.
     """
 
     _fields = ("field", "n", "k", "generator")
@@ -186,14 +197,7 @@ class LinearCode(Frozen):
                  for row in generator]
         if all(map(operator.lt, leads, leads[1:] + [n])):
             return
-        guards = current_guards()
-        if _reduction_table(field, k, n, guards.dlog_limit,
-                            build=False) is not None:
-            dependent = len(self._reduced(guards).pivots) < k
-        else:
-            dependent = first_dependent_subset(generator, k, field.zero,
-                                               eliminate) is not None
-        if dependent:
+        if len(self._reduced().pivots) < k:
             raise ValueError("generator rows are dependent")
 
     def _reduced(self, guards: GuardConfig | None = None) -> ReducedForm:
@@ -204,7 +208,7 @@ class LinearCode(Frozen):
             table = _reduction_table(self.field, self.k, self.n,
                                      current_guards(guards).dlog_limit)
             arith = packed_field(self.field) if table is None else table
-            form = ReducedForm(arith, *arith.row_reduce(
+            form = ReducedForm(self.field, table is None, *arith.row_reduce(
                 [list(map(arith.encode, row)) for row in self.generator]))
             self.__dict__["_form"] = form
         return form
@@ -491,8 +495,9 @@ def mds_check(code: LinearCode, mode: str, trials: int = 1000,
     columns is independent (necessary and sufficient) with one
     elimination shared by all subsets, and refutes with the lex-first
     dependent subset; ``monte-carlo`` samples subsets with a seed
-    derived from (n, k, q) and tests each minor on R.  Only the searches
-    build a log table, for fields within ``dlog_limit``.  The root-run
+    derived from (n, k, q) and tests each minor on R.  The reduction
+    builds a log table when the cost rule picks one; otherwise only the
+    searches build one, for fields within ``dlog_limit``.  The root-run
     certificate is a rung of ``certify_mds``.  Fewer than one trial is
     refused with ``MalformedInput`` in either mode.
     """

@@ -1,16 +1,17 @@
 """Matrix routines over field objects, discrete-log ints and packed ints.
 
-Every independence question (a minor, a generator's rank, all k-subsets
-of columns) is one lex column walk, ``first_dependent_subset``, with a
+Every independence question on columns (a minor, all k-subsets of
+columns) is one lex column walk, ``first_dependent_subset``, with a
 step per representation: element objects, or over small fields the
 integer logs of ``DlogTable``, which alone holds that encoding and its
 one addition, ``add_multiple``, shared by its steps, codeword scan and
 Cauchy certificate ``cauchy_points``.  ``PackedField`` reduces and
 certifies on the packed values of ``fields._packing`` where no table is
 worth building.
-``row_reduce`` gives echelon forms and kernels; it pivots on the first
-nonzero entry of each column, since the reduced form and its pivot
-columns are unique whatever the choice.
+``row_reduce`` gives echelon forms and kernels (a generator's rank is
+the pivot count of its reduced form, on whichever representation); it
+pivots on the first nonzero entry of each column, since the reduced
+form and its pivot columns are unique whatever the choice.
 """
 from __future__ import annotations
 

@@ -4,10 +4,12 @@ Minimum distances are cross-checked against a naive full message
 enumeration written here, independent of the scan in the package.
 """
 import functools
+import gc
 import itertools
 import json
 import os
 import random
+import weakref
 from collections import Counter
 from math import comb
 from unittest import mock
@@ -514,7 +516,7 @@ def test_column_walk_expands_only_prefixes_that_fit(dlog_limit, monkeypatch):
             return step(pivot_col, p, rows)
         return walk(columns, k, zero, counted)
 
-    # built first: its rank check runs the same walk
+    # built first: the builder certifies its code
     code = hermitian_n5_code(3)
     n, k = code.n, code.k
     monkeypatch.setattr(codes_module, "det_nonzero", refuse)
@@ -792,7 +794,7 @@ def test_a_grs_code_reaches_neither_search(mode, monkeypatch):
     def refuse(*args):
         raise AssertionError("search reached")
 
-    # built first: their rank checks run the walk
+    # built first: build_grs_hermitian certifies its code
     codes = [vandermonde(make_field(11, 1), 9, 4),
              build_grs_hermitian(13, 1, 12).code]
     for name in ("first_dependent_subset", "det_nonzero"):
@@ -878,11 +880,28 @@ def test_a_packed_certificate_builds_no_table():
     assert linalg_module.dlog_table(field, field.order, build=False) is None
 
 
+def test_a_reduced_form_keeps_no_table_alive():
+    # the form names its table by the field: a table the cache drops is
+    # freed, and the one built again reads the same log ints
+    field = make_field(103, 1)
+    code = vandermonde(field, 9, 4)
+    form = code._reduced()
+    assert not form.packed
+    table = weakref.ref(linalg_module._TABLES.pop(field))
+    gc.collect()
+    assert table() is None
+    assert form.cauchy
+    assert form.rows_on(None) == [list(row) for row in
+                                  row_reduce(code.generator, field)[0]]
+    assert mds_check(code, "monte-carlo", trials=5) == \
+        MdsVerdict("monte-carlo", trials=5, passes=5)
+
+
 @settings(deadline=None, max_examples=150)
 @given(st.sampled_from(COLUMN_FIELDS + [(3, 16), (7, 9)]), st.data())
 def test_rank_check_matches_the_rank_oracle(spec, data):
-    # the walk on element objects, a cached table's reduced form, and a
-    # tower's, each against the reduced echelon form of the oracle
+    # the reduced form on packed values, on a cached table and on a
+    # tower's table, each against the rank of the oracle
     field = _column_field(spec)
     n = data.draw(st.integers(1, 7))
     k = data.draw(st.integers(1, n))
