@@ -12,6 +12,8 @@ to [I | A], on log-table ints or packed values as a cost rule picks,
 and the column tests, the sampler and the automatic exhaustive rung
 first read a Cauchy certificate on it, which decides every GRS code of
 length at most q without a search and leaves their verdicts unchanged.
+The searches run on the same two integer encodings, never on element
+objects.
 ``certify_mds`` is the one ladder that chooses among them, for the
 builders and the CLI alike.
 """
@@ -50,9 +52,8 @@ from .fields import (
 )
 from .frozen import Frozen
 from .linalg import (
-    det_nonzero,
+    PackedField,
     dlog_table,
-    eliminate,
     first_dependent_subset,
     packed_field,
 )
@@ -162,16 +163,14 @@ class ReducedForm(Frozen):
     def cauchy(self) -> bool:
         return _cauchy_certified(self.arith, self.rows, self.pivots)
 
-    def rows_on(self, table) -> list:
-        """R's rows on ``table``'s log ints, or as element objects when
-        ``table`` is None."""
-        if table is not None and not self.packed:
+    def rows_on(self, arith) -> list:
+        """R's rows on ``arith``'s encoding (a ``DlogTable`` or a
+        ``PackedField``), or as element objects when ``arith`` is None."""
+        if arith is not None and isinstance(arith, PackedField) == self.packed:
             return self.rows
-        arith = self.arith
-        rows = [list(map(arith.decode, row)) for row in self.rows]
-        if table is None:
-            return rows
-        return [list(map(table.encode, row)) for row in rows]
+        rows = [list(map(self.arith.decode, row)) for row in self.rows]
+        return rows if arith is None else [list(map(arith.encode, row))
+                                           for row in rows]
 
 
 class LinearCode(Frozen):
@@ -207,7 +206,7 @@ class LinearCode(Frozen):
         if form is None:
             table = _reduction_table(self.field, self.k, self.n,
                                      current_guards(guards).dlog_limit)
-            arith = packed_field(self.field) if table is None else table
+            arith = table or packed_field(self.field)
             form = ReducedForm(self.field, table is None, *arith.row_reduce(
                 [list(map(arith.encode, row)) for row in self.generator]))
             self.__dict__["_form"] = form
@@ -495,11 +494,10 @@ def mds_check(code: LinearCode, mode: str, trials: int = 1000,
     columns is independent (necessary and sufficient) with one
     elimination shared by all subsets, and refutes with the lex-first
     dependent subset; ``monte-carlo`` samples subsets with a seed
-    derived from (n, k, q) and tests each minor on R.  The reduction
-    builds a log table when the cost rule picks one; otherwise only the
-    searches build one, for fields within ``dlog_limit``.  The root-run
-    certificate is a rung of ``certify_mds``.  Fewer than one trial is
-    refused with ``MalformedInput`` in either mode.
+    derived from (n, k, q) and tests each minor on R.  The searches run
+    on log-table ints within ``dlog_limit`` and on packed values beyond
+    that guard.  The root-run certificate is a rung of ``certify_mds``.
+    Fewer than one trial is refused with ``MalformedInput``.
     """
     _check_trials(trials)
     guards = current_guards(guards)
@@ -514,22 +512,20 @@ def mds_check(code: LinearCode, mode: str, trials: int = 1000,
         return (MdsVerdict("certified-exact")
                 if mode == "exhaustive-columns" else
                 MdsVerdict("monte-carlo", trials=trials, passes=trials))
-    # the searches work on Zech-table ints within the dlog guard
-    table = dlog_table(code.field, guards.dlog_limit)
+    # one encoding for both searches, chosen once
+    arith = (dlog_table(code.field, guards.dlog_limit)
+             or packed_field(code.field))
     if mode == "exhaustive-columns":
-        columns = [list(col) for col in zip(*code.generator)]
-        if table is None:
-            zero, step = code.field.zero, eliminate
-        else:
-            zero, step = table.zero, table.eliminate
-            columns = [list(map(table.encode, col)) for col in columns]
-        witness = first_dependent_subset(columns, k, zero, step)
+        columns = [list(map(arith.encode, col))
+                   for col in zip(*code.generator)]
+        witness = first_dependent_subset(columns, k, arith.zero,
+                                         arith.eliminate)
         return MdsVerdict("certified-exact" if witness is None
                           else "refuted", witness=witness)
     # R = M G with M invertible and R's pivot columns the unit vectors:
     # G_S is singular exactly when R restricted to the rows of the pivots
     # outside S and the columns of S that are not pivots is singular
-    reduced, pivots = form.rows_on(table), form.pivots
+    reduced, pivots = form.rows_on(arith), form.pivots
     pivot_set = set(pivots)
     rng = random.Random("%d:%d:%d" % (n, k, code.field.order))
     passes = 0
@@ -540,8 +536,7 @@ def mds_check(code: LinearCode, mode: str, trials: int = 1000,
         # a minor and its transpose are singular together
         minor = [[reduced[i][j] for i in free]
                  for j in subset if j not in pivot_set]
-        if not (det_nonzero(minor, code.field) if table is None
-                else table.det_nonzero(minor)):
+        if not arith.det_nonzero(minor):
             return MdsVerdict("refuted", trials=trials, passes=passes,
                               witness=tuple(subset))
         passes += 1

@@ -1,17 +1,15 @@
-"""Matrix routines over field objects, discrete-log ints and packed ints.
+"""Matrix routines over discrete-log ints and packed ints.
 
 Every independence question on columns (a minor, all k-subsets of
-columns) is one lex column walk, ``first_dependent_subset``, with a
-step per representation: element objects, or over small fields the
-integer logs of ``DlogTable``, which alone holds that encoding and its
-one addition, ``add_multiple``, shared by its steps, codeword scan and
-Cauchy certificate ``cauchy_points``.  ``PackedField`` reduces and
-certifies on the packed values of ``fields._packing`` where no table is
-worth building.
-``row_reduce`` gives echelon forms and kernels (a generator's rank is
-the pivot count of its reduced form, on whichever representation); it
-pivots on the first nonzero entry of each column, since the reduced
-form and its pivot columns are unique whatever the choice.
+columns) is one lex column walk, ``first_dependent_subset``.  Its step
+``eliminate``, Gauss-Jordan ``row_reduce`` (pivoting on the first
+nonzero entry: the reduced form is unique) and ``det_nonzero`` are
+written once, on ``_Reducer``, for the two integer encodings: the logs
+of ``DlogTable``, whose one addition ``add_multiple`` also serves its
+codeword scan and Cauchy certificate ``cauchy_points``, and the packed
+values of ``PackedField`` where no table is worth building.  Element
+objects do no linear algebra: the element ``row_reduce``,
+``det_nonzero`` and ``null_space`` run on ``packed_field`` and decode.
 """
 from __future__ import annotations
 
@@ -26,52 +24,6 @@ from .fields import (
     _product_bound,
     find_primitive_element,
 )
-
-
-def mat_transpose(rows):
-    return tuple(zip(*rows))
-
-
-def row_reduce(rows, field: Field):
-    """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return (), ()
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        if r >= len(mat):
-            break
-        sel = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-        if sel is None:
-            continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        inv = mat[r][col].inverse()
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                factor = mat[i][col]
-                mat[i] = [u - factor * v for u, v in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-    return tuple(map(tuple, mat[:r])), tuple(pivots)
-
-
-def null_space(rows, n: int, field: Field):
-    """Basis of the right kernel of a k x n matrix, as rows."""
-    reduced, pivots = row_reduce(rows, field)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(n) if c not in pivot_set]
-    zero, one = field.zero, field.one
-    basis = []
-    for f in free_cols:
-        vec = [zero] * n
-        vec[f] = one
-        for r, pc in enumerate(pivots):
-            vec[pc] = -reduced[r][f]
-        basis.append(tuple(vec))
-    return tuple(basis)
 
 
 def first_dependent_subset(columns, k: int, zero, step):
@@ -114,33 +66,62 @@ def first_dependent_subset(columns, k: int, zero, step):
     return walk(0, [list(col) for col in columns])
 
 
-def eliminate(pivot_col, p, rows):
-    """The walk's step on element objects: each row drops coordinate p
-    after losing row[p]/pivot_col[p] times ``pivot_col``."""
-    rest = [(t - (t > p), x) for t, x in enumerate(pivot_col)
-            if t != p and x]
-    inv = None
-    out = []
-    for row in rows:
-        new = row[:p] + row[p + 1:]
-        if row[p]:
-            if inv is None:
-                inv = pivot_col[p].inverse()
-            factor = row[p] * inv
-            for t, x in rest:
-                new[t] = new[t] - factor * x
-        out.append(new)
-    return out
+class _Reducer:
+    """Gauss-Jordan, the walk's step and the determinant, once for both
+    integer encodings.  A subclass gives ``zero``, ``encode``, ``decode``
+    and primitives: ``mul``, ``neg`` and ``inverse`` of nonzero values,
+    ``scale(row, f)``, a new row f * row, and ``add_multiple(row, f,
+    terms)``, row[t] += f * x for each (t, x) in ``terms`` in place.
+    Each is called once per row; the loops over entries stay in
+    ``scale`` and ``add_multiple``.
+    """
+
+    def row_reduce(self, rows: list[list[int]]):
+        """Reduced row echelon form; returns (rref_rows, pivot_columns),
+        which decode to the same element rows on either encoding."""
+        zero = self.zero
+        mat = [list(row) for row in rows]
+        pivots = []
+        for col in range(len(mat[0]) if mat else 0):
+            r = len(pivots)
+            sel = next((i for i in range(r, len(mat))
+                        if mat[i][col] != zero), None)
+            if sel is None:
+                continue
+            top = self.scale(mat[sel], self.inverse(mat[sel][col]))
+            mat[sel], mat[r] = mat[r], top
+            rest = [(t, x) for t, x in enumerate(top) if x != zero]
+            for i, row in enumerate(mat):
+                if i != r and row[col] != zero:
+                    self.add_multiple(row, self.neg(row[col]), rest)
+            pivots.append(col)
+            if len(pivots) == len(mat):
+                break
+        return mat[:len(pivots)], tuple(pivots)
+
+    def eliminate(self, pivot_col, p, rows):
+        """The walk's step: each row drops coordinate p after losing
+        row[p] / pivot_col[p] times ``pivot_col``."""
+        zero = self.zero
+        base = self.neg(self.inverse(pivot_col[p]))
+        rest = [(t - (t > p), x) for t, x in enumerate(pivot_col)
+                if t != p and x != zero]
+        out = []
+        for row in rows:
+            new = row[:p] + row[p + 1:]
+            if row[p] != zero:
+                self.add_multiple(new, self.mul(row[p], base), rest)
+            out.append(new)
+        return out
+
+    def det_nonzero(self, rows: list[list[int]]) -> bool:
+        """Whether a square matrix is nonsingular: its rows are
+        independent exactly when its columns are."""
+        return first_dependent_subset(rows, len(rows), self.zero,
+                                      self.eliminate) is None
 
 
-def det_nonzero(rows, field: Field) -> bool:
-    """Whether a square matrix is nonsingular: its rows are independent
-    exactly when its columns are."""
-    return first_dependent_subset(rows, len(rows), field.zero,
-                                  eliminate) is None
-
-
-class DlogTable:
+class DlogTable(_Reducer):
     """Log-table arithmetic for a field of order at most a few million.
 
     Elements are encoded as the exponent of the canonical primitive
@@ -217,6 +198,20 @@ class DlogTable:
             return self.field.zero
         return self.field.from_int(self.pow_idx[e])
 
+    def mul(self, a: int, b: int) -> int:
+        return (a + b) % (self.q - 1)
+
+    def neg(self, a: int) -> int:
+        # the field's -1 is g**half (half = 0 in characteristic 2)
+        return (a + self.half) % (self.q - 1)
+
+    def inverse(self, a: int) -> int:
+        return -a % (self.q - 1)
+
+    def scale(self, row, shift: int) -> list[int]:
+        m = self.q - 1
+        return [-1 if x == -1 else (x + shift) % m for x in row]
+
     def add_multiple(self, row, shift, terms):
         """row[t] += g**shift * g**x for each (t, x) in ``terms``, in place,
         as log(a + b) = log a + z[log b - log a]: the one Zech addition."""
@@ -230,47 +225,6 @@ class DlogTable:
             else:
                 z = zech[(term - cur) % m]
                 row[t] = -1 if z == -1 else (cur + z) % m
-
-    def eliminate(self, pivot_col, p, rows):
-        """The walk's step on encoded entries: row -= (row[p] / pivot) *
-        pivot_col, the negation folded into the log shift, as the
-        field's -1 is g**half (half = 0 in characteristic 2)."""
-        base = pivot_col[p] - self.half
-        rest = [(t - (t > p), x) for t, x in enumerate(pivot_col)
-                if t != p and x != -1]
-        out = []
-        for row in rows:
-            new = row[:p] + row[p + 1:]
-            if row[p] != -1:
-                self.add_multiple(new, row[p] - base, rest)
-            out.append(new)
-        return out
-
-    def row_reduce(self, rows: list[list[int]]):
-        """Gauss-Jordan on encoded rows; returns (rref_rows, pivot_columns).
-        The reduced form is unique, so decoded it equals ``row_reduce``
-        of the elements whichever nonzero entry each step pivots on."""
-        m = self.q - 1
-        mat = [list(row) for row in rows]
-        pivots = []
-        for col in range(len(mat[0]) if mat else 0):
-            r = len(pivots)
-            sel = next((i for i in range(r, len(mat)) if mat[i][col] != -1),
-                       None)
-            if sel is None:
-                continue
-            lead = mat[sel][col]
-            top = [-1 if x == -1 else (x - lead) % m for x in mat[sel]]
-            mat[sel], mat[r] = mat[r], top
-            rest = [(t, x) for t, x in enumerate(top) if x != -1]
-            for i, row in enumerate(mat):
-                # row -= row[col] * top, the negation as a shift by half
-                if i != r and row[col] != -1:
-                    self.add_multiple(row, row[col] + self.half, rest)
-            pivots.append(col)
-            if len(pivots) == len(mat):
-                break
-        return mat[:len(pivots)], tuple(pivots)
 
     def min_weight(self, rows: list[list[int]]) -> int:
         """Minimum weight over one word per projective message class of
@@ -298,11 +252,6 @@ class DlogTable:
         for pivot in range(k):
             rec(pivot + 1, list(rows[pivot]))
         return best
-
-    def det_nonzero(self, rows: list[list[int]]) -> bool:
-        """Nonsingularity of a square matrix of encoded entries."""
-        return first_dependent_subset(rows, len(rows), self.zero,
-                                      self.eliminate) is None
 
     def cauchy_points(self, a_rows: list[list[int]]):
         """Encoded (x, y, c, d) with A[i][j] * (x[i] - y[j]) = c[i] * d[j]
@@ -389,9 +338,9 @@ def dlog_table(field: Field, limit: int,
     return table
 
 
-class PackedField:
-    """Packed-int arithmetic for a reduction and its Cauchy certificate
-    where no log table is worth building.
+class PackedField(_Reducer):
+    """Packed-int arithmetic for the reductions, the walk and the Cauchy
+    certificate where no log table is worth building.
 
     A value is one int of the Kronecker layout of ``fields._packing``
     (0 is the zero), sized for one product plus a value: an entry update
@@ -435,30 +384,21 @@ class PackedField:
         out[0] = inv
         return out
 
-    def row_reduce(self, rows: list[list[int]]):
-        """Gauss-Jordan on packed rows, as ``DlogTable.row_reduce``; the
-        reduced form is unique, so decoded it equals ``row_reduce``."""
-        reduce, minus_one = self.reduce, self.minus_one
-        mat = [list(row) for row in rows]
-        pivots = []
-        for col in range(len(mat[0]) if mat else 0):
-            r = len(pivots)
-            sel = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-            if sel is None:
-                continue
-            inv = self.inverse(mat[sel][col])
-            top = [reduce(x * inv) for x in mat[sel]]
-            mat[sel], mat[r] = mat[r], top
-            rest = [(t, x) for t, x in enumerate(top) if x]
-            for i, row in enumerate(mat):
-                if i != r and row[col]:
-                    factor = reduce(minus_one * row[col])
-                    for t, x in rest:
-                        row[t] = reduce(row[t] + factor * x)
-            pivots.append(col)
-            if len(pivots) == len(mat):
-                break
-        return mat[:len(pivots)], tuple(pivots)
+    def mul(self, a: int, b: int) -> int:
+        return self.reduce(a * b)
+
+    def neg(self, a: int) -> int:
+        return self.reduce(self.minus_one * a)
+
+    def scale(self, row, f: int) -> list[int]:
+        reduce = self.reduce
+        return [reduce(x * f) for x in row]
+
+    def add_multiple(self, row, f, terms):
+        """row[t] += f * x for each (t, x) in ``terms``, in place."""
+        reduce = self.reduce
+        for t, x in terms:
+            row[t] = reduce(row[t] + f * x)
 
     def cauchy_points(self, a_rows: list[list[int]]):
         """``DlogTable.cauchy_points`` on packed values: the same
@@ -521,3 +461,36 @@ class PackedField:
 @functools.lru_cache(maxsize=DLOG_CACHE_SIZE)
 def packed_field(field: Field) -> PackedField:
     return PackedField(field)
+
+
+def _on_packed(rows, field: Field):
+    packed = packed_field(field)
+    return packed, [list(map(packed.encode, row)) for row in rows]
+
+
+def row_reduce(rows, field: Field):
+    """Reduced row echelon form of element rows; returns (rref_rows,
+    pivot_columns), the rows as tuples."""
+    packed, encoded = _on_packed(rows, field)
+    reduced, pivots = packed.row_reduce(encoded)
+    return tuple(tuple(map(packed.decode, row)) for row in reduced), pivots
+
+
+def det_nonzero(rows, field: Field) -> bool:
+    """Whether a square matrix of elements is nonsingular."""
+    packed, encoded = _on_packed(rows, field)
+    return packed.det_nonzero(encoded)
+
+
+def null_space(rows, n: int, field: Field):
+    """Basis of the right kernel of a k x n element matrix, as rows."""
+    packed, encoded = _on_packed(rows, field)
+    reduced, pivots = packed.row_reduce(encoded)
+    basis = []
+    for f in sorted(set(range(n)) - set(pivots)):
+        vec = [packed.zero] * n
+        vec[f] = packed.one
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = packed.neg(row[f])
+        basis.append(tuple(map(packed.decode, vec)))
+    return tuple(basis)

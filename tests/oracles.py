@@ -1,9 +1,11 @@
 """Independent oracles the tests check the package against.
 
 Each is written from the definition on field element objects; the two
-duals build on the package's ``null_space`` and ``frobenius``, and the
-rank on its ``row_reduce``.  None of them runs through the lex column
-walk, ``first_dependent_subset``, that the package decides independence
+duals build on the package's ``null_space`` and ``frobenius``.  The
+rank counts the rows of ``row_reduce_oracle``, the Gauss-Jordan on
+element objects that the package ran before it reduced only on integer
+encodings.  None of them runs through the lex column walk,
+``first_dependent_subset``, that the package decides independence
 with, and the lex oracle tests every k-subset of columns, self-dual
 code or not.  The tower arithmetic recurses through element objects of
 every level, as the package did before its towers multiplied raw
@@ -25,7 +27,7 @@ from selfdual import (
     frobenius,
 )
 from selfdual.errors import NotCoprime, ZeroElement, ZeroInSet
-from selfdual.linalg import null_space, row_reduce
+from selfdual.linalg import null_space
 from selfdual.numtheory import factorize
 
 
@@ -37,9 +39,36 @@ def poly_eval(c, x, field):
     return acc
 
 
+def row_reduce_oracle(rows, field):
+    """Reduced row echelon form on element objects; returns (rref_rows,
+    pivot_columns), the rows as tuples."""
+    mat = [list(r) for r in rows]
+    if not mat:
+        return (), ()
+    ncols = len(mat[0])
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        if r >= len(mat):
+            break
+        sel = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if sel is None:
+            continue
+        mat[r], mat[sel] = mat[sel], mat[r]
+        inv = mat[r][col].inverse()
+        mat[r] = [v * inv for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col]:
+                factor = mat[i][col]
+                mat[i] = [u - factor * v for u, v in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+    return tuple(map(tuple, mat[:r])), tuple(pivots)
+
+
 def matrix_rank(rows, field):
     """The number of nonzero rows of the reduced echelon form."""
-    reduced, _ = row_reduce(rows, field)
+    reduced, _ = row_reduce_oracle(rows, field)
     return len(reduced)
 
 

@@ -69,9 +69,8 @@ from selfdual.fields import (
 )
 from selfdual.linalg import (
     DlogTable,
-    det_nonzero,
+    PackedField,
     dlog_table,
-    mat_transpose,
     null_space,
     row_reduce,
 )
@@ -85,6 +84,7 @@ from oracles import (
     lex_column_oracle,
     matrix_rank,
     poly_eval,
+    row_reduce_oracle,
 )
 
 
@@ -474,7 +474,7 @@ def code_with_planted_dependency(draw):
             target = [t + c * x for t, x in zip(target, cols[j])]
         cols[planted[-1]] = target
     try:
-        return LinearCode(field, n, k, mat_transpose(cols))
+        return LinearCode(field, n, k, tuple(zip(*cols)))
     except ValueError:  # dependent rows
         assume(False)
 
@@ -483,7 +483,7 @@ def code_with_planted_dependency(draw):
 @given(code_with_planted_dependency())
 def test_column_walk_matches_the_lex_determinant_loop(code):
     want = lex_column_oracle(code)
-    # dlog_limit = q - 1 leaves the field without a table: element path
+    # dlog_limit = q - 1 leaves the field without a table: packed path
     for guards in (None, GuardConfig(dlog_limit=code.field.order - 1)):
         verdict = mds_check(code, "exhaustive-columns", guards=guards)
         assert (verdict.status, verdict.witness) == want
@@ -519,8 +519,8 @@ def test_column_walk_expands_only_prefixes_that_fit(dlog_limit, monkeypatch):
     # built first: the builder certifies its code
     code = hermitian_n5_code(3)
     n, k = code.n, code.k
-    monkeypatch.setattr(codes_module, "det_nonzero", refuse)
     monkeypatch.setattr(DlogTable, "det_nonzero", refuse)
+    monkeypatch.setattr(PackedField, "det_nonzero", refuse)
     monkeypatch.setattr(codes_module, "first_dependent_subset",
                         counting_walk)
     guards = GuardConfig(dlog_limit=dlog_limit)
@@ -542,8 +542,8 @@ def test_n_equal_2k_without_self_duality_walks_every_subset(dlog_limit):
     # that took self-duality for granted would certify this code
     f = make_field(5, 1)
     cols = [(1, 0), (0, 1), (0, 2), (1, 1)]
-    code = LinearCode(f, 4, 2, mat_transpose(
-        [[f.from_int(x) for x in col] for col in cols]))
+    code = LinearCode(f, 4, 2, tuple(zip(
+        *[[f.from_int(x) for x in col] for col in cols])))
     assert not is_euclidean_self_dual(code)
     guards = GuardConfig(dlog_limit=dlog_limit)
     assert mds_check(code, "exhaustive-columns", guards=guards) == \
@@ -606,7 +606,7 @@ def self_dual_code(draw):
 def test_self_dual_walk_matches_the_lex_determinant_loop(code):
     assert is_euclidean_self_dual(code) or is_hermitian_self_dual(code)
     want = lex_column_oracle(code)
-    # dlog_limit = q - 1 leaves the field without a table: element path
+    # dlog_limit = q - 1 leaves the field without a table: packed path
     for guards in (None, GuardConfig(dlog_limit=code.field.order - 1)):
         verdict = mds_check(code, "exhaustive-columns", guards=guards)
         assert (verdict.status, verdict.witness) == want
@@ -616,7 +616,7 @@ def monte_carlo_oracle(code, trials):
     """The sampler on full k x k minors of the generator, same seed."""
     n, k = code.n, code.k
     rng = random.Random("%d:%d:%d" % (n, k, code.field.order))
-    columns = mat_transpose(code.generator)
+    columns = tuple(zip(*code.generator))
     for passes in range(trials):
         subset = sorted(rng.sample(range(n), k))
         if not det_nonzero_oracle([[columns[j][i] for j in subset]
@@ -638,8 +638,8 @@ def test_monte_carlo_matches_the_full_minor_oracle(code, trials):
 @pytest.mark.parametrize("dlog_limit", [2**20, 1])
 def test_monte_carlo_calls_det_nonzero_once_per_trial(dlog_limit,
                                                       monkeypatch):
-    # the minors go through the two det_nonzero names, so a tracer that
-    # wraps them counts every one
+    # the minors go through the det_nonzero method of one encoding, the
+    # table's within dlog_limit and the packed one beyond it
     calls = Counter()
 
     def counting(name, fn):
@@ -648,11 +648,11 @@ def test_monte_carlo_calls_det_nonzero_once_per_trial(dlog_limit,
             return fn(*args)
         return counted
 
-    monkeypatch.setattr(codes_module, "det_nonzero",
-                        counting("element", det_nonzero))
     monkeypatch.setattr(DlogTable, "det_nonzero",
                         counting("zech", DlogTable.det_nonzero))
-    name = "zech" if dlog_limit > 1 else "element"
+    monkeypatch.setattr(PackedField, "det_nonzero",
+                        counting("packed", PackedField.det_nonzero))
+    name = "zech" if dlog_limit > 1 else "packed"
     guards = GuardConfig(dlog_limit=dlog_limit)
     mds = hermitian_n5_code(3)
     assert mds_check(mds, "monte-carlo", trials=50, guards=guards) == \
@@ -687,7 +687,7 @@ def assert_cauchy_like(code, points):
     """A of the reduced generator [I | A] is c_i d_j / (x_i - y_j), by
     element arithmetic, with distinct x, distinct y, nonzero c and d."""
     x, y, c, d = points
-    reduced, pivots = row_reduce(code.generator, code.field)
+    reduced, pivots = row_reduce_oracle(code.generator, code.field)
     assert pivots == tuple(range(code.k))
     assert len(set(x)) == len(x) and len(set(y)) == len(y)
     assert all(c) and all(d)
@@ -729,7 +729,7 @@ def test_cauchy_certificate_is_sound(code, trials):
         assert want == ("certified-exact", None)
     if points is not None:
         assert_cauchy_like(code, points)
-    # dlog_limit = q - 1 leaves the field without a table: element path
+    # dlog_limit = q - 1 leaves the field without a table: packed path
     for guards in (None, GuardConfig(dlog_limit=code.field.order - 1)):
         verdict = mds_check(code, "exhaustive-columns", guards=guards)
         assert (verdict.status, verdict.witness) == want
@@ -797,9 +797,9 @@ def test_a_grs_code_reaches_neither_search(mode, monkeypatch):
     # built first: build_grs_hermitian certifies its code
     codes = [vandermonde(make_field(11, 1), 9, 4),
              build_grs_hermitian(13, 1, 12).code]
-    for name in ("first_dependent_subset", "det_nonzero"):
-        monkeypatch.setattr(codes_module, name, refuse)
+    monkeypatch.setattr(codes_module, "first_dependent_subset", refuse)
     monkeypatch.setattr(DlogTable, "det_nonzero", refuse)
+    monkeypatch.setattr(PackedField, "det_nonzero", refuse)
     for code in codes:
         assert mds_check(code, mode, trials=50) == (
             MdsVerdict("certified-exact") if mode == "exhaustive-columns"
@@ -891,8 +891,8 @@ def test_a_reduced_form_keeps_no_table_alive():
     gc.collect()
     assert table() is None
     assert form.cauchy
-    assert form.rows_on(None) == [list(row) for row in
-                                  row_reduce(code.generator, field)[0]]
+    assert form.rows_on(None) == [list(row) for row in row_reduce_oracle(
+        code.generator, field)[0]]
     assert mds_check(code, "monte-carlo", trials=5) == \
         MdsVerdict("monte-carlo", trials=5, passes=5)
 
@@ -1006,7 +1006,7 @@ def test_mds_bch_certificate():
 
 @pytest.mark.parametrize("mode", ["exhaustive-columns", "monte-carlo"])
 def test_mds_check_log_tables_and_elements_agree(mode):
-    # dlog_limit=1 forces the element path: same draws, same witnesses
+    # dlog_limit=1 forces the packed path: same draws, same witnesses
     f = make_field(7, 1)
     no_tables = GuardConfig(dlog_limit=1)
     codes = [vandermonde(f, 6, 3)] + [rand_code(f, 6, 3, seed)
@@ -1017,6 +1017,27 @@ def test_mds_check_log_tables_and_elements_agree(mode):
         assert a == mds_check(code, mode, trials=64, guards=no_tables)
         statuses.add(a.status)
     assert "refuted" in statuses and len(statuses) == 2
+
+
+@pytest.mark.parametrize("p, t", [(3, 16), (7, 9)])
+def test_mds_check_above_the_table_cap_refutes_the_planted_dependency(p, t):
+    # GF(3^16) and GF(7^9) exceed the default dlog_limit: both searches
+    # run on packed values, and column 5 is planted in the span of
+    # columns 1 and 3
+    field = make_field(p, t)
+    rng = random.Random("%d:%d" % (p, t))
+    cols = [[field.from_int(rng.randrange(1, field.order)) for _ in range(3)]
+            for _ in range(7)]
+    a, b = (field.from_int(rng.randrange(1, field.order)) for _ in range(2))
+    cols[5] = [a * x + b * y for x, y in zip(cols[1], cols[3])]
+    code = LinearCode(field, 7, 3, tuple(zip(*cols)))
+    assert dlog_table(field, GuardConfig().dlog_limit) is None
+    status, witness = lex_column_oracle(code)
+    assert status == "refuted"
+    assert mds_check(code, "exhaustive-columns") == \
+        MdsVerdict("refuted", witness=witness)
+    assert mds_check(code, "monte-carlo", trials=40) == \
+        monte_carlo_oracle(code, 40)
 
 
 def test_certify_mds_rung_follows_facts_and_guards():

@@ -1,5 +1,5 @@
-"""The log-table kernels against element arithmetic and an elimination
-oracle, and cache bounds."""
+"""The log-table and packed kernels against element arithmetic and
+elimination oracles, and cache bounds."""
 import random
 
 import pytest
@@ -23,7 +23,7 @@ from selfdual.linalg import (
 )
 from selfdual.numtheory import is_prime
 
-from oracles import det_nonzero_oracle
+from oracles import det_nonzero_oracle, row_reduce_oracle
 
 # (p, t, number of quadratic extensions on top of GF(p^t))
 DET_FIELDS = [(2, 1, 0), (2, 2, 0), (2, 3, 0), (2, 1, 1), (2, 2, 1),
@@ -127,7 +127,7 @@ def test_zech_row_reduce_decodes_to_the_element_form(spec, data):
     reduced, pivots = table.row_reduce(
         [[table.encode(x) for x in row] for row in rows])
     decoded = tuple(tuple(map(table.decode, row)) for row in reduced)
-    assert (decoded, pivots) == row_reduce(rows, field)
+    assert (decoded, pivots) == row_reduce_oracle(rows, field)
 
 
 # DET_FIELDS, then fields beyond any default table: GF(3^16) and GF(7^9)
@@ -145,7 +145,44 @@ def test_packed_row_reduce_decodes_to_the_element_form(spec, data):
     reduced, pivots = packed.row_reduce(
         [[packed.encode(x) for x in row] for row in rows])
     decoded = tuple(tuple(map(packed.decode, row)) for row in reduced)
-    assert (decoded, pivots) == row_reduce(rows, field)
+    assert (decoded, pivots) == row_reduce_oracle(rows, field)
+    assert row_reduce(rows, field) == (decoded, pivots)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from(PACKED_FIELDS), st.data())
+def test_packed_determinant_and_step_match_the_element_oracle(spec, data):
+    # most of PACKED_FIELDS lie beyond the default dlog_limit, where the
+    # searches of mds_check run on packed values
+    field = _field(*spec)
+    packed = packed_field(field)
+    k = data.draw(st.integers(1, 5))
+    entry = st.integers(0, field.order - 1).map(field.from_int)
+    rows = data.draw(st.lists(st.lists(entry, min_size=k, max_size=k),
+                              min_size=k, max_size=k))
+    if data.draw(st.booleans()):  # a row in the span of the others
+        combo = [field.zero] * k
+        for row in rows[1:]:
+            c = data.draw(entry)
+            combo = [a + c * x for a, x in zip(combo, row)]
+        rows[0] = combo
+    encoded = [[packed.encode(x) for x in row] for row in rows]
+    want = det_nonzero_oracle(rows, field)
+    assert packed.det_nonzero(encoded) == want
+    assert det_nonzero(rows, field) == want
+    # one walk step: the other rows lose row[p] / pivot[p] times the
+    # pivot row and drop coordinate p
+    lead = next((i for i, row in enumerate(rows) if any(row)), None)
+    assume(lead is not None)
+    pivot = rows[lead]
+    p = next(t for t, x in enumerate(pivot) if x)
+    others = rows[:lead] + rows[lead + 1:]
+    stepped = packed.eliminate(encoded[lead], p,
+                               encoded[:lead] + encoded[lead + 1:])
+    assert [[packed.decode(v) for v in row] for row in stepped] == [
+        [u - row[p] / pivot[p] * v
+         for t, (u, v) in enumerate(zip(row, pivot)) if t != p]
+        for row in others]
 
 
 @settings(deadline=None, max_examples=100)

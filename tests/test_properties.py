@@ -29,7 +29,6 @@ from selfdual import (
 from selfdual.codes import certify_mds, extension_weight_audit, same_code
 from selfdual.errors import NotCoprime, ZeroElement, ZeroInSet
 from selfdual.fields import TowerSpec
-from selfdual.linalg import mat_transpose
 
 from oracles import (
     brute_weight_audit,
@@ -410,7 +409,7 @@ def test_column_check_matches_the_distance_definition_of_mds(code):
     d = min_distance_exhaustive(code, guards=LOOSE)
     assert (verdict.status == "certified-exact") == (d == code.n - code.k + 1)
     if verdict.status == "refuted":
-        cols = mat_transpose(code.generator)
+        cols = tuple(zip(*code.generator))
         sub = [[cols[j][i] for j in verdict.witness] for i in range(code.k)]
         assert matrix_rank(tuple(tuple(r) for r in sub), code.field) < code.k
 
