@@ -41,6 +41,8 @@ from .fields import (
     Element,
     Field,
     TowerSpec,
+    _packing,
+    _product_bound,
     element_from_json,
     element_order,
     element_to_json,
@@ -57,47 +59,6 @@ from .linalg import (
     first_dependent_subset,
     packed_field,
 )
-
-
-# ---------------------------------------------------------------------------
-# element-coefficient polynomials (constant term first)
-# ---------------------------------------------------------------------------
-
-def poly_trim(c, field: Field):
-    c = list(c)
-    while c and not c[-1]:
-        c.pop()
-    return c
-
-
-def poly_mul(a, b, field: Field):
-    if not a or not b:
-        return []
-    out = [field.zero] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = out[i + j] + ai * bj
-    return out
-
-
-def poly_divmod(num, den, field: Field):
-    num = poly_trim(num, field)
-    den = poly_trim(den, field)
-    if not den:
-        raise ZeroElement("polynomial division by zero")
-    quot = [field.zero] * max(0, len(num) - len(den) + 1)
-    rem = list(num)
-    inv_lead = den[-1].inverse()
-    while len(rem) >= len(den) and any(map(bool, rem)):
-        coef = rem[-1] * inv_lead
-        deg = len(rem) - len(den)
-        if coef:
-            quot[deg] = coef
-            for i, d in enumerate(den):
-                rem[deg + i] = rem[deg + i] - coef * d
-        rem.pop()
-    return quot, poly_trim(rem, field)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +184,7 @@ class LinearCode(Frozen):
         conj = (tuple(frobenius(self.field, x) for x in row)
                 for row in self.generator)
         return 2 * self.k == self.n and _gram_is_zero(
-            self.generator, tuple(conj), self.field)
+            self.generator, tuple(conj), self.field, conjugate=True)
 
     def codeword(self, message) -> tuple:
         word = [self.field.zero] * self.n
@@ -296,61 +257,78 @@ def generator_from_defining_set(field: Field, n: int, lam: Element,
     the coefficient field.
     """
     alpha = _shift_root(field, n, lam, T.modulus)
-    g = [field.one]
+    arith = packed_field(field)
+    reduce = arith.reduce
+    minus_powers = list(itertools.accumulate(  # -alpha**i
+        [arith.encode(alpha)] * max(T.elements, default=0),
+        lambda r, x: reduce(r * x), initial=arith.minus_one))
+    # g <- x*g - alpha**i * g, constant term first, one reduce per
+    # coefficient; g stays monic
+    g = [arith.one]
     for i in T.elements:
-        root = alpha ** i
-        g = poly_mul(g, [-root, field.one], field)
-    xn_lam = [-lam] + [field.zero] * (n - 1) + [field.one]
-    _, rem = poly_divmod(xn_lam, g, field)
-    if rem:
+        g = [reduce(lo + minus_powers[i] * hi)
+             for lo, hi in zip([0] + g, g)] + [arith.one]
+    if any(binomial_remainder(arith, g, n, arith.encode(lam))):
         raise NotDividing("generator does not divide x**n - lam")
-    return CyclicSpec(field, n, lam, T, tuple(g), alpha)
+    return CyclicSpec(field, n, lam, T, tuple(map(arith.decode, g)), alpha)
 
 
-def constacyclic_shift(word, lam: Element):
-    """One constacyclic shift: (c0..c_{n-1}) -> (lam*c_{n-1}, c0, ..)."""
-    return (lam * word[-1],) + tuple(word[:-1])
+def binomial_remainder(arith: PackedField, g: list, n: int,
+                       lam: int) -> list:
+    """The remainder of x**n - lam modulo the monic g of degree d, as its
+    d low coefficients (x**n - lam itself when d > n), constant term
+    first, by long division on the packed values of ``arith``: one
+    reduce per coefficient update."""
+    reduce, minus_one = arith.reduce, arith.minus_one
+    d = len(g) - 1
+    rem = [reduce(minus_one * lam)] + [0] * (n - 1) + [arith.one]
+    for top in range(n, d - 1, -1):
+        if rem[top]:
+            f, base = reduce(minus_one * rem[top]), top - d
+            for i in range(d):
+                rem[base + i] = reduce(rem[base + i] + f * g[i])
+    return rem[:d]
 
 
 def cyclic_generator_matrix(spec: CyclicSpec) -> LinearCode:
-    """Rows are x**i * g(x) reduced modulo x**n - lam, i = 0..k-1."""
+    """Rows are x**i * g(x), i = 0..k-1: g has degree n - k, so no row
+    reaches x**n and none is reduced modulo x**n - lam."""
     k = spec.k
     if k < 0:
         raise ValueError("defining set larger than the length")
-    row = list(spec.g) + [spec.field.zero] * (spec.n - len(spec.g))
-    rows = []
-    for _ in range(k):
-        rows.append(tuple(row))
-        row = list(constacyclic_shift(row, spec.lam))
-    return LinearCode(spec.field, spec.n, k, tuple(rows))
+    zero = (spec.field.zero,)
+    return LinearCode(spec.field, spec.n, k, tuple(
+        zero * i + spec.g + zero * (k - 1 - i) for i in range(k)))
 
 
 # ---------------------------------------------------------------------------
 # self-duality
 # ---------------------------------------------------------------------------
 
-def _gram_is_zero(rows_a, rows_b, field: Field) -> bool:
+def _gram_is_zero(rows_a, rows_b, field: Field,
+                  conjugate: bool = False) -> bool:
     """Whether every inner product of a row of A with a row of B is 0.
 
     Each entry is one integer dot product of packed rows, reduced once
     (see ``fields.kronecker``, which sizes the digits so that a sum of n
-    products is exact).
+    products is exact), and a nonzero entry stops the packing of A.
+    When B is A, or B is the conjugate of A (``conjugate``), entry
+    (j, i) is entry (i, j) or its conjugate, so the two are zero
+    together: only the entries j <= i are computed, and B is not packed
+    again when it is A.
     """
     if not rows_a or not rows_b:
         return True
     pack, reduce = kronecker(field, len(rows_a[0]))
-    return _packed_gram_is_zero((list(map(pack, ra)) for ra in rows_a),
-                                [list(map(pack, rb)) for rb in rows_b],
-                                reduce)
-
-
-def _packed_gram_is_zero(packed_a, packed_b, reduce) -> bool:
-    """``_gram_is_zero`` on rows already packed; ``packed_a`` is read
-    once and may be lazy, so a nonzero entry stops its packing."""
-    for pa in packed_a:
-        for pb in packed_b:
-            if reduce(sum(map(operator.mul, pa, pb))):
-                return False
+    half = conjugate or rows_b is rows_a
+    seen = [] if half else [list(map(pack, rb)) for rb in rows_b]
+    for i, ra in enumerate(rows_a):
+        pa = list(map(pack, ra))
+        if half:  # B's rows up to row i
+            rb = rows_b[i]
+            seen.append(pa if rb is ra else list(map(pack, rb)))
+        if any(reduce(sum(map(operator.mul, pa, pb))) for pb in seen):
+            return False
     return True
 
 
@@ -371,15 +349,16 @@ def is_hermitian_self_dual(code: LinearCode) -> bool:
 # ---------------------------------------------------------------------------
 
 def extend_code(code: LinearCode, gamma: Element) -> LinearCode:
-    """Append to every row the coordinate -gamma * (sum of the row)."""
-    zero = code.field.zero
-    rows = []
-    for row in code.generator:
-        total = zero
-        for x in row:
-            total = total + x
-        rows.append(tuple(row) + (-(gamma * total),))
-    return LinearCode(code.field, code.n + 1, code.k, tuple(rows))
+    """Append to every row the coordinate -gamma * (sum of the row): on
+    packed ints a sum of n products, exact at one reduction at the n-term
+    bound of ``fields.kronecker``."""
+    field = code.field
+    pack, reduce, unpack, _ = _packing(field, _product_bound(field, code.n))
+    minus_gamma = pack((-gamma).value)
+    rows = tuple((*row, Element(field, unpack(reduce(
+        minus_gamma * sum(pack(x.value) for x in row)))))
+        for row in code.generator)
+    return LinearCode(field, code.n + 1, code.k, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +553,8 @@ def _roots_mismatch(code: LinearCode, T: DefiningSet, lam: Element | None,
         initial=pack(field.one)))
     checks = [[powers[e * j % m] for j in range(n)] for e in T.elements]
     rows = (list(map(pack, row)) for row in code.generator)
-    if not _packed_gram_is_zero(rows, checks, reduce):
+    if any(reduce(sum(map(operator.mul, pa, pb)))
+           for pa in rows for pb in checks):
         return "generator rows do not vanish at the defining set's roots"
     return None
 

@@ -18,6 +18,7 @@ from .codes import (
     CyclicSpec,
     LinearCode,
     VerificationReport,
+    binomial_remainder,
     certify_mds,
     code_to_json,
     cyclic_generator_matrix,
@@ -25,7 +26,6 @@ from .codes import (
     generator_from_defining_set,
     is_euclidean_self_dual,
     is_hermitian_self_dual,
-    poly_divmod,
 )
 from .config import GuardConfig, current_guards
 from .cosets import DefiningSet, SplittingReport, check_duadic_splitting
@@ -58,6 +58,7 @@ from .fields import (
     sqrt_in_field,
 )
 from .frozen import Frozen
+from .linalg import packed_field
 from .numtheory import gamma_solvability, is_prime
 
 
@@ -477,9 +478,9 @@ def build_hermitian_n5(p: int, t: int,
         raise VerificationFailed("coefficient_descent",
                                  "generator coefficients are not in GF(q^2)")
     g = (prod, -s, tower.one)
-    x5_minus_1 = [-(tower.one)] + [tower.zero] * 4 + [tower.one]
-    _, rem = poly_divmod(x5_minus_1, list(g), tower)
-    if rem:
+    arith = packed_field(tower)
+    if any(binomial_remainder(arith, list(map(arith.encode, g)), 5,
+                              arith.one)):
         raise NotDividing("generator does not divide x^5 - 1")
     T = DefiningSet(5, (2, 3))
     rep = check_duadic_splitting(T, -q, 5, q * q)

@@ -14,7 +14,9 @@ before it packed them, and the splitting check is the package's
 earlier, longer body.
 The irreducibility test is the package's earlier one, with its own
 integer-list polynomial arithmetic mod p instead of the ring of
-``FieldSpec``.
+``FieldSpec``.  The element polynomial helpers are the arithmetic the
+package built constacyclic generators with before it built them on
+packed ints, and ``generator_oracle`` is that product of linear factors.
 """
 import itertools
 from math import gcd
@@ -37,6 +39,59 @@ def poly_eval(c, x, field):
     for coef in reversed(c):
         acc = acc * x + coef
     return acc
+
+
+def poly_trim(c, field):
+    """c without its trailing zero coefficients."""
+    c = list(c)
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def poly_mul(a, b, field):
+    """The product of element polynomials, constant term first."""
+    if not a or not b:
+        return []
+    out = [field.zero] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = out[i + j] + ai * bj
+    return out
+
+
+def poly_divmod(num, den, field):
+    """(quotient, remainder) of element polynomials by long division."""
+    num = poly_trim(num, field)
+    den = poly_trim(den, field)
+    if not den:
+        raise ZeroElement("polynomial division by zero")
+    quot = [field.zero] * max(0, len(num) - len(den) + 1)
+    rem = list(num)
+    inv_lead = den[-1].inverse()
+    while len(rem) >= len(den) and any(map(bool, rem)):
+        coef = rem[-1] * inv_lead
+        deg = len(rem) - len(den)
+        if coef:
+            quot[deg] = coef
+            for i, d in enumerate(den):
+                rem[deg + i] = rem[deg + i] - coef * d
+        rem.pop()
+    return quot, poly_trim(rem, field)
+
+
+def constacyclic_shift(word, lam):
+    """One constacyclic shift: (c0..c_{n-1}) -> (lam*c_{n-1}, c0, ..)."""
+    return (lam * word[-1],) + tuple(word[:-1])
+
+
+def generator_oracle(field, alpha, exponents):
+    """The product of x - alpha**i over the exponents, on element objects."""
+    g = [field.one]
+    for i in exponents:
+        g = poly_mul(g, [-pow_oracle(field, alpha, i), field.one], field)
+    return g
 
 
 def row_reduce_oracle(rows, field):

@@ -201,11 +201,11 @@ def test_construct_checks_each_code_self_dual_once(capsys, monkeypatch):
     keep = []  # keeps the counted rows alive, so no id is reused
     gram = codes._gram_is_zero
 
-    def spy(rows_a, rows_b, field):
+    def spy(rows_a, rows_b, field, **kwargs):
         keep.append(rows_a)
         key = (id(rows_a), rows_a is rows_b)
         counts[key] = counts.get(key, 0) + 1
-        return gram(rows_a, rows_b, field)
+        return gram(rows_a, rows_b, field, **kwargs)
 
     monkeypatch.setattr(codes, "_gram_is_zero", spy)
     rc, lines = run_cli(capsys, "construct", "dispatch", "--p", "7",

@@ -27,7 +27,6 @@ from selfdual.codes import (
     certify_mds,
     code_from_json,
     code_to_json,
-    constacyclic_shift,
     cyclic_generator_matrix,
     extend_code,
     extension_weight_audit,
@@ -36,8 +35,6 @@ from selfdual.codes import (
     is_hermitian_self_dual,
     mds_check,
     min_distance_exhaustive,
-    poly_divmod,
-    poly_mul,
     same_code,
 )
 from selfdual.config import GuardConfig
@@ -62,6 +59,7 @@ from selfdual.fields import (
     FieldSpec,
     TowerSpec,
     element_order,
+    frobenius,
     make_field,
     nth_root_of_unity,
     quadratic_extension,
@@ -77,13 +75,17 @@ from selfdual.linalg import (
 from selfdual.table import TABLE_ROWS
 
 from oracles import (
+    constacyclic_shift,
     det_nonzero_oracle,
     euclidean_dual,
+    generator_oracle,
     gram_is_zero_oracle,
     hermitian_dual,
     lex_column_oracle,
     matrix_rank,
+    poly_divmod,
     poly_eval,
+    poly_mul,
     row_reduce_oracle,
 )
 
@@ -177,6 +179,61 @@ def test_generator_refuses_roots_that_are_not_roots_of_the_binomial():
         generator_from_defining_set(f, 3, lam, DefiningSet(6, (2,)))
     spec = generator_from_defining_set(f, 3, lam, DefiningSet(6, (1, 3)))
     assert spec.k == 1 and spec.alpha ** 3 == lam
+
+
+# prime fields, extensions, towers over both, and a tower of towers
+GENERATOR_FIELDS = [(7, 1, 0), (13, 1, 0), (31, 1, 0), (2, 4, 0), (3, 3, 0),
+                    (5, 2, 0), (3, 4, 0), (3, 1, 1), (5, 1, 1), (2, 2, 1),
+                    (3, 2, 1), (2, 1, 2), (3, 1, 2)]
+
+
+@st.composite
+def defining_case(draw):
+    """A field, a shift constant lam (1 or another), a length n with
+    r*n | q - 1 for r the order of lam, and up to n + 1 exponents mod
+    r*n: those outside 1 mod r are not roots of x**n - lam."""
+    field = _tower(*draw(st.sampled_from(GENERATOR_FIELDS)))
+    q = field.order
+    lam = draw(st.just(field.one) | st.integers(2, q - 1).map(field.from_int))
+    r = element_order(lam)
+    n = draw(st.sampled_from([n for n in range(1, q) if (q - 1) % (r * n) == 0]
+                             or [0]))
+    assume(n)
+    exponents = draw(st.sets(st.integers(0, r * n - 1), max_size=n + 1))
+    return field, n, lam, DefiningSet(r * n, tuple(exponents))
+
+
+@settings(deadline=None, max_examples=150)
+@given(defining_case())
+def test_packed_generator_is_the_product_of_its_linear_factors(case):
+    field, n, lam, T = case
+    alpha = codes_module._shift_root(field, n, lam, T.modulus)
+    want = generator_oracle(field, alpha, T.elements)
+    binomial = [-lam] + [field.zero] * (n - 1) + [field.one]
+    if poly_divmod(binomial, want, field)[1]:
+        with pytest.raises(NotDividing):
+            generator_from_defining_set(field, n, lam, T)
+        return
+    spec = generator_from_defining_set(field, n, lam, T)
+    assert spec.g == tuple(want) and spec.alpha == alpha
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.sampled_from(GENERATOR_FIELDS), st.data())
+def test_binomial_remainder_is_the_long_division_remainder(spec, data):
+    # any monic g of degree d <= n + 1, so the remainder is rarely zero
+    field = _tower(*spec)
+    element = st.integers(0, field.order - 1).map(field.from_int)
+    n = data.draw(st.integers(1, 12))
+    g = data.draw(st.lists(element, max_size=n + 1)) + [field.one]
+    lam = data.draw(element)
+    arith = linalg_module.packed_field(field)
+    got = codes_module.binomial_remainder(
+        arith, list(map(arith.encode, g)), n, arith.encode(lam))
+    _, rem = poly_divmod([-lam] + [field.zero] * (n - 1) + [field.one],
+                         g, field)
+    assert list(map(arith.decode, got)) == (
+        rem + [field.zero] * (len(g) - 1 - len(rem)))
 
 
 def test_shift_root_is_the_first_power_of_full_order_over_lam():
@@ -361,6 +418,136 @@ def test_packed_gram_at_the_widest_digit_bound(p, t, levels):
     assert not codes_module._gram_is_zero(rows, off, field)
 
 
+def _one_pair_rows(field, sigma, i, j):
+    """Three independent rows of length 6 whose Gram matrix under the
+    pairing x . sigma(y) is zero except at (i, j) and (j, i): rows i and
+    j are (1, a, 0, ...) and (1, b, 0, ...) with 1 + a sigma(a) and
+    1 + b sigma(b) zero but 1 + a sigma(b) not, and the third row is
+    (0, 0, 1, a, 0, 0)."""
+    one, zero = field.one, field.zero
+    iso = [a for a in field.elements() if one + a * sigma(a) == zero]
+    a, b = next((a, b) for a in iso for b in iso if one + a * sigma(b))
+    rows = [None] * 3
+    rows[i], rows[j] = (one, a) + (zero,) * 4, (one, b) + (zero,) * 4
+    rows[3 - i - j] = (zero, zero, one, a, zero, zero)
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("i, j", [(0, 1), (0, 2), (1, 2)])
+@pytest.mark.parametrize("pairing", ["euclidean", "hermitian"])
+def test_self_duality_refuses_a_gram_with_one_nonzero_pair(pairing, i, j):
+    # the half check computes only the entries j <= i of each pair
+    if pairing == "euclidean":
+        field, check = make_field(5, 1), is_euclidean_self_dual
+
+        def sigma(x):
+            return x
+    else:
+        field, check = quadratic_extension(make_field(3, 1)), \
+            is_hermitian_self_dual
+
+        def sigma(x):
+            return frobenius(field, x)
+    rows = _one_pair_rows(field, sigma, i, j)
+    conj = [tuple(map(sigma, row)) for row in rows]
+    nonzero = {(a, b) for a in range(3) for b in range(3)
+               if not gram_is_zero_oracle([rows[a]], [conj[b]], field)}
+    assert nonzero == {(i, j), (j, i)}
+    assert not check(LinearCode(field, 6, 3, rows))
+
+
+# self-dual codes: Euclidean ones over GF(7), GF(8) and GF(81), Hermitian
+# ones over GF(25), GF(81) and GF(121), and a hermitian-n5 code
+SELF_DUAL_BUILDS = [
+    (build_euclidean_duadic_extended, (7, 1, 3)),
+    (build_euclidean_duadic_extended, (2, 3, 7)),
+    (build_euclidean_duadic_extended, (3, 4, 5)),
+    (build_grs_hermitian, (5, 1, 4)),
+    (build_grs_hermitian, (3, 2, 8)),
+    (build_hermitian_extended_duadic, (11, 1, 5)),
+    (build_hermitian_n5, (7, 1)),
+]
+
+
+@functools.cache
+def _self_dual_code(index):
+    builder, args = SELF_DUAL_BUILDS[index]
+    return builder(*args).code
+
+
+@st.composite
+def self_duality_case(draw):
+    """A field and rows: random rows, or random combinations of the rows
+    of a self-dual code, whose Gram matrix under its pairing is zero,
+    with or without one entry bumped."""
+    kind = draw(st.sampled_from(["random", "combined", "bumped"]))
+    if kind == "random":
+        field = _tower(*draw(st.sampled_from(GRAM_FIELDS)))
+        element = st.integers(0, field.order - 1).map(field.from_int)
+        n = draw(st.integers(1, 12))
+        return field, [tuple(draw(element) for _ in range(n))
+                       for _ in range(draw(st.integers(1, 4)))]
+    code = _self_dual_code(draw(st.integers(0, len(SELF_DUAL_BUILDS) - 1)))
+    field = code.field
+    element = st.integers(0, field.order - 1).map(field.from_int)
+    rows = [code.codeword([draw(element) for _ in range(code.k)])
+            for _ in range(draw(st.integers(1, code.k)))]
+    if kind == "bumped":
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, code.n - 1))
+        bump = field.from_int(draw(st.integers(1, field.order - 1)))
+        rows[i] = rows[i][:j] + (rows[i][j] + bump,) + rows[i][j + 1:]
+    return field, rows
+
+
+@settings(deadline=None, max_examples=150)
+@given(self_duality_case())
+def test_half_gram_matches_the_full_element_loop(case):
+    field, rows = case
+    assert (codes_module._gram_is_zero(rows, rows, field)
+            == gram_is_zero_oracle(rows, rows, field))
+    if isinstance(field, TowerSpec):
+        conj = [tuple(frobenius(field, x) for x in row) for row in rows]
+        assert (codes_module._gram_is_zero(rows, conj, field, conjugate=True)
+                == gram_is_zero_oracle(rows, conj, field))
+
+
+def test_a_self_duality_check_packs_each_row_once_and_reduces_half(
+        monkeypatch):
+    counts = Counter()
+    kronecker = codes_module.kronecker
+
+    def counting(field, terms):
+        pack, reduce = kronecker(field, terms)
+
+        def counted_pack(x):
+            counts["pack"] += 1
+            return pack(x)
+
+        def counted_reduce(v):
+            counts["reduce"] += 1
+            return reduce(v)
+
+        return counted_pack, counted_reduce
+
+    # [16, 8] over GF(31), then [8, 4] over GF(81), built unpatched
+    code, hermitian = (build_euclidean_duadic_extended(31, 1, 15).code,
+                       _self_dual_code(4))
+    monkeypatch.setattr(codes_module, "kronecker", counting)
+    k, n = code.k, code.n
+    assert codes_module._gram_is_zero(code.generator, code.generator,
+                                      code.field)
+    assert counts == {"pack": k * n, "reduce": k * (k + 1) // 2}
+    counts.clear()
+    code = hermitian
+    k, n = code.k, code.n
+    conj = tuple(tuple(frobenius(code.field, x) for x in row)
+                 for row in code.generator)
+    assert codes_module._gram_is_zero(code.generator, conj, code.field,
+                                      conjugate=True)
+    assert counts == {"pack": 2 * k * n, "reduce": k * (k + 1) // 2}
+
+
 # --- extension ---
 
 def test_extend_code_appends_scaled_row_sums():
@@ -375,6 +562,30 @@ def test_extend_code_appends_scaled_row_sums():
         for x in old:
             acc = acc + x
         assert new[4] == -(gamma * acc)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from(GRAM_FIELDS), st.data())
+def test_packed_extension_matches_the_element_sum(spec, data):
+    # staircase rows are independent; the entry q - 1 has every digit
+    # p - 1, so n of them fill each digit of the packed sum to the bound
+    field = _tower(*spec)
+    top = field.order - 1
+    element = (st.integers(0, top) | st.just(top)).map(field.from_int)
+    n = data.draw(st.integers(1, 30))
+    k = data.draw(st.integers(1, min(n, 3)))
+    rows = tuple((field.zero,) * i + (field.one,)
+                 + tuple(data.draw(element) for _ in range(n - i - 1))
+                 for i in range(k))
+    if data.draw(st.booleans()):
+        rows = ((field.from_int(top),) * n,)
+    gamma = data.draw(element)
+    ext = extend_code(LinearCode(field, n, len(rows), rows), gamma)
+    for old, new in zip(rows, ext.generator):
+        acc = field.zero
+        for x in old:
+            acc = acc + x
+        assert new == old + (-(gamma * acc),)
 
 
 # --- distance and MDS ---

@@ -37,7 +37,8 @@ from selfdual.fields import (
     solve_norm,
     sqrt_in_field,
 )
-from selfdual.numtheory import factorize
+from selfdual.numtheory import factorize, is_prime
+from selfdual.table import TABLE_ROWS
 
 
 def brute_irreducible(coeffs, p):
@@ -122,6 +123,29 @@ def test_irreducibility_agrees_with_oracle_on_higher_degrees():
     for p, t in [(2, 12), (3, 11), (3, 16), (5, 9), (7, 9), (101, 3)]:
         c = make_field(p, t).modulus
         assert poly_is_irreducible(c, p) and poly_is_irreducible_oracle(c, p)
+
+
+def _least_irreducible_oracle(p, t):
+    """The canonical modulus by its definition: the first monic candidate
+    in the element order that the oracle finds irreducible."""
+    for j in range(p ** t):
+        c = [(j // p ** i) % p for i in range(t)] + [1]
+        if poly_is_irreducible_oracle(c, p):
+            return tuple(c)
+
+
+# every GF(p^t), t >= 2, of order at most 3^8, and every table field
+CANONICAL_FIELDS = sorted(
+    {(p, t) for p in range(2, 82) if is_prime(p)
+     for t in range(2, 13) if p ** t <= 3 ** 8}
+    | {pt for _, pairs in TABLE_ROWS for pt in pairs})
+
+
+@pytest.mark.parametrize("p, t", CANONICAL_FIELDS)
+def test_canonical_modulus_is_the_oracle_search(p, t):
+    # the uncached search, which skips candidates with a root in GF(p)
+    assert make_field.__wrapped__(p, t).modulus == \
+        _least_irreducible_oracle(p, t)
 
 
 @pytest.mark.parametrize("c, p", [
