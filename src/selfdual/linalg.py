@@ -3,10 +3,10 @@
 Every independence question on columns (a minor, all k-subsets of
 columns) is one lex column walk, ``first_dependent_subset``.  Its step
 ``eliminate``, Gauss-Jordan ``row_reduce`` (pivoting on the first
-nonzero entry: the reduced form is unique) and ``det_nonzero`` are
-written once, on ``_Reducer``, for the two integer encodings: the logs
-of ``DlogTable``, whose one addition ``add_multiple`` also serves its
-codeword scan and Cauchy certificate ``cauchy_points``, and the packed
+nonzero entry: the reduced form is unique), ``det_nonzero`` and the
+Cauchy certificate ``cauchy_points`` are written once, on ``_Reducer``,
+for the two integer encodings: the logs of ``DlogTable``, whose one
+addition ``add_multiple`` also serves its codeword scan, and the packed
 values of ``PackedField`` where no table is worth building.  Element
 objects do no linear algebra: the element ``row_reduce``,
 ``det_nonzero`` and ``null_space`` run on ``packed_field`` and decode.
@@ -67,13 +67,16 @@ def first_dependent_subset(columns, k: int, zero, step):
 
 
 class _Reducer:
-    """Gauss-Jordan, the walk's step and the determinant, once for both
-    integer encodings.  A subclass gives ``zero``, ``encode``, ``decode``
-    and primitives: ``mul``, ``neg`` and ``inverse`` of nonzero values,
-    ``scale(row, f)``, a new row f * row, and ``add_multiple(row, f,
-    terms)``, row[t] += f * x for each (t, x) in ``terms`` in place.
-    Each is called once per row; the loops over entries stay in
-    ``scale`` and ``add_multiple``.
+    """Gauss-Jordan, the walk's step, the determinant and the Cauchy
+    certificate, once for both integer encodings.  A subclass gives
+    ``field``, ``zero``, ``one``, ``encode``, ``decode`` and primitives:
+    ``mul``, ``neg`` and ``inverse`` of nonzero values, ``inverses`` of
+    a list of them, ``products(u, v)``, the entrywise product of two
+    rows of them, ``scale(row, f)``, a new row f * row, and
+    ``add_multiple(row, f, terms)``, row[t] += f * x for each (t, x) in
+    ``terms`` in place.  Each is called once per row; the loops over
+    entries stay in ``inverses``, ``products``, ``scale`` and
+    ``add_multiple``.
     """
 
     def row_reduce(self, rows: list[list[int]]):
@@ -120,6 +123,75 @@ class _Reducer:
         return first_dependent_subset(rows, len(rows), self.zero,
                                       self.eliminate) is None
 
+    def cauchy_points(self, a_rows: list[list[int]]):
+        """Encoded (x, y, c, d) with A[i][j] * (x[i] - y[j]) = c[i] * d[j]
+        for every entry, the x distinct, the y distinct and every c, d
+        nonzero, or None when the recovery finds none.  A has at least
+        two rows and two columns.  Such an A is Cauchy-like: each square
+        block is a Cauchy matrix scaled by nonzero rows and columns, so
+        none is singular (Roth-Seroussi).
+
+        Up to a Moebius map and a scaling, x[0] = 0, x[1] = 1, c[0] = 1;
+        rows 0 and 1 then give every y and d from c[1], and columns 0 and
+        1 every other x and c.  For a Cauchy-like A each nonzero c[1] is
+        one placement of its n points, and at most n - 2 of them put a
+        point at infinity, so the trials c[1], the first min(n + 1, q - 1)
+        nonzero elements in canonical order, find one when n <= q.  The
+        recovery only proposes; the check is the proof.  The inverses of
+        row 1 and of columns 0-1 of A are one batch for all trials; each
+        trial inverts one batch for y and one for c.
+        """
+        zero, one = self.zero, self.one
+        minus_one = self.neg(one)
+        a0, a1, rest = a_rows[0], a_rows[1], a_rows[2:]
+        width = len(a0)
+        if any(x == zero for row in a_rows for x in row):
+            return None
+        inv = self.inverses(list(a1) + [row[0] for row in rest]
+                            + [row[1] for row in rest])
+        ratio = self.products(a0, inv[:width])  # A[0][j] / A[1][j]
+        inv0, inv1 = inv[width:width + len(rest)], inv[width + len(rest):]
+        minus_a0 = self.scale(a0, minus_one)
+        field = self.field
+        trials = min(len(a_rows) + width + 1, field.order - 1)
+        for index in range(1, trials + 1):
+            c1 = self.encode(field.from_int(index))
+            # y[j] = 1 / (1 - c1 * A[0][j] / A[1][j])
+            poles = [one] * width
+            self.add_multiple(poles, self.neg(c1), enumerate(ratio))
+            if zero in poles:  # y[j] at infinity
+                continue
+            y = self.inverses(poles)
+            d = self.products(y, minus_a0)  # -y[j] A[0][j]
+            # c[i] = (y1 - y0) / (d0 / A[i][0] - d1 / A[i][1])
+            # x[i] = y0 + c[i] * d0 / A[i][0]
+            gap = [y[1]]
+            self.add_multiple(gap, minus_one, [(0, y[0])])
+            u = self.scale(inv0, d[0])
+            den = u[:]
+            self.add_multiple(den, self.neg(d[1]), enumerate(inv1))
+            if gap[0] == zero or zero in den:
+                continue
+            c = [one, c1] + self.scale(self.inverses(den), gap[0])
+            x = [zero, one] + [y[0]] * len(rest)
+            self.add_multiple(x, one, enumerate(self.products(c[2:], u), 2))
+            if (len(set(x)) == len(x) and len(set(y)) == width
+                    and self._cauchy_holds(a_rows, x, y, c, d)):
+                return x, y, c, d
+        return None
+
+    def _cauchy_holds(self, a_rows, x, y, c, d) -> bool:
+        """Whether A[i][j] * (x[i] - y[j]) = c[i] * d[j] for every entry;
+        c and d are nonzero, and a zero x[i] - y[j] fails."""
+        zero, minus_one = self.zero, self.neg(self.one)
+        terms = list(enumerate(y))
+        for row, xi, ci in zip(a_rows, x, c):
+            diff = [xi] * len(y)
+            self.add_multiple(diff, minus_one, terms)
+            if zero in diff or self.products(row, diff) != self.scale(d, ci):
+                return False
+        return True
+
 
 class DlogTable(_Reducer):
     """Log-table arithmetic for a field of order at most a few million.
@@ -140,6 +212,7 @@ class DlogTable(_Reducer):
     """
 
     zero = -1  # the encoding of the field's zero
+    one = 0  # and of its one, g**0
 
     def __init__(self, field: Field):
         q = field.order
@@ -208,6 +281,14 @@ class DlogTable(_Reducer):
     def inverse(self, a: int) -> int:
         return -a % (self.q - 1)
 
+    def inverses(self, values) -> list[int]:
+        m = self.q - 1
+        return [-v % m for v in values]
+
+    def products(self, u, v) -> list[int]:
+        m = self.q - 1
+        return [(a + b) % m for a, b in zip(u, v)]
+
     def scale(self, row, shift: int) -> list[int]:
         m = self.q - 1
         return [-1 if x == -1 else (x + shift) % m for x in row]
@@ -252,66 +333,6 @@ class DlogTable(_Reducer):
         for pivot in range(k):
             rec(pivot + 1, list(rows[pivot]))
         return best
-
-    def cauchy_points(self, a_rows: list[list[int]]):
-        """Encoded (x, y, c, d) with A[i][j] * (x[i] - y[j]) = c[i] * d[j]
-        for every entry, the x distinct, the y distinct and every c, d
-        nonzero, or None when the recovery finds none.  A has at least
-        two rows and two columns.  Such an A is Cauchy-like: each square
-        block is a Cauchy matrix scaled by nonzero rows and columns, so
-        none is singular (Roth-Seroussi).
-
-        Up to a Moebius map and a scaling, x[0] = 0, x[1] = 1, c[0] = 1;
-        rows 0 and 1 then give every y and d from c[1], and columns 0 and
-        1 every other x and c.  For a Cauchy-like A each nonzero c[1] is
-        one placement of its n points, and at most n - 2 of them put a
-        point at infinity, so the trials c[1] = g**e, e <= n, find one
-        when n <= q.  The recovery only proposes; the check is the proof.
-        """
-        m, half, zero = self.q - 1, self.half, self.zero
-        a0, a1 = a_rows[0], a_rows[1]
-        width = len(a0)
-        if any(x == zero for row in a_rows for x in row):
-            return None
-        for e in range(min(len(a_rows) + width + 1, m)):
-            # y[j] = 1 / (1 - c1 * A[0][j] / A[1][j])
-            y = [0] * width
-            self.add_multiple(y, e + half, [(j, a - b) for j, (a, b)
-                                            in enumerate(zip(a0, a1))])
-            if zero in y:  # y[j] at infinity
-                continue
-            y = [-v % m for v in y]
-            d = [(v + a + half) % m for v, a in zip(y, a0)]  # -y[j] A[0][j]
-            # c[i] = (y1 - y0) / (d0 / A[i][0] - d1 / A[i][1])
-            # x[i] = y0 + c[i] * d0 / A[i][0]
-            gap = [y[1]]
-            self.add_multiple(gap, half, [(0, y[0])])
-            u = [(d[0] - row[0]) % m for row in a_rows[2:]]
-            den = u[:]
-            self.add_multiple(den, half, [(i, d[1] - row[1]) for i, row
-                                          in enumerate(a_rows[2:])])
-            if gap[0] == zero or zero in den:
-                continue
-            c = [0, e] + [(gap[0] - v) % m for v in den]
-            x = [zero, 0] + [y[0]] * len(u)
-            self.add_multiple(x, 0, [(i + 2, ci + ui) for i, (ci, ui)
-                                     in enumerate(zip(c[2:], u))])
-            if (len(set(x)) == len(x) and len(set(y)) == width
-                    and self._cauchy_holds(a_rows, x, y, c, d)):
-                return x, y, c, d
-        return None
-
-    def _cauchy_holds(self, a_rows, x, y, c, d) -> bool:
-        """Whether A[i][j] * (x[i] - y[j]) = c[i] * d[j] for every entry;
-        c and d are logs, so nonzero, and a zero x[i] - y[j] fails."""
-        m, minus_y = self.q - 1, list(enumerate(y))
-        for row, xi, ci in zip(a_rows, x, c):
-            diff = [xi] * len(y)
-            self.add_multiple(diff, self.half, minus_y)
-            if any(v == -1 or (a + v - ci - dj) % m
-                   for a, v, dj in zip(row, diff, d)):
-                return False
-        return True
 
 
 # tables kept at once; the least recently used one is dropped beyond it
@@ -387,6 +408,10 @@ class PackedField(_Reducer):
     def mul(self, a: int, b: int) -> int:
         return self.reduce(a * b)
 
+    def products(self, u, v) -> list[int]:
+        reduce = self.reduce
+        return [reduce(a * b) for a, b in zip(u, v)]
+
     def neg(self, a: int) -> int:
         return self.reduce(self.minus_one * a)
 
@@ -399,63 +424,6 @@ class PackedField(_Reducer):
         reduce = self.reduce
         for t, x in terms:
             row[t] = reduce(row[t] + f * x)
-
-    def cauchy_points(self, a_rows: list[list[int]]):
-        """``DlogTable.cauchy_points`` on packed values: the same
-        recovery, formulas and check, with the trial values of c[1] the
-        first nonzero elements in canonical order instead of the first
-        powers of g, as many of them: the argument needs only distinct
-        nonzero trials.  The inverses of row 1 and of columns 0-1 of A
-        are one batch for all trials; each trial inverts one batch for y
-        and one for c."""
-        reduce, minus_one, one = self.reduce, self.minus_one, self.one
-        a0, a1, rest = a_rows[0], a_rows[1], a_rows[2:]
-        width = len(a0)
-        if not all(x for row in a_rows for x in row):
-            return None
-        inv = self.inverses(list(a1) + [row[0] for row in rest]
-                            + [row[1] for row in rest])
-        ratio = [reduce(a * b) for a, b in zip(a0, inv)]  # A[0][j] / A[1][j]
-        inv0, inv1 = inv[width:width + len(rest)], inv[width + len(rest):]
-        minus_a0 = [reduce(minus_one * a) for a in a0]
-        field = self.field
-        trials = min(len(a_rows) + width + 1, field.order - 1)
-        for index in range(1, trials + 1):
-            c1 = self.pack(field._from_int(index))
-            # y[j] = 1 / (1 - c1 * A[0][j] / A[1][j])
-            minus_c1 = reduce(minus_one * c1)
-            poles = [reduce(one + minus_c1 * v) for v in ratio]
-            if not all(poles):  # y[j] at infinity
-                continue
-            y = self.inverses(poles)
-            d = [reduce(v * a) for v, a in zip(y, minus_a0)]  # -y[j] A[0][j]
-            # c[i] = (y1 - y0) / (d0 / A[i][0] - d1 / A[i][1])
-            # x[i] = y0 + c[i] * d0 / A[i][0]
-            gap = reduce(y[1] + minus_one * y[0])
-            u = [reduce(d[0] * v) for v in inv0]
-            minus_d1 = reduce(minus_one * d[1])
-            den = [reduce(ui + minus_d1 * v) for ui, v in zip(u, inv1)]
-            if not gap or not all(den):
-                continue
-            c = [one, c1] + [reduce(gap * v) for v in self.inverses(den)]
-            x = [0, one] + [reduce(y[0] + ci * ui)
-                            for ci, ui in zip(c[2:], u)]
-            if (len(set(x)) == len(x) and len(set(y)) == width
-                    and self._cauchy_holds(a_rows, x, y, c, d)):
-                return x, y, c, d
-        return None
-
-    def _cauchy_holds(self, a_rows, x, y, c, d) -> bool:
-        """Whether A[i][j] * (x[i] - y[j]) = c[i] * d[j] for every entry
-        with x[i] - y[j] nonzero; c and d are nonzero by construction."""
-        reduce = self.reduce
-        minus_y = [reduce(self.minus_one * v) for v in y]
-        for row, xi, ci in zip(a_rows, x, c):
-            for a, my, dj in zip(row, minus_y, d):
-                diff = reduce(xi + my)
-                if not diff or reduce(a * diff) != reduce(ci * dj):
-                    return False
-        return True
 
 
 @functools.lru_cache(maxsize=DLOG_CACHE_SIZE)

@@ -17,6 +17,8 @@ integer-list polynomial arithmetic mod p instead of the ring of
 ``FieldSpec``.  The element polynomial helpers are the arithmetic the
 package built constacyclic generators with before it built them on
 packed ints, and ``generator_oracle`` is that product of linear factors.
+``ENCODINGS`` is no oracle: it names the package's two integer
+encodings of a field, for the tests that run one kernel on both.
 """
 import itertools
 from math import gcd
@@ -29,8 +31,12 @@ from selfdual import (
     frobenius,
 )
 from selfdual.errors import NotCoprime, ZeroElement, ZeroInSet
-from selfdual.linalg import null_space
+from selfdual.linalg import dlog_table, null_space, packed_field
 from selfdual.numtheory import factorize
+
+# a field's Zech-table logs and its packed values, by name
+ENCODINGS = {"zech": lambda field: dlog_table(field, field.order),
+             "packed": packed_field}
 
 
 def poly_eval(c, x, field):

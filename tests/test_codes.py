@@ -75,6 +75,7 @@ from selfdual.linalg import (
 from selfdual.table import TABLE_ROWS
 
 from oracles import (
+    ENCODINGS,
     constacyclic_shift,
     det_nonzero_oracle,
     euclidean_dual,
@@ -876,22 +877,18 @@ def test_monte_carlo_calls_det_nonzero_once_per_trial(dlog_limit,
     assert calls == {name: verdict.passes + 1}
 
 
-def cauchy_certificate(code):
-    """(accepted, points) of the Cauchy certificate on the table path;
-    points are the decoded (x, y, c, d), or None."""
-    table = dlog_table(code.field, code.field.order)
-    reduced, pivots = table.row_reduce(
-        [[table.encode(x) for x in row] for row in code.generator])
-    accepted = codes_module._cauchy_certified(table, reduced, pivots)
+def cauchy_certificate(code, encoding):
+    """(accepted, points) of the Cauchy certificate on one of
+    ``ENCODINGS``; points are the decoded (x, y, c, d), or None."""
+    arith = ENCODINGS[encoding](code.field)
+    reduced, pivots = arith.row_reduce(
+        [[arith.encode(x) for x in row] for row in code.generator])
+    accepted = codes_module._cauchy_certified(arith, reduced, pivots)
     k = code.k
     if not accepted or k <= 1 or code.n - k <= 1:
         return accepted, None
-    points = table.cauchy_points([row[k:] for row in reduced])
-
-    def decode(e):
-        return code.field.zero if e == -1 else \
-            code.field.from_int(table.pow_idx[e])
-    return accepted, tuple([decode(e) for e in part] for part in points)
+    points = arith.cauchy_points([row[k:] for row in reduced])
+    return accepted, tuple(list(map(arith.decode, part)) for part in points)
 
 
 def assert_cauchy_like(code, points):
@@ -930,12 +927,13 @@ def grs_code(draw):
         assume(False)
 
 
+@pytest.mark.parametrize("encoding", ENCODINGS)
 @settings(deadline=None, max_examples=200)
-@given(st.one_of(grs_code(), code_with_planted_dependency()),
-       st.integers(1, 30))
-def test_cauchy_certificate_is_sound(code, trials):
+@given(code=st.one_of(grs_code(), code_with_planted_dependency()),
+       trials=st.integers(1, 30))
+def test_cauchy_certificate_is_sound(encoding, code, trials):
     want = lex_column_oracle(code)
-    accepted, points = cauchy_certificate(code)
+    accepted, points = cauchy_certificate(code, encoding)
     if accepted:
         assert want == ("certified-exact", None)
     if points is not None:
@@ -960,21 +958,48 @@ GRS_FIXTURES = [(_table_code, row[0], p, t) for row in TABLE_ROWS
 ]
 
 
+@pytest.mark.parametrize("encoding", ENCODINGS)
 @pytest.mark.parametrize("fixture", GRS_FIXTURES,
                          ids=lambda f: ",".join(map(str, f[1:])))
-def test_cauchy_certificate_accepts_the_shipped_grs_codes(fixture):
+def test_cauchy_certificate_accepts_the_shipped_grs_codes(fixture, encoding):
     build, *args = fixture
     code = build(*args)
-    accepted, points = cauchy_certificate(code)
+    accepted, points = cauchy_certificate(code, encoding)
     assert accepted
     assert_cauchy_like(code, points)
 
 
+@pytest.mark.parametrize("encoding", ENCODINGS)
 @pytest.mark.parametrize("p", [3, 7, 13])
-def test_cauchy_certificate_declines_the_hermitian_n5_codes(p):
+def test_cauchy_certificate_declines_the_hermitian_n5_codes(p, encoding):
     code = hermitian_n5_code(p)
-    assert cauchy_certificate(code) == (False, None)
+    assert cauchy_certificate(code, encoding) == (False, None)
     assert mds_check(code, "exhaustive-columns") == \
+        MdsVerdict("certified-exact")
+
+
+@pytest.mark.parametrize("encoding", ENCODINGS)
+@pytest.mark.parametrize("p, t", [(7, 1), (2, 3)])
+def test_cauchy_certificate_stops_at_the_trial_bound(p, t, encoding):
+    field = make_field(p, t)
+    q = field.order
+    # n = q: the q - 1 trials outnumber the n - 2 placements that put a
+    # point at infinity
+    grs = vandermonde(field, q, 3)
+    accepted, points = cauchy_certificate(grs, encoding)
+    assert accepted
+    assert_cauchy_like(grs, points)
+    # the doubly-extended RS code is MDS, but every placement of its
+    # q + 1 points puts one at infinity; the column walk proves it
+    k = 4
+    rows = vandermonde(field, q, k).generator
+    infinity = (field.zero,) * (k - 1) + (field.one,)
+    extended = LinearCode(field, q + 1, k, tuple(
+        row + (x,) for row, x in zip(rows, infinity)))
+    assert cauchy_certificate(extended, encoding) == (False, None)
+    # dlog_limit = q - 1 leaves the field without a table: packed path
+    guards = GuardConfig(dlog_limit=q - (encoding == "packed"))
+    assert mds_check(extended, "exhaustive-columns", guards=guards) == \
         MdsVerdict("certified-exact")
 
 
@@ -992,7 +1017,8 @@ def test_one_changed_entry_of_a_cauchy_block_is_refuted_by_the_walk(
     rows[2][k + 2] = a[1][2] * a[2][1] / a[1][1]
     assert rows[2][k + 2] != a[2][2]
     code = LinearCode(f, 8, k, tuple(map(tuple, rows)))
-    assert cauchy_certificate(code) == (False, None)
+    encoding = "zech" if dlog_limit > 1 else "packed"
+    assert cauchy_certificate(code, encoding) == (False, None)
     status, witness = lex_column_oracle(code)
     assert status == "refuted"
     guards = GuardConfig(dlog_limit=dlog_limit)

@@ -23,7 +23,7 @@ from selfdual.linalg import (
 )
 from selfdual.numtheory import is_prime
 
-from oracles import det_nonzero_oracle, row_reduce_oracle
+from oracles import ENCODINGS, det_nonzero_oracle, row_reduce_oracle
 
 # (p, t, number of quadratic extensions on top of GF(p^t))
 DET_FIELDS = [(2, 1, 0), (2, 2, 0), (2, 3, 0), (2, 1, 1), (2, 2, 1),
@@ -222,17 +222,18 @@ def cauchy_block(draw):
 
 @settings(deadline=None, max_examples=300)
 @given(cauchy_block())
-def test_packed_cauchy_points_accept_exactly_when_the_zech_ones_do(block):
+def test_both_encodings_recover_the_same_cauchy_points(block):
     field, a_rows = block
-    table = dlog_table(field, field.order)
-    packed = packed_field(field)
-    zech = table.cauchy_points([[table.encode(x) for x in row]
-                                for row in a_rows])
-    got = packed.cauchy_points([[packed.encode(x) for x in row]
-                                for row in a_rows])
-    assert (got is None) == (zech is None)
-    if got is not None:  # the identity, by element arithmetic
-        x, y, c, d = ([packed.decode(v) for v in part] for part in got)
+    found = []
+    for encoding in ENCODINGS.values():
+        arith = encoding(field)
+        points = arith.cauchy_points([list(map(arith.encode, row))
+                                      for row in a_rows])
+        found.append(None if points is None else
+                     [list(map(arith.decode, part)) for part in points])
+    assert found[0] == found[1]
+    if found[0] is not None:  # the identity, by element arithmetic
+        x, y, c, d = found[0]
         assert len(set(x)) == len(x) and len(set(y)) == len(y)
         assert all(c) and all(d)
         for row, xi, ci in zip(a_rows, x, c):
@@ -282,23 +283,30 @@ def test_add_multiple_decodes_to_element_arithmetic(p, t, towers, data):
     assert cancelled == [-1]
 
 
-def test_cauchy_points_refuse_a_point_shared_by_x_and_y():
+@pytest.mark.parametrize("encoding", ENCODINGS)
+def test_cauchy_points_refuse_a_point_shared_by_x_and_y(encoding):
     # A[i][j] = 1 / (x_i - y_j): c = d = 1, and the first trial recovers x
     f = make_field(13, 1)
-    table = dlog_table(f, 13)
+    arith = ENCODINGS[encoding](f)
 
     def cauchy(x, y):
-        return [[-1 if xi == yj else
-                 table.encode((f.from_int(xi) - f.from_int(yj)).inverse())
+        return [[arith.zero if xi == yj else
+                 arith.encode((f.from_int(xi) - f.from_int(yj)).inverse())
                  for yj in y] for xi in x]
 
-    found = table.cauchy_points(cauchy((0, 1, 5), (2, 3, 4)))
-    assert found[0] == [table.encode(f.from_int(v)) for v in (0, 1, 5)]
+    found = arith.cauchy_points(cauchy((0, 1, 5), (2, 3, 4)))
+    assert found[0] == [arith.encode(f.from_int(v)) for v in (0, 1, 5)]
     # with y_2 = x_2 = 5, put A = g = c_2 * d_2 * g at the pole (2, 2):
     # only the guard on x_i - y_j = 0 tells this A from a Cauchy-like one
+    # on log ints, where the zero difference is the log -1
     a_rows = cauchy((0, 1, 5), (2, 3, 5))
-    a_rows[2][2] = 1
-    assert table.cauchy_points(a_rows) is None
+    a_rows[2][2] = arith.encode(find_primitive_element(f))
+    assert arith.cauchy_points(a_rows) is None
+    # a point repeated in x (or in y) keeps the identity but makes two
+    # rows (columns) of A proportional: only the distinctness check
+    # refuses it
+    assert arith.cauchy_points(cauchy((0, 1, 0), (2, 3, 4))) is None
+    assert arith.cauchy_points(cauchy((0, 1, 5), (2, 3, 2))) is None
 
 
 def test_module_caches_stay_bounded():
