@@ -4,6 +4,10 @@ A code is its generator matrix.  Cyclic and constacyclic codes come from
 a generator polynomial built out of a defining set of root exponents;
 the matrix rows are the shifts x**i * g(x) modulo x**n - lambda.
 
+The generator product, its division check, the extension, the Gram
+check and the root check of a length-n code run on the one cached
+n-term layout ``packed_field(field, n)``, the roots on one walk.
+
 Verification never approximates: self-duality is an exact matrix
 product, distances are exhaustive scans under a guard, and MDS checks
 are exhaustive column tests, seeded Monte-Carlo sampling, or a
@@ -41,15 +45,11 @@ from .fields import (
     Element,
     Field,
     TowerSpec,
-    _packing,
-    _product_bound,
     element_from_json,
     element_order,
     element_to_json,
     field_from_json,
     field_to_json,
-    frobenius,
-    kronecker,
     nth_root_of_unity,
 )
 from .frozen import Frozen
@@ -162,29 +162,33 @@ class LinearCode(Frozen):
 
     def _reduced(self, guards: GuardConfig | None = None) -> ReducedForm:
         """The reduced form, on the representation ``_reduction_table``
-        picks under the guards of the first call."""
+        picks under the guards of the first call, and cached; a field
+        beyond this call's ``dlog_limit`` gets an uncached packed one."""
         form = self.__dict__.get("_form")
         if form is None:
-            table = _reduction_table(self.field, self.k, self.n,
-                                     current_guards(guards).dlog_limit)
-            arith = table or packed_field(self.field)
-            form = ReducedForm(self.field, table is None, *arith.row_reduce(
-                [list(map(arith.encode, row)) for row in self.generator]))
-            self.__dict__["_form"] = form
+            form = self.__dict__["_form"] = self._reduce_on(_reduction_table(
+                self.field, self.k, self.n, current_guards(guards).dlog_limit))
+        elif (not form.packed
+              and self.field.order > current_guards(guards).dlog_limit):
+            form = self._reduce_on(None)
         return form
+
+    def _reduce_on(self, table) -> ReducedForm:
+        """The reduced form on ``table``, or on packed values for None."""
+        arith = table or packed_field(self.field)
+        return ReducedForm(self.field, table is None, *arith.row_reduce(
+            [list(map(arith.encode, row)) for row in self.generator]))
 
     # computed once per code: a builder, verify and mds_check all ask
     @functools.cached_property
     def _euclidean_self_dual(self) -> bool:
-        return 2 * self.k == self.n and _gram_is_zero(
-            self.generator, self.generator, self.field)
+        return 2 * self.k == self.n and _gram_is_zero(self.generator,
+                                                      self.field)
 
     @functools.cached_property
     def _hermitian_self_dual(self) -> bool:
-        conj = (tuple(frobenius(self.field, x) for x in row)
-                for row in self.generator)
         return 2 * self.k == self.n and _gram_is_zero(
-            self.generator, tuple(conj), self.field, conjugate=True)
+            self.generator, self.field, conjugate=True)
 
     def codeword(self, message) -> tuple:
         word = [self.field.zero] * self.n
@@ -219,32 +223,33 @@ class CyclicSpec(Frozen):
         return self.n - len(self.defining)
 
 
-def _shift_root(field: Field, n: int, lam: Element, modulus: int) -> Element:
-    """The first power of the canonical (r*n)-th root of unity with order
-    r*n and alpha**n = lam, r the order of lam; ``modulus`` must be r*n."""
+def _root_powers(arith: PackedField, n: int, lam: Element,
+                 modulus: int) -> list:
+    """alpha**e for e < m = r*n, as packed values of ``arith``: alpha is
+    the first power of the canonical m-th root of unity with order m and
+    alpha**n = lam, r the order of lam; ``modulus`` must be m."""
+    field = arith.field
     if not lam:
         raise ZeroElement("shift constant must be nonzero")
     q = field.order
-    r = 1 if lam == field.one else element_order(lam)
-    if (q - 1) % (r * n) != 0:
+    m = n * (1 if lam == field.one else element_order(lam))
+    if (q - 1) % m != 0:
         raise RootsNotInField("r*n = %d does not divide q - 1 = %d"
-                              % (r * n, q - 1))
-    if modulus != r * n:
+                              % (m, q - 1))
+    if modulus != m:
         raise ValueError("defining set modulus %d, expected %d"
-                         % (modulus, r * n))
-    base_root = nth_root_of_unity(field, r * n)
-    # base_root**i has order r*n / gcd(i, r*n) and n-th power shift**i;
-    # the walk multiplies packed ints, whose canonical values compare
-    # as ints
-    pack, reduce, unpack = field._packed
-    root, shift = pack(base_root.value), pack((base_root ** n).value)
-    want, acc = pack(lam.value), pack(field._one)
-    acc_n = acc
-    for i in range(r * n):
-        if acc_n == want and gcd(i, r * n) == 1:
-            return Element(field, unpack(acc))
-        acc, acc_n = reduce(acc * root), reduce(acc_n * shift)
-    raise RootsNotInField("no root of order %d with alpha**n = lam" % (r * n))
+                         % (modulus, m))
+    # one walk of root**j, j < m: root**i has order m / gcd(i, m) and
+    # n-th power root**(i*n mod m); packed canonical values compare as ints
+    walk = list(itertools.accumulate(
+        [arith.encode(nth_root_of_unity(field, m))] * (m - 1),
+        arith.mul, initial=arith.one))
+    want = arith.encode(lam)
+    i = next((i for i in range(m)
+              if walk[i * n % m] == want and gcd(i, m) == 1), None)
+    if i is None:
+        raise RootsNotInField("no root of order %d with alpha**n = lam" % m)
+    return [walk[i * e % m] for e in range(m)]
 
 
 def generator_from_defining_set(field: Field, n: int, lam: Element,
@@ -256,21 +261,20 @@ def generator_from_defining_set(field: Field, n: int, lam: Element,
     lam of order r).  Requires r*n | q - 1 so that all roots lie in
     the coefficient field.
     """
-    alpha = _shift_root(field, n, lam, T.modulus)
-    arith = packed_field(field)
+    arith = packed_field(field, n)
+    powers = _root_powers(arith, n, lam, T.modulus)
     reduce = arith.reduce
-    minus_powers = list(itertools.accumulate(  # -alpha**i
-        [arith.encode(alpha)] * max(T.elements, default=0),
-        lambda r, x: reduce(r * x), initial=arith.minus_one))
     # g <- x*g - alpha**i * g, constant term first, one reduce per
     # coefficient; g stays monic
     g = [arith.one]
     for i in T.elements:
-        g = [reduce(lo + minus_powers[i] * hi)
+        minus_root = arith.neg(powers[i])
+        g = [reduce(lo + minus_root * hi)
              for lo, hi in zip([0] + g, g)] + [arith.one]
     if any(binomial_remainder(arith, g, n, arith.encode(lam))):
         raise NotDividing("generator does not divide x**n - lam")
-    return CyclicSpec(field, n, lam, T, tuple(map(arith.decode, g)), alpha)
+    return CyclicSpec(field, n, lam, T, tuple(map(arith.decode, g)),
+                      arith.decode(powers[1 % T.modulus]))
 
 
 def binomial_remainder(arith: PackedField, g: list, n: int,
@@ -305,29 +309,29 @@ def cyclic_generator_matrix(spec: CyclicSpec) -> LinearCode:
 # self-duality
 # ---------------------------------------------------------------------------
 
-def _gram_is_zero(rows_a, rows_b, field: Field,
-                  conjugate: bool = False) -> bool:
-    """Whether every inner product of a row of A with a row of B is 0.
+def _gram_is_zero(rows, field: Field, conjugate: bool = False) -> bool:
+    """Whether every inner product of two rows is 0, or of a row with
+    the conjugate of a row (``conjugate``, over a tower).
 
     Each entry is one integer dot product of packed rows, reduced once
-    (see ``fields.kronecker``, which sizes the digits so that a sum of n
-    products is exact), and a nonzero entry stops the packing of A.
-    When B is A, or B is the conjugate of A (``conjugate``), entry
-    (j, i) is entry (i, j) or its conjugate, so the two are zero
-    together: only the entries j <= i are computed, and B is not packed
-    again when it is A.
+    on the n-term layout of ``packed_field(field, n)``, and a nonzero
+    entry stops the packing.  Entry (j, i) is entry (i, j) or its
+    conjugate, so the two are zero together: only the entries j <= i
+    are computed, each row packed once and its conjugate, taken on the
+    values, once.
     """
-    if not rows_a or not rows_b:
+    if not rows:
         return True
-    pack, reduce = kronecker(field, len(rows_a[0]))
-    half = conjugate or rows_b is rows_a
-    seen = [] if half else [list(map(pack, rb)) for rb in rows_b]
-    for i, ra in enumerate(rows_a):
-        pa = list(map(pack, ra))
-        if half:  # B's rows up to row i
-            rb = rows_b[i]
-            seen.append(pa if rb is ra else list(map(pack, rb)))
-        if any(reduce(sum(map(operator.mul, pa, pb))) for pb in seen):
+    arith = packed_field(field, len(rows[0]))
+    pack, reduce = arith.pack, arith.reduce
+    seen = []
+    for row in rows:
+        values = [x.value for x in row]
+        packed = list(map(pack, values))
+        seen.append(list(map(pack, map(field._conj, values))) if conjugate
+                    else packed)
+        if any(reduce(sum(map(operator.mul, packed, other)))
+               for other in seen):
             return False
     return True
 
@@ -350,15 +354,14 @@ def is_hermitian_self_dual(code: LinearCode) -> bool:
 
 def extend_code(code: LinearCode, gamma: Element) -> LinearCode:
     """Append to every row the coordinate -gamma * (sum of the row): on
-    packed ints a sum of n products, exact at one reduction at the n-term
-    bound of ``fields.kronecker``."""
-    field = code.field
-    pack, reduce, unpack, _ = _packing(field, _product_bound(field, code.n))
-    minus_gamma = pack((-gamma).value)
-    rows = tuple((*row, Element(field, unpack(reduce(
-        minus_gamma * sum(pack(x.value) for x in row)))))
+    packed ints a sum of n products, exact at one reduction on the
+    n-term layout of ``packed_field(field, n)``."""
+    arith = packed_field(code.field, code.n)
+    minus_gamma = arith.encode(-gamma)
+    rows = tuple((*row, arith.decode(arith.reduce(
+        minus_gamma * sum(map(arith.encode, row)))))
         for row in code.generator)
-    return LinearCode(field, code.n + 1, code.k, rows)
+    return LinearCode(code.field, code.n + 1, code.k, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -541,19 +544,16 @@ def _roots_mismatch(code: LinearCode, T: DefiningSet, lam: Element | None,
         return "no lambda to place the roots of the defining set"
     if m // T.step < n:
         return "defining set modulus %d does not fit n = %d" % (m, n)
+    arith = packed_field(field, n)
     try:
-        alpha = _shift_root(field, n, lam, m)
+        powers = _root_powers(arith, n, lam, m)
     except (ZeroElement, RootsNotInField, ValueError) as exc:
         return "roots do not fit n = %d: %s" % (n, exc)
-    pack, reduce = kronecker(field, n)
-    # V has |T| * n entries but only m distinct ones, built on packed
-    # ints: one product is within the n-term bound, so each is exact
-    powers = list(itertools.accumulate(
-        [pack(alpha)] * (m - 1), lambda r, x: reduce(r * x),
-        initial=pack(field.one)))
+    # V has |T| * n entries alpha**(e*j) but only the m packed powers;
+    # a row times a column of V is exact on the n-term layout
     checks = [[powers[e * j % m] for j in range(n)] for e in T.elements]
-    rows = (list(map(pack, row)) for row in code.generator)
-    if any(reduce(sum(map(operator.mul, pa, pb)))
+    rows = (list(map(arith.encode, row)) for row in code.generator)
+    if any(arith.reduce(sum(map(operator.mul, pa, pb)))
            for pa in rows for pb in checks):
         return "generator rows do not vanish at the defining set's roots"
     return None

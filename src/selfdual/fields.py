@@ -18,10 +18,14 @@ methods do the arithmetic on values, so a tower multiplies raw values
 level by level; ``Element`` pairs a value with its field for everything
 outside this module, which never reads a value's layout.
 
+Every Kronecker-packed product in the package runs on
+``Field._layout(terms)``, the layout of ``_packing`` for exact sums of
+up to ``terms`` products, built once per field and ``terms``.
+
 Powers square and multiply ints, not values.  GF(p) uses the built-in
-``pow``.  GF(p^t) squares and multiplies the value packed into one int
-by Kronecker substitution (see ``_packing``), packed once and unpacked
-once.  A tower over a base of order Q descends by the norm
+``pow``.  GF(p^t) squares and multiplies the value packed on
+``_layout(1)``, packed once and unpacked once.  A tower over a base of
+order Q descends by the norm
 N(x) = x**(Q + 1) = x * conj(x), which lies in the base: with
 e = a*(Q + 1) + b, x**e = N(x)**a * x**b, so only x**b, b <= Q, is packed
 in the tower, and N(x)**a recurses, GF(q^4) -> GF(q^2) -> GF(q).
@@ -101,10 +105,34 @@ class Field:
             yield self.from_int(i)
 
     @functools.cached_property
-    def _packed(self):
-        """(pack, reduce, unpack) of the Kronecker layout at the digit
-        bound of one product (see ``_packing``); built once per field."""
-        return _packing(self, _product_bound(self, 1))[:3]
+    def _layouts(self) -> dict:
+        return {}
+
+    def _layout(self, terms: int):
+        """(pack, reduce, unpack) of ``_packing`` for an exact sum of up
+        to ``terms`` products plus one canonical value, built once per
+        field and ``terms``: ``reduce`` maps the packed sum to the packed
+        canonical value of the field sum, 0 exactly when that sum is 0.
+
+        The sum is exact.  Its products have their digits at fixed
+        positions, so it adds digit by digit, each digit at most
+        B = ``_product_bound(self, terms)`` plus p - 1 from the value.
+        In GF(p^t), t > 1, ``reduce`` adds to each of the t low digits
+        the dot product of the t - 1 high digits with one coordinate of
+        each packed residue of x**(t + j); the coordinates are below p,
+        so a folded digit is at most (B + p - 1)*(1 + (t - 1)*(p - 1)),
+        and the lane width of ``_packing`` holds that: no digit carries
+        into the next before each is taken mod p.  A tower reduces its
+        three blocks at the same bound, then folds y**2 by adding a value
+        with coordinates below p to one product of the level below, at
+        most t*(p - 1)**2 * 2**(L - 1) + p - 1 <= B, so no digit inside
+        ``reduce`` exceeds the bound either.
+        """
+        layout = self._layouts.get(terms)
+        if layout is None:
+            layout = self._layouts[terms] = _packing(
+                self, _product_bound(self, terms) + self.char - 1)[:3]
+        return layout
 
     def _pow(self, v, e: int):
         """v**e by square and multiply on the packed value, which is
@@ -113,7 +141,7 @@ class Field:
             v, e = self._inv(v), -e
         if not e:
             return self._one
-        pack, reduce, unpack = self._packed
+        pack, reduce, unpack = self._layout(1)
         x = r = pack(v)
         for bit in bin(e)[3:]:
             r = reduce(r * r)
@@ -714,7 +742,7 @@ def _packing(field: Field, bound: int):
     length, read by shifts.  In GF(p) a digit is just taken mod p.  A
     tower reduces its three blocks, then y**2 -> -c1*y - c0; those
     constants are packed canonical values, so no digit inside ``reduce``
-    exceeds the bound of one product in the field (see ``kronecker``).
+    exceeds ``bound`` (see ``Field._layout``).
     """
     if isinstance(field, TowerSpec):
         base_pack, base_reduce, base_unpack, bits = _packing(field.base, bound)
@@ -782,32 +810,6 @@ def _product_bound(field: Field, terms: int) -> int:
     while isinstance(base, TowerSpec):
         base, levels = base.base, levels + 1
     return terms * base.t * (base.p - 1) ** 2 << levels
-
-
-def kronecker(field: Field, terms: int):
-    """(pack, reduce) for exact sums of up to ``terms`` products.
-
-    ``pack`` maps an element to one int (see ``_packing``), so that
-    Python's big-int multiply does the polynomial product of two
-    elements; ``reduce`` maps a sum of such products to the packed
-    canonical value of the sum of the element products, 0 exactly when
-    that sum is 0.
-
-    The sum is exact.  Its products have their digits at fixed
-    positions, so it adds digit by digit, each digit at most the bound B
-    of ``_product_bound``.  In GF(p^t), t > 1, ``reduce`` adds to each of
-    the t low digits the dot product of the t - 1 high digits with one
-    coordinate of each packed residue of x**(t + j); the coordinates are
-    below p, so a folded digit is at most B*(1 + (t - 1)*(p - 1)), and
-    the lane width s of ``_packing`` holds that: no digit carries into
-    the next before each is taken mod p.  A tower reduces its three
-    blocks at the same bound, then folds y**2 by adding a value with
-    coordinates below p to one product of the level below, at most
-    t*(p - 1)**2 * 2**(L - 1) + p - 1 <= B, so no digit inside ``reduce``
-    exceeds the bound of one product either.
-    """
-    pack, reduce, _, _ = _packing(field, _product_bound(field, terms))
-    return (lambda x: pack(x.value)), reduce
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,7 @@ import functools
 import itertools
 import operator
 
-from .fields import (
-    Element,
-    Field,
-    _packing,
-    _product_bound,
-    find_primitive_element,
-)
+from .fields import Element, Field, find_primitive_element
 
 
 def first_dependent_subset(columns, k: int, zero, step):
@@ -360,21 +354,21 @@ def dlog_table(field: Field, limit: int,
 
 
 class PackedField(_Reducer):
-    """Packed-int arithmetic for the reductions, the walk and the Cauchy
-    certificate where no log table is worth building.
+    """Packed-int arithmetic on the Kronecker layout ``field._layout(terms)``:
+    the reductions, the walk and the Cauchy certificate where no log table
+    is worth building, and every exact sum of up to ``terms`` products.
 
-    A value is one int of the Kronecker layout of ``fields._packing``
-    (0 is the zero), sized for one product plus a value: an entry update
-    u - f*v is ``reduce(u + (-f)*v)``, one reduction per update.  Every
-    int held is canonical, so equal values are equal ints.  An inverse
+    A value is one int of that layout (0 is the zero), sized for
+    ``terms`` products plus a value: an entry update u - f*v is
+    ``reduce(u + (-f)*v)``, one reduction per update.  Every int held is
+    canonical, so equal values are equal ints on one layout.  An inverse
     is one field inverse; ``inverses`` inverts a whole batch with one.
     """
 
     zero = 0
 
-    def __init__(self, field: Field):
-        self.pack, self.reduce, self.unpack, _ = _packing(
-            field, _product_bound(field, 1) + field.char)
+    def __init__(self, field: Field, terms: int = 1):
+        self.pack, self.reduce, self.unpack = field._layout(terms)
         self.field = field
         self.one = self.pack(field._one)
         self.minus_one = self.pack(field._neg(field._one))
@@ -427,8 +421,8 @@ class PackedField(_Reducer):
 
 
 @functools.lru_cache(maxsize=DLOG_CACHE_SIZE)
-def packed_field(field: Field) -> PackedField:
-    return PackedField(field)
+def packed_field(field: Field, terms: int = 1) -> PackedField:
+    return PackedField(field, terms)
 
 
 def _on_packed(rows, field: Field):

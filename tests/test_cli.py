@@ -5,11 +5,12 @@ import io
 import json
 import os
 import tempfile
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from selfdual import cli, codes, constructions
+from selfdual import cli, codes, constructions, fields, linalg
 from selfdual.cli import main
 from selfdual.codes import (
     LinearCode,
@@ -201,11 +202,11 @@ def test_construct_checks_each_code_self_dual_once(capsys, monkeypatch):
     keep = []  # keeps the counted rows alive, so no id is reused
     gram = codes._gram_is_zero
 
-    def spy(rows_a, rows_b, field, **kwargs):
-        keep.append(rows_a)
-        key = (id(rows_a), rows_a is rows_b)
+    def spy(rows, field, **kwargs):
+        keep.append(rows)
+        key = (id(rows), kwargs.get("conjugate", False))
         counts[key] = counts.get(key, 0) + 1
-        return gram(rows_a, rows_b, field, **kwargs)
+        return gram(rows, field, **kwargs)
 
     monkeypatch.setattr(codes, "_gram_is_zero", spy)
     rc, lines = run_cli(capsys, "construct", "dispatch", "--p", "7",
@@ -214,6 +215,33 @@ def test_construct_checks_each_code_self_dual_once(capsys, monkeypatch):
     assert lines[0]["verification"]["mds"]["status"] == "certified-exact"
     # one Euclidean and one Hermitian check of the one code
     assert sorted(counts.values()) == [1, 1]
+
+
+def test_a_build_and_its_verify_build_each_n_term_layout_once(
+        tmp_path, capsys, monkeypatch):
+    # the [28, 14] table code over GF(7^9): the generator, its extension
+    # and the root check run on length 27, the Gram checks of the build
+    # and of verify on length 28
+    field = make_field(7, 9)
+    linalg.packed_field.cache_clear()
+    field.__dict__.pop("_layouts", None)
+    one_product = fields._product_bound(field, 1)
+    packing = fields._packing
+    built = Counter()
+
+    def counting(f, bound):
+        if f == field:
+            built[bound // one_product] += 1
+        return packing(f, bound)
+
+    monkeypatch.setattr(fields, "_packing", counting)
+    result = constructions.build_euclidean_duadic_extended(7, 9, 27)
+    assert result.report.mds.status == "certified-bch"
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(result.to_json()))
+    rc, lines = run_cli(capsys, "verify", str(path))
+    assert rc == 0 and lines[0]["euclidean_self_dual"] is True
+    assert built[27] == 1 and built[28] == 1
 
 
 def test_splitting_domain_error(capsys):

@@ -7,6 +7,7 @@ import functools
 import gc
 import itertools
 import json
+import operator
 import os
 import random
 import weakref
@@ -208,7 +209,9 @@ def defining_case(draw):
 @given(defining_case())
 def test_packed_generator_is_the_product_of_its_linear_factors(case):
     field, n, lam, T = case
-    alpha = codes_module._shift_root(field, n, lam, T.modulus)
+    arith = linalg_module.packed_field(field, n)
+    alpha = arith.decode(codes_module._root_powers(arith, n, lam,
+                                                   T.modulus)[1 % T.modulus])
     want = generator_oracle(field, alpha, T.elements)
     binomial = [-lam] + [field.zero] * (n - 1) + [field.one]
     if poly_divmod(binomial, want, field)[1]:
@@ -250,11 +253,17 @@ def test_shift_root_is_the_first_power_of_full_order_over_lam():
                 want = next((acc for acc in (base ** i for i in range(r * n))
                              if acc ** n == lam
                              and element_order(acc) == r * n), None)
+                arith = linalg_module.packed_field(field, n)
                 try:
-                    got = codes_module._shift_root(field, n, lam, r * n)
+                    powers = list(map(arith.decode, codes_module._root_powers(
+                        arith, n, lam, r * n)))
                 except RootsNotInField:
-                    got = None
-                assert got == want
+                    powers = None
+                assert (None if powers is None
+                        else powers[1 % (r * n)]) == want
+                # every returned power is alpha**e, e < r*n
+                if want is not None:
+                    assert powers == [want ** e for e in range(r * n)]
 
 
 def test_constacyclic_spec_negacyclic_gf9():
@@ -395,6 +404,17 @@ def gram_case(draw):
     return field, kind, rows, other
 
 
+def layout_gram_is_zero(rows, other, field):
+    """Whether every row of ``rows`` times every row of ``other`` is 0,
+    each product one reduced dot product on the n-term layout of
+    ``packed_field(field, n)``: the exact sum of n products that the
+    Gram and root checks rely on."""
+    arith = linalg_module.packed_field(field, len(rows[0]))
+    pack = functools.partial(map, arith.encode)
+    return not any(arith.reduce(sum(map(operator.mul, pack(a), pack(b))))
+                   for a in rows for b in other)
+
+
 @settings(deadline=None, max_examples=100)
 @given(gram_case())
 def test_packed_gram_matches_the_element_loop(case):
@@ -402,7 +422,7 @@ def test_packed_gram_matches_the_element_loop(case):
     want = gram_is_zero_oracle(rows, other, field)
     if kind in ("planted", "widest"):
         assert want
-    assert codes_module._gram_is_zero(rows, other, field) == want
+    assert layout_gram_is_zero(rows, other, field) == want
 
 
 @pytest.mark.parametrize("p, t, levels", [(47, 1, 0), (47, 1, 1), (7, 2, 1),
@@ -412,11 +432,11 @@ def test_packed_gram_at_the_widest_digit_bound(p, t, levels):
     # which overflows a digit one bit narrower than s = 16
     field = _tower(p, t, levels)
     rows, other = widest_pair(field, 30)
-    assert codes_module._gram_is_zero(rows, other, field)
-    assert codes_module._gram_is_zero(other, rows, field)
+    assert layout_gram_is_zero(rows, other, field)
+    assert layout_gram_is_zero(other, rows, field)
     off = ((other[0][0] + field.one,) + other[0][1:],)
     assert not gram_is_zero_oracle(rows, off, field)
-    assert not codes_module._gram_is_zero(rows, off, field)
+    assert not layout_gram_is_zero(rows, off, field)
 
 
 def _one_pair_rows(field, sigma, i, j):
@@ -505,46 +525,43 @@ def self_duality_case(draw):
 @given(self_duality_case())
 def test_half_gram_matches_the_full_element_loop(case):
     field, rows = case
-    assert (codes_module._gram_is_zero(rows, rows, field)
+    assert (codes_module._gram_is_zero(rows, field)
             == gram_is_zero_oracle(rows, rows, field))
     if isinstance(field, TowerSpec):
         conj = [tuple(frobenius(field, x) for x in row) for row in rows]
-        assert (codes_module._gram_is_zero(rows, conj, field, conjugate=True)
+        assert (codes_module._gram_is_zero(rows, field, conjugate=True)
                 == gram_is_zero_oracle(rows, conj, field))
 
 
 def test_a_self_duality_check_packs_each_row_once_and_reduces_half(
         monkeypatch):
     counts = Counter()
-    kronecker = codes_module.kronecker
+    packed_field = codes_module.packed_field
 
-    def counting(field, terms):
-        pack, reduce = kronecker(field, terms)
+    def counting(field, terms=1):
+        arith = packed_field(field, terms)
 
-        def counted_pack(x):
+        def counted_pack(v):
             counts["pack"] += 1
-            return pack(x)
+            return arith.pack(v)
 
         def counted_reduce(v):
             counts["reduce"] += 1
-            return reduce(v)
+            return arith.reduce(v)
 
-        return counted_pack, counted_reduce
+        return mock.Mock(pack=counted_pack, reduce=counted_reduce)
 
     # [16, 8] over GF(31), then [8, 4] over GF(81), built unpatched
     code, hermitian = (build_euclidean_duadic_extended(31, 1, 15).code,
                        _self_dual_code(4))
-    monkeypatch.setattr(codes_module, "kronecker", counting)
+    monkeypatch.setattr(codes_module, "packed_field", counting)
     k, n = code.k, code.n
-    assert codes_module._gram_is_zero(code.generator, code.generator,
-                                      code.field)
+    assert codes_module._gram_is_zero(code.generator, code.field)
     assert counts == {"pack": k * n, "reduce": k * (k + 1) // 2}
     counts.clear()
     code = hermitian
     k, n = code.k, code.n
-    conj = tuple(tuple(frobenius(code.field, x) for x in row)
-                 for row in code.generator)
-    assert codes_module._gram_is_zero(code.generator, conj, code.field,
+    assert codes_module._gram_is_zero(code.generator, code.field,
                                       conjugate=True)
     assert counts == {"pack": 2 * k * n, "reduce": k * (k + 1) // 2}
 
@@ -1132,6 +1149,41 @@ def test_a_reduced_form_keeps_no_table_alive():
         code.generator, field)[0]]
     assert mds_check(code, "monte-carlo", trials=5) == \
         MdsVerdict("monte-carlo", trials=5, passes=5)
+
+
+@pytest.mark.parametrize("changed", [False, True])
+def test_an_explicit_dlog_limit_governs_the_reduced_form(changed,
+                                                         monkeypatch):
+    # the doubly-extended [8, 4] RS code over GF(7), whose rows are not a
+    # staircase, so LinearCode caches its form on the GF(7) table; or
+    # the same code with one entry of A set to 0, which the certificate
+    # declines, so the searches run
+    f = make_field(7, 1)
+    rows = tuple(tuple(a ** i for a in f.elements())
+                 + (f.one if i == 3 else f.zero,) for i in range(4))
+    code = LinearCode(f, 8, 4, rows)
+    if changed:
+        rows = code._reduced().rows_on(None)
+        rows[0][4] = f.zero
+        code = LinearCode(f, 8, 4, tuple(map(tuple, rows)))
+    modes = {"exhaustive-columns": {}, "monte-carlo": {"trials": 50}}
+    want = {mode: mds_check(code, mode, **kw) for mode, kw in modes.items()}
+    assert not code._reduced().packed
+    assert (want["exhaustive-columns"].status == "refuted") == changed
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a DlogTable method ran")
+
+    for cls in (DlogTable, linalg_module._Reducer):
+        for name, attr in vars(cls).items():
+            if callable(attr):
+                monkeypatch.setattr(DlogTable, name, refuse)
+    guards = GuardConfig(dlog_limit=6)
+    assert code._reduced(guards).packed
+    for mode, kw in modes.items():
+        assert mds_check(code, mode, guards=guards, **kw) == want[mode]
+    # the packed form was not cached
+    assert not code._reduced().packed
 
 
 @settings(deadline=None, max_examples=150)

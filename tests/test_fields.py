@@ -29,7 +29,6 @@ from selfdual.fields import (
     field_to_json,
     find_primitive_element,
     frobenius,
-    kronecker,
     make_field,
     nth_root_of_unity,
     poly_is_irreducible,
@@ -177,8 +176,8 @@ def test_high_powers_of_x_are_cached_remainders(p, t):
     # x**(t - 1) * x**(j + 1) packs to one digit at x**(t + j), so its
     # reduction is that power's residue column of the cached layout
     field = FieldSpec(p, t, make_field(p, t).modulus)
-    layout = field._packed
-    assert field._packed is layout
+    layout = field._layout(1)
+    assert field._layout(1) is layout
     pack, reduce, unpack = layout
 
     def x_to(i):
@@ -291,9 +290,13 @@ def test_pow_matches_the_object_square_and_multiply(case):
 ])
 def test_kronecker_is_exact_at_the_lane_width_edges(p, t, terms, lane):
     field = make_field(p, t)
-    bits = fields._packing(field, fields._product_bound(field, terms))[3]
-    assert bits == lane * (2 * t - 1)
-    pack, reduce = kronecker(field, terms)
+    bound = fields._product_bound(field, terms) + p - 1
+    assert fields._packing(field, bound)[3] == lane * (2 * t - 1)
+    layout_pack, reduce, _ = field._layout(terms)
+
+    def pack(x):
+        return layout_pack(x.value)
+
     # every coordinate p - 1 puts each digit at its bound; a few random
     # products stand in for the rest of a real sum
     top = field.from_int(field.order - 1)
