@@ -14,13 +14,17 @@ quadratic over the base.  Towers nest, which gives GF(q^4) when needed.
 
 Each field owns the encoding of its element values: a GF(p^t) value is
 its coefficient tuple, a tower value the pair of its base values.  Field
-methods do the arithmetic on values, so a tower multiplies raw values
-level by level; ``Element`` pairs a value with its field for everything
-outside this module, which never reads a value's layout.
+methods do the arithmetic on values; ``Element`` pairs a value with its
+field for everything outside this module, which never reads a value's
+layout.
 
 Every Kronecker-packed product in the package runs on
 ``Field._layout(terms)``, the layout of ``_packing`` for exact sums of
-up to ``terms`` products, built once per field and ``terms``.
+up to ``terms`` products, built once per field and ``terms``.  A single
+product of two values, ``Field._mul``, is one of them: it packs both on
+``_layout(1)``, multiplies the two ints and reduces once, in GF(p),
+GF(p^t) and towers alike, so the rules x**t -> residue and
+y**2 -> -c1*y - c0 are written only in ``_packing``.
 
 Powers square and multiply ints, not values.  GF(p) uses the built-in
 ``pow``.  GF(p^t) squares and multiplies the value packed on
@@ -73,12 +77,13 @@ ROOT_SCAN_LIMIT = 256
 class Field:
     """What GF(p^t) and a quadratic tower share.
 
-    A subclass fixes how its element values are encoded and does all
-    arithmetic on them: ``_add``, ``_sub``, ``_neg``, ``_mul``, ``_inv``,
+    A subclass fixes how its element values are encoded and does the
+    rest of their arithmetic: ``_add``, ``_sub``, ``_neg``, ``_inv``,
     ``_from_int``, ``_index`` and the JSON codec ``_to_json`` and
     ``_from_json``.  It also sets ``_zero`` and ``_one`` to the values of
-    0 and 1.  ``Element`` pairs a value with its field, and everything
-    below is written once on top of those methods.
+    0 and 1.  Products and powers are written here, once, on the packed
+    layout of ``_packing``; ``Element`` pairs a value with its field, and
+    everything below is written once on top of those methods.
     """
 
     @functools.cached_property
@@ -133,6 +138,11 @@ class Field:
             layout = self._layouts[terms] = _packing(
                 self, _product_bound(self, terms) + self.char - 1)[:3]
         return layout
+
+    def _mul(self, a, b):
+        """a*b: one product of the two packed values, reduced once."""
+        pack, reduce, unpack = self._layout(1)
+        return unpack(reduce(pack(a) * pack(b)))
 
     def _pow(self, v, e: int):
         """v**e by square and multiply on the packed value, which is
@@ -233,25 +243,6 @@ class FieldSpec(Field, Frozen):
             return (-a[0] % p,)
         return tuple((-x) % p for x in a)
 
-    def _mul(self, a, b):
-        p, t = self.p, self.t
-        if t == 1:
-            return ((a[0] * b[0]) % p,)
-        prod = [0] * (2 * t - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        m = self.modulus
-        for d in range(2 * t - 2, t - 1, -1):
-            lead = prod[d] % p
-            if lead:
-                base = d - t
-                for i in range(t):
-                    prod[base + i] -= lead * m[i]
-            prod[d] = 0
-        return tuple(v % p for v in prod[:t])
-
     def _inv(self, a):
         if not any(a):
             raise ZeroElement("division by zero in GF(%d^%d)" % (self.p, self.t))
@@ -278,12 +269,11 @@ class TowerSpec(Field, Frozen):
 
     def __init__(self, base: Field, ext_modulus: tuple):
         self._assign(base, ext_modulus)
-        c0, c1, _ = ext_modulus
+        c1 = ext_modulus[1]
         object.__setattr__(self, "_zero", (base._zero, base._zero))
         object.__setattr__(self, "_one", (base._one, base._zero))
-        object.__setattr__(self, "_c0", c0.value)
         # None when c1 = 0, as in every canonical tower of odd q: the c1
-        # terms drop out
+        # term of the conjugate drops out
         object.__setattr__(self, "_c1", c1.value if c1 else None)
         object.__setattr__(self, "_hash", hash((base, ext_modulus)))
 
@@ -342,18 +332,6 @@ class TowerSpec(Field, Frozen):
         neg = self.base._neg
         return neg(x[0]), neg(x[1])
 
-    def _mul(self, x, y):
-        # (a + b y)(c + d y) = (ac - bd c0) + (ad + bc - bd c1) y
-        base = self.base
-        mul, sub = base._mul, base._sub
-        a, b = x
-        c, d = y
-        bd = mul(b, d)
-        mid = base._add(mul(a, d), mul(b, c))
-        if self._c1 is not None:
-            mid = sub(mid, mul(bd, self._c1))
-        return sub(mul(a, c), mul(bd, self._c0)), mid
-
     def _conj(self, x):
         """x**q on values (see ``frobenius``)."""
         base = self.base
@@ -363,11 +341,9 @@ class TowerSpec(Field, Frozen):
         return a, base._neg(b)
 
     def _norm(self, x):
-        """x * conj(x) = x**(Q + 1), a base value: a*(a - b c1) + b**2 c0."""
-        base = self.base
-        mul = base._mul
-        a, b = x
-        return base._add(mul(a, self._conj(x)[0]), mul(mul(b, b), self._c0))
+        """x * conj(x) = x**(Q + 1), a base value: the base block of
+        that product."""
+        return self._mul(x, self._conj(x))[0]
 
     def _inv(self, x):
         if x == self._zero:
@@ -678,26 +654,30 @@ def solve_norm(tower: TowerSpec, u, guards: GuardConfig | None = None) -> Elemen
     The relative norm maps the canonical primitive g onto a generator of
     the base group, so the least exponent is the discrete log of u with
     respect to that generator, found by a walk of at most q - 1 steps in
-    the base field.
+    the base field, one packed product per step.
     A base field beyond the dlog guard is refused with
     ``DiscreteLogGuardExceeded``.
     """
     guards = current_guards(guards)
     if not u:
         raise ZeroElement("norm equation needs a nonzero right-hand side")
-    q = tower.base.order
+    base = tower.base
+    q = base.order
     if q > guards.dlog_limit:
         raise DiscreteLogGuardExceeded(
             "base field order %d exceeds the discrete-log guard %d"
             % (q, guards.dlog_limit))
-    base = tower.base
+    pack, reduce, _ = base._layout(1)
     g = find_primitive_element(tower)
-    gen = tower._norm(g.value)  # g**(q + 1), a generator of the base group
-    w = base._one
+    # g**(q + 1), a generator of the base group; the walk runs on packed
+    # canonical values, which compare as ints
+    gen = pack(tower._norm(g.value))
+    want = pack(u.value)
+    w = pack(base._one)
     for m in range(q - 1):
-        if w == u.value:
+        if w == want:
             return g ** m
-        w = base._mul(w, gen)
+        w = reduce(w * gen)
     raise ZeroElement("norm walk failed")  # unreachable: the norm is onto
 
 

@@ -9,8 +9,10 @@ encodings.  None of them runs through the lex column walk,
 with, and the lex oracle tests every k-subset of columns, self-dual
 code or not.  The tower arithmetic recurses through element objects of
 every level, as the package did before its towers multiplied raw
-values; powers square and multiply those objects, as the package did
-before it packed them, and the splitting check is the package's
+values, down to a schoolbook product of GF(p^t) coefficient lists mod
+the modulus, as the package multiplied before its products ran on the
+packed layout; powers square and multiply those objects, as the package
+did before it packed them, and the splitting check is the package's
 earlier, longer body.
 The irreducibility test is the package's earlier one, with its own
 integer-list polynomial arithmetic mod p instead of the ring of
@@ -226,10 +228,22 @@ def _join(tower, a, b):
     return tower.from_int(base.index(a) + base.order * base.index(b))
 
 
+def _coeffs(field, x):
+    """The GF(p) coefficients of x in GF(p^t), constant term first, read
+    from the documented index encoding sum(c[i] * p**i)."""
+    i, p = field.index(x), field.p
+    return [i // p ** k % p for k in range(field.t)]
+
+
 def tower_mul_oracle(field, x, y):
-    """x*y with y**2 = -c1*y - c0 at every tower level, on objects."""
+    """x*y with y**2 = -c1*y - c0 at every tower level, on objects, and
+    the schoolbook product mod the modulus on coefficient lists in
+    GF(p^t)."""
     if not isinstance(field, TowerSpec):
-        return x * y
+        p = field.p
+        c = _pmulmod(_coeffs(field, x), _coeffs(field, y),
+                     list(field.modulus), p)
+        return field.from_int(sum(v * p ** k for k, v in enumerate(c)))
     base = field.base
     (a, b), (c, d) = field.parts(x), field.parts(y)
     c0, c1, _ = field.ext_modulus

@@ -10,7 +10,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import _pmod, poly_is_irreducible_oracle, pow_oracle
+from oracles import (
+    _pmod,
+    poly_is_irreducible_oracle,
+    pow_oracle,
+    tower_mul_oracle,
+)
 from selfdual import fields
 from selfdual.errors import (
     DegreeZero,
@@ -269,13 +274,16 @@ def power_case(draw):
              | st.integers(-2 * q, 3 * q)
              | st.builds(lambda a, b: a * (Q + 1) + b,
                          st.integers(-3, 5), st.sampled_from([0, 1, Q])))
-    return field, x, e
+    y = field.from_int(draw(st.sampled_from([0, 1, q - 1])
+                            | st.integers(0, q - 1)))
+    return field, x, y, e
 
 
 @settings(deadline=None, max_examples=300)
 @given(power_case())
 def test_pow_matches_the_object_square_and_multiply(case):
-    field, x, e = case
+    field, x, y, e = case
+    assert x * y == tower_mul_oracle(field, x, y)
     if not x and e < 0:
         with pytest.raises(ZeroElement):
             x ** e
