@@ -69,15 +69,17 @@ from .linalg import (
 # once per process, and then serves every reduction, column walk and
 # codeword scan over its field; a packed reduction costs about k*k*n
 # entry updates, each time it runs.  Measured on a 2-vCPU VM in GF(31^3),
-# GF(5^6), GF(2^12) and GF(7^4), a table step costs 1.6-2.1 us (the
+# GF(5^6), GF(2^12) and GF(7^4), a table step costs 1.4-2.5 us (the
 # linalg.dlog_build_ms.gf31_3 probe times one build) and a packed update
-# 3.5-6.4 us, and a builder and every later verify reduce the code again,
-# so a table is built when q is at most this many times k*k*n.  That
-# keeps GF(2^12) on its table for the [14, 7] table code (q = 6 k*k*n)
-# and sends GF(31^3) with [16, 8] and GF(5^6) with [10, 5] (29 and 62
-# times) to packed values: 2 and 1 ms of reduction against 50 and 25 ms
-# of table.
-TABLE_STEPS_PER_UPDATE = 8
+# reduce(u + f*v) 0.6-1.1 us, less than half a step, and a builder and
+# every later verify reduce the code again, so a table is built when q
+# is at most this many times k*k*n: when it costs about what four or
+# five packed reductions do.  That sends GF(2^12) with the [14, 7] table
+# code (q = 6.0 k*k*n) and GF(3^6) with [8, 4] (5.7) to packed values,
+# as GF(31^3) with [16, 8] and GF(5^6) with [10, 5] (29 and 62 times),
+# and keeps GF(3^6) with [14, 7] (1.06) and GF(31^2) with [16, 8] (0.94)
+# on their tables.
+TABLE_STEPS_PER_UPDATE = 2
 
 
 def _reduction_table(field: Field, k: int, n: int, dlog_limit: int):
@@ -281,17 +283,25 @@ def binomial_remainder(arith: PackedField, g: list, n: int,
                        lam: int) -> list:
     """The remainder of x**n - lam modulo the monic g of degree d, as its
     d low coefficients (x**n - lam itself when d > n), constant term
-    first, by long division on the packed values of ``arith``: one
-    reduce per coefficient update."""
-    reduce, minus_one = arith.reduce, arith.minus_one
+    first, by long division on the packed values of ``arith``, which
+    must hold sums of d products: the n-term layout of a generator.
+
+    Coefficient j collects its updates -r*g[i] unreduced; it gets one
+    from each of the d leading coefficients above it, so it holds at
+    most d products plus its one starting value, which the layout
+    holds.  Each coefficient is reduced once: when it leads, before its
+    zero test, or at the end when it is one of the d low ones."""
+    reduce = arith.reduce
     d = len(g) - 1
-    rem = [reduce(minus_one * lam)] + [0] * (n - 1) + [arith.one]
+    minus_g = [arith.neg(c) for c in g[:d]]
+    rem = [arith.neg(lam)] + [0] * (n - 1) + [arith.one]
     for top in range(n, d - 1, -1):
-        if rem[top]:
-            f, base = reduce(minus_one * rem[top]), top - d
-            for i in range(d):
-                rem[base + i] = reduce(rem[base + i] + f * g[i])
-    return rem[:d]
+        r = reduce(rem[top])
+        if r:
+            base = top - d
+            for i, c in enumerate(minus_g):
+                rem[base + i] += r * c
+    return list(map(reduce, rem[:d]))
 
 
 def cyclic_generator_matrix(spec: CyclicSpec) -> LinearCode:

@@ -478,7 +478,7 @@ def build_hermitian_n5(p: int, t: int,
         raise VerificationFailed("coefficient_descent",
                                  "generator coefficients are not in GF(q^2)")
     g = (prod, -s, tower.one)
-    arith = packed_field(tower)
+    arith = packed_field(tower, 5)
     if any(binomial_remainder(arith, list(map(arith.encode, g)), 5,
                               arith.one)):
         raise NotDividing("generator does not divide x^5 - 1")

@@ -122,12 +122,14 @@ class Field:
         The sum is exact.  Its products have their digits at fixed
         positions, so it adds digit by digit, each digit at most
         B = ``_product_bound(self, terms)`` plus p - 1 from the value.
-        In GF(p^t), t > 1, ``reduce`` adds to each of the t low digits
-        the dot product of the t - 1 high digits with one coordinate of
-        each packed residue of x**(t + j); the coordinates are below p,
-        so a folded digit is at most (B + p - 1)*(1 + (t - 1)*(p - 1)),
-        and the lane width of ``_packing`` holds that: no digit carries
-        into the next before each is taken mod p.  A tower reduces its
+        In GF(p^t), t > 1, ``reduce`` folds the t - 1 high digits into
+        the t low ones by adding them times residue coordinates, which
+        are not negative, so a folded digit is largest when every digit
+        is at that bound; ``_packing`` computes that largest digit X.
+        Its lane width holds X times the multiplier M of its lane
+        division, so no digit carries into the next before all are
+        taken mod p at once, and each quotient is exact up to X (see
+        ``_packing``).  A tower reduces its
         three blocks at the same bound, then folds y**2 by adding a value
         with coordinates below p to one product of the level below, at
         most t*(p - 1)**2 * 2**(L - 1) + p - 1 <= B, so no digit inside
@@ -711,18 +713,38 @@ def _packing(field: Field, bound: int):
     ac, ad + bc and bd, the coefficients of 1, y and y**2, in three
     blocks of that length side by side.
 
-    ``reduce`` maps a product, or a sum of products with every digit at
-    most ``bound``, to the packed canonical value.  In GF(p^t), t > 1,
-    the digits of x**(t + j), j < t - 1, become the packed residues of
-    x**(t + j) mod the modulus, by one dot product of the t - 1 high
-    digits with those residues, added to the t low digits; then each
-    digit is taken mod p.  A folded digit is at most
-    bound*(1 + (t - 1)*(p - 1)), so s is the least of 16, 32 and 64 bits
-    that holds that, read by a cast of the bytes, or else that bit
-    length, read by shifts.  In GF(p) a digit is just taken mod p.  A
-    tower reduces its three blocks, then y**2 -> -c1*y - c0; those
-    constants are packed canonical values, so no digit inside ``reduce``
-    exceeds ``bound`` (see ``Field._layout``).
+    ``reduce`` maps a product, a sum of products, or in GF(p^t) any
+    packed int of 2t - 1 digits, with every digit at most ``bound``, to
+    the packed canonical value in a few big-int operations.  In GF(p) a
+    digit is just taken mod p.  In GF(p^t), t > 1, let x**t = r(x) mod
+    the modulus, r of degree d, and m = t - d.  The t - 1 high digits
+    fold in blocks of m: block b, the digits of x**(t + b*m + i), i < m,
+    read as a polynomial H_b in x, is replaced by H_b times the packed
+    residue R_b of x**(t + b*m).  R_0 = r, so block 0 lands below x**t;
+    a later block lands below x**(t + m - 1), and the at most m - 1
+    digits it spills above x**t fold once more by r, below x**(t - 1).
+    The canonical moduli of the
+    table fields need one block (d <= 1), or two for GF(3^16), GF(2^12),
+    GF(5^9) and GF(3^11) (d = 3, 3, 2, 2); a dense modulus, d = t - 1,
+    folds its high digits one by one.  The folds only add digits times
+    residue coordinates, which are not negative, so every lane, the
+    spilled ones included, is largest when every digit is at ``bound``:
+    X, the largest lane of the folds on that input, computed once here,
+    bounds every folded digit x.
+
+    Then every digit is taken mod p at once, as v - p*(v*M >> k & mask).
+    With 2**k >= X*p and M = ceil(2**k / p) = (2**k + f)/p, 0 <= f < p,
+    x*M / 2**k = x/p + x*f/(p*2**k); the second term is below
+    x/2**k <= 1/p, and x/p is at most 1 - 1/p past its floor, so
+    x*M >> k = floor(x/p).  The lane width s holds X*M, so the digits of
+    v*M do not overlap; after the shift by k, each lane's quotient,
+    below 2**(s - k), sits in its low s - k bits under the k bits the
+    lane above leaves there, which the mask clears, and v - p*q takes
+    each digit mod p with no borrow.  s is the least of 16, 32 and 64
+    bits that holds X*M, read by a cast of the bytes, or else that bit
+    length, read by shifts.  A tower reduces its three blocks, then
+    y**2 -> -c1*y - c0; those constants are packed canonical values, so
+    no digit inside ``reduce`` exceeds ``bound`` (see ``Field._layout``).
     """
     if isinstance(field, TowerSpec):
         base_pack, base_reduce, base_unpack, bits = _packing(field.base, bound)
@@ -749,26 +771,66 @@ def _packing(field: Field, bound: int):
     if t == 1:  # no polynomial to reduce: one digit, one coefficient
         return (operator.itemgetter(0), p.__rmod__, (lambda v: (v,)),
                 bound.bit_length())
-    fold = bound * (1 + (t - 1) * (p - 1))
-    s = next((w for w in (16, 32, 64) if fold >> w == 0), fold.bit_length())
+    # x**t = r(x) = -(c_0 + ... + c_(t-1) x**(t-1)), of degree d; each
+    # further x shifts the coefficients up one and folds the one that
+    # leaves by that rule; coords[b] is x**(t + b*m)
+    xt = [-c % p for c in field.modulus[:t]]
+    d = max((i for i, c in enumerate(xt) if c), default=0)
+    m = t - d
+    blocks = -(-(t - 1) // m)
+    coords, r = [], xt
+    for j in range((blocks - 1) * m + 1):
+        if j % m == 0:
+            coords.append(r)
+        r = [(lo + r[-1] * c) % p for lo, c in zip([0] + r[:-1], xt)]
+    # the folds on every digit at the bound, spill lanes included
+    lanes = [bound] * t + [0] * (m - 1)
+    for j in range(t - 1):
+        b, i = divmod(j, m)
+        for h, c in enumerate(coords[b], i):
+            lanes[h] += bound * c
+    if blocks > 1:
+        for j in range(t, t + m - 1):
+            for h, c in enumerate(xt, j - t):
+                lanes[h] += lanes[j] * c
+    most = max(lanes)
+    k = (most * p - 1).bit_length()
+    M = -(-(1 << k) // p)
+    need = (most * M).bit_length()
+    s = next((w for w in (16, 32, 64) if need <= w), need)
     shifts = [s * i for i in range(t)]
 
     def pack(v):
         return sum(map(operator.lshift, v, shifts))
 
-    # x**t = -(c_0 + ... + c_(t-1) x**(t-1)); each further x shifts the
-    # coefficients up one and folds the one that leaves by that rule
-    xt = [-c % p for c in field.modulus[:t]]
-    residues, r = [], xt
-    for _ in range(t - 1):
-        residues.append(pack(r))
-        r = [(lo + r[-1] * c) % p for lo, c in zip([0] + r[:-1], xt)]
+    residues = list(map(pack, coords))
     low, top = (1 << s * t) - 1, s * t
-    high_digits, digits = _lanes(s, t - 1), _lanes(s, t)
+    block, width = (1 << s * m) - 1, s * m
+    quotients = pack([(1 << s - k) - 1] * t)
+    r0 = residues[0]
 
-    def reduce(v):
-        v = (v & low) + sum(map(operator.mul, high_digits(v >> top), residues))
-        return pack(map(p.__rmod__, digits(v)))
+    if blocks == 1:
+        def reduce(v):
+            v = (v & low) + (v >> top) * r0
+            return v - p * (v * M >> k & quotients)
+    elif blocks == 2:
+        r1 = residues[1]
+
+        def reduce(v):
+            h = v >> top
+            v = (v & low) + (h & block) * r0 + (h >> width) * r1
+            v = (v & low) + (v >> top) * r0
+            return v - p * (v * M >> k & quotients)
+    else:
+        high_blocks = _lanes(width, blocks)
+
+        def reduce(v):
+            v = (v & low) + sum(map(operator.mul, high_blocks(v >> top),
+                                    residues))
+            v = (v & low) + (v >> top) * r0
+            return v - p * (v * M >> k & quotients)
+
+    digits = _lanes(s, t)
 
     def unpack(v):
         return tuple(digits(v))

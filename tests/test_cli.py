@@ -2,6 +2,7 @@
 import contextlib
 import functools
 import io
+import itertools
 import json
 import os
 import tempfile
@@ -28,10 +29,12 @@ from selfdual.constructions import (
 )
 from selfdual.cosets import DefiningSet
 from selfdual.fields import (
+    FieldSpec,
     element_from_json,
     element_to_json,
     field_from_json,
     make_field,
+    poly_is_irreducible,
     quadratic_extension,
     solve_norm,
 )
@@ -242,6 +245,43 @@ def test_a_build_and_its_verify_build_each_n_term_layout_once(
     rc, lines = run_cli(capsys, "verify", str(path))
     assert rc == 0 and lines[0]["euclidean_self_dual"] is True
     assert built[27] == 1 and built[28] == 1
+
+
+@pytest.mark.parametrize("length, p, t", [(8, 3, 6), (10, 5, 6)])
+def test_verify_agrees_on_an_isomorphic_dense_modulus(
+        tmp_path, capsys, length, p, t):
+    # the table code, carried to GF(p)[x]/(c') for the least modulus c'
+    # with every coefficient nonzero through x -> beta, a root of the
+    # canonical modulus in the new field; without metadata, verify reads
+    # only the generator, and the dense field reduces it on packed values
+    # through the fold of one high digit at a time
+    canonical = make_field(p, t)
+    dense = next(FieldSpec(p, t, c + (1,))
+                 for c in itertools.product(range(1, p), repeat=t)
+                 if poly_is_irreducible(c + (1,), p))
+    beta = next(x for x in dense.elements() if x and functools.reduce(
+        lambda acc, c: acc * x + dense.scalar(c),
+        reversed(canonical.modulus), dense.zero) == dense.zero)
+    powers = [beta ** i for i in range(t)]
+
+    def image(coeffs):
+        return element_to_json(sum(
+            (dense.scalar(c) * b for c, b in zip(coeffs, powers)), dense.zero))
+
+    record = build_euclidean_duadic_extended(p, t, length - 1).to_json()
+    del record["metadata"]
+    carried = dict(record, field=fields.field_to_json(dense), generator=[
+        [image(x) for x in row] for row in record["generator"]])
+    outputs = []
+    for i, obj in enumerate((record, carried)):
+        path = tmp_path / ("code-%d.json" % i)
+        path.write_text(json.dumps(obj))
+        rc, lines = run_cli(capsys, "verify", str(path))
+        assert rc == 0
+        outputs.append(lines[0])
+    assert outputs[0] == outputs[1]
+    assert outputs[0]["euclidean_self_dual"] is True
+    assert outputs[0]["mds"]["status"] == "certified-exact"
 
 
 def test_splitting_domain_error(capsys):

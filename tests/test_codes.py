@@ -231,7 +231,7 @@ def test_binomial_remainder_is_the_long_division_remainder(spec, data):
     n = data.draw(st.integers(1, 12))
     g = data.draw(st.lists(element, max_size=n + 1)) + [field.one]
     lam = data.draw(element)
-    arith = linalg_module.packed_field(field)
+    arith = linalg_module.packed_field(field, n)
     got = codes_module.binomial_remainder(
         arith, list(map(arith.encode, g)), n, arith.encode(lam))
     _, rem = poly_divmod([-lam] + [field.zero] * (n - 1) + [field.one],
@@ -1118,7 +1118,7 @@ def test_auto_exhaustive_rung_keeps_its_codeword_guard():
 
 
 def test_a_packed_certificate_builds_no_table():
-    # GF(5^6) has 15625 elements against 8 k**2 n = 2000 updates of a
+    # GF(5^6) has 15625 elements against 2 k**2 n = 500 updates of a
     # [10, 5] reduction: the form is packed, and the certificate holds
     field = make_field(5, 6)
     linalg_module.dlog_table(field, field.order)

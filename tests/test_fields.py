@@ -3,6 +3,7 @@
 Expected moduli below were frozen from exhaustive irreducibility scans
 done by hand (degree <= 2) or by the brute_irreducible oracle here.
 """
+import functools
 import itertools
 import json
 import random
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     _pmod,
+    _pmulmod,
     poly_is_irreducible_oracle,
     pow_oracle,
     tower_mul_oracle,
@@ -292,9 +294,9 @@ def test_pow_matches_the_object_square_and_multiply(case):
 
 
 @pytest.mark.parametrize("p, t, terms, lane", [
-    (46337, 2, 10**4, 64),   # a folded lane fits 64 bits
-    (46337, 2, 10**5, 65),   # it does not: lanes read by shifts
-    (3, 16, 18, 16),         # the length-18 table code over GF(3^16)
+    (31, 3, 53138, 64),      # a folded lane times M fits 64 bits
+    (31, 3, 53139, 65),      # it does not: lanes read by shifts
+    (3, 16, 18, 32),         # the length-18 table code over GF(3^16)
 ])
 def test_kronecker_is_exact_at_the_lane_width_edges(p, t, terms, lane):
     field = make_field(p, t)
@@ -319,6 +321,71 @@ def test_kronecker_is_exact_at_the_lane_width_edges(p, t, terms, lane):
     assert reduce(packed) == pack(total)
     assert reduce(terms * pack(top) ** 2) == pack(field.scalar(terms)
                                                   * top * top)
+    # every digit at the bound, which no sum of products reaches, is the
+    # worst case the lane width was sized for
+    rem = _pmod([bound % p] * (2 * t - 1), field.modulus, p)
+    assert reduce(sum(bound << lane * i for i in range(2 * t - 1))) == \
+        layout_pack(tuple(rem + [0] * (t - len(rem))))
+
+
+@functools.cache
+def _dense_field(p, t, seed):
+    """A random irreducible modulus with x**(t - 1) present, so that
+    x**t = r(x) has degree t - 1 and the fold takes the high digits one
+    at a time."""
+    rng = random.Random(seed)
+    while True:
+        c = ([rng.randrange(1, p)] + [rng.randrange(p) for _ in range(t - 2)]
+             + [rng.randrange(1, p), 1])
+        if poly_is_irreducible(c, p):
+            return FieldSpec(p, t, tuple(c))
+
+
+@st.composite
+def reduce_ring(draw):
+    """The canonical field of every table pair, a dense irreducible
+    modulus for p in {2, 3, 5, 7, 31} and t <= 16, or a monic ring
+    modulus x**t - r(x) with r of any degree d, as Rabin's test builds,
+    which reaches every block count and spill of the fold."""
+    kind = draw(st.sampled_from(["table", "dense", "ring"]))
+    if kind == "table":
+        return make_field(*draw(st.sampled_from(sorted(
+            {pt for _, row in TABLE_ROWS for pt in row if pt[1] > 1}))))
+    p = draw(st.sampled_from([2, 3, 5, 7, 31]))
+    t = draw(st.integers(2, 16))
+    if kind == "dense":
+        return _dense_field(p, t, draw(st.integers(0, 3)))
+    d = draw(st.integers(0, t - 1))
+    r = draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d))
+    return FieldSpec(p, t, tuple(r + [draw(st.integers(1, p - 1))]
+                                 + [0] * (t - 1 - d) + [1]))
+
+
+@settings(deadline=None, max_examples=200)
+@given(reduce_ring(), st.sampled_from([1, 2, 30, 10**4]), st.data())
+def test_reduce_on_every_layout_matches_the_schoolbook_product(
+        field, terms, data):
+    # a few random products, the rest of the terms the square of the
+    # value with every coordinate p - 1, whose digits are the largest a
+    # product reaches, and one more value
+    p, t = field.p, field.t
+    pack, reduce, unpack = field._layout(terms)
+    value = st.lists(st.integers(0, p - 1), min_size=t, max_size=t)
+    pairs = data.draw(st.lists(st.tuples(value, value), min_size=1,
+                               max_size=min(terms, 4)))
+    extra = data.draw(st.sampled_from([[p - 1] * t]) | value)
+    top = [p - 1] * t
+    full = terms - len(pairs)
+    packed = (sum(pack(a) * pack(b) for a, b in pairs)
+              + full * pack(top) ** 2 + pack(extra))
+    want = list(extra)
+    modulus = list(field.modulus)
+    for (a, b), times in [*((pair, 1) for pair in pairs),
+                          ((top, top), full)]:
+        for i, c in enumerate(_pmulmod(a, b, modulus, p)):
+            want[i] = (want[i] + times * c) % p
+    assert reduce(packed) == pack(want)
+    assert unpack(reduce(packed)) == tuple(want)
 
 
 # --- multiplicative structure ---
