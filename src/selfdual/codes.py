@@ -126,14 +126,10 @@ class ReducedForm(Frozen):
     def cauchy(self) -> bool:
         return _cauchy_certified(self.arith, self.rows, self.pivots)
 
-    def rows_on(self, arith) -> list:
-        """R's rows on ``arith``'s encoding (a ``DlogTable`` or a
-        ``PackedField``), or as element objects when ``arith`` is None."""
-        if arith is not None and isinstance(arith, PackedField) == self.packed:
-            return self.rows
-        rows = [list(map(self.arith.decode, row)) for row in self.rows]
-        return rows if arith is None else [list(map(arith.encode, row))
-                                           for row in rows]
+    def element_rows(self) -> list:
+        """R's rows as element objects."""
+        decode = self.arith.decode
+        return [list(map(decode, row)) for row in self.rows]
 
 
 class LinearCode(Frozen):
@@ -204,7 +200,7 @@ def same_code(a: LinearCode, b: LinearCode) -> bool:
     """Row-space equality via the canonical reduced echelon form."""
     if a.n != b.n or a.k != b.k or a.field != b.field:
         return False
-    return a._reduced().rows_on(None) == b._reduced().rows_on(None)
+    return a._reduced().element_rows() == b._reduced().element_rows()
 
 
 class CyclicSpec(Frozen):
@@ -486,9 +482,10 @@ def mds_check(code: LinearCode, mode: str, trials: int = 1000,
     columns is independent (necessary and sufficient) with one
     elimination shared by all subsets, and refutes with the lex-first
     dependent subset; ``monte-carlo`` samples subsets with a seed
-    derived from (n, k, q) and tests each minor on R.  The searches run
-    on log-table ints within ``dlog_limit`` and on packed values beyond
-    that guard.  The root-run certificate is a rung of ``certify_mds``.
+    derived from (n, k, q) and tests each minor on R, in R's own
+    encoding.  The column search runs on log-table ints within
+    ``dlog_limit`` and on packed values beyond that guard.  The root-run
+    certificate is a rung of ``certify_mds``.
     Fewer than one trial is refused with ``MalformedInput``.
     """
     _check_trials(trials)
@@ -504,10 +501,9 @@ def mds_check(code: LinearCode, mode: str, trials: int = 1000,
         return (MdsVerdict("certified-exact")
                 if mode == "exhaustive-columns" else
                 MdsVerdict("monte-carlo", trials=trials, passes=trials))
-    # one encoding for both searches, chosen once
-    arith = (dlog_table(code.field, guards.dlog_limit)
-             or packed_field(code.field))
     if mode == "exhaustive-columns":
+        arith = (dlog_table(code.field, guards.dlog_limit)
+                 or packed_field(code.field))
         columns = [list(map(arith.encode, col))
                    for col in zip(*code.generator)]
         witness = first_dependent_subset(columns, k, arith.zero,
@@ -516,8 +512,9 @@ def mds_check(code: LinearCode, mode: str, trials: int = 1000,
                           else "refuted", witness=witness)
     # R = M G with M invertible and R's pivot columns the unit vectors:
     # G_S is singular exactly when R restricted to the rows of the pivots
-    # outside S and the columns of S that are not pivots is singular
-    reduced, pivots = form.rows_on(arith), form.pivots
+    # outside S and the columns of S that are not pivots is singular;
+    # the minors are sampled on R's own encoding
+    arith, reduced, pivots = form.arith, form.rows, form.pivots
     pivot_set = set(pivots)
     rng = random.Random("%d:%d:%d" % (n, k, code.field.order))
     passes = 0

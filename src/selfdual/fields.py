@@ -8,15 +8,18 @@ irreducible polynomial under constant-term-first comparison; elements are
 ordered by the integer encoding ``sum(c[i] * p**i)`` and "least" always
 refers to that encoding.
 
-GF(q^2) is represented on top of any field object as pairs (a, b)
-standing for ``a + b*y`` where y is a root of a fixed monic irreducible
-quadratic over the base.  Towers nest, which gives GF(q^4) when needed.
+GF(q^2) is represented on top of any field object as a + b*y, where y
+is a root of a fixed monic irreducible quadratic over the base.  Towers
+nest, which gives GF(q^4) when needed.
 
-Each field owns the encoding of its element values: a GF(p^t) value is
-its coefficient tuple, a tower value the pair of its base values.  Field
-methods do the arithmetic on values; ``Element`` pairs a value with its
-field for everything outside this module, which never reads a value's
-layout.
+Every field encodes a value the same way: as the tuple of its
+D = log_p(q) coordinates over GF(p), in the digit order of the
+canonical index ``sum(c[i] * p**i)``.  In GF(p^t) they are the
+coefficients of x**i; in a tower they are a's coordinates, then b's, so
+the tower's index base.index(a) + Q*base.index(b) reads the same
+digits.  Field methods do the arithmetic on values; ``Element`` pairs a
+value with its field for everything outside this module, which never
+reads a value's layout.
 
 Every Kronecker-packed product in the package runs on
 ``Field._layout(terms)``, the layout of ``_packing`` for exact sums of
@@ -42,7 +45,7 @@ from __future__ import annotations
 import functools
 import operator
 import sys
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 from .config import GuardConfig, current_guards
 from .errors import (
@@ -74,17 +77,35 @@ ROOT_SCAN_LIMIT = 256
 # fields and their elements
 # ---------------------------------------------------------------------------
 
+_set = object.__setattr__  # bound once: Element() is the hot constructor
+
+
 class Field:
     """What GF(p^t) and a quadratic tower share.
 
-    A subclass fixes how its element values are encoded and does the
-    rest of their arithmetic: ``_add``, ``_sub``, ``_neg``, ``_inv``,
-    ``_from_int``, ``_index`` and the JSON codec ``_to_json`` and
-    ``_from_json``.  It also sets ``_zero`` and ``_one`` to the values of
-    0 and 1.  Products and powers are written here, once, on the packed
-    layout of ``_packing``; ``Element`` pairs a value with its field, and
-    everything below is written once on top of those methods.
+    ``char`` = p, ``degree`` = D and ``order`` = p**D are set once, in
+    ``__init__``, with the hash of ``key``, the subclass's fields.  A
+    value is the tuple of the D coordinates over GF(p) described in the
+    module docstring, the same for every field, so the index, its
+    inverse ``_from_int`` and ``_add``, ``_sub`` and ``_neg`` are written
+    here, once, and so are products and powers, on the packed layout of
+    ``_packing``.  A subclass adds ``_inv`` and the JSON codec
+    ``_to_json`` and ``_from_json``; ``Element`` pairs a value with its
+    field, and everything below is written once on top of these methods.
     """
+
+    def __init__(self, char: int, degree: int, key: tuple):
+        _set(self, "char", char)
+        _set(self, "degree", degree)
+        _set(self, "order", char ** degree)
+        _set(self, "_zero", (0,) * degree)
+        _set(self, "_one", (1,) + (0,) * (degree - 1))
+        _set(self, "_hash", hash(key))
+
+    def __hash__(self) -> int:
+        # a tower's key walks its base and modulus elements, so the hash
+        # is computed once; every cache keyed by a field looks it up
+        return self._hash
 
     @functools.cached_property
     def zero(self) -> "Element":
@@ -108,6 +129,37 @@ class Field:
     def elements(self) -> Iterator["Element"]:
         for i in range(self.order):
             yield self.from_int(i)
+
+    def _from_int(self, index: int) -> tuple:
+        p, coords = self.char, []
+        for _ in range(self.degree):
+            index, c = divmod(index, p)
+            coords.append(c)
+        return tuple(coords)
+
+    def _index(self, v) -> int:
+        acc, p = 0, self.char
+        for c in reversed(v):
+            acc = acc * p + c
+        return acc
+
+    def _add(self, a, b):
+        p = self.char
+        if self.degree == 1:
+            return ((a[0] + b[0]) % p,)
+        return tuple([(x + y) % p for x, y in zip(a, b)])
+
+    def _sub(self, a, b):
+        p = self.char
+        if self.degree == 1:
+            return ((a[0] - b[0]) % p,)
+        return tuple([(x - y) % p for x, y in zip(a, b)])
+
+    def _neg(self, a):
+        p = self.char
+        if self.degree == 1:
+            return (-a[0] % p,)
+        return tuple([-x % p for x in a])
 
     @functools.cached_property
     def _layouts(self) -> dict:
@@ -174,33 +226,7 @@ class FieldSpec(Field, Frozen):
 
     def __init__(self, p: int, t: int, modulus: tuple[int, ...]):
         self._assign(p, t, modulus)
-        object.__setattr__(self, "_zero", (0,) * t)
-        object.__setattr__(self, "_one", (1,) + (0,) * (t - 1))
-        object.__setattr__(self, "_hash", hash((p, t, modulus)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @property
-    def order(self) -> int:
-        return self.p ** self.t
-
-    @property
-    def char(self) -> int:
-        return self.p
-
-    def _from_int(self, index: int) -> tuple:
-        coeffs = []
-        for _ in range(self.t):
-            coeffs.append(index % self.p)
-            index //= self.p
-        return tuple(coeffs)
-
-    def _index(self, v) -> int:
-        acc = 0
-        for c in reversed(v):
-            acc = acc * self.p + c
-        return acc
+        Field.__init__(self, p, t, (p, t, modulus))
 
     def _reduce(self, coeffs: Sequence[int]) -> tuple:
         """The value of the integer polynomial ``coeffs`` in x; longer
@@ -227,24 +253,6 @@ class FieldSpec(Field, Frozen):
                              "integers, got %r" % (obj,))
         return self._reduce(obj)
 
-    def _add(self, a, b):
-        p = self.p
-        if self.t == 1:
-            return ((a[0] + b[0]) % p,)
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def _sub(self, a, b):
-        p = self.p
-        if self.t == 1:
-            return ((a[0] - b[0]) % p,)
-        return tuple((x - y) % p for x, y in zip(a, b))
-
-    def _neg(self, a):
-        p = self.p
-        if self.t == 1:
-            return (-a[0] % p,)
-        return tuple((-x) % p for x in a)
-
     def _inv(self, a):
         if not any(a):
             raise ZeroElement("division by zero in GF(%d^%d)" % (self.p, self.t))
@@ -263,97 +271,75 @@ class TowerSpec(Field, Frozen):
     """GF(q^2) over a base field, elements a + b*y.
 
     ``ext_modulus`` is the monic quadratic (c0, c1, 1), as base
-    elements, with y**2 = -c1*y - c0.  A value is the pair (a, b) of base
-    values.  The base may itself be a tower, giving GF(q^4) and so on.
+    elements, with y**2 = -c1*y - c0.  A value is a's coordinates
+    followed by b's, so a and b are its two halves.  The base may itself
+    be a tower, giving GF(q^4) and so on.
     """
 
     _fields = ("base", "ext_modulus")
 
     def __init__(self, base: Field, ext_modulus: tuple):
         self._assign(base, ext_modulus)
+        Field.__init__(self, base.char, 2 * base.degree, (base, ext_modulus))
         c1 = ext_modulus[1]
-        object.__setattr__(self, "_zero", (base._zero, base._zero))
-        object.__setattr__(self, "_one", (base._one, base._zero))
         # None when c1 = 0, as in every canonical tower of odd q: the c1
         # term of the conjugate drops out
-        object.__setattr__(self, "_c1", c1.value if c1 else None)
-        object.__setattr__(self, "_hash", hash((base, ext_modulus)))
-
-    def __hash__(self) -> int:
-        # a tower's hash walks its base and modulus elements, so it is
-        # computed once; every cache keyed by a field looks it up
-        return self._hash
-
-    @property
-    def order(self) -> int:
-        return self.base.order ** 2
-
-    @property
-    def char(self) -> int:
-        return self.base.char
+        _set(self, "_c1", c1.value if c1 else None)
 
     @functools.cached_property
     def y(self) -> "Element":
-        return Element(self, (self.base._zero, self.base._one))
+        return Element(self, self.base._zero + self.base._one)
 
     def embed(self, x: "Element") -> "Element":
-        return Element(self, (x.value, self.base._zero))
+        return Element(self, x.value + self.base._zero)
 
     def parts(self, x: "Element") -> tuple:
         """(a, b) with x = a + b*y, as elements of the base."""
-        a, b = x.value
-        return Element(self.base, a), Element(self.base, b)
-
-    def _from_int(self, index: int) -> tuple:
-        base = self.base
-        q = base.order
-        return base._from_int(index % q), base._from_int(index // q)
-
-    def _index(self, v) -> int:
-        base = self.base
-        return base._index(v[0]) + base.order * base._index(v[1])
+        half = self.base.degree
+        return (Element(self.base, x.value[:half]),
+                Element(self.base, x.value[half:]))
 
     def _to_json(self, v) -> list:
-        return [self.base._to_json(v[0]), self.base._to_json(v[1])]
+        half = self.base.degree
+        return [self.base._to_json(v[:half]), self.base._to_json(v[half:])]
 
     def _from_json(self, obj) -> tuple:
         if type(obj) is not list or len(obj) != 2:
             raise ValueError("a tower element must be an array of two base "
                              "elements, got %r" % (obj,))
-        return self.base._from_json(obj[0]), self.base._from_json(obj[1])
+        return self.base._from_json(obj[0]) + self.base._from_json(obj[1])
 
-    def _add(self, x, y):
-        add = self.base._add
-        return add(x[0], y[0]), add(x[1], y[1])
-
-    def _sub(self, x, y):
-        sub = self.base._sub
-        return sub(x[0], y[0]), sub(x[1], y[1])
-
-    def _neg(self, x):
-        neg = self.base._neg
-        return neg(x[0]), neg(x[1])
+    def _scale(self, v, s):
+        """s*v for a base value s, on the two halves of v: one scalar
+        multiply per coordinate over GF(p), else two base products."""
+        base = self.base
+        if base.degree == 1:
+            p, s = self.char, s[0]
+            return tuple([c * s % p for c in v])
+        half = base.degree
+        return base._mul(v[:half], s) + base._mul(v[half:], s)
 
     def _conj(self, x):
         """x**q on values (see ``frobenius``)."""
         base = self.base
-        a, b = x
-        if self._c1 is not None:
-            a = base._sub(a, base._mul(b, self._c1))
-        return a, base._neg(b)
+        half = base.degree
+        b = x[half:]
+        if self._c1 is None:
+            return x[:half] + base._neg(b)
+        return base._sub(x[:half], base._mul(b, self._c1)) + base._neg(b)
 
     def _norm(self, x):
-        """x * conj(x) = x**(Q + 1), a base value: the base block of
+        """x * conj(x) = x**(Q + 1), a base value: the base half of
         that product."""
-        return self._mul(x, self._conj(x))[0]
+        return self._mul(x, self._conj(x))[:self.base.degree]
 
     def _inv(self, x):
-        if x == self._zero:
+        """conj(x) / N(x), with the conjugate taken once."""
+        if not any(x):
             raise ZeroElement("division by zero in the extension")
-        mul = self.base._mul
-        ca, cb = self._conj(x)
-        ninv = self.base._inv(self._norm(x))
-        return mul(ca, ninv), mul(cb, ninv)
+        conj = self._conj(x)
+        norm = self._mul(x, conj)[:self.base.degree]
+        return self._scale(conj, self.base._inv(norm))
 
     def _pow(self, x, e: int):
         """x**e by norm descent: with e = a*(Q + 1) + b, x**e is
@@ -363,16 +349,11 @@ class TowerSpec(Field, Frozen):
         e > 0 and 1 for e = 0."""
         if e < 0:
             x, e = self._inv(x), -e
-        base = self.base
-        a, b = divmod(e, base.order + 1)
+        a, b = divmod(e, self.base.order + 1)
         low = Field._pow(self, x, b)
         if not a:
             return low
-        n = base._pow(self._norm(x), a)
-        return base._mul(n, low[0]), base._mul(n, low[1])
-
-
-_set = object.__setattr__  # bound once: Element() is the hot constructor
+        return self._scale(low, self.base._pow(self._norm(x), a))
 
 
 class Element(Frozen):
@@ -687,31 +668,42 @@ def solve_norm(tower: TowerSpec, u, guards: GuardConfig | None = None) -> Elemen
 # Kronecker packing
 # ---------------------------------------------------------------------------
 
-def _lanes(s: int, count: int):
-    """A map from an int below 2**(s*count) to its ``count`` digits of s
-    bits, lowest first: a cast of its bytes for 16-, 32- and 64-bit
-    lanes, shifts for any other s."""
+def _lanes(s: int, lanes) -> tuple[Callable, Callable]:
+    """(pack, read) for values whose coordinates sit in ``lanes`` of s
+    bits of one int, lowest first: ``pack`` maps a tuple of coordinates
+    below 2**s to that int, and ``read`` maps an int below
+    2**(s*(lanes[-1] + 1)) to the tuple of its digits in ``lanes``, at
+    least two: by a cast of its bytes for 16-, 32- and 64-bit lanes, by
+    shifts for any other s."""
+    shifts = [s * i for i in lanes]
+
+    def pack(v):
+        return sum(map(operator.lshift, v, shifts))
+
     fmt = {16: "H", 32: "I", 64: "Q"}.get(s)
     if fmt is None:
         mask = (1 << s) - 1
-        shifts = range(0, s * count, s)
-        return lambda v: [v >> sh & mask for sh in shifts]
-    size, order = s // 8 * count, sys.byteorder
-    return lambda v: memoryview(v.to_bytes(size, order)).cast(fmt)
+        return pack, lambda v: tuple([v >> sh & mask for sh in shifts])
+    pick = operator.itemgetter(*lanes)
+    size, order = s // 8 * (lanes[-1] + 1), sys.byteorder
+    return pack, lambda v: pick(memoryview(v.to_bytes(size, order)).cast(fmt))
 
 
 def _packing(field: Field, bound: int):
     """(pack, reduce, unpack, bits) of the Kronecker layout of ``field``
     for product digits up to ``bound``.
 
-    ``pack`` maps a value to one int whose digits, s bits apart, are its
-    GF(p) coordinates: in GF(p^t) digit i is the coefficient of x**i;
-    ``unpack`` maps a packed canonical value back.  ``bits`` is the
-    length of a product of two packed values: 2t - 1 digits in GF(p^t).
-    A tower value (a, b) packs as pack(a) + pack(b) shifted up by the
-    base product's bits, so the product of two packed tower values holds
-    ac, ad + bc and bd, the coefficients of 1, y and y**2, in three
-    blocks of that length side by side.
+    ``pack`` puts each GF(p) coordinate of a value in a lane of s bits
+    of one int, and ``unpack`` reads the lanes of a packed canonical
+    value back; both are written once, over the list of lanes that
+    ``_folding`` gives each field, with a shift each way for the two
+    lanes of GF(p^2), the hot case.  In GF(p^t) coordinate i, the
+    coefficient of x**i, is lane i.  ``bits`` is the length of a product
+    of two packed values: 2t - 1 lanes in GF(p^t).  In a tower a's
+    coordinates sit in the base's lanes and b's as many bits higher as
+    a base product is long, so the product of two packed tower values
+    holds ac, ad + bc and bd, the coefficients of 1, y and y**2, in
+    three blocks of that length side by side.
 
     ``reduce`` maps a product, a sum of products, or in GF(p^t) any
     packed int of 2t - 1 digits, with every digit at most ``bound``, to
@@ -746,14 +738,33 @@ def _packing(field: Field, bound: int):
     y**2 -> -c1*y - c0; those constants are packed canonical values, so
     no digit inside ``reduce`` exceeds ``bound`` (see ``Field._layout``).
     """
+    # a value of more than two coordinates is read by a cast of its
+    # bytes, so GF(p) lanes below it widen to a cast width; a GF(p^2)
+    # value keeps the narrowest lanes, the smallest ints for its
+    # products (one 30-bit int digit per value for p < 2**7)
+    reduce, s, lanes, bits = _folding(field, bound, field.degree > 2)
+    if len(lanes) == 1:  # GF(p): the value's one coordinate is the int
+        return operator.itemgetter(0), reduce, (lambda v: (v,)), bits
+    if lanes == [0, 1]:  # every GF(p^2): a shift each way
+        mask = (1 << s) - 1
+        return ((lambda v: v[0] + (v[1] << s)), reduce,
+                (lambda v: (v & mask, v >> s)), bits)
+    pack, unpack = _lanes(s, lanes)
+    return pack, reduce, unpack, bits
+
+
+def _folding(field: Field, bound: int, wide: bool):
+    """(reduce, s, lanes, bits) of ``_packing``: ``reduce``, the lane
+    width s, the lanes of a value's coordinates, lowest first, and the
+    bit length of a product of two packed values.  With ``wide`` a
+    GF(p) digit, too, gets the least of 16, 32 and 64 bits that holds
+    it, so that a value is read by a cast of its bytes."""
     if isinstance(field, TowerSpec):
-        base_pack, base_reduce, base_unpack, bits = _packing(field.base, bound)
+        base_reduce, s, lanes, bits = _folding(field.base, bound, wide)
+        base_pack = _lanes(s, lanes)[0]
         block = (1 << bits) - 1
         c0, c1, _ = field.ext_modulus
         neg_c0, neg_c1 = base_pack((-c0).value), base_pack((-c1).value)
-
-        def pack(v):
-            return base_pack(v[0]) + (base_pack(v[1]) << bits)
 
         def reduce(v):
             u0 = base_reduce(v & block)
@@ -763,14 +774,11 @@ def _packing(field: Field, bound: int):
                 u1 = base_reduce(u1 + neg_c1 * u2)
             return base_reduce(u0 + neg_c0 * u2) + (u1 << bits)
 
-        def unpack(v):
-            return base_unpack(v & block), base_unpack(v >> bits)
-
-        return pack, reduce, unpack, 3 * bits
+        return reduce, s, lanes + [bits // s + i for i in lanes], 3 * bits
     p, t = field.p, field.t
     if t == 1:  # no polynomial to reduce: one digit, one coefficient
-        return (operator.itemgetter(0), p.__rmod__, (lambda v: (v,)),
-                bound.bit_length())
+        s = _cast_width(bound.bit_length()) if wide else bound.bit_length()
+        return p.__rmod__, s, [0], s
     # x**t = r(x) = -(c_0 + ... + c_(t-1) x**(t-1)), of degree d; each
     # further x shifts the coefficients up one and folds the one that
     # leaves by that rule; coords[b] is x**(t + b*m)
@@ -796,13 +804,8 @@ def _packing(field: Field, bound: int):
     most = max(lanes)
     k = (most * p - 1).bit_length()
     M = -(-(1 << k) // p)
-    need = (most * M).bit_length()
-    s = next((w for w in (16, 32, 64) if need <= w), need)
-    shifts = [s * i for i in range(t)]
-
-    def pack(v):
-        return sum(map(operator.lshift, v, shifts))
-
+    s = _cast_width((most * M).bit_length())
+    pack = _lanes(s, range(t))[0]
     residues = list(map(pack, coords))
     low, top = (1 << s * t) - 1, s * t
     block, width = (1 << s * m) - 1, s * m
@@ -822,7 +825,7 @@ def _packing(field: Field, bound: int):
             v = (v & low) + (v >> top) * r0
             return v - p * (v * M >> k & quotients)
     else:
-        high_blocks = _lanes(width, blocks)
+        high_blocks = _lanes(width, range(blocks))[1]
 
         def reduce(v):
             v = (v & low) + sum(map(operator.mul, high_blocks(v >> top),
@@ -830,12 +833,13 @@ def _packing(field: Field, bound: int):
             v = (v & low) + (v >> top) * r0
             return v - p * (v * M >> k & quotients)
 
-    digits = _lanes(s, t)
+    return reduce, s, [*range(t)], s * (2 * t - 1)
 
-    def unpack(v):
-        return tuple(digits(v))
 
-    return pack, reduce, unpack, s * (2 * t - 1)
+def _cast_width(need: int) -> int:
+    """The least lane width that ``_lanes`` reads by a cast, or else
+    ``need``."""
+    return next((w for w in (16, 32, 64) if need <= w), need)
 
 
 def _product_bound(field: Field, terms: int) -> int:

@@ -196,11 +196,10 @@ class DlogTable(_Reducer):
 
     The powers of g come from a walk on integers.  The canonical index
     of an element is sum(d_j * p**j) over its D = log_p(q) coordinates
-    in GF(p) (a tower's index base.index(a) + Q*base.index(b) carries
-    on the digits of a with those of b), and multiplication by g is
-    GF(p)-linear on them.  So the digits of x*g are the sum, digit by
-    digit mod p, of the images c*(p**j * g) of x's digits c, which are
-    precomputed as packed ints with one digit every ``width`` bits.
+    in GF(p), the field's value, and multiplication by g is GF(p)-linear
+    on them.  So the digits of x*g are the sum, digit by digit mod p, of
+    the images c*(p**j * g) of x's digits c, which are precomputed as
+    packed ints with one digit every ``width`` bits.
     A sum of D images has digits up to D*(p - 1); when that fits a byte
     one ``bytes.translate`` reduces them all.
     """
@@ -212,24 +211,21 @@ class DlogTable(_Reducer):
         q = field.order
         p = field.char
         g = find_primitive_element(field)
-        weights = [1]  # p**j for each digit position j
-        while weights[-1] * p < q:
-            weights.append(weights[-1] * p)
-        top = len(weights) * (p - 1)
+        D = field.degree
+        weights = [p ** j for j in range(D)]
+        top = D * (p - 1)
         width = 8 if top < 256 else top.bit_length()
-        shifts = [width * j for j in range(len(weights))]
+        shifts = [width * j for j in range(D)]
         images = []
         for w in weights:
-            column = field.index(field.from_int(w) * g)
-            unit = [column // v % p for v in weights]
+            unit = field._mul(field._from_int(w), g.value)
             images.append([sum(c * d % p << sh for d, sh in zip(unit, shifts))
                            for c in range(p)])
         if width == 8:
             residues = bytes(v % p for v in range(256))
-            length = len(weights)
 
             def digits_of(packed):
-                return packed.to_bytes(length, "little").translate(residues)
+                return packed.to_bytes(D, "little").translate(residues)
         else:
             mask = (1 << width) - 1
 
@@ -238,7 +234,7 @@ class DlogTable(_Reducer):
 
         pow_idx = []  # exponent -> canonical element index
         append = pow_idx.append
-        digits = [1] + [0] * (len(weights) - 1)
+        digits = [1] + [0] * (D - 1)
         for _ in range(q - 1):
             append(sum(map(operator.mul, digits, weights)))
             digits = digits_of(sum(map(operator.getitem, images, digits)))

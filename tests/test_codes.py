@@ -1145,7 +1145,7 @@ def test_a_reduced_form_keeps_no_table_alive():
     gc.collect()
     assert table() is None
     assert form.cauchy
-    assert form.rows_on(None) == [list(row) for row in row_reduce_oracle(
+    assert form.element_rows() == [list(row) for row in row_reduce_oracle(
         code.generator, field)[0]]
     assert mds_check(code, "monte-carlo", trials=5) == \
         MdsVerdict("monte-carlo", trials=5, passes=5)
@@ -1163,7 +1163,7 @@ def test_an_explicit_dlog_limit_governs_the_reduced_form(changed,
                  + (f.one if i == 3 else f.zero,) for i in range(4))
     code = LinearCode(f, 8, 4, rows)
     if changed:
-        rows = code._reduced().rows_on(None)
+        rows = code._reduced().element_rows()
         rows[0][4] = f.zero
         code = LinearCode(f, 8, 4, tuple(map(tuple, rows)))
     modes = {"exhaustive-columns": {}, "monte-carlo": {"trials": 50}}

@@ -667,6 +667,58 @@ def test_element_json_roundtrip():
         assert element_from_json(tower, element_to_json(x)) == x
 
 
+# GF(2^2)^2, GF(3)^2, GF(3^2)^2, GF(5)^2^2 and GF(7)^2^2
+FLAT_TOWERS = [
+    quadratic_extension(make_field(2, 2)),
+    quadratic_extension(make_field(3, 1)),
+    quadratic_extension(make_field(3, 2)),
+    quadratic_extension(quadratic_extension(make_field(5, 1))),
+    quadratic_extension(quadratic_extension(make_field(7, 1))),
+]
+
+
+def _from_coordinates(field, coords):
+    """The element with GF(p) coordinates ``coords``, by field arithmetic
+    alone: sum c_i * x**i in GF(p^t), and a + b*y from the two halves in
+    a tower."""
+    if isinstance(field, TowerSpec):
+        half = len(coords) // 2
+        a = _from_coordinates(field.base, coords[:half])
+        b = _from_coordinates(field.base, coords[half:])
+        return field.embed(a) + field.embed(b) * field.y
+    x = element_from_json(field, [0, 1]) if field.t > 1 else field.one
+    out = field.zero
+    for c in reversed(coords):
+        out = out * x + sum([field.one] * c, field.zero)
+    return out
+
+
+def _flat(obj):
+    return [v for part in obj for v in _flat(part)] if type(obj) is list \
+        else [obj]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from(FLAT_TOWERS), st.data())
+def test_a_tower_value_is_the_flat_tuple_of_its_index_digits(tower, data):
+    p, degree = tower.char, tower.degree
+    coords = data.draw(st.lists(st.integers(0, p - 1), min_size=degree,
+                                max_size=degree))
+    x = _from_coordinates(tower, coords)
+    assert x.value == tuple(coords)
+    # the nested JSON arrays, flattened, are the base-p digits of the index
+    index = tower.index(x)
+    assert _flat(element_to_json(x)) == coords == \
+        [index // p ** i % p for i in range(degree)]
+    assert element_from_json(tower, element_to_json(x)) == x
+    # a + b*y from the two halves, against the schoolbook tower product
+    half = degree // 2
+    a = _from_coordinates(tower.base, coords[:half])
+    b = _from_coordinates(tower.base, coords[half:])
+    assert x == tower.embed(a) + tower_mul_oracle(tower, tower.embed(b),
+                                                  tower.y)
+
+
 @pytest.mark.parametrize("obj", ["12", [True, 0], [1, "2"], [1.0], (1, 2),
                                  None, {"a": 1}, 7])
 def test_element_json_must_be_an_array_of_integers(obj):
