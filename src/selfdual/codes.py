@@ -5,8 +5,9 @@ a generator polynomial built out of a defining set of root exponents;
 the matrix rows are the shifts x**i * g(x) modulo x**n - lambda.
 
 The generator product, its division check, the extension, the Gram
-check and the root check of a length-n code run on the one cached
-n-term layout ``packed_field(field, n)``, the roots on one walk.
+checks and the root check of a length-n code run on the one cached
+n-term layout ``packed_field(field, n)``, the roots on one walk; a code
+packs its generator there once, and every packed check reads that copy.
 
 Verification never approximates: self-duality is an exact matrix
 product, distances are exhaustive scans under a guard, and MDS checks
@@ -45,12 +46,12 @@ from .fields import (
     Element,
     Field,
     TowerSpec,
-    element_from_json,
     element_order,
     element_to_json,
     field_from_json,
     field_to_json,
     nth_root_of_unity,
+    values_from_json,
 )
 from .frozen import Frozen
 from .linalg import (
@@ -98,28 +99,32 @@ def _reduction_table(field: Field, k: int, n: int, dlog_limit: int):
 class ReducedForm(Frozen):
     """A generator's reduced echelon form R = M G on one representation.
 
-    ``rows`` are R's rows as packed values (``packed``) or as the log
-    ints of the field's Zech table, and ``pivots`` its pivot columns.
-    The form names its arithmetic by the field, not by a table, so it
-    keeps no table alive past ``DLOG_CACHE_SIZE``: log ints are the same
-    in every table of a field, and ``arith`` looks the table up again.
-    ``cauchy`` is the Cauchy certificate's verdict on R = [I | A]: when
-    it holds, every k-subset of columns is independent, so the code is
-    MDS.
+    ``rows`` are R's rows as packed values on the n-term layout of
+    ``packed_field(field, terms)``, the layout of the code's packed copy,
+    or, for ``terms`` = 0, as the log ints of the field's Zech table;
+    ``pivots`` are its pivot columns.  The form names its arithmetic by
+    the field, not by a table, so it keeps no table alive past
+    ``DLOG_CACHE_SIZE``: log ints are the same in every table of a
+    field, and ``arith`` looks the table up again.  ``cauchy`` is the
+    Cauchy certificate's verdict on R = [I | A]: when it holds, every
+    k-subset of columns is independent, so the code is MDS.
     """
 
-    _fields = ("field", "packed", "rows", "pivots")
+    _fields = ("field", "terms", "rows", "pivots")
 
-    def __init__(self, field: Field, packed: bool, rows: list,
-                 pivots: tuple):
-        self._assign(field, packed, rows, pivots)
+    def __init__(self, field: Field, terms: int, rows: list, pivots: tuple):
+        self._assign(field, terms, rows, pivots)
+
+    @property
+    def packed(self) -> bool:
+        return self.terms > 0
 
     @property
     def arith(self):
         """The ``PackedField`` or the ``DlogTable`` that encodes ``rows``
         (built again if the cache dropped it)."""
-        if self.packed:
-            return packed_field(self.field)
+        if self.terms:
+            return packed_field(self.field, self.terms)
         return dlog_table(self.field, self.field.order)
 
     @functools.cached_property
@@ -132,8 +137,26 @@ class ReducedForm(Frozen):
         return [list(map(decode, row)) for row in self.rows]
 
 
+def _staircase(rows, zero) -> bool:
+    """Whether each row's first entry other than ``zero`` lies right of
+    the one above: such rows are independent."""
+    n = len(rows[0]) if rows else 0
+    leads = [next((j for j, x in enumerate(row) if x != zero), n)
+             for row in rows]
+    return all(map(operator.lt, leads, leads[1:] + [n]))
+
+
 class LinearCode(Frozen):
     """An [n, k] code given by a full-rank k x n generator matrix.
+
+    The generator is held as its rows of field values, ``_value_rows``, and
+    packed once, on first use, on the n-term layout of
+    ``packed_field(field, n)`` (``_packed``): both self-duality checks,
+    the root check, a packed reduction and the extension read that one
+    copy, and a log-table encoding reads the values, so no check needs
+    an element object.  ``generator``, the rows as elements, is the
+    argument of the constructor; a code read by ``code_from_json`` builds
+    it only when something asks for it.
 
     Its reduced form is computed once, on first use (``_reduced``).  The
     rank check needs no arithmetic when each row starts right of the one
@@ -145,18 +168,42 @@ class LinearCode(Frozen):
 
     def __init__(self, field: Field, n: int, k: int, generator: tuple):
         self._assign(field, n, k, generator)
-        if k != len(generator):
+        self._check_rows(generator)
+
+    @classmethod
+    def _from_values(cls, field: Field, n: int, k: int,
+                     rows: tuple) -> "LinearCode":
+        """The code whose generator rows hold the field values ``rows``."""
+        code = cls.__new__(cls)
+        code._assign(field, n, k)
+        code.__dict__["_value_rows"] = rows
+        code._check_rows(rows)
+        return code
+
+    def _check_rows(self, rows) -> None:
+        if self.k != len(rows):
             raise ValueError("k does not match the number of rows")
-        for row in generator:
-            if len(row) != n:
+        for row in rows:
+            if len(row) != self.n:
                 raise ValueError("row length does not match n")
-        # rows in echelon form are independent
-        leads = [next((j for j, x in enumerate(row) if x), n)
-                 for row in generator]
-        if all(map(operator.lt, leads, leads[1:] + [n])):
-            return
-        if len(self._reduced().pivots) < k:
+        if (not _staircase(self._value_rows, self.field._zero)
+                and len(self._reduced().pivots) < self.k):
             raise ValueError("generator rows are dependent")
+
+    @functools.cached_property
+    def generator(self) -> tuple:
+        field = self.field
+        return tuple(tuple([Element(field, v) for v in row])
+                     for row in self._value_rows)
+
+    @functools.cached_property
+    def _value_rows(self) -> tuple:
+        return tuple(tuple([x.value for x in row]) for row in self.generator)
+
+    @functools.cached_property
+    def _packed(self) -> list:
+        pack = packed_field(self.field, self.n).pack
+        return [list(map(pack, row)) for row in self._value_rows]
 
     def _reduced(self, guards: GuardConfig | None = None) -> ReducedForm:
         """The reduced form, on the representation ``_reduction_table``
@@ -171,22 +218,30 @@ class LinearCode(Frozen):
             form = self._reduce_on(None)
         return form
 
+    def _encoded(self, table):
+        """(arith, rows): the generator rows on the log ints of
+        ``table``, or for None the packed copy and its layout."""
+        if table is None:
+            return packed_field(self.field, self.n), self._packed
+        return table, list(map(table.encode_row, self._value_rows))
+
     def _reduce_on(self, table) -> ReducedForm:
-        """The reduced form on ``table``, or on packed values for None."""
-        arith = table or packed_field(self.field)
-        return ReducedForm(self.field, table is None, *arith.row_reduce(
-            [list(map(arith.encode, row)) for row in self.generator]))
+        """The reduced form on ``table``, or on the packed copy for
+        None."""
+        arith, rows = self._encoded(table)
+        return ReducedForm(self.field, self.n if table is None else 0,
+                           *arith.row_reduce(rows))
 
     # computed once per code: a builder, verify and mds_check all ask
     @functools.cached_property
     def _euclidean_self_dual(self) -> bool:
-        return 2 * self.k == self.n and _gram_is_zero(self.generator,
-                                                      self.field)
+        return 2 * self.k == self.n and _gram_is_zero(
+            self._packed, packed_field(self.field, self.n))
 
     @functools.cached_property
     def _hermitian_self_dual(self) -> bool:
         return 2 * self.k == self.n and _gram_is_zero(
-            self.generator, self.field, conjugate=True)
+            self._packed, packed_field(self.field, self.n), conjugate=True)
 
     def codeword(self, message) -> tuple:
         word = [self.field.zero] * self.n
@@ -315,27 +370,32 @@ def cyclic_generator_matrix(spec: CyclicSpec) -> LinearCode:
 # self-duality
 # ---------------------------------------------------------------------------
 
-def _gram_is_zero(rows, field: Field, conjugate: bool = False) -> bool:
+def _gram_is_zero(rows: list, arith: PackedField,
+                  conjugate: bool = False) -> bool:
     """Whether every inner product of two rows is 0, or of a row with
     the conjugate of a row (``conjugate``, over a tower).
 
-    Each entry is one integer dot product of packed rows, reduced once
-    on the n-term layout of ``packed_field(field, n)``, and a nonzero
-    entry stops the packing.  Entry (j, i) is entry (i, j) or its
+    ``rows`` are packed on ``arith``, the n-term layout of
+    ``packed_field(field, n)``: a code's shared packed copy.  Each entry
+    is one integer dot product of two packed rows, reduced once, and a
+    nonzero entry stops the check.  Entry (j, i) is entry (i, j) or its
     conjugate, so the two are zero together: only the entries j <= i
-    are computed, each row packed once and its conjugate, taken on the
-    values, once.
+    are computed, and each row's conjugate is taken once.
+
+    The conjugate is taken on the packed int, by ``PackedField.conj``.
+    Conjugation fixes the base, so conj(a + b*y) = a + b*conj(y), with
+    conj(y) = -c1 - y a canonical value.  The int of b's lanes, shifted
+    down, is the packed embedding of b, so (packed a) + (packed b) *
+    (packed conj(y)) is one product of two canonical values plus a
+    canonical value: every digit is at most the one-product bound plus
+    p - 1, within the bound of every layout (``Field._layout``), and its
+    ``reduce`` returns the canonical packed conjugate, which the dot
+    products then take like any other canonical value.
     """
-    if not rows:
-        return True
-    arith = packed_field(field, len(rows[0]))
-    pack, reduce = arith.pack, arith.reduce
+    reduce = arith.reduce
     seen = []
-    for row in rows:
-        values = [x.value for x in row]
-        packed = list(map(pack, values))
-        seen.append(list(map(pack, map(field._conj, values))) if conjugate
-                    else packed)
+    for packed in rows:
+        seen.append(list(map(arith.conj, packed)) if conjugate else packed)
         if any(reduce(sum(map(operator.mul, packed, other)))
                for other in seen):
             return False
@@ -364,9 +424,8 @@ def extend_code(code: LinearCode, gamma: Element) -> LinearCode:
     n-term layout of ``packed_field(field, n)``."""
     arith = packed_field(code.field, code.n)
     minus_gamma = arith.encode(-gamma)
-    rows = tuple((*row, arith.decode(arith.reduce(
-        minus_gamma * sum(map(arith.encode, row)))))
-        for row in code.generator)
+    rows = tuple((*row, arith.decode(arith.reduce(minus_gamma * sum(packed))))
+                 for row, packed in zip(code.generator, code._packed))
     return LinearCode(code.field, code.n + 1, code.k, rows)
 
 
@@ -385,18 +444,18 @@ def _check_scan(field: Field, k: int, guards: GuardConfig) -> None:
 
 
 def _projective_scan(field: Field, rows, guards: GuardConfig) -> int:
-    """``DlogTable.min_weight`` of ``rows``, which must be independent,
-    or for k = 1 the weight of the lone row, after ``_check_scan``.  The
-    table needs no guard of its own: its q entries cost less than the
-    (q**k - 1)/(q - 1) >= q + 1 words the scan visits, which the
-    codeword guard bounds.
+    """``DlogTable.min_weight`` of ``rows`` of field values, which must
+    be independent, or for k = 1 the weight of the lone row, after
+    ``_check_scan``.  The table needs no guard of its own: its q entries
+    cost less than the (q**k - 1)/(q - 1) >= q + 1 words the scan
+    visits, which the codeword guard bounds.
     """
     k = len(rows)
     _check_scan(field, k, guards)
     if k == 1:
-        return len(rows[0]) - rows[0].count(field.zero)
+        return len(rows[0]) - rows[0].count(field._zero)
     table = dlog_table(field, field.order)
-    return table.min_weight([[table.encode(x) for x in row] for row in rows])
+    return table.min_weight(list(map(table.encode_row, rows)))
 
 
 def min_distance_exhaustive(code: LinearCode,
@@ -406,7 +465,7 @@ def min_distance_exhaustive(code: LinearCode,
     One representative per scalar class is enough, so the walk visits
     (q**k - 1)/(q - 1) words; the guard is still stated on q**k.
     """
-    return _projective_scan(code.field, code.generator,
+    return _projective_scan(code.field, code._value_rows,
                             current_guards(guards))
 
 
@@ -419,9 +478,9 @@ def extension_weight_audit(code: LinearCode,
     span a code of distance d + 1 iff every word of weight d has one.
     """
     guards = current_guards(guards)
-    field, rows = code.field, code.generator
+    field, rows = code.field, code._value_rows
     d = _projective_scan(field, rows, guards)
-    extended = [(*row, functools.reduce(operator.add, row)) for row in rows]
+    extended = [(*row, functools.reduce(field._add, row)) for row in rows]
     return d, _projective_scan(field, extended, guards) == d + 1
 
 
@@ -502,10 +561,9 @@ def mds_check(code: LinearCode, mode: str, trials: int = 1000,
                 if mode == "exhaustive-columns" else
                 MdsVerdict("monte-carlo", trials=trials, passes=trials))
     if mode == "exhaustive-columns":
-        arith = (dlog_table(code.field, guards.dlog_limit)
-                 or packed_field(code.field))
-        columns = [list(map(arith.encode, col))
-                   for col in zip(*code.generator)]
+        arith, rows = code._encoded(dlog_table(code.field,
+                                               guards.dlog_limit))
+        columns = [list(col) for col in zip(*rows)]
         witness = first_dependent_subset(columns, k, arith.zero,
                                          arith.eliminate)
         return MdsVerdict("certified-exact" if witness is None
@@ -540,18 +598,18 @@ def _roots_mismatch(code: LinearCode, T: DefiningSet, lam: Element | None,
     Vanishing on a run of delta - 1 such points proves d >= delta even
     for a dishonest lam: alpha**step has order modulus/step >= n, so any
     delta - 1 check columns form a scaled Vandermonde matrix."""
-    if punctured:
-        try:
-            code = LinearCode(code.field, code.n - 1, code.k,
-                              tuple(row[:-1] for row in code.generator))
-        except ValueError:
-            return "the first n - 1 coordinates lose a dimension"
     field, n, m = code.field, code.n, T.modulus
+    # the code's packed copy; punctured rows are exact on its layout too
+    arith, rows = packed_field(field, n), code._packed
+    if punctured:
+        n, rows = n - 1, [row[:-1] for row in rows]
+        if (not _staircase(rows, arith.zero)
+                and len(arith.row_reduce(rows)[1]) < code.k):
+            return "the first n - 1 coordinates lose a dimension"
     if lam is None:
         return "no lambda to place the roots of the defining set"
     if m // T.step < n:
         return "defining set modulus %d does not fit n = %d" % (m, n)
-    arith = packed_field(field, n)
     try:
         powers = _root_powers(arith, n, lam, m)
     except (ZeroElement, RootsNotInField, ValueError) as exc:
@@ -559,7 +617,6 @@ def _roots_mismatch(code: LinearCode, T: DefiningSet, lam: Element | None,
     # V has |T| * n entries alpha**(e*j) but only the m packed powers;
     # a row times a column of V is exact on the n-term layout
     checks = [[powers[e * j % m] for j in range(n)] for e in T.elements]
-    rows = (list(map(arith.encode, row)) for row in code.generator)
     if any(arith.reduce(sum(map(operator.mul, pa, pb)))
            for pa in rows for pb in checks):
         return "generator rows do not vanish at the defining set's roots"
@@ -733,6 +790,11 @@ def code_to_json(code: LinearCode, metadata: dict | None = None):
 
 
 def code_from_json(obj):
+    """(code, metadata) of a JSON code record.  The generator is read by
+    ``values_from_json``, in bulk when it is canonical, and the code
+    holds those values as they are (``LinearCode._from_values``): its
+    checks read them and its packed copy, and ``generator``, the rows
+    as elements, is built only if something asks for it."""
     field = field_from_json(obj["field"])
     n = json_int(obj["n"])
     k = json_int(obj["k"])
@@ -740,9 +802,5 @@ def code_from_json(obj):
         # the zero code has no codeword, distance or column subset to
         # verify; LinearCode still allows it as the dual of a k = n code
         raise MalformedInput("a code record needs k >= 1, got k = %d" % k)
-    rows = tuple(
-        tuple(element_from_json(field, x) for x in row)
-        for row in obj["generator"]
-    )
-    code = LinearCode(field, n, k, rows)
-    return code, obj.get("metadata", {})
+    rows = values_from_json(field, obj["generator"])
+    return LinearCode._from_values(field, n, k, rows), obj.get("metadata", {})

@@ -18,8 +18,9 @@ canonical index ``sum(c[i] * p**i)``.  In GF(p^t) they are the
 coefficients of x**i; in a tower they are a's coordinates, then b's, so
 the tower's index base.index(a) + Q*base.index(b) reads the same
 digits.  Field methods do the arithmetic on values; ``Element`` pairs a
-value with its field for everything outside this module, which never
-reads a value's layout.
+value with its field for everything outside this module.  A JSON
+element is the same coordinates, nested as two halves per tower level,
+so ``values_from_json`` reads canonical rows as their values.
 
 Every Kronecker-packed product in the package runs on
 ``Field._layout(terms)``, the layout of ``_packing`` for exact sums of
@@ -43,6 +44,7 @@ so they are safe to share across threads and use as cache keys.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import sys
 from collections.abc import Callable, Iterator, Sequence
@@ -227,6 +229,8 @@ class FieldSpec(Field, Frozen):
     def __init__(self, p: int, t: int, modulus: tuple[int, ...]):
         self._assign(p, t, modulus)
         Field.__init__(self, p, t, (p, t, modulus))
+        # the array lengths of a canonical JSON element, outermost first
+        _set(self, "_json_widths", (t,))
 
     def _reduce(self, coeffs: Sequence[int]) -> tuple:
         """The value of the integer polynomial ``coeffs`` in x; longer
@@ -281,6 +285,7 @@ class TowerSpec(Field, Frozen):
     def __init__(self, base: Field, ext_modulus: tuple):
         self._assign(base, ext_modulus)
         Field.__init__(self, base.char, 2 * base.degree, (base, ext_modulus))
+        _set(self, "_json_widths", (2, *base._json_widths))
         c1 = ext_modulus[1]
         # None when c1 = 0, as in every canonical tower of odd q: the c1
         # term of the conjugate drops out
@@ -872,6 +877,11 @@ def field_to_json(field: Field):
 
 
 def field_from_json(obj) -> Field:
+    """The field of a record; the canonical field object, with its cached
+    layouts and tables, when the record names the canonical modulus or,
+    over a base of odd order, the canonical ``ext_modulus``.  Finding
+    the even-q canonical quadratic scans up to about q**2 / 2 elements,
+    so an even-q tower record keeps its own, equal, object."""
     if "p" in obj:
         field = make_field(json_int(obj["p"]), json_int(obj["t"]))
         modulus = tuple(map(json_int, obj["modulus"]))
@@ -887,6 +897,10 @@ def field_from_json(obj) -> Field:
     base = field_from_json(obj["base"])
     coeffs = tuple(element_from_json(base, c) for c in obj["ext_modulus"])
     check_field_size(base.order ** 2)
+    if base.order % 2:
+        canonical = quadratic_extension(base)
+        if coeffs == canonical.ext_modulus:
+            return canonical
     # log tables and every verdict over a tower assume it is a field
     if (len(coeffs) != 3 or coeffs[2] != base.one
             or not _quadratic_is_irreducible(base, coeffs[0], coeffs[1])):
@@ -900,3 +914,30 @@ def element_to_json(x: Element):
 
 def element_from_json(field: Field, obj) -> Element:
     return Element(field, field._from_json(obj))
+
+
+def values_from_json(field: Field, rows) -> tuple:
+    """The rows of values of ``rows``, a JSON array of rows of elements
+    of ``field``, such as a generator matrix.
+
+    When every entry is canonical, the nested arrays of its coordinates
+    (two halves per tower level, then t integers in [0, p)), the whole
+    matrix is checked and flattened in a few bulk passes per nesting
+    level and read as it is: its values are its coordinates.  Otherwise
+    every entry goes through ``_from_json``, row by row and in order, so
+    each is reduced or refused, with the same exception, as
+    ``element_from_json`` does.
+    """
+    if type(rows) is list and rows and type(rows[0]) is list and rows[0]:
+        n, flat = len(rows[0]), rows
+        for width in (n, *field._json_widths):
+            if not ({*map(type, flat)} <= {list}
+                    and {*map(len, flat)} <= {width}):
+                break
+            flat = [*itertools.chain.from_iterable(flat)]
+        else:
+            if {*map(type, flat)} <= {int} and (
+                    0 <= min(flat) and max(flat) < field.char):
+                values = zip(*[iter(flat)] * field.degree)
+                return tuple(zip(*[values] * n))
+    return tuple(tuple(map(field._from_json, row)) for row in rows)

@@ -17,7 +17,7 @@ import functools
 import itertools
 import operator
 
-from .fields import Element, Field, find_primitive_element
+from .fields import Element, Field, TowerSpec, find_primitive_element
 
 
 def first_dependent_subset(columns, k: int, zero, step):
@@ -63,7 +63,9 @@ def first_dependent_subset(columns, k: int, zero, step):
 class _Reducer:
     """Gauss-Jordan, the walk's step, the determinant and the Cauchy
     certificate, once for both integer encodings.  A subclass gives
-    ``field``, ``zero``, ``one``, ``encode``, ``decode`` and primitives:
+    ``field``, ``zero``, ``one``, ``encode`` (of an element),
+    ``encode_row`` (of a row of field values), ``encode_index`` (of the
+    element of a canonical index), ``decode`` and primitives:
     ``mul``, ``neg`` and ``inverse`` of nonzero values, ``inverses`` of
     a list of them, ``products(u, v)``, the entrywise product of two
     rows of them, ``scale(row, f)``, a new row f * row, and
@@ -149,7 +151,7 @@ class _Reducer:
         field = self.field
         trials = min(len(a_rows) + width + 1, field.order - 1)
         for index in range(1, trials + 1):
-            c1 = self.encode(field.from_int(index))
+            c1 = self.encode_index(index)
             # y[j] = 1 / (1 - c1 * A[0][j] / A[1][j])
             poles = [one] * width
             self.add_multiple(poles, self.neg(c1), enumerate(ratio))
@@ -252,9 +254,14 @@ class DlogTable(_Reducer):
         self.half = 0 if p == 2 else (q - 1) // 2
 
     def encode(self, x: Element) -> int:
-        if not x:
-            return -1
         return self.log[self.field.index(x)]
+
+    def encode_row(self, values) -> list[int]:
+        # the log of index 0, the zero, is -1
+        return list(map(self.log.__getitem__, map(self.field._index, values)))
+
+    def encode_index(self, index: int) -> int:
+        return self.log[index]
 
     def decode(self, e: int) -> Element:
         if e == -1:
@@ -368,9 +375,27 @@ class PackedField(_Reducer):
         self.field = field
         self.one = self.pack(field._one)
         self.minus_one = self.pack(field._neg(field._one))
+        if isinstance(field, TowerSpec):
+            # y packs to 1 << h, h the offset of b's lanes in a + b*y
+            y = self.pack(field.y.value)
+            self._low, self._high = y - 1, y.bit_length() - 1
+            self._conj_y = self.pack(field._conj(field.y.value))
 
     def encode(self, x: Element) -> int:
         return self.pack(x.value)
+
+    def encode_row(self, values) -> list[int]:
+        return list(map(self.pack, values))
+
+    def encode_index(self, index: int) -> int:
+        return self.pack(self.field._from_int(index))
+
+    def conj(self, v: int) -> int:
+        """The conjugate of a packed tower value v = a + b*y: conjugation
+        fixes the base, so it is a + b*conj(y), one product of the
+        packed b and conj(y) plus the packed a, which is reduced
+        exactly on every layout (see ``Field._layout``)."""
+        return self.reduce((v & self._low) + (v >> self._high) * self._conj_y)
 
     def decode(self, v: int) -> Element:
         return Element(self.field, self.unpack(v))

@@ -1,9 +1,11 @@
 """CLI behavior through main(argv); no subprocesses."""
 import contextlib
+import copy
 import functools
 import io
 import itertools
 import json
+import operator
 import os
 import tempfile
 from collections import Counter
@@ -24,6 +26,7 @@ from selfdual.codes import (
 )
 from selfdual.constructions import (
     build_euclidean_duadic_extended,
+    build_grs_hermitian,
     build_hermitian_extended_duadic,
     build_negacyclic_hermitian,
 )
@@ -205,19 +208,21 @@ def test_construct_checks_each_code_self_dual_once(capsys, monkeypatch):
     keep = []  # keeps the counted rows alive, so no id is reused
     gram = codes._gram_is_zero
 
-    def spy(rows, field, **kwargs):
+    def spy(rows, arith, **kwargs):
         keep.append(rows)
         key = (id(rows), kwargs.get("conjugate", False))
         counts[key] = counts.get(key, 0) + 1
-        return gram(rows, field, **kwargs)
+        return gram(rows, arith, **kwargs)
 
     monkeypatch.setattr(codes, "_gram_is_zero", spy)
     rc, lines = run_cli(capsys, "construct", "dispatch", "--p", "7",
                         "--n", "8")
     assert rc == 0
     assert lines[0]["verification"]["mds"]["status"] == "certified-exact"
-    # one Euclidean and one Hermitian check of the one code
+    # one Euclidean and one Hermitian check of the one code, both on its
+    # one packed copy
     assert sorted(counts.values()) == [1, 1]
+    assert len({rows for rows, _ in counts}) == 1
 
 
 def test_a_build_and_its_verify_build_each_n_term_layout_once(
@@ -513,6 +518,106 @@ def _hostile_sources():
         build_euclidean_duadic_extended(7, 1, 3).to_json(),
         build_hermitian_extended_duadic(7, 1, 3).to_json(),
     ))
+
+
+def _decoder_sources():
+    """Honest records over GF(7), GF(2^3), GF(7^2) over GF(7), GF(3^4)
+    over GF(3^2) and GF(3^4) over GF(3^2) over GF(3)."""
+    gf81 = quadratic_extension(quadratic_extension(make_field(3, 1)))
+    one, zero = gf81.one, gf81.zero
+    a, b, c, d = map(gf81.from_int, (5, 17, 40, 77))
+    return tuple(json.dumps(obj) for obj in (
+        build_euclidean_duadic_extended(7, 1, 3).to_json(),
+        build_euclidean_duadic_extended(2, 3, 7).to_json(),
+        build_hermitian_extended_duadic(7, 1, 3).to_json(),
+        build_grs_hermitian(3, 2, 8).to_json(),
+        code_to_json(LinearCode(gf81, 4, 2, ((one, zero, a, b),
+                                             (zero, one, c, d)))),
+    ))
+
+
+@st.composite
+def _mutated_entry(draw, entry, p):
+    """``entry``, nested arrays of ints, with one node changed.  An int
+    moves by a multiple of p (out of range or below 0, the same value),
+    becomes p, -1 or 2p - 1 (the edges of [0, p)), or becomes a bool, a
+    float or a string; an array grows by a 0 (the
+    same value) or a 1, loses its last item, doubles, is wrapped once
+    more, or becomes its first item, a string or empty; any other node,
+    left by an earlier change, is wrapped or becomes 0."""
+    def paths(node, path=()):
+        yield path
+        if type(node) is list:
+            for i, item in enumerate(node):
+                yield from paths(item, path + (i,))
+
+    path = draw(st.sampled_from(list(paths(entry))))
+    node = functools.reduce(operator.getitem, path, entry)
+    if type(node) is int:
+        new = draw(st.one_of(st.integers(-2, 3).map(lambda m: node + m * p),
+                             st.sampled_from([p, -1, 2 * p - 1]),
+                             st.booleans(), st.floats(-9, 9),
+                             st.just(str(node))))
+    elif type(node) is list:
+        new = draw(st.sampled_from([node + [0], node + [1], node[:-1],
+                                    node * 2, [node], str(node), []]
+                                   + node[:1]))
+    else:  # a node changed before
+        new = draw(st.sampled_from([[node], 0]))
+    if not path:
+        return new
+    out = copy.deepcopy(entry)
+    functools.reduce(operator.getitem, path[:-1], out)[path[-1]] = new
+    return out
+
+
+def _verify_stdout(obj):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "code.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = main(["verify", path])
+    return rc, out.getvalue()
+
+
+def _decoded(decode):
+    """What ``decode`` returns, or the type and message it raises."""
+    try:
+        return decode()
+    except Exception as exc:  # compared, type and message, below
+        return type(exc), str(exc)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_the_row_decoder_reads_every_record_as_the_entry_decoder(data):
+    obj = json.loads(data.draw(st.sampled_from(_decoder_sources())))
+    field = field_from_json(obj["field"])
+    rows = obj["generator"]
+    for _ in range(data.draw(st.integers(0, 3))):
+        i = data.draw(st.integers(0, len(rows) - 1))
+        j = data.draw(st.integers(0, len(rows[i]) - 1))
+        rows[i][j] = data.draw(_mutated_entry(rows[i][j], field.char))
+    if data.draw(st.integers(0, 5)) == 0:  # a row nested wrongly
+        i = data.draw(st.integers(0, len(rows) - 1))
+        rows[i] = data.draw(st.sampled_from([rows[i][0], [rows[i]],
+                                             json.dumps(rows[i]), 7]))
+    obj = json.loads(json.dumps(obj))
+    want = _decoded(lambda: tuple(
+        tuple(element_from_json(field, x).value for x in row)
+        for row in obj["generator"]))
+    got = _decoded(lambda: fields.values_from_json(field, obj["generator"]))
+    assert got == want
+    if isinstance(want[0], type):
+        expected = (2, json.dumps({"error": "MalformedInput",
+                                   "message": "bad code record: %s"
+                                   % want[1]}) + "\n")
+    else:  # verify reads the record as its canonical form
+        expected = _verify_stdout(dict(obj, generator=[
+            [field._to_json(v) for v in row] for row in want]))
+    assert _verify_stdout(obj) == expected
 
 
 def _verify_in_process(obj, mds):

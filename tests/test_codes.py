@@ -525,11 +525,13 @@ def self_duality_case(draw):
 @given(self_duality_case())
 def test_half_gram_matches_the_full_element_loop(case):
     field, rows = case
-    assert (codes_module._gram_is_zero(rows, field)
+    arith = linalg_module.packed_field(field, len(rows[0]))
+    packed = [list(map(arith.encode, row)) for row in rows]
+    assert (codes_module._gram_is_zero(packed, arith)
             == gram_is_zero_oracle(rows, rows, field))
     if isinstance(field, TowerSpec):
         conj = [tuple(frobenius(field, x) for x in row) for row in rows]
-        assert (codes_module._gram_is_zero(rows, field, conjugate=True)
+        assert (codes_module._gram_is_zero(packed, arith, conjugate=True)
                 == gram_is_zero_oracle(rows, conj, field))
 
 
@@ -541,29 +543,36 @@ def test_a_self_duality_check_packs_each_row_once_and_reduces_half(
     def counting(field, terms=1):
         arith = packed_field(field, terms)
 
-        def counted_pack(v):
-            counts["pack"] += 1
-            return arith.pack(v)
+        def counted(name):
+            def call(v):
+                counts[name] += 1
+                return getattr(arith, name)(v)
+            return call
 
-        def counted_reduce(v):
-            counts["reduce"] += 1
-            return arith.reduce(v)
+        return mock.Mock(pack=counted("pack"), reduce=counted("reduce"),
+                         conj=counted("conj"))
 
-        return mock.Mock(pack=counted_pack, reduce=counted_reduce)
-
-    # [16, 8] over GF(31), then [8, 4] over GF(81), built unpatched
-    code, hermitian = (build_euclidean_duadic_extended(31, 1, 15).code,
-                       _self_dual_code(4))
+    # [16, 8] over GF(31), then [8, 4] over GF(81), built unpatched and
+    # copied without their packed rows and verdicts
+    euclidean, hermitian = (
+        LinearCode(code.field, code.n, code.k, code.generator)
+        for code in (build_euclidean_duadic_extended(31, 1, 15).code,
+                     _self_dual_code(4)))
     monkeypatch.setattr(codes_module, "packed_field", counting)
+    code = euclidean
     k, n = code.k, code.n
-    assert codes_module._gram_is_zero(code.generator, code.field)
+    assert is_euclidean_self_dual(code)
     assert counts == {"pack": k * n, "reduce": k * (k + 1) // 2}
     counts.clear()
+    # both checks of a tower code read its one packed copy
     code = hermitian
     k, n = code.k, code.n
-    assert codes_module._gram_is_zero(code.generator, code.field,
-                                      conjugate=True)
-    assert counts == {"pack": 2 * k * n, "reduce": k * (k + 1) // 2}
+    assert "_packed" not in code.__dict__
+    assert is_hermitian_self_dual(code)
+    assert counts == {"pack": k * n, "conj": k * n,
+                      "reduce": k * (k + 1) // 2}
+    is_euclidean_self_dual(code)
+    assert counts["pack"] == k * n and counts["conj"] == k * n
 
 
 # --- extension ---

@@ -658,6 +658,16 @@ def test_field_from_json_keeps_any_irreducible_ext_modulus():
     assert tower.order == 16
 
 
+@pytest.mark.parametrize("p, t, levels", [(5, 1, 1), (3, 2, 1), (7, 1, 2)])
+def test_field_from_json_reads_a_canonical_tower_as_the_cached_one(
+        p, t, levels):
+    tower = make_field(p, t)
+    for _ in range(levels):
+        tower = quadratic_extension(tower)
+    blob = json.dumps(field_to_json(tower))
+    assert field_from_json(json.loads(blob)) is tower
+
+
 def test_element_json_roundtrip():
     field = make_field(3, 2)
     tower = quadratic_extension(field)
