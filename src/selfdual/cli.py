@@ -102,7 +102,8 @@ def cmd_verify(args) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested too deep to parse
         raise MalformedInput("cannot read %s: %s" % (args.file, exc)) from exc
     try:
         code, metadata = code_from_json(obj)

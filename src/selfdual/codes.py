@@ -6,19 +6,21 @@ the matrix rows are the shifts x**i * g(x) modulo x**n - lambda.
 
 The generator product, its division check, the extension, the Gram
 checks and the root check of a length-n code run on the one cached
-n-term layout ``packed_field(field, n)``, the roots on one walk; a code
-packs its generator there once, and every packed check reads that copy.
+n-term layout ``packed_field(field, n)``, the roots on one walk.  A code
+holds its generator once, as rows of field values, and packs them there
+once (a cyclic code gets the shifts of its packed g from its builder);
+every packed check reads that copy.
 
 Verification never approximates: self-duality is an exact matrix
 product, distances are exhaustive scans under a guard, and MDS checks
 are exhaustive column tests, seeded Monte-Carlo sampling, or a
 consecutive-root-run certificate.  Each code reduces its generator once
-to [I | A], on log-table ints or packed values as a cost rule picks,
+to R = [I | A], on log-table ints or packed values as a cost rule picks,
 and the column tests, the sampler and the automatic exhaustive rung
 first read a Cauchy certificate on it, which decides every GRS code of
 length at most q without a search and leaves their verdicts unchanged.
-The searches run on the same two integer encodings, never on element
-objects.
+The column tests and the sampler then search R, in its own encoding,
+never element objects.
 ``certify_mds`` is the one ladder that chooses among them, for the
 builders and the CLI alike.
 """
@@ -47,7 +49,6 @@ from .fields import (
     Field,
     TowerSpec,
     element_order,
-    element_to_json,
     field_from_json,
     field_to_json,
     nth_root_of_unity,
@@ -149,14 +150,16 @@ def _staircase(rows, zero) -> bool:
 class LinearCode(Frozen):
     """An [n, k] code given by a full-rank k x n generator matrix.
 
-    The generator is held as its rows of field values, ``_value_rows``, and
-    packed once, on first use, on the n-term layout of
+    The generator is held once, as its rows of field values,
+    ``_value_rows``, and packed once on the n-term layout of
     ``packed_field(field, n)`` (``_packed``): both self-duality checks,
     the root check, a packed reduction and the extension read that one
-    copy, and a log-table encoding reads the values, so no check needs
-    an element object.  ``generator``, the rows as elements, is the
-    argument of the constructor; a code read by ``code_from_json`` builds
-    it only when something asks for it.
+    copy, and a log-table reduction reads the values, so no check needs
+    an element object.  The constructor takes element rows and keeps
+    their values; the builders and ``code_from_json`` hand over values
+    (``_from_values``), a cyclic builder its packed copy too.
+    ``generator``, the rows as elements, is a view built only when
+    something asks for it.
 
     Its reduced form is computed once, on first use (``_reduced``).  The
     rank check needs no arithmetic when each row starts right of the one
@@ -167,27 +170,30 @@ class LinearCode(Frozen):
     _fields = ("field", "n", "k", "generator")
 
     def __init__(self, field: Field, n: int, k: int, generator: tuple):
-        self._assign(field, n, k, generator)
-        self._check_rows(generator)
+        self._hold(field, n, k, tuple(tuple([x.value for x in row])
+                                      for row in generator))
 
     @classmethod
-    def _from_values(cls, field: Field, n: int, k: int,
-                     rows: tuple) -> "LinearCode":
-        """The code whose generator rows hold the field values ``rows``."""
+    def _from_values(cls, field: Field, n: int, k: int, rows: tuple,
+                     packed: list | None = None) -> "LinearCode":
+        """The code whose generator rows hold the field values ``rows``,
+        and ``packed``, if given, as its packed copy."""
         code = cls.__new__(cls)
-        code._assign(field, n, k)
-        code.__dict__["_value_rows"] = rows
-        code._check_rows(rows)
+        code._hold(field, n, k, rows, packed)
         return code
 
-    def _check_rows(self, rows) -> None:
-        if self.k != len(rows):
+    def _hold(self, field: Field, n: int, k: int, rows: tuple,
+              packed: list | None = None) -> None:
+        self._assign(field, n, k)
+        self.__dict__["_value_rows"] = rows
+        if packed is not None:
+            self.__dict__["_packed"] = packed
+        if k != len(rows):
             raise ValueError("k does not match the number of rows")
-        for row in rows:
-            if len(row) != self.n:
-                raise ValueError("row length does not match n")
-        if (not _staircase(self._value_rows, self.field._zero)
-                and len(self._reduced().pivots) < self.k):
+        if any(len(row) != n for row in rows):
+            raise ValueError("row length does not match n")
+        if (not _staircase(rows, field._zero)
+                and len(self._reduced().pivots) < k):
             raise ValueError("generator rows are dependent")
 
     @functools.cached_property
@@ -195,10 +201,6 @@ class LinearCode(Frozen):
         field = self.field
         return tuple(tuple([Element(field, v) for v in row])
                      for row in self._value_rows)
-
-    @functools.cached_property
-    def _value_rows(self) -> tuple:
-        return tuple(tuple([x.value for x in row]) for row in self.generator)
 
     @functools.cached_property
     def _packed(self) -> list:
@@ -218,19 +220,14 @@ class LinearCode(Frozen):
             form = self._reduce_on(None)
         return form
 
-    def _encoded(self, table):
-        """(arith, rows): the generator rows on the log ints of
-        ``table``, or for None the packed copy and its layout."""
-        if table is None:
-            return packed_field(self.field, self.n), self._packed
-        return table, list(map(table.encode_row, self._value_rows))
-
     def _reduce_on(self, table) -> ReducedForm:
-        """The reduced form on ``table``, or on the packed copy for
-        None."""
-        arith, rows = self._encoded(table)
-        return ReducedForm(self.field, self.n if table is None else 0,
-                           *arith.row_reduce(rows))
+        """The reduced form on the log ints of ``table``, or on the
+        packed copy for None."""
+        if table is None:
+            return ReducedForm(self.field, self.n, *packed_field(
+                self.field, self.n).row_reduce(self._packed))
+        return ReducedForm(self.field, 0, *table.row_reduce(
+            list(map(table.encode_row, self._value_rows))))
 
     # computed once per code: a builder, verify and mds_check all ask
     @functools.cached_property
@@ -357,13 +354,19 @@ def binomial_remainder(arith: PackedField, g: list, n: int,
 
 def cyclic_generator_matrix(spec: CyclicSpec) -> LinearCode:
     """Rows are x**i * g(x), i = 0..k-1: g has degree n - k, so no row
-    reaches x**n and none is reduced modulo x**n - lam."""
-    k = spec.k
+    reaches x**n and none is reduced modulo x**n - lam.  The code's
+    packed copy is the same shifts of g packed once on the n-term
+    layout of ``packed_field(field, n)``."""
+    field, n, k = spec.field, spec.n, spec.k
     if k < 0:
         raise ValueError("defining set larger than the length")
-    zero = (spec.field.zero,)
-    return LinearCode(spec.field, spec.n, k, tuple(
-        zero * i + spec.g + zero * (k - 1 - i) for i in range(k)))
+    g = tuple([c.value for c in spec.g])
+    packed_g = list(map(packed_field(field, n).pack, g))
+    zero = (field._zero,)
+    return LinearCode._from_values(
+        field, n, k,
+        tuple(zero * i + g + zero * (k - 1 - i) for i in range(k)),
+        [[0] * i + packed_g + [0] * (k - 1 - i) for i in range(k)])
 
 
 # ---------------------------------------------------------------------------
@@ -424,9 +427,9 @@ def extend_code(code: LinearCode, gamma: Element) -> LinearCode:
     n-term layout of ``packed_field(field, n)``."""
     arith = packed_field(code.field, code.n)
     minus_gamma = arith.encode(-gamma)
-    rows = tuple((*row, arith.decode(arith.reduce(minus_gamma * sum(packed))))
-                 for row, packed in zip(code.generator, code._packed))
-    return LinearCode(code.field, code.n + 1, code.k, rows)
+    rows = tuple((*row, arith.unpack(arith.reduce(minus_gamma * sum(packed))))
+                 for row, packed in zip(code._value_rows, code._packed))
+    return LinearCode._from_values(code.field, code.n + 1, code.k, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -541,10 +544,9 @@ def mds_check(code: LinearCode, mode: str, trials: int = 1000,
     columns is independent (necessary and sufficient) with one
     elimination shared by all subsets, and refutes with the lex-first
     dependent subset; ``monte-carlo`` samples subsets with a seed
-    derived from (n, k, q) and tests each minor on R, in R's own
-    encoding.  The column search runs on log-table ints within
-    ``dlog_limit`` and on packed values beyond that guard.  The root-run
-    certificate is a rung of ``certify_mds``.
+    derived from (n, k, q) and tests each minor.  Both run on R, in
+    R's own encoding, so ``_reduction_table`` alone picks it.  The
+    root-run certificate is a rung of ``certify_mds``.
     Fewer than one trial is refused with ``MalformedInput``.
     """
     _check_trials(trials)
@@ -560,19 +562,18 @@ def mds_check(code: LinearCode, mode: str, trials: int = 1000,
         return (MdsVerdict("certified-exact")
                 if mode == "exhaustive-columns" else
                 MdsVerdict("monte-carlo", trials=trials, passes=trials))
+    # R = M G with M invertible, so a set of R's columns is dependent
+    # exactly when the same set of G's columns is: both searches run on
+    # R, in its own encoding
+    arith, reduced, pivots = form.arith, form.rows, form.pivots
     if mode == "exhaustive-columns":
-        arith, rows = code._encoded(dlog_table(code.field,
-                                               guards.dlog_limit))
-        columns = [list(col) for col in zip(*rows)]
-        witness = first_dependent_subset(columns, k, arith.zero,
+        witness = first_dependent_subset(list(zip(*reduced)), k, arith.zero,
                                          arith.eliminate)
         return MdsVerdict("certified-exact" if witness is None
                           else "refuted", witness=witness)
-    # R = M G with M invertible and R's pivot columns the unit vectors:
-    # G_S is singular exactly when R restricted to the rows of the pivots
-    # outside S and the columns of S that are not pivots is singular;
-    # the minors are sampled on R's own encoding
-    arith, reduced, pivots = form.arith, form.rows, form.pivots
+    # R's pivot columns are the unit vectors: G_S is singular exactly
+    # when R restricted to the rows of the pivots outside S and the
+    # columns of S that are not pivots is singular
     pivot_set = set(pivots)
     rng = random.Random("%d:%d:%d" % (n, k, code.field.order))
     passes = 0
@@ -656,7 +657,9 @@ def certify_mds(code: LinearCode, *, defining: DefiningSet | None = None,
     generator columns; the root-run certificate of ``defining``; the
     root-run certificate of ``extended_defining``, the defining set of
     the code before its last coordinate was appended (both check that
-    the rows vanish at the roots the shift constant ``lam`` places); seeded
+    the rows vanish at the roots the shift constant ``lam`` places, a
+    walk over all modulus powers of a root, so a defining set whose
+    modulus exceeds ``dlog_limit`` stops the rung as guarded); seeded
     Monte-Carlo, reported as ``certified-structural`` with d = n - k + 1
     when ``structural`` vouches that the code is an evaluation (GRS)
     code.  ``mode="auto"`` takes the first rung the guards afford and
@@ -732,6 +735,12 @@ def certify_mds(code: LinearCode, *, defining: DefiningSet | None = None,
         bound = consecutive_run(facts) + 1
         if bound < (target if tier == "bch" else target - 1):
             reason = "root run too short"
+        elif facts.modulus > guards.dlog_limit:
+            # the root check walks all modulus powers of its root
+            message = ("defining set modulus %d exceeds the discrete-log "
+                       "guard %d" % (facts.modulus, guards.dlog_limit))
+            return MdsCertificate(tier, MdsVerdict("guarded"),
+                                  reason=message, warning=message)
         else:
             reason = _roots_mismatch(code, facts, lam, tier == "extended-bch")
         if reason is not None:
@@ -783,8 +792,8 @@ def code_to_json(code: LinearCode, metadata: dict | None = None):
         "field": field_to_json(code.field),
         "n": code.n,
         "k": code.k,
-        "generator": [[element_to_json(x) for x in row]
-                      for row in code.generator],
+        "generator": [list(map(code.field._to_json, row))
+                      for row in code._value_rows],
         "metadata": metadata or {},
     }
 

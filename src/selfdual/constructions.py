@@ -287,13 +287,14 @@ def build_grs_hermitian(p: int, t: int, n: int, points=None,
         u.append(prod.inverse())
     v = [solve_norm(tower, ui, guards) for ui in u]
 
-    # row l is (v_i * a_i**l): each row is the one before times the points
-    emb = [tower.embed(a) for a in pts]
+    # row l is (v_i * a_i**l): each row is the one before times the
+    # points, on values
+    emb = [tower.embed(a).value for a in pts]
     k = n // 2
-    rows = [tuple(v)]
+    rows = [tuple([x.value for x in v])]
     for _ in range(k - 1):
-        rows.append(tuple(x * ai for x, ai in zip(rows[-1], emb)))
-    code = LinearCode(tower, n, k, tuple(rows))
+        rows.append(tuple(map(tower._mul, rows[-1], emb)))
+    code = LinearCode._from_values(tower, n, k, tuple(rows))
 
     if not is_hermitian_self_dual(code):
         raise VerificationFailed("hermitian_self_dual")

@@ -454,9 +454,15 @@ def make_field(p: int, t: int) -> FieldSpec:
     modulus x, i.e. the prime field itself.  A candidate with a root in
     GF(p) has a linear factor and is skipped before Rabin's test, which
     changes no modulus.  The size guard is read when a field is first
-    built; callers holding a ``GuardConfig`` check every field they work
-    in with ``check_field_size``.
+    built, on p and t before any arithmetic on them: p**t >= 2**t, so a
+    p or a t beyond the bounds below gives an order beyond the guard;
+    callers holding a ``GuardConfig`` check every field they work in
+    with ``check_field_size``.
     """
+    limit = current_guards().field_size_limit
+    if p > limit or t > limit.bit_length():
+        # neither p nor t goes into the message: either may be huge
+        raise SizeGuardExceeded("p**t exceeds the field size guard %d" % limit)
     if not is_prime(p):
         raise NotPrime("p = %d is not prime" % p)
     if t < 1:

@@ -64,15 +64,14 @@ class _Reducer:
     """Gauss-Jordan, the walk's step, the determinant and the Cauchy
     certificate, once for both integer encodings.  A subclass gives
     ``field``, ``zero``, ``one``, ``encode`` (of an element),
-    ``encode_row`` (of a row of field values), ``encode_index`` (of the
-    element of a canonical index), ``decode`` and primitives:
-    ``mul``, ``neg`` and ``inverse`` of nonzero values, ``inverses`` of
-    a list of them, ``products(u, v)``, the entrywise product of two
-    rows of them, ``scale(row, f)``, a new row f * row, and
-    ``add_multiple(row, f, terms)``, row[t] += f * x for each (t, x) in
-    ``terms`` in place.  Each is called once per row; the loops over
-    entries stay in ``inverses``, ``products``, ``scale`` and
-    ``add_multiple``.
+    ``encode_index`` (of the element of a canonical index), ``decode``
+    and primitives: ``mul``, ``neg`` and ``inverse`` of nonzero values,
+    ``inverses`` of a list of them, ``products(u, v)``, the entrywise
+    product of two rows of them, ``scale(row, f)``, a new row f * row,
+    and ``add_multiple(row, f, terms)``, row[t] += f * x for each
+    (t, x) in ``terms`` in place.  Each is called once per row; the
+    loops over entries stay in ``inverses``, ``products``, ``scale``
+    and ``add_multiple``.
     """
 
     def row_reduce(self, rows: list[list[int]]):
@@ -383,9 +382,6 @@ class PackedField(_Reducer):
 
     def encode(self, x: Element) -> int:
         return self.pack(x.value)
-
-    def encode_row(self, values) -> list[int]:
-        return list(map(self.pack, values))
 
     def encode_index(self, index: int) -> int:
         return self.pack(self.field._from_int(index))

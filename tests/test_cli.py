@@ -17,6 +17,8 @@ from selfdual import cli, codes, constructions, fields, linalg
 from selfdual.cli import main
 from selfdual.codes import (
     LinearCode,
+    MdsCertificate,
+    MdsVerdict,
     certify_mds,
     code_from_json,
     code_to_json,
@@ -30,13 +32,16 @@ from selfdual.constructions import (
     build_hermitian_extended_duadic,
     build_negacyclic_hermitian,
 )
+from selfdual.config import GuardConfig
 from selfdual.cosets import DefiningSet
+from selfdual.errors import MalformedInput, SizeGuardExceeded
 from selfdual.fields import (
     FieldSpec,
     element_from_json,
     element_to_json,
     field_from_json,
     make_field,
+    nth_root_of_unity,
     poly_is_irreducible,
     quadratic_extension,
     solve_norm,
@@ -763,3 +768,104 @@ def test_verify_refuses_a_header_integer_that_is_not_a_json_integer(
     rc, lines = run_cli(capsys, "verify", str(path))
     assert rc == 2 and lines[0]["error"] == "MalformedInput"
 
+
+
+# the construct example of each route in the README
+README_ROUTES = [
+    ["euclidean-duadic", "--p", "7", "--n", "3"],
+    ["grs-hermitian", "--p", "5", "--n", "4"],
+    ["constacyclic", "--p", "11", "--n", "6", "--r", "4"],
+    ["negacyclic", "--p", "3", "--t", "2", "--n", "10"],
+    ["hermitian-duadic", "--p", "11", "--n", "5"],
+    ["hermitian-n5", "--p", "7"],
+    ["dispatch", "--p", "7", "--n", "8"],
+]
+
+
+@pytest.mark.parametrize("route", README_ROUTES, ids=lambda r: r[0])
+def test_construct_and_verify_build_no_element_row(route, tmp_path, capsys,
+                                                   monkeypatch):
+    # the code a construct serializes and the code a verify reads hold
+    # value rows only: neither builds the element view ``generator``
+    seen = []
+
+    def keeping(call, pick):
+        def kept(*args, **kwargs):
+            out = call(*args, **kwargs)
+            seen.append(pick(args, out))
+            return out
+        return kept
+
+    monkeypatch.setattr(constructions, "code_to_json", keeping(
+        codes.code_to_json, lambda args, out: args[0]))
+    monkeypatch.setattr(cli, "code_from_json", keeping(
+        codes.code_from_json, lambda args, out: out[0]))
+    rc, lines = run_cli(capsys, "construct", *route)
+    assert rc == 0
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(lines[0]))
+    rc, lines = run_cli(capsys, "verify", str(path))
+    assert rc == 0 and len(seen) == 2
+    for code in seen:
+        assert "generator" not in code.__dict__
+
+
+def test_a_huge_field_is_refused_before_any_arithmetic_on_p_and_t(
+        tmp_path, capsys, monkeypatch):
+    rc, lines = run_cli(capsys, "construct", "euclidean-duadic",
+                        "--p", "7", "--n", "3")
+    obj = lines[0]
+    obj["field"]["t"] = 10000
+
+    def refuse(*args):
+        raise AssertionError("is_prime ran")
+
+    monkeypatch.setattr(fields, "is_prime", refuse)
+    message = "p**t exceeds the field size guard %d" % 2**31
+    for p, t in ((3, 10000), (2**4000 + 1, 1)):
+        with pytest.raises(SizeGuardExceeded) as exc:
+            make_field(p, t)
+        assert exc.value.message == message
+    want = [{"error": "SizeGuardExceeded", "message": message}]
+    assert run_cli(capsys, "construct", "euclidean-duadic", "--p", "3",
+                   "--t", "10000", "--n", "3") == (1, want)
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(obj))
+    assert run_cli(capsys, "verify", str(path)) == (1, want)
+
+
+def test_the_root_run_rung_is_guarded_by_the_dlog_limit(tmp_path, capsys,
+                                                        monkeypatch):
+    # a [4, 2] constacyclic code over GF(101) whose shift constant has
+    # order 25: its defining set has modulus 100, above dlog_limit = 64
+    gf101 = make_field(101, 1)
+    lam = nth_root_of_unity(gf101, 25)
+    T = DefiningSet(100, (1, 26), step=25)
+    obj = _cyclic_record(gf101, 4, lam, T)
+    code, _ = code_from_json(obj)
+    assert certify_mds(code, defining=T, lam=lam, mode="bch").verdict == \
+        MdsVerdict("certified-bch")
+
+    def refuse(*args):
+        raise AssertionError("the root walk ran")
+
+    monkeypatch.setattr(codes, "_root_powers", refuse)
+    message = "defining set modulus 100 exceeds the discrete-log guard 64"
+    assert certify_mds(code, defining=T, lam=lam, mode="bch",
+                       guards=GuardConfig(dlog_limit=64)) == MdsCertificate(
+        "bch", MdsVerdict("guarded"), reason=message, warning=message)
+    monkeypatch.setenv("SELFDUAL_GUARD_OVERRIDE", "dlog_limit=64")
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(obj))
+    rc, lines = run_cli(capsys, "verify", str(path), "--mds", "bch")
+    assert lines[0]["mds"] == {"status": "guarded"}
+    assert lines[0]["warning"] == message
+
+
+def test_verify_refuses_a_file_nested_too_deep(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    with pytest.raises(MalformedInput):
+        cli.cmd_verify(cli.build_parser().parse_args(["verify", str(path)]))
+    rc, lines = run_cli(capsys, "verify", str(path))
+    assert rc == 2 and lines[0]["error"] == "MalformedInput"

@@ -223,6 +223,62 @@ def test_packed_generator_is_the_product_of_its_linear_factors(case):
 
 
 @settings(deadline=None, max_examples=100)
+@given(defining_case())
+def test_a_cyclic_code_gets_the_packed_shifts_of_its_generator(case):
+    # the builder's packed copy is what packing the value rows gives
+    field, n, lam, T = case
+    assume(len(T.elements) <= n)
+    try:
+        spec = generator_from_defining_set(field, n, lam, T)
+    except NotDividing:
+        assume(False)
+    code = cyclic_generator_matrix(spec)
+    zero = (field.zero,)
+    assert code.generator == tuple(zero * i + spec.g + zero * (code.k - 1 - i)
+                                   for i in range(code.k))
+    pack = linalg_module.packed_field(field, n).pack
+    assert code.__dict__["_packed"] == [list(map(pack, row))
+                                        for row in code._value_rows]
+
+
+def test_a_cyclic_build_packs_only_the_generator_coefficients(monkeypatch):
+    # the [27, 14] duadic code of the [28, 14] table code over GF(7^9)
+    field = make_field(7, 9)
+    T = DefiningSet(27, tuple(range(1, 14)))
+    spec = generator_from_defining_set(field, 27, field.one, T)
+    packs = []
+    packed_field = codes_module.packed_field
+
+    def counting(field, terms=1):
+        arith = packed_field(field, terms)
+
+        def pack(v):
+            packs.append(v)
+            return arith.pack(v)
+
+        return mock.Mock(pack=pack)
+
+    monkeypatch.setattr(codes_module, "packed_field", counting)
+    code = cyclic_generator_matrix(spec)
+    assert packs == [c.value for c in spec.g] and code.k == 14
+    monkeypatch.undo()
+    assert is_euclidean_self_dual(code) == is_euclidean_self_dual(
+        LinearCode(field, code.n, code.k, code.generator))
+
+
+@pytest.mark.parametrize("field", [make_field(7, 1), make_field(2, 3),
+                                   quadratic_extension(make_field(3, 1))])
+def test_element_rows_and_value_rows_give_the_same_code(field):
+    code = rand_code(field, 5, 2, 3)
+    twin = LinearCode._from_values(field, 5, 2, code._value_rows)
+    assert "generator" not in twin.__dict__
+    assert twin == code and hash(twin) == hash(code)
+    assert twin.generator == code.generator
+    assert twin._value_rows == tuple(tuple(x.value for x in row)
+                                     for row in code.generator)
+
+
+@settings(deadline=None, max_examples=100)
 @given(st.sampled_from(GENERATOR_FIELDS), st.data())
 def test_binomial_remainder_is_the_long_division_remainder(spec, data):
     # any monic g of degree d <= n + 1, so the remainder is rarely zero
@@ -1141,6 +1197,29 @@ def test_a_packed_certificate_builds_no_table():
     assert mds_check(code, "monte-carlo", trials=5) == \
         MdsVerdict("monte-carlo", trials=5, passes=5)
     assert linalg_module.dlog_table(field, field.order, build=False) is None
+
+
+@pytest.mark.parametrize("planted", [False, True])
+def test_the_column_rung_walks_a_packed_form_without_a_table(planted):
+    # GF(31^2) has 961 elements against 2 k**2 n = 256 updates of an
+    # [8, 4] reduction: a random code's form is packed, the certificate
+    # declines it, and the walk on R matches the per-subset oracle on G
+    field = make_field(31, 2)
+    linalg_module._TABLES.pop(field, None)
+    rng = random.Random(8)
+    cols = [[field.from_int(rng.randrange(field.order)) for _ in range(4)]
+            for _ in range(8)]
+    if planted:
+        cols[6] = [a + field.from_int(5) * b
+                   for a, b in zip(cols[2], cols[4])]
+    code = LinearCode(field, 8, 4, tuple(zip(*cols)))
+    assert code._reduced().packed and not code._reduced().cauchy
+    status, witness = lex_column_oracle(code)
+    assert (status == "refuted") == planted
+    assert mds_check(code, "exhaustive-columns") == MdsVerdict(
+        status, witness=witness)
+    assert linalg_module.dlog_table(field, GuardConfig().dlog_limit,
+                                    build=False) is None
 
 
 def test_a_reduced_form_keeps_no_table_alive():
