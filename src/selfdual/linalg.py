@@ -13,11 +13,20 @@ objects do no linear algebra: the element ``row_reduce``,
 """
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
+import math
 import operator
 
-from .fields import Element, Field, TowerSpec, find_primitive_element
+from .fields import (
+    Element,
+    Field,
+    TowerSpec,
+    _cast_width,
+    _lanes,
+    find_primitive_element,
+)
 
 
 def first_dependent_subset(columns, k: int, zero, step):
@@ -195,56 +204,74 @@ class DlogTable(_Reducer):
     element, with -1 for zero.  Addition goes through the table
     z[d] = log(1 + g**d), built once per field.
 
-    The powers of g come from a walk on integers.  The canonical index
-    of an element is sum(d_j * p**j) over its D = log_p(q) coordinates
-    in GF(p), the field's value, and multiplication by g is GF(p)-linear
-    on them.  So the digits of x*g are the sum, digit by digit mod p, of
-    the images c*(p**j * g) of x's digits c, which are precomputed as
-    packed ints with one digit every ``width`` bits.
-    A sum of D images has digits up to D*(p - 1); when that fits a byte
-    one ``bytes.translate`` reduces them all.
+    The powers of g come in baby steps and giant steps (Shanks): with
+    e = j*B + i, B about sqrt(q - 1), the B baby powers g**i are field
+    products, and a giant step multiplies all B of them by h = g**B at
+    once.  The canonical index of an element is sum(c_l * p**l) over its
+    D = log_p(q) coordinates in GF(p), the field's value, and x -> h*x
+    is GF(p)-linear on them, with the matrix whose column l is the value
+    of h times the unit of coordinate l.  So coordinate l of all B
+    powers sits in one int, in lanes of s bits, lane i holding that of
+    g**(j*B + i), and a giant step is D*D products of a matrix entry and
+    such an int, then one reduction of every lane mod p.
+
+    A lane of a step's sum is at most X = D*(p - 1)**2 (and X >= p is
+    taken, for the successor below).  It is taken mod p as
+    v - p*(v*M >> k & mask), with 2**k >= X*p and M = ceil(2**k / p) =
+    (2**k + f)/p, 0 <= f < p: then x*M / 2**k = x/p + x*f/(p*2**k), whose
+    second term is below x/2**k <= 1/p while x/p is at most 1 - 1/p past
+    its floor, so x*M >> k = floor(x/p) for every lane x <= X.  The lane
+    width s holds X*M, so the lanes of v*M do not overlap; after the
+    shift by k each lane's quotient sits in its low s - k bits under the
+    k bits the lane above leaves there, which the mask clears, and
+    v - p*q takes every lane mod p with no borrow.  s also holds q - 1,
+    so the B canonical indices, sum(p**l * lanes of coordinate l), are
+    read by one cast of the bytes for 16-, 32- and 64-bit lanes, by
+    shifts for wider ones.  Adding 1 only touches coordinate 0: the
+    indices of 1 + g**e are those indices less coordinate 0 plus
+    coordinate 0 + 1 taken mod p, lanes at most p <= X, by the same
+    reduction.  ``log`` then inverts ``pow_idx`` in one pass, and
+    ``zech`` reads ``log`` at the successor indices.
     """
 
     zero = -1  # the encoding of the field's zero
     one = 0  # and of its one, g**0
 
     def __init__(self, field: Field):
-        q = field.order
-        p = field.char
-        g = find_primitive_element(field)
-        D = field.degree
-        weights = [p ** j for j in range(D)]
-        top = D * (p - 1)
-        width = 8 if top < 256 else top.bit_length()
-        shifts = [width * j for j in range(D)]
-        images = []
-        for w in weights:
-            unit = field._mul(field._from_int(w), g.value)
-            images.append([sum(c * d % p << sh for d, sh in zip(unit, shifts))
-                           for c in range(p)])
-        if width == 8:
-            residues = bytes(v % p for v in range(256))
-
-            def digits_of(packed):
-                return packed.to_bytes(D, "little").translate(residues)
-        else:
-            mask = (1 << width) - 1
-
-            def digits_of(packed):
-                return [(packed >> sh & mask) % p for sh in shifts]
-
+        q, p, D = field.order, field.char, field.degree
+        B = max(2, min(q - 1, math.isqrt(D * (q - 1) // 2)))
+        pack1, reduce1, unpack1 = field._layout(1)
+        g = pack1(find_primitive_element(field).value)
+        babies, x = [], pack1(field._one)
+        for _ in range(B):
+            babies.append(unpack1(x))
+            x = reduce1(x * g)
+        # x is g**B; column l of its matrix is x times unit l
+        units = [(0,) * l + (1,) + (0,) * (D - 1 - l) for l in range(D)]
+        matrix = list(zip(*[unpack1(reduce1(x * pack1(u))) for u in units]))
+        top = max(D * (p - 1) ** 2, p)
+        k = (top * p - 1).bit_length()
+        M = -(-(1 << k) // p)
+        s = _cast_width(max((top * M).bit_length(), (q - 1).bit_length()))
+        pack, read = _lanes(s, range(B))
+        quotients = pack([(1 << s - k) - 1] * B)
+        coords = list(map(pack, zip(*babies)))
+        weights = [p ** l for l in range(D)]
         pow_idx = []  # exponent -> canonical element index
-        append = pow_idx.append
-        digits = [1] + [0] * (D - 1)
-        for _ in range(q - 1):
-            append(sum(map(operator.mul, digits, weights)))
-            digits = digits_of(sum(map(operator.getitem, images, digits)))
-        log = [-1] * q  # canonical element index -> exponent
+        for _ in range(-(-(q - 1) // B)):
+            pow_idx.extend(read(sum(map(operator.mul, weights, coords))))
+            coords = [v - p * (v * M >> k & quotients) for v in
+                      [sum(map(operator.mul, row, coords)) for row in matrix]]
+        del pow_idx[q - 1:]
+        log = [-1] * (q + 1)  # canonical element index -> exponent
         for e, idx in enumerate(pow_idx):
             log[idx] = e
-        # adding one only touches the constant coefficient
-        zech = [log[idx + 1 if idx % p != p - 1 else idx + 1 - p]
-                for idx in pow_idx]
+        # adding one only touches coordinate 0: 1 + x has the next index,
+        # or p less at the end of a run of p indices
+        zech = [log[idx + 1] for idx in pow_idx]
+        for idx in range(p - 1, q, p):
+            zech[log[idx]] = log[idx + 1 - p]
+        log.pop()  # the slot past the end
         self.field = field
         self.q = q
         self.log = log
@@ -307,26 +334,45 @@ class DlogTable(_Reducer):
         """Minimum weight over one word per projective message class of
         the row space of encoded ``rows``, which must be independent:
         the words whose first nonzero coefficient is 1, each its parent
-        word plus 0 or g**c (c < q - 1) times the next row."""
-        k, m = len(rows), self.q - 1
+        word plus 0 or g**c (c < q - 1) times the next row.
+
+        The children at the last row r are counted, not built: w + g**c*r
+        is zero at coordinate j where r_j = w_j = 0, and, where both are
+        nonzero, for the one c = log w_j + half - log r_j (mod q - 1),
+        as -1 = g**half.  With z the coordinates where both are zero, the
+        least weight over c is n - z - (the most coordinates one c
+        zeroes), and over the child w itself (c = 0 drops r), n - z -
+        (the coordinates where only r is nonzero): one tally of n
+        coordinates for the q children of each prefix.
+        """
+        k, m, n = len(rows), self.q - 1, len(rows[0])
         terms = [[(t, x) for t, x in enumerate(row) if x != -1]
                  for row in rows]
-        best = len(rows[0])
+        last = rows[-1]
+        support = [t for t, _ in terms[-1]]
+        others = [t for t, x in enumerate(last) if x == -1]
+        # the c at which a coordinate of the word cancels that of r
+        flip = [(self.half - x) % m for _, x in terms[-1]]
+        best = n - last.count(-1)
 
         def rec(level, word):
             nonlocal best
-            if level == k:
-                weight = len(word) - word.count(-1)
-                if weight < best:
-                    best = weight
+            if level < k - 1:
+                rec(level + 1, word)
+                for c in range(m):
+                    child = word[:]
+                    self.add_multiple(child, c, terms[level])
+                    rec(level + 1, child)
                 return
-            rec(level + 1, word)
-            for c in range(m):
-                child = word[:]
-                self.add_multiple(child, c, terms[level])
-                rec(level + 1, child)
+            both = [word[t] for t in others].count(-1)
+            hits = [(x + f) % m for x, f in
+                    zip([word[t] for t in support], flip) if x != -1]
+            most = max(collections.Counter(hits).values(), default=0)
+            weight = n - both - max(most, len(support) - len(hits))
+            if weight < best:
+                best = weight
 
-        for pivot in range(k):
+        for pivot in range(k - 1):
             rec(pivot + 1, list(rows[pivot]))
         return best
 
