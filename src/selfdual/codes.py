@@ -67,20 +67,23 @@ from .linalg import (
 # linear codes
 # ---------------------------------------------------------------------------
 
-# The cost rule of a reduction.  A Zech table costs about q walk steps,
-# once per process, and then serves every reduction, column walk and
-# codeword scan over its field; a packed reduction costs about k*k*n
-# entry updates, each time it runs.  Measured on a 2-vCPU VM in GF(31^3),
-# GF(5^6), GF(2^12) and GF(7^4), a table step costs 1.4-2.5 us (the
-# linalg.dlog_build_ms.gf31_3 probe times one build) and a packed update
-# reduce(u + f*v) 0.6-1.1 us, less than half a step, and a builder and
+# The cost rule of a reduction.  A Zech table costs about q steps, one
+# per entry, once per process, and then serves every reduction, column
+# walk and codeword scan over its field; a packed reduction costs about
+# k*k*n entry updates, each time it runs.  Measured on a 2-vCPU VM in
+# GF(31^3), GF(5^6), GF(2^12), GF(7^4) and GF(3^6), a table built by
+# giant steps costs 0.3-0.6 us an entry (the linalg.dlog_build_ms.gf31_3
+# probe times one build) and a packed update reduce(u + f*v) 0.5-0.9 us.
+# The factor below was set when a step of the old one-power-at-a-time
+# walk cost 1.4-2.5 us, more than twice an update, and a builder and
 # every later verify reduce the code again, so a table is built when q
-# is at most this many times k*k*n: when it costs about what four or
-# five packed reductions do.  That sends GF(2^12) with the [14, 7] table
-# code (q = 6.0 k*k*n) and GF(3^6) with [8, 4] (5.7) to packed values,
-# as GF(31^3) with [16, 8] and GF(5^6) with [10, 5] (29 and 62 times),
-# and keeps GF(3^6) with [14, 7] (1.06) and GF(31^2) with [16, 8] (0.94)
-# on their tables.
+# is at most this many times k*k*n.  That sends GF(2^12) with the
+# [14, 7] table code (q = 6.0 k*k*n) and GF(3^6) with [8, 4] (5.7) to
+# packed values, as GF(31^3) with [16, 8] and GF(5^6) with [10, 5] (29
+# and 62 times), and keeps GF(3^6) with [14, 7] (1.06) and GF(31^2)
+# with [16, 8] (0.94) on their tables; with cheaper steps a larger
+# factor would pay, and it is left as it is here so that every code
+# keeps its encoding.
 TABLE_STEPS_PER_UPDATE = 2
 
 
@@ -449,9 +452,11 @@ def _check_scan(field: Field, k: int, guards: GuardConfig) -> None:
 def _projective_scan(field: Field, rows, guards: GuardConfig) -> int:
     """``DlogTable.min_weight`` of ``rows`` of field values, which must
     be independent, or for k = 1 the weight of the lone row, after
-    ``_check_scan``.  The table needs no guard of its own: its q entries
-    cost less than the (q**k - 1)/(q - 1) >= q + 1 words the scan
-    visits, which the codeword guard bounds.
+    ``_check_scan``.  The table needs no guard of its own: the scan
+    counts the last coefficient, so it visits only the
+    (q**(k - 1) - 1)/(q - 1) prefixes, but the codeword guard still
+    holds q**k, with k >= 2, so the table's q entries are at most the
+    square root of that guard.
     """
     k = len(rows)
     _check_scan(field, k, guards)
@@ -463,10 +468,12 @@ def _projective_scan(field: Field, rows, guards: GuardConfig) -> int:
 
 def min_distance_exhaustive(code: LinearCode,
                             guards: GuardConfig | None = None) -> int:
-    """Exact minimum distance by scanning all q**k codewords.
+    """Exact minimum distance over all q**k codewords.
 
-    One representative per scalar class is enough, so the walk visits
-    (q**k - 1)/(q - 1) words; the guard is still stated on q**k.
+    One representative per scalar class is enough, and the weights of
+    the q that differ in the last coefficient come from one tally, so
+    the scan builds (q**(k - 1) - 1)/(q - 1) words; the guard is still
+    stated on q**k.
     """
     return _projective_scan(code.field, code._value_rows,
                             current_guards(guards))

@@ -679,13 +679,16 @@ def solve_norm(tower: TowerSpec, u, guards: GuardConfig | None = None) -> Elemen
 # Kronecker packing
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=FIELD_CACHE_SIZE)
 def _lanes(s: int, lanes) -> tuple[Callable, Callable]:
     """(pack, read) for values whose coordinates sit in ``lanes`` of s
     bits of one int, lowest first: ``pack`` maps a tuple of coordinates
     below 2**s to that int, and ``read`` maps an int below
     2**(s*(lanes[-1] + 1)) to the tuple of its digits in ``lanes``, at
     least two: by a cast of its bytes for 16-, 32- and 64-bit lanes, by
-    shifts for any other s."""
+    shifts for any other s.  ``lanes`` is a tuple or a range, and each
+    pair is built once: the candidate rings of one ``make_field`` and
+    the fields of one lane width share it."""
     shifts = [s * i for i in lanes]
 
     def pack(v):
@@ -706,7 +709,7 @@ def _packing(field: Field, bound: int):
 
     ``pack`` puts each GF(p) coordinate of a value in a lane of s bits
     of one int, and ``unpack`` reads the lanes of a packed canonical
-    value back; both are written once, over the list of lanes that
+    value back; both are written once, over the tuple of lanes that
     ``_folding`` gives each field, with a shift each way for the two
     lanes of GF(p^2), the hot case.  In GF(p^t) coordinate i, the
     coefficient of x**i, is lane i.  ``bits`` is the length of a product
@@ -756,7 +759,7 @@ def _packing(field: Field, bound: int):
     reduce, s, lanes, bits = _folding(field, bound, field.degree > 2)
     if len(lanes) == 1:  # GF(p): the value's one coordinate is the int
         return operator.itemgetter(0), reduce, (lambda v: (v,)), bits
-    if lanes == [0, 1]:  # every GF(p^2): a shift each way
+    if lanes == (0, 1):  # every GF(p^2): a shift each way
         mask = (1 << s) - 1
         return ((lambda v: v[0] + (v[1] << s)), reduce,
                 (lambda v: (v & mask, v >> s)), bits)
@@ -785,34 +788,36 @@ def _folding(field: Field, bound: int, wide: bool):
                 u1 = base_reduce(u1 + neg_c1 * u2)
             return base_reduce(u0 + neg_c0 * u2) + (u1 << bits)
 
-        return reduce, s, lanes + [bits // s + i for i in lanes], 3 * bits
+        high = tuple(bits // s + i for i in lanes)
+        return reduce, s, lanes + high, 3 * bits
     p, t = field.p, field.t
     if t == 1:  # no polynomial to reduce: one digit, one coefficient
         s = _cast_width(bound.bit_length()) if wide else bound.bit_length()
-        return p.__rmod__, s, [0], s
-    # x**t = r(x) = -(c_0 + ... + c_(t-1) x**(t-1)), of degree d; each
-    # further x shifts the coefficients up one and folds the one that
-    # leaves by that rule; coords[b] is x**(t + b*m)
+        return p.__rmod__, s, (0,), s
+    # x**t = r(x) = -(c_0 + ... + c_(t-1) x**(t-1)), of degree d
     xt = [-c % p for c in field.modulus[:t]]
     d = max((i for i, c in enumerate(xt) if c), default=0)
     m = t - d
     blocks = -(-(t - 1) // m)
-    coords, r = [], xt
-    for j in range((blocks - 1) * m + 1):
-        if j % m == 0:
-            coords.append(r)
-        r = [(lo + r[-1] * c) % p for lo, c in zip([0] + r[:-1], xt)]
-    # the folds on every digit at the bound, spill lanes included
-    lanes = [bound] * t + [0] * (m - 1)
-    for j in range(t - 1):
-        b, i = divmod(j, m)
-        for h, c in enumerate(coords[b], i):
-            lanes[h] += bound * c
-    if blocks > 1:
-        for j in range(t, t + m - 1):
-            for h, c in enumerate(xt, j - t):
-                lanes[h] += lanes[j] * c
-    most = max(lanes)
+    # polynomials with a coefficient in each lane of w bits: a lane
+    # below is at most bound*(1 + (t - 1)(p - 1))*(1 + (m - 1)(p - 1)),
+    # under bound*(t*p)**2, so no sum carries from lane to lane
+    w = _cast_width((bound * (t * p) ** 2).bit_length())
+    wpack, wread = _lanes(w, range(2 * t))
+    r, wtop = wpack(xt), w * t
+    # R_b = x**(t + b*m) is x**m times R_(b-1), whose m digits past
+    # x**(t - 1) fold once by r, of degree d = t - m, below x**t
+    coords = [xt]
+    for _ in range(blocks - 1):
+        v = wpack(coords[-1]) << w * m
+        coords.append([c % p for c in wread(v + (v >> wtop) * r)[:t]])
+    # the folds on every digit at the bound, as polynomial products:
+    # block b adds R_b times its run of digits, and the lanes it spills
+    # past x**(t - 1) add their fold by r, the spill lanes kept
+    v = bound * sum(wpack(c) * wpack([1] * min(m, t - 1 - b * m))
+                    for b, c in enumerate(coords))
+    v += wpack([bound] * t)
+    most = max(wread(v + (v >> wtop) * r))
     k = (most * p - 1).bit_length()
     M = -(-(1 << k) // p)
     s = _cast_width((most * M).bit_length())
@@ -844,7 +849,7 @@ def _folding(field: Field, bound: int, wide: bool):
             v = (v & low) + (v >> top) * r0
             return v - p * (v * M >> k & quotients)
 
-    return reduce, s, [*range(t)], s * (2 * t - 1)
+    return reduce, s, tuple(range(t)), s * (2 * t - 1)
 
 
 def _cast_width(need: int) -> int:

@@ -205,33 +205,31 @@ class DlogTable(_Reducer):
     z[d] = log(1 + g**d), built once per field.
 
     The powers of g come in baby steps and giant steps (Shanks): with
-    e = j*B + i, B about sqrt(q - 1), the B baby powers g**i are field
-    products, and a giant step multiplies all B of them by h = g**B at
-    once.  The canonical index of an element is sum(c_l * p**l) over its
-    D = log_p(q) coordinates in GF(p), the field's value, and x -> h*x
-    is GF(p)-linear on them, with the matrix whose column l is the value
-    of h times the unit of coordinate l.  So coordinate l of all B
-    powers sits in one int, in lanes of s bits, lane i holding that of
+    e = j*B + i and B about sqrt(D*(q - 1)/2), the B baby powers g**i
+    are packed products of the field, and a giant step multiplies all B
+    of them by h = g**B at once.  The canonical index of an element is
+    sum(c_l * p**l) over its D = log_p(q) coordinates in GF(p), the
+    field's value, and x -> h*x is GF(p)-linear on them, with the matrix
+    whose column l is h times the unit of coordinate l.  So coordinate l
+    of the B powers sits in one int, lane i of s bits holding that of
     g**(j*B + i), and a giant step is D*D products of a matrix entry and
     such an int, then one reduction of every lane mod p.
 
-    A lane of a step's sum is at most X = D*(p - 1)**2 (and X >= p is
-    taken, for the successor below).  It is taken mod p as
-    v - p*(v*M >> k & mask), with 2**k >= X*p and M = ceil(2**k / p) =
-    (2**k + f)/p, 0 <= f < p: then x*M / 2**k = x/p + x*f/(p*2**k), whose
-    second term is below x/2**k <= 1/p while x/p is at most 1 - 1/p past
-    its floor, so x*M >> k = floor(x/p) for every lane x <= X.  The lane
-    width s holds X*M, so the lanes of v*M do not overlap; after the
-    shift by k each lane's quotient sits in its low s - k bits under the
-    k bits the lane above leaves there, which the mask clears, and
-    v - p*q takes every lane mod p with no borrow.  s also holds q - 1,
-    so the B canonical indices, sum(p**l * lanes of coordinate l), are
-    read by one cast of the bytes for 16-, 32- and 64-bit lanes, by
-    shifts for wider ones.  Adding 1 only touches coordinate 0: the
-    indices of 1 + g**e are those indices less coordinate 0 plus
-    coordinate 0 + 1 taken mod p, lanes at most p <= X, by the same
-    reduction.  ``log`` then inverts ``pow_idx`` in one pass, and
-    ``zech`` reads ``log`` at the successor indices.
+    A lane of such a sum is at most X = D*(p - 1)**2.  It is taken mod p
+    as v - p*(v*M >> k & mask), with 2**k >= X*p and
+    M = ceil(2**k / p) = (2**k + f)/p, 0 <= f < p: then
+    x*M / 2**k = x/p + x*f/(p*2**k), whose second term is below
+    x/2**k <= 1/p while x/p is at most 1 - 1/p past its floor, so
+    x*M >> k = floor(x/p) for every lane x <= X.  The lane width s holds
+    X*M, so the lanes of v*M do not overlap; after the shift by k each
+    lane's quotient sits in its low s - k bits under the k bits the lane
+    above leaves there, which the mask clears, and v - p*q takes every
+    lane mod p with no borrow.  s also holds q - 1, so the B canonical
+    indices sum(p**l * lane of coordinate l) are read by one cast of the
+    bytes for 16-, 32- and 64-bit lanes, by shifts for wider ones.
+    ``log`` inverts ``pow_idx``.  Adding 1 only touches coordinate 0, so
+    1 + x has the next canonical index, or p less at the end of a run
+    of p indices, and ``zech`` reads ``log`` there.
     """
 
     zero = -1  # the encoding of the field's zero
@@ -249,7 +247,7 @@ class DlogTable(_Reducer):
         # x is g**B; column l of its matrix is x times unit l
         units = [(0,) * l + (1,) + (0,) * (D - 1 - l) for l in range(D)]
         matrix = list(zip(*[unpack1(reduce1(x * pack1(u))) for u in units]))
-        top = max(D * (p - 1) ** 2, p)
+        top = D * (p - 1) ** 2
         k = (top * p - 1).bit_length()
         M = -(-(1 << k) // p)
         s = _cast_width(max((top * M).bit_length(), (q - 1).bit_length()))
@@ -266,10 +264,8 @@ class DlogTable(_Reducer):
         log = [-1] * (q + 1)  # canonical element index -> exponent
         for e, idx in enumerate(pow_idx):
             log[idx] = e
-        # adding one only touches coordinate 0: 1 + x has the next index,
-        # or p less at the end of a run of p indices
         zech = [log[idx + 1] for idx in pow_idx]
-        for idx in range(p - 1, q, p):
+        for idx in range(p - 1, q, p):  # the ends of the runs
             zech[log[idx]] = log[idx + 1 - p]
         log.pop()  # the slot past the end
         self.field = field
@@ -338,12 +334,14 @@ class DlogTable(_Reducer):
 
         The children at the last row r are counted, not built: w + g**c*r
         is zero at coordinate j where r_j = w_j = 0, and, where both are
-        nonzero, for the one c = log w_j + half - log r_j (mod q - 1),
-        as -1 = g**half.  With z the coordinates where both are zero, the
-        least weight over c is n - z - (the most coordinates one c
-        zeroes), and over the child w itself (c = 0 drops r), n - z -
-        (the coordinates where only r is nonzero): one tally of n
-        coordinates for the q children of each prefix.
+        nonzero, for the one c with g**c = -w_j / r_j, which is
+        log w_j - log r_j + half (mod q - 1), as -1 = g**half.  So with z
+        the coordinates where both are zero, the least weight over c is
+        n - z - (the size of the largest class of equal
+        log w_j - log r_j, the shift by half moving every class alike),
+        and of the child w itself (c = 0 drops r) n - z - (the
+        coordinates where only r is nonzero): one tally of n coordinates
+        for the q children of each prefix.
         """
         k, m, n = len(rows), self.q - 1, len(rows[0])
         terms = [[(t, x) for t, x in enumerate(row) if x != -1]
@@ -351,8 +349,7 @@ class DlogTable(_Reducer):
         last = rows[-1]
         support = [t for t, _ in terms[-1]]
         others = [t for t, x in enumerate(last) if x == -1]
-        # the c at which a coordinate of the word cancels that of r
-        flip = [(self.half - x) % m for _, x in terms[-1]]
+        minus = [-x for _, x in terms[-1]]  # -log r_j
         best = n - last.count(-1)
 
         def rec(level, word):
@@ -365,10 +362,10 @@ class DlogTable(_Reducer):
                     rec(level + 1, child)
                 return
             both = [word[t] for t in others].count(-1)
-            hits = [(x + f) % m for x, f in
-                    zip([word[t] for t in support], flip) if x != -1]
-            most = max(collections.Counter(hits).values(), default=0)
-            weight = n - both - max(most, len(support) - len(hits))
+            ratios = [(x + y) % m for x, y in
+                      zip([word[t] for t in support], minus) if x != -1]
+            most = max(collections.Counter(ratios).values(), default=0)
+            weight = n - both - max(most, len(support) - len(ratios))
             if weight < best:
                 best = weight
 

@@ -89,17 +89,73 @@ def power_walk_tables(field):
     return pow_idx, log, zech
 
 
-WALK_FIELDS = DET_FIELDS + [(31, 3, 0), (2, 12, 0), (131, 2, 0)]
+# DET_FIELDS (GF(2), GF(3), and GF(4)^2, an even tower with c1 != 0),
+# then GF(8)^2, the other such tower, the Hermitian towers GF(47)^2,
+# GF(7^2)^2 and GF(3^3)^2, and GF(65537), whose giant-step lanes need
+# more than 64 bits and are read by shifts
+WALK_FIELDS = DET_FIELDS + [(31, 3, 0), (2, 12, 0), (131, 2, 0),
+                            (2, 3, 1), (47, 1, 1), (7, 2, 1), (3, 3, 1),
+                            (65537, 1, 0)]
 
 
 @pytest.mark.parametrize("p, t, towers", WALK_FIELDS,
                          ids=["GF(%d^%d)%s" % (p, t, "^2" * towers)
                               for p, t, towers in WALK_FIELDS])
-def test_digit_walk_matches_the_power_walk(p, t, towers):
-    # GF(131^2) sums digits past one byte, the other fields within it
+def test_giant_steps_match_the_power_walk(p, t, towers):
     field = _field(p, t, towers)
+    if towers and p == 2:
+        assert field.ext_modulus[1]  # y**2 + c1*y + c0 with c1 != 0
     table = DlogTable(field)
     assert (table.pow_idx, table.log, table.zech) == power_walk_tables(field)
+    assert table.half == (0 if p == 2 else (field.order - 1) // 2)
+
+
+# fields whose q - 1 is prime (GF(3), GF(2^t) for t = 2, 3, 5, 7), a
+# perfect square (GF(2), GF(5), GF(17), GF(37), GF(101), GF(257)), or
+# neither, so that the last giant step runs past q - 1
+TABLE_FIELDS = [(3, 1, 0), (2, 2, 0), (2, 3, 0), (2, 5, 0), (2, 7, 0),
+                (2, 1, 0), (5, 1, 0), (17, 1, 0), (37, 1, 0), (101, 1, 0),
+                (257, 1, 0), (3, 3, 0), (5, 2, 0), (3, 1, 1), (2, 2, 1),
+                (5, 1, 1), (7, 3, 0), (3, 5, 0)]
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.sampled_from(TABLE_FIELDS), st.data())
+def test_table_entries_are_powers_of_the_primitive_element(spec, data):
+    field = _field(*spec)
+    q = field.order
+    g = find_primitive_element(field)
+    table = DlogTable(field)
+    assert sorted(table.pow_idx) == list(range(1, q))
+    assert [table.log[i] for i in table.pow_idx] == list(range(q - 1))
+    assert table.log[0] == -1 and len(table.zech) == q - 1
+    for e in data.draw(st.lists(st.integers(0, q - 2), min_size=1,
+                                max_size=8)):
+        x = g ** e
+        assert table.pow_idx[e] == field.index(x)
+        assert table.zech[e] == table.log[field.index(x + field.one)]
+
+
+@pytest.mark.parametrize("p, t, towers", [(7, 1, 0), (2, 3, 0), (3, 1, 1)])
+def test_a_two_row_scan_counts_without_adding_rows(p, t, towers,
+                                                   monkeypatch):
+    field = _field(p, t, towers)
+    table = DlogTable(field)
+    rng = random.Random(p * t)
+    els = [field.from_int(i) for i in range(field.order)]
+    rows = [[field.one, field.zero] + [rng.choice(els) for _ in range(5)],
+            [field.zero, field.one] + [rng.choice(els) for _ in range(5)]]
+    rows[1][3] = field.zero
+    # every nonzero combination of the two rows, by element arithmetic
+    want = min(sum(1 for x, y in zip(*rows) if a * x + b * y)
+               for a in els for b in els if a or b)
+
+    def refuse(*args):
+        raise AssertionError("a k = 2 scan builds no word")
+
+    monkeypatch.setattr(DlogTable, "add_multiple", refuse)
+    assert table.min_weight([[table.encode(x) for x in row]
+                             for row in rows]) == want
 
 
 def _random_rows(field, data):

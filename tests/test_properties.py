@@ -437,6 +437,57 @@ def test_extension_audit_matches_brute_enumeration(code):
         brute_weight_audit(code)
 
 
+# GF(2^t), GF(p) and towers, each with q**k <= 729 for the k drawn
+SCAN_FIELDS = [((2, 2, 0), 3), ((2, 3, 0), 3), ((3, 1, 0), 3),
+               ((5, 1, 0), 3), ((7, 1, 0), 3), ((2, 1, 1), 3),
+               ((3, 1, 1), 2), ((2, 2, 1), 2)]
+
+
+@st.composite
+def scan_code(draw):
+    """A code of independent rows whose columns include zero columns and
+    repeated columns, with zeros in the last row: (I | A), zero and
+    copied columns inserted, the columns shuffled, and one row added to
+    a multiple of another."""
+    (p, t, towers), max_k = draw(st.sampled_from(SCAN_FIELDS))
+    field = make_field(p, t)
+    for _ in range(towers):
+        field = quadratic_extension(field)
+    entry = st.integers(0, field.order - 1).map(field.from_int)
+    k = draw(st.integers(2, max_k))
+    extra = draw(st.integers(0, 4))
+    rows = [[field.one if j == i else field.zero for j in range(k)]
+            + draw(st.lists(entry, min_size=extra, max_size=extra))
+            for i in range(k)]
+    width = len(rows[0])
+    for _ in range(draw(st.integers(0, 2))):
+        for row in rows:
+            row.append(field.zero)
+    for _ in range(draw(st.integers(0, 2))):
+        j = draw(st.integers(0, width - 1))
+        for row in rows:
+            row.append(row[j])
+    order = draw(st.permutations(range(len(rows[0]))))
+    rows = [[row[j] for j in order] for row in rows]
+    i, j = draw(st.permutations(range(k)))[:2]
+    c = draw(entry)
+    rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    if draw(st.booleans()):  # zeros at the front of the last row
+        rows[-1], rows[0] = rows[0], rows[-1]
+    return LinearCode(field, len(rows[0]), k, tuple(map(tuple, rows)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(scan_code())
+def test_counted_scan_matches_brute_enumeration(code):
+    # the scan tallies the last row's coefficient instead of building
+    # its q - 1 multiples; a zero or repeated column, and zeros in the
+    # last row, each shift that tally
+    want = brute_weight_audit(code)
+    assert extension_weight_audit(code, guards=LOOSE) == want
+    assert min_distance_exhaustive(code, guards=LOOSE) == want[0]
+
+
 def code_from_indices(field, rows):
     rows = tuple(tuple(field.from_int(i) for i in row) for row in rows)
     return LinearCode(field, len(rows[0]), len(rows), rows)
