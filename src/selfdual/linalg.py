@@ -205,9 +205,10 @@ class DlogTable(_Reducer):
     z[d] = log(1 + g**d), built once per field.
 
     The powers of g come in baby steps and giant steps (Shanks): with
-    e = j*B + i and B about sqrt(D*(q - 1)/2), the B baby powers g**i
-    are packed products of the field, and a giant step multiplies all B
-    of them by h = g**B at once.  The canonical index of an element is
+    e = j*B + i, the B baby powers g**i are packed products of the
+    field, and a giant step multiplies all B of them by h = g**B at
+    once.  B is about sqrt(D*(q - 1)/2), where the B baby products cost
+    about what the (q - 1)/B giant steps of D*D big-int products do.  The canonical index of an element is
     sum(c_l * p**l) over its D = log_p(q) coordinates in GF(p), the
     field's value, and x -> h*x is GF(p)-linear on them, with the matrix
     whose column l is h times the unit of coordinate l.  So coordinate l
