@@ -446,9 +446,10 @@ SCAN_FIELDS = [((2, 2, 0), 3), ((2, 3, 0), 3), ((3, 1, 0), 3),
 @st.composite
 def scan_code(draw):
     """A code of independent rows whose columns include zero columns and
-    repeated columns, with zeros in the last row: (I | A), zero and
-    copied columns inserted, the columns shuffled, and one row added to
-    a multiple of another."""
+    repeated columns: (I | A), zero and copied columns inserted, the
+    columns shuffled, and one row added to a multiple of another.  The
+    last row keeps zeros in the zero columns and, for k >= 3, in an
+    identity column of another row."""
     (p, t, towers), max_k = draw(st.sampled_from(SCAN_FIELDS))
     field = make_field(p, t)
     for _ in range(towers):
@@ -472,8 +473,6 @@ def scan_code(draw):
     i, j = draw(st.permutations(range(k)))[:2]
     c = draw(entry)
     rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
-    if draw(st.booleans()):  # zeros at the front of the last row
-        rows[-1], rows[0] = rows[0], rows[-1]
     return LinearCode(field, len(rows[0]), k, tuple(map(tuple, rows)))
 
 
