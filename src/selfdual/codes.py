@@ -9,7 +9,15 @@ checks and the root check of a length-n code run on the one cached
 n-term layout ``packed_field(field, n)``, the roots on one walk.  A code
 holds its generator once, as rows of field values, and packs them there
 once (a cyclic code gets the shifts of its packed g from its builder);
-every packed check reads that copy.
+every packed check reads that copy.  A generator whose k >= 2 rows are
+the shifts of one vector g, then a tail the same in every row (the
+*shift form*, ``LinearCode._shift``: every cyclic, constacyclic and
+duadic builder's code and its extension), is checked through g alone:
+G G^T is Toeplitz, so the Gram checks test min(k, d + 1) lag sums of g
+plus the tail's inner product (``_lag_gram_is_zero``); the root check
+evaluates g alone, since row i at alpha**e is alpha**(e*i) * g(alpha**e)
+(``_roots_mismatch``); and the extension's column is one product
+(``extend_code``).  Any other generator is checked row by row.
 
 Verification never approximates: self-duality is an exact matrix
 product, distances are exhaustive scans under a guard, and MDS checks
@@ -210,6 +218,36 @@ class LinearCode(Frozen):
         pack = packed_field(self.field, self.n).pack
         return [list(map(pack, row)) for row in self._value_rows]
 
+    @functools.cached_property
+    def _shift(self) -> tuple | None:
+        """(g, tail) when k >= 2 and, for w = n or n - 1, row i is i
+        zeros, then g of length w - k + 1, then zeros through column
+        w - 1, then ``tail``, the same in every row; None otherwise.
+        The rows of every cyclic, constacyclic and duadic builder have
+        this form with w = n, and their extensions with w = n - 1.  g is
+        not zero, since the k >= 2 rows are independent."""
+        k, n, rows = self.k, self.n, self._value_rows
+        if k < 2:
+            return None
+        pad = (self.field._zero,)
+        for w in (n, n - 1):
+            g, tail = rows[0][:w - k + 1], rows[0][w:]
+            if all(row == pad * i + g + pad * (k - 1 - i) + tail
+                   for i, row in enumerate(rows)):
+                return g, tail
+        return None
+
+    @functools.cached_property
+    def _packed_shift(self) -> tuple[list, list]:
+        """The shift form's g and tail packed on the n-term layout: read
+        from the packed copy when the code holds one, else packed."""
+        g, tail = self._shift
+        packed = self.__dict__.get("_packed")
+        if packed is not None:
+            return packed[0][:len(g)], packed[0][self.n - len(tail):]
+        pack = packed_field(self.field, self.n).pack
+        return list(map(pack, g)), list(map(pack, tail))
+
     def _reduced(self, guards: GuardConfig | None = None) -> ReducedForm:
         """The reduced form, on the representation ``_reduction_table``
         picks under the guards of the first call, and cached; a field
@@ -235,13 +273,19 @@ class LinearCode(Frozen):
     # computed once per code: a builder, verify and mds_check all ask
     @functools.cached_property
     def _euclidean_self_dual(self) -> bool:
-        return 2 * self.k == self.n and _gram_is_zero(
-            self._packed, packed_field(self.field, self.n))
+        return 2 * self.k == self.n and self._gram_zero(False)
 
     @functools.cached_property
     def _hermitian_self_dual(self) -> bool:
-        return 2 * self.k == self.n and _gram_is_zero(
-            self._packed, packed_field(self.field, self.n), conjugate=True)
+        return 2 * self.k == self.n and self._gram_zero(True)
+
+    def _gram_zero(self, conjugate: bool) -> bool:
+        """The Gram check of the shift form's lag sums, or of the rows."""
+        arith = packed_field(self.field, self.n)
+        if self._shift is None:
+            return _gram_is_zero(self._packed, arith, conjugate=conjugate)
+        return _lag_gram_is_zero(*self._packed_shift, self.k, arith,
+                                 conjugate=conjugate)
 
     def codeword(self, message) -> tuple:
         word = [self.field.zero] * self.n
@@ -408,6 +452,34 @@ def _gram_is_zero(rows: list, arith: PackedField,
     return True
 
 
+def _lag_gram_is_zero(g: list, tail: list, k: int, arith: PackedField,
+                      conjugate: bool = False) -> bool:
+    """``_gram_is_zero`` of the k rows of a shift form (g, tail), packed
+    on ``arith``, from its lag sums.
+
+    Row i holds g at columns i..i + d, d + 1 = len(g), and then the
+    tail.  For j >= i and delta = j - i, entry (i, j) is
+    sum_c r_i[c] * s(r_j[c]), s the identity or the conjugate: the
+    columns where both rows meet g are c = j + m, m <= d - delta, where
+    r_i[c] = g[m + delta] and r_j[c] = g[m], and the tail adds its own
+    inner product, so the entry is c(delta) + tau with
+    c(delta) = sum_m g[m + delta] * s(g[m]) and tau = sum_l t_l * s(t_l).
+    c(delta) = 0 for delta > d, so the entries with j >= i are zero
+    exactly when c(delta) + tau = 0 for delta < min(k, d + 1) and, when
+    k > d + 1, tau = 0.  Entry (j, i) is entry (i, j) or its conjugate,
+    so the two are zero together.  Each tested sum has at most
+    d + 1 + len(tail) <= n products, exact on the n-term layout.
+    """
+    reduce = arith.reduce
+    other = list(map(arith.conj, g + tail)) if conjugate else g + tail
+    span = len(g)
+    tau = sum(map(operator.mul, tail, other[span:]))
+    if any(reduce(sum(map(operator.mul, g[delta:], other)) + tau)
+           for delta in range(min(k, span))):
+        return False
+    return k <= span or not reduce(tau)
+
+
 def is_euclidean_self_dual(code: LinearCode) -> bool:
     """2k == n and G @ G^T == 0 by the exact matrix product, once."""
     return code._euclidean_self_dual
@@ -427,12 +499,30 @@ def is_hermitian_self_dual(code: LinearCode) -> bool:
 def extend_code(code: LinearCode, gamma: Element) -> LinearCode:
     """Append to every row the coordinate -gamma * (sum of the row): on
     packed ints a sum of n products, exact at one reduction on the
-    n-term layout of ``packed_field(field, n)``."""
-    arith = packed_field(code.field, code.n)
+    n-term layout of ``packed_field(field, n)``.  Every row of a shift
+    form (g, tail) sums to g(1) + sum(tail), so one product gives the
+    whole column.  When the (n + 1)-term layout packs values as the
+    n-term one does, the code's packed copy, if it holds one, becomes
+    the extension's with the packed column appended."""
+    field, n, k = code.field, code.n, code.k
+    arith = packed_field(field, n)
     minus_gamma = arith.encode(-gamma)
-    rows = tuple((*row, arith.unpack(arith.reduce(minus_gamma * sum(packed))))
-                 for row, packed in zip(code._value_rows, code._packed))
-    return LinearCode._from_values(code.field, code.n + 1, code.k, rows)
+    if code._shift is None:
+        column = [arith.reduce(minus_gamma * sum(row))
+                  for row in code._packed]
+        values = list(map(arith.unpack, column))
+    else:
+        g, tail = code._packed_shift
+        column = [arith.reduce(minus_gamma * (sum(g) + sum(tail)))] * k
+        values = [arith.unpack(column[0])] * k
+    rows = tuple((*row, v) for row, v in zip(code._value_rows, values))
+    packed = code.__dict__.get("_packed")
+    if (packed is not None
+            and arith.lanes == packed_field(field, n + 1).lanes):
+        packed = [row + [c] for row, c in zip(packed, column)]
+    else:
+        packed = None
+    return LinearCode._from_values(field, n + 1, k, rows, packed)
 
 
 # ---------------------------------------------------------------------------
@@ -605,15 +695,28 @@ def _roots_mismatch(code: LinearCode, T: DefiningSet, lam: Element | None,
     ``punctured`` the rows lose their last coordinate but no dimension.
     Vanishing on a run of delta - 1 such points proves d >= delta even
     for a dishonest lam: alpha**step has order modulus/step >= n, so any
-    delta - 1 check columns form a scaled Vandermonde matrix."""
-    field, n, m = code.field, code.n, T.modulus
-    # the code's packed copy; punctured rows are exact on its layout too
-    arith, rows = packed_field(field, n), code._packed
-    if punctured:
-        n, rows = n - 1, [row[:-1] for row in rows]
-        if (not _staircase(rows, arith.zero)
-                and len(arith.row_reduce(rows)[1]) < code.k):
-            return "the first n - 1 coordinates lose a dimension"
+    delta - 1 check columns form a scaled Vandermonde matrix.
+
+    When the n checked coordinates are a shift form with no tail, row i
+    is x**i * g(x), so r_i(alpha**e) = sum_j g_j alpha**(e*(i + j)) =
+    alpha**(e*i) * g(alpha**e).  alpha is a root of unity, a unit, so
+    every row vanishes at alpha**e exactly when g does, and g alone is
+    evaluated.  Shifts of a nonzero g start at increasing columns, so
+    they are independent and the punctured rows lose no dimension."""
+    field, m = code.field, T.modulus
+    n = code.n - 1 if punctured else code.n
+    # packed g or the code's packed copy; punctured rows are exact on
+    # its layout too
+    arith, shift = packed_field(field, code.n), code._shift
+    if shift is not None and code.n - len(shift[1]) == n:
+        rows = code._packed_shift[:1]
+    else:
+        rows = code._packed
+        if punctured:
+            rows = [row[:-1] for row in rows]
+            if (not _staircase(rows, arith.zero)
+                    and len(arith.row_reduce(rows)[1]) < code.k):
+                return "the first n - 1 coordinates lose a dimension"
     if lam is None:
         return "no lambda to place the roots of the defining set"
     if m // T.step < n:
@@ -624,7 +727,8 @@ def _roots_mismatch(code: LinearCode, T: DefiningSet, lam: Element | None,
         return "roots do not fit n = %d: %s" % (n, exc)
     # V has |T| * n entries alpha**(e*j) but only the m packed powers;
     # a row times a column of V is exact on the n-term layout
-    checks = [[powers[e * j % m] for j in range(n)] for e in T.elements]
+    checks = [[powers[e * j % m] for j in range(len(rows[0]))]
+              for e in T.elements]
     if any(arith.reduce(sum(map(operator.mul, pa, pb)))
            for pa in rows for pb in checks):
         return "generator rows do not vanish at the defining set's roots"

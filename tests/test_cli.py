@@ -32,7 +32,7 @@ from selfdual.constructions import (
     build_hermitian_extended_duadic,
     build_negacyclic_hermitian,
 )
-from selfdual.config import GuardConfig
+from selfdual.config import GuardConfig, current_guards
 from selfdual.cosets import DefiningSet
 from selfdual.errors import MalformedInput, SizeGuardExceeded
 from selfdual.fields import (
@@ -208,26 +208,34 @@ def test_splitting_hands_at_most_n_members_to_the_defining_set(
                                "witness": 3}])
 
 
-def test_construct_checks_each_code_self_dual_once(capsys, monkeypatch):
-    counts = {}
+@pytest.mark.parametrize("n, check", [(8, "_lag_gram_is_zero"),
+                                      (6, "_gram_is_zero")])
+def test_construct_checks_each_code_self_dual_once(capsys, monkeypatch, n,
+                                                   check):
+    # dispatch builds a constacyclic [8, 4] code over GF(49), a shift
+    # form checked by its lag sums, and a GRS [6, 3] code, checked row
+    # by row
+    counts = Counter()
     keep = []  # keeps the counted rows alive, so no id is reused
-    gram = codes._gram_is_zero
 
-    def spy(rows, arith, **kwargs):
-        keep.append(rows)
-        key = (id(rows), kwargs.get("conjugate", False))
-        counts[key] = counts.get(key, 0) + 1
-        return gram(rows, arith, **kwargs)
+    def spying(name, gram):
+        def spy(rows, *args, **kwargs):
+            keep.append(rows)
+            counts[name, id(rows), kwargs.get("conjugate", False)] += 1
+            return gram(rows, *args, **kwargs)
+        return spy
 
-    monkeypatch.setattr(codes, "_gram_is_zero", spy)
+    for name in ("_gram_is_zero", "_lag_gram_is_zero"):
+        monkeypatch.setattr(codes, name, spying(name, getattr(codes, name)))
     rc, lines = run_cli(capsys, "construct", "dispatch", "--p", "7",
-                        "--n", "8")
+                        "--n", str(n))
     assert rc == 0
     assert lines[0]["verification"]["mds"]["status"] == "certified-exact"
     # one Euclidean and one Hermitian check of the one code, both on its
-    # one packed copy
+    # one packed copy, or on its one packed g
     assert sorted(counts.values()) == [1, 1]
-    assert len({rows for rows, _ in counts}) == 1
+    assert {name for name, _, _ in counts} == {check}
+    assert len({rows for _, rows, _ in counts}) == 1
 
 
 def test_a_build_and_its_verify_build_each_n_term_layout_once(
@@ -325,6 +333,22 @@ def test_malformed_guard_override_is_refused(override, monkeypatch, capsys):
                         "--p", "7", "--n", "3")
     assert rc == 2
     assert lines[0]["error"] == "MalformedInput"
+
+
+def test_the_guard_override_is_read_on_every_call(monkeypatch):
+    # parsed once per distinct value, yet a changed value takes effect
+    # and a bad one is refused on every call, not just the first
+    monkeypatch.setenv("SELFDUAL_GUARD_OVERRIDE", "columns=7")
+    first = current_guards()
+    assert first.column_limit == 7 and current_guards() is first
+    monkeypatch.setenv("SELFDUAL_GUARD_OVERRIDE", "columns=8")
+    assert current_guards().column_limit == 8
+    monkeypatch.setenv("SELFDUAL_GUARD_OVERRIDE", "columns=0")
+    for _ in range(2):
+        with pytest.raises(MalformedInput):
+            current_guards()
+    monkeypatch.delenv("SELFDUAL_GUARD_OVERRIDE")
+    assert current_guards() == GuardConfig()
 
 
 def test_field_size_override_refuses_larger_fields(tmp_path, monkeypatch,

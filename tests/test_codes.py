@@ -45,6 +45,7 @@ from selfdual.constructions import (
     build_hermitian_extended_duadic,
     build_hermitian_n5,
     exists_hermitian_dispatch,
+    solve_gamma_euclidean,
 )
 from selfdual.cosets import DefiningSet
 from selfdual.errors import (
@@ -547,9 +548,13 @@ SELF_DUAL_BUILDS = [
 
 
 @functools.cache
-def _self_dual_code(index):
+def _self_dual_build(index):
     builder, args = SELF_DUAL_BUILDS[index]
-    return builder(*args).code
+    return builder(*args)
+
+
+def _self_dual_code(index):
+    return _self_dual_build(index).code
 
 
 @st.composite
@@ -608,14 +613,35 @@ def test_a_self_duality_check_packs_each_row_once_and_reduces_half(
         return mock.Mock(pack=counted("pack"), reduce=counted("reduce"),
                          conj=counted("conj"))
 
-    # [16, 8] over GF(31), then [8, 4] over GF(81), built unpatched and
-    # copied without their packed rows and verdicts
-    euclidean, hermitian = (
+    # [16, 8] over GF(31), its rows reversed, [8, 4] over GF(81) and
+    # [6, 3] over GF(121), built unpatched and copied without their
+    # packed rows and verdicts
+    built = [build_euclidean_duadic_extended(31, 1, 15).code,
+             _self_dual_code(4), _self_dual_code(5)]
+    euclidean, hermitian, hermitian_shift = (
         LinearCode(code.field, code.n, code.k, code.generator)
-        for code in (build_euclidean_duadic_extended(31, 1, 15).code,
-                     _self_dual_code(4)))
+        for code in built)
+    reversed_rows = LinearCode(euclidean.field, euclidean.n, euclidean.k,
+                               euclidean.generator[::-1])
+    assert euclidean._shift and hermitian_shift._shift
+    assert reversed_rows._shift is None and hermitian._shift is None
     monkeypatch.setattr(codes_module, "packed_field", counting)
-    code = euclidean
+    # a shift form (g, tail) packs g and its tail, and tests its lag
+    # sums and, when k > len(g), the tail's inner product
+    for code, conjugate in ((euclidean, False), (hermitian_shift, True)):
+        counts.clear()
+        k, (g, tail) = code.k, code._shift
+        span = len(g)
+        check = is_hermitian_self_dual if conjugate else is_euclidean_self_dual
+        assert check(code)
+        want = {"pack": span + len(tail),
+                "reduce": min(k, span) + (k > span)}
+        if conjugate:
+            want["conj"] = span + len(tail)
+        assert counts == want and want["reduce"] <= min(k, span) + 1
+    # any other generator: each row packed once, half of the entries
+    counts.clear()
+    code = reversed_rows
     k, n = code.k, code.n
     assert is_euclidean_self_dual(code)
     assert counts == {"pack": k * n, "reduce": k * (k + 1) // 2}
@@ -629,6 +655,86 @@ def test_a_self_duality_check_packs_each_row_once_and_reduces_half(
                       "reduce": k * (k + 1) // 2}
     is_euclidean_self_dual(code)
     assert counts["pack"] == k * n and counts["conj"] == k * n
+
+
+@st.composite
+def shift_case(draw):
+    """(field, rows, kind, roots): a shift form, a built self-dual code
+    (most are shift forms) or a perturbed copy of one, with one entry
+    changed or two rows swapped, and the (T, lam, punctured) of a root
+    check.  A drawn shift form has random k, a tail that is empty or
+    one constant column, and either a random nonzero g or the generator
+    of a defining set T at a length w | q - 1, so that some root checks
+    pass."""
+    kind = draw(st.sampled_from(["random", "built", "changed", "swapped"]))
+    if kind == "random":
+        field = _tower(*draw(st.sampled_from(GRAM_FIELDS)))
+        q, zero = field.order, field.zero
+        element = st.integers(0, q - 1).map(field.from_int)
+        lengths = [w for w in range(2, 13) if (q - 1) % w == 0]
+        w = draw(st.sampled_from(lengths or [2, 5]))
+        k = draw(st.integers(2, w))
+        exponents = st.sets(st.integers(0, w - 1), min_size=w - k,
+                            max_size=w - k)
+        if lengths and draw(st.booleans()):
+            T = DefiningSet(w, tuple(draw(exponents)))
+            g = generator_from_defining_set(field, w, field.one, T).g
+        else:
+            g = tuple(draw(element) for _ in range(w - k + 1))
+            assume(any(g))
+        tail = draw(st.sampled_from([(), (draw(element),)]))
+        rows = [(zero,) * i + tuple(g) + (zero,) * (k - 1 - i) + tail
+                for i in range(k)]
+        checked = DefiningSet(w, tuple(draw(st.sets(
+            st.integers(0, w - 1), min_size=1, max_size=w - 1))))
+        return field, rows, kind, (checked, field.one, bool(tail))
+    result = _self_dual_build(draw(st.integers(0, len(SELF_DUAL_BUILDS) - 1)))
+    code, spec = result.code, result.cyclic
+    field, rows = code.field, list(code.generator)
+    if kind == "changed":
+        i = draw(st.integers(0, code.k - 1))
+        j = draw(st.integers(0, code.n - 1))
+        bump = field.from_int(draw(st.integers(1, field.order - 1)))
+        rows[i] = rows[i][:j] + (rows[i][j] + bump,) + rows[i][j + 1:]
+    elif kind == "swapped":
+        i, j = draw(st.lists(st.integers(0, code.k - 1), min_size=2,
+                             max_size=2, unique=True))
+        rows[i], rows[j] = rows[j], rows[i]
+    if spec is None:  # a GRS code: no roots to check
+        roots = (DefiningSet(code.n - 1, (1,)), field.one, True)
+    else:
+        roots = (spec.defining, spec.lam, True)
+    return field, rows, kind, roots
+
+
+@settings(deadline=None, max_examples=150)
+@given(shift_case())
+def test_the_shift_form_and_the_general_path_agree(case):
+    field, rows, kind, (T, lam, punctured) = case
+    values = tuple(tuple(x.value for x in row) for row in rows)
+    try:
+        code = LinearCode._from_values(field, len(rows[0]), len(rows),
+                                       values)
+    except ValueError:  # a changed entry made the rows dependent
+        assume(False)
+    # the twin takes the general path: its shift form is withheld
+    twin = LinearCode._from_values(field, code.n, code.k, values)
+    twin.__dict__["_shift"] = None
+    if kind == "random":
+        assert code._shift is not None
+    elif kind == "swapped":
+        assert code._shift is None
+    want = gram_is_zero_oracle(rows, rows, field)
+    assert code._gram_zero(False) == twin._gram_zero(False) == want
+    if isinstance(field, TowerSpec):
+        conj = [tuple(frobenius(field, x) for x in row) for row in rows]
+        want = gram_is_zero_oracle(rows, conj, field)
+        assert code._gram_zero(True) == twin._gram_zero(True) == want
+    assert (codes_module._roots_mismatch(code, T, lam, punctured)
+            == codes_module._roots_mismatch(twin, T, lam, punctured))
+    gamma = field.from_int(field.order - 1)
+    assert (extend_code(code, gamma)._value_rows
+            == extend_code(twin, gamma)._value_rows)
 
 
 # --- extension ---
@@ -669,6 +775,47 @@ def test_packed_extension_matches_the_element_sum(spec, data):
         for x in old:
             acc = acc + x
         assert new == old + (-(gamma * acc),)
+
+
+def test_an_extension_packs_only_its_column_on_shared_lanes(monkeypatch):
+    # the [28, 14] table code over GF(7^9): the 27- and 28-term layouts
+    # share lanes, so the extension appends one packed column value,
+    # the same in every row of a shift form, to the cyclic code's
+    # packed copy, and packs only -gamma
+    field = make_field(7, 9)
+    T = DefiningSet(27, tuple(range(1, 14)))
+    code = cyclic_generator_matrix(
+        generator_from_defining_set(field, 27, field.one, T))
+    gamma = solve_gamma_euclidean(field, 27)
+    packs = []
+
+    class Counting(PackedField):
+        def __init__(self, field, terms=1):
+            super().__init__(field, terms)
+            pack = self.pack
+            self.pack = lambda v: packs.append(v) or pack(v)
+
+    monkeypatch.setattr(codes_module, "packed_field", Counting)
+    extended = extend_code(code, gamma)
+    assert packs == [(-gamma).value]
+    monkeypatch.undo()
+    wide = linalg_module.packed_field(field, 28)
+    assert wide.lanes == linalg_module.packed_field(field, 27).lanes
+    assert extended.__dict__["_packed"] == [
+        list(map(wide.pack, row)) for row in extended._value_rows]
+    assert is_euclidean_self_dual(extended)
+    # the same rows reversed are no shift form: each row summed alone
+    rows = code._value_rows[::-1]
+    assert extend_code(LinearCode._from_values(field, 27, 14, rows),
+                       gamma)._value_rows == extended._value_rows[::-1]
+    # over GF(121) the 5- and 6-term layouts differ: no copy is reused
+    tower = _self_dual_code(5).field
+    assert (linalg_module.packed_field(tower, 5).lanes
+            != linalg_module.packed_field(tower, 6).lanes)
+    duadic = cyclic_generator_matrix(generator_from_defining_set(
+        tower, 5, tower.one, DefiningSet(5, (1, 2))))
+    again = extend_code(duadic, tower.one)
+    assert "_packed" not in again.__dict__
 
 
 # --- distance and MDS ---
