@@ -14,10 +14,10 @@ the shifts of one vector g, then a tail the same in every row (the
 *shift form*, ``LinearCode._shift``: every cyclic, constacyclic and
 duadic builder's code and its extension), is checked through g alone:
 G G^T is Toeplitz, so the Gram checks test min(k, d + 1) lag sums of g
-plus the tail's inner product (``_lag_gram_is_zero``); the root check
-evaluates g alone, since row i at alpha**e is alpha**(e*i) * g(alpha**e)
-(``_roots_mismatch``); and the extension's column is one product
-(``extend_code``).  Any other generator is checked row by row.
+plus the tail's inner product (``_lag_gram_is_zero``), and the root
+check evaluates g alone, since row i at alpha**e is alpha**(e*i) *
+g(alpha**e) (``_roots_mismatch``).  Any other generator is checked row
+by row.
 
 Verification never approximates: self-duality is an exact matrix
 product, distances are exhaustive scans under a guard, and MDS checks
@@ -239,12 +239,8 @@ class LinearCode(Frozen):
 
     @functools.cached_property
     def _packed_shift(self) -> tuple[list, list]:
-        """The shift form's g and tail packed on the n-term layout: read
-        from the packed copy when the code holds one, else packed."""
+        """The shift form's g and tail packed on the n-term layout."""
         g, tail = self._shift
-        packed = self.__dict__.get("_packed")
-        if packed is not None:
-            return packed[0][:len(g)], packed[0][self.n - len(tail):]
         pack = packed_field(self.field, self.n).pack
         return list(map(pack, g)), list(map(pack, tail))
 
@@ -499,30 +495,19 @@ def is_hermitian_self_dual(code: LinearCode) -> bool:
 def extend_code(code: LinearCode, gamma: Element) -> LinearCode:
     """Append to every row the coordinate -gamma * (sum of the row): on
     packed ints a sum of n products, exact at one reduction on the
-    n-term layout of ``packed_field(field, n)``.  Every row of a shift
-    form (g, tail) sums to g(1) + sum(tail), so one product gives the
-    whole column.  When the (n + 1)-term layout packs values as the
-    n-term one does, the code's packed copy, if it holds one, becomes
-    the extension's with the packed column appended."""
-    field, n, k = code.field, code.n, code.k
+    n-term layout of ``packed_field(field, n)``.  When the (n + 1)-term
+    layout packs values as the n-term one does, the code's packed copy
+    becomes the extension's with the packed column appended."""
+    field, n = code.field, code.n
     arith = packed_field(field, n)
     minus_gamma = arith.encode(-gamma)
-    if code._shift is None:
-        column = [arith.reduce(minus_gamma * sum(row))
-                  for row in code._packed]
-        values = list(map(arith.unpack, column))
-    else:
-        g, tail = code._packed_shift
-        column = [arith.reduce(minus_gamma * (sum(g) + sum(tail)))] * k
-        values = [arith.unpack(column[0])] * k
-    rows = tuple((*row, v) for row, v in zip(code._value_rows, values))
-    packed = code.__dict__.get("_packed")
-    if (packed is not None
-            and arith.lanes == packed_field(field, n + 1).lanes):
-        packed = [row + [c] for row, c in zip(packed, column)]
-    else:
-        packed = None
-    return LinearCode._from_values(field, n + 1, k, rows, packed)
+    column = [arith.reduce(minus_gamma * sum(row)) for row in code._packed]
+    rows = tuple((*row, arith.unpack(c))
+                 for row, c in zip(code._value_rows, column))
+    packed = None
+    if arith.lanes == packed_field(field, n + 1).lanes:
+        packed = [row + [c] for row, c in zip(code._packed, column)]
+    return LinearCode._from_values(field, n + 1, code.k, rows, packed)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ unknown key, a non-integer or a limit below 1 is refused with
 """
 from __future__ import annotations
 
-import functools
 import os
 
 from .errors import MalformedInput
@@ -66,39 +65,30 @@ class GuardConfig(Frozen):
 
     @staticmethod
     def from_env() -> "GuardConfig":
-        """Defaults overridden by ``SELFDUAL_GUARD_OVERRIDE``, read from
-        the environment on every call and parsed once per distinct
-        value (a ``GuardConfig`` is frozen, so one object serves every
-        call).
+        """Defaults overridden by ``SELFDUAL_GUARD_OVERRIDE``.
 
         Raises ``MalformedInput`` on an unknown key, a value that is not
-        an integer, or a limit below 1, on every call that reads it.
+        an integer, or a limit below 1.
         """
-        return _parse_overrides(os.environ.get(_ENV_VAR, "").strip())
-
-
-@functools.lru_cache(maxsize=16)
-def _parse_overrides(raw: str) -> GuardConfig:
-    """The ``GuardConfig`` of one override string; a refused string
-    raises and is not cached."""
-    overrides = {}
-    for part in raw.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        key, _, value = part.partition("=")
-        field = _KEY_TO_FIELD.get(key.strip())
-        try:
-            limit = int(value)
-        except ValueError:
-            limit = 0
-        if field is None or limit < 1:
-            raise MalformedInput(
-                "%s: bad entry %r, expected key=limit with a limit "
-                ">= 1 and a key among %s"
-                % (_ENV_VAR, part, ", ".join(_KEY_TO_FIELD)))
-        overrides[field] = limit
-    return GuardConfig(**overrides)
+        raw = os.environ.get(_ENV_VAR, "").strip()
+        overrides = {}
+        for part in raw.split(","):
+            part = part.strip()
+            if not part:
+                continue
+            key, _, value = part.partition("=")
+            field = _KEY_TO_FIELD.get(key.strip())
+            try:
+                limit = int(value)
+            except ValueError:
+                limit = 0
+            if field is None or limit < 1:
+                raise MalformedInput(
+                    "%s: bad entry %r, expected key=limit with a limit "
+                    ">= 1 and a key among %s"
+                    % (_ENV_VAR, part, ", ".join(_KEY_TO_FIELD)))
+            overrides[field] = limit
+        return GuardConfig(**overrides)
 
 
 def current_guards(guards: "GuardConfig | None" = None) -> GuardConfig:
