@@ -8,11 +8,12 @@ The generator product, its division check, the extension, the Gram
 checks and the root check of a length-n code run on the one cached
 n-term layout ``packed_field(field, n)``, the roots on one walk.  A code
 holds its generator once, as rows of field values, and packs them there
-once (a cyclic code gets the shifts of its packed g from its builder);
-every packed check reads that copy.  A generator whose k >= 2 rows are
-the shifts of one vector g, then a tail the same in every row (the
-*shift form*, ``LinearCode._shift``: every cyclic, constacyclic and
-duadic builder's code and its extension), is checked through g alone:
+once; every packed check reads that copy.  A generator whose k >= 2
+rows are the shifts of one vector g, then a tail the same in every row
+(the *shift form*, ``LinearCode._shift``: every cyclic, constacyclic
+and duadic builder's code and its extension, as built or as read from
+a record), packs only g and the tail, and its packed copy is their
+shifts; it is checked through g alone:
 G G^T is Toeplitz, so the Gram checks test min(k, d + 1) lag sums of g
 plus the tail's inner product (``_lag_gram_is_zero``), and the root
 check evaluates g alone, since row i at alpha**e is alpha**(e*i) *
@@ -166,9 +167,10 @@ class LinearCode(Frozen):
     ``packed_field(field, n)`` (``_packed``): both self-duality checks,
     the root check, a packed reduction and the extension read that one
     copy, and a log-table reduction reads the values, so no check needs
-    an element object.  The constructor takes element rows and keeps
-    their values; the builders and ``code_from_json`` hand over values
-    (``_from_values``), a cyclic builder its packed copy too.
+    an element object.  A shift form (``_shift``) packs only g and its
+    tail, and its packed rows are their shifts.  The constructor takes
+    element rows and keeps their values; the builders and
+    ``code_from_json`` hand over values (``_from_values``).
     ``generator``, the rows as elements, is a view built only when
     something asks for it.
 
@@ -185,20 +187,16 @@ class LinearCode(Frozen):
                                       for row in generator))
 
     @classmethod
-    def _from_values(cls, field: Field, n: int, k: int, rows: tuple,
-                     packed: list | None = None) -> "LinearCode":
-        """The code whose generator rows hold the field values ``rows``,
-        and ``packed``, if given, as its packed copy."""
+    def _from_values(cls, field: Field, n: int, k: int,
+                     rows: tuple) -> "LinearCode":
+        """The code whose generator rows hold the field values ``rows``."""
         code = cls.__new__(cls)
-        code._hold(field, n, k, rows, packed)
+        code._hold(field, n, k, rows)
         return code
 
-    def _hold(self, field: Field, n: int, k: int, rows: tuple,
-              packed: list | None = None) -> None:
+    def _hold(self, field: Field, n: int, k: int, rows: tuple) -> None:
         self._assign(field, n, k)
         self.__dict__["_value_rows"] = rows
-        if packed is not None:
-            self.__dict__["_packed"] = packed
         if k != len(rows):
             raise ValueError("k does not match the number of rows")
         if any(len(row) != n for row in rows):
@@ -215,17 +213,23 @@ class LinearCode(Frozen):
 
     @functools.cached_property
     def _packed(self) -> list:
+        """The rows packed on the n-term layout: a shift form's are the
+        shifts of its packed g, then its packed tail."""
+        if self._shift is not None:
+            (g, tail), k = self._shift, self.k
+            return [[0] * i + g + [0] * (k - 1 - i) + tail for i in range(k)]
         pack = packed_field(self.field, self.n).pack
         return [list(map(pack, row)) for row in self._value_rows]
 
     @functools.cached_property
     def _shift(self) -> tuple | None:
-        """(g, tail) when k >= 2 and, for w = n or n - 1, row i is i
-        zeros, then g of length w - k + 1, then zeros through column
-        w - 1, then ``tail``, the same in every row; None otherwise.
-        The rows of every cyclic, constacyclic and duadic builder have
-        this form with w = n, and their extensions with w = n - 1.  g is
-        not zero, since the k >= 2 rows are independent."""
+        """(g, tail), packed on the n-term layout, when k >= 2 and, for
+        w = n or n - 1, row i is i zeros, then g of length w - k + 1,
+        then zeros through column w - 1, then ``tail``, the same in
+        every row; None otherwise.  The rows of every cyclic,
+        constacyclic and duadic builder have this form with w = n, and
+        their extensions with w = n - 1.  g is not zero, since the
+        k >= 2 rows are independent."""
         k, n, rows = self.k, self.n, self._value_rows
         if k < 2:
             return None
@@ -234,15 +238,9 @@ class LinearCode(Frozen):
             g, tail = rows[0][:w - k + 1], rows[0][w:]
             if all(row == pad * i + g + pad * (k - 1 - i) + tail
                    for i, row in enumerate(rows)):
-                return g, tail
+                pack = packed_field(self.field, n).pack
+                return list(map(pack, g)), list(map(pack, tail))
         return None
-
-    @functools.cached_property
-    def _packed_shift(self) -> tuple[list, list]:
-        """The shift form's g and tail packed on the n-term layout."""
-        g, tail = self._shift
-        pack = packed_field(self.field, self.n).pack
-        return list(map(pack, g)), list(map(pack, tail))
 
     def _reduced(self, guards: GuardConfig | None = None) -> ReducedForm:
         """The reduced form, on the representation ``_reduction_table``
@@ -280,7 +278,7 @@ class LinearCode(Frozen):
         arith = packed_field(self.field, self.n)
         if self._shift is None:
             return _gram_is_zero(self._packed, arith, conjugate=conjugate)
-        return _lag_gram_is_zero(*self._packed_shift, self.k, arith,
+        return _lag_gram_is_zero(*self._shift, self.k, arith,
                                  conjugate=conjugate)
 
     def codeword(self, message) -> tuple:
@@ -397,19 +395,16 @@ def binomial_remainder(arith: PackedField, g: list, n: int,
 
 def cyclic_generator_matrix(spec: CyclicSpec) -> LinearCode:
     """Rows are x**i * g(x), i = 0..k-1: g has degree n - k, so no row
-    reaches x**n and none is reduced modulo x**n - lam.  The code's
-    packed copy is the same shifts of g packed once on the n-term
-    layout of ``packed_field(field, n)``."""
+    reaches x**n and none is reduced modulo x**n - lam.  For k >= 2 the
+    rows are a shift form, so the code packs only g."""
     field, n, k = spec.field, spec.n, spec.k
     if k < 0:
         raise ValueError("defining set larger than the length")
     g = tuple([c.value for c in spec.g])
-    packed_g = list(map(packed_field(field, n).pack, g))
     zero = (field._zero,)
     return LinearCode._from_values(
         field, n, k,
-        tuple(zero * i + g + zero * (k - 1 - i) for i in range(k)),
-        [[0] * i + packed_g + [0] * (k - 1 - i) for i in range(k)])
+        tuple(zero * i + g + zero * (k - 1 - i) for i in range(k)))
 
 
 # ---------------------------------------------------------------------------
@@ -495,19 +490,17 @@ def is_hermitian_self_dual(code: LinearCode) -> bool:
 def extend_code(code: LinearCode, gamma: Element) -> LinearCode:
     """Append to every row the coordinate -gamma * (sum of the row): on
     packed ints a sum of n products, exact at one reduction on the
-    n-term layout of ``packed_field(field, n)``.  When the (n + 1)-term
-    layout packs values as the n-term one does, the code's packed copy
-    becomes the extension's with the packed column appended."""
+    n-term layout of ``packed_field(field, n)``, read back as a value.
+    The extension packs its own rows on its (n + 1)-term layout; the
+    extension of a shift form with no tail is one, with the column as
+    its tail."""
     field, n = code.field, code.n
     arith = packed_field(field, n)
     minus_gamma = arith.encode(-gamma)
     column = [arith.reduce(minus_gamma * sum(row)) for row in code._packed]
     rows = tuple((*row, arith.unpack(c))
                  for row, c in zip(code._value_rows, column))
-    packed = None
-    if arith.lanes == packed_field(field, n + 1).lanes:
-        packed = [row + [c] for row, c in zip(code._packed, column)]
-    return LinearCode._from_values(field, n + 1, code.k, rows, packed)
+    return LinearCode._from_values(field, n + 1, code.k, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +687,7 @@ def _roots_mismatch(code: LinearCode, T: DefiningSet, lam: Element | None,
     # its layout too
     arith, shift = packed_field(field, code.n), code._shift
     if shift is not None and code.n - len(shift[1]) == n:
-        rows = code._packed_shift[:1]
+        rows = shift[:1]
     else:
         rows = code._packed
         if punctured:
@@ -773,8 +766,7 @@ def certify_mds(code: LinearCode, *, defining: DefiningSet | None = None,
         if q ** k <= guards.exhaustive_tier_limit:
             tier = "exhaustive"
         elif (subsets <= guards.column_limit
-                and subsets * k ** 3 <= guards.column_work_limit
-                and q <= guards.dlog_limit):
+                and subsets * k ** 3 <= guards.column_work_limit):
             tier = "columns"
         elif defining is not None:
             tier = "bch"

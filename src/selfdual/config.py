@@ -37,8 +37,9 @@ class GuardConfig(Frozen):
 
     - ``field_size_limit``: largest admissible field order.
     - ``factor_limit``: ``factorize()`` refuses integers above this.
-    - ``dlog_limit``: brute-force discrete logs only in groups up to
-      this order.
+    - ``dlog_limit``: the largest field order that gets a Zech-log
+      table, the largest root-walk modulus of the root-run rung, and
+      the largest base order of the norm walk of the Hermitian routes.
     - ``codeword_limit``: ``min_distance_exhaustive()`` refuses when
       q**k exceeds this.
     - ``column_limit``: ``mds_check(exhaustive-columns)`` refuses when

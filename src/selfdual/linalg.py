@@ -417,9 +417,6 @@ class PackedField(_Reducer):
         self.pack, self.reduce, self.unpack = field._layout(terms)
         self.field = field
         self.one = self.pack(field._one)
-        # one bit at the bottom of each coordinate's lane: layouts with
-        # equal ``lanes`` pack every value to the same int
-        self.lanes = self.pack((1,) * len(field._one))
         self.minus_one = self.pack(field._neg(field._one))
         if isinstance(field, TowerSpec):
             # y packs to 1 << h, h the offset of b's lanes in a + b*y

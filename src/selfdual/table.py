@@ -106,11 +106,8 @@ def run_table_pair(length: int, p: int, t: int,
         "k": result.code.k,
         "mds": report.mds.status,
         "theorem": result.theorem,
+        "distance": report.to_json()["distance"],
     }
-    if report.distance_exact is not None:
-        detail["distance"] = {"exact": report.distance_exact}
-    else:
-        detail["distance"] = {"lower_bound": report.distance_lower_bound}
     return TableOutcome(length, p, t, "CONFIRMED", None, seconds, detail)
 
 

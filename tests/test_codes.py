@@ -13,6 +13,7 @@ import random
 import weakref
 from collections import Counter
 from math import comb
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -225,8 +226,9 @@ def test_packed_generator_is_the_product_of_its_linear_factors(case):
 
 @settings(deadline=None, max_examples=100)
 @given(defining_case())
-def test_a_cyclic_code_gets_the_packed_shifts_of_its_generator(case):
-    # the builder's packed copy is what packing the value rows gives
+def test_a_cyclic_code_packs_its_rows_as_the_shifts_of_its_generator(case):
+    # the packed rows built from the shift form are the value rows
+    # packed one by one
     field, n, lam, T = case
     assume(len(T.elements) <= n)
     try:
@@ -238,33 +240,77 @@ def test_a_cyclic_code_gets_the_packed_shifts_of_its_generator(case):
     assert code.generator == tuple(zero * i + spec.g + zero * (code.k - 1 - i)
                                    for i in range(code.k))
     pack = linalg_module.packed_field(field, n).pack
-    assert code.__dict__["_packed"] == [list(map(pack, row))
-                                        for row in code._value_rows]
+    if code.k >= 2:
+        assert code._shift == ([pack(c.value) for c in spec.g], [])
+    assert code._packed == [list(map(pack, row)) for row in code._value_rows]
 
 
-def test_a_cyclic_build_packs_only_the_generator_coefficients(monkeypatch):
+@pytest.fixture
+def packs(monkeypatch):
+    """What the code layer packs while ``codes.packed_field`` hands out
+    counting layouts: ``entries``, the values given to ``pack`` itself
+    (a code's generator entries), and ``elements``, the elements given
+    to ``encode``.  Inverses and canonical indices pack uncounted."""
+    record = SimpleNamespace(entries=[], elements=[])
+
+    class Counting(PackedField):
+        def __init__(self, field, terms=1):
+            super().__init__(field, terms)
+            self.uncounted = self.pack
+            self.pack = lambda v: record.entries.append(v) or self.uncounted(v)
+
+        def encode(self, x):
+            record.elements.append(x.value)
+            return self.uncounted(x.value)
+
+        def encode_index(self, index):
+            return self.uncounted(self.field._from_int(index))
+
+        def inverse(self, v):
+            return self.uncounted(self.field._inv(self.unpack(v)))
+
+    def clear():
+        record.entries.clear()
+        record.elements.clear()
+
+    record.clear = clear
+    monkeypatch.setattr(codes_module, "packed_field", Counting)
+    return record
+
+
+def test_a_shift_form_packs_g_and_its_tail_once_however_it_was_made(packs):
     # the [27, 14] duadic code of the [28, 14] table code over GF(7^9)
+    # and that table code, each as built and as read from its record:
+    # the builder packs nothing, and a Gram check, a root check and a
+    # packed reduction together pack g and the tail once, d + 1 + |tail|
+    # values; the same rows out of order pack all k * n
     field = make_field(7, 9)
     T = DefiningSet(27, tuple(range(1, 14)))
     spec = generator_from_defining_set(field, 27, field.one, T)
-    packs = []
-    packed_field = codes_module.packed_field
-
-    def counting(field, terms=1):
-        arith = packed_field(field, terms)
-
-        def pack(v):
-            packs.append(v)
-            return arith.pack(v)
-
-        return mock.Mock(pack=pack)
-
-    monkeypatch.setattr(codes_module, "packed_field", counting)
-    code = cyclic_generator_matrix(spec)
-    assert packs == [c.value for c in spec.g] and code.k == 14
-    monkeypatch.undo()
-    assert is_euclidean_self_dual(code) == is_euclidean_self_dual(
-        LinearCode(field, code.n, code.k, code.generator))
+    packs.clear()
+    cyclic = cyclic_generator_matrix(spec)
+    assert packs.entries == []
+    extended = extend_code(cyclic_generator_matrix(spec),
+                           solve_gamma_euclidean(field, 27))
+    records = [code_from_json(code_to_json(code))[0]
+               for code in (cyclic, extended)]
+    for code in (cyclic, extended, *records):
+        packs.clear()
+        punctured = code.n == 28
+        assert code._gram_zero(False) is punctured
+        assert codes_module._roots_mismatch(code, T, field.one,
+                                            punctured) is None
+        code._reduce_on(None)
+        (g, tail), row = code._shift, code._value_rows[0]
+        assert len(g) == 14 and len(tail) == punctured
+        assert packs.entries == list(row[:14] + row[27:])
+    packs.clear()
+    shuffled = LinearCode._from_values(field, 28, 14,
+                                       extended._value_rows[::-1])
+    assert shuffled._gram_zero(False)
+    assert codes_module._roots_mismatch(shuffled, T, field.one, True) is None
+    shuffled._reduce_on(None)
+    assert len(packs.entries) == 14 * 28
 
 
 @pytest.mark.parametrize("field", [make_field(7, 1), make_field(2, 3),
@@ -623,17 +669,16 @@ def test_a_self_duality_check_packs_each_row_once_and_reduces_half(
         for code in built)
     reversed_rows = LinearCode(euclidean.field, euclidean.n, euclidean.k,
                                euclidean.generator[::-1])
-    assert euclidean._shift and hermitian_shift._shift
     assert reversed_rows._shift is None and hermitian._shift is None
     monkeypatch.setattr(codes_module, "packed_field", counting)
-    # a shift form (g, tail) packs g and its tail, and tests its lag
-    # sums and, when k > len(g), the tail's inner product
+    # a shift form (g, tail) packs g and its tail while it is found, and
+    # tests its lag sums and, when k > len(g), the tail's inner product
     for code, conjugate in ((euclidean, False), (hermitian_shift, True)):
         counts.clear()
-        k, (g, tail) = code.k, code._shift
-        span = len(g)
         check = is_hermitian_self_dual if conjugate else is_euclidean_self_dual
         assert check(code)
+        k, (g, tail) = code.k, code._shift
+        span = len(g)
         want = {"pack": span + len(tail),
                 "reduce": min(k, span) + (k > span)}
         if conjugate:
@@ -774,45 +819,37 @@ def test_packed_extension_matches_the_element_sum(spec, data):
         assert new == old + (-(gamma * acc),)
 
 
-def test_an_extension_packs_only_its_column_on_shared_lanes(monkeypatch):
-    # the [28, 14] table code over GF(7^9): the 27- and 28-term layouts
-    # share lanes, so the extension appends its packed column to the
-    # cyclic code's packed copy and packs only -gamma
-    field = make_field(7, 9)
-    T = DefiningSet(27, tuple(range(1, 14)))
-    code = cyclic_generator_matrix(
-        generator_from_defining_set(field, 27, field.one, T))
-    gamma = solve_gamma_euclidean(field, 27)
-    packs = []
-
-    class Counting(PackedField):
-        def __init__(self, field, terms=1):
-            super().__init__(field, terms)
-            pack = self.pack
-            self.pack = lambda v: packs.append(v) or pack(v)
-
-    monkeypatch.setattr(codes_module, "packed_field", Counting)
-    extended = extend_code(code, gamma)
-    assert packs == [(-gamma).value]
-    monkeypatch.undo()
-    wide = linalg_module.packed_field(field, 28)
-    assert wide.lanes == linalg_module.packed_field(field, 27).lanes
-    assert extended.__dict__["_packed"] == [
-        list(map(wide.pack, row)) for row in extended._value_rows]
-    assert is_euclidean_self_dual(extended)
-    # the same rows reversed, held without a packed copy, give the same
-    # extension with its rows reversed
-    rows = code._value_rows[::-1]
-    assert extend_code(LinearCode._from_values(field, 27, 14, rows),
-                       gamma)._value_rows == extended._value_rows[::-1]
-    # over GF(121) the 5- and 6-term layouts differ: no copy is reused
-    tower = _self_dual_code(5).field
-    assert (linalg_module.packed_field(tower, 5).lanes
-            != linalg_module.packed_field(tower, 6).lanes)
-    duadic = cyclic_generator_matrix(generator_from_defining_set(
-        tower, 5, tower.one, DefiningSet(5, (1, 2))))
-    again = extend_code(duadic, tower.one)
-    assert "_packed" not in again.__dict__
+def test_an_extension_packs_minus_gamma_and_its_own_g_and_tail(packs):
+    # the [28, 14] table code over GF(7^9), whose 27- and 28-term layouts
+    # pack values alike, and a [6, 3] extension over GF(121), whose 5-
+    # and 6-term layouts do not: on both, the extension of a cyclic code
+    # whose shift form is known packs -gamma, then its own g and tail
+    # the first time a check reads them, and nothing more
+    seven, tower = make_field(7, 9), _self_dual_code(5).field
+    for field, T, gamma in (
+            (seven, DefiningSet(27, tuple(range(1, 14))),
+             solve_gamma_euclidean(seven, 27)),
+            (tower, DefiningSet(5, (1, 2)), tower.one)):
+        n = T.modulus
+        code = cyclic_generator_matrix(
+            generator_from_defining_set(field, n, field.one, T))
+        assert code._shift is not None
+        packs.clear()
+        extended = extend_code(code, gamma)
+        assert packs.entries == [] and packs.elements == [(-gamma).value]
+        assert extended._gram_zero(False) is (field is seven)
+        g, tail = extended._shift
+        row = extended._value_rows[0]
+        assert len(tail) == 1 and packs.entries == list(row[:len(g)] + row[n:])
+        pack = linalg_module.packed_field(field, n + 1).pack
+        assert extended._packed == [list(map(pack, row))
+                                    for row in extended._value_rows]
+        assert len(packs.entries) == len(g) + 1
+        # the same rows reversed, no shift form, give the same extension
+        # with its rows reversed
+        rows = code._value_rows[::-1]
+        assert extend_code(LinearCode._from_values(field, n, code.k, rows),
+                           gamma)._value_rows == extended._value_rows[::-1]
 
 
 # --- distance and MDS ---
@@ -1594,6 +1631,23 @@ def test_certify_mds_rung_follows_facts_and_guards():
     assert cert.warning == cert.reason == "C(n, k) = 6 exceeds the column guard"
     with pytest.raises(NoCyclicStructure):
         certify_mds(code, mode="bch")
+
+
+def test_the_auto_column_rung_runs_past_an_overridden_dlog_limit():
+    # the column walk runs on packed values where no table is allowed,
+    # so a field above dlog_limit keeps the columns rung and its
+    # verdict: the [16, 8] table code over GF(31), and the same code
+    # with its last column replaced by the one before it
+    code = build_euclidean_duadic_extended(31, 1, 15).code
+    rows = code._value_rows
+    broken = tuple(row[:-1] + row[-2:-1] for row in rows)
+    for values, status in ((rows, "certified-exact"), (broken, "refuted")):
+        low, default = (
+            certify_mds(LinearCode._from_values(code.field, 16, 8, values),
+                        guards=guards)
+            for guards in (GuardConfig(dlog_limit=30), GuardConfig()))
+        assert (low.tier, low.verdict.status) == ("columns", status)
+        assert low == default
 
 
 def test_extended_root_run_needs_the_first_coordinates_to_keep_rank():
