@@ -99,7 +99,11 @@ def solve_gamma_hermitian(tower: TowerSpec, n: int,
 
     The norm onto the base field is surjective, so a solution always
     exists once n is a unit; the canonical representative is the least
-    element of the solution coset of the norm kernel.
+    element of the solution coset of the norm kernel, the q + 1
+    products of one solution with the powers of g**(q - 1).  They are
+    scanned as packed canonical values, whose coordinates sit in lanes
+    in the digit order of the index, so their int order is the index
+    order.
     """
     base = tower.base
     nbar = base.scalar(n)
@@ -108,14 +112,14 @@ def solve_gamma_hermitian(tower: TowerSpec, n: int,
                            % (n, tower.char))
     v = solve_norm(tower, -(nbar.inverse()), guards)
     q = base.order
-    kernel_gen = find_primitive_element(tower) ** (q - 1)
-    best = v
-    cur = v
+    pack, reduce, unpack = tower._layout(1)
+    step = pack((find_primitive_element(tower) ** (q - 1)).value)
+    best = cur = pack(v.value)
     for _ in range(q):
-        cur = cur * kernel_gen
-        if tower.index(cur) < tower.index(best):
+        cur = reduce(cur * step)
+        if cur < best:
             best = cur
-    return best
+    return Element(tower, unpack(best))
 
 
 # ---------------------------------------------------------------------------

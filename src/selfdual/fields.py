@@ -65,7 +65,7 @@ from .numtheory import factorize, is_prime
 # Bounds of the module caches.  A long-lived process that visits many
 # fields evicts the least recently used entry instead of growing; every
 # benchmark workload and the test suite stay well inside them.
-FIELD_CACHE_SIZE = 256   # make_field, find_primitive_element
+FIELD_CACHE_SIZE = 256   # make_field, find_primitive_element and helpers
 TOWER_CACHE_SIZE = 128   # quadratic_extension
 
 # make_field tries the roots a = 1, 2, ... up to this bound, all of GF(p)*
@@ -427,9 +427,15 @@ def poly_is_irreducible(coeffs: Sequence[int], p: int) -> bool:
     In the ring R = GF(p)[x]/(c) of ``FieldSpec``, c is irreducible iff
     x**(p**t) = x and, for each prime l | t, x**(p**(t/l)) - x is a unit
     (Rabin's gcd with c is 1).  The first condition makes c divide
-    x**(p**t) - x, so R is a product of fields GF(p**d) with d | t.  As
-    p**d - 1 divides p**t - 1, u is a unit (no component is 0) iff
-    u**(p**t - 1) = 1.
+    x**(p**t) - x, which is squarefree, so R is a product of fields
+    GF(p**d), one per irreducible factor of c, with d | t; in each, x is
+    a root of that factor.  Then the units need no power: the product
+    u of x**(p**(t/l)) - x over the primes l | t is 0 exactly when c
+    is reducible.  If c is irreducible, R is one field in which x has
+    degree t, so no x**(p**(t/l)) - x is 0, nor is their product.  If
+    not, every factor has a degree d < t dividing t, so d | t/l for
+    some prime l, and x**(p**(t/l)) = x in that component; every
+    component of u is 0, and u = 0.
     """
     c = list(coeffs)
     while c and c[-1] == 0:
@@ -439,9 +445,12 @@ def poly_is_irreducible(coeffs: Sequence[int], p: int) -> bool:
         return False
     ring = FieldSpec(p, t, tuple(c))
     x = ring._reduce([0, 1])
-    return ring._pow(x, p ** t) == x and all(
-        ring._pow(ring._sub(ring._pow(x, p ** (t // ell)), x), p ** t - 1)
-        == ring._one for ell, _ in factorize(t))
+    if ring._pow(x, p ** t) != x:
+        return False
+    u = ring._one
+    for ell, _ in factorize(t):
+        u = ring._mul(u, ring._sub(ring._pow(x, p ** (t // ell)), x))
+    return any(u)
 
 
 @functools.lru_cache(maxsize=FIELD_CACHE_SIZE)
@@ -469,7 +478,7 @@ def make_field(p: int, t: int) -> FieldSpec:
         raise DegreeZero("extension degree must be >= 1")
     check_field_size(p ** t)
     if t == 1:
-        return FieldSpec(p, 1, (0, 1))
+        return _prime_field(p)
     # a root means a linear factor: c0 = 0 has the root 0, and c has a
     # root a in GF(p)* exactly when -c0 = c1*a + ... + a**t, one value
     # per a for the p - 1 candidates that share c1..c(t-1)
@@ -491,29 +500,55 @@ def make_field(p: int, t: int) -> FieldSpec:
 
 @functools.lru_cache(maxsize=FIELD_CACHE_SIZE)
 def _least_nonsquare(field: Field) -> Element:
-    """The least-index non-square of a field of odd order, by Euler's
-    criterion; indices 0 and 1 are 0 and 1."""
-    q = field.order
-    half = (q - 1) // 2
-    for i in range(2, q):
-        if field._pow(field._from_int(i), half) != field._one:
-            return field.from_int(i)
-    raise ZeroElement("no non-square found")  # unreachable for odd q
+    """The least-index non-square of a field of odd order q, by Euler's
+    criterion v**((q - 1)/2) != 1, decided on the norm (``_passes``).
+
+    The scan starts past a prefix of squares.  Indices 0 and 1 are 0
+    and 1.  The indices below Q are the subfield GF(Q) when it has even
+    degree D under the field: a tower's base (D = 2), or GF(p) under
+    GF(p^t) with t even.  Each x of GF(Q)* is then a square, as
+    x**((q - 1)/2) = (x**(Q - 1))**((q - 1)/(2(Q - 1))), where
+    (q - 1)/(Q - 1) = 1 + Q + ... + Q**(D - 1), a sum of D odd terms,
+    is even.
+    """
+    if isinstance(field, TowerSpec):
+        start = field.base.order
+    else:
+        start = field.char if field.degree % 2 == 0 else 2
+    return _least_passing(field, (2,), start)
+
+
+def _is_nonsquare(field: Field, v) -> bool:
+    """Euler's criterion v**((q - 1)/2) != 1 for odd q, on the norm."""
+    return _passes(_order_plan(field, (2,)), v)
+
+
+def _trace(field: Field, v) -> int:
+    """The absolute trace v + v**2 + ... + v**(2**(D - 1)) of a value of
+    GF(2**D), an element of GF(2): its first coordinate."""
+    acc = square = v
+    for _ in range(field.degree - 1):
+        square = field._mul(square, square)
+        acc = field._add(acc, square)
+    return acc[0]
 
 
 def _quadratic_is_irreducible(field: Field, c0, c1) -> bool:
     """Whether y**2 + c1*y + c0 has no root in ``field``.
 
     For odd q that means the discriminant c1**2 - 4*c0 is not a square
-    (a zero discriminant gives a double root); for even q the roots are
-    scanned.
+    (a zero discriminant gives a double root).  For even q, c1 = 0
+    gives (y + sqrt(c0))**2, as squaring is onto; otherwise y = c1*z
+    turns it into c1**2 (z**2 + z + c0/c1**2), and z**2 + z + a has a
+    root in GF(2**D) exactly when the trace of a is 0 (Artin-Schreier:
+    z -> z**2 + z is additive with kernel GF(2), so its image has half
+    the field; the trace is 0 on it, as Tr(z**2) = Tr(z), and is onto
+    GF(2), so its kernel, also half the field, is that image).
     """
-    q = field.order
-    if q % 2 == 1:
+    if field.order % 2 == 1:
         disc = c1 * c1 - field.scalar(4) * c0
-        return bool(disc) and disc ** ((q - 1) // 2) != field.one
-    zero = field.zero
-    return all(x * x + c1 * x + c0 != zero for x in field.elements())
+        return bool(disc) and _is_nonsquare(field, disc.value)
+    return bool(c1) and _trace(field, (c0 / (c1 * c1)).value) == 1
 
 
 @functools.lru_cache(maxsize=TOWER_CACHE_SIZE)
@@ -521,18 +556,23 @@ def quadratic_extension(field: Field) -> TowerSpec:
     """Deterministic GF(q^2) on top of ``field``.
 
     For odd q the modulus is y**2 - d with d the least non-square of the
-    base; for even q it is the lexicographically least monic irreducible
-    quadratic found by scanning coefficient pairs in canonical order.
+    base.  For even q it is the lexicographically least monic irreducible
+    quadratic y**2 + c1*y + c0, in the order of c0 + q*c1: no c1 = 0 is
+    irreducible (see ``_quadratic_is_irreducible``), so c1 = 1 and c0 is
+    the least element of trace 1.  The trace is additive and the
+    coordinates of index i are its bits, so the trace of index i is the
+    sum of the traces of the basis elements 2**j at its set bits; the
+    least index of trace 1 is 2**j for the least j whose basis element
+    has trace 1, which exists as the trace is onto.
     """
-    q = field.order
-    if q % 2 == 1:
+    if field.order % 2 == 1:
         return TowerSpec(field, (-_least_nonsquare(field), field.zero,
                                  field.one))
-    for i in range(q * q):
-        c0 = field.from_int(i % q)
-        c1 = field.from_int(i // q)
-        if c0 and _quadratic_is_irreducible(field, c0, c1):
-            return TowerSpec(field, (c0, c1, field.one))
+    for j in range(field.degree):
+        c0 = field._from_int(1 << j)
+        if _trace(field, c0):
+            return TowerSpec(field, (Element(field, c0), field.one,
+                                     field.one))
     raise ZeroElement("no irreducible quadratic found")  # unreachable
 
 
@@ -561,19 +601,103 @@ def find_primitive_element(field: Field) -> Element:
     Q - 1 < Q**2 - 1.  In GF(p^t) with t > 1, the indices below p are
     the constants of GF(p), whose orders divide p - 1 < p**t - 1.  No
     skipped element is primitive, so the first generator after the
-    prefix is the least one overall.
+    prefix is the least one overall.  Each candidate g passes when
+    g**((q - 1)/l) != 1 for every prime l | q - 1, decided on its norms
+    (``_passes``).
     """
-    q = field.order
-    exponents = [(q - 1) // ell for ell, _ in factorize(q - 1)]
     if isinstance(field, TowerSpec):
         start = field.base.order
     else:
         start = field.p if field.t > 1 else 1
-    for i in range(start, q):
-        g = field._from_int(i)
-        if all(field._pow(g, e) != field._one for e in exponents):
-            return Element(field, g)
-    raise ZeroElement("no primitive element found")  # unreachable
+    primes = tuple(ell for ell, _ in factorize(field.order - 1))
+    return _least_passing(field, primes, start)
+
+
+@functools.lru_cache(maxsize=FIELD_CACHE_SIZE)
+def _prime_field(p: int) -> FieldSpec:
+    return FieldSpec(p, 1, (0, 1))
+
+
+def _subfield(field: Field) -> Field | None:
+    """The subfield the norm ``_norm_into`` maps onto: a tower's base,
+    GF(p) under GF(p^t) with t > 1, None under GF(p)."""
+    if isinstance(field, TowerSpec):
+        return field.base
+    return _prime_field(field.char) if field.degree > 1 else None
+
+
+def _norm_into(field: Field, v) -> tuple:
+    """N(v) = v**((q - 1)/(Q - 1)), the value of the norm of v in
+    ``_subfield(field)``, of order Q.
+
+    In a tower, q = Q**2 and N(v) = v*conj(v).  In GF(p^t) with modulus
+    c, N(v) is the product of the t conjugates v**(p**i).  For
+    v = a + b*x they are a + b*x_i over the t roots x_i of c, as
+    Frobenius fixes a and b, so
+    N(v) = prod(a + b*x_i) = (-b)**t * prod(r - x_i) = (-b)**t * c(r)
+    with r = -a/b, and N(a) = a**t.  Any other v is raised to the power.
+    """
+    if isinstance(field, TowerSpec):
+        return field._norm(v)
+    p, t = field.char, field.degree
+    if any(v[2:]):
+        return field._pow(v, (field.order - 1) // (p - 1))[:1]
+    a, b = v[0], v[1]
+    if not b:
+        return (pow(a, t, p),)
+    r, acc = -a * pow(b, -1, p) % p, 0
+    for c in reversed(field.modulus):
+        acc = (acc * r + c) % p
+    return (pow(-b, t, p) * acc % p,)
+
+
+@functools.lru_cache(maxsize=FIELD_CACHE_SIZE)
+def _order_plan(field: Field, primes: tuple) -> tuple:
+    """The (field, exponents) levels on which ``_passes`` decides the
+    primes l | q - 1 in ``primes``, top field first: each l goes to the
+    last field of the chain field, _subfield(field), ... whose order
+    less one it divides, with the exponent (order - 1)/l there."""
+    levels, f = [], field
+    while primes:
+        sub = _subfield(f)
+        low = tuple(ell for ell in primes
+                    if sub is not None and (sub.order - 1) % ell == 0)
+        levels.append((f, [(f.order - 1) // ell
+                           for ell in primes if ell not in low]))
+        f, primes = sub, low
+    return tuple(levels)
+
+
+def _passes(levels, v) -> bool:
+    """Whether v**((q - 1)/l) != 1 in its field, of order q, for every
+    prime l of the plan ``levels`` of ``_order_plan``.
+
+    For l | Q - 1, Q the order of the subfield below,
+    (q - 1)/l = (q - 1)/(Q - 1) * (Q - 1)/l, so
+    v**((q - 1)/l) = N(v)**((Q - 1)/l) for the norm
+    N(v) = v**((q - 1)/(Q - 1)) into GF(Q): the same equation, raised
+    in GF(Q), and so on down the chain.  The norms are taken top down,
+    then the tests run in the smallest field first.
+    """
+    values = [v]
+    for f, _ in levels[:-1]:
+        values.append(_norm_into(f, values[-1]))
+    for (f, exponents), w in zip(reversed(levels), reversed(values)):
+        for e in exponents:
+            if f._pow(w, e) == f._one:
+                return False
+    return True
+
+
+def _least_passing(field: Field, primes: tuple, start: int) -> Element:
+    """The least element of index >= ``start`` that ``_passes`` the
+    primes ``primes`` of q - 1."""
+    levels = _order_plan(field, primes)
+    for i in range(start, field.order):
+        v = field._from_int(i)
+        if _passes(levels, v):
+            return Element(field, v)
+    raise ZeroElement("no such element found")  # unreachable
 
 
 def element_order(x: Element) -> int:
@@ -603,43 +727,61 @@ def nth_root_of_unity(field: Field, n: int) -> Element:
 def sqrt_in_field(x: Element):
     """Canonically least square root, or None when x is not a square.
 
-    Even characteristic uses x**(q/2) (squaring is an automorphism);
-    q = 3 (mod 4) uses x**((q+1)/4); otherwise Tonelli-Shanks runs
+    Even characteristic uses x**(q/2) (squaring is an automorphism).
+    For odd q, an x of GF(p) inside a larger field GF(p**D) is rooted
+    in GF(p): if r**2 = x there, r and -r are the two roots of
+    y**2 - x in every field holding GF(p), and the index of an element
+    of GF(p) is its value, so the least root is min(r, p - r).  If x is
+    not a square in GF(p) and D is odd, it has no root at all, as
+    GF(p**2) is a subfield of GF(p**D) exactly when D is even.  Other
+    elements pass Euler's criterion on their norm (``_passes``); then
+    q = 3 (mod 4) uses x**((q+1)/4), and any other q Tonelli-Shanks
     inside the field with its least non-square.
     """
-    field = x.field
+    root = _sqrt(x.field, x.value)
+    return None if root is None else Element(x.field, root)
+
+
+def _sqrt(field: Field, v):
+    """The value of ``sqrt_in_field`` of the value v, or None."""
     q = field.order
-    if not x:
-        return field.zero
+    if not any(v):
+        return v
     if q % 2 == 0:
-        return x ** (q // 2)
-    if x ** ((q - 1) // 2) != field.one:
+        return field._pow(v, q // 2)
+    p, one = field.char, field._one
+    if field.degree > 1 and not any(v[1:]):
+        r = _sqrt(_prime_field(p), v[:1])
+        if r is not None:
+            return (min(r[0], p - r[0]),) + field._zero[1:]
+        if field.degree % 2:
+            return None
+    if _is_nonsquare(field, v):
         return None
     if q % 4 == 3:
-        r = x ** ((q + 1) // 4)
+        r = field._pow(v, (q + 1) // 4)
     else:
         m = q - 1
         s = 0
         while m % 2 == 0:
             m //= 2
             s += 1
-        c = _least_nonsquare(field) ** m
-        r = x ** ((m + 1) // 2)
-        u = x ** m
-        while u != field.one:
+        c = field._pow(_least_nonsquare(field).value, m)
+        r = field._pow(v, (m + 1) // 2)
+        u = field._pow(v, m)
+        while u != one:
             d = u
             k = 0
-            while d != field.one:
-                d = d * d
+            while d != one:
+                d = field._mul(d, d)
                 k += 1
-            b = c ** (2 ** (s - k - 1))
-            r = r * b
-            c = b * b
-            u = u * c
+            b = field._pow(c, 2 ** (s - k - 1))
+            r = field._mul(r, b)
+            c = field._mul(b, b)
+            u = field._mul(u, c)
             s = k
-        # r**2 == x here
-    other = -r
-    return r if field.index(r) <= field.index(other) else other
+        # r**2 == v here
+    return min(r, field._neg(r), key=field._index)
 
 
 def solve_norm(tower: TowerSpec, u, guards: GuardConfig | None = None) -> Element:
@@ -889,10 +1031,8 @@ def field_to_json(field: Field):
 
 def field_from_json(obj) -> Field:
     """The field of a record; the canonical field object, with its cached
-    layouts and tables, when the record names the canonical modulus or,
-    over a base of odd order, the canonical ``ext_modulus``.  Finding
-    the even-q canonical quadratic scans up to about q**2 / 2 elements,
-    so an even-q tower record keeps its own, equal, object."""
+    layouts and tables, when the record names the canonical modulus or
+    the canonical ``ext_modulus``."""
     if "p" in obj:
         field = make_field(json_int(obj["p"]), json_int(obj["t"]))
         modulus = tuple(map(json_int, obj["modulus"]))
@@ -908,10 +1048,9 @@ def field_from_json(obj) -> Field:
     base = field_from_json(obj["base"])
     coeffs = tuple(element_from_json(base, c) for c in obj["ext_modulus"])
     check_field_size(base.order ** 2)
-    if base.order % 2:
-        canonical = quadratic_extension(base)
-        if coeffs == canonical.ext_modulus:
-            return canonical
+    canonical = quadratic_extension(base)
+    if coeffs == canonical.ext_modulus:
+        return canonical
     # log tables and every verdict over a tower assume it is a field
     if (len(coeffs) != 3 or coeffs[2] != base.one
             or not _quadratic_is_irreducible(base, coeffs[0], coeffs[1])):

@@ -19,6 +19,12 @@ integer-list polynomial arithmetic mod p instead of the ring of
 ``FieldSpec``.  The element polynomial helpers are the arithmetic the
 package built constacyclic generators with before it built them on
 packed ints, and ``generator_oracle`` is that product of linear factors.
+The canonical searches, ``primitive_element_oracle`` to
+``even_quadratic_oracle``, are the package's earlier bodies: they scan
+from index 1 or 2 and raise every candidate to full-field powers, take
+Tonelli-Shanks with no subfield shortcut, prove Rabin's units by their
+p**t - 1 powers, scan gamma's coset on element objects and an even-q
+quadratic's roots one by one.
 ``ENCODINGS`` is no oracle: it names the package's two integer
 encodings of a field, for the tests that run one kernel on both.
 """
@@ -26,11 +32,14 @@ import itertools
 from math import gcd
 
 from selfdual import (
+    FieldSpec,
     LinearCode,
     SplittingReport,
     TowerSpec,
     cyclotomic_coset,
+    find_primitive_element,
     frobenius,
+    solve_norm,
 )
 from selfdual.errors import NotCoprime, ZeroElement, ZeroInSet
 from selfdual.linalg import dlog_table, null_space, packed_field
@@ -458,3 +467,105 @@ def poly_is_irreducible_oracle(coeffs, p):
         if len(g) - 1 >= 1:
             return False
     return True
+
+
+def primitive_element_oracle(field):
+    """The least generator of the multiplicative group: every index
+    from 1, each raised to (q - 1)/l for every prime l | q - 1."""
+    q = field.order
+    prime_factors = [f for f, _ in factorize(q - 1)]
+    for i in range(1, q):
+        g = field.from_int(i)
+        if all(g ** ((q - 1) // ell) != field.one for ell in prime_factors):
+            return g
+    raise AssertionError("no primitive element")
+
+
+def least_nonsquare_oracle(field):
+    """The least non-square of a field of odd order q: every index from
+    2 raised to (q - 1)/2."""
+    q = field.order
+    for i in range(2, q):
+        x = field.from_int(i)
+        if x ** ((q - 1) // 2) != field.one:
+            return x
+    raise AssertionError("no non-square")
+
+
+def sqrt_oracle(x):
+    """The least square root of x, or None: x**(q/2) for even q, else
+    Euler's criterion in the whole field, then x**((q + 1)/4) or
+    Tonelli-Shanks with the field's least non-square."""
+    field = x.field
+    q = field.order
+    if not x:
+        return field.zero
+    if q % 2 == 0:
+        return x ** (q // 2)
+    if x ** ((q - 1) // 2) != field.one:
+        return None
+    if q % 4 == 3:
+        r = x ** ((q + 1) // 4)
+    else:
+        m, s = q - 1, 0
+        while m % 2 == 0:
+            m //= 2
+            s += 1
+        c = least_nonsquare_oracle(field) ** m
+        r = x ** ((m + 1) // 2)
+        u = x ** m
+        while u != field.one:
+            d, k = u, 0
+            while d != field.one:
+                d = d * d
+                k += 1
+            b = c ** (2 ** (s - k - 1))
+            r = r * b
+            c = b * b
+            u = u * c
+            s = k
+    other = -r
+    return r if field.index(r) <= field.index(other) else other
+
+
+def rabin_units_oracle(coeffs, p):
+    """Rabin's test in GF(p)[x]/(c): x**(p**t) = x and, for each prime
+    l | t, x**(p**(t/l)) - x is a unit, u**(p**t - 1) = 1."""
+    c = _ptrim(list(coeffs))
+    t = len(c) - 1
+    if t < 1 or c[-1] != 1:
+        return False
+    ring = FieldSpec(p, t, tuple(c))
+    x = ring._reduce([0, 1])
+    return ring._pow(x, p ** t) == x and all(
+        ring._pow(ring._sub(ring._pow(x, p ** (t // ell)), x), p ** t - 1)
+        == ring._one for ell, _ in factorize(t))
+
+
+def gamma_hermitian_oracle(tower, n):
+    """The least g in GF(q^2) with 1 + g**(q+1) * n = 0: the q + 1
+    elements v * k**j of a solution's coset of the norm kernel, k of
+    order q + 1, compared by index on element objects."""
+    base = tower.base
+    q = base.order
+    v = solve_norm(tower, -(base.scalar(n).inverse()))
+    kernel_gen = find_primitive_element(tower) ** (q - 1)
+    best = cur = v
+    for _ in range(q):
+        cur = cur * kernel_gen
+        if tower.index(cur) < tower.index(best):
+            best = cur
+    return best
+
+
+def even_quadratic_oracle(field):
+    """The least monic irreducible y**2 + c1*y + c0 over a field of even
+    order, in the order of c0 + q*c1: the pairs in turn, each with a
+    scan of every element for a root; returns (c0, c1)."""
+    q = field.order
+    for i in range(q * q):
+        c0, c1 = field.from_int(i % q), field.from_int(i // q)
+        if c0 and all(x * x + c1 * x + c0 for x in field.elements()):
+            return c0, c1
+    raise AssertionError("no irreducible quadratic")
+

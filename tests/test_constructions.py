@@ -6,6 +6,7 @@ re-asserted here even though the builders already check them, so a
 regression in either place is caught.
 """
 import pytest
+from oracles import gamma_hermitian_oracle
 
 from selfdual.codes import is_euclidean_self_dual, is_hermitian_self_dual, same_code
 from selfdual.constructions import (
@@ -74,6 +75,19 @@ def test_gamma_hermitian_brute_least():
         got = solve_gamma_hermitian(tower, n)
         assert got in sols
         assert tower.index(got) == min(tower.index(v) for v in sols)
+
+
+def test_gamma_hermitian_packed_scan_matches_the_element_scan():
+    # every GF(q^2), q <= 60, and every n < 12 that is a unit mod p
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59):
+        for t in range(1, 6):
+            if p ** t > 60:
+                break
+            tower = quadratic_extension(make_field(p, t))
+            for n in range(1, 12):
+                if n % p:
+                    assert solve_gamma_hermitian(tower, n) == (
+                        gamma_hermitian_oracle(tower, n)), (p, t, n)
 
 
 # --- Euclidean extended duadic ---

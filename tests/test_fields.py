@@ -7,6 +7,7 @@ import functools
 import itertools
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,8 +15,13 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     _pmod,
     _pmulmod,
+    even_quadratic_oracle,
+    least_nonsquare_oracle,
     poly_is_irreducible_oracle,
     pow_oracle,
+    primitive_element_oracle,
+    rabin_units_oracle,
+    sqrt_oracle,
     tower_mul_oracle,
 )
 from selfdual import fields
@@ -405,17 +411,6 @@ def test_primitive_element_small_fields():
             assert element_order(field.from_int(j)) < field.order - 1
 
 
-def brute_primitive(field):
-    """Reference search: every index from 1, no prefix skipped."""
-    q = field.order
-    prime_factors = [f for f, _ in factorize(q - 1)]
-    for i in range(1, q):
-        g = field.from_int(i)
-        if all(g ** ((q - 1) // ell) != field.one for ell in prime_factors):
-            return g
-    raise AssertionError("no primitive element")
-
-
 def _prime_powers(limit):
     return [(p, t) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)
             for t in range(1, 6) if p ** t <= limit]
@@ -436,7 +431,85 @@ def test_primitive_search_matches_a_full_scan(p, t, towers):
     field = make_field(p, t)
     for _ in range(towers):
         field = quadratic_extension(field)
-    assert find_primitive_element(field) == brute_primitive(field)
+    assert find_primitive_element(field) == primitive_element_oracle(field)
+
+
+def _canonical_fields():
+    """Every GF(p^t) of order <= 20000 with p < 60, GF(q^2) over those of
+    odd order q <= 60, GF(q^4) for q <= 13 and GF(2^t)^2 for t <= 8."""
+    for p in filter(is_prime, range(2, 60)):
+        for t in itertools.takewhile(lambda t: p ** t <= 20000,
+                                     itertools.count(1)):
+            field = make_field(p, t)
+            yield field
+            if (field.order % 2 and field.order <= 60) or (
+                    p == 2 and t <= 8):
+                yield quadratic_extension(field)
+            if field.order <= 13:
+                yield quadratic_extension(quadratic_extension(field))
+
+
+def test_canonical_generator_and_non_square_match_the_full_field_scans():
+    # the norm decides a prime of Q - 1 in the subfield GF(Q), and the
+    # scans skip a prefix: neither changes the element found
+    seen = 0
+    for field in _canonical_fields():
+        seen += 1
+        assert find_primitive_element(field) == primitive_element_oracle(
+            field), field
+        if field.order % 2:
+            assert fields._least_nonsquare(field) == least_nonsquare_oracle(
+                field), field
+    assert seen == 66 + 20 + 8 + 9
+
+
+@pytest.mark.parametrize("p, t, towers", [
+    (3, 1, 0), (3, 2, 0), (3, 3, 0), (3, 4, 0), (3, 5, 0), (7, 1, 0),
+    (7, 2, 0), (7, 3, 0), (11, 2, 0), (19, 2, 0), (5, 1, 0), (5, 2, 0),
+    (5, 3, 0), (13, 2, 0), (17, 2, 0), (2, 8, 0), (3, 1, 1), (3, 2, 1),
+    (7, 1, 1), (11, 1, 1), (5, 1, 1), (13, 1, 1), (3, 1, 2), (2, 2, 1)])
+def test_every_square_root_matches_tonelli_shanks_in_the_whole_field(
+        p, t, towers):
+    # p = 1 and 3 (mod 4), t even and odd: the roots of GF(p) taken in
+    # GF(p) and the Euler test on the norm give the same least root
+    field = make_field(p, t)
+    for _ in range(towers):
+        field = quadratic_extension(field)
+    for x in field.elements():
+        assert sqrt_in_field(x) == sqrt_oracle(x), x
+
+
+def test_rabin_product_rule_matches_the_gcd_test_and_the_unit_powers():
+    for p, top in ((2, 6), (3, 6), (5, 4)):
+        for t in range(1, top + 1):
+            for low in itertools.product(range(p), repeat=t):
+                c = [*low, 1]
+                want = poly_is_irreducible_oracle(c, p)
+                assert rabin_units_oracle(c, p) == want, c
+                assert poly_is_irreducible(c, p) == want, c
+
+
+def test_even_towers_match_the_root_scan():
+    bases = [make_field(2, t) for t in range(1, 9)]
+    bases += [quadratic_extension(make_field(2, t)) for t in (1, 2, 3)]
+    for base in bases:
+        c0, c1, one = quadratic_extension(base).ext_modulus
+        assert (c0, c1) == even_quadratic_oracle(base), base
+        assert one == base.one
+
+
+def test_a_large_even_tower_is_built_in_under_a_second():
+    # GF(2^15)^2, of order 2^30, inside the default size guard: the
+    # root scan of every coefficient pair ran for hours
+    base = make_field(2, 15)
+    start = time.perf_counter()
+    tower = quadratic_extension.__wrapped__(base)
+    assert time.perf_counter() - start < 1.0
+    c0, c1, _ = tower.ext_modulus
+    assert c1 == base.one and fields._quadratic_is_irreducible(base, c0, c1)
+    # the least c0 of trace 1: every smaller index has trace 0
+    assert all(fields._trace(base, base._from_int(i)) == 0
+               for i in range(base.index(c0)))
 
 
 def test_element_order_brute_agreement():
@@ -658,7 +731,8 @@ def test_field_from_json_keeps_any_irreducible_ext_modulus():
     assert tower.order == 16
 
 
-@pytest.mark.parametrize("p, t, levels", [(5, 1, 1), (3, 2, 1), (7, 1, 2)])
+@pytest.mark.parametrize("p, t, levels", [(5, 1, 1), (3, 2, 1), (7, 1, 2),
+                                          (2, 3, 1), (2, 2, 2)])
 def test_field_from_json_reads_a_canonical_tower_as_the_cached_one(
         p, t, levels):
     tower = make_field(p, t)
