@@ -11,13 +11,7 @@ import functools
 import json
 import sys
 
-from .codes import (
-    VerificationReport,
-    certify_mds,
-    code_from_json,
-    is_euclidean_self_dual,
-    is_hermitian_self_dual,
-)
+from .codes import code_from_json, verify_code
 from .config import current_guards
 from .constructions import (
     build_constacyclic_hermitian,
@@ -120,9 +114,6 @@ def cmd_verify(args) -> int:
         raise MalformedInput(
             "hermitian check needs a code over a quadratic extension"
         )
-    euclid = is_euclidean_self_dual(code)
-    herm = is_hermitian_self_dual(code) if over_tower else None
-    ok = euclid if inner == "euclidean" else bool(herm)
 
     defining = lam = None
     if isinstance(metadata, dict):
@@ -134,15 +125,12 @@ def cmd_verify(args) -> int:
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise MalformedInput("bad defining_set/lambda: %s" % exc) from exc
 
-    cert = certify_mds(code, defining=defining, lam=lam, mode=args.mds,
-                       trials=args.trials, guards=guards)
-    if cert.verdict.status == "refuted":
-        ok = False
-    report = VerificationReport(euclid, herm, cert.distance_exact,
-                                cert.distance_lower_bound, cert.verdict,
-                                cert.warning)
+    report, _ = verify_code(code, defining=defining, lam=lam, mode=args.mds,
+                            trials=args.trials, guards=guards)
+    self_dual = (report.hermitian_self_dual if inner == "hermitian"
+                 else report.euclidean_self_dual)
     _emit(report.to_json(), args.pretty)
-    return 0 if ok else 1
+    return 0 if self_dual and report.mds.status != "refuted" else 1
 
 
 def cmd_table(args) -> int:

@@ -30,8 +30,9 @@ first read a Cauchy certificate on it, which decides every GRS code of
 length at most q without a search and leaves their verdicts unchanged.
 The column tests and the sampler then search R, in its own encoding,
 never element objects.
-``certify_mds`` is the one ladder that chooses among them, for the
-builders and the CLI alike.
+``certify_mds`` is the one ladder that chooses among them, and
+``verify_code`` the one place that turns its certificate and the Gram
+checks into a report, for the builders and the CLI alike.
 """
 from __future__ import annotations
 
@@ -187,14 +188,16 @@ class LinearCode(Frozen):
                                       for row in generator))
 
     @classmethod
-    def _from_values(cls, field: Field, n: int, k: int,
-                     rows: tuple) -> "LinearCode":
-        """The code whose generator rows hold the field values ``rows``."""
+    def _from_values(cls, field: Field, n: int, k: int, rows: tuple,
+                     guards: GuardConfig | None = None) -> "LinearCode":
+        """The code whose generator rows hold the field values ``rows``;
+        a rank check that reduces them does so under ``guards``."""
         code = cls.__new__(cls)
-        code._hold(field, n, k, rows)
+        code._hold(field, n, k, rows, guards)
         return code
 
-    def _hold(self, field: Field, n: int, k: int, rows: tuple) -> None:
+    def _hold(self, field: Field, n: int, k: int, rows: tuple,
+              guards: GuardConfig | None = None) -> None:
         self._assign(field, n, k)
         self.__dict__["_value_rows"] = rows
         if k != len(rows):
@@ -202,7 +205,7 @@ class LinearCode(Frozen):
         if any(len(row) != n for row in rows):
             raise ValueError("row length does not match n")
         if (not _staircase(rows, field._zero)
-                and len(self._reduced().pivots) < k):
+                and len(self._reduced(guards).pivots) < k):
             raise ValueError("generator rows are dependent")
 
     @functools.cached_property
@@ -869,6 +872,25 @@ class VerificationReport(Frozen):
         if self.warning:
             out["warning"] = self.warning
         return out
+
+
+def verify_code(code: LinearCode, *, mode: str = "auto", trials: int = 1000,
+                guards: GuardConfig | None = None,
+                **facts) -> tuple[VerificationReport, MdsCertificate]:
+    """(report, certificate) of one code: the exact Euclidean Gram check,
+    the Hermitian one over a quadratic extension, and ``certify_mds``
+    with the ``facts`` a route or a record proposes (``defining``,
+    ``extended_defining``, ``lam``, ``structural``).  The report states
+    the verdict as it is, a refutation or a guard stop included; the
+    builders and ``selfdual verify`` both take their report from here.
+    """
+    euclid = is_euclidean_self_dual(code)
+    herm = (is_hermitian_self_dual(code)
+            if isinstance(code.field, TowerSpec) else None)
+    cert = certify_mds(code, mode=mode, trials=trials, guards=guards, **facts)
+    return VerificationReport(euclid, herm, cert.distance_exact,
+                              cert.distance_lower_bound, cert.verdict,
+                              cert.warning), cert
 
 
 # ---------------------------------------------------------------------------

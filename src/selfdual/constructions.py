@@ -19,13 +19,11 @@ from .codes import (
     LinearCode,
     VerificationReport,
     binomial_remainder,
-    certify_mds,
     code_to_json,
     cyclic_generator_matrix,
     extend_code,
     generator_from_defining_set,
-    is_euclidean_self_dual,
-    is_hermitian_self_dual,
+    verify_code,
 )
 from .config import GuardConfig, current_guards
 from .cosets import DefiningSet, SplittingReport, check_duadic_splitting
@@ -136,28 +134,33 @@ _UNCERTIFIED_PREDICATE = {
 }
 
 
-def _verified_report(code: LinearCode, euclidean: bool,
-                     hermitian: bool | None, guards: GuardConfig,
+def _verified_report(code: LinearCode, inner: str, guards: GuardConfig,
                      **facts) -> VerificationReport:
-    """Certify MDS through the tier ladder or refuse the code.
+    """``verify_code``'s report on a built code, or a refusal.
 
-    ``facts`` are the ``certify_mds`` keywords the route can vouch for.
-    A guarded rung raises ``GuardExceeded``, any other verdict short of
-    a certificate raises ``VerificationFailed``.  A lower bound that
-    meets the Singleton bound n - k + 1 is reported as the exact
-    distance.
+    ``inner`` is the self-duality the route promises, "euclidean" or
+    "hermitian"; ``facts`` are the ``certify_mds`` keywords the route
+    can vouch for.  A code that fails its inner check raises
+    ``VerificationFailed``, a guarded rung ``GuardExceeded``, and any
+    other verdict short of a certificate ``VerificationFailed``.  A
+    lower bound that meets the Singleton bound n - k + 1 is reported as
+    the exact distance.
     """
-    cert = certify_mds(code, guards=guards, **facts)
+    report, cert = verify_code(code, guards=guards, **facts)
+    if not (report.hermitian_self_dual if inner == "hermitian"
+            else report.euclidean_self_dual):
+        raise VerificationFailed(inner + "_self_dual")
     if cert.verdict.status == "guarded":
         raise GuardExceeded(cert.reason)
     if not cert.verdict.status.startswith("certified-"):
         raise VerificationFailed(_UNCERTIFIED_PREDICATE[cert.tier],
                                  cert.reason or "")
-    d_exact, d_lower = cert.distance_exact, cert.distance_lower_bound
-    if d_lower == code.n - code.k + 1:
-        d_exact, d_lower = d_lower, None
-    return VerificationReport(euclidean, hermitian, d_exact, d_lower,
-                              cert.verdict)
+    if report.distance_lower_bound == code.n - code.k + 1:
+        return VerificationReport(report.euclidean_self_dual,
+                                  report.hermitian_self_dual,
+                                  report.distance_lower_bound, None,
+                                  report.mds)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +244,7 @@ def build_euclidean_duadic_extended(p: int, t: int, n: int,
         verdict = gamma_solvability(p, t, n, guards)
         raise NoGamma("%s [case %s]" % (exc, verdict.case)) from exc
     code = extend_code(duadic, gamma)
-    if not is_euclidean_self_dual(code):
-        raise VerificationFailed("euclidean_self_dual")
-    report = _verified_report(code, True, None, guards, extended_defining=T,
+    report = _verified_report(code, "euclidean", guards, extended_defining=T,
                               lam=field.one)
     return ConstructionResult(code, "Thm2", "euclidean-duadic", report,
                               gamma=gamma, cyclic=spec)
@@ -260,7 +261,10 @@ def build_grs_hermitian(p: int, t: int, n: int, points=None,
 
     Rows are (v_i * a_i**l) for l < n/2 over n distinct evaluation
     points a_i of GF(q), where each v_i solves v**(q+1) = u_i for the
-    interpolation weight u_i.
+    interpolation weight u_i (Jin-Xing, IEEE TIT 2017).  The moments
+    sum u_i * a_i**m and the norms v_i**(q+1) are not checked on their
+    own: they are the ingredients of Hermitian self-duality, which the
+    Gram check of the returned rows decides exactly.
     """
     guards = current_guards(guards)
     field = _route_field(p, t, guards, 2)
@@ -298,21 +302,8 @@ def build_grs_hermitian(p: int, t: int, n: int, points=None,
     rows = [tuple([x.value for x in v])]
     for _ in range(k - 1):
         rows.append(tuple(map(tower._mul, rows[-1], emb)))
-    code = LinearCode._from_values(tower, n, k, tuple(rows))
-
-    if not is_hermitian_self_dual(code):
-        raise VerificationFailed("hermitian_self_dual")
-    # moment m is sum u_i * a_i**m, over the running terms u_i * a_i**m
-    terms = u
-    for m in range(n - 1):
-        if sum(terms, field.zero):
-            raise VerificationFailed("interpolation_moment", "m = %d" % m)
-        terms = [term * ai for term, ai in zip(terms, pts)]
-    for ui, vi in zip(u, v):
-        if vi ** (q + 1) != tower.embed(ui):
-            raise VerificationFailed("norm_choice")
-    report = _verified_report(code, is_euclidean_self_dual(code), True,
-                              guards, structural=True)
+    code = LinearCode._from_values(tower, n, k, tuple(rows), guards)
+    report = _verified_report(code, "hermitian", guards, structural=True)
     return ConstructionResult(
         code, "Thm3", "grs-hermitian", report,
         # the record names the one choice of v there is, as it always has
@@ -366,10 +357,7 @@ def build_constacyclic_hermitian(p: int, t: int, n: int, r: int,
         raise SplittingFailed("defining set meets its own -q multiple")
     spec = generator_from_defining_set(tower, n, lam, T)
     code = cyclic_generator_matrix(spec)
-    if not is_hermitian_self_dual(code):
-        raise VerificationFailed("hermitian_self_dual")
-    report = _verified_report(code, is_euclidean_self_dual(code), True,
-                              guards, defining=T, lam=lam)
+    report = _verified_report(code, "hermitian", guards, defining=T, lam=lam)
     return ConstructionResult(code, "Thm4", "constacyclic", report,
                               cyclic=spec, extras={"r": r})
 
@@ -412,11 +400,8 @@ def _build_hermitian_extension(tower: TowerSpec, spec: CyclicSpec,
     duadic = cyclic_generator_matrix(spec)
     gamma = solve_gamma_hermitian(tower, spec.n, guards)
     code = extend_code(duadic, gamma)
-    if not is_hermitian_self_dual(code):
-        raise VerificationFailed("hermitian_self_dual")
-    report = _verified_report(code, is_euclidean_self_dual(code), True,
-                              guards, extended_defining=spec.defining,
-                              lam=spec.lam)
+    report = _verified_report(code, "hermitian", guards,
+                              extended_defining=spec.defining, lam=spec.lam)
     return ConstructionResult(code, theorem, construction, report,
                               gamma=gamma, cyclic=spec)
 

@@ -46,6 +46,7 @@ from selfdual.fields import (
     quadratic_extension,
     solve_norm,
 )
+from test_constructions import one_wrong_norm
 
 
 def run_cli(capsys, *argv):
@@ -134,9 +135,9 @@ def test_construct_domain_failures_exit_one(capsys):
 
 
 def test_construct_verification_failure_exits_two(capsys, monkeypatch):
-    # a builder whose own self-duality check fails refuses to emit
-    monkeypatch.setattr(constructions, "is_hermitian_self_dual",
-                        lambda code: False)
+    # a GRS multiplier with the wrong norm gives a code that is not
+    # self-dual: the builder refuses to emit it
+    one_wrong_norm(monkeypatch)
     rc, lines = run_cli(capsys, "construct", "grs-hermitian",
                         "--p", "3", "--n", "2")
     assert rc == 2

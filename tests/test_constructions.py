@@ -8,7 +8,16 @@ regression in either place is caught.
 import pytest
 from oracles import gamma_hermitian_oracle
 
-from selfdual.codes import is_euclidean_self_dual, is_hermitian_self_dual, same_code
+from selfdual import constructions, linalg
+from selfdual.codes import (
+    VerificationReport,
+    code_from_json,
+    is_euclidean_self_dual,
+    is_hermitian_self_dual,
+    same_code,
+    verify_code,
+)
+from selfdual.config import GuardConfig
 from selfdual.constructions import (
     build_constacyclic_hermitian,
     build_euclidean_duadic_extended,
@@ -30,8 +39,14 @@ from selfdual.errors import (
     OddLength,
     PreconditionFailed,
     TooLong,
+    VerificationFailed,
 )
-from selfdual.fields import make_field, quadratic_extension
+from selfdual.fields import (
+    find_primitive_element,
+    make_field,
+    quadratic_extension,
+    solve_norm,
+)
 
 
 # --- gamma solvers ---
@@ -175,6 +190,46 @@ def test_grs_point_validation():
         build_grs_hermitian(7, 1, 3)
     with pytest.raises(TooLong):
         build_grs_hermitian(7, 1, 8)
+
+
+def one_wrong_norm(monkeypatch):
+    """Make the first multiplier of the next GRS build v * g, g the
+    tower's primitive element: g**(q+1) generates the base group, so for
+    q > 2 that multiplier's norm is no longer its interpolation weight."""
+    calls = []
+
+    def wrong(tower, u, guards=None):
+        v = solve_norm(tower, u, guards)
+        calls.append(v)
+        return v * find_primitive_element(tower) if len(calls) == 1 else v
+
+    monkeypatch.setattr(constructions, "solve_norm", wrong)
+
+
+@pytest.mark.parametrize("p, t, n", [(3, 1, 2), (5, 1, 2), (5, 1, 4),
+                                     (7, 1, 6), (3, 2, 8)])
+def test_grs_with_a_wrong_norm_is_refused_by_its_gram_check(p, t, n,
+                                                            monkeypatch):
+    # the builder checks no moment and no norm on its own: the Hermitian
+    # Gram check of the rows refuses the code
+    one_wrong_norm(monkeypatch)
+    with pytest.raises(VerificationFailed) as err:
+        build_grs_hermitian(p, t, n)
+    assert err.value.predicate == "hermitian_self_dual"
+
+
+def test_grs_rank_check_reduces_under_the_builders_guards():
+    # GF(31^2) has 961 elements, above dlog_limit = 100: the rank check
+    # of the GRS rows reduces on packed values and builds no Zech table
+    tower = quadratic_extension(make_field(31, 1))
+    linalg._TABLES.pop(tower, None)
+    default = build_grs_hermitian(31, 1, 30)
+    assert tower in linalg._TABLES
+    linalg._TABLES.pop(tower)
+    guarded = build_grs_hermitian(31, 1, 30,
+                                  guards=GuardConfig(dlog_limit=100))
+    assert tower not in linalg._TABLES
+    assert guarded.report == default.report
 
 
 # --- constacyclic and negacyclic ---
@@ -335,3 +390,47 @@ def test_dispatch_bounds():
         exists_hermitian_dispatch(7, 1, 5)
     with pytest.raises(TooLong):
         exists_hermitian_dispatch(7, 1, 10)
+
+
+# --- one verifier ---
+
+def route_facts(result) -> dict:
+    """The ``certify_mds`` facts a builder vouches for: the evaluation
+    structure of a GRS code, else the defining set and shift constant,
+    before the extension when the code is one coordinate longer."""
+    spec = result.cyclic
+    if spec is None:
+        return {"structural": True}
+    before = "extended_defining" if result.code.n == spec.n + 1 else "defining"
+    return {before: spec.defining, "lam": spec.lam}
+
+
+@pytest.mark.parametrize("build, args", [
+    # the seven README examples
+    (build_euclidean_duadic_extended, (7, 1, 3)),
+    (build_grs_hermitian, (5, 1, 4)),
+    (build_constacyclic_hermitian, (11, 1, 6, 4)),
+    (build_negacyclic_hermitian, (3, 2, 10)),
+    (build_hermitian_extended_duadic, (11, 1, 5)),
+    (build_hermitian_n5, (7, 1)),
+    (exists_hermitian_dispatch, (7, 1, 8)),
+    # past the first two rungs
+    (exists_hermitian_dispatch, (31, 1, 32)),
+    (build_grs_hermitian, (31, 1, 30)),
+    (build_hermitian_extended_duadic, (47, 1, 23)),
+], ids=lambda x: getattr(x, "__name__", None))
+def test_a_builders_report_is_verify_code_of_its_record(build, args):
+    # the one difference: a root-run bound that meets the Singleton
+    # bound is reported as the exact distance
+    result = build(*args)
+    code, _ = code_from_json(result.to_json())
+    report, cert = verify_code(code, **route_facts(result))
+    singleton = code.n - code.k + 1
+    promoted = cert.tier == "bch" and cert.distance_lower_bound == singleton
+    assert promoted == (report.distance_lower_bound == singleton)
+    if promoted:
+        report = VerificationReport(report.euclidean_self_dual,
+                                    report.hermitian_self_dual, singleton,
+                                    None, report.mds)
+    assert result.report == report
+    assert promoted == (args == (31, 1, 32))
