@@ -737,6 +737,16 @@ class MdsCertificate(Frozen):
                      reason, warning)
 
 
+# The rung choice of ``certify_mds`` in automatic mode.  These are not
+# guards, since they refuse no work: the ladder scans the codewords when
+# q**k is at most EXHAUSTIVE_TIER, and walks the column subsets when
+# C(n, k) fits the column guard and the estimate C(n, k) * k**3 is at
+# most COLUMN_TIER_WORK.  A caller who wants another rung names it with
+# ``mode``.
+EXHAUSTIVE_TIER = 10**6
+COLUMN_TIER_WORK = 8 * 10**6
+
+
 def certify_mds(code: LinearCode, *, defining: DefiningSet | None = None,
                 extended_defining: DefiningSet | None = None,
                 lam: Element | None = None,
@@ -750,14 +760,14 @@ def certify_mds(code: LinearCode, *, defining: DefiningSet | None = None,
     root-run certificate of ``extended_defining``, the defining set of
     the code before its last coordinate was appended (both check that
     the rows vanish at the roots the shift constant ``lam`` places, a
-    walk over all modulus powers of a root, so a defining set whose
-    modulus exceeds ``dlog_limit`` stops the rung as guarded); seeded
-    Monte-Carlo, reported as ``certified-structural`` with d = n - k + 1
-    when ``structural`` vouches that the code is an evaluation (GRS)
-    code.  ``mode="auto"`` takes the first rung the guards afford and
-    the facts allow; any other mode names the rung.  Refutations and
-    guard stops come back as verdicts, never as exceptions; fewer than
-    one trial is refused with ``MalformedInput``.
+    walk over all modulus powers of a root, which ``dlog_limit``
+    bounds); seeded Monte-Carlo, reported as ``certified-structural``
+    with d = n - k + 1 when ``structural`` vouches that the code is an
+    evaluation (GRS) code.  ``mode="auto"`` takes the first rung the
+    constants above choose, the guards afford and the facts allow; any
+    other mode names the rung.  A guard that stops the rung is a
+    ``guarded`` verdict and a refutation is a verdict, never an
+    exception; fewer than one trial is refused with ``MalformedInput``.
     """
     _check_trials(trials)
     guards = current_guards(guards)
@@ -766,10 +776,10 @@ def certify_mds(code: LinearCode, *, defining: DefiningSet | None = None,
     tier = mode
     if mode == "auto":
         subsets = comb(n, k)
-        if q ** k <= guards.exhaustive_tier_limit:
+        if q ** k <= EXHAUSTIVE_TIER:
             tier = "exhaustive"
         elif (subsets <= guards.column_limit
-                and subsets * k ** 3 <= guards.column_work_limit):
+                and subsets * k ** 3 <= COLUMN_TIER_WORK):
             tier = "columns"
         elif defining is not None:
             tier = "bch"
@@ -778,8 +788,8 @@ def certify_mds(code: LinearCode, *, defining: DefiningSet | None = None,
         else:
             tier = "monte-carlo"
 
-    if tier == "exhaustive":
-        try:
+    try:
+        if tier == "exhaustive":
             _check_scan(code.field, k, guards)
             # in auto mode a Cauchy-like reduced form proves
             # d = n - k + 1 without the scan
@@ -787,58 +797,56 @@ def certify_mds(code: LinearCode, *, defining: DefiningSet | None = None,
                 d = target
             else:
                 d = min_distance_exhaustive(code, guards)
-        except GuardExceeded as exc:
-            return MdsCertificate(
-                tier, MdsVerdict("guarded"), reason=exc.message,
-                warning=exc.message + "; no distance computed")
-        if d != target:
-            return MdsCertificate(
-                tier, MdsVerdict("refuted"), distance_exact=d,
-                reason="measured distance %d, expected %d" % (d, target))
-        return MdsCertificate(tier, MdsVerdict("certified-exact"),
-                              distance_exact=d)
-    if tier in ("columns", "monte-carlo"):
-        try:
+            if d != target:
+                return MdsCertificate(
+                    tier, MdsVerdict("refuted"), distance_exact=d,
+                    reason="measured distance %d, expected %d" % (d, target))
+            return MdsCertificate(tier, MdsVerdict("certified-exact"),
+                                  distance_exact=d)
+        if tier in ("columns", "monte-carlo"):
             verdict = mds_check(code, "exhaustive-columns"
                                 if tier == "columns" else tier,
                                 trials=trials, guards=guards)
-        except GuardExceeded as exc:
-            return MdsCertificate(tier, MdsVerdict("guarded"),
-                                  reason=exc.message, warning=exc.message)
-        if verdict.status == "refuted":
-            return MdsCertificate(
-                tier, verdict,
-                reason="singular column subset %r" % (verdict.witness,))
-        if verdict.status == "certified-exact":
-            return MdsCertificate(tier, verdict, distance_exact=target)
-        if structural:
-            return MdsCertificate(
-                tier, MdsVerdict("certified-structural", trials=verdict.trials,
-                                 passes=verdict.passes),
-                distance_exact=target)
-        return MdsCertificate(tier, verdict)
-    if tier in ("bch", "extended-bch"):
-        facts = defining if tier == "bch" else extended_defining
-        if facts is None:
-            raise NoCyclicStructure("no defining set in the code metadata")
-        # an extended code's run certifies the [n-1, k] code before the
-        # extension; appending a coordinate never lowers weights
-        bound = consecutive_run(facts) + 1
-        if bound < (target if tier == "bch" else target - 1):
-            reason = "root run too short"
-        elif facts.modulus > guards.dlog_limit:
-            # the root check walks all modulus powers of its root
-            message = ("defining set modulus %d exceeds the discrete-log "
-                       "guard %d" % (facts.modulus, guards.dlog_limit))
-            return MdsCertificate(tier, MdsVerdict("guarded"),
-                                  reason=message, warning=message)
-        else:
-            reason = _roots_mismatch(code, facts, lam, tier == "extended-bch")
-        if reason is not None:
-            return MdsCertificate(tier, MdsVerdict("inconclusive"),
-                                  reason=reason)
-        return MdsCertificate(tier, MdsVerdict("certified-bch"),
-                              distance_lower_bound=bound)
+            if verdict.status == "refuted":
+                return MdsCertificate(
+                    tier, verdict,
+                    reason="singular column subset %r" % (verdict.witness,))
+            if verdict.status == "certified-exact":
+                return MdsCertificate(tier, verdict, distance_exact=target)
+            if structural:
+                return MdsCertificate(
+                    tier, MdsVerdict("certified-structural",
+                                     trials=verdict.trials,
+                                     passes=verdict.passes),
+                    distance_exact=target)
+            return MdsCertificate(tier, verdict)
+        if tier in ("bch", "extended-bch"):
+            facts = defining if tier == "bch" else extended_defining
+            if facts is None:
+                raise NoCyclicStructure("no defining set in the code metadata")
+            # an extended code's run certifies the [n-1, k] code before
+            # the extension; appending a coordinate never lowers weights
+            bound = consecutive_run(facts) + 1
+            if bound < (target if tier == "bch" else target - 1):
+                reason = "root run too short"
+            elif facts.modulus > guards.dlog_limit:
+                # the root check walks all modulus powers of its root
+                raise GuardExceeded(
+                    "defining set modulus %d exceeds the discrete-log "
+                    "guard %d" % (facts.modulus, guards.dlog_limit))
+            else:
+                reason = _roots_mismatch(code, facts, lam,
+                                         tier == "extended-bch")
+            if reason is not None:
+                return MdsCertificate(tier, MdsVerdict("inconclusive"),
+                                      reason=reason)
+            return MdsCertificate(tier, MdsVerdict("certified-bch"),
+                                  distance_lower_bound=bound)
+    except GuardExceeded as exc:
+        return MdsCertificate(
+            tier, MdsVerdict("guarded"), reason=exc.message,
+            warning=exc.message + ("; no distance computed"
+                                   if tier == "exhaustive" else ""))
     raise ValueError("unknown mds mode %r" % mode)
 
 

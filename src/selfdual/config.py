@@ -8,9 +8,9 @@ comma-separated ``key=value`` list, e.g.::
     SELFDUAL_GUARD_OVERRIDE="codewords=20000000,columns=2000000"
 
 Recognized keys: ``field_size``, ``factor_limit``, ``dlog_limit``,
-``codewords``, ``columns``, ``column_work``, ``exhaustive_tier``.  An
-unknown key, a non-integer or a limit below 1 is refused with
-``MalformedInput``.
+``codewords``, ``columns``.  An unknown key, a non-integer or a limit
+below 1 is refused with ``MalformedInput``.  Each limit refuses work;
+which rung of the MDS ladder runs is chosen by ``codes.certify_mds``.
 """
 from __future__ import annotations
 
@@ -27,8 +27,6 @@ _KEY_TO_FIELD = {
     "dlog_limit": "dlog_limit",
     "codewords": "codeword_limit",
     "columns": "column_limit",
-    "column_work": "column_work_limit",
-    "exhaustive_tier": "exhaustive_tier_limit",
 }
 
 
@@ -37,32 +35,25 @@ class GuardConfig(Frozen):
 
     - ``field_size_limit``: largest admissible field order.
     - ``factor_limit``: ``factorize()`` refuses integers above this.
-    - ``dlog_limit``: the largest field order that gets a Zech-log
-      table, the largest root-walk modulus of the root-run rung, and
-      the largest base order of the norm walk of the Hermitian routes.
+    - ``dlog_limit``: bounds each walk over one element's powers: a
+      field of order q above it gets no Zech-log table (q - 1 powers),
+      a base order q above it stops the norm walk of the Hermitian
+      routes (q - 1 base powers), and a defining set modulus m above it
+      stops the root walk of the root-run rung (m powers).
     - ``codeword_limit``: ``min_distance_exhaustive()`` refuses when
       q**k exceeds this.
     - ``column_limit``: ``mds_check(exhaustive-columns)`` refuses when
       C(n, k) exceeds this.
-    - ``column_work_limit``: verification tier selection: the columns
-      tier is only chosen automatically when C(n, k) * k**3 stays below
-      this work estimate.
-    - ``exhaustive_tier_limit``: verification tier selection:
-      exhaustive distance when q**k <= this.
     """
 
     _fields = ("field_size_limit", "factor_limit", "dlog_limit",
-               "codeword_limit", "column_limit", "column_work_limit",
-               "exhaustive_tier_limit")
+               "codeword_limit", "column_limit")
 
     def __init__(self, field_size_limit: int = 2**31,
                  factor_limit: int = 2**40, dlog_limit: int = 2**20,
-                 codeword_limit: int = 10**7, column_limit: int = 10**6,
-                 column_work_limit: int = 8 * 10**6,
-                 exhaustive_tier_limit: int = 10**6):
+                 codeword_limit: int = 10**7, column_limit: int = 10**6):
         self._assign(field_size_limit, factor_limit, dlog_limit,
-                     codeword_limit, column_limit, column_work_limit,
-                     exhaustive_tier_limit)
+                     codeword_limit, column_limit)
 
     @staticmethod
     def from_env() -> "GuardConfig":

@@ -41,6 +41,7 @@ from selfdual.codes import (
 )
 from selfdual.config import GuardConfig
 from selfdual.constructions import (
+    build_constacyclic_hermitian,
     build_euclidean_duadic_extended,
     build_grs_hermitian,
     build_hermitian_extended_duadic,
@@ -1355,8 +1356,7 @@ def test_auto_exhaustive_rung_scans_only_what_the_certificate_declines(
 def test_auto_exhaustive_rung_keeps_its_codeword_guard():
     code = vandermonde(make_field(11, 1), 8, 3)
     assert code._reduced().cauchy
-    guards = GuardConfig(codeword_limit=11**3 - 1,
-                         exhaustive_tier_limit=11**3)
+    guards = GuardConfig(codeword_limit=11**3 - 1)
     message = "q**k = 1331 exceeds the codeword guard"
     assert certify_mds(code, guards=guards) == MdsCertificate(
         "exhaustive", MdsVerdict("guarded"), reason=message,
@@ -1606,29 +1606,34 @@ def test_certify_mds_rung_follows_facts_and_guards():
     cert = certify_mds(code)
     assert (cert.tier, cert.verdict.status, cert.distance_exact) == \
         ("exhaustive", "certified-exact", 3)
-    # no exhaustive or column rung: the facts pick the next one
-    tight = GuardConfig(exhaustive_tier_limit=1, column_limit=1)
-    cert = certify_mds(code, defining=T, lam=-tower.one, guards=tight)
-    assert (cert.tier, cert.verdict.status, cert.distance_lower_bound) == \
-        ("bch", "certified-bch", 3)
-    # the [4, 3] cyclic code with root alpha, extended to [5, 3]
-    short = DefiningSet(4, (1,))
-    extended = extend_code(cyclic_generator_matrix(
-        generator_from_defining_set(tower, 4, tower.one, short)), tower.one)
-    cert = certify_mds(extended, extended_defining=short, lam=tower.one,
+    # q**k = 49**4 is past EXHAUSTIVE_TIER, and C(8, 4) = 70 past the
+    # column guard: the facts pick the next rung
+    built = build_constacyclic_hermitian(7, 1, 8, 2)
+    code, spec = built.code, built.cyclic
+    assert code.field.order ** code.k > codes_module.EXHAUSTIVE_TIER
+    tight = GuardConfig(column_limit=1)
+    cert = certify_mds(code, defining=spec.defining, lam=spec.lam,
                        guards=tight)
     assert (cert.tier, cert.verdict.status, cert.distance_lower_bound) == \
-        ("extended-bch", "certified-bch", 2)
+        ("bch", "certified-bch", 5)
+    # the [16, 8] table code over GF(31), extended from the duadic
+    # [15, 8] code
+    table = build_euclidean_duadic_extended(31, 1, 15)
+    cert = certify_mds(table.code, extended_defining=table.cyclic.defining,
+                       lam=table.cyclic.lam, guards=tight)
+    assert (cert.tier, cert.verdict.status, cert.distance_lower_bound) == \
+        ("extended-bch", "certified-bch", 8)
     cert = certify_mds(code, guards=tight)
     assert (cert.tier, cert.verdict.status, cert.distance_exact) == \
         ("monte-carlo", "monte-carlo", None)
     cert = certify_mds(code, structural=True, guards=tight)
     assert (cert.verdict.status, cert.distance_exact) == \
-        ("certified-structural", 3)
+        ("certified-structural", 5)
     # a forced rung beyond its guard is a verdict, not an exception
     cert = certify_mds(code, mode="columns", guards=tight)
     assert cert.verdict.status == "guarded"
-    assert cert.warning == cert.reason == "C(n, k) = 6 exceeds the column guard"
+    assert cert.warning == cert.reason == \
+        "C(n, k) = 70 exceeds the column guard"
     with pytest.raises(NoCyclicStructure):
         certify_mds(code, mode="bch")
 

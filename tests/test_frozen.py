@@ -53,9 +53,9 @@ SPEC = CyclicSpec(GF5, 4, GF5.one, DefiningSet(4, (1,)), (GF5.one,),
 CASES = [
     (GuardConfig,
      ("field_size_limit", "factor_limit", "dlog_limit", "codeword_limit",
-      "column_limit", "column_work_limit", "exhaustive_tier_limit"),
-     (1, 2, 3, 4, 5, 6, 7),
-     (2**31, 2**40, 2**20, 10**7, 10**6, 8 * 10**6, 10**6)),
+      "column_limit"),
+     (1, 2, 3, 4, 5),
+     (2**31, 2**40, 2**20, 10**7, 10**6)),
     (LinearCode, ("field", "n", "k", "generator"), tuple(
         getattr(CODE, name) for name in ("field", "n", "k", "generator")),
      ()),

@@ -121,6 +121,7 @@ def test_table_pair_and_verify_match_golden(key, tmp_path, capsys):
 
 
 def test_builder_raises_when_the_chosen_rung_is_guarded():
-    guards = GuardConfig(exhaustive_tier_limit=10**8, codeword_limit=10)
+    # q**k = 49 picks the exhaustive rung, and the codeword guard stops it
+    guards = GuardConfig(codeword_limit=10)
     with pytest.raises(GuardExceeded):
         build_euclidean_duadic_extended(7, 1, 3, guards)
