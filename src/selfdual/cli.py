@@ -100,7 +100,7 @@ def cmd_verify(args) -> int:
         # RecursionError: arrays or objects nested too deep to parse
         raise MalformedInput("cannot read %s: %s" % (args.file, exc)) from exc
     try:
-        code, metadata = code_from_json(obj)
+        code, metadata = code_from_json(obj, guards)
     except SelfDualError:
         raise
     except (KeyError, TypeError, ValueError, IndexError) as exc:

@@ -145,11 +145,6 @@ class ReducedForm(Frozen):
     def cauchy(self) -> bool:
         return _cauchy_certified(self.arith, self.rows, self.pivots)
 
-    def element_rows(self) -> list:
-        """R's rows as element objects."""
-        decode = self.arith.decode
-        return [list(map(decode, row)) for row in self.rows]
-
 
 def _staircase(rows, zero) -> bool:
     """Whether each row's first entry other than ``zero`` lies right of
@@ -283,20 +278,6 @@ class LinearCode(Frozen):
             return _gram_is_zero(self._packed, arith, conjugate=conjugate)
         return _lag_gram_is_zero(*self._shift, self.k, arith,
                                  conjugate=conjugate)
-
-    def codeword(self, message) -> tuple:
-        word = [self.field.zero] * self.n
-        for m, row in zip(message, self.generator):
-            if m:
-                word = [w + m * r for w, r in zip(word, row)]
-        return tuple(word)
-
-
-def same_code(a: LinearCode, b: LinearCode) -> bool:
-    """Row-space equality via the canonical reduced echelon form."""
-    if a.n != b.n or a.k != b.k or a.field != b.field:
-        return False
-    return a._reduced().element_rows() == b._reduced().element_rows()
 
 
 class CyclicSpec(Frozen):
@@ -548,21 +529,6 @@ def min_distance_exhaustive(code: LinearCode,
     """
     return _projective_scan(code.field, code._value_rows,
                             current_guards(guards))
-
-
-def extension_weight_audit(code: LinearCode,
-                           guards: GuardConfig | None = None):
-    """(min distance, all-minimum-weight-words-have-nonzero-sum).
-
-    Appending the coordinate sum (its sign changes no weight) raises the
-    weight of exactly the words with a nonzero sum, so the extended rows
-    span a code of distance d + 1 iff every word of weight d has one.
-    """
-    guards = current_guards(guards)
-    field, rows = code.field, code._value_rows
-    d = _projective_scan(field, rows, guards)
-    extended = [(*row, functools.reduce(field._add, row)) for row in rows]
-    return d, _projective_scan(field, extended, guards) == d + 1
 
 
 class MdsVerdict(Frozen):
@@ -916,13 +882,15 @@ def code_to_json(code: LinearCode, metadata: dict | None = None):
     }
 
 
-def code_from_json(obj):
-    """(code, metadata) of a JSON code record.  The generator is read by
+def code_from_json(obj, guards: GuardConfig | None = None):
+    """(code, metadata) of a JSON code record, its field admitted and its
+    rank checked under ``guards``.  The generator is read by
     ``values_from_json``, in bulk when it is canonical, and the code
     holds those values as they are (``LinearCode._from_values``): its
     checks read them and its packed copy, and ``generator``, the rows
     as elements, is built only if something asks for it."""
-    field = field_from_json(obj["field"])
+    guards = current_guards(guards)
+    field = field_from_json(obj["field"], guards)
     n = json_int(obj["n"])
     k = json_int(obj["k"])
     if k < 1:
@@ -930,4 +898,5 @@ def code_from_json(obj):
         # verify; LinearCode still allows it as the dual of a k = n code
         raise MalformedInput("a code record needs k >= 1, got k = %d" % k)
     rows = values_from_json(field, obj["generator"])
-    return LinearCode._from_values(field, n, k, rows), obj.get("metadata", {})
+    return (LinearCode._from_values(field, n, k, rows, guards),
+            obj.get("metadata", {}))

@@ -34,7 +34,9 @@ class GuardConfig(Frozen):
     """The guard limits; a keyword argument overrides its default.
 
     - ``field_size_limit``: largest admissible field order.
-    - ``factor_limit``: ``factorize()`` refuses integers above this.
+    - ``factor_limit``: ``factorize()`` refuses integers above this,
+      and ``fields.check_field_size`` a field whose order less one is
+      above it.
     - ``dlog_limit``: bounds each walk over one element's powers: a
       field of order q above it gets no Zech-log table (q - 1 powers),
       a base order q above it stops the norm walk of the Hermitian

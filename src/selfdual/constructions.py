@@ -65,11 +65,11 @@ def _v2(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-def _route_field(p: int, t: int, guards: GuardConfig | None,
+def _route_field(p: int, t: int, guards: GuardConfig,
                  degree: int = 1) -> Field:
     """Canonical GF(p^t) for a route that computes in GF(p^(t*degree)),
-    refused when that largest field exceeds the size guard."""
-    field = make_field(p, t)
+    refused unless ``check_field_size`` admits that largest field."""
+    field = make_field(p, t, guards=guards)
     check_field_size(field.order ** degree, guards)
     return field
 
@@ -371,6 +371,7 @@ def build_negacyclic_hermitian(p: int, t: int, n: int,
     2**a n'' | q + 1 for some odd multiple n'' of n' (equivalently
     2**a n' | q + 1).
     """
+    guards = current_guards(guards)
     field = _route_field(p, t, guards, 2)
     q = field.order
     a = _v2(n)
@@ -507,6 +508,7 @@ def exists_hermitian_dispatch(p: int, t: int, n: int,
                               ) -> ConstructionResult:
     """Even lengths up to q + 1: GRS for n <= q, constacyclic r = 2 at
     n = q + 1."""
+    guards = current_guards(guards)
     field = _route_field(p, t, guards, 2)
     q = field.order
     if n % 2 != 0 or n < 2:

@@ -60,7 +60,7 @@ from .errors import (
     json_int,
 )
 from .frozen import Frozen
-from .numtheory import factorize, is_prime
+from .numtheory import check_factor_size, is_prime, trial_factorize
 
 # Bounds of the module caches.  A long-lived process that visits many
 # fields evicts the least recently used entry instead of growing; every
@@ -414,10 +414,15 @@ class Element(Frozen):
 
 
 def check_field_size(order: int, guards: GuardConfig | None = None) -> None:
-    """Refuse a field with more than ``field_size_limit`` elements."""
-    if order > current_guards(guards).field_size_limit:
+    """The admission check of a field of ``order`` elements: refuse more
+    than ``field_size_limit`` elements, or an order - 1 that
+    ``check_factor_size`` refuses.  The cached searches of an admitted
+    field, and of its subfields, factor their q - 1 with no guard."""
+    guards = current_guards(guards)
+    if order > guards.field_size_limit:
         raise SizeGuardExceeded("field order %d exceeds the size guard"
                                 % order)
+    check_factor_size(order - 1, guards)
 
 
 def poly_is_irreducible(coeffs: Sequence[int], p: int) -> bool:
@@ -448,27 +453,23 @@ def poly_is_irreducible(coeffs: Sequence[int], p: int) -> bool:
     if ring._pow(x, p ** t) != x:
         return False
     u = ring._one
-    for ell, _ in factorize(t):
+    for ell, _ in trial_factorize(t):
         u = ring._mul(u, ring._sub(ring._pow(x, p ** (t // ell)), x))
     return any(u)
 
 
-@functools.lru_cache(maxsize=FIELD_CACHE_SIZE)
-def make_field(p: int, t: int) -> FieldSpec:
-    """Canonical GF(p^t): least monic irreducible modulus.
+def make_field(p: int, t: int, *,
+               guards: GuardConfig | None = None) -> FieldSpec:
+    """Canonical GF(p^t), the one object per (p, t) of
+    ``_canonical_field``, once the field is admitted under ``guards``.
 
-    Candidates x**t + sum c_i x**i are ordered by the integer encoding
-    sum c_i p**i (the same order used for elements), so GF(16) gets
-    x**4 + x + 1, not x**4 + x**3 + 1.  For t = 1 this yields the
-    modulus x, i.e. the prime field itself.  A candidate with a root in
-    GF(p) has a linear factor and is skipped before Rabin's test, which
-    changes no modulus.  The size guard is read when a field is first
-    built, on p and t before any arithmetic on them: p**t >= 2**t, so a
-    p or a t beyond the bounds below gives an order beyond the guard;
-    callers holding a ``GuardConfig`` check every field they work in
-    with ``check_field_size``.
+    The size guard is read on p and t before any arithmetic on them:
+    p**t >= 2**t, so a p or a t beyond the bounds below gives an order
+    beyond the guard.  Then p must be prime, t at least 1, and the
+    field pass ``check_field_size``.
     """
-    limit = current_guards().field_size_limit
+    guards = current_guards(guards)
+    limit = guards.field_size_limit
     if p > limit or t > limit.bit_length():
         # neither p nor t goes into the message: either may be huge
         raise SizeGuardExceeded("p**t exceeds the field size guard %d" % limit)
@@ -476,7 +477,22 @@ def make_field(p: int, t: int) -> FieldSpec:
         raise NotPrime("p = %d is not prime" % p)
     if t < 1:
         raise DegreeZero("extension degree must be >= 1")
-    check_field_size(p ** t)
+    check_field_size(p ** t, guards)
+    return _canonical_field(p, t)
+
+
+@functools.lru_cache(maxsize=FIELD_CACHE_SIZE)
+def _canonical_field(p: int, t: int) -> FieldSpec:
+    """GF(p^t) on its least monic irreducible modulus.
+
+    Candidates x**t + sum c_i x**i are ordered by the integer encoding
+    sum c_i p**i (the same order used for elements), so GF(16) gets
+    x**4 + x + 1, not x**4 + x**3 + 1.  For t = 1 this yields the
+    modulus x, i.e. the prime field itself.  A candidate with a root in
+    GF(p) has a linear factor and is skipped before Rabin's test, which
+    changes no modulus.  It reads no guard: ``make_field`` admits p and
+    t first.
+    """
     if t == 1:
         return _prime_field(p)
     # a root means a linear factor: c0 = 0 has the root 0, and c has a
@@ -492,6 +508,12 @@ def make_field(p: int, t: int) -> FieldSpec:
             if c0 not in rooted and poly_is_irreducible(candidate, p):
                 return FieldSpec(p, t, tuple(candidate))
     raise SizeGuardExceeded("no irreducible polynomial found")  # unreachable
+
+
+# the benchmark and the tests read the cache, and the uncached search,
+# through the front
+make_field.cache_info = _canonical_field.cache_info
+make_field.__wrapped__ = _canonical_field.__wrapped__
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +631,7 @@ def find_primitive_element(field: Field) -> Element:
         start = field.base.order
     else:
         start = field.p if field.t > 1 else 1
-    primes = tuple(ell for ell, _ in factorize(field.order - 1))
+    primes = tuple(ell for ell, _ in trial_factorize(field.order - 1))
     return _least_passing(field, primes, start)
 
 
@@ -706,7 +728,7 @@ def element_order(x: Element) -> int:
         raise ZeroElement("the zero element has no multiplicative order")
     field = x.field
     m = field.order - 1
-    for f, e in factorize(m):
+    for f, e in trial_factorize(m):
         for _ in range(e):
             if field._pow(x.value, m // f) == field._one:
                 m //= f
@@ -1029,12 +1051,14 @@ def field_to_json(field: Field):
     }
 
 
-def field_from_json(obj) -> Field:
-    """The field of a record; the canonical field object, with its cached
-    layouts and tables, when the record names the canonical modulus or
-    the canonical ``ext_modulus``."""
+def field_from_json(obj, guards: GuardConfig | None = None) -> Field:
+    """The field of a record, admitted under ``guards``; the canonical
+    field object, with its cached layouts and tables, when the record
+    names the canonical modulus or the canonical ``ext_modulus``."""
+    guards = current_guards(guards)
     if "p" in obj:
-        field = make_field(json_int(obj["p"]), json_int(obj["t"]))
+        field = make_field(json_int(obj["p"]), json_int(obj["t"]),
+                           guards=guards)
         modulus = tuple(map(json_int, obj["modulus"]))
         if modulus != field.modulus:
             # the shape first: the ring test costs about len(modulus)**3
@@ -1043,11 +1067,10 @@ def field_from_json(obj) -> Field:
                     or not poly_is_irreducible(modulus, field.p)):
                 raise ZeroElement("modulus in input is not monic irreducible")
             field = FieldSpec(field.p, field.t, modulus)
-        check_field_size(field.order)
         return field
-    base = field_from_json(obj["base"])
+    base = field_from_json(obj["base"], guards)
     coeffs = tuple(element_from_json(base, c) for c in obj["ext_modulus"])
-    check_field_size(base.order ** 2)
+    check_field_size(base.order ** 2, guards)
     canonical = quadratic_extension(base)
     if coeffs == canonical.ext_modulus:
         return canonical

@@ -58,21 +58,31 @@ class Factorization(Frozen):
         return out
 
 
+def check_factor_size(n: int, guards: GuardConfig) -> None:
+    """Refuse to factor an n above the ``factor_limit`` of ``guards``."""
+    if n > guards.factor_limit:
+        raise FactorizationGuardExceeded("%d exceeds the factorization guard"
+                                         % n)
+
+
 def factorize(n: int, guards: GuardConfig | None = None) -> Factorization:
+    """``trial_factorize(n)`` for an n that ``check_factor_size`` admits."""
+    check_factor_size(n, current_guards(guards))
+    return trial_factorize(n)
+
+
+def trial_factorize(n: int) -> Factorization:
     """Full factorization by trial division on the 2*3*5 wheel.
 
     Division stops once d*d exceeds what is left, so at most about
     sqrt(n) * 8/30 candidates are tried: about 2.8e5 for n up to the
     default ``factor_limit`` of 2**40, and under 1.3e4 for any q - 1
-    below the default ``field_size_limit`` of 2**31.
+    below the default ``field_size_limit`` of 2**31.  It reads no
+    guard: ``factorize`` checks its n, and a field's q - 1 is checked
+    where the field is admitted, by ``fields.check_field_size``.
     """
-    guards = current_guards(guards)
     if n < 1:
         raise FactorizationGuardExceeded("factorize needs a positive integer")
-    if n > guards.factor_limit:
-        raise FactorizationGuardExceeded(
-            "%d exceeds the factorization guard" % n
-        )
     counts: dict[int, int] = {}
     for small in (2, 3, 5):
         while n % small == 0:

@@ -26,8 +26,12 @@ Tonelli-Shanks with no subfield shortcut, prove Rabin's units by their
 p**t - 1 powers, scan gamma's coset on element objects and an even-q
 quadratic's roots one by one.
 ``ENCODINGS`` is no oracle: it names the package's two integer
-encodings of a field, for the tests that run one kernel on both.
+encodings of a field, for the tests that run one kernel on both.  Nor
+are ``codeword``, ``element_rows``, ``same_code`` and
+``extension_weight_audit``: they read a code through the package's own
+reduced form and codeword scan, and only the tests use them.
 """
+import functools
 import itertools
 from math import gcd
 
@@ -41,6 +45,8 @@ from selfdual import (
     frobenius,
     solve_norm,
 )
+from selfdual.codes import _projective_scan
+from selfdual.config import current_guards
 from selfdual.errors import NotCoprime, ZeroElement, ZeroInSet
 from selfdual.linalg import dlog_table, null_space, packed_field
 from selfdual.numtheory import factorize
@@ -217,7 +223,7 @@ def brute_weight_audit(code):
         for _ in range(code.k):
             msg.append(field.from_int(v % field.order))
             v //= field.order
-        word = code.codeword(msg)
+        word = codeword(code, msg)
         w = sum(1 for x in word if x)
         s = field.zero
         for x in word:
@@ -228,6 +234,42 @@ def brute_weight_audit(code):
         elif w == best and not s:
             clean = False
     return best, clean
+
+
+def codeword(code, message) -> tuple:
+    """The codeword of ``message``, a list of k elements."""
+    word = [code.field.zero] * code.n
+    for m, row in zip(message, code.generator):
+        if m:
+            word = [w + m * r for w, r in zip(word, row)]
+    return tuple(word)
+
+
+def element_rows(form) -> list:
+    """The rows of a ``ReducedForm`` as element objects."""
+    decode = form.arith.decode
+    return [list(map(decode, row)) for row in form.rows]
+
+
+def same_code(a, b) -> bool:
+    """Row-space equality via the canonical reduced echelon form."""
+    if a.n != b.n or a.k != b.k or a.field != b.field:
+        return False
+    return element_rows(a._reduced()) == element_rows(b._reduced())
+
+
+def extension_weight_audit(code, guards=None):
+    """(min distance, all-minimum-weight-words-have-nonzero-sum).
+
+    Appending the coordinate sum (its sign changes no weight) raises the
+    weight of exactly the words with a nonzero sum, so the extended rows
+    span a code of distance d + 1 iff every word of weight d has one.
+    """
+    guards = current_guards(guards)
+    field, rows = code.field, code._value_rows
+    d = _projective_scan(field, rows, guards)
+    extended = [(*row, functools.reduce(field._add, row)) for row in rows]
+    return d, _projective_scan(field, extended, guards) == d + 1
 
 
 def _join(tower, a, b):

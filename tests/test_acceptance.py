@@ -31,11 +31,16 @@ from selfdual import (
     run_table,
 )
 from selfdual.cli import main as cli_main
-from selfdual.codes import extension_weight_audit, same_code
 from selfdual.errors import PreconditionFailed
 from selfdual.table import EXPECTED_UNSUPPORTED
 
-from oracles import euclidean_dual, hermitian_dual
+from oracles import (
+    codeword,
+    euclidean_dual,
+    extension_weight_audit,
+    hermitian_dual,
+    same_code,
+)
 
 RESULTS: dict[int, tuple[bool, str]] = {}
 
@@ -77,7 +82,7 @@ def naive_distance(code):
         for _ in range(code.k):
             msg.append(field.from_int(v % field.order))
             v //= field.order
-        w = sum(1 for x in code.codeword(msg) if x)
+        w = sum(1 for x in codeword(code, msg) if x)
         if best is None or w < best:
             best = w
     return best

@@ -834,6 +834,27 @@ def test_construct_and_verify_build_no_element_row(route, tmp_path, capsys,
         assert "generator" not in code.__dict__
 
 
+@pytest.mark.parametrize("route", README_ROUTES, ids=lambda r: r[0])
+def test_construct_and_verify_each_read_the_environment_once(
+        route, tmp_path, capsys, monkeypatch):
+    # a command resolves its guards once and hands them down: no builder,
+    # record reader or cached search reads the environment again
+    reads = []
+    from_env = GuardConfig.from_env
+
+    def counted():
+        reads.append(1)
+        return from_env()
+
+    monkeypatch.setattr(GuardConfig, "from_env", staticmethod(counted))
+    rc, lines = run_cli(capsys, "construct", *route)
+    assert (rc, len(reads)) == (0, 1)
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(lines[0]))
+    rc, _ = run_cli(capsys, "verify", str(path))
+    assert (rc, len(reads)) == (0, 2)
+
+
 def test_a_huge_field_is_refused_before_any_arithmetic_on_p_and_t(
         tmp_path, capsys, monkeypatch):
     rc, lines = run_cli(capsys, "construct", "euclidean-duadic",

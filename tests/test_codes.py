@@ -31,13 +31,11 @@ from selfdual.codes import (
     code_to_json,
     cyclic_generator_matrix,
     extend_code,
-    extension_weight_audit,
     generator_from_defining_set,
     is_euclidean_self_dual,
     is_hermitian_self_dual,
     mds_check,
     min_distance_exhaustive,
-    same_code,
 )
 from selfdual.config import GuardConfig
 from selfdual.constructions import (
@@ -80,9 +78,12 @@ from selfdual.table import TABLE_ROWS
 
 from oracles import (
     ENCODINGS,
+    codeword,
     constacyclic_shift,
     det_nonzero_oracle,
+    element_rows,
     euclidean_dual,
+    extension_weight_audit,
     generator_oracle,
     gram_is_zero_oracle,
     hermitian_dual,
@@ -92,6 +93,7 @@ from oracles import (
     poly_eval,
     poly_mul,
     row_reduce_oracle,
+    same_code,
 )
 
 
@@ -102,7 +104,7 @@ def naive_min_distance(code):
     for msg in itertools.product(field.elements(), repeat=code.k):
         if all(not m for m in msg):
             continue
-        word = code.codeword(msg)
+        word = codeword(code, msg)
         best = min(best, sum(1 for x in word if x))
     return best
 
@@ -133,7 +135,7 @@ def test_codeword_is_row_combination():
     f = make_field(5, 1)
     code = rand_code(f, 6, 3, 11)
     msg = (f.from_int(2), f.from_int(0), f.from_int(4))
-    word = code.codeword(msg)
+    word = codeword(code, msg)
     for j in range(6):
         acc = f.zero
         for i in range(3):
@@ -619,7 +621,7 @@ def self_duality_case(draw):
     code = _self_dual_code(draw(st.integers(0, len(SELF_DUAL_BUILDS) - 1)))
     field = code.field
     element = st.integers(0, field.order - 1).map(field.from_int)
-    rows = [code.codeword([draw(element) for _ in range(code.k)])
+    rows = [codeword(code, [draw(element) for _ in range(code.k)])
             for _ in range(draw(st.integers(1, code.k)))]
     if kind == "bumped":
         i = draw(st.integers(0, len(rows) - 1))
@@ -1414,7 +1416,7 @@ def test_a_reduced_form_keeps_no_table_alive():
     gc.collect()
     assert table() is None
     assert form.cauchy
-    assert form.element_rows() == [list(row) for row in row_reduce_oracle(
+    assert element_rows(form) == [list(row) for row in row_reduce_oracle(
         code.generator, field)[0]]
     assert mds_check(code, "monte-carlo", trials=5) == \
         MdsVerdict("monte-carlo", trials=5, passes=5)
@@ -1432,7 +1434,7 @@ def test_an_explicit_dlog_limit_governs_the_reduced_form(changed,
                  + (f.one if i == 3 else f.zero,) for i in range(4))
     code = LinearCode(f, 8, 4, rows)
     if changed:
-        rows = code._reduced().element_rows()
+        rows = element_rows(code._reduced())
         rows[0][4] = f.zero
         code = LinearCode(f, 8, 4, tuple(map(tuple, rows)))
     modes = {"exhaustive-columns": {}, "monte-carlo": {"trials": 50}}

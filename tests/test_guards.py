@@ -3,20 +3,34 @@
 With the key one below what the work needs, the work is refused: a
 named error or a ``guarded`` verdict whose message carries the estimate
 (for a Zech table, no table and a packed form instead).  With the key
-exactly at the need, the work runs.  ``dlog_limit`` is checked at each
-of its sites: the Zech table, the cached-form gate, the norm walk and
-the root walk of the ``bch`` rung.
+exactly at the need, the work runs.  Each key is checked at each of its
+sites, with the config handed to the call, never the environment's:
+``field_size_limit`` and ``factor_limit`` where a field is admitted, on
+p before any arithmetic (``make_field``), on the largest field a route
+computes in (GF(q^2) for a Hermitian route) and on a record's field
+(``code_from_json``), and ``factor_limit`` on the n of a solvability
+verdict; ``dlog_limit`` at the Zech table, the cached-form gate, the
+norm walk and the root walk of the ``bch`` rung.  Last, a process whose
+environment holds a malformed override runs every builder, the record
+reader and the verifier on an explicit config: none of them reads the
+environment.
 """
 import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import selfdual
 from selfdual.codes import (
     LinearCode,
     MdsCertificate,
     MdsVerdict,
     _reduction_table,
     certify_mds,
+    code_from_json,
 )
 from selfdual.config import GuardConfig
 from selfdual.constructions import (
@@ -39,6 +53,13 @@ def _gf49_built():
     """The [8, 4, 5] constacyclic code over GF(49): C(8, 4) = 70, and a
     defining set of modulus 16 over a base field of 7 elements."""
     return build_constacyclic_hermitian(7, 1, 8, 2)
+
+
+@functools.cache
+def _gf13_record():
+    """The record of the [4, 2, 3] extended duadic code over GF(13):
+    the generator search of GF(13) factors q - 1 = 12."""
+    return build_euclidean_duadic_extended(13, 1, 3).to_json()
 
 
 def _fresh(code):
@@ -73,14 +94,29 @@ def _guarded(tier, message, suffix=""):
                           warning=message + suffix)
 
 
+def _factor_refusal(n):
+    return "FactorizationGuardExceeded", "%d exceeds the factorization guard" % n
+
+
 # (key, what the work needs, the work, outcome one below, outcome at it)
 CASES = [
     ("field_size_limit", 49,
      lambda g: build_constacyclic_hermitian(7, 1, 8, 2, g).code.n,
      ("SizeGuardExceeded", "field order 49 exceeds the size guard"), 8),
+    ("field_size_limit", 2147483659,
+     lambda g: build_euclidean_duadic_extended(2147483659, 1, 3, g).code.n,
+     ("SizeGuardExceeded", "p**t exceeds the field size guard 2147483658"),
+     4),
     ("factor_limit", 3, lambda g: gamma_solvability(7, 1, 3, g).case,
-     ("FactorizationGuardExceeded", "3 exceeds the factorization guard"),
-     "QEquiv3Mod4-OddSum"),
+     _factor_refusal(3), "QEquiv3Mod4-OddSum"),
+    ("factor_limit", 12,
+     lambda g: build_euclidean_duadic_extended(13, 1, 3, g).code.n,
+     _factor_refusal(12), 4),
+    ("factor_limit", 48,
+     lambda g: build_constacyclic_hermitian(7, 1, 8, 2, g).code.n,
+     _factor_refusal(48), 8),
+    ("factor_limit", 12, lambda g: code_from_json(_gf13_record(), g)[0].n,
+     _factor_refusal(12), 4),
     ("codeword_limit", 49,
      lambda g: certify_mds(_gf7_code(), mode="exhaustive", guards=g),
      _guarded("exhaustive", "q**k = 49 exceeds the codeword guard",
@@ -119,10 +155,47 @@ def _outcome(work, guards):
 
 @pytest.mark.parametrize(
     "key, need, work, below, at", CASES,
-    ids=["field_size", "factor_limit", "codewords", "columns",
+    ids=["field_size", "field_size-make_field", "factor_limit",
+         "factor_limit-euclidean_route", "factor_limit-hermitian_route",
+         "factor_limit-record", "codewords", "columns",
          "dlog_limit-zech_table", "dlog_limit-cached_form",
          "dlog_limit-norm_walk", "dlog_limit-root_walk"])
 def test_a_guard_refuses_one_below_the_need_and_runs_at_it(key, need, work,
                                                            below, at):
     assert _outcome(work, GuardConfig(**{key: need - 1})) == below
     assert _outcome(work, GuardConfig(**{key: need})) == at
+
+
+# every builder on its README example, then its record read back and
+# verified, all on one explicit config
+_EXPLICIT_CONFIG_RUN = """
+from selfdual import *
+from selfdual.codes import verify_code
+
+g = GuardConfig()
+for build, args in [
+        (build_euclidean_duadic_extended, (7, 1, 3)),
+        (build_grs_hermitian, (5, 1, 4)),
+        (build_constacyclic_hermitian, (11, 1, 6, 4)),
+        (build_negacyclic_hermitian, (3, 2, 10)),
+        (build_hermitian_extended_duadic, (11, 1, 5)),
+        (build_hermitian_n5, (7, 1)),
+        (exists_hermitian_dispatch, (7, 1, 8))]:
+    result = build(*args, guards=g)
+    code, _ = code_from_json(result.to_json(), g)
+    report, _ = verify_code(code, guards=g)
+    assert report == result.report, build.__name__
+print("ok")
+"""
+
+
+def test_an_explicit_config_is_used_and_the_environment_never_read():
+    # columns=0 is malformed: any read of the environment raises
+    # MalformedInput, and the fresh process starts with empty caches
+    src = str(Path(selfdual.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, SELFDUAL_GUARD_OVERRIDE="columns=0",
+               PYTHONPATH=path)
+    run = subprocess.run([sys.executable, "-c", _EXPLICIT_CONFIG_RUN],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stdout) == (0, "ok\n"), run.stderr

@@ -26,16 +26,18 @@ from selfdual import (
     quadratic_extension,
     solve_norm,
 )
-from selfdual.codes import certify_mds, extension_weight_audit, same_code
+from selfdual.codes import certify_mds
 from selfdual.errors import NotCoprime, ZeroElement, ZeroInSet
 from selfdual.fields import TowerSpec
 
 from oracles import (
     brute_weight_audit,
     euclidean_dual,
+    extension_weight_audit,
     hermitian_dual,
     matrix_rank,
     pow_oracle,
+    same_code,
     splitting_oracle,
     tower_inv_oracle,
     tower_mul_oracle,
