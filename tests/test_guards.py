@@ -95,7 +95,8 @@ def _guarded(tier, message, suffix=""):
 
 
 def _factor_refusal(n):
-    return "FactorizationGuardExceeded", "%d exceeds the factorization guard" % n
+    return ("FactorizationGuardExceeded",
+            "%d exceeds the factorization guard" % n)
 
 
 # (key, what the work needs, the work, outcome one below, outcome at it)
