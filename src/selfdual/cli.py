@@ -24,6 +24,7 @@ from .constructions import (
 )
 from .cosets import DefiningSet, check_duadic_splitting
 from .errors import (
+    DiscreteLogGuardExceeded,
     MalformedInput,
     SelfDualError,
     VerificationFailed,
@@ -154,10 +155,17 @@ def cmd_table(args) -> int:
 
 
 def cmd_splitting(args) -> int:
+    guards = current_guards(None)
     if args.n < 1:
         raise MalformedInput("--n must be at least 1, got %d" % args.n)
     if args.set_from > args.set_to:
         raise MalformedInput("--set-from exceeds --set-to")
+    # the coset walks run over the powers of q mod n, and the two
+    # halves hold up to n residues
+    if args.n > guards.dlog_limit:
+        raise DiscreteLogGuardExceeded(
+            "modulus n = %d exceeds the discrete-log guard %d"
+            % (args.n, guards.dlog_limit))
     # only residues mod n matter, and a range as wide as n holds them all
     wide = args.set_to - args.set_from + 1 >= args.n
     T = DefiningSet(args.n, range(args.n) if wide

@@ -332,12 +332,22 @@ def generator_from_defining_set(field: Field, n: int, lam: Element,
     """Build the monic generator with roots alpha**i, i in T.
 
     ``alpha`` is the canonical root of unity of order n (cyclic case,
-    lam = 1) or of order r*n with alpha**n = lam (constacyclic case,
+    lam = 1) or of order m = r*n with alpha**n = lam (constacyclic case,
     lam of order r).  Requires r*n | q - 1 so that all roots lie in
     the coefficient field.
+
+    Whether g divides x**n - lam is exponent arithmetic, settled before
+    any product: alpha**i is a root of x**n - lam exactly when
+    alpha**(i*n) = alpha**n, that is m | (i - 1)*n, or r | i - 1.  Those
+    n roots are distinct, so x**n - lam is their product, and the
+    distinct roots alpha**i, i in T (residues mod m), divide it exactly
+    when r | i - 1 for every i in T; otherwise ``NotDividing``.
     """
     arith = packed_field(field, n)
     powers = _root_powers(arith, n, lam, T.modulus)
+    r = T.modulus // n
+    if any((i - 1) % r for i in T.elements):
+        raise NotDividing("generator does not divide x**n - lam")
     reduce = arith.reduce
     # g <- x*g - alpha**i * g, constant term first, one reduce per
     # coefficient; g stays monic
@@ -346,35 +356,8 @@ def generator_from_defining_set(field: Field, n: int, lam: Element,
         minus_root = arith.neg(powers[i])
         g = [reduce(lo + minus_root * hi)
              for lo, hi in zip([0] + g, g)] + [arith.one]
-    if any(binomial_remainder(arith, g, n, arith.encode(lam))):
-        raise NotDividing("generator does not divide x**n - lam")
     return CyclicSpec(field, n, lam, T, tuple(map(arith.decode, g)),
                       arith.decode(powers[1 % T.modulus]))
-
-
-def binomial_remainder(arith: PackedField, g: list, n: int,
-                       lam: int) -> list:
-    """The remainder of x**n - lam modulo the monic g of degree d, as its
-    d low coefficients (x**n - lam itself when d > n), constant term
-    first, by long division on the packed values of ``arith``, which
-    must hold sums of d products: the n-term layout of a generator.
-
-    Coefficient j collects its updates -r*g[i] unreduced; it gets one
-    from each of the d leading coefficients above it, so it holds at
-    most d products plus its one starting value, which the layout
-    holds.  Each coefficient is reduced once: when it leads, before its
-    zero test, or at the end when it is one of the d low ones."""
-    reduce = arith.reduce
-    d = len(g) - 1
-    minus_g = [arith.neg(c) for c in g[:d]]
-    rem = [arith.neg(lam)] + [0] * (n - 1) + [arith.one]
-    for top in range(n, d - 1, -1):
-        r = reduce(rem[top])
-        if r:
-            base = top - d
-            for i, c in enumerate(minus_g):
-                rem[base + i] += r * c
-    return list(map(reduce, rem[:d]))
 
 
 def cyclic_generator_matrix(spec: CyclicSpec) -> LinearCode:

@@ -18,7 +18,6 @@ from .codes import (
     CyclicSpec,
     LinearCode,
     VerificationReport,
-    binomial_remainder,
     code_to_json,
     cyclic_generator_matrix,
     extend_code,
@@ -34,11 +33,9 @@ from .errors import (
     MalformedInput,
     NoGamma,
     NoSolution,
-    NotDividing,
     NotPrime,
     OddLength,
     PreconditionFailed,
-    SplittingFailed,
     TooLong,
     VerificationFailed,
 )
@@ -56,7 +53,6 @@ from .fields import (
     sqrt_in_field,
 )
 from .frozen import Frozen
-from .linalg import packed_field
 from .numtheory import gamma_solvability, is_prime
 
 
@@ -134,21 +130,23 @@ _UNCERTIFIED_PREDICATE = {
 }
 
 
-def _verified_report(code: LinearCode, inner: str, guards: GuardConfig,
+def _verified_report(code: LinearCode, guards: GuardConfig,
                      **facts) -> VerificationReport:
     """``verify_code``'s report on a built code, or a refusal.
 
-    ``inner`` is the self-duality the route promises, "euclidean" or
-    "hermitian"; ``facts`` are the ``certify_mds`` keywords the route
-    can vouch for.  A code that fails its inner check raises
+    Every route promises the self-duality its field names, as
+    ``verify --inner auto`` reads it: Hermitian over a quadratic tower,
+    Euclidean otherwise.  ``facts`` are the ``certify_mds`` keywords the
+    route can vouch for.  A code that is not self-dual raises
     ``VerificationFailed``, a guarded rung ``GuardExceeded``, and any
     other verdict short of a certificate ``VerificationFailed``.  A
     lower bound that meets the Singleton bound n - k + 1 is reported as
     the exact distance.
     """
     report, cert = verify_code(code, guards=guards, **facts)
-    if not (report.hermitian_self_dual if inner == "hermitian"
-            else report.euclidean_self_dual):
+    inner = ("hermitian" if isinstance(code.field, TowerSpec)
+             else "euclidean")
+    if not getattr(report, inner + "_self_dual"):
         raise VerificationFailed(inner + "_self_dual")
     if cert.verdict.status == "guarded":
         raise GuardExceeded(cert.reason)
@@ -208,6 +206,17 @@ class ConstructionResult(Frozen):
         return out
 
 
+def _extended(spec: CyclicSpec, gamma: Element, construction: str,
+              theorem: str, guards: GuardConfig) -> ConstructionResult:
+    """The cyclic code of ``spec`` extended through ``gamma``, verified
+    with its defining set before extension and its shift constant."""
+    code = extend_code(cyclic_generator_matrix(spec), gamma)
+    report = _verified_report(code, guards, extended_defining=spec.defining,
+                              lam=spec.lam)
+    return ConstructionResult(code, theorem, construction, report,
+                              gamma=gamma, cyclic=spec)
+
+
 # ---------------------------------------------------------------------------
 # Euclidean extended duadic codes
 # ---------------------------------------------------------------------------
@@ -237,17 +246,12 @@ def build_euclidean_duadic_extended(p: int, t: int, n: int,
         )
     T = DefiningSet(n, tuple(range(1, (n + 1) // 2)))
     spec = generator_from_defining_set(field, n, field.one, T)
-    duadic = cyclic_generator_matrix(spec)
     try:
         gamma = solve_gamma_euclidean(field, n)
     except NoSolution as exc:
         verdict = gamma_solvability(p, t, n, guards)
         raise NoGamma("%s [case %s]" % (exc, verdict.case)) from exc
-    code = extend_code(duadic, gamma)
-    report = _verified_report(code, "euclidean", guards, extended_defining=T,
-                              lam=field.one)
-    return ConstructionResult(code, "Thm2", "euclidean-duadic", report,
-                              gamma=gamma, cyclic=spec)
+    return _extended(spec, gamma, "euclidean-duadic", "Thm2", guards)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +307,7 @@ def build_grs_hermitian(p: int, t: int, n: int, points=None,
     for _ in range(k - 1):
         rows.append(tuple(map(tower._mul, rows[-1], emb)))
     code = LinearCode._from_values(tower, n, k, tuple(rows), guards)
-    report = _verified_report(code, "hermitian", guards, structural=True)
+    report = _verified_report(code, guards, structural=True)
     return ConstructionResult(
         code, "Thm3", "grs-hermitian", report,
         # the record names the one choice of v there is, as it always has
@@ -325,6 +329,13 @@ def build_constacyclic_hermitian(p: int, t: int, n: int, r: int,
     Preconditions: odd q; even n and r; r*n | q**2 - 1;
     r*n | 2(q+1); and writing n = 2**a n', r = 2**b r', the excluded
     congruence q = -1 (mod 2**(a+b)) must not hold.
+
+    They prove that x -> -q*x maps T onto the rest of the class, so no
+    splitting is checked.  2**(a+b) exactly divides rn, and rn | 2(q+1)
+    while q + 1 is not a multiple of 2**(a+b), so (q + 1)/(rn/2) is odd
+    and -q = 1 - (q + 1) = 1 + rn/2 (mod rn).  As r is even, r*rn/2 = 0
+    (mod rn), so -q*(1 + rj) = 1 + r(j + n/2) and
+    -q*T = {1 + rj : n/2 <= j < n}.
     """
     guards = current_guards(guards)
     field = _route_field(p, t, guards, 2)
@@ -352,12 +363,9 @@ def build_constacyclic_hermitian(p: int, t: int, n: int, r: int,
     tower = quadratic_extension(field)
     lam = nth_root_of_unity(tower, r)
     T = DefiningSet(r * n, tuple(1 + r * j for j in range(n // 2)), step=r)
-    image = {(-q * x) % (r * n) for x in T.elements}
-    if image & set(T.elements):
-        raise SplittingFailed("defining set meets its own -q multiple")
     spec = generator_from_defining_set(tower, n, lam, T)
     code = cyclic_generator_matrix(spec)
-    report = _verified_report(code, "hermitian", guards, defining=T, lam=lam)
+    report = _verified_report(code, guards, defining=T, lam=lam)
     return ConstructionResult(code, "Thm4", "constacyclic", report,
                               cyclic=spec, extras={"r": r})
 
@@ -395,18 +403,6 @@ def build_negacyclic_hermitian(p: int, t: int, n: int,
 # Hermitian extended duadic codes (odd length over GF(q^2))
 # ---------------------------------------------------------------------------
 
-def _build_hermitian_extension(tower: TowerSpec, spec: CyclicSpec,
-                               construction: str, theorem: str,
-                               guards: GuardConfig | None):
-    duadic = cyclic_generator_matrix(spec)
-    gamma = solve_gamma_hermitian(tower, spec.n, guards)
-    code = extend_code(duadic, gamma)
-    report = _verified_report(code, "hermitian", guards,
-                              extended_defining=spec.defining, lam=spec.lam)
-    return ConstructionResult(code, theorem, construction, report,
-                              gamma=gamma, cyclic=spec)
-
-
 def build_hermitian_extended_duadic(p: int, t: int, n: int,
                                     guards: GuardConfig | None = None
                                     ) -> ConstructionResult:
@@ -414,8 +410,13 @@ def build_hermitian_extended_duadic(p: int, t: int, n: int,
 
     The length n cyclic code over GF(q^2) with root exponents
     1..(n-1)/2 is extended through 1 + g**(q+1) * n = 0.  Requires odd
-    q, n >= 3, n | q - 1 and gcd(n, q+1) = 1; the x -> -q*x multiplier
-    splitting is checked rather than assumed.
+    q, n >= 3, n | q - 1 and gcd(n, q+1) = 1.
+
+    The x -> -q*x splitting follows, so it is not checked: q + 1 is
+    even and prime to n, so n is odd, and n | q - 1 gives -q = -1 and
+    q**2 = 1 (mod n).  Every q**2-coset is a single residue, and
+    x -> -x maps 1..(n-1)/2 onto (n+1)/2..n-1, the rest of Z_n minus
+    {0}.
     """
     guards = current_guards(guards)
     field = _route_field(p, t, guards, 2)
@@ -434,12 +435,9 @@ def build_hermitian_extended_duadic(p: int, t: int, n: int,
         )
     tower = quadratic_extension(field)
     T = DefiningSet(n, tuple(range(1, (n + 1) // 2)))
-    rep = check_duadic_splitting(T, -q, n, q * q)
-    if not rep.is_splitting:
-        raise SplittingFailed("witness %r" % (rep.witness,))
     spec = generator_from_defining_set(tower, n, tower.one, T)
-    return _build_hermitian_extension(tower, spec, "hermitian-duadic",
-                                      "Thm8", guards)
+    return _extended(spec, solve_gamma_hermitian(tower, n, guards),
+                     "hermitian-duadic", "Thm8", guards)
 
 
 def build_hermitian_n5(p: int, t: int,
@@ -449,7 +447,15 @@ def build_hermitian_n5(p: int, t: int,
 
     The length-5 cyclic code has root exponents {2, 3}, one coset under
     multiplication by q^2 (which is -1 mod 5).  Its quadratic generator
-    is computed in GF(q^4) and its coefficients descend to GF(q^2).
+    (x - b**2)(x - b**3) = x**2 - s*x + 1, for b a 5th root of unity in
+    GF(q^4), has s = b**2 + b**3 in GF(q^2).
+
+    None of this is checked, for q**2 = -1 (mod 5) proves it: the
+    Frobenius x -> x**(q**2), which fixes exactly GF(q^2), swaps b**2
+    and b**3, so it fixes s; the constant term is b**5 = 1; and b**2
+    and b**3 are distinct roots of x**5 - 1.  As q = 2 or 3 (mod 5),
+    -q*{2, 3} = {1, 4}, the other q**2-coset: the x -> -q*x splitting
+    holds.
     """
     guards = current_guards(guards)
     field = _route_field(p, t, guards, 4)
@@ -463,23 +469,11 @@ def build_hermitian_n5(p: int, t: int,
     tower = quadratic_extension(field)
     quartic = quadratic_extension(tower)
     beta = nth_root_of_unity(quartic, 5)
-    b2, b3 = beta ** 2, beta ** 3
-    (s, s_y), (prod, prod_y) = quartic.parts(b2 + b3), quartic.parts(b2 * b3)
-    if s_y or prod_y:
-        raise VerificationFailed("coefficient_descent",
-                                 "generator coefficients are not in GF(q^2)")
-    g = (prod, -s, tower.one)
-    arith = packed_field(tower, 5)
-    if any(binomial_remainder(arith, list(map(arith.encode, g)), 5,
-                              arith.one)):
-        raise NotDividing("generator does not divide x^5 - 1")
-    T = DefiningSet(5, (2, 3))
-    rep = check_duadic_splitting(T, -q, 5, q * q)
-    if not rep.is_splitting:
-        raise SplittingFailed("witness %r" % (rep.witness,))
-    spec = CyclicSpec(tower, 5, tower.one, T, g, None)
-    return _build_hermitian_extension(tower, spec, "hermitian-n5",
-                                      "Thm7", guards)
+    s, _ = quartic.parts(beta ** 2 + beta ** 3)
+    spec = CyclicSpec(tower, 5, tower.one, DefiningSet(5, (2, 3)),
+                      (tower.one, -s, tower.one), None)
+    return _extended(spec, solve_gamma_hermitian(tower, 5, guards),
+                     "hermitian-n5", "Thm7", guards)
 
 
 def check_centered_duadic_splitting(p: int, t: int, n: int) -> SplittingReport:

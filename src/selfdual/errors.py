@@ -115,10 +115,6 @@ class DuplicatePoints(SelfDualError):
     code = "DuplicatePoints"
 
 
-class SplittingFailed(SelfDualError):
-    code = "SplittingFailed"
-
-
 class PreconditionFailed(SelfDualError):
     """A named construction precondition does not hold."""
 

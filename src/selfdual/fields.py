@@ -510,10 +510,8 @@ def _canonical_field(p: int, t: int) -> FieldSpec:
     raise SizeGuardExceeded("no irreducible polynomial found")  # unreachable
 
 
-# the benchmark and the tests read the cache, and the uncached search,
-# through the front
+# the benchmark reads the cache through the front
 make_field.cache_info = _canonical_field.cache_info
-make_field.__wrapped__ = _canonical_field.__wrapped__
 
 
 # ---------------------------------------------------------------------------

@@ -338,6 +338,19 @@ def pow_oracle(field, x, e):
     return result
 
 
+def odd_prime_powers(limit):
+    """(q, p, t) for every odd prime power q <= limit, ascending in q."""
+    out = []
+    for p in range(3, limit + 1):
+        if any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+            continue
+        q, t = p, 1
+        while q <= limit:
+            out.append((q, p, t))
+            q, t = q * p, t + 1
+    return sorted(out)
+
+
 def splitting_oracle(T, a, n, q):
     """``check_duadic_splitting`` as it was before its unreachable
     branches went: it also checks that the multiplier maps S2 onto T and

@@ -39,6 +39,7 @@ from oracles import (
     euclidean_dual,
     extension_weight_audit,
     hermitian_dual,
+    odd_prime_powers,
     same_code,
 )
 
@@ -57,19 +58,6 @@ def criterion(num: int, title: str):
         raise
     RESULTS[num] = (True, "%s (%.1f s)"
                     % (info["note"], time.perf_counter() - start))
-
-
-def odd_prime_powers(limit):
-    """(q, p, t) for every odd prime power q <= limit, ascending in q."""
-    out = []
-    for p in range(3, limit + 1):
-        if any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
-            continue
-        q, t = p, 1
-        while q <= limit:
-            out.append((q, p, t))
-            q, t = q * p, t + 1
-    return sorted(out)
 
 
 def naive_distance(code):

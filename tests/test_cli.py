@@ -758,6 +758,32 @@ def test_splitting_refuses_a_length_below_one(n, capsys):
     assert rc == 2 and lines[0]["error"] == "MalformedInput"
 
 
+def test_splitting_refuses_a_length_above_the_dlog_guard(capsys,
+                                                         monkeypatch):
+    # the coset walks run over the powers of q mod n: n = 25 is refused
+    # under a discrete-log guard of 24 before any set is built, and
+    # prints the plain output under 25; each run reads the environment
+    # once
+    argv = ("splitting", "--n", "25", "--q", "49", "--multiplier", "18",
+            "--set-from", "7", "--set-to", "18")
+    plain = run_cli(capsys, *argv)
+    built, reads = [], []
+    from_env = GuardConfig.from_env
+    monkeypatch.setattr(cli, "DefiningSet",
+                        lambda *a: built.append(a) or DefiningSet(*a))
+    monkeypatch.setattr(GuardConfig, "from_env",
+                        staticmethod(lambda: reads.append(1) or from_env()))
+    monkeypatch.setenv("SELFDUAL_GUARD_OVERRIDE", "dlog_limit=24")
+    assert run_cli(capsys, *argv) == (1, [{
+        "error": "DiscreteLogGuardExceeded",
+        "message": "modulus n = 25 exceeds the discrete-log guard 24"}])
+    assert (built, len(reads)) == ([], 1)
+    monkeypatch.setenv("SELFDUAL_GUARD_OVERRIDE", "dlog_limit=25")
+    assert run_cli(capsys, *argv) == plain
+    assert (len(built), len(reads)) == (1, 2)
+    assert plain[1][0]["is_splitting"] is False
+
+
 def test_successive_main_calls_keep_their_flags_apart(tmp_path, capsys):
     path = tmp_path / "code.json"
     path.write_text(_hermitian_duadic_record())

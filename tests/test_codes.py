@@ -328,24 +328,6 @@ def test_element_rows_and_value_rows_give_the_same_code(field):
                                      for row in code.generator)
 
 
-@settings(deadline=None, max_examples=100)
-@given(st.sampled_from(GENERATOR_FIELDS), st.data())
-def test_binomial_remainder_is_the_long_division_remainder(spec, data):
-    # any monic g of degree d <= n + 1, so the remainder is rarely zero
-    field = _tower(*spec)
-    element = st.integers(0, field.order - 1).map(field.from_int)
-    n = data.draw(st.integers(1, 12))
-    g = data.draw(st.lists(element, max_size=n + 1)) + [field.one]
-    lam = data.draw(element)
-    arith = linalg_module.packed_field(field, n)
-    got = codes_module.binomial_remainder(
-        arith, list(map(arith.encode, g)), n, arith.encode(lam))
-    _, rem = poly_divmod([-lam] + [field.zero] * (n - 1) + [field.one],
-                         g, field)
-    assert list(map(arith.decode, got)) == (
-        rem + [field.zero] * (len(g) - 1 - len(rem)))
-
-
 def test_shift_root_is_the_first_power_of_full_order_over_lam():
     # the definition on element powers and orders, for every shift
     # constant and fitting length of a few small fields

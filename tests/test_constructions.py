@@ -1,14 +1,15 @@
 """Builder routes: shapes, verification reports, and error paths.
 
 Gamma fixtures were derived by brute scan oracles inside the tests;
-structural identities (self-duality, generator divisibility) are
-re-asserted here even though the builders already check them, so a
-regression in either place is caught.
+structural identities (self-duality, generator divisibility, the
+splittings the preconditions prove) are asserted here whether or not
+the builders check them, so a regression in either place is caught.
 """
 from collections import Counter
+from math import gcd
 
 import pytest
-from oracles import gamma_hermitian_oracle, same_code
+from oracles import gamma_hermitian_oracle, odd_prime_powers, same_code
 
 from selfdual import constructions, linalg
 from selfdual.codes import (
@@ -31,6 +32,7 @@ from selfdual.constructions import (
     solve_gamma_euclidean,
     solve_gamma_hermitian,
 )
+from selfdual.cosets import DefiningSet, check_duadic_splitting
 from selfdual.errors import (
     CharDividesN,
     DuplicatePoints,
@@ -45,6 +47,7 @@ from selfdual.errors import (
 from selfdual.fields import (
     find_primitive_element,
     make_field,
+    nth_root_of_unity,
     quadratic_extension,
     solve_norm,
 )
@@ -366,6 +369,64 @@ def test_centered_splitting_checker():
     with pytest.raises(PreconditionFailed) as err:
         check_centered_duadic_splitting(3, 1, 7)
     assert err.value.reason == "NotDividingQSquaredPlus1"
+
+
+# --- the theorems the cyclic routes rely on instead of checking ---
+#
+# Each route's preconditions prove its x -> -q*x splitting (and, for
+# length 6, the generator's descent to GF(q^2)); the builders check none
+# of it.  These enumerate every parameter set that passes a route's
+# precondition checks for odd q below a bound and assert the theorem.
+
+def test_the_constacyclic_preconditions_give_the_minus_q_splitting():
+    count = 0
+    for q, _, _ in odd_prime_powers(999):
+        for m in range(4, 2 * (q + 1) + 1, 4):      # r*n, r and n even
+            if (2 * (q + 1)) % m:
+                continue
+            for r in range(2, m, 2):
+                n = m // r
+                if m % r or n % 2:
+                    continue
+                e = constructions._v2(n) + constructions._v2(r)
+                if (q * q - 1) % m or q % 2 ** e == 2 ** e - 1:
+                    continue
+                count += 1
+                T = {1 + r * j for j in range(n // 2)}
+                image = {(-q * x) % m for x in T}
+                assert image == {1 + r * j for j in range(n // 2, n)}, \
+                    (q, r, n)
+    assert count == 3001
+
+
+def test_the_hermitian_duadic_preconditions_give_the_splitting():
+    count = 0
+    for q, _, _ in odd_prime_powers(999):
+        for n in range(3, q):
+            if (q - 1) % n or gcd(n, q + 1) != 1:
+                continue
+            count += 1
+            T = DefiningSet(n, tuple(range(1, (n + 1) // 2)))
+            assert check_duadic_splitting(T, -q, n, q * q).is_splitting, \
+                (q, n)
+    assert count == 543
+
+
+@pytest.mark.parametrize("q, p, t", [x for x in odd_prime_powers(49)
+                                     if (x[0] ** 2 + 1) % 5 == 0])
+def test_the_length_6_generator_is_the_product_of_its_roots(q, p, t):
+    # (x - b**2)(x - b**3) on GF(q^4) elements is the builder's (1, -s, 1)
+    # embedded, and {2, 3} splits against -q
+    result = build_hermitian_n5(p, t)
+    tower = result.code.field
+    quartic = quadratic_extension(tower)
+    beta = nth_root_of_unity(quartic, 5)
+    b2, b3 = beta ** 2, beta ** 3
+    assert (b2 * b3, -(b2 + b3), quartic.one) == tuple(
+        map(quartic.embed, result.cyclic.g))
+    assert result.cyclic.g[0] == result.cyclic.g[2] == tower.one
+    T = DefiningSet(5, (2, 3))
+    assert check_duadic_splitting(T, -q, 5, q * q).is_splitting
 
 
 # --- dispatcher ---

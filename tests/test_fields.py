@@ -4,6 +4,7 @@ Expected moduli below were frozen from exhaustive irreducibility scans
 done by hand (degree <= 2) or by the brute_irreducible oracle here.
 """
 import functools
+import inspect
 import itertools
 import json
 import random
@@ -156,8 +157,12 @@ CANONICAL_FIELDS = sorted(
 @pytest.mark.parametrize("p, t", CANONICAL_FIELDS)
 def test_canonical_modulus_is_the_oracle_search(p, t):
     # the uncached search, which skips candidates with a root in GF(p)
-    assert make_field.__wrapped__(p, t).modulus == \
+    assert fields._canonical_field.__wrapped__(p, t).modulus == \
         _least_irreducible_oracle(p, t)
+
+
+def test_make_field_signature_lists_its_guards():
+    assert "guards" in inspect.signature(make_field).parameters
 
 
 @pytest.mark.parametrize("c, p", [
