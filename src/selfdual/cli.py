@@ -2,14 +2,16 @@
 
 Output is NDJSON (one JSON object per line) unless --pretty is given.
 Exit codes: 0 success, 1 domain or predicate failure, 2 malformed
-input or a construction that failed its own verification.
+input (a usage error included) or a construction that failed its own
+verification.  ``parse_args`` reads the arguments from one table,
+``_SPEC``, so a process imports no argument parser and builds none.
 """
 from __future__ import annotations
 
-import argparse
-import functools
 import json
+import re
 import sys
+from types import SimpleNamespace
 
 from .codes import code_from_json, verify_code
 from .config import current_guards
@@ -175,62 +177,204 @@ def cmd_splitting(args) -> int:
     return 0
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: ``parse_args``
-    keeps no state between calls, so every ``main()`` shares it."""
-    ap = argparse.ArgumentParser(
-        prog="selfdual",
-        description="Construct and verify MDS self-dual codes over "
-                    "finite fields.",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    c = sub.add_parser("construct", help="build one code and print it")
-    c.add_argument("route", choices=CONSTRUCT_ROUTES)
-    c.add_argument("--p", type=int, required=True, help="field characteristic")
-    c.add_argument("--t", type=int, default=1, help="extension degree")
-    c.add_argument("--n", type=int, help="code or cyclic length")
-    c.add_argument("--r", type=int, help="shift constant order (constacyclic)")
-    c.add_argument("--points", help="comma separated point indices (GRS)")
-    c.add_argument("--pretty", action="store_true")
-
-    v = sub.add_parser("verify", help="re-check a serialized code")
-    v.add_argument("file", help="JSON file produced by construct")
-    v.add_argument("--mds",
-                   choices=["auto", "exhaustive", "columns", "monte-carlo",
-                            "bch"],
-                   default="auto")
-    v.add_argument("--trials", type=int, default=1000)
-    v.add_argument("--inner", choices=["auto", "euclidean", "hermitian"],
-                   default="auto")
-    v.add_argument("--pretty", action="store_true")
-
-    tbl = sub.add_parser("table", help="run the reference length sweep")
-    tbl.add_argument("--pretty", action="store_true")
-
-    s = sub.add_parser("splitting", help="check a multiplier splitting")
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--q", type=int, required=True,
-                   help="coset multiplier base")
-    s.add_argument("--multiplier", type=int, required=True)
-    s.add_argument("--set-from", dest="set_from", type=int, required=True)
-    s.add_argument("--set-to", dest="set_to", type=int, required=True)
-    s.add_argument("--pretty", action="store_true")
-    return ap
-
-
-_COMMANDS = {
-    "construct": cmd_construct,
-    "verify": cmd_verify,
-    "table": cmd_table,
-    "splitting": cmd_splitting,
+# The command line: for each command, its handler, its help, its
+# positionals and its options.  A positional is (dest, choices or None,
+# help); an option is (flag, type, default, required, choices or None,
+# help), its dest the flag less its dashes with "-" read as "_".  Type
+# bool marks a flag that takes no value and stores True.
+_PRETTY = ("--pretty", bool, False, False, None,
+           "indented JSON instead of one line per object")
+_SPEC = {
+    "construct": (cmd_construct, "build one code and print it", (
+        ("route", CONSTRUCT_ROUTES, "construction route"),
+    ), (
+        ("--p", int, None, True, None, "field characteristic"),
+        ("--t", int, 1, False, None, "extension degree"),
+        ("--n", int, None, False, None, "code or cyclic length"),
+        ("--r", int, None, False, None, "shift constant order (constacyclic)"),
+        ("--points", str, None, False, None,
+         "comma separated point indices (GRS)"),
+        _PRETTY,
+    )),
+    "verify": (cmd_verify, "re-check a serialized code", (
+        ("file", None, "JSON file produced by construct"),
+    ), (
+        ("--mds", str, "auto", False,
+         ("auto", "exhaustive", "columns", "monte-carlo", "bch"),
+         "MDS verification mode"),
+        ("--trials", int, 1000, False, None, "Monte-Carlo trials"),
+        ("--inner", str, "auto", False, ("auto", "euclidean", "hermitian"),
+         "inner product of the self-duality check"),
+        _PRETTY,
+    )),
+    "table": (cmd_table, "run the reference length sweep", (), (_PRETTY,)),
+    "splitting": (cmd_splitting, "check a multiplier splitting", (), (
+        ("--n", int, None, True, None, "modulus"),
+        ("--q", int, None, True, None, "coset multiplier base"),
+        ("--multiplier", int, None, True, None, "the multiplier"),
+        ("--set-from", int, None, True, None, "least member of the set"),
+        ("--set-to", int, None, True, None, "greatest member of the set"),
+        _PRETTY,
+    )),
 }
+_HELP = ("-h", "--help")
+# as argparse reads a token: one that starts with "-" is a value only
+# when it is "-" alone or looks like a negative number
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _is_value(token: str) -> bool:
+    return (token[:1] != "-" or token == "-"
+            or _NEGATIVE.match(token) is not None)
+
+
+def _wrap(words, indent: int) -> str:
+    """``words`` joined by spaces into lines of at most 79 columns, each
+    line after the first indented by ``indent``."""
+    lines = [words[0]]
+    for word in words[1:]:
+        if len(lines[-1]) + 1 + len(word) > 79:
+            lines.append(" " * indent + word)
+        else:
+            lines[-1] += " " + word
+    return "\n".join(lines)
+
+
+def _usage(command) -> str:
+    if command is None:
+        return "usage: selfdual {%s} ..." % ",".join(_SPEC)
+    _, _, positionals, options = _SPEC[command]
+    words = ["usage: selfdual", command]
+    words += [dest.upper() for dest, _, _ in positionals]
+    for flag, kind, _, required, _, _ in options:
+        word = flag if kind is bool else "%s %s" % (flag, _dest(flag).upper())
+        words.append(word if required else "[%s]" % word)
+    return _wrap(words, 16)
+
+
+def _help(command) -> str:
+    """The usage, the description and each argument with its help."""
+    if command is None:
+        rows = [(name, spec[1]) for name, spec in _SPEC.items()]
+        about = ("Construct and verify MDS self-dual codes over finite "
+                 "fields.\n'selfdual COMMAND -h' lists a command's options.")
+    else:
+        _, about, positionals, options = _SPEC[command]
+        rows = [(dest, text + (", one of: %s" % ", ".join(choices)
+                               if choices else ""))
+                for dest, choices, text in positionals]
+        for flag, kind, default, required, choices, text in options:
+            if choices:
+                text += ", one of: %s" % ", ".join(choices)
+            if required:
+                text += " (required)"
+            elif kind is not bool and default is not None:
+                text += " (default %s)" % default
+            rows.append((flag, text))
+    width = max(len(name) for name, _ in rows) + 2
+    return "%s\n\n%s\n\n%s" % (_usage(command), about, "\n".join(
+        _wrap(["  %-*s" % (width, name)] + text.split(), width + 3)
+        for name, text in rows))
+
+
+def _fail(command, message: str):
+    """A usage error: the usage and the message on stderr, exit 2."""
+    sys.stderr.write("%s\nselfdual: error: %s\n" % (_usage(command), message))
+    raise SystemExit(2)
+
+
+def _convert(command, name: str, kind, choices, token: str):
+    try:
+        value = kind(token)
+    except ValueError:
+        _fail(command, "argument %s: invalid %s value: %r"
+              % (name, kind.__name__, token))
+    if choices is not None and value not in choices:
+        _fail(command, "argument %s: invalid choice: %r (choose from %s)"
+              % (name, value, ", ".join(choices)))
+    return value
+
+
+def parse_args(argv=None) -> SimpleNamespace:
+    """The arguments of one ``selfdual`` command, as read from ``_SPEC``.
+
+    Reads ``sys.argv[1:]`` when ``argv`` is None.  Options may come
+    before or after the positionals, as ``--opt value`` or
+    ``--opt=value``, and the last of a repeated option wins; an option
+    is named in full, and ``--`` is no end of the options.  ``-h`` or
+    ``--help`` prints the help and exits 0; a usage error prints the
+    usage and the error on stderr and exits 2.
+    The namespace holds ``command`` and one attribute per argument of
+    the command, absent options at their defaults.
+    """
+    tokens = sys.argv[1:] if argv is None else list(argv)
+    if not tokens:
+        _fail(None, "the following arguments are required: command")
+    command = tokens[0]
+    if command in _HELP:
+        print(_help(None))
+        raise SystemExit(0)
+    if command not in _SPEC:
+        _fail(None, "argument command: invalid choice: %r (choose from %s)"
+              % (command, ", ".join(_SPEC)))
+    _, _, positionals, options = _SPEC[command]
+    by_flag = {option[0]: option for option in options}
+    args = {"command": command}
+    args.update((dest, None) for dest, _, _ in positionals)
+    args.update((_dest(option[0]), option[2]) for option in options)
+    free, extra = iter(positionals), []
+    i = 1
+    while i < len(tokens):
+        token = tokens[i]
+        i += 1
+        if token in _HELP:
+            print(_help(command))
+            raise SystemExit(0)
+        if _is_value(token):
+            slot = next(free, None)
+            if slot is None:
+                extra.append(token)
+            else:
+                args[slot[0]] = _convert(command, slot[0], str, slot[1],
+                                         token)
+            continue
+        flag, eq, value = token.partition("=")
+        if flag not in by_flag:
+            _fail(command, "unrecognized argument: %s" % token)
+        _, kind, _, _, choices, _ = by_flag[flag]
+        if kind is bool:
+            if eq:
+                _fail(command, "argument %s: ignored explicit argument %r"
+                      % (flag, value))
+            value = True
+        else:
+            if not eq:
+                if i == len(tokens) or not _is_value(tokens[i]):
+                    _fail(command, "argument %s: expected one argument"
+                          % flag)
+                value = tokens[i]
+                i += 1
+            value = _convert(command, flag, kind, choices, value)
+        args[_dest(flag)] = value
+    # a required option has no default: None until it is given
+    missing = [dest for dest, _, _ in free] + [
+        flag for flag, _, _, required, _, _ in options
+        if required and args[_dest(flag)] is None]
+    if missing:
+        _fail(command, "the following arguments are required: %s"
+              % ", ".join(missing))
+    if extra:
+        _fail(command, "unrecognized arguments: %s" % " ".join(extra))
+    return SimpleNamespace(**args)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    handler = _COMMANDS[args.command]
+    args = parse_args(argv)
+    handler = _SPEC[args.command][0]
     try:
         return handler(args)
     except MalformedInput as exc:

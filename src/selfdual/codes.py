@@ -45,6 +45,7 @@ from math import comb, gcd
 from .config import GuardConfig, current_guards
 from .cosets import DefiningSet, consecutive_run
 from .errors import (
+    DiscreteLogGuardExceeded,
     GuardExceeded,
     MalformedInput,
     NoCyclicStructure,
@@ -328,7 +329,9 @@ def _root_powers(arith: PackedField, n: int, lam: Element,
 
 
 def generator_from_defining_set(field: Field, n: int, lam: Element,
-                                T: DefiningSet) -> CyclicSpec:
+                                T: DefiningSet,
+                                guards: GuardConfig | None = None
+                                ) -> CyclicSpec:
     """Build the monic generator with roots alpha**i, i in T.
 
     ``alpha`` is the canonical root of unity of order n (cyclic case,
@@ -342,7 +345,16 @@ def generator_from_defining_set(field: Field, n: int, lam: Element,
     n roots are distinct, so x**n - lam is their product, and the
     distinct roots alpha**i, i in T (residues mod m), divide it exactly
     when r | i - 1 for every i in T; otherwise ``NotDividing``.
+
+    The root walk holds all m = ``T.modulus`` powers of alpha, so an m
+    above ``dlog_limit`` is refused with ``DiscreteLogGuardExceeded``
+    before the field is packed.
     """
+    guards = current_guards(guards)
+    if T.modulus > guards.dlog_limit:
+        raise DiscreteLogGuardExceeded(
+            "defining set modulus %d exceeds the discrete-log guard %d"
+            % (T.modulus, guards.dlog_limit))
     arith = packed_field(field, n)
     powers = _root_powers(arith, n, lam, T.modulus)
     r = T.modulus // n

@@ -41,8 +41,10 @@ class GuardConfig(Frozen):
       field of order q above it gets no Zech-log table (q - 1 powers),
       a base order q above it stops the norm walk of the Hermitian
       routes (q - 1 base powers), a defining set modulus m above it
-      stops the root walk of the root-run rung (m powers), and an n
-      above it stops ``selfdual splitting`` (powers of q mod n).
+      stops the root walk of the root-run rung and of a cyclic route's
+      generator (m powers), and an n above it stops ``selfdual
+      splitting`` and ``check_centered_duadic_splitting`` (powers of q
+      mod n).
     - ``codeword_limit``: ``min_distance_exhaustive()`` refuses when
       q**k exceeds this.
     - ``column_limit``: ``mds_check(exhaustive-columns)`` refuses when

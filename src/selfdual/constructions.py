@@ -28,12 +28,12 @@ from .config import GuardConfig, current_guards
 from .cosets import DefiningSet, SplittingReport, check_duadic_splitting
 from .errors import (
     CharDividesN,
+    DiscreteLogGuardExceeded,
     DuplicatePoints,
     GuardExceeded,
     MalformedInput,
     NoGamma,
     NoSolution,
-    NotPrime,
     OddLength,
     PreconditionFailed,
     TooLong,
@@ -43,6 +43,7 @@ from .fields import (
     Element,
     Field,
     TowerSpec,
+    admit_field,
     check_field_size,
     element_to_json,
     find_primitive_element,
@@ -53,7 +54,7 @@ from .fields import (
     sqrt_in_field,
 )
 from .frozen import Frozen
-from .numtheory import gamma_solvability, is_prime
+from .numtheory import gamma_solvability
 
 
 def _v2(x: int) -> int:
@@ -245,7 +246,7 @@ def build_euclidean_duadic_extended(p: int, t: int, n: int,
             "NotDivisor", "n = %d does not divide q - 1 = %d" % (n, q - 1)
         )
     T = DefiningSet(n, tuple(range(1, (n + 1) // 2)))
-    spec = generator_from_defining_set(field, n, field.one, T)
+    spec = generator_from_defining_set(field, n, field.one, T, guards)
     try:
         gamma = solve_gamma_euclidean(field, n)
     except NoSolution as exc:
@@ -363,7 +364,7 @@ def build_constacyclic_hermitian(p: int, t: int, n: int, r: int,
     tower = quadratic_extension(field)
     lam = nth_root_of_unity(tower, r)
     T = DefiningSet(r * n, tuple(1 + r * j for j in range(n // 2)), step=r)
-    spec = generator_from_defining_set(tower, n, lam, T)
+    spec = generator_from_defining_set(tower, n, lam, T, guards)
     code = cyclic_generator_matrix(spec)
     report = _verified_report(code, guards, defining=T, lam=lam)
     return ConstructionResult(code, "Thm4", "constacyclic", report,
@@ -435,7 +436,7 @@ def build_hermitian_extended_duadic(p: int, t: int, n: int,
         )
     tower = quadratic_extension(field)
     T = DefiningSet(n, tuple(range(1, (n + 1) // 2)))
-    spec = generator_from_defining_set(tower, n, tower.one, T)
+    spec = generator_from_defining_set(tower, n, tower.one, T, guards)
     return _extended(spec, solve_gamma_hermitian(tower, n, guards),
                      "hermitian-duadic", "Thm8", guards)
 
@@ -476,13 +477,28 @@ def build_hermitian_n5(p: int, t: int,
                      "hermitian-n5", "Thm7", guards)
 
 
-def check_centered_duadic_splitting(p: int, t: int, n: int) -> SplittingReport:
+def check_centered_duadic_splitting(p: int, t: int, n: int,
+                                    guards: GuardConfig | None = None
+                                    ) -> SplittingReport:
     """Check the x -> -q*x splitting for the centered defining set
     {(n+3)/4, ..., (3n-3)/4} modulo n, for odd n | q^2 + 1 with
-    n = 1 (mod 4).  Reports the witness when the splitting fails."""
-    if not is_prime(p):
-        raise NotPrime("p = %d is not prime" % p)
-    q = p ** t
+    n = 1 (mod 4).  Reports the witness when the splitting fails.
+
+    GF(p^t) is admitted as ``make_field`` admits it, before any
+    arithmetic on p and t, and no field is built.  The coset walks run
+    over the powers of q^2 mod n and the two halves hold up to n
+    residues, so an n above ``dlog_limit`` is refused, as by
+    ``selfdual splitting``.
+    """
+    guards = current_guards(guards)
+    q = admit_field(p, t, guards)
+    if n > guards.dlog_limit:
+        raise DiscreteLogGuardExceeded(
+            "modulus n = %d exceeds the discrete-log guard %d"
+            % (n, guards.dlog_limit))
+    if n < 1:
+        raise PreconditionFailed("LengthTooSmall",
+                                 "n = %d must be >= 1" % n)
     if (q * q + 1) % n != 0:
         raise PreconditionFailed(
             "NotDividingQSquaredPlus1", "n = %d does not divide q^2 + 1" % n

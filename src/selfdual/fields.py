@@ -458,10 +458,9 @@ def poly_is_irreducible(coeffs: Sequence[int], p: int) -> bool:
     return any(u)
 
 
-def make_field(p: int, t: int, *,
-               guards: GuardConfig | None = None) -> FieldSpec:
-    """Canonical GF(p^t), the one object per (p, t) of
-    ``_canonical_field``, once the field is admitted under ``guards``.
+def admit_field(p: int, t: int, guards: GuardConfig | None = None) -> int:
+    """The order q = p**t of GF(p^t), once the field is admitted under
+    ``guards``; no field is built.
 
     The size guard is read on p and t before any arithmetic on them:
     p**t >= 2**t, so a p or a t beyond the bounds below gives an order
@@ -477,7 +476,17 @@ def make_field(p: int, t: int, *,
         raise NotPrime("p = %d is not prime" % p)
     if t < 1:
         raise DegreeZero("extension degree must be >= 1")
-    check_field_size(p ** t, guards)
+    q = p ** t
+    check_field_size(q, guards)
+    return q
+
+
+def make_field(p: int, t: int, *,
+               guards: GuardConfig | None = None) -> FieldSpec:
+    """Canonical GF(p^t), the one object per (p, t) of
+    ``_canonical_field``, once ``admit_field`` admits it under
+    ``guards``."""
+    admit_field(p, t, guards)
     return _canonical_field(p, t)
 
 

@@ -25,12 +25,15 @@ from index 1 or 2 and raise every candidate to full-field powers, take
 Tonelli-Shanks with no subfield shortcut, prove Rabin's units by their
 p**t - 1 powers, scan gamma's coset on element objects and an even-q
 quadratic's roots one by one.
+``cli_parser_oracle`` is the argparse parser the command line used
+before it read its arguments from ``cli._SPEC``.
 ``ENCODINGS`` is no oracle: it names the package's two integer
 encodings of a field, for the tests that run one kernel on both.  Nor
 are ``codeword``, ``element_rows``, ``same_code`` and
 ``extension_weight_audit``: they read a code through the package's own
 reduced form and codeword scan, and only the tests use them.
 """
+import argparse
 import functools
 import itertools
 from math import gcd
@@ -45,6 +48,7 @@ from selfdual import (
     frobenius,
     solve_norm,
 )
+from selfdual.cli import CONSTRUCT_ROUTES
 from selfdual.codes import _projective_scan
 from selfdual.config import current_guards
 from selfdual.errors import NotCoprime, ZeroElement, ZeroInSet
@@ -624,3 +628,46 @@ def even_quadratic_oracle(field):
             return c0, c1
     raise AssertionError("no irreducible quadratic")
 
+
+
+def cli_parser_oracle() -> argparse.ArgumentParser:
+    """The argparse parser of the four ``selfdual`` commands."""
+    ap = argparse.ArgumentParser(
+        prog="selfdual",
+        description="Construct and verify MDS self-dual codes over "
+                    "finite fields.",
+    )
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    c = sub.add_parser("construct", help="build one code and print it")
+    c.add_argument("route", choices=CONSTRUCT_ROUTES)
+    c.add_argument("--p", type=int, required=True, help="field characteristic")
+    c.add_argument("--t", type=int, default=1, help="extension degree")
+    c.add_argument("--n", type=int, help="code or cyclic length")
+    c.add_argument("--r", type=int, help="shift constant order (constacyclic)")
+    c.add_argument("--points", help="comma separated point indices (GRS)")
+    c.add_argument("--pretty", action="store_true")
+
+    v = sub.add_parser("verify", help="re-check a serialized code")
+    v.add_argument("file", help="JSON file produced by construct")
+    v.add_argument("--mds",
+                   choices=["auto", "exhaustive", "columns", "monte-carlo",
+                            "bch"],
+                   default="auto")
+    v.add_argument("--trials", type=int, default=1000)
+    v.add_argument("--inner", choices=["auto", "euclidean", "hermitian"],
+                   default="auto")
+    v.add_argument("--pretty", action="store_true")
+
+    tbl = sub.add_parser("table", help="run the reference length sweep")
+    tbl.add_argument("--pretty", action="store_true")
+
+    s = sub.add_parser("splitting", help="check a multiplier splitting")
+    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--q", type=int, required=True,
+                   help="coset multiplier base")
+    s.add_argument("--multiplier", type=int, required=True)
+    s.add_argument("--set-from", dest="set_from", type=int, required=True)
+    s.add_argument("--set-to", dest="set_to", type=int, required=True)
+    s.add_argument("--pretty", action="store_true")
+    return ap

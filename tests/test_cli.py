@@ -2,11 +2,14 @@
 import contextlib
 import copy
 import functools
+import importlib.util
 import io
 import itertools
 import json
 import operator
 import os
+import re
+import shlex
 import tempfile
 from collections import Counter
 
@@ -46,10 +49,28 @@ from selfdual.fields import (
     quadratic_extension,
     solve_norm,
 )
+from oracles import cli_parser_oracle
 from test_constructions import one_wrong_norm
+
+ORACLE = cli_parser_oracle()
+
+
+def parse(parse_args, argv):
+    """(the attributes ``parse_args(argv)`` returns, or the code it
+    exits with; what it wrote to stdout)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            result = vars(parse_args(list(argv)))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue()
 
 
 def run_cli(capsys, *argv):
+    # every argv a test runs parses as the argparse oracle parses it
+    assert parse(cli.parse_args, argv) == parse(ORACLE.parse_args, argv)
     rc = main(list(argv))
     out = capsys.readouterr().out.strip()
     lines = [json.loads(line) for line in out.splitlines()] if out else []
@@ -937,6 +958,197 @@ def test_verify_refuses_a_file_nested_too_deep(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100000)
     with pytest.raises(MalformedInput):
-        cli.cmd_verify(cli.build_parser().parse_args(["verify", str(path)]))
+        cli.cmd_verify(cli.parse_args(["verify", str(path)]))
     rc, lines = run_cli(capsys, "verify", str(path))
     assert rc == 2 and lines[0]["error"] == "MalformedInput"
+
+
+# --- the command-line parser against the argparse oracle ---
+
+# values in every role, valid or not: an int, a negative int, no int,
+# an empty string, "-" alone and a token argparse reads as an option
+_VALUES = ("7", "-3", "x", "3.5", "-1.5", "", "-", "-x", "0,1", "1, 2")
+_FLAGS = tuple(sorted({option[0] for *_, options in cli._SPEC.values()
+                       for option in options}))
+
+
+def _valid(option):
+    """Values ``option`` accepts."""
+    flag, kind, _, _, choices, _ = option
+    if choices is not None:
+        return choices
+    return ("7", "11", "-3", "0") if kind is int else ("0,1,2", "1, 2")
+
+
+@st.composite
+def _argv(draw):
+    """An argv of one command, in its grammar or out of it by up to two
+    kinds of fault: the positionals and options in any order, each
+    option as ``--opt value`` or ``--opt=value`` and drawn up to twice.
+    The faults: a positional missing, bad or extra (``positional``); a
+    value that is no int or outside the choices (``value``); an option
+    with no value, or a flag with one (``form``); a required option
+    absent (``count``); an option of no command, or of another command
+    (``stranger``).  No option is abbreviated: argparse reads a prefix
+    of one flag as that flag, where ``parse_args`` refuses it."""
+    command = draw(st.sampled_from((*cli._SPEC, "frobnicate", "-5")))
+    if command not in cli._SPEC:
+        return [command, *draw(st.lists(st.sampled_from(_VALUES),
+                                        max_size=2))]
+    *_, positionals, options = cli._SPEC[command]
+    faults = draw(st.sets(st.sampled_from(
+        ("positional", "value", "form", "count", "stranger")), max_size=2))
+    items = []
+    for _, choices, _ in positionals or ((None, None, None),):
+        pool = choices or ("code.json", "-", "-3")
+        if "positional" in faults:
+            items += [[draw(st.sampled_from(pool + _VALUES))]
+                      for _ in range(draw(st.sampled_from((0, 1, 2))))]
+        elif positionals:
+            items.append([draw(st.sampled_from(pool))])
+    for option in options:
+        flag, kind, _, required, _, _ = option
+        counts = (0, 1, 1, 2) if "count" in faults or not required \
+            else (1, 1, 2)
+        for _ in range(draw(st.sampled_from(counts))):
+            if kind is bool:
+                items.append([draw(st.sampled_from(
+                    (flag, flag + "=1") if "form" in faults else (flag,)))])
+                continue
+            value = draw(st.sampled_from(_valid(option) + _VALUES
+                                         if "value" in faults
+                                         else _valid(option)))
+            form = draw(st.sampled_from(("pair", "equals", "bare")
+                                        if "form" in faults
+                                        else ("pair", "equals")))
+            items.append({"pair": [flag, value],
+                          "equals": ["%s=%s" % (flag, value)],
+                          "bare": [flag]}[form])
+    if "stranger" in faults:
+        own = [option[0] for option in options]
+        items.append([draw(st.sampled_from(
+            [flag for flag in _FLAGS + ("--bogus", "-p", "-x")
+             if not any(f.startswith(flag) for f in own)]))])
+    order = draw(st.permutations(items))
+    return [command] + [token for item in order for token in item]
+
+
+@settings(deadline=None, max_examples=400)
+@given(_argv())
+def test_the_parser_reads_every_argv_as_the_argparse_oracle(argv):
+    # the same attributes, or exit 2 on both sides; neither writes to
+    # stdout
+    mine = parse(cli.parse_args, argv)
+    assert mine == parse(ORACLE.parse_args, argv)
+    assert mine[1] == "" and mine[0] != 0
+
+
+def _documented_argvs():
+    """Each ``selfdual`` argv of the README, of the CI workflow and of
+    the benchmark's cli-cold pool."""
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        os.pardir)
+    argvs = []
+    for name in ("README.md", os.path.join(".github", "workflows",
+                                           "tests.yml")):
+        with open(os.path.join(root, name), encoding="utf-8") as fh:
+            text = fh.read()
+        for match in re.finditer(r"\bselfdual ((?:construct|verify|table|"
+                                 r"splitting|frobnicate|-)[^`$)|>;&\n#]*)",
+                                 text):
+            argvs.append(shlex.split(match.group(1)))
+    spec = importlib.util.spec_from_file_location(
+        "workloads", os.path.join(root, "perfbench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    argvs += [["construct", *argv] for argv in workloads.CLI_POOL]
+    return argvs
+
+
+def test_every_documented_argv_parses_as_the_oracle_parses_it():
+    argvs = _documented_argvs()
+    assert ["splitting", "--n", "25", "--q", "49", "--multiplier", "18",
+            "--set-from", "7", "--set-to", "18"] in argvs
+    assert ["construct", "hermitian-n5", "--p", "23"] in argvs
+    for argv in argvs:
+        assert parse(cli.parse_args, argv)[0] == \
+            parse(ORACLE.parse_args, argv)[0], argv
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"],
+                                  *[[name, "-h"] for name in cli._SPEC],
+                                  ["construct", "--p", "7", "--help"]])
+def test_help_prints_the_usage_on_stdout_and_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0 and err == ""
+    command = argv[0] if argv[0] in cli._SPEC else None
+    assert out.startswith(cli._usage(command) + "\n")
+    for option in cli._SPEC[command][3] if command else ():
+        assert "\n  %s " % option[0] in out
+
+
+@pytest.mark.parametrize("argv, token", [
+    (["splitting", "--n", "25", "--q", "49", "--mult", "18",
+      "--set-from", "7", "--set-to", "18"], "--mult"),
+    (["construct", "euclidean-duadic", "--p", "7", "--n", "3", "--pre"],
+     "--pre"),
+    (["verify", "code.json", "--tri=5"], "--tri=5"),
+    (["verify", "--", "code.json"], "--"),
+])
+def test_an_abbreviation_or_a_double_dash_is_refused(argv, token, capsys):
+    # argparse reads the prefix of one flag as that flag, and "--" as
+    # the end of the options
+    assert isinstance(parse(ORACLE.parse_args, argv)[0], dict)
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.endswith("selfdual: error: unrecognized argument: %s\n"
+                        % token)
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate' "
+     "(choose from construct, verify, table, splitting)"),
+    (["construct", "euclidean-duadic", "--n", "3"],
+     "the following arguments are required: --p"),
+    (["verify"], "the following arguments are required: file"),
+    (["construct", "euclidean-duadic", "--p", "seven"],
+     "argument --p: invalid int value: 'seven'"),
+    (["verify", "code.json", "--mds", "bogus"],
+     "argument --mds: invalid choice: 'bogus' (choose from auto, "
+     "exhaustive, columns, monte-carlo, bch)"),
+    (["construct", "bogus", "--p", "7"],
+     "argument route: invalid choice: 'bogus' (choose from "
+     + ", ".join(cli.CONSTRUCT_ROUTES) + ")"),
+    (["table", "extra"], "unrecognized arguments: extra"),
+    (["table", "--bogus"], "unrecognized argument: --bogus"),
+    (["verify", "code.json", "--trials"],
+     "argument --trials: expected one argument"),
+    (["verify", "code.json", "--trials", "--pretty"],
+     "argument --trials: expected one argument"),
+    (["table", "--pretty=1"],
+     "argument --pretty: ignored explicit argument '1'"),
+])
+def test_a_usage_error_exits_two_and_leaves_stdout_empty(argv, message,
+                                                         capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    command = argv[0] if argv and argv[0] in cli._SPEC else None
+    assert err == "%s\nselfdual: error: %s\n" % (cli._usage(command),
+                                                  message)
+    assert parse(ORACLE.parse_args, argv) == (2, "")
+
+
+def test_options_read_in_any_order_and_the_last_repeat_wins():
+    args = cli.parse_args(["verify", "--trials=5", "--mds", "bch",
+                           "code.json", "--trials", "-7", "--pretty",
+                           "--mds=columns"])
+    assert vars(args) == {"command": "verify", "file": "code.json",
+                          "mds": "columns", "trials": -7, "inner": "auto",
+                          "pretty": True}

@@ -369,6 +369,10 @@ def test_centered_splitting_checker():
     with pytest.raises(PreconditionFailed) as err:
         check_centered_duadic_splitting(3, 1, 7)
     assert err.value.reason == "NotDividingQSquaredPlus1"
+    # n = 0 once divided by zero
+    with pytest.raises(PreconditionFailed) as err:
+        check_centered_duadic_splitting(3, 1, 0)
+    assert err.value.reason == "LengthTooSmall"
 
 
 # --- the theorems the cyclic routes rely on instead of checking ---

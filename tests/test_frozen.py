@@ -32,10 +32,12 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
 def test_import_loads_neither_dataclasses_nor_inspect():
     # -S keeps site hooks from importing modules of their own; the packed
     # field arithmetic reads its lanes through memoryview, so neither
-    # array nor struct (each a shared library to load) is needed either
+    # array nor struct (each a shared library to load) is needed either,
+    # and the command line reads its arguments from its own table, with
+    # neither argparse nor the gettext it imports
     probe = ("import sys; sys.path.insert(0, %r); import selfdual.cli; "
-             "print(sorted({'dataclasses', 'inspect', 'array', '_struct'}"
-             " & set(sys.modules)))" % SRC)
+             "print(sorted({'dataclasses', 'inspect', 'array', '_struct',"
+             " 'argparse', 'gettext'} & set(sys.modules)))" % SRC)
     out = subprocess.run([sys.executable, "-S", "-c", probe],
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

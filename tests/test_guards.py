@@ -10,10 +10,12 @@ p before any arithmetic (``make_field``), on the largest field a route
 computes in (GF(q^2) for a Hermitian route) and on a record's field
 (``code_from_json``), and ``factor_limit`` on the n of a solvability
 verdict; ``dlog_limit`` at the Zech table, the cached-form gate, the
-norm walk and the root walk of the ``bch`` rung.  Last, a process whose
-environment holds a malformed override runs every builder, the record
-reader and the verifier on an explicit config: none of them reads the
-environment.
+norm walk, the root walk of the ``bch`` rung and that of a cyclic
+route's generator.  ``check_centered_duadic_splitting`` admits its
+field as ``make_field`` does and bounds its n by ``dlog_limit``.
+Last, a process whose environment holds a malformed override runs
+every builder, the record reader and the verifier on an explicit
+config: none of them reads the environment.
 """
 import functools
 import os
@@ -36,6 +38,7 @@ from selfdual.config import GuardConfig
 from selfdual.constructions import (
     build_constacyclic_hermitian,
     build_euclidean_duadic_extended,
+    check_centered_duadic_splitting,
 )
 from selfdual.errors import SelfDualError
 from selfdual.fields import solve_norm
@@ -142,6 +145,27 @@ CASES = [
               "guard 15"),
      MdsCertificate("bch", MdsVerdict("certified-bch"),
                     distance_lower_bound=5)),
+    ("dlog_limit", 3,
+     lambda g: build_euclidean_duadic_extended(7, 1, 3, g).code.n,
+     ("DiscreteLogGuardExceeded",
+      "defining set modulus 3 exceeds the discrete-log guard 2"), 4),
+    ("dlog_limit", 16,
+     lambda g: build_constacyclic_hermitian(7, 1, 8, 2, g).code.n,
+     ("DiscreteLogGuardExceeded",
+      "defining set modulus 16 exceeds the discrete-log guard 15"), 8),
+    ("field_size_limit", 7,
+     lambda g: check_centered_duadic_splitting(7, 1, 25, g).witness,
+     ("SizeGuardExceeded", "p**t exceeds the field size guard 6"), 12),
+    ("field_size_limit", 9,
+     lambda g: check_centered_duadic_splitting(3, 2, 41, g).is_splitting,
+     ("SizeGuardExceeded", "field order 9 exceeds the size guard"), False),
+    ("factor_limit", 8,
+     lambda g: check_centered_duadic_splitting(3, 2, 41, g).is_splitting,
+     _factor_refusal(8), False),
+    ("dlog_limit", 25,
+     lambda g: check_centered_duadic_splitting(7, 1, 25, g).witness,
+     ("DiscreteLogGuardExceeded",
+      "modulus n = 25 exceeds the discrete-log guard 24"), 12),
 ]
 
 
@@ -160,7 +184,12 @@ def _outcome(work, guards):
          "factor_limit-euclidean_route", "factor_limit-hermitian_route",
          "factor_limit-record", "codewords", "columns",
          "dlog_limit-zech_table", "dlog_limit-cached_form",
-         "dlog_limit-norm_walk", "dlog_limit-root_walk"])
+         "dlog_limit-norm_walk", "dlog_limit-root_walk",
+         "dlog_limit-cyclic_generator", "dlog_limit-constacyclic_generator",
+         "field_size-centered_splitting",
+         "field_size-centered_splitting_order",
+         "factor_limit-centered_splitting",
+         "dlog_limit-centered_splitting"])
 def test_a_guard_refuses_one_below_the_need_and_runs_at_it(key, need, work,
                                                            below, at):
     assert _outcome(work, GuardConfig(**{key: need - 1})) == below
