@@ -1,12 +1,13 @@
 """MDS self-dual codes over finite fields: constructions with built-in
-verification, a splitting checker, and a reference length sweep."""
+verification, a splitting checker, and a reference length sweep.
 
+The top level holds the routes and what the README and the benchmark
+use; every other name is imported from its submodule (``selfdual.codes``,
+``selfdual.fields``, ...).  ``selfdual.table`` is bound on import."""
+
+from . import table
 from .codes import (
-    CyclicSpec,
     LinearCode,
-    MdsVerdict,
-    VerificationReport,
-    certify_mds,
     code_from_json,
     code_to_json,
     cyclic_generator_matrix,
@@ -14,10 +15,9 @@ from .codes import (
     generator_from_defining_set,
     is_euclidean_self_dual,
     is_hermitian_self_dual,
-    mds_check,
     min_distance_exhaustive,
 )
-from .config import GuardConfig, current_guards
+from .config import GuardConfig
 from .constructions import (
     ConstructionResult,
     build_constacyclic_hermitian,
@@ -29,15 +29,8 @@ from .constructions import (
     check_centered_duadic_splitting,
     exists_hermitian_dispatch,
     solve_gamma_euclidean,
-    solve_gamma_hermitian,
 )
-from .cosets import (
-    DefiningSet,
-    SplittingReport,
-    check_duadic_splitting,
-    consecutive_run,
-    cyclotomic_coset,
-)
+from .cosets import DefiningSet
 from .errors import (
     MalformedInput,
     NoGamma,
@@ -45,81 +38,6 @@ from .errors import (
     SelfDualError,
     VerificationFailed,
 )
-from .fields import (
-    FieldSpec,
-    TowerSpec,
-    find_primitive_element,
-    frobenius,
-    make_field,
-    nth_root_of_unity,
-    quadratic_extension,
-    solve_norm,
-    sqrt_in_field,
-)
-from .numtheory import (
-    Factorization,
-    SolvabilityVerdict,
-    factorize,
-    gamma_solvability,
-    is_prime,
-)
-from .table import TABLE_ROWS, run_table, run_table_pair
+from .fields import find_primitive_element, make_field, quadratic_extension
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ConstructionResult",
-    "CyclicSpec",
-    "DefiningSet",
-    "Factorization",
-    "FieldSpec",
-    "GuardConfig",
-    "LinearCode",
-    "MalformedInput",
-    "MdsVerdict",
-    "NoGamma",
-    "PreconditionFailed",
-    "SelfDualError",
-    "SolvabilityVerdict",
-    "SplittingReport",
-    "TABLE_ROWS",
-    "TowerSpec",
-    "VerificationFailed",
-    "VerificationReport",
-    "build_constacyclic_hermitian",
-    "build_euclidean_duadic_extended",
-    "build_grs_hermitian",
-    "build_hermitian_extended_duadic",
-    "build_hermitian_n5",
-    "build_negacyclic_hermitian",
-    "certify_mds",
-    "check_centered_duadic_splitting",
-    "check_duadic_splitting",
-    "code_from_json",
-    "code_to_json",
-    "consecutive_run",
-    "current_guards",
-    "cyclic_generator_matrix",
-    "cyclotomic_coset",
-    "exists_hermitian_dispatch",
-    "extend_code",
-    "factorize",
-    "find_primitive_element",
-    "frobenius",
-    "gamma_solvability",
-    "generator_from_defining_set",
-    "is_euclidean_self_dual",
-    "is_hermitian_self_dual",
-    "is_prime",
-    "make_field",
-    "mds_check",
-    "min_distance_exhaustive",
-    "nth_root_of_unity",
-    "quadratic_extension",
-    "run_table",
-    "run_table_pair",
-    "solve_gamma_euclidean",
-    "solve_gamma_hermitian",
-    "solve_norm",
-    "sqrt_in_field",
-]

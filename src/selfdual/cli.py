@@ -56,11 +56,18 @@ def _require_n(args) -> int:
 
 def cmd_construct(args) -> int:
     guards = current_guards(None)
-    route = args.route
-    if route == "euclidean-duadic":
-        result = build_euclidean_duadic_extended(args.p, args.t,
-                                                 _require_n(args), guards)
-    elif route == "grs-hermitian":
+    # the routes that take exactly (p, t, n, guards); built per call, not
+    # at import, so a builder rebound in this module (as a span tracer
+    # rebinds it) is the one called
+    plain = {
+        "euclidean-duadic": build_euclidean_duadic_extended,
+        "negacyclic": build_negacyclic_hermitian,
+        "hermitian-duadic": build_hermitian_extended_duadic,
+        "dispatch": exists_hermitian_dispatch,
+    }
+    if args.route in plain:
+        result = plain[args.route](args.p, args.t, _require_n(args), guards)
+    elif args.route == "grs-hermitian":
         points = None
         if args.points is not None:
             try:
@@ -69,24 +76,15 @@ def cmd_construct(args) -> int:
                 raise MalformedInput("bad --points list: %s" % exc) from exc
         result = build_grs_hermitian(args.p, args.t, _require_n(args),
                                      points=points, guards=guards)
-    elif route == "constacyclic":
+    elif args.route == "constacyclic":
         if args.r is None:
             raise MalformedInput("constacyclic needs --r")
         result = build_constacyclic_hermitian(args.p, args.t,
                                               _require_n(args), args.r, guards)
-    elif route == "negacyclic":
-        result = build_negacyclic_hermitian(args.p, args.t,
-                                            _require_n(args), guards)
-    elif route == "hermitian-duadic":
-        result = build_hermitian_extended_duadic(args.p, args.t,
-                                                 _require_n(args), guards)
-    elif route == "hermitian-n5":
+    else:  # hermitian-n5
         if args.n is not None and args.n != 5:
             raise MalformedInput("hermitian-n5 fixes n = 5")
         result = build_hermitian_n5(args.p, args.t, guards)
-    else:  # dispatch
-        result = exists_hermitian_dispatch(args.p, args.t,
-                                           _require_n(args), guards)
     _emit(result.to_json(), args.pretty)
     return 0
 
@@ -137,20 +135,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
-    from .table import all_match, run_table
+    from .table import run_table
 
     outcomes = run_table()
     for outcome in outcomes:
         _emit(outcome.to_json(), args.pretty)
-    counts = {"CONFIRMED": 0, "UNSUPPORTED": 0, "GUARDED": 0}
-    for outcome in outcomes:
-        counts[outcome.verdict] = counts.get(outcome.verdict, 0) + 1
-    matched = all_match(outcomes)
+    verdicts = [outcome.verdict for outcome in outcomes]
+    matched = all(outcome.matches_expected for outcome in outcomes)
     _emit({
         "pairs": len(outcomes),
-        "confirmed": counts.get("CONFIRMED", 0),
-        "unsupported": counts.get("UNSUPPORTED", 0),
-        "guarded": counts.get("GUARDED", 0),
+        "confirmed": verdicts.count("CONFIRMED"),
+        "unsupported": verdicts.count("UNSUPPORTED"),
+        "guarded": verdicts.count("GUARDED"),
         "all_match_expected": matched,
     }, args.pretty)
     return 0 if matched else 1

@@ -8,14 +8,33 @@ primes of n that are 3 (mod 4) carry an odd total exponent.
 from __future__ import annotations
 
 from .config import GuardConfig, current_guards
-from .errors import EvenN, FactorizationGuardExceeded, NotDivisor, NotPrime
+from .errors import (
+    EvenN,
+    FactorizationGuardExceeded,
+    NotDivisor,
+    NotPrime,
+    SizeGuardExceeded,
+)
 from .frozen import Frozen
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the first 13 primes, and psi_13, the least strong pseudoprime to all of
+# them; psi_12 = 318665857834031151167461 passes the first 12
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3e24."""
+    """Whether n is prime: Miller-Rabin to the bases ``_MR_BASES``.
+
+    The test is deterministic for n below psi_13 = 3317044064679887385961981
+    (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+    Math. Comp. 2017).  An n at or above it gets no verdict: it is refused
+    with ``SizeGuardExceeded`` before any arithmetic on it.
+    """
+    if n >= _MR_LIMIT:
+        # n is not named: it may be huge
+        raise SizeGuardExceeded("n at or above %d is beyond the deterministic"
+                                " primality test" % _MR_LIMIT)
     if n < 2:
         return False
     for small in _MR_BASES:

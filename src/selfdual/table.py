@@ -90,14 +90,12 @@ def run_table_pair(length: int, p: int, t: int,
     start = time.perf_counter()
     try:
         result = build_euclidean_duadic_extended(p, t, length - 1, guards)
-    except NoGamma as exc:
-        return TableOutcome(length, p, t, "UNSUPPORTED", "NoGamma",
-                            time.perf_counter() - start, {"message": str(exc)})
-    except PreconditionFailed as exc:
-        return TableOutcome(length, p, t, "UNSUPPORTED", exc.reason,
-                            time.perf_counter() - start, {"message": str(exc)})
     except SelfDualError as exc:
-        return TableOutcome(length, p, t, "GUARDED", exc.code,
+        # NoGamma carries no reason of its own: its code is the reason
+        verdict, reason = "GUARDED", exc.code
+        if isinstance(exc, (NoGamma, PreconditionFailed)):
+            verdict, reason = "UNSUPPORTED", getattr(exc, "reason", exc.code)
+        return TableOutcome(length, p, t, verdict, reason,
                             time.perf_counter() - start, {"message": str(exc)})
     seconds = time.perf_counter() - start
     report = result.report
@@ -118,7 +116,3 @@ def run_table(guards: GuardConfig | None = None) -> list[TableOutcome]:
         for p, t in fields:
             outcomes.append(run_table_pair(length, p, t, guards))
     return outcomes
-
-
-def all_match(outcomes) -> bool:
-    return all(o.matches_expected for o in outcomes)

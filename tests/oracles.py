@@ -38,20 +38,18 @@ import functools
 import itertools
 from math import gcd
 
-from selfdual import (
+from selfdual.cli import CONSTRUCT_ROUTES
+from selfdual.codes import LinearCode, _projective_scan
+from selfdual.config import current_guards
+from selfdual.cosets import SplittingReport, cyclotomic_coset
+from selfdual.errors import NotCoprime, ZeroElement, ZeroInSet
+from selfdual.fields import (
     FieldSpec,
-    LinearCode,
-    SplittingReport,
     TowerSpec,
-    cyclotomic_coset,
     find_primitive_element,
     frobenius,
     solve_norm,
 )
-from selfdual.cli import CONSTRUCT_ROUTES
-from selfdual.codes import _projective_scan
-from selfdual.config import current_guards
-from selfdual.errors import NotCoprime, ZeroElement, ZeroInSet
 from selfdual.linalg import dlog_table, null_space, packed_field
 from selfdual.numtheory import factorize
 

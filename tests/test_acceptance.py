@@ -15,7 +15,6 @@ import time
 import pytest
 
 from selfdual import (
-    TABLE_ROWS,
     build_euclidean_duadic_extended,
     build_grs_hermitian,
     build_hermitian_extended_duadic,
@@ -23,16 +22,15 @@ from selfdual import (
     check_centered_duadic_splitting,
     cyclic_generator_matrix,
     exists_hermitian_dispatch,
-    gamma_solvability,
     is_euclidean_self_dual,
     is_hermitian_self_dual,
     make_field,
     min_distance_exhaustive,
-    run_table,
 )
 from selfdual.cli import main as cli_main
 from selfdual.errors import PreconditionFailed
-from selfdual.table import EXPECTED_UNSUPPORTED
+from selfdual.numtheory import gamma_solvability
+from selfdual.table import EXPECTED_UNSUPPORTED, TABLE_ROWS, run_table
 
 from oracles import (
     codeword,

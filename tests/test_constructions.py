@@ -5,6 +5,7 @@ structural identities (self-duality, generator divisibility, the
 splittings the preconditions prove) are asserted here whether or not
 the builders check them, so a regression in either place is caught.
 """
+import os
 from collections import Counter
 from math import gcd
 
@@ -514,3 +515,26 @@ def test_a_builders_report_is_verify_code_of_its_record(build, args):
                                     None, report.mds)
     assert result.report == report
     assert promoted == (args == (31, 1, 32))
+
+
+def _readme_library_example():
+    """The fenced Python block under "## Library" in the README."""
+    with open(os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           os.pardir, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    start = text.index("```python\n", text.index("\n## Library\n")) + 10
+    return text[start:text.index("```", start)]
+
+
+def test_the_readme_library_example_prints_what_its_comments_state():
+    # a line with a comment is an expression, the comment its value
+    namespace, stated = {}, []
+    for line in _readme_library_example().splitlines():
+        statement, _, comment = line.partition("#")
+        if comment:
+            value = eval(statement, namespace)
+            stated.append(comment.strip())
+            assert repr(value) == stated[-1], line
+        else:
+            exec(statement, namespace)
+    assert stated == ["(4, 2)", "3", "'certified-exact'", "True"]

@@ -1,4 +1,5 @@
 """The frozen value classes: cold import and dataclass-like behaviour."""
+import importlib.util
 import os
 import subprocess
 import sys
@@ -7,26 +8,25 @@ import pytest
 
 from selfdual import (
     ConstructionResult,
-    CyclicSpec,
     DefiningSet,
-    Factorization,
-    FieldSpec,
     GuardConfig,
     LinearCode,
-    MdsVerdict,
-    SolvabilityVerdict,
-    SplittingReport,
-    TowerSpec,
-    VerificationReport,
     make_field,
     quadratic_extension,
 )
-from selfdual.codes import MdsCertificate
-from selfdual.fields import Element
+from selfdual.codes import (
+    CyclicSpec,
+    MdsCertificate,
+    MdsVerdict,
+    VerificationReport,
+)
+from selfdual.cosets import SplittingReport
+from selfdual.fields import Element, FieldSpec, TowerSpec
+from selfdual.numtheory import Factorization, SolvabilityVerdict
 from selfdual.table import TableOutcome
 
-SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
-                   "src")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+SRC = os.path.join(ROOT, "src")
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
@@ -41,6 +41,30 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     out = subprocess.run([sys.executable, "-S", "-c", probe],
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _sweep_builders():
+    """The builder names of the benchmark's Hermitian sweep, read from
+    ``perfbench/workloads.py``; the benchmark itself is not run."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return sorted({name for name, _ in workloads.sweep_builds()})
+
+
+def test_import_binds_what_the_benchmark_reaches_by_attribute():
+    # the benchmark's worker runs a bare ``import selfdual``, then calls
+    # selfdual.table.run_table_pair and getattr(selfdual, builder)
+    names = _sweep_builders()
+    assert len(names) == 3
+    probe = ("import sys; sys.path.insert(0, %r); import selfdual; "
+             "print(callable(selfdual.table.run_table_pair), "
+             "[n for n in %r if not callable(getattr(selfdual, n, None))])"
+             % (SRC, names))
+    out = subprocess.run([sys.executable, "-S", "-c", probe],
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "True []", out.stderr
 
 
 GF5 = make_field(5, 1)

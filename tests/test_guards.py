@@ -40,7 +40,7 @@ from selfdual.constructions import (
     build_euclidean_duadic_extended,
     check_centered_duadic_splitting,
 )
-from selfdual.errors import SelfDualError
+from selfdual.errors import NotPrime, SelfDualError
 from selfdual.fields import solve_norm
 from selfdual.numtheory import gamma_solvability
 
@@ -194,6 +194,20 @@ def test_a_guard_refuses_one_below_the_need_and_runs_at_it(key, need, work,
                                                            below, at):
     assert _outcome(work, GuardConfig(**{key: need - 1})) == below
     assert _outcome(work, GuardConfig(**{key: need})) == at
+
+
+def test_a_record_over_a_strong_pseudoprime_is_refused_as_not_prime():
+    # psi_12 passes Miller-Rabin to the first 12 prime bases; guards
+    # that admit a field of its size must not read it as a prime.  The
+    # generator (1, x), x**2 = -1 mod psi_12, spans a self-dual code
+    # that would be certified over Z/psi_12 Z.
+    record = {"field": {"p": 318665857834031151167461, "t": 1,
+                        "modulus": [0, 1]},
+              "n": 2, "k": 1,
+              "generator": [[[1], [103782637039805229854323]]]}
+    with pytest.raises(NotPrime):
+        code_from_json(record, GuardConfig(field_size_limit=2**80,
+                                           factor_limit=2**80))
 
 
 # every builder on its README example, then its record read back and

@@ -6,6 +6,7 @@ from selfdual.errors import (
     FactorizationGuardExceeded,
     NotDivisor,
     NotPrime,
+    SizeGuardExceeded,
 )
 from selfdual.numtheory import (
     Factorization,
@@ -41,6 +42,17 @@ def test_is_prime_agrees_with_trial_division():
     assert is_prime(2 ** 31 - 1)
     assert not is_prime(2 ** 32 + 1)      # 641 * 6700417
     assert is_prime(1_000_000_007)
+    assert is_prime(2 ** 61 - 1)
+    assert not is_prime(2 ** 67 - 1)      # 193707721 * 761838257287
+    # psi_12, a strong pseudoprime to the first 12 prime bases, and the
+    # least n to which the test gives no verdict, psi_13
+    assert not is_prime(318665857834031151167461)
+    for n in (3317044064679887385961981, 2 ** 4423 - 1):
+        with pytest.raises(SizeGuardExceeded):
+            is_prime(n)
+    # gamma_solvability tests p before any guard is read
+    with pytest.raises(SizeGuardExceeded):
+        gamma_solvability(2 ** 4423 - 1, 1, 3)
 
 
 def test_factorize_roundtrip():

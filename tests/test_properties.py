@@ -13,22 +13,21 @@ from selfdual import (
     DefiningSet,
     GuardConfig,
     LinearCode,
-    check_duadic_splitting,
-    consecutive_run,
     cyclic_generator_matrix,
-    cyclotomic_coset,
     extend_code,
-    frobenius,
     generator_from_defining_set,
     make_field,
-    mds_check,
     min_distance_exhaustive,
     quadratic_extension,
-    solve_norm,
 )
-from selfdual.codes import certify_mds
+from selfdual.codes import certify_mds, mds_check
+from selfdual.cosets import (
+    check_duadic_splitting,
+    consecutive_run,
+    cyclotomic_coset,
+)
 from selfdual.errors import NotCoprime, ZeroElement, ZeroInSet
-from selfdual.fields import TowerSpec
+from selfdual.fields import TowerSpec, frobenius, solve_norm
 
 from oracles import (
     brute_weight_audit,
