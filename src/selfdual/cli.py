@@ -24,14 +24,14 @@ from .constructions import (
     build_negacyclic_hermitian,
     exists_hermitian_dispatch,
 )
-from .cosets import DefiningSet, check_duadic_splitting
+from .cosets import DefiningSet, check_coset_modulus, check_duadic_splitting
 from .errors import (
-    DiscreteLogGuardExceeded,
     MalformedInput,
     SelfDualError,
     VerificationFailed,
 )
 from .fields import TowerSpec, element_from_json
+from .table import run_table
 
 CONSTRUCT_ROUTES = (
     "euclidean-duadic",
@@ -135,8 +135,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
-    from .table import run_table
-
     outcomes = run_table()
     for outcome in outcomes:
         _emit(outcome.to_json(), args.pretty)
@@ -158,17 +156,14 @@ def cmd_splitting(args) -> int:
         raise MalformedInput("--n must be at least 1, got %d" % args.n)
     if args.set_from > args.set_to:
         raise MalformedInput("--set-from exceeds --set-to")
-    # the coset walks run over the powers of q mod n, and the two
-    # halves hold up to n residues
-    if args.n > guards.dlog_limit:
-        raise DiscreteLogGuardExceeded(
-            "modulus n = %d exceeds the discrete-log guard %d"
-            % (args.n, guards.dlog_limit))
+    # before the defining set is built
+    check_coset_modulus(args.n, guards)
     # only residues mod n matter, and a range as wide as n holds them all
     wide = args.set_to - args.set_from + 1 >= args.n
     T = DefiningSet(args.n, range(args.n) if wide
                     else range(args.set_from, args.set_to + 1))
-    report = check_duadic_splitting(T, args.multiplier, args.n, args.q)
+    report = check_duadic_splitting(T, args.multiplier, args.n, args.q,
+                                    guards)
     _emit(report.to_json(), args.pretty)
     return 0
 

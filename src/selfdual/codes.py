@@ -23,13 +23,17 @@ by row.
 Verification never approximates: self-duality is an exact matrix
 product, distances are exhaustive scans under a guard, and MDS checks
 are exhaustive column tests, seeded Monte-Carlo sampling, or a
-consecutive-root-run certificate.  Each code reduces its generator once
-to R = [I | A], on log-table ints or packed values as a cost rule picks,
-and the column tests, the sampler and the automatic exhaustive rung
-first read a Cauchy certificate on it, which decides every GRS code of
-length at most q without a search and leaves their verdicts unchanged.
-The column tests and the sampler then search R, in its own encoding,
-never element objects.
+consecutive-root-run certificate.  In automatic mode the column tests,
+the sampler and the exhaustive rung first read the roots a route or a
+record proposes (``_roots_prove_mds``): a shift form that vanishes on a
+run of n - k roots, or an extended one whose n - k - 1 roots and the
+check row of its last coordinate run through exponent 0, is MDS with
+no reduction.  Otherwise each code reduces its generator once to
+R = [I | A], on log-table ints or packed values as a cost rule picks,
+and those rungs read a Cauchy certificate on it, which decides every
+GRS code of length at most q without a search.  Either proof leaves
+the verdicts unchanged.  The column tests and the sampler then search
+R, in its own encoding, never element objects.
 ``certify_mds`` is the one ladder that chooses among them, and
 ``verify_code`` the one place that turns its certificate and the Gram
 checks into a report, for the builders and the CLI alike.
@@ -88,13 +92,18 @@ from .linalg import (
 # The factor below was set when a step of the old one-power-at-a-time
 # walk cost 1.4-2.5 us, more than twice an update, and a builder and
 # every later verify reduce the code again, so a table is built when q
-# is at most this many times k*k*n.  That sends GF(2^12) with the
-# [14, 7] table code (q = 6.0 k*k*n) and GF(3^6) with [8, 4] (5.7) to
-# packed values, as GF(31^3) with [16, 8] and GF(5^6) with [10, 5] (29
-# and 62 times), and keeps GF(3^6) with [14, 7] (1.06) and GF(31^2)
-# with [16, 8] (0.94) on their tables; with cheaper steps a larger
-# factor would pay, and it is left as it is here so that every code
-# keeps its encoding.
+# is at most this many times k*k*n.  In automatic mode the codes that
+# still reduce are those whose roots prove nothing (``_roots_prove_mds``):
+# the GRS codes, the [6, 3] Hermitian codes of length 6, and records
+# with no roots in their metadata, edited ones, or rows out of shift
+# form.  The reference-table codes reduce only under a named column or
+# Monte-Carlo rung or as such records; then the rule sends GF(2^12)
+# with the [14, 7] table code (q = 6.0 k*k*n) and GF(3^6) with [8, 4]
+# (5.7) to packed values, as GF(31^3) with [16, 8] and GF(5^6) with
+# [10, 5] (29 and 62 times), and keeps GF(3^6) with [14, 7] (1.06) and
+# GF(31^2) with [16, 8] (0.94) on their tables.  With cheaper steps a
+# larger factor would pay; it is left as it is so that every code keeps
+# its encoding.
 TABLE_STEPS_PER_UPDATE = 2
 
 
@@ -571,13 +580,16 @@ def _cauchy_certified(arith, reduced, pivots) -> bool:
 
 
 def mds_check(code: LinearCode, mode: str, trials: int = 1000,
-              guards: GuardConfig | None = None) -> MdsVerdict:
+              guards: GuardConfig | None = None,
+              roots: tuple | None = None) -> MdsVerdict:
     """MDS verification in one of two modes.
 
-    Both first read the code's cached reduced form R = [I | A]
-    (``LinearCode._reduced``): when A is Cauchy-like, as for every GRS
-    code of length at most q, every k-subset of columns is independent,
-    and each mode returns what its search below would:
+    Both first read ``roots``, the (defining set, lam) a caller proposes,
+    through ``_roots_prove_mds``, and then, when they prove nothing, the
+    code's cached reduced form R = [I | A] (``LinearCode._reduced``):
+    when A is Cauchy-like, as for every GRS code of length at most q,
+    every k-subset of columns is independent.  Either proof makes each
+    mode return what its search below would on an MDS code:
     ``certified-exact``, or every trial passing.  Otherwise
     ``exhaustive-columns`` tests that every k-subset of generator
     columns is independent (necessary and sufficient) with one
@@ -596,8 +608,9 @@ def mds_check(code: LinearCode, mode: str, trials: int = 1000,
     if mode == "exhaustive-columns" and comb(n, k) > guards.column_limit:
         raise GuardExceeded("C(n, k) = %d exceeds the column guard"
                             % comb(n, k))
-    form = code._reduced(guards)
-    if form.cauchy:
+    proved = roots is not None and _roots_prove_mds(code, *roots, guards)
+    form = None if proved else code._reduced(guards)
+    if proved or form.cauchy:
         return (MdsVerdict("certified-exact")
                 if mode == "exhaustive-columns" else
                 MdsVerdict("monte-carlo", trials=trials, passes=trials))
@@ -677,6 +690,49 @@ def _roots_mismatch(code: LinearCode, T: DefiningSet, lam: Element | None,
     return None
 
 
+def _roots_prove_mds(code: LinearCode, T: DefiningSet, lam: Element | None,
+                     guards: GuardConfig) -> bool:
+    """Whether the roots alpha**e, e in T, that lam places
+    (``_roots_mismatch``) prove the shift form ``code`` MDS, with
+    d = n - k + 1, without a reduction.  False only means no proof:
+    T.modulus above ``dlog_limit`` (the root walk) or any condition
+    below failing leaves the verdict to the reduced form.
+
+    With no tail this is the BCH bound: the rows vanish on a run of
+    n - k roots, so d >= n - k + 1, which is the Singleton bound.
+
+    With a one-entry tail t the code is the shifts of g, of length
+    r = n - k, on n' = n - 1 coordinates, each extended by t, so row i
+    sums to g(1) over the first n' coordinates.  t != 0, since
+    ``_shift`` reads a zero tail as a last coefficient of g.  Let T be
+    a run of r - 1 exponents with step 1 such that T with 0 is a run of
+    r (so 0 is not in T, and is an end of that run), and let the
+    punctured rows vanish on T.  Then g, nonzero with r - 1 distinct
+    roots alpha**e, is c * prod(x - alpha**e), c != 0, and g(1) != 0 as
+    alpha**e = 1 only for e = 0.  The r rows (alpha**(e*j))_{j<n'} | 0,
+    e in T, and (1, ..., 1, -g(1)/t) annihilate G: the first since
+    g(alpha**e) = 0, the last since g(1) + t*(-g(1)/t) = 0.  Every r of
+    their columns are independent.  Without the last column they are
+    the exponent run T with 0 over the points alpha**j, distinct since
+    alpha has order modulus >= n' (``_roots_mismatch`` checks it): a
+    Vandermonde matrix scaled by nonzero columns.  With it, expanding
+    along the last column, whose one nonzero entry -g(1)/t sits in the
+    row of exponent 0, leaves the rows of T, again a run: nonzero too.
+    So the r rows span an MDS code of dimension r, its dual is MDS of
+    dimension k, and it holds C, of dimension k: it is C."""
+    shift = code._shift
+    if shift is None or T.modulus > guards.dlog_limit:
+        return False
+    tail, r = shift[1], code.n - code.k
+    if not tail:
+        return (consecutive_run(T) >= r
+                and _roots_mismatch(code, T, lam, False) is None)
+    return (len(tail) == 1 and T.step == 1
+            and len(T) == consecutive_run(T) == r - 1
+            and consecutive_run(DefiningSet(T.modulus, (0, *T.elements))) == r
+            and _roots_mismatch(code, T, lam, True) is None)
+
+
 class MdsCertificate(Frozen):
     """The rung of the MDS ladder that ran and what it established.
 
@@ -726,14 +782,25 @@ def certify_mds(code: LinearCode, *, defining: DefiningSet | None = None,
     with d = n - k + 1 when ``structural`` vouches that the code is an
     evaluation (GRS) code.  ``mode="auto"`` takes the first rung the
     constants above choose, the guards afford and the facts allow; any
-    other mode names the rung.  A guard that stops the rung is a
-    ``guarded`` verdict and a refutation is a verdict, never an
-    exception; fewer than one trial is refused with ``MalformedInput``.
+    other mode names the rung.  In auto mode the exhaustive, column and
+    Monte-Carlo rungs first try to prove the code MDS from the roots of
+    ``defining``, else ``extended_defining``, with ``lam``
+    (``_roots_prove_mds``), then by the Cauchy certificate of its reduced
+    form; each proof yields the verdict the rung's own search returns
+    on an MDS code, and the facts never decide a verdict.  A guard that
+    stops the rung is a ``guarded`` verdict and a refutation is a
+    verdict, never an exception; fewer than one trial is refused with
+    ``MalformedInput``.
     """
     _check_trials(trials)
     guards = current_guards(guards)
     n, k, q = code.n, code.k, code.field.order
     target = n - k + 1
+    # the roots a route or a record proposes, which auto mode may read as
+    # a proof before any reduction
+    proposed = defining if defining is not None else extended_defining
+    roots = ((proposed, lam) if mode == "auto" and proposed is not None
+             else None)
     tier = mode
     if mode == "auto":
         subsets = comb(n, k)
@@ -752,9 +819,12 @@ def certify_mds(code: LinearCode, *, defining: DefiningSet | None = None,
     try:
         if tier == "exhaustive":
             _check_scan(code.field, k, guards)
-            # in auto mode a Cauchy-like reduced form proves
-            # d = n - k + 1 without the scan
-            if mode == "auto" and code._reduced(guards).cauchy:
+            # in auto mode the proposed roots or a Cauchy-like reduced
+            # form prove d = n - k + 1 without the scan
+            if mode == "auto" and (
+                    (roots is not None
+                     and _roots_prove_mds(code, *roots, guards))
+                    or code._reduced(guards).cauchy):
                 d = target
             else:
                 d = min_distance_exhaustive(code, guards)
@@ -767,7 +837,7 @@ def certify_mds(code: LinearCode, *, defining: DefiningSet | None = None,
         if tier in ("columns", "monte-carlo"):
             verdict = mds_check(code, "exhaustive-columns"
                                 if tier == "columns" else tier,
-                                trials=trials, guards=guards)
+                                trials=trials, guards=guards, roots=roots)
             if verdict.status == "refuted":
                 return MdsCertificate(
                     tier, verdict,

@@ -43,8 +43,8 @@ class GuardConfig(Frozen):
       routes (q - 1 base powers), a defining set modulus m above it
       stops the root walk of the root-run rung and of a cyclic route's
       generator (m powers), and an n above it stops ``selfdual
-      splitting`` and ``check_centered_duadic_splitting`` (powers of q
-      mod n).
+      splitting``, ``check_centered_duadic_splitting`` and
+      ``check_duadic_splitting`` (powers of q mod n).
     - ``codeword_limit``: ``min_distance_exhaustive()`` refuses when
       q**k exceeds this.
     - ``column_limit``: ``mds_check(exhaustive-columns)`` refuses when

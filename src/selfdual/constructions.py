@@ -25,10 +25,14 @@ from .codes import (
     verify_code,
 )
 from .config import GuardConfig, current_guards
-from .cosets import DefiningSet, SplittingReport, check_duadic_splitting
+from .cosets import (
+    DefiningSet,
+    SplittingReport,
+    check_coset_modulus,
+    check_duadic_splitting,
+)
 from .errors import (
     CharDividesN,
-    DiscreteLogGuardExceeded,
     DuplicatePoints,
     GuardExceeded,
     MalformedInput,
@@ -492,10 +496,7 @@ def check_centered_duadic_splitting(p: int, t: int, n: int,
     """
     guards = current_guards(guards)
     q = admit_field(p, t, guards)
-    if n > guards.dlog_limit:
-        raise DiscreteLogGuardExceeded(
-            "modulus n = %d exceeds the discrete-log guard %d"
-            % (n, guards.dlog_limit))
+    check_coset_modulus(n, guards)
     if n < 1:
         raise PreconditionFailed("LengthTooSmall",
                                  "n = %d must be >= 1" % n)
@@ -506,7 +507,7 @@ def check_centered_duadic_splitting(p: int, t: int, n: int,
     if n % 4 != 1:
         raise PreconditionFailed("NotOneMod4", "n = %d must be 1 (mod 4)" % n)
     T = DefiningSet(n, tuple(range((n + 3) // 4, (3 * n - 3) // 4 + 1)))
-    return check_duadic_splitting(T, -q, n, q * q)
+    return check_duadic_splitting(T, -q, n, q * q, guards)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import NotCoprime, ZeroInSet, json_int
+from .config import GuardConfig, current_guards
+from .errors import DiscreteLogGuardExceeded, NotCoprime, ZeroInSet, json_int
 from .frozen import Frozen
 
 
@@ -91,8 +92,19 @@ class SplittingReport(Frozen):
         }
 
 
-def check_duadic_splitting(T: DefiningSet, a: int, n: int,
-                           q: int) -> SplittingReport:
+def check_coset_modulus(n: int, guards: GuardConfig) -> None:
+    """Refuse an n above ``dlog_limit`` with ``DiscreteLogGuardExceeded``:
+    a splitting's halves hold up to n residues and its coset walks run
+    over the powers of q mod n."""
+    if n > guards.dlog_limit:
+        raise DiscreteLogGuardExceeded(
+            "modulus n = %d exceeds the discrete-log guard %d"
+            % (n, guards.dlog_limit))
+
+
+def check_duadic_splitting(T: DefiningSet, a: int, n: int, q: int,
+                           guards: GuardConfig | None = None
+                           ) -> SplittingReport:
     """Does (x -> a*x, T, complement) split Z_n minus {0} into q-cosets?
 
     The conditions are: the multiplier maps T onto its complement S2,
@@ -103,7 +115,11 @@ def check_duadic_splitting(T: DefiningSet, a: int, n: int,
     image a*i of the least i in T whose image stays inside T; when the
     image misses part of S2, the least member it misses.  When a coset
     leaks out of T, the witness is the least escaped coset member.
+
+    An n above ``dlog_limit`` is refused (``check_coset_modulus``) before
+    either half is built.
     """
+    check_coset_modulus(n, current_guards(guards))
     if T.modulus != n:
         raise ValueError("defining set modulus %d differs from n %d"
                          % (T.modulus, n))

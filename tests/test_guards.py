@@ -12,7 +12,8 @@ computes in (GF(q^2) for a Hermitian route) and on a record's field
 verdict; ``dlog_limit`` at the Zech table, the cached-form gate, the
 norm walk, the root walk of the ``bch`` rung and that of a cyclic
 route's generator.  ``check_centered_duadic_splitting`` admits its
-field as ``make_field`` does and bounds its n by ``dlog_limit``.
+field as ``make_field`` does and bounds its n by ``dlog_limit``, and so
+does ``check_duadic_splitting``, before it builds the two halves.
 Last, a process whose environment holds a malformed override runs
 every builder, the record reader and the verifier on an explicit
 config: none of them reads the environment.
@@ -40,6 +41,7 @@ from selfdual.constructions import (
     build_euclidean_duadic_extended,
     check_centered_duadic_splitting,
 )
+from selfdual.cosets import DefiningSet, check_duadic_splitting
 from selfdual.errors import NotPrime, SelfDualError
 from selfdual.fields import solve_norm
 from selfdual.numtheory import gamma_solvability
@@ -166,6 +168,11 @@ CASES = [
      lambda g: check_centered_duadic_splitting(7, 1, 25, g).witness,
      ("DiscreteLogGuardExceeded",
       "modulus n = 25 exceeds the discrete-log guard 24"), 12),
+    ("dlog_limit", 25,
+     lambda g: check_duadic_splitting(DefiningSet(25, range(7, 19)), -7,
+                                      25, 49, g).witness,
+     ("DiscreteLogGuardExceeded",
+      "modulus n = 25 exceeds the discrete-log guard 24"), 12),
 ]
 
 
@@ -189,7 +196,7 @@ def _outcome(work, guards):
          "field_size-centered_splitting",
          "field_size-centered_splitting_order",
          "factor_limit-centered_splitting",
-         "dlog_limit-centered_splitting"])
+         "dlog_limit-centered_splitting", "dlog_limit-duadic_splitting"])
 def test_a_guard_refuses_one_below_the_need_and_runs_at_it(key, need, work,
                                                            below, at):
     assert _outcome(work, GuardConfig(**{key: need - 1})) == below

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from selfdual.config import GuardConfig
 from selfdual.errors import (
@@ -53,6 +54,12 @@ def test_is_prime_agrees_with_trial_division():
     # gamma_solvability tests p before any guard is read
     with pytest.raises(SizeGuardExceeded):
         gamma_solvability(2 ** 4423 - 1, 1, 3)
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.integers(0, 10**7 - 1))
+def test_is_prime_agrees_with_trial_division_below_ten_million(n):
+    assert is_prime(n) == brute_prime(n)
 
 
 def test_factorize_roundtrip():

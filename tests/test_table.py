@@ -1,6 +1,6 @@
 import json
 
-from selfdual import table
+from selfdual import cli
 from selfdual.cli import main
 from selfdual.table import (
     EXPECTED_UNSUPPORTED,
@@ -54,7 +54,8 @@ def test_mismatch_detection():
 
 
 def _table_lines(monkeypatch, capsys, outcomes):
-    monkeypatch.setattr(table, "run_table", lambda: outcomes)
+    # cli binds run_table when it is imported
+    monkeypatch.setattr(cli, "run_table", lambda: outcomes)
     rc = main(["table"])
     return rc, [json.loads(line)
                 for line in capsys.readouterr().out.splitlines()]
