@@ -24,16 +24,19 @@ Verification never approximates: self-duality is an exact matrix
 product, distances are exhaustive scans under a guard, and MDS checks
 are exhaustive column tests, seeded Monte-Carlo sampling, or a
 consecutive-root-run certificate.  In automatic mode the column tests,
-the sampler and the exhaustive rung first read the roots a route or a
-record proposes (``_roots_prove_mds``): a shift form that vanishes on a
-run of n - k roots, or an extended one whose n - k - 1 roots and the
-check row of its last coordinate run through exponent 0, is MDS with
-no reduction.  Otherwise each code reduces its generator once to
-R = [I | A], on log-table ints or packed values as a cost rule picks,
-and those rungs read a Cauchy certificate on it, which decides every
-GRS code of length at most q without a search.  Either proof leaves
-the verdicts unchanged.  The column tests and the sampler then search
-R, in its own encoding, never element objects.
+the sampler and the exhaustive rung first read what the code's
+structure proves, with no reduction: rows that are an evaluation form
+v * a**i on distinct points (``LinearCode._points``, every GRS code),
+or a shift form with the roots a route or a record proposes
+(``_roots_prove_mds``), one that vanishes on a run of n - k roots, or
+an extended one whose n - k - 1 roots and exponent 0 form a
+progression with a unit step, the roots in GF(q) or GF(q^2).
+Otherwise each code reduces its packed copy once to R = [I | A], and
+those rungs read a Cauchy certificate on it, which decides every GRS
+code of length at most q without a search.  Each proof leaves the
+verdicts unchanged.  The column tests and the sampler then search R's
+packed values, never element objects; only the codeword scan builds
+a Zech table.
 ``certify_mds`` is the one ladder that chooses among them, and
 ``verify_code`` the one place that turns its certificate and the Gram
 checks into a report, for the builders and the CLI alike.
@@ -50,12 +53,14 @@ from .config import GuardConfig, current_guards
 from .cosets import DefiningSet, consecutive_run
 from .errors import (
     DiscreteLogGuardExceeded,
+    FactorizationGuardExceeded,
     GuardExceeded,
     MalformedInput,
     NoCyclicStructure,
     NotDividing,
     NotOverTower,
     RootsNotInField,
+    SizeGuardExceeded,
     ZeroElement,
     json_int,
 )
@@ -63,10 +68,12 @@ from .fields import (
     Element,
     Field,
     TowerSpec,
+    check_field_size,
     element_order,
     field_from_json,
     field_to_json,
     nth_root_of_unity,
+    quadratic_extension,
     values_from_json,
 )
 from .frozen import Frozen
@@ -82,74 +89,20 @@ from .linalg import (
 # linear codes
 # ---------------------------------------------------------------------------
 
-# The cost rule of a reduction.  A Zech table costs about q steps, one
-# per entry, once per process, and then serves every reduction, column
-# walk and codeword scan over its field; a packed reduction costs about
-# k*k*n entry updates, each time it runs.  Measured on a 2-vCPU VM in
-# GF(31^3), GF(5^6), GF(2^12), GF(7^4) and GF(3^6), a table built by
-# giant steps costs 0.3-0.6 us an entry (the linalg.dlog_build_ms.gf31_3
-# probe times one build) and a packed update reduce(u + f*v) 0.5-0.9 us.
-# The factor below was set when a step of the old one-power-at-a-time
-# walk cost 1.4-2.5 us, more than twice an update, and a builder and
-# every later verify reduce the code again, so a table is built when q
-# is at most this many times k*k*n.  In automatic mode the codes that
-# still reduce are those whose roots prove nothing (``_roots_prove_mds``):
-# the GRS codes, the [6, 3] Hermitian codes of length 6, and records
-# with no roots in their metadata, edited ones, or rows out of shift
-# form.  The reference-table codes reduce only under a named column or
-# Monte-Carlo rung or as such records; then the rule sends GF(2^12)
-# with the [14, 7] table code (q = 6.0 k*k*n) and GF(3^6) with [8, 4]
-# (5.7) to packed values, as GF(31^3) with [16, 8] and GF(5^6) with
-# [10, 5] (29 and 62 times), and keeps GF(3^6) with [14, 7] (1.06) and
-# GF(31^2) with [16, 8] (0.94) on their tables.  With cheaper steps a
-# larger factor would pay; it is left as it is so that every code keeps
-# its encoding.
-TABLE_STEPS_PER_UPDATE = 2
-
-
-def _reduction_table(field: Field, k: int, n: int, dlog_limit: int):
-    """The Zech table that reduces a k x n generator over ``field``, or
-    None for packed values.  Within ``dlog_limit``: the cached table, or
-    one built for a tower (packed tower products reduce three base
-    blocks each) or when the cost rule above says the table pays."""
-    table = dlog_table(field, dlog_limit, build=False)
-    steps = TABLE_STEPS_PER_UPDATE * k * k * n
-    if table is None and (isinstance(field, TowerSpec)
-                          or field.order <= steps):
-        table = dlog_table(field, dlog_limit)
-    return table
-
-
 class ReducedForm(Frozen):
-    """A generator's reduced echelon form R = M G on one representation.
+    """A generator's reduced echelon form R = M G on packed values.
 
-    ``rows`` are R's rows as packed values on the n-term layout of
-    ``packed_field(field, terms)``, the layout of the code's packed copy,
-    or, for ``terms`` = 0, as the log ints of the field's Zech table;
-    ``pivots`` are its pivot columns.  The form names its arithmetic by
-    the field, not by a table, so it keeps no table alive past
-    ``DLOG_CACHE_SIZE``: log ints are the same in every table of a
-    field, and ``arith`` looks the table up again.  ``cauchy`` is the
-    Cauchy certificate's verdict on R = [I | A]: when it holds, every
-    k-subset of columns is independent, so the code is MDS.
+    ``rows`` are R's rows packed on ``arith``, the n-term layout of
+    ``packed_field(field, n)`` that holds the code's packed copy;
+    ``pivots`` are its pivot columns.  ``cauchy`` is the Cauchy
+    certificate's verdict on R = [I | A]: when it holds, every k-subset
+    of columns is independent, so the code is MDS.
     """
 
-    _fields = ("field", "terms", "rows", "pivots")
+    _fields = ("arith", "rows", "pivots")
 
-    def __init__(self, field: Field, terms: int, rows: list, pivots: tuple):
-        self._assign(field, terms, rows, pivots)
-
-    @property
-    def packed(self) -> bool:
-        return self.terms > 0
-
-    @property
-    def arith(self):
-        """The ``PackedField`` or the ``DlogTable`` that encodes ``rows``
-        (built again if the cache dropped it)."""
-        if self.terms:
-            return packed_field(self.field, self.terms)
-        return dlog_table(self.field, self.field.order)
+    def __init__(self, arith: PackedField, rows: list, pivots: tuple):
+        self._assign(arith, rows, pivots)
 
     @functools.cached_property
     def cauchy(self) -> bool:
@@ -171,19 +124,19 @@ class LinearCode(Frozen):
     The generator is held once, as its rows of field values,
     ``_value_rows``, and packed once on the n-term layout of
     ``packed_field(field, n)`` (``_packed``): both self-duality checks,
-    the root check, a packed reduction and the extension read that one
-    copy, and a log-table reduction reads the values, so no check needs
-    an element object.  A shift form (``_shift``) packs only g and its
-    tail, and its packed rows are their shifts.  The constructor takes
-    element rows and keeps their values; the builders and
-    ``code_from_json`` hand over values (``_from_values``).
-    ``generator``, the rows as elements, is a view built only when
-    something asks for it.
+    the root check, the evaluation form, the reduction and the extension
+    read that one copy, so no check needs an element object.  A shift
+    form (``_shift``) packs only g and its tail, and its packed rows are
+    their shifts.  The constructor takes element rows and keeps their
+    values; the builders and ``code_from_json`` hand over values
+    (``_from_values``).  ``generator``, the rows as elements, is a view
+    built only when something asks for it.
 
-    Its reduced form is computed once, on first use (``_reduced``).  The
-    rank check needs no arithmetic when each row starts right of the one
-    above, as the shifted rows of the cyclic builders do; otherwise it
-    counts the reduced form's pivots.
+    The rank check needs no reduction when each row starts right of the
+    one above, as the shifted rows of the cyclic builders do, or when
+    the rows are an evaluation form (``_points``), as the GRS builder's
+    are; otherwise it counts the pivots of the reduced form, computed
+    once, on first use (``_reduced``).
     """
 
     _fields = ("field", "n", "k", "generator")
@@ -193,24 +146,22 @@ class LinearCode(Frozen):
                                       for row in generator))
 
     @classmethod
-    def _from_values(cls, field: Field, n: int, k: int, rows: tuple,
-                     guards: GuardConfig | None = None) -> "LinearCode":
-        """The code whose generator rows hold the field values ``rows``;
-        a rank check that reduces them does so under ``guards``."""
+    def _from_values(cls, field: Field, n: int, k: int,
+                     rows: tuple) -> "LinearCode":
+        """The code whose generator rows hold the field values ``rows``."""
         code = cls.__new__(cls)
-        code._hold(field, n, k, rows, guards)
+        code._hold(field, n, k, rows)
         return code
 
-    def _hold(self, field: Field, n: int, k: int, rows: tuple,
-              guards: GuardConfig | None = None) -> None:
+    def _hold(self, field: Field, n: int, k: int, rows: tuple) -> None:
         self._assign(field, n, k)
         self.__dict__["_value_rows"] = rows
         if k != len(rows):
             raise ValueError("k does not match the number of rows")
         if any(len(row) != n for row in rows):
             raise ValueError("row length does not match n")
-        if (not _staircase(rows, field._zero)
-                and len(self._reduced(guards).pivots) < k):
+        if not (_staircase(rows, field._zero) or self._points is not None
+                or len(self._reduced().pivots) == k):
             raise ValueError("generator rows are dependent")
 
     @functools.cached_property
@@ -250,27 +201,46 @@ class LinearCode(Frozen):
                 return list(map(pack, g)), list(map(pack, tail))
         return None
 
-    def _reduced(self, guards: GuardConfig | None = None) -> ReducedForm:
-        """The reduced form, on the representation ``_reduction_table``
-        picks under the guards of the first call, and cached; a field
-        beyond this call's ``dlog_limit`` gets an uncached packed one."""
+    @functools.cached_property
+    def _points(self) -> list | None:
+        """The points a, packed on the n-term layout, when the rows alone
+        show the evaluation form r_i = v * a**i (entrywise, i < k) with
+        2 <= k <= n, every v_j nonzero and the a_j distinct; None
+        otherwise.  a = r_1 / r_0 comes from one batch inverse of row 0,
+        then r_(i+1) = r_i * a is checked for every i: k*n packed
+        products.  Rows in the reverse order are the same form, with v
+        times a**(k - 1) and the points 1/a, when no point is 0.  Every
+        GRS builder's code has this form; a shift form never does, as
+        its first and last rows hold k - 1 zeros.
+
+        The form proves the code MDS, and so of rank k: the columns of
+        a set S of k coordinates are v_j times (1, a_j, ..., a_j**(k-1)),
+        a Vandermonde matrix on distinct points scaled by nonzero
+        columns, so their determinant prod(v_j) * prod(a_j - a_i), over
+        i < j in S, is not zero.  Every MDS rung prints the same verdict
+        on an MDS code, so the rungs read this proof where they would
+        read the Cauchy certificate (``mds_check``, ``certify_mds``)."""
+        k, n = self.k, self.n
+        if not 2 <= k <= n or self._shift is not None:
+            return None
+        arith, rows = packed_field(self.field, n), self._packed
+        if 0 in rows[0]:
+            return None
+        points = arith.products(rows[1], arith.inverses(rows[0]))
+        if len(set(points)) == n and all(
+                arith.products(row, points) == after
+                for row, after in zip(rows[1:], rows[2:])):
+            return points
+        return None
+
+    def _reduced(self) -> ReducedForm:
+        """The reduced form of the packed copy, computed once."""
         form = self.__dict__.get("_form")
         if form is None:
-            form = self.__dict__["_form"] = self._reduce_on(_reduction_table(
-                self.field, self.k, self.n, current_guards(guards).dlog_limit))
-        elif (not form.packed
-              and self.field.order > current_guards(guards).dlog_limit):
-            form = self._reduce_on(None)
+            arith = packed_field(self.field, self.n)
+            form = self.__dict__["_form"] = ReducedForm(
+                arith, *arith.row_reduce(self._packed))
         return form
-
-    def _reduce_on(self, table) -> ReducedForm:
-        """The reduced form on the log ints of ``table``, or on the
-        packed copy for None."""
-        if table is None:
-            return ReducedForm(self.field, self.n, *packed_field(
-                self.field, self.n).row_reduce(self._packed))
-        return ReducedForm(self.field, 0, *table.row_reduce(
-            list(map(table.encode_row, self._value_rows))))
 
     # computed once per code: a builder, verify and mds_check all ask
     @functools.cached_property
@@ -518,7 +488,7 @@ def _projective_scan(field: Field, rows, guards: GuardConfig) -> int:
     _check_scan(field, k, guards)
     if k == 1:
         return len(rows[0]) - rows[0].count(field._zero)
-    table = dlog_table(field, field.order)
+    table = dlog_table(field)
     return table.min_weight(list(map(table.encode_row, rows)))
 
 
@@ -579,25 +549,35 @@ def _cauchy_certified(arith, reduced, pivots) -> bool:
     return arith.cauchy_points(a_rows) is not None
 
 
+def _structure_proves_mds(code: LinearCode, roots: tuple | None,
+                          guards: GuardConfig) -> bool:
+    """Whether the code's points (``LinearCode._points``) or the proposed
+    ``roots``, a (defining set, lam) pair, prove it MDS
+    (``_roots_prove_mds``) with no reduction.  False only means no
+    proof."""
+    return code._points is not None or (
+        roots is not None and _roots_prove_mds(code, *roots, guards))
+
+
 def mds_check(code: LinearCode, mode: str, trials: int = 1000,
               guards: GuardConfig | None = None,
               roots: tuple | None = None) -> MdsVerdict:
     """MDS verification in one of two modes.
 
-    Both first read ``roots``, the (defining set, lam) a caller proposes,
-    through ``_roots_prove_mds``, and then, when they prove nothing, the
-    code's cached reduced form R = [I | A] (``LinearCode._reduced``):
-    when A is Cauchy-like, as for every GRS code of length at most q,
-    every k-subset of columns is independent.  Either proof makes each
-    mode return what its search below would on an MDS code:
-    ``certified-exact``, or every trial passing.  Otherwise
+    Both first read what the code's structure proves
+    (``_structure_proves_mds``): its points, or ``roots``, the
+    (defining set, lam) a caller proposes.  When that proves nothing
+    they read the code's cached reduced form R = [I | A]
+    (``LinearCode._reduced``): when A is Cauchy-like, as for every GRS
+    code of length at most q, every k-subset of columns is independent.
+    Each proof makes each mode return what its search below would on an
+    MDS code: ``certified-exact``, or every trial passing.  Otherwise
     ``exhaustive-columns`` tests that every k-subset of generator
     columns is independent (necessary and sufficient) with one
     elimination shared by all subsets, and refutes with the lex-first
     dependent subset; ``monte-carlo`` samples subsets with a seed
-    derived from (n, k, q) and tests each minor.  Both run on R, in
-    R's own encoding, so ``_reduction_table`` alone picks it.  The
-    root-run certificate is a rung of ``certify_mds``.
+    derived from (n, k, q) and tests each minor.  Both run on R's packed
+    values.  The root-run certificate is a rung of ``certify_mds``.
     Fewer than one trial is refused with ``MalformedInput``.
     """
     _check_trials(trials)
@@ -608,15 +588,14 @@ def mds_check(code: LinearCode, mode: str, trials: int = 1000,
     if mode == "exhaustive-columns" and comb(n, k) > guards.column_limit:
         raise GuardExceeded("C(n, k) = %d exceeds the column guard"
                             % comb(n, k))
-    proved = roots is not None and _roots_prove_mds(code, *roots, guards)
-    form = None if proved else code._reduced(guards)
+    proved = _structure_proves_mds(code, roots, guards)
+    form = None if proved else code._reduced()
     if proved or form.cauchy:
         return (MdsVerdict("certified-exact")
                 if mode == "exhaustive-columns" else
                 MdsVerdict("monte-carlo", trials=trials, passes=trials))
     # R = M G with M invertible, so a set of R's columns is dependent
-    # exactly when the same set of G's columns is: both searches run on
-    # R, in its own encoding
+    # exactly when the same set of G's columns is: both searches run on R
     arith, reduced, pivots = form.arith, form.rows, form.pivots
     if mode == "exhaustive-columns":
         witness = first_dependent_subset(list(zip(*reduced)), k, arith.zero,
@@ -644,13 +623,23 @@ def mds_check(code: LinearCode, mode: str, trials: int = 1000,
 
 
 def _roots_mismatch(code: LinearCode, T: DefiningSet, lam: Element | None,
-                    punctured: bool) -> str | None:
+                    punctured: bool, guards: GuardConfig) -> str | None:
     """Why not every row vanishes at alpha**e, e in T, or None.  alpha is
     the root ``generator_from_defining_set`` picks from lam; with
     ``punctured`` the rows lose their last coordinate but no dimension.
     Vanishing on a run of delta - 1 such points proves d >= delta even
     for a dishonest lam: alpha**step has order modulus/step >= n, so any
     delta - 1 check columns form a scaled Vandermonde matrix.
+
+    The roots lie in GF(q), the code's field, when m = T.modulus
+    divides q - 1.  When m divides q**2 - 1 instead, and
+    ``check_field_size`` admits GF(q^2), they are placed in
+    ``quadratic_extension(field)`` and the rows are evaluated there,
+    embedded: the same matrix spans C (x) GF(q^2), of which C is a
+    subcode, and a set of its columns independent over GF(q^2) is
+    independent over GF(q), so a bound on the larger code's distance
+    holds for C.  A guard that refuses GF(q^2) leaves the roots out of
+    the field, as before.
 
     When the n checked coordinates are a shift form with no tail, row i
     is x**i * g(x), so r_i(alpha**e) = sum_j g_j alpha**(e*(i + j)) =
@@ -676,6 +665,18 @@ def _roots_mismatch(code: LinearCode, T: DefiningSet, lam: Element | None,
         return "no lambda to place the roots of the defining set"
     if m // T.step < n:
         return "defining set modulus %d does not fit n = %d" % (m, n)
+    q = field.order
+    if (q - 1) % m and not (q * q - 1) % m:
+        try:
+            check_field_size(q * q, guards)
+        except (SizeGuardExceeded, FactorizationGuardExceeded):
+            pass
+        else:
+            # a value embeds as its coordinates, then b = 0
+            wide = packed_field(quadratic_extension(field), code.n)
+            rows = [[wide.pack(arith.unpack(v) + field._zero) for v in row]
+                    for row in rows]
+            arith, lam = wide, wide.field.embed(lam)
     try:
         powers = _root_powers(arith, n, lam, m)
     except (ZeroElement, RootsNotInField, ValueError) as exc:
@@ -693,10 +694,10 @@ def _roots_mismatch(code: LinearCode, T: DefiningSet, lam: Element | None,
 def _roots_prove_mds(code: LinearCode, T: DefiningSet, lam: Element | None,
                      guards: GuardConfig) -> bool:
     """Whether the roots alpha**e, e in T, that lam places
-    (``_roots_mismatch``) prove the shift form ``code`` MDS, with
-    d = n - k + 1, without a reduction.  False only means no proof:
-    T.modulus above ``dlog_limit`` (the root walk) or any condition
-    below failing leaves the verdict to the reduced form.
+    (``_roots_mismatch``, in GF(q) or GF(q^2)) prove the shift form
+    ``code`` MDS, with d = n - k + 1, without a reduction.  False only
+    means no proof: T.modulus above ``dlog_limit`` (the root walk) or
+    any condition below failing leaves the verdict to the reduced form.
 
     With no tail this is the BCH bound: the rows vanish on a run of
     n - k roots, so d >= n - k + 1, which is the Singleton bound.
@@ -705,32 +706,47 @@ def _roots_prove_mds(code: LinearCode, T: DefiningSet, lam: Element | None,
     r = n - k, on n' = n - 1 coordinates, each extended by t, so row i
     sums to g(1) over the first n' coordinates.  t != 0, since
     ``_shift`` reads a zero tail as a last coefficient of g.  Let T be
-    a run of r - 1 exponents with step 1 such that T with 0 is a run of
-    r (so 0 is not in T, and is an end of that run), and let the
-    punctured rows vanish on T.  Then g, nonzero with r - 1 distinct
-    roots alpha**e, is c * prod(x - alpha**e), c != 0, and g(1) != 0 as
-    alpha**e = 1 only for e = 0.  The r rows (alpha**(e*j))_{j<n'} | 0,
-    e in T, and (1, ..., 1, -g(1)/t) annihilate G: the first since
-    g(alpha**e) = 0, the last since g(1) + t*(-g(1)/t) = 0.  Every r of
-    their columns are independent.  Without the last column they are
-    the exponent run T with 0 over the points alpha**j, distinct since
-    alpha has order modulus >= n' (``_roots_mismatch`` checks it): a
-    Vandermonde matrix scaled by nonzero columns.  With it, expanding
-    along the last column, whose one nonzero entry -g(1)/t sits in the
-    row of exponent 0, leaves the rows of T, again a run: nonzero too.
+    a run of r - 1 exponents with step 1 such that T with 0 is an
+    arithmetic progression c, c + s, ..., c + (r - 1)*s of r residues
+    mod m = T.modulus with a unit step s, gcd(s, m) = 1 (so 0 is not in
+    T), and let the punctured rows vanish on T.  Then g, nonzero with
+    r - 1 distinct roots alpha**e, is c' * prod(x - alpha**e), c' != 0,
+    and g(1) != 0 as alpha**e = 1 only for e = 0.  The r rows
+    (alpha**(e*j))_{j<n'} | 0, e in T, and (1, ..., 1, -g(1)/t)
+    annihilate G: the first since g(alpha**e) = 0, the last since
+    g(1) + t*(-g(1)/t) = 0.  Every r of their columns are independent.
+    Without the last column, the row of exponent c + i*s is
+    alpha**(c*j) * (alpha**(s*j))**i at column j: a Vandermonde matrix
+    on the points (alpha**s)**j, scaled by nonzero columns, and the
+    points are distinct since alpha**s, like alpha, has order m >= n'
+    (``_roots_mismatch`` checks m >= n').  With it, expanding along the
+    last column, whose one nonzero entry -g(1)/t sits in the row of
+    exponent 0, leaves the rows of T, a run with step 1: nonzero too.
     So the r rows span an MDS code of dimension r, its dual is MDS of
-    dimension k, and it holds C, of dimension k: it is C."""
+    dimension k, and it holds C, of dimension k: it is C.
+
+    T with 0 is a progression with step 1/u exactly when u times it is
+    a run with step 1; u = 1 is tried, then u = 2, each in O(|T|), and
+    any other step leaves the verdict to the reduced form.  u = 2 finds
+    a run of r >= 2 residues only for odd m, as twice any residue is
+    even mod an even m, so the step 1/u is a unit whenever a run is
+    found.  The length-6
+    codes of ``build_hermitian_n5`` need u = 2: T = {2, 3} mod 5, and T
+    with 0 is 2, 0, 3 with step 3 = 1/2 (or 3, 0, 2 with step 2), with
+    the roots in GF(q^4)."""
     shift = code._shift
     if shift is None or T.modulus > guards.dlog_limit:
         return False
-    tail, r = shift[1], code.n - code.k
+    tail, r, m = shift[1], code.n - code.k, T.modulus
     if not tail:
         return (consecutive_run(T) >= r
-                and _roots_mismatch(code, T, lam, False) is None)
+                and _roots_mismatch(code, T, lam, False, guards) is None)
+    with_zero = (0, *T.elements)
     return (len(tail) == 1 and T.step == 1
             and len(T) == consecutive_run(T) == r - 1
-            and consecutive_run(DefiningSet(T.modulus, (0, *T.elements))) == r
-            and _roots_mismatch(code, T, lam, True) is None)
+            and any(consecutive_run(DefiningSet(
+                m, [u * e for e in with_zero])) == r for u in (1, 2))
+            and _roots_mismatch(code, T, lam, True, guards) is None)
 
 
 class MdsCertificate(Frozen):
@@ -776,17 +792,19 @@ def certify_mds(code: LinearCode, *, defining: DefiningSet | None = None,
     generator columns; the root-run certificate of ``defining``; the
     root-run certificate of ``extended_defining``, the defining set of
     the code before its last coordinate was appended (both check that
-    the rows vanish at the roots the shift constant ``lam`` places, a
-    walk over all modulus powers of a root, which ``dlog_limit``
-    bounds); seeded Monte-Carlo, reported as ``certified-structural``
-    with d = n - k + 1 when ``structural`` vouches that the code is an
+    the rows vanish at the roots the shift constant ``lam`` places, in
+    GF(q) or, when the field size guard admits it, in GF(q^2), a walk
+    over all modulus powers of a root, which ``dlog_limit`` bounds);
+    seeded Monte-Carlo, reported as ``certified-structural`` with
+    d = n - k + 1 when ``structural`` vouches that the code is an
     evaluation (GRS) code.  ``mode="auto"`` takes the first rung the
     constants above choose, the guards afford and the facts allow; any
-    other mode names the rung.  In auto mode the exhaustive, column and
-    Monte-Carlo rungs first try to prove the code MDS from the roots of
-    ``defining``, else ``extended_defining``, with ``lam``
-    (``_roots_prove_mds``), then by the Cauchy certificate of its reduced
-    form; each proof yields the verdict the rung's own search returns
+    other mode names the rung.  The column and Monte-Carlo rungs, and
+    in auto mode the exhaustive one, first try to prove the code MDS
+    from its points (``LinearCode._points``); in auto mode they then try
+    the roots of ``defining``, else ``extended_defining``, with ``lam``
+    (``_roots_prove_mds``); then the Cauchy certificate of its reduced
+    form.  Each proof yields the verdict the rung's own search returns
     on an MDS code, and the facts never decide a verdict.  A guard that
     stops the rung is a ``guarded`` verdict and a refutation is a
     verdict, never an exception; fewer than one trial is refused with
@@ -819,12 +837,10 @@ def certify_mds(code: LinearCode, *, defining: DefiningSet | None = None,
     try:
         if tier == "exhaustive":
             _check_scan(code.field, k, guards)
-            # in auto mode the proposed roots or a Cauchy-like reduced
-            # form prove d = n - k + 1 without the scan
-            if mode == "auto" and (
-                    (roots is not None
-                     and _roots_prove_mds(code, *roots, guards))
-                    or code._reduced(guards).cauchy):
+            # in auto mode the points, the proposed roots or a
+            # Cauchy-like reduced form prove d = n - k + 1 without the scan
+            if mode == "auto" and (_structure_proves_mds(code, roots, guards)
+                                   or code._reduced().cauchy):
                 d = target
             else:
                 d = min_distance_exhaustive(code, guards)
@@ -867,7 +883,7 @@ def certify_mds(code: LinearCode, *, defining: DefiningSet | None = None,
                     "guard %d" % (facts.modulus, guards.dlog_limit))
             else:
                 reason = _roots_mismatch(code, facts, lam,
-                                         tier == "extended-bch")
+                                         tier == "extended-bch", guards)
             if reason is not None:
                 return MdsCertificate(tier, MdsVerdict("inconclusive"),
                                       reason=reason)
@@ -963,5 +979,5 @@ def code_from_json(obj, guards: GuardConfig | None = None):
         # verify; LinearCode still allows it as the dual of a k = n code
         raise MalformedInput("a code record needs k >= 1, got k = %d" % k)
     rows = values_from_json(field, obj["generator"])
-    return (LinearCode._from_values(field, n, k, rows, guards),
+    return (LinearCode._from_values(field, n, k, rows),
             obj.get("metadata", {}))

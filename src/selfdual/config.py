@@ -33,20 +33,22 @@ _KEY_TO_FIELD = {
 class GuardConfig(Frozen):
     """The guard limits; a keyword argument overrides its default.
 
-    - ``field_size_limit``: largest admissible field order.
+    - ``field_size_limit``: largest admissible field order, also of
+      the quadratic extension a root proof places a code's roots in
+      (refused: no proof).
     - ``factor_limit``: ``factorize()`` refuses integers above this,
       and ``fields.check_field_size`` a field whose order less one is
       above it.
     - ``dlog_limit``: bounds each walk over one element's powers: a
-      field of order q above it gets no Zech-log table (q - 1 powers),
-      a base order q above it stops the norm walk of the Hermitian
+      base order q above it stops the norm walk of the Hermitian
       routes (q - 1 base powers), a defining set modulus m above it
       stops the root walk of the root-run rung and of a cyclic route's
       generator (m powers), and an n above it stops ``selfdual
       splitting``, ``check_centered_duadic_splitting`` and
       ``check_duadic_splitting`` (powers of q mod n).
     - ``codeword_limit``: ``min_distance_exhaustive()`` refuses when
-      q**k exceeds this.
+      q**k exceeds this; it bounds the scan's Zech-log table too, the
+      one table the package builds.
     - ``column_limit``: ``mds_check(exhaustive-columns)`` refuses when
       C(n, k) exceeds this.
     """

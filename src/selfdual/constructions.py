@@ -58,6 +58,7 @@ from .fields import (
     sqrt_in_field,
 )
 from .frozen import Frozen
+from .linalg import packed_field
 from .numtheory import gamma_solvability
 
 
@@ -295,14 +296,20 @@ def build_grs_hermitian(p: int, t: int, n: int, points=None,
     pts = [field.from_int(i) for i in indices]
     tower = quadratic_extension(field)
 
-    u = []
-    for i, a in enumerate(pts):
-        prod = field.one
-        for j, b in enumerate(pts):
-            if j != i:
-                prod = prod * (a - b)
-        u.append(prod.inverse())
-    v = [solve_norm(tower, ui, guards) for ui in u]
+    # u_i = 1/prod_{j != i}(a_i - a_j) on packed ints: a_i - a_j is the
+    # sum of two canonical values, a_i and -a_j, which one reduce takes
+    # exactly, and the n products are inverted in one batch
+    arith = packed_field(field)
+    reduce, packed = arith.reduce, [arith.pack(a.value) for a in pts]
+    minus = list(map(arith.neg, packed))
+    prods = []
+    for i, a in enumerate(packed):
+        prod = arith.one
+        for b in minus[:i] + minus[i + 1:]:
+            prod = reduce(prod * reduce(a + b))
+        prods.append(prod)
+    v = [solve_norm(tower, arith.decode(ui), guards)
+         for ui in arith.inverses(prods)]
 
     # row l is (v_i * a_i**l): each row is the one before times the
     # points, on values
@@ -311,7 +318,7 @@ def build_grs_hermitian(p: int, t: int, n: int, points=None,
     rows = [tuple([x.value for x in v])]
     for _ in range(k - 1):
         rows.append(tuple(map(tower._mul, rows[-1], emb)))
-    code = LinearCode._from_values(tower, n, k, tuple(rows), guards)
+    code = LinearCode._from_values(tower, n, k, tuple(rows))
     report = _verified_report(code, guards, structural=True)
     return ConstructionResult(
         code, "Thm3", "grs-hermitian", report,

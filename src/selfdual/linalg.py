@@ -7,7 +7,8 @@ nonzero entry: the reduced form is unique), ``det_nonzero`` and the
 Cauchy certificate ``cauchy_points`` are written once, on ``_Reducer``,
 for the two integer encodings: the logs of ``DlogTable``, whose one
 addition ``add_multiple`` also serves its codeword scan, and the packed
-values of ``PackedField`` where no table is worth building.  Element
+values of ``PackedField``, on which every code is reduced, walked and
+certified.  Element
 objects do no linear algebra: the element ``row_reduce``,
 ``det_nonzero`` and ``null_space`` run on ``packed_field`` and decode.
 """
@@ -380,18 +381,12 @@ DLOG_CACHE_SIZE = 64
 _TABLES: dict = {}  # field -> DlogTable, least recently used first
 
 
-def dlog_table(field: Field, limit: int,
-               build: bool = True) -> DlogTable | None:
-    """Cached table for fields up to ``limit`` elements; None beyond, and
-    None when ``build`` is false and the field has no cached table.
-    Threads that ask for the same missing table at once may each build
-    one; every copy is the same table."""
-    if field.order > limit:
-        return None
+def dlog_table(field: Field) -> DlogTable:
+    """The field's cached table, built on first use.  Threads that ask
+    for the same missing table at once may each build one; every copy
+    is the same table."""
     table = _TABLES.pop(field, None)
     if table is None:
-        if not build:
-            return None
         table = DlogTable(field)
         if len(_TABLES) >= DLOG_CACHE_SIZE:
             _TABLES.pop(next(iter(_TABLES)), None)
@@ -401,8 +396,8 @@ def dlog_table(field: Field, limit: int,
 
 class PackedField(_Reducer):
     """Packed-int arithmetic on the Kronecker layout ``field._layout(terms)``:
-    the reductions, the walk and the Cauchy certificate where no log table
-    is worth building, and every exact sum of up to ``terms`` products.
+    every code's reduction, column walk, sampled minors and Cauchy
+    certificate, and every exact sum of up to ``terms`` products.
 
     A value is one int of that layout (0 is the zero), sized for
     ``terms`` products plus a value: an entry update u - f*v is

@@ -54,7 +54,7 @@ from selfdual.linalg import dlog_table, null_space, packed_field
 from selfdual.numtheory import factorize
 
 # a field's Zech-table logs and its packed values, by name
-ENCODINGS = {"zech": lambda field: dlog_table(field, field.order),
+ENCODINGS = {"zech": dlog_table,
              "packed": packed_field}
 
 

@@ -4,13 +4,10 @@ Minimum distances are cross-checked against a naive full message
 enumeration written here, independent of the scan in the package.
 """
 import functools
-import gc
 import itertools
 import json
 import operator
-import os
 import random
-import weakref
 from collections import Counter
 from math import comb
 from types import SimpleNamespace
@@ -284,8 +281,8 @@ def packs(monkeypatch):
 def test_a_shift_form_packs_g_and_its_tail_once_however_it_was_made(packs):
     # the [27, 14] duadic code of the [28, 14] table code over GF(7^9)
     # and that table code, each as built and as read from its record:
-    # the builder packs nothing, and a Gram check, a root check and a
-    # packed reduction together pack g and the tail once, d + 1 + |tail|
+    # the builder packs nothing, and a Gram check, a root check and the
+    # reduction together pack g and the tail once, d + 1 + |tail|
     # values; the same rows out of order pack all k * n
     field = make_field(7, 9)
     T = DefiningSet(27, tuple(range(1, 14)))
@@ -302,8 +299,8 @@ def test_a_shift_form_packs_g_and_its_tail_once_however_it_was_made(packs):
         punctured = code.n == 28
         assert code._gram_zero(False) is punctured
         assert codes_module._roots_mismatch(code, T, field.one,
-                                            punctured) is None
-        code._reduce_on(None)
+                                            punctured, GuardConfig()) is None
+        code._reduced()
         (g, tail), row = code._shift, code._value_rows[0]
         assert len(g) == 14 and len(tail) == punctured
         assert packs.entries == list(row[:14] + row[27:])
@@ -311,8 +308,9 @@ def test_a_shift_form_packs_g_and_its_tail_once_however_it_was_made(packs):
     shuffled = LinearCode._from_values(field, 28, 14,
                                        extended._value_rows[::-1])
     assert shuffled._gram_zero(False)
-    assert codes_module._roots_mismatch(shuffled, T, field.one, True) is None
-    shuffled._reduce_on(None)
+    assert codes_module._roots_mismatch(shuffled, T, field.one, True,
+                                        GuardConfig()) is None
+    shuffled._reduced()
     assert len(packs.entries) == 14 * 28
 
 
@@ -669,22 +667,24 @@ def test_a_self_duality_check_packs_each_row_once_and_reduces_half(
         if conjugate:
             want["conj"] = span + len(tail)
         assert counts == want and want["reduce"] <= min(k, span) + 1
-    # any other generator: each row packed once, half of the entries
+    # any other generator: each row packed once, by the rank check that
+    # made the code, and half of the entries
     counts.clear()
     code = reversed_rows
     k, n = code.k, code.n
+    assert len(code._packed) == k
     assert is_euclidean_self_dual(code)
-    assert counts == {"pack": k * n, "reduce": k * (k + 1) // 2}
+    assert counts == {"reduce": k * (k + 1) // 2}
     counts.clear()
-    # both checks of a tower code read its one packed copy
+    # both checks of a tower code read its one packed copy, which the
+    # rank check that made it packed: a GRS code shows its points there
     code = hermitian
     k, n = code.k, code.n
-    assert "_packed" not in code.__dict__
+    assert code._points is not None
     assert is_hermitian_self_dual(code)
-    assert counts == {"pack": k * n, "conj": k * n,
-                      "reduce": k * (k + 1) // 2}
+    assert counts == {"conj": k * n, "reduce": k * (k + 1) // 2}
     is_euclidean_self_dual(code)
-    assert counts["pack"] == k * n and counts["conj"] == k * n
+    assert "pack" not in counts and counts["conj"] == k * n
 
 
 @st.composite
@@ -760,8 +760,9 @@ def test_the_shift_form_and_the_general_path_agree(case):
         conj = [tuple(frobenius(field, x) for x in row) for row in rows]
         want = gram_is_zero_oracle(rows, conj, field)
         assert code._gram_zero(True) == twin._gram_zero(True) == want
-    assert (codes_module._roots_mismatch(code, T, lam, punctured)
-            == codes_module._roots_mismatch(twin, T, lam, punctured))
+    guards = GuardConfig()
+    assert (codes_module._roots_mismatch(code, T, lam, punctured, guards)
+            == codes_module._roots_mismatch(twin, T, lam, punctured, guards))
 
 
 # --- extension ---
@@ -861,7 +862,7 @@ def test_min_distance_guard():
 def test_zech_scan_multiplies_no_element_objects(field, monkeypatch):
     code = rand_code(field, 5, 2, 4)
     want = naive_min_distance(code)
-    dlog_table(field, field.order)  # the table build may multiply
+    dlog_table(field)  # the table build may multiply
 
     def refuse(*args):
         raise AssertionError("element multiply in the scan")
@@ -1098,8 +1099,8 @@ def test_monte_carlo_matches_the_full_minor_oracle(code, trials):
 @pytest.mark.parametrize("dlog_limit", [2**20, 1])
 def test_monte_carlo_calls_det_nonzero_once_per_trial(dlog_limit,
                                                       monkeypatch):
-    # the minors go through the det_nonzero method of one encoding, the
-    # table's within dlog_limit and the packed one beyond it
+    # the minors go through the det_nonzero method of the reduced form's
+    # packed values, within dlog_limit and beyond it
     calls = Counter()
 
     def counting(name, fn):
@@ -1112,7 +1113,7 @@ def test_monte_carlo_calls_det_nonzero_once_per_trial(dlog_limit,
                         counting("zech", DlogTable.det_nonzero))
     monkeypatch.setattr(PackedField, "det_nonzero",
                         counting("packed", PackedField.det_nonzero))
-    name = "zech" if dlog_limit > 1 else "packed"
+    name = "packed"
     guards = GuardConfig(dlog_limit=dlog_limit)
     mds = hermitian_n5_code(3)
     assert mds_check(mds, "monte-carlo", trials=50, guards=guards) == \
@@ -1348,27 +1349,28 @@ def test_auto_exhaustive_rung_keeps_its_codeword_guard():
 
 
 def test_a_packed_certificate_builds_no_table():
-    # GF(5^6) has 15625 elements against 2 k**2 n = 500 updates of a
-    # [10, 5] reduction: the form is packed, and the certificate holds
+    # a [10, 5] GRS code over GF(5^6), its points withheld: the reduced
+    # form is packed, and the certificate holds
     field = make_field(5, 6)
-    linalg_module.dlog_table(field, field.order)
-    linalg_module._TABLES.pop(field)
+    linalg_module._TABLES.pop(field, None)
     points = [field.from_int(3 ** i) for i in range(10)]
     code = LinearCode(field, 10, 5, tuple(tuple(a ** i for a in points)
                                           for i in range(5)))
+    assert code._points is not None
+    code.__dict__["_points"] = None
     assert isinstance(code._reduced().arith, linalg_module.PackedField)
+    assert code._reduced().cauchy
     assert mds_check(code, "exhaustive-columns") == \
         MdsVerdict("certified-exact")
     assert mds_check(code, "monte-carlo", trials=5) == \
         MdsVerdict("monte-carlo", trials=5, passes=5)
-    assert linalg_module.dlog_table(field, field.order, build=False) is None
+    assert field not in linalg_module._TABLES
 
 
 @pytest.mark.parametrize("planted", [False, True])
 def test_the_column_rung_walks_a_packed_form_without_a_table(planted):
-    # GF(31^2) has 961 elements against 2 k**2 n = 256 updates of an
-    # [8, 4] reduction: a random code's form is packed, the certificate
-    # declines it, and the walk on R matches the per-subset oracle on G
+    # a random [8, 4] code over GF(31^2): the certificate declines it,
+    # and the walk on R matches the per-subset oracle on G
     field = make_field(31, 2)
     linalg_module._TABLES.pop(field, None)
     rng = random.Random(8)
@@ -1378,51 +1380,37 @@ def test_the_column_rung_walks_a_packed_form_without_a_table(planted):
         cols[6] = [a + field.from_int(5) * b
                    for a, b in zip(cols[2], cols[4])]
     code = LinearCode(field, 8, 4, tuple(zip(*cols)))
-    assert code._reduced().packed and not code._reduced().cauchy
+    assert code._points is None and not code._reduced().cauchy
     status, witness = lex_column_oracle(code)
     assert (status == "refuted") == planted
     assert mds_check(code, "exhaustive-columns") == MdsVerdict(
         status, witness=witness)
-    assert linalg_module.dlog_table(field, GuardConfig().dlog_limit,
-                                    build=False) is None
-
-
-def test_a_reduced_form_keeps_no_table_alive():
-    # the form names its table by the field: a table the cache drops is
-    # freed, and the one built again reads the same log ints
-    field = make_field(103, 1)
-    code = vandermonde(field, 9, 4)
-    form = code._reduced()
-    assert not form.packed
-    table = weakref.ref(linalg_module._TABLES.pop(field))
-    gc.collect()
-    assert table() is None
-    assert form.cauchy
-    assert element_rows(form) == [list(row) for row in row_reduce_oracle(
-        code.generator, field)[0]]
-    assert mds_check(code, "monte-carlo", trials=5) == \
-        MdsVerdict("monte-carlo", trials=5, passes=5)
+    assert field not in linalg_module._TABLES
 
 
 @pytest.mark.parametrize("changed", [False, True])
-def test_an_explicit_dlog_limit_governs_the_reduced_form(changed,
-                                                         monkeypatch):
-    # the doubly-extended [8, 4] RS code over GF(7), whose rows are not a
-    # staircase, so LinearCode caches its form on the GF(7) table; or
-    # the same code with one entry of A set to 0, which the certificate
-    # declines, so the searches run
-    f = make_field(7, 1)
-    rows = tuple(tuple(a ** i for a in f.elements())
-                 + (f.one if i == 3 else f.zero,) for i in range(4))
-    code = LinearCode(f, 8, 4, rows)
+def test_every_reduction_is_packed_and_builds_no_table(changed,
+                                                       monkeypatch):
+    # the doubly-extended [8, 4] RS code over GF(7), whose rows are no
+    # evaluation form (the point at infinity), and the [9, 4] GRS code
+    # over GF(103) with its rows shuffled; or each with one entry of A
+    # set to 0, which the certificate declines, so the searches run.
+    # Every reduction, walk and minor runs on packed values, whatever
+    # the dlog_limit, and no DlogTable method runs
+    f7, f103 = make_field(7, 1), make_field(103, 1)
+    rows = tuple(tuple(a ** i for a in f7.elements())
+                 + (f7.one if i == 3 else f7.zero,) for i in range(4))
+    grs = vandermonde(f103, 9, 4).generator
+    codes = [LinearCode(f7, 8, 4, rows),
+             LinearCode(f103, 9, 4, (grs[2], grs[0], grs[3], grs[1]))]
     if changed:
-        rows = element_rows(code._reduced())
-        rows[0][4] = f.zero
-        code = LinearCode(f, 8, 4, tuple(map(tuple, rows)))
-    modes = {"exhaustive-columns": {}, "monte-carlo": {"trials": 50}}
-    want = {mode: mds_check(code, mode, **kw) for mode, kw in modes.items()}
-    assert not code._reduced().packed
-    assert (want["exhaustive-columns"].status == "refuted") == changed
+        edited = []
+        for code in codes:
+            rows = element_rows(code._reduced())
+            rows[0][4] = code.field.zero
+            edited.append(LinearCode(code.field, code.n, 4,
+                                     tuple(map(tuple, rows))))
+        codes = edited
 
     def refuse(*args, **kwargs):
         raise AssertionError("a DlogTable method ran")
@@ -1431,19 +1419,27 @@ def test_an_explicit_dlog_limit_governs_the_reduced_form(changed,
         for name, attr in vars(cls).items():
             if callable(attr):
                 monkeypatch.setattr(DlogTable, name, refuse)
-    guards = GuardConfig(dlog_limit=6)
-    assert code._reduced(guards).packed
-    for mode, kw in modes.items():
-        assert mds_check(code, mode, guards=guards, **kw) == want[mode]
-    # the packed form was not cached
-    assert not code._reduced().packed
+    for code in codes:
+        assert code._points is None
+        form = code._reduced()
+        assert isinstance(form.arith, PackedField)
+        assert element_rows(form) == [list(row) for row in row_reduce_oracle(
+            code.generator, code.field)[0]]
+        assert not (changed and form.cauchy)
+        status, witness = lex_column_oracle(code)
+        assert (status == "refuted") == changed
+        for guards in (GuardConfig(), GuardConfig(dlog_limit=6)):
+            assert mds_check(code, "exhaustive-columns", guards=guards) == \
+                MdsVerdict(status, witness=witness)
+            assert mds_check(code, "monte-carlo", trials=50,
+                             guards=guards) == monte_carlo_oracle(code, 50)
+        assert code._reduced() is form
 
 
 @settings(deadline=None, max_examples=150)
 @given(st.sampled_from(COLUMN_FIELDS + [(3, 16), (7, 9)]), st.data())
 def test_rank_check_matches_the_rank_oracle(spec, data):
-    # the reduced form on packed values, on a cached table and on a
-    # tower's table, each against the rank of the oracle
+    # the reduced form on packed values against the rank of the oracle
     field = _column_field(spec)
     n = data.draw(st.integers(1, 7))
     k = data.draw(st.integers(1, n))
@@ -1457,17 +1453,11 @@ def test_rank_check_matches_the_rank_oracle(spec, data):
         rows[0] = combo
     rows = tuple(map(tuple, rows))
     full = matrix_rank(rows, field) == k
-    if field.order <= 2**20:  # a cached table carries the form
-        dlog_table(field, field.order)
-    for limit in (2**20, field.order - 1):
-        override = {"SELFDUAL_GUARD_OVERRIDE": "dlog_limit=%d" % limit}
-        with mock.patch.dict(os.environ, override):
-            try:
-                LinearCode(field, n, k, rows)
-                assert full
-            except ValueError:
-                assert not full
-
+    try:
+        LinearCode(field, n, k, rows)
+        assert full
+    except ValueError:
+        assert not full
 
 
 @st.composite
@@ -1573,13 +1563,13 @@ def test_mds_check_above_the_table_cap_refutes_the_planted_dependency(p, t):
     a, b = (field.from_int(rng.randrange(1, field.order)) for _ in range(2))
     cols[5] = [a * x + b * y for x, y in zip(cols[1], cols[3])]
     code = LinearCode(field, 7, 3, tuple(zip(*cols)))
-    assert dlog_table(field, GuardConfig().dlog_limit) is None
     status, witness = lex_column_oracle(code)
     assert status == "refuted"
     assert mds_check(code, "exhaustive-columns") == \
         MdsVerdict("refuted", witness=witness)
     assert mds_check(code, "monte-carlo", trials=40) == \
         monte_carlo_oracle(code, 40)
+    assert field not in linalg_module._TABLES
 
 
 def test_certify_mds_rung_follows_facts_and_guards():

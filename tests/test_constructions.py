@@ -12,7 +12,7 @@ from math import gcd
 import pytest
 from oracles import gamma_hermitian_oracle, odd_prime_powers, same_code
 
-from selfdual import constructions, linalg
+from selfdual import codes as codes_module, constructions, linalg
 from selfdual.codes import (
     VerificationReport,
     code_from_json,
@@ -223,18 +223,21 @@ def test_grs_with_a_wrong_norm_is_refused_by_its_gram_check(p, t, n,
     assert err.value.predicate == "hermitian_self_dual"
 
 
-def test_grs_rank_check_reduces_under_the_builders_guards():
-    # GF(31^2) has 961 elements, above dlog_limit = 100: the rank check
-    # of the GRS rows reduces on packed values and builds no Zech table
+def test_a_grs_build_reduces_nothing_and_builds_no_table(monkeypatch):
+    # the rows show their points: the rank check and the MDS rung read
+    # them, so no reduced form and no Zech table is made, under default
+    # guards as under a dlog_limit below q**2 = 961
+    forms = []
+    monkeypatch.setattr(codes_module, "ReducedForm",
+                        lambda *args: forms.append(args))
     tower = quadratic_extension(make_field(31, 1))
     linalg._TABLES.pop(tower, None)
     default = build_grs_hermitian(31, 1, 30)
-    assert tower in linalg._TABLES
-    linalg._TABLES.pop(tower)
     guarded = build_grs_hermitian(31, 1, 30,
                                   guards=GuardConfig(dlog_limit=100))
-    assert tower not in linalg._TABLES
+    assert default.code._points is not None
     assert guarded.report == default.report
+    assert forms == [] and tower not in linalg._TABLES
 
 
 # --- constacyclic and negacyclic ---

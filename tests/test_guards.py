@@ -2,18 +2,19 @@
 
 With the key one below what the work needs, the work is refused: a
 named error or a ``guarded`` verdict whose message carries the estimate
-(for a Zech table, no table and a packed form instead).  With the key
-exactly at the need, the work runs.  Each key is checked at each of its
-sites, with the config handed to the call, never the environment's:
-``field_size_limit`` and ``factor_limit`` where a field is admitted, on
-p before any arithmetic (``make_field``), on the largest field a route
-computes in (GF(q^2) for a Hermitian route) and on a record's field
-(``code_from_json``), and ``factor_limit`` on the n of a solvability
-verdict; ``dlog_limit`` at the Zech table, the cached-form gate, the
-norm walk, the root walk of the ``bch`` rung and that of a cyclic
-route's generator.  ``check_centered_duadic_splitting`` admits its
-field as ``make_field`` does and bounds its n by ``dlog_limit``, and so
-does ``check_duadic_splitting``, before it builds the two halves.
+(for the quadratic extension of a root proof, no proof and a reduction
+instead).  With the key exactly at the need, the work runs.  Each key
+is checked at each of its sites, with the config handed to the call,
+never the environment's: ``field_size_limit`` and ``factor_limit``
+where a field is admitted, on p before any arithmetic (``make_field``),
+on the largest field a route computes in (GF(q^2) for a Hermitian
+route), on a record's field (``code_from_json``) and on the extension
+that holds a code's roots, and ``factor_limit`` on the n of a
+solvability verdict; ``dlog_limit`` at the norm walk, the root walk of
+the ``bch`` rung and that of a cyclic route's generator.
+``check_centered_duadic_splitting`` admits its field as ``make_field``
+does and bounds its n by ``dlog_limit``, and so does
+``check_duadic_splitting``, before it builds the two halves.
 Last, a process whose environment holds a malformed override runs
 every builder, the record reader and the verifier on an explicit
 config: none of them reads the environment.
@@ -31,7 +32,7 @@ from selfdual.codes import (
     LinearCode,
     MdsCertificate,
     MdsVerdict,
-    _reduction_table,
+    _roots_prove_mds,
     certify_mds,
     code_from_json,
 )
@@ -39,6 +40,7 @@ from selfdual.config import GuardConfig
 from selfdual.constructions import (
     build_constacyclic_hermitian,
     build_euclidean_duadic_extended,
+    build_hermitian_n5,
     check_centered_duadic_splitting,
 )
 from selfdual.cosets import DefiningSet, check_duadic_splitting
@@ -73,13 +75,15 @@ def _fresh(code):
                                    code._value_rows)
 
 
-def _cached_form_gate(guards):
-    """(the cached form came back, the form is packed) for a code whose
-    form was first reduced on a Zech table."""
-    code = _fresh(_gf49_built().code)
-    cached = code._reduced(GuardConfig())
-    form = code._reduced(guards)
-    return form is cached, form.packed
+def _extension_proof(guards):
+    """(the roots prove it MDS, it was reduced, its verdict) for the
+    [6, 3, 4] code over GF(49), whose roots lie in GF(7^4)."""
+    built = build_hermitian_n5(7, 1)
+    code, T, lam = _fresh(built.code), built.cyclic.defining, built.cyclic.lam
+    status = certify_mds(code, defining=T, lam=lam,
+                         guards=guards).verdict.status
+    return (_roots_prove_mds(code, T, lam, guards),
+            "_form" in code.__dict__, status)
 
 
 def _norm_walk(guards):
@@ -134,11 +138,8 @@ CASES = [
      _guarded("columns", "C(n, k) = 70 exceeds the column guard"),
      MdsCertificate("columns", MdsVerdict("certified-exact"),
                     distance_exact=5)),
-    ("dlog_limit", 49,
-     lambda g: _reduction_table(_gf49_built().code.field, 4, 8,
-                                g.dlog_limit) is not None,
-     False, True),
-    ("dlog_limit", 49, _cached_form_gate, (False, True), (True, False)),
+    ("field_size_limit", 2401, _extension_proof,
+     (False, True, "certified-exact"), (True, False, "certified-exact")),
     ("dlog_limit", 7, _norm_walk,
      ("DiscreteLogGuardExceeded",
       "base field order 7 exceeds the discrete-log guard 6"), True),
@@ -190,8 +191,8 @@ def _outcome(work, guards):
     ids=["field_size", "field_size-make_field", "factor_limit",
          "factor_limit-euclidean_route", "factor_limit-hermitian_route",
          "factor_limit-record", "codewords", "columns",
-         "dlog_limit-zech_table", "dlog_limit-cached_form",
-         "dlog_limit-norm_walk", "dlog_limit-root_walk",
+         "field_size-root_extension", "dlog_limit-norm_walk",
+         "dlog_limit-root_walk",
          "dlog_limit-cyclic_generator", "dlog_limit-constacyclic_generator",
          "field_size-centered_splitting",
          "field_size-centered_splitting_order",

@@ -178,7 +178,7 @@ def _random_rows(field, data):
 @given(st.sampled_from(DET_FIELDS), st.data())
 def test_zech_row_reduce_decodes_to_the_element_form(spec, data):
     field = _field(*spec)
-    table = dlog_table(field, field.order)
+    table = dlog_table(field)
     rows = _random_rows(field, data)
     reduced, pivots = table.row_reduce(
         [[table.encode(x) for x in row] for row in rows])
@@ -308,7 +308,7 @@ ADD_FIELDS = [(7, 1, 0), (3, 2, 0), (5, 1, 1), (2, 3, 0)]
 @given(data=st.data())
 def test_add_multiple_decodes_to_element_arithmetic(p, t, towers, data):
     field = _field(p, t, towers)
-    table = dlog_table(field, field.order)
+    table = dlog_table(field)
     m = field.order - 1
     log = st.integers(0, m - 1)
 
@@ -372,7 +372,7 @@ def test_module_caches_stay_bounded():
     for p in primes[:TOWER_CACHE_SIZE + 8]:
         quadratic_extension(make_field(p, 1))
     for p in primes[:DLOG_CACHE_SIZE + 8]:
-        dlog_table(make_field(p, 1), p)
+        dlog_table(make_field(p, 1))
     assert make_field.cache_info().currsize == FIELD_CACHE_SIZE
     assert find_primitive_element.cache_info().currsize == FIELD_CACHE_SIZE
     assert quadratic_extension.cache_info().currsize == TOWER_CACHE_SIZE
@@ -380,7 +380,7 @@ def test_module_caches_stay_bounded():
     # least recently used first out: the newest table is kept, the
     # oldest is built again
     newest = make_field(primes[DLOG_CACHE_SIZE + 7], 1)
-    table = dlog_table(newest, 10**4, build=False)
-    assert table is not None and dlog_table(newest, 10**4) is table
-    assert dlog_table(make_field(2, 1), 2, build=False) is None
-    assert dlog_table(make_field(2, 1), 2) is not None
+    table = _TABLES[newest]
+    assert dlog_table(newest) is table
+    assert make_field(2, 1) not in _TABLES
+    assert dlog_table(make_field(2, 1)) is _TABLES[make_field(2, 1)]

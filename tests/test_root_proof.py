@@ -5,9 +5,10 @@ over random shift forms, cyclic, constacyclic and extended through a
 random gamma, with their generator, tail, roots or shift constant
 mutated, it never proves a code the per-subset determinant oracle
 refutes, and no verdict changes when it is disabled.  On the reference
-table codes of lengths 4 to 16 it replaces every reduction, and a
+table codes of lengths 4 to 16 and on the length-6 Hermitian codes,
+whose roots lie in GF(q^4), it replaces every reduction, and a
 discrete-log guard below the roots' modulus skips it without changing
-a verdict.
+a verdict.  A progression T with 0 is read only under a unit step.
 """
 import json
 from unittest import mock
@@ -40,7 +41,7 @@ from selfdual.fields import (
 )
 from selfdual.table import EXPECTED_UNSUPPORTED, TABLE_ROWS
 
-from oracles import lex_column_oracle
+from oracles import lex_column_oracle, odd_prime_powers
 
 prove = codes_module._roots_prove_mds
 
@@ -70,15 +71,15 @@ def _fresh(code):
 
 @pytest.fixture
 def reductions(monkeypatch):
-    """The (n, k) of every ``LinearCode._reduce_on`` call."""
+    """The (n, k) of every reduced form a code makes."""
     calls = []
-    reduce_on = LinearCode._reduce_on
+    form = codes_module.ReducedForm
 
-    def spy(self, table):
-        calls.append((self.n, self.k))
-        return reduce_on(self, table)
+    def spy(arith, rows, pivots):
+        calls.append((arith.field.order, len(rows)))
+        return form(arith, rows, pivots)
 
-    monkeypatch.setattr(LinearCode, "_reduce_on", spy)
+    monkeypatch.setattr(codes_module, "ReducedForm", spy)
     return calls
 
 
@@ -92,14 +93,18 @@ def proposed_shift_form(draw):
     tail, extended through a random gamma, or with a random tail; then
     at most one mutation: one entry of g changed, a zero tail, a random
     tail, the proposed set shifted by one step, 0 added to it, or
-    another lam."""
+    another lam.  Half of the codes take their roots in the quadratic
+    extension of their field: the set is closed under x -> q*x, so g
+    descends to the field."""
     field = _field(*draw(st.sampled_from(FIELDS)))
-    q = field.order
+    roots_field = (quadratic_extension(field) if draw(st.booleans())
+                   else field)
+    q, wide = field.order, roots_field.order
     element = st.integers(0, q - 1).map(field.from_int)
     lam = draw(st.just(field.one) | st.integers(1, q - 1).map(field.from_int))
     r = element_order(lam)
     n = draw(st.sampled_from([n for n in range(2, 9)
-                              if (q - 1) % (r * n) == 0] or [0]))
+                              if (wide - 1) % (r * n) == 0] or [0]))
     assume(n)
     size = draw(st.integers(0, n - 2))
     shape = draw(st.sampled_from(("run", "next_to_zero", "gap_at_zero",
@@ -117,9 +122,23 @@ def proposed_shift_form(draw):
                      else st.integers(0, n - 1))
         positions = [(start + i) % n for i in range(size)]
     base = 1 % r
-    T = DefiningSet(r * n, tuple(base + r * j for j in positions), step=r)
-    spec = codes_module.generator_from_defining_set(field, n, lam, T)
-    g, k = list(spec.g), n - size
+    elements = {base + r * j for j in positions}
+    if roots_field is not field:
+        # q = 1 mod r, as lam of order r lies in GF(q), and q**2 = 1
+        # mod r*n: the set with q times it is closed
+        elements |= {q * x % (r * n) for x in elements}
+        assume(len(elements) < n)
+    T = DefiningSet(r * n, tuple(elements), step=r)
+    if roots_field is field:
+        g = list(codes_module.generator_from_defining_set(
+            field, n, lam, T).g)
+    else:
+        spec = codes_module.generator_from_defining_set(
+            roots_field, n, roots_field.embed(lam), T)
+        halves = [roots_field.parts(c) for c in spec.g]
+        assert not any(b for _, b in halves)
+        g = [a for a, _ in halves]
+    k = n - len(T)
     mutation = draw(st.sampled_from(MUTATIONS))
     if mutation == "g_entry":
         g[draw(st.integers(0, len(g) - 1))] = draw(element)
@@ -246,11 +265,87 @@ def test_the_hermitian_cyclic_routes_are_proved_without_a_reduction(
     assert reductions == []
 
 
-def test_a_length_six_hermitian_code_keeps_the_reduced_form():
-    # {2, 3} with 0 is no run: the roots prove nothing
-    built = build_hermitian_n5(7, 1)
-    assert not prove(built.code, built.cyclic.defining, built.cyclic.lam,
-                     GuardConfig())
+def _length_six_fields():
+    """(p, t) of every odd q <= 49 with 5 | q**2 + 1, GF(27) among
+    them."""
+    return [(p, t) for q, p, t in odd_prime_powers(49)
+            if (q * q + 1) % 5 == 0]
+
+
+@pytest.mark.parametrize("p, t", _length_six_fields())
+def test_the_length_six_codes_are_proved_by_their_roots(p, t, reductions):
+    # T = {2, 3} mod 5 lies in GF(q^4), and T with 0 is a progression
+    # with step 2: built and verified from the record, no reduction
+    built = build_hermitian_n5(p, t)
+    T, lam = built.cyclic.defining, built.cyclic.lam
+    assert (built.code.field.order - 1) % 5 != 0
+    assert prove(built.code, T, lam, GuardConfig())
+    code = code_from_json(built.to_json())[0]
+    assert prove(code, T, lam, GuardConfig())
+    assert verify_code(code, defining=T, lam=lam)[0] == built.report
+    assert reductions == []
+
+
+def _length_six_mutated(name, p):
+    built = build_hermitian_n5(p, 1)
+    code, lam = built.code, built.cyclic.lam
+    f = code.field
+    if name == "g_coefficient":
+        # g = x**2 - s*x + 1: its middle coefficient moves by one
+        g1 = code._value_rows[0][1]
+        code = _edit(code, 1, f._add(g1, f._one))
+    elif name == "zero_tail":
+        code = _edit(code, -1, f._zero)
+    elif name == "other_tail":
+        tail = code._value_rows[0][-1]
+        code = _edit(code, -1, f._add(tail, f._one))
+    else:
+        lam = f.from_int(2)
+    return built, code, lam
+
+
+@pytest.mark.parametrize("name", ["g_coefficient", "zero_tail", "lambda"])
+@pytest.mark.parametrize("p", [3, 7, 13])
+def test_a_mutated_length_six_code_is_left_to_the_reduced_form(name, p):
+    built, code, lam = _length_six_mutated(name, p)
+    T = built.cyclic.defining
+    assert code._shift is not None
+    assert not prove(code, T, lam, GuardConfig())
+    facts = {"defining": T, "lam": lam}
+    want = verify_code(_fresh(code), **facts)
+    with mock.patch.object(codes_module, "_roots_prove_mds",
+                           lambda *args: False):
+        assert verify_code(_fresh(code), **facts) == want
+
+
+@pytest.mark.parametrize("p", [3, 7, 13])
+def test_any_nonzero_tail_keeps_a_length_six_code_proved_and_mds(p):
+    # the proof reads only t != 0: the check row of the last coordinate
+    # is (1, ..., 1, -g(1)/t) for every nonzero tail t
+    built, code, lam = _length_six_mutated("other_tail", p)
+    assert code._value_rows[0][-1] != built.code._value_rows[0][-1]
+    assert prove(code, built.cyclic.defining, lam, GuardConfig())
+    assert lex_column_oracle(code) == ("certified-exact", None)
+
+
+def test_a_progression_under_a_step_sharing_a_factor_is_not_proved():
+    # over GF(5), g = x - alpha**2 = x + 1 with alpha of order m = 4,
+    # extended by a tail: T = {2}, and T with 0 is 0, 2, a progression
+    # only under step 2, which shares a factor with 4.  The check rows
+    # (1, -1, 1, -1 | 0) and (1, 1, 1, 1 | 1/gamma) agree on columns 0
+    # and 2, so the code is not MDS
+    f = make_field(5, 1)
+    T = DefiningSet(4, (2,))
+    spec = codes_module.generator_from_defining_set(f, 4, f.one, T)
+    g = tuple(c.value for c in spec.g)
+    zero, tail = (f._zero,), (f.from_int(3).value,)
+    code = LinearCode._from_values(f, 5, 3, tuple(
+        zero * i + g + zero * (2 - i) + tail for i in range(3)))
+    assert code._shift is not None
+    assert lex_column_oracle(code)[0] == "refuted"
+    assert not prove(code, T, f.one, GuardConfig())
+    cert = verify_code(code, extended_defining=T, lam=f.one)[1]
+    assert cert.verdict.status == "refuted"
 
 
 TABLE_CODES = [(length, p, t) for length, fields in TABLE_ROWS
@@ -288,3 +383,48 @@ def test_a_dlog_limit_below_the_modulus_skips_the_proof_alone(length, p, t,
     assert reductions != []
     assert (report, cert) == verify_code(_fresh(code), **facts)
     assert report == built.report
+
+
+def _gf5_length_six():
+    """The [6, 3, 4] cyclic code over GF(5) with roots alpha**e, e in
+    T = {2, 3, 4} mod 6: the set is closed under x -> 5*x, so g has its
+    coefficients in GF(5), but its roots lie only in GF(25)."""
+    f = make_field(5, 1)
+    wide = quadratic_extension(f)
+    T = DefiningSet(6, (2, 3, 4))
+    spec = codes_module.generator_from_defining_set(wide, 6, wide.one, T)
+    g = tuple(wide.parts(c)[0].value for c in spec.g)
+    zero = (f._zero,)
+    rows = tuple(zero * i + g + zero * (2 - i) for i in range(3))
+    return LinearCode._from_values(f, 6, 3, rows), T, f.one
+
+
+def test_the_bch_rung_places_roots_in_the_quadratic_extension(
+        tmp_path, capsys, reductions):
+    # the one change of behaviour: a record whose roots lie only in
+    # GF(q^2) is certified by the named bch rung, where it was
+    # inconclusive; a field size guard below q**2 keeps the old verdict
+    code, T, lam = _gf5_length_six()
+    assert lex_column_oracle(code) == ("certified-exact", None)
+    cert = codes_module.certify_mds(code, defining=T, lam=lam, mode="bch")
+    assert (cert.verdict.status, cert.distance_lower_bound) == (
+        "certified-bch", 4)
+    below = codes_module.certify_mds(code, defining=T, lam=lam, mode="bch",
+                                     guards=GuardConfig(field_size_limit=24))
+    assert (below.verdict.status, below.reason) == (
+        "inconclusive", "roots do not fit n = 6: r*n = 6 does not divide "
+        "q - 1 = 4")
+    record = tmp_path / "gf5.json"
+    record.write_text(json.dumps(codes_module.code_to_json(
+        code, {"defining_set": T.to_json(), "lambda": [1]})))
+    capsys.readouterr()
+    assert main(["verify", str(record), "--mds", "bch"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "euclidean_self_dual": False, "hermitian_self_dual": None,
+        "distance": {"lower_bound": 4}, "mds": {"status": "certified-bch"}}
+    # in auto mode the roots prove it with no reduction and no scan:
+    # the distance the scan measured
+    assert main(["verify", str(record)]) == 1
+    assert json.loads(capsys.readouterr().out)["distance"] == {"exact": 4}
+    assert reductions == []
+
