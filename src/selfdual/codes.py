@@ -5,8 +5,9 @@ a generator polynomial built out of a defining set of root exponents;
 the matrix rows are the shifts x**i * g(x) modulo x**n - lambda.
 
 The generator product, its division check, the extension, the Gram
-checks and the root check of a length-n code run on the one cached
-n-term layout ``packed_field(field, n)``, the roots on one walk.  A code
+checks and the root check of a length-n code run on the n-term layout
+``packed_field(field, n)``, which the term counts of the same lane width
+share, and the roots on one cached walk per layout.  A code
 holds its generator once, as rows of field values, and packs them there
 once; every packed check reads that copy.  A generator whose k >= 2
 rows are the shifts of one vector g, then a tail the same in every row
@@ -17,8 +18,10 @@ shifts; it is checked through g alone:
 G G^T is Toeplitz, so the Gram checks test min(k, d + 1) lag sums of g
 plus the tail's inner product (``_lag_gram_is_zero``), and the root
 check evaluates g alone, since row i at alpha**e is alpha**(e*i) *
-g(alpha**e) (``_roots_mismatch``).  Any other generator is checked row
-by row.
+g(alpha**e) (``_roots_mismatch``).  An evaluation form whose points
+the pairing fixes, every GRS builder's code, has a Hankel Gram matrix,
+checked through its 2k - 1 values (``_hankel_gram_is_zero``).  Any
+other generator is checked row by row.
 
 Verification never approximates: self-duality is an exact matrix
 product, distances are exhaustive scans under a guard, and MDS checks
@@ -75,6 +78,7 @@ from .fields import (
     nth_root_of_unity,
     quadratic_extension,
     values_from_json,
+    values_to_json,
 )
 from .frozen import Frozen
 from .linalg import (
@@ -146,10 +150,14 @@ class LinearCode(Frozen):
                                       for row in generator))
 
     @classmethod
-    def _from_values(cls, field: Field, n: int, k: int,
-                     rows: tuple) -> "LinearCode":
-        """The code whose generator rows hold the field values ``rows``."""
+    def _from_values(cls, field: Field, n: int, k: int, rows: tuple,
+                     packed: list | None = None) -> "LinearCode":
+        """The code whose generator rows hold the field values ``rows``;
+        ``packed``, when given, is those rows already packed on the
+        n-term layout, held as the packed copy."""
         code = cls.__new__(cls)
+        if packed is not None:
+            code.__dict__["_packed"] = packed
         code._hold(field, n, k, rows)
         return code
 
@@ -252,12 +260,19 @@ class LinearCode(Frozen):
         return 2 * self.k == self.n and self._gram_zero(True)
 
     def _gram_zero(self, conjugate: bool) -> bool:
-        """The Gram check of the shift form's lag sums, or of the rows."""
+        """The Gram check of the shift form's lag sums, of the Hankel
+        sums of an evaluation form whose points the pairing fixes, or of
+        the rows."""
         arith = packed_field(self.field, self.n)
-        if self._shift is None:
-            return _gram_is_zero(self._packed, arith, conjugate=conjugate)
-        return _lag_gram_is_zero(*self._shift, self.k, arith,
-                                 conjugate=conjugate)
+        if self._shift is not None:
+            return _lag_gram_is_zero(*self._shift, self.k, arith,
+                                     conjugate=conjugate)
+        points = self._points
+        if points is not None and (not conjugate or all(
+                arith.conj(a) == a for a in points)):
+            return _hankel_gram_is_zero(self._packed, arith,
+                                        conjugate=conjugate)
+        return _gram_is_zero(self._packed, arith, conjugate=conjugate)
 
 
 class CyclicSpec(Frozen):
@@ -278,11 +293,19 @@ class CyclicSpec(Frozen):
         return self.n - len(self.defining)
 
 
+# root walks kept at once, each of at most dlog_limit packed values
+ROOT_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=ROOT_CACHE_SIZE)
 def _root_powers(arith: PackedField, n: int, lam: Element,
-                 modulus: int) -> list:
+                 modulus: int) -> tuple:
     """alpha**e for e < m = r*n, as packed values of ``arith``: alpha is
     the first power of the canonical m-th root of unity with order m and
-    alpha**n = lam, r the order of lam; ``modulus`` must be m."""
+    alpha**n = lam, r the order of lam; ``modulus`` must be m.  The walk
+    is canonical data of the layout, like the field's primitive element,
+    so it is taken once: a generator and the root check of its code,
+    whose term counts share a layout, read the same tuple."""
     field = arith.field
     if not lam:
         raise ZeroElement("shift constant must be nonzero")
@@ -304,7 +327,7 @@ def _root_powers(arith: PackedField, n: int, lam: Element,
               if walk[i * n % m] == want and gcd(i, m) == 1), None)
     if i is None:
         raise RootsNotInField("no root of order %d with alpha**n = lam" % m)
-    return [walk[i * e % m] for e in range(m)]
+    return tuple([walk[i * e % m] for e in range(m)])
 
 
 def generator_from_defining_set(field: Field, n: int, lam: Element,
@@ -399,6 +422,31 @@ def _gram_is_zero(rows: list, arith: PackedField,
                for other in seen):
             return False
     return True
+
+
+def _hankel_gram_is_zero(rows: list, arith: PackedField,
+                         conjugate: bool = False) -> bool:
+    """``_gram_is_zero`` of k >= 2 rows of an evaluation form
+    r_i = v * a**i (``LinearCode._points``), packed on ``arith``, whose
+    pairing s, the identity or the conjugate, fixes every point a_c,
+    from the 2k - 1 entries (i, 0) and (i, k - 1).
+
+    s is a field automorphism, so s(r_j) = s(v) * s(a)**j = s(v) * a**j
+    entrywise, and entry (i, j) is sum_c v_c * s(v_c) * a_c**(i + j) =
+    h(i + j): the Gram matrix is a Hankel matrix, constant along each
+    antidiagonal.  Its 2k - 1 values h(0), ..., h(2k - 2) are the
+    entries (m, 0) for m < k and (m - k + 1, k - 1) for m >= k - 1, so
+    the matrix is zero exactly when those entries are.  Each is one dot
+    product of n packed values, exact on the n-term layout, reduced
+    once; rows 0 and k - 1 are conjugated once each.
+    """
+    reduce = arith.reduce
+    ends = [rows[0], rows[-1]]
+    if conjugate:
+        ends = [list(map(arith.conj, row)) for row in ends]
+    return not any(reduce(sum(map(operator.mul, row, end)))
+                   for end, part in zip(ends, (rows, rows[1:]))
+                   for row in part)
 
 
 def _lag_gram_is_zero(g: list, tail: list, k: int, arith: PackedField,
@@ -957,8 +1005,7 @@ def code_to_json(code: LinearCode, metadata: dict | None = None):
         "field": field_to_json(code.field),
         "n": code.n,
         "k": code.k,
-        "generator": [list(map(code.field._to_json, row))
-                      for row in code._value_rows],
+        "generator": values_to_json(code.field, code._value_rows),
         "metadata": metadata or {},
     }
 

@@ -312,13 +312,18 @@ def build_grs_hermitian(p: int, t: int, n: int, points=None,
          for ui in arith.inverses(prods)]
 
     # row l is (v_i * a_i**l): each row is the one before times the
-    # points, on values
-    emb = [tower.embed(a).value for a in pts]
+    # embedded points, packed on the code's n-term layout, which the
+    # code holds as its packed copy; each entry is unpacked once
+    rows_arith = packed_field(tower, n)
+    emb = [rows_arith.pack(a.value + field._zero) for a in pts]
     k = n // 2
-    rows = [tuple([x.value for x in v])]
+    packed = [[rows_arith.pack(x.value) for x in v]]
     for _ in range(k - 1):
-        rows.append(tuple(map(tower._mul, rows[-1], emb)))
-    code = LinearCode._from_values(tower, n, k, tuple(rows))
+        packed.append(rows_arith.products(packed[-1], emb))
+    unpack = rows_arith.unpack
+    code = LinearCode._from_values(
+        tower, n, k, tuple(tuple(map(unpack, row)) for row in packed),
+        packed)
     report = _verified_report(code, guards, structural=True)
     return ConstructionResult(
         code, "Thm3", "grs-hermitian", report,

@@ -24,7 +24,8 @@ so ``values_from_json`` reads canonical rows as their values.
 
 Every Kronecker-packed product in the package runs on
 ``Field._layout(terms)``, the layout of ``_packing`` for exact sums of
-up to ``terms`` products, built once per field and ``terms``.  A single
+up to ``terms`` products, built once per field and lane width: the term
+counts whose exact bounds give the same lanes share it.  A single
 product of two values, ``Field._mul``, is one of them: it packs both on
 ``_layout(1)``, multiplies the two ints and reduces once, in GF(p),
 GF(p^t) and towers alike, so the rules x**t -> residue and
@@ -103,6 +104,9 @@ class Field:
         _set(self, "_zero", (0,) * degree)
         _set(self, "_one", (1,) + (0,) * (degree - 1))
         _set(self, "_hash", hash(key))
+        # the layouts of ``_layout``, by term count and by lane width
+        _set(self, "_layouts", {})
+        _set(self, "_lane_layouts", {})
 
     def __hash__(self) -> int:
         # a tower's key walks its base and modulus elements, so the hash
@@ -163,15 +167,18 @@ class Field:
             return (-a[0] % p,)
         return tuple([-x % p for x in a])
 
-    @functools.cached_property
-    def _layouts(self) -> dict:
-        return {}
-
     def _layout(self, terms: int):
         """(pack, reduce, unpack) of ``_packing`` for an exact sum of up
-        to ``terms`` products plus one canonical value, built once per
-        field and ``terms``: ``reduce`` maps the packed sum to the packed
-        canonical value of the field sum, 0 exactly when that sum is 0.
+        to ``terms`` products plus one canonical value: ``reduce`` maps
+        the packed sum to the packed canonical value of the field sum, 0
+        exactly when that sum is 0.
+
+        The lanes are those of the exact bound (``_lane_width``), and
+        every term count whose exact bound gives the same lanes shares
+        one layout, built once per field and lane width for the widest
+        digit those lanes hold (``_widest_bound``).  No lane is widened:
+        only the quotient step inside ``reduce`` is sized for the larger
+        digit, and a packed canonical value depends on the lanes alone.
 
         The sum is exact.  Its products have their digits at fixed
         positions, so it adds digit by digit, each digit at most
@@ -191,8 +198,13 @@ class Field:
         """
         layout = self._layouts.get(terms)
         if layout is None:
-            layout = self._layouts[terms] = _packing(
-                self, _product_bound(self, terms) + self.char - 1)[:3]
+            bound = _product_bound(self, terms) + self.char - 1
+            lanes = _lane_width(self, bound)
+            layout = self._lane_layouts.get(lanes)
+            if layout is None:
+                layout = self._lane_layouts[lanes] = _packing(
+                    self, _widest_bound(self, bound, lanes))[:3]
+            self._layouts[terms] = layout
         return layout
 
     def _mul(self, a, b):
@@ -448,7 +460,13 @@ def poly_is_irreducible(coeffs: Sequence[int], p: int) -> bool:
     t = len(c) - 1
     if t < 1 or c[-1] != 1:
         return False
-    ring = FieldSpec(p, t, tuple(c))
+    return _rabin(FieldSpec(p, t, tuple(c)))
+
+
+def _rabin(ring: FieldSpec) -> bool:
+    """Rabin's test of ``poly_is_irreducible`` in the ring
+    GF(p)[x]/(c) itself, so that a ring that passes is the field."""
+    p, t = ring.p, ring.t
     x = ring._reduce([0, 1])
     if ring._pow(x, p ** t) != x:
         return False
@@ -499,8 +517,9 @@ def _canonical_field(p: int, t: int) -> FieldSpec:
     x**4 + x + 1, not x**4 + x**3 + 1.  For t = 1 this yields the
     modulus x, i.e. the prime field itself.  A candidate with a root in
     GF(p) has a linear factor and is skipped before Rabin's test, which
-    changes no modulus.  It reads no guard: ``make_field`` admits p and
-    t first.
+    changes no modulus.  The ring that passes Rabin's test is the field
+    returned, with the layout the test built.  It reads no guard:
+    ``make_field`` admits p and t first.
     """
     if t == 1:
         return _prime_field(p)
@@ -513,9 +532,10 @@ def _canonical_field(p: int, t: int) -> FieldSpec:
         upper = [(high // p ** i) % p for i in range(t - 1)] + [1]
         rooted = {-sum(map(operator.mul, upper, row)) % p for row in powers}
         for c0 in range(1, p):
-            candidate = [c0] + upper
-            if c0 not in rooted and poly_is_irreducible(candidate, p):
-                return FieldSpec(p, t, tuple(candidate))
+            if c0 not in rooted:
+                ring = FieldSpec(p, t, (c0, *upper))
+                if _rabin(ring):
+                    return ring
     raise SizeGuardExceeded("no irreducible polynomial found")  # unreachable
 
 
@@ -884,7 +904,8 @@ def _packing(field: Field, bound: int):
     ``_folding`` gives each field, with a shift each way for the two
     lanes of GF(p^2), the hot case.  In GF(p^t) coordinate i, the
     coefficient of x**i, is lane i.  ``bits`` is the length of a product
-    of two packed values: 2t - 1 lanes in GF(p^t).  In a tower a's
+    of two packed values: 2t - 1 lanes in GF(p^t), and 0 in GF(p)
+    itself, whose one coordinate is the int.  In a tower a's
     coordinates sit in the base's lanes and b's as many bits higher as
     a base product is long, so the product of two packed tower values
     holds ac, ad + bc and bd, the coefficients of 1, y and y**2, in
@@ -906,8 +927,8 @@ def _packing(field: Field, bound: int):
     folds its high digits one by one.  The folds only add digits times
     residue coordinates, which are not negative, so every lane, the
     spilled ones included, is largest when every digit is at ``bound``:
-    X, the largest lane of the folds on that input, computed once here,
-    bounds every folded digit x.
+    X, the largest lane of the folds on that input, ``bound`` times the
+    field's fold unit (``_fold``), bounds every folded digit x.
 
     Then every digit is taken mod p at once, as v - p*(v*M >> k & mask).
     With 2**k >= X*p and M = ceil(2**k / p) = (2**k + f)/p, 0 <= f < p,
@@ -923,11 +944,8 @@ def _packing(field: Field, bound: int):
     y**2 -> -c1*y - c0; those constants are packed canonical values, so
     no digit inside ``reduce`` exceeds ``bound`` (see ``Field._layout``).
     """
-    # a value of more than two coordinates is read by a cast of its
-    # bytes, so GF(p) lanes below it widen to a cast width; a GF(p^2)
-    # value keeps the narrowest lanes, the smallest ints for its
-    # products (one 30-bit int digit per value for p < 2**7)
-    reduce, s, lanes, bits = _folding(field, bound, field.degree > 2)
+    reduce, s, lanes, bits = _folding(field, bound,
+                                      _lane_width(field, bound))
     if len(lanes) == 1:  # GF(p): the value's one coordinate is the int
         return operator.itemgetter(0), reduce, (lambda v: (v,)), bits
     if lanes == (0, 1):  # every GF(p^2): a shift each way
@@ -938,14 +956,13 @@ def _packing(field: Field, bound: int):
     return pack, reduce, unpack, bits
 
 
-def _folding(field: Field, bound: int, wide: bool):
+def _folding(field: Field, bound: int, s: int):
     """(reduce, s, lanes, bits) of ``_packing``: ``reduce``, the lane
-    width s, the lanes of a value's coordinates, lowest first, and the
-    bit length of a product of two packed values.  With ``wide`` a
-    GF(p) digit, too, gets the least of 16, 32 and 64 bits that holds
-    it, so that a value is read by a cast of its bytes."""
+    width s (``_lane_width``), the lanes of a value's coordinates,
+    lowest first, and the bit length of a product of two packed
+    values."""
     if isinstance(field, TowerSpec):
-        base_reduce, s, lanes, bits = _folding(field.base, bound, wide)
+        base_reduce, s, lanes, bits = _folding(field.base, bound, s)
         base_pack = _lanes(s, lanes)[0]
         block = (1 << bits) - 1
         c0, c1, _ = field.ext_modulus
@@ -963,35 +980,10 @@ def _folding(field: Field, bound: int, wide: bool):
         return reduce, s, lanes + high, 3 * bits
     p, t = field.p, field.t
     if t == 1:  # no polynomial to reduce: one digit, one coefficient
-        s = _cast_width(bound.bit_length()) if wide else bound.bit_length()
         return p.__rmod__, s, (0,), s
-    # x**t = r(x) = -(c_0 + ... + c_(t-1) x**(t-1)), of degree d
-    xt = [-c % p for c in field.modulus[:t]]
-    d = max((i for i, c in enumerate(xt) if c), default=0)
-    m = t - d
-    blocks = -(-(t - 1) // m)
-    # polynomials with a coefficient in each lane of w bits: a lane
-    # below is at most bound*(1 + (t - 1)(p - 1))*(1 + (m - 1)(p - 1)),
-    # under bound*(t*p)**2, so no sum carries from lane to lane
-    w = _cast_width((bound * (t * p) ** 2).bit_length())
-    wpack, wread = _lanes(w, range(2 * t))
-    r, wtop = wpack(xt), w * t
-    # R_b = x**(t + b*m) is x**m times R_(b-1), whose m digits past
-    # x**(t - 1) fold once by r, of degree d = t - m, below x**t
-    coords = [xt]
-    for _ in range(blocks - 1):
-        v = wpack(coords[-1]) << w * m
-        coords.append([c % p for c in wread(v + (v >> wtop) * r)[:t]])
-    # the folds on every digit at the bound, as polynomial products:
-    # block b adds R_b times its run of digits, and the lanes it spills
-    # past x**(t - 1) add their fold by r, the spill lanes kept
-    v = bound * sum(wpack(c) * wpack([1] * min(m, t - 1 - b * m))
-                    for b, c in enumerate(coords))
-    v += wpack([bound] * t)
-    most = max(wread(v + (v >> wtop) * r))
-    k = (most * p - 1).bit_length()
-    M = -(-(1 << k) // p)
-    s = _cast_width((most * M).bit_length())
+    m, coords, unit = _fold(field)
+    blocks = len(coords)
+    k, M, _ = _quotient_step(bound * unit, p)
     pack = _lanes(s, range(t))[0]
     residues = list(map(pack, coords))
     low, top = (1 << s * t) - 1, s * t
@@ -1021,6 +1013,103 @@ def _folding(field: Field, bound: int, wide: bool):
             return v - p * (v * M >> k & quotients)
 
     return reduce, s, tuple(range(t)), s * (2 * t - 1)
+
+
+@functools.lru_cache(maxsize=FIELD_CACHE_SIZE)
+def _fold(field: FieldSpec) -> tuple:
+    """(m, coords, unit) of the fold of ``_packing`` in ``field``,
+    GF(p^t) with t > 1: x**t = r(x) of degree d = t - m, the
+    coordinates of the residue R_b of x**(t + b*m) for each block b of
+    high digits, and the largest lane of the folds on digits that are
+    all 1.  The folds only add digits times residue coordinates, so on
+    digits that are all at a bound they give that bound times ``unit``
+    in the largest lane."""
+    p, t = field.p, field.t
+    # x**t = r(x) = -(c_0 + ... + c_(t-1) x**(t-1)), of degree d
+    xt = [-c % p for c in field.modulus[:t]]
+    d = max((i for i, c in enumerate(xt) if c), default=0)
+    m = t - d
+    blocks = -(-(t - 1) // m)
+    # polynomials with a coefficient in each lane of w bits: a lane
+    # below is at most (1 + (t - 1)(p - 1))*(1 + (m - 1)(p - 1)),
+    # under (t*p)**2, so no sum carries from lane to lane
+    w = _cast_width(((t * p) ** 2).bit_length())
+    wpack, wread = _lanes(w, range(2 * t))
+    r, wtop = wpack(xt), w * t
+    # R_b = x**(t + b*m) is x**m times R_(b-1), whose m digits past
+    # x**(t - 1) fold once by r, of degree d = t - m, below x**t
+    coords = [xt]
+    for _ in range(blocks - 1):
+        v = wpack(coords[-1]) << w * m
+        coords.append([c % p for c in wread(v + (v >> wtop) * r)[:t]])
+    # the folds on every digit 1, as polynomial products: block b
+    # adds R_b times its run of digits, and the lanes it spills past
+    # x**(t - 1) add their fold by r, the spill lanes kept
+    v = sum(wpack(c) * wpack([1] * min(m, t - 1 - b * m))
+            for b, c in enumerate(coords))
+    v += wpack([1] * t)
+    return m, coords, max(wread(v + (v >> wtop) * r))
+
+
+def _quotient_step(most: int, p: int) -> tuple[int, int, int]:
+    """(k, M, s) of the lane division of ``_packing`` for folded digits
+    up to ``most``: 2**k >= most*p, M = ceil(2**k / p), and s the least
+    of 16, 32 and 64 bits that holds most*M, or else its bit length."""
+    k = (most * p - 1).bit_length()
+    M = -(-(1 << k) // p)
+    return k, M, _cast_width((most * M).bit_length())
+
+
+def _lane_width(field: Field, bound: int) -> int:
+    """The lane width s of ``_packing(field, bound)``, with no layout
+    built: in GF(p^t), t > 1, that of ``_quotient_step`` for the
+    largest folded digit, the bound times the fold unit (``_fold``).
+    A GF(p) digit takes its bit length, but a value of more than two
+    coordinates is read by a cast of its bytes, so GF(p) lanes below it
+    widen to a cast width; a GF(p^2) value keeps the narrowest lanes,
+    the smallest ints for its products (one 30-bit int digit per value
+    for p < 2**7).  GF(p) itself has width 0 for every bound: its packed
+    value is its one coordinate and ``reduce`` takes any int mod p, so
+    no bound sets a lane there.  The width never falls as the bound
+    grows: most*M grows with most, M doubling when k grows by one."""
+    if field.degree == 1:
+        return 0
+    wide = field.degree > 2
+    while isinstance(field, TowerSpec):
+        field = field.base
+    if field.t == 1:
+        return _cast_width(bound.bit_length()) if wide else bound.bit_length()
+    return _quotient_step(bound * _fold(field)[2], field.p)[2]
+
+
+def _widest_bound(field: Field, bound: int, s: int) -> int:
+    """The largest digit bound whose lanes are those of ``bound``, s
+    bits wide (``_lane_width``): a layout built for it reduces every sum
+    whose bound lies between, at the same lane width.  A GF(p) lane of
+    s bits holds every digit below 2**s, and GF(p) itself, of width 0,
+    any digit at all; in GF(p^t), t > 1, the folded digit is the bound
+    times the fold unit (``_fold``)."""
+    while isinstance(field, TowerSpec):
+        field = field.base
+    if field.t == 1:
+        return (1 << s) - 1 if s else bound
+    return _widest_digit(field.p, s) // _fold(field)[2]
+
+
+@functools.lru_cache(maxsize=FIELD_CACHE_SIZE)
+def _widest_digit(p: int, s: int) -> int:
+    """The largest folded digit x whose lane division fits s bits
+    (``_quotient_step``): x*M < 2**s.  The digits x with the same
+    k = bitlen(x*p - 1) share M = ceil(2**k / p) and are at most
+    2**k // p, and x*M grows with x, so the walk takes the largest that
+    fits for each k up from bitlen(p) + 1, whose digits all fit, until
+    a k has none, and then no larger k has one."""
+    x, k = 0, p.bit_length() + 1
+    while True:
+        top = min((1 << k) // p, ((1 << s) - 1) // -(-(1 << k) // p))
+        if top <= (1 << k - 1) // p:
+            return x
+        x, k = top, k + 1
 
 
 def _cast_width(need: int) -> int:
@@ -1094,6 +1183,20 @@ def element_to_json(x: Element):
 
 def element_from_json(field: Field, obj) -> Element:
     return Element(field, field._from_json(obj))
+
+
+def values_to_json(field: Field, rows) -> list:
+    """The JSON array of ``rows``, rows of values of ``field``, as
+    ``element_to_json`` writes each entry: the flat coordinates of every
+    entry, nested one ``_json_widths`` level at a time, innermost first,
+    then into rows.  ``values_from_json`` reads it back."""
+    if not rows:
+        return []
+    nested = [*itertools.chain.from_iterable(itertools.chain.from_iterable(
+        rows))]
+    for width in (*reversed(field._json_widths), len(rows[0])):
+        nested = [*map(list, zip(*[iter(nested)] * width))]
+    return nested
 
 
 def values_from_json(field: Field, rows) -> tuple:

@@ -395,9 +395,10 @@ def dlog_table(field: Field) -> DlogTable:
 
 
 class PackedField(_Reducer):
-    """Packed-int arithmetic on the Kronecker layout ``field._layout(terms)``:
-    every code's reduction, column walk, sampled minors and Cauchy
-    certificate, and every exact sum of up to ``terms`` products.
+    """Packed-int arithmetic on one Kronecker layout of ``field``,
+    ``field._layout(terms)``: every code's reduction, column walk,
+    sampled minors and Cauchy certificate, and every exact sum of up to
+    ``terms`` products.
 
     A value is one int of that layout (0 is the zero), sized for
     ``terms`` products plus a value: an entry update u - f*v is
@@ -408,8 +409,8 @@ class PackedField(_Reducer):
 
     zero = 0
 
-    def __init__(self, field: Field, terms: int = 1):
-        self.pack, self.reduce, self.unpack = field._layout(terms)
+    def __init__(self, field: Field, layout: tuple):
+        self.pack, self.reduce, self.unpack = layout
         self.field = field
         self.one = self.pack(field._one)
         self.minus_one = self.pack(field._neg(field._one))
@@ -476,9 +477,16 @@ class PackedField(_Reducer):
             row[t] = reduce(row[t] + f * x)
 
 
-@functools.lru_cache(maxsize=DLOG_CACHE_SIZE)
 def packed_field(field: Field, terms: int = 1) -> PackedField:
-    return PackedField(field, terms)
+    """The packed arithmetic for sums of up to ``terms`` products, one
+    object per layout: the term counts whose exact bounds give the same
+    lanes share ``field._layout``, and so share this too."""
+    return _packed_on(field, field._layout(terms))
+
+
+@functools.lru_cache(maxsize=DLOG_CACHE_SIZE)
+def _packed_on(field: Field, layout: tuple) -> PackedField:
+    return PackedField(field, layout)
 
 
 def _on_packed(rows, field: Field):

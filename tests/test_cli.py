@@ -231,12 +231,12 @@ def test_splitting_hands_at_most_n_members_to_the_defining_set(
 
 
 @pytest.mark.parametrize("n, check", [(8, "_lag_gram_is_zero"),
-                                      (6, "_gram_is_zero")])
+                                      (6, "_hankel_gram_is_zero")])
 def test_construct_checks_each_code_self_dual_once(capsys, monkeypatch, n,
                                                    check):
     # dispatch builds a constacyclic [8, 4] code over GF(49), a shift
-    # form checked by its lag sums, and a GRS [6, 3] code, checked row
-    # by row
+    # form checked by its lag sums, and a GRS [6, 3] code, an evaluation
+    # form on points of GF(7), checked by its Hankel sums
     counts = Counter()
     keep = []  # keeps the counted rows alive, so no id is reused
 
@@ -247,7 +247,8 @@ def test_construct_checks_each_code_self_dual_once(capsys, monkeypatch, n,
             return gram(rows, *args, **kwargs)
         return spy
 
-    for name in ("_gram_is_zero", "_lag_gram_is_zero"):
+    for name in ("_gram_is_zero", "_lag_gram_is_zero",
+                 "_hankel_gram_is_zero"):
         monkeypatch.setattr(codes, name, spying(name, getattr(codes, name)))
     rc, lines = run_cli(capsys, "construct", "dispatch", "--p", "7",
                         "--n", str(n))
@@ -264,17 +265,19 @@ def test_a_build_and_its_verify_build_each_n_term_layout_once(
         tmp_path, capsys, monkeypatch):
     # the [28, 14] table code over GF(7^9): the generator, its extension
     # and the root check run on length 27, the Gram checks of the build
-    # and of verify on length 28
+    # and of verify on length 28.  The exact bounds of 27 and 28 terms
+    # give the same 32-bit lanes, as does one product's, so one layout
+    # and one packed arithmetic serve them all, built once
     field = make_field(7, 9)
-    linalg.packed_field.cache_clear()
-    field.__dict__.pop("_layouts", None)
-    one_product = fields._product_bound(field, 1)
+    linalg._packed_on.cache_clear()
+    field._layouts.clear()
+    field._lane_layouts.clear()
     packing = fields._packing
     built = Counter()
 
     def counting(f, bound):
         if f == field:
-            built[bound // one_product] += 1
+            built[fields._lane_width(f, bound)] += 1
         return packing(f, bound)
 
     monkeypatch.setattr(fields, "_packing", counting)
@@ -284,7 +287,9 @@ def test_a_build_and_its_verify_build_each_n_term_layout_once(
     path.write_text(json.dumps(result.to_json()))
     rc, lines = run_cli(capsys, "verify", str(path))
     assert rc == 0 and lines[0]["euclidean_self_dual"] is True
-    assert built[27] == 1 and built[28] == 1
+    assert built == Counter({32: 1})
+    assert field._layout(27) is field._layout(28) is field._layout(1)
+    assert linalg.packed_field(field, 27) is linalg.packed_field(field, 28)
 
 
 @pytest.mark.parametrize("length, p, t", [(8, 3, 6), (10, 5, 6)])

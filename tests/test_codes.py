@@ -255,7 +255,7 @@ def packs(monkeypatch):
 
     class Counting(PackedField):
         def __init__(self, field, terms=1):
-            super().__init__(field, terms)
+            super().__init__(field, field._layout(terms))
             self.uncounted = self.pack
             self.pack = lambda v: record.entries.append(v) or self.uncounted(v)
 
@@ -677,14 +677,17 @@ def test_a_self_duality_check_packs_each_row_once_and_reduces_half(
     assert counts == {"reduce": k * (k + 1) // 2}
     counts.clear()
     # both checks of a tower code read its one packed copy, which the
-    # rank check that made it packed: a GRS code shows its points there
+    # rank check that made it packed: a GRS code shows its points there,
+    # and on points the conjugate fixes, each check reduces the 2k - 1
+    # Hankel entries (i, 0) and (i, k - 1); the Hermitian one conjugates
+    # the points once, to see them fixed, and rows 0 and k - 1
     code = hermitian
     k, n = code.k, code.n
     assert code._points is not None
     assert is_hermitian_self_dual(code)
-    assert counts == {"conj": k * n, "reduce": k * (k + 1) // 2}
+    assert counts == {"conj": 3 * n, "reduce": 2 * k - 1}
     is_euclidean_self_dual(code)
-    assert "pack" not in counts and counts["conj"] == k * n
+    assert "pack" not in counts and counts["conj"] == 3 * n
 
 
 @st.composite

@@ -26,6 +26,14 @@ from oracles import (
     tower_mul_oracle,
 )
 from selfdual import fields
+from selfdual.codes import (
+    cyclic_generator_matrix,
+    extend_code,
+    generator_from_defining_set,
+    verify_code,
+)
+from selfdual.constructions import solve_gamma_euclidean
+from selfdual.cosets import DefiningSet
 from selfdual.errors import (
     DegreeZero,
     NotPrime,
@@ -209,6 +217,39 @@ def test_high_powers_of_x_are_cached_remainders(p, t):
 
 def test_field_is_cached():
     assert make_field(5, 2) is make_field(5, 2)
+
+
+def test_make_field_keeps_the_ring_that_passed_rabins_test(monkeypatch):
+    # a fresh GF(3^4), out of the uncached search: two candidates pass
+    # the root scan, and each is the ring of its own Rabin test, with
+    # one layout; the second passes and is the field.  The [6, 3] code
+    # over it then runs on 5 and 6 terms, whose exact bounds give the
+    # same 32-bit lanes: one more layout, three in all
+    tested, built = [], []
+    rabin, packing = fields._rabin, fields._packing
+
+    def testing(ring):
+        tested.append(ring)
+        return rabin(ring)
+
+    def counting(f, bound):
+        if isinstance(f, FieldSpec) and (f.p, f.t) == (3, 4):
+            built.append(fields._lane_width(f, bound))
+        return packing(f, bound)
+
+    monkeypatch.setattr(fields, "_rabin", testing)
+    monkeypatch.setattr(fields, "_packing", counting)
+    field = fields._canonical_field.__wrapped__(3, 4)
+    assert len(tested) == 2 and field is tested[-1]
+    assert field.modulus == (2, 1, 0, 0, 1) and built == [16, 16]
+    T = DefiningSet(5, (1, 2))
+    spec = generator_from_defining_set(field, 5, field.one, T)
+    code = extend_code(cyclic_generator_matrix(spec),
+                       solve_gamma_euclidean(field, 5))
+    report, _ = verify_code(code, extended_defining=T, lam=field.one)
+    assert report.euclidean_self_dual and report.distance_exact == 4
+    assert built == [16, 16, 32]
+    assert field._layout(5) is field._layout(6) is not field._layout(1)
 
 
 def test_make_field_takes_no_size_limit():

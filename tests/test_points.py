@@ -16,18 +16,34 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from selfdual import codes as codes_module, linalg
+from selfdual import codes as codes_module, fields, linalg
 from selfdual.cli import main
 from selfdual.codes import LinearCode, mds_check, verify_code
 from selfdual.constructions import (
+    build_euclidean_duadic_extended,
+    build_grs_hermitian,
     build_hermitian_extended_duadic,
     build_hermitian_n5,
     exists_hermitian_dispatch,
 )
-from selfdual.fields import TowerSpec, make_field, quadratic_extension
+from selfdual.errors import SelfDualError
+from selfdual.fields import (
+    Field,
+    TowerSpec,
+    frobenius,
+    make_field,
+    quadratic_extension,
+    sqrt_in_field,
+)
 from selfdual.linalg import packed_field
+from selfdual.table import TABLE_ROWS
 
-from oracles import lex_column_oracle, matrix_rank, odd_prime_powers
+from oracles import (
+    gram_is_zero_oracle,
+    lex_column_oracle,
+    matrix_rank,
+    odd_prime_powers,
+)
 
 # GF(p), GF(p^t) and towers over both
 FIELDS = [(5, 1, 0), (7, 1, 0), (13, 1, 0), (2, 3, 0), (3, 2, 0),
@@ -191,3 +207,125 @@ def test_no_command_line_route_builds_a_zech_table(no_tables, tmp_path,
         assert main(["construct", *route.split()]) == 0
         record = json.loads(capsys.readouterr().out)
         assert _verify(record, tmp_path / "code.json", capsys) == 0
+
+
+@st.composite
+def grs_gram_case(draw):
+    """(tower, rows): k = n/2 >= 2 rows v * a**i of a GRS code over
+    GF(q^2), on points of GF(q) or of GF(q^2).  On GF(q) points v is the
+    Hermitian self-dual choice of ``build_grs_hermitian`` or sqrt(u_i),
+    which makes the code Euclidean self-dual; on GF(q^2) points it is
+    sqrt(u_i) when every u_i is a square there, else random.  Then one
+    multiplier may change, or the rows be reversed."""
+    p, t = draw(st.sampled_from([(2, 2), (5, 1), (7, 1), (3, 2)]))
+    base = make_field(p, t)
+    tower = quadratic_extension(base)
+    domain = draw(st.sampled_from([base, base, tower]))
+    n = 2 * draw(st.integers(2, min(domain.order, 8) // 2))
+    indices = draw(st.permutations(range(domain.order)))[:n]
+    k = n // 2
+    if domain is base and draw(st.booleans()):
+        rows = build_grs_hermitian(p, t, n, indices).code.generator
+    else:
+        points = [domain.from_int(i) for i in indices]
+        if domain is base:
+            points = list(map(tower.embed, points))
+        u = []
+        for i, a in enumerate(points):
+            prod = tower.one
+            for b in points[:i] + points[i + 1:]:
+                prod = prod * (a - b)
+            u.append(prod.inverse())
+        v = [sqrt_in_field(ui) for ui in u]
+        nonzero = st.integers(1, tower.order - 1).map(tower.from_int)
+        if None in v:
+            v = [draw(nonzero) for _ in range(n)]
+        rows = [tuple(vj * a ** i for vj, a in zip(v, points))
+                for i in range(k)]
+    rows = [list(row) for row in rows]
+    mutation = draw(st.sampled_from(["none", "multiplier", "reversed"]))
+    if mutation == "multiplier":
+        j = draw(st.integers(0, n - 1))
+        c = tower.from_int(draw(st.integers(2, tower.order - 1)))
+        for row in rows:
+            row[j] = row[j] * c
+    elif mutation == "reversed":
+        rows.reverse()
+    return tower, tuple(map(tuple, rows))
+
+
+@settings(deadline=None, max_examples=200)
+@given(grs_gram_case())
+def test_the_hankel_sums_decide_a_grs_gram_check_as_the_oracle_does(case):
+    # where the points are read and the pairing fixes them, the 2k - 1
+    # Hankel entries decide; anywhere else the rows do, and both give
+    # the element loop's verdict
+    tower, rows = case
+    n, k = len(rows[0]), len(rows)
+    code = LinearCode(tower, n, k, rows)
+    arith = packed_field(tower, n)
+    conj = [tuple(frobenius(tower, x) for x in row) for row in rows]
+    want = {False: gram_is_zero_oracle(rows, rows, tower),
+            True: gram_is_zero_oracle(rows, conj, tower)}
+    points = code._points
+    fixed = points is not None and all(arith.conj(a) == a for a in points)
+    for conjugate in (False, True):
+        assert code._gram_zero(conjugate) is want[conjugate]
+        if points is not None and (fixed or not conjugate):
+            assert codes_module._hankel_gram_is_zero(
+                code._packed, arith, conjugate=conjugate) is want[conjugate]
+
+
+def _lane_offsets(field, pack):
+    """The bit offset of each coordinate in a value packed by ``pack``."""
+    units = [tuple(int(i == j) for j in range(field.degree))
+             for i in range(field.degree)]
+    return tuple(pack(u).bit_length() - 1 for u in units)
+
+
+def test_the_workloads_share_a_layout_only_on_equal_lanes(
+        monkeypatch, tmp_path, capsys):
+    # every (field, terms) the three workloads reach: the table pairs,
+    # the Hermitian sweep and the command-line routes, each built and
+    # its record verified.  Two term counts share one layout and one
+    # packed arithmetic exactly when their exact bounds place the
+    # coordinates at the same offsets, and no shared layout places them
+    # further apart than the exact bound does
+    reached = set()
+    layout = Field._layout
+
+    def spy(self, terms):
+        reached.add((self, terms))
+        return layout(self, terms)
+
+    monkeypatch.setattr(Field, "_layout", spy)
+    for length, row in TABLE_ROWS:
+        for p, t in row:
+            try:
+                record = build_euclidean_duadic_extended(
+                    p, t, length - 1).to_json()
+            except SelfDualError:
+                continue
+            assert _verify(record, tmp_path / "code.json", capsys) == 0
+    for build, args in _sweep_builds():
+        assert _verify(build(*args).to_json(), tmp_path / "code.json",
+                       capsys) == 0
+    for route in CLI_ROUTES:
+        capsys.readouterr()
+        assert main(["construct", *route.split()]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert _verify(record, tmp_path / "code.json", capsys) == 0
+    monkeypatch.undo()
+    exact = {}
+    for field, terms in reached:
+        pack = fields._packing(field, fields._product_bound(field, terms)
+                               + field.char - 1)[0]
+        offsets = _lane_offsets(field, pack)
+        assert _lane_offsets(field, field._layout(terms)[0]) == offsets
+        exact.setdefault(field, {})[terms] = offsets
+    assert len(reached) > 200
+    for field, by_terms in exact.items():
+        for a, lanes_a in by_terms.items():
+            for b, lanes_b in by_terms.items():
+                assert (packed_field(field, a) is packed_field(field, b)) \
+                    == (lanes_a == lanes_b), (field, a, b)

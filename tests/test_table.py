@@ -1,7 +1,11 @@
+import functools
 import json
+from collections import Counter
 
-from selfdual import cli
+from selfdual import cli, codes
 from selfdual.cli import main
+from selfdual.constructions import build_euclidean_duadic_extended
+from selfdual.errors import SelfDualError
 from selfdual.table import (
     EXPECTED_UNSUPPORTED,
     TABLE_ROWS,
@@ -79,3 +83,36 @@ def test_table_command_summarizes_fixed_outcomes(monkeypatch, capsys):
     assert lines[-2]["matches_expected"] is False
     assert lines[-1] == {"pairs": 4, "confirmed": 2, "unsupported": 1,
                          "guarded": 1, "all_match_expected": False}
+
+
+def test_a_confirmed_table_build_walks_its_roots_once(monkeypatch, tmp_path,
+                                                     capsys):
+    # the generator walks the powers of its root on the n-term layout,
+    # and the root proof of the extended code on the (n + 1)-term one;
+    # both term counts give the same lanes, so they share one layout and
+    # one walk, and verify of the record reads it again
+    walks = Counter()
+    walk = codes._root_powers.__wrapped__
+
+    def counting(arith, n, lam, modulus):
+        walks[pair] += 1
+        return walk(arith, n, lam, modulus)
+
+    confirmed = 0
+    for length, row in TABLE_ROWS:
+        for pair in ((length, p, t) for p, t in row):
+            monkeypatch.setattr(codes, "_root_powers", functools.lru_cache(
+                maxsize=codes.ROOT_CACHE_SIZE)(counting))
+            try:
+                result = build_euclidean_duadic_extended(
+                    pair[1], pair[2], length - 1)
+            except SelfDualError:
+                assert pair[1:] in [(59, 1), (5, 4)]
+                continue
+            path = tmp_path / "code.json"
+            path.write_text(json.dumps(result.to_json()))
+            capsys.readouterr()
+            assert main(["verify", str(path)]) == 0
+            confirmed += 1
+            assert walks[pair] == 1, pair
+    assert confirmed == 20
