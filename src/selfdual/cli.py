@@ -5,9 +5,13 @@ Exit codes: 0 success, 1 domain or predicate failure, 2 malformed
 input (a usage error included) or a construction that failed its own
 verification.  ``parse_args`` reads the arguments from one table,
 ``_SPEC``, so a process imports no argument parser and builds none.
+``main`` moves the heap alive when it is first called into the
+permanent generation (``gc.freeze``), so the collector skips it.
 """
 from __future__ import annotations
 
+import functools
+import gc
 import json
 import re
 import sys
@@ -363,7 +367,22 @@ def parse_args(argv=None) -> SimpleNamespace:
     return SimpleNamespace(**args)
 
 
+@functools.cache
+def _freeze_heap() -> None:
+    """Move the heap into the permanent generation, once per process.
+
+    What is alive when ``main`` is first called (the interpreter, the
+    site hooks, the imported modules and their caches) lives until the
+    process exits, so no collection should walk it, neither during the
+    command nor at shutdown.  A heap that an embedding program froze
+    first is left as it is.  ``gc.get_freeze_count`` walks the whole
+    permanent generation, so it is read on the first call only."""
+    if gc.get_freeze_count() == 0:
+        gc.freeze()
+
+
 def main(argv=None) -> int:
+    _freeze_heap()
     args = parse_args(argv)
     handler = _SPEC[args.command][0]
     try:

@@ -151,13 +151,18 @@ class LinearCode(Frozen):
 
     @classmethod
     def _from_values(cls, field: Field, n: int, k: int, rows: tuple,
-                     packed: list | None = None) -> "LinearCode":
+                     packed: list | None = None,
+                     shift: tuple | None = None) -> "LinearCode":
         """The code whose generator rows hold the field values ``rows``;
         ``packed``, when given, is those rows already packed on the
-        n-term layout, held as the packed copy."""
+        n-term layout, held as the packed copy, and ``shift`` their
+        shift form, held as ``_shift``: a builder that made the rows
+        from g hands it over, so no rows are compared to find it."""
         code = cls.__new__(cls)
         if packed is not None:
             code.__dict__["_packed"] = packed
+        if shift is not None:
+            code.__dict__["_shift"] = shift
         code._hold(field, n, k, rows)
         return code
 
@@ -217,9 +222,11 @@ class LinearCode(Frozen):
         otherwise.  a = r_1 / r_0 comes from one batch inverse of row 0,
         then r_(i+1) = r_i * a is checked for every i: k*n packed
         products.  Rows in the reverse order are the same form, with v
-        times a**(k - 1) and the points 1/a, when no point is 0.  Every
-        GRS builder's code has this form; a shift form never does, as
-        its first and last rows hold k - 1 zeros.
+        times a**(k - 1) and the points 1/a, when no point is 0; when
+        one is, row 0 holds a zero, and the rows are read upward from
+        the last, which is v.  Every GRS builder's code has this form; a
+        shift form never does, as its first and last rows hold k - 1
+        zeros.
 
         The form proves the code MDS, and so of rank k: the columns of
         a set S of k coordinates are v_j times (1, a_j, ..., a_j**(k-1)),
@@ -233,7 +240,9 @@ class LinearCode(Frozen):
             return None
         arith, rows = packed_field(self.field, n), self._packed
         if 0 in rows[0]:
-            return None
+            rows = rows[::-1]
+            if 0 in rows[0]:
+                return None
         points = arith.products(rows[1], arith.inverses(rows[0]))
         if len(set(points)) == n and all(
                 arith.products(row, points) == after
@@ -291,6 +300,13 @@ class CyclicSpec(Frozen):
     @property
     def k(self) -> int:
         return self.n - len(self.defining)
+
+    @functools.cached_property
+    def _packed_g(self) -> list:
+        """g packed on the n-term layout: the product's own copy when
+        ``generator_from_defining_set`` built g."""
+        pack = packed_field(self.field, self.n).pack
+        return [pack(c.value) for c in self.g]
 
 
 # root walks kept at once, each of at most dlog_limit packed values
@@ -370,14 +386,17 @@ def generator_from_defining_set(field: Field, n: int, lam: Element,
         minus_root = arith.neg(powers[i])
         g = [reduce(lo + minus_root * hi)
              for lo, hi in zip([0] + g, g)] + [arith.one]
-    return CyclicSpec(field, n, lam, T, tuple(map(arith.decode, g)),
+    spec = CyclicSpec(field, n, lam, T, tuple(map(arith.decode, g)),
                       arith.decode(powers[1 % T.modulus]))
+    spec.__dict__["_packed_g"] = g
+    return spec
 
 
 def cyclic_generator_matrix(spec: CyclicSpec) -> LinearCode:
     """Rows are x**i * g(x), i = 0..k-1: g has degree n - k, so no row
     reaches x**n and none is reduced modulo x**n - lam.  For k >= 2 the
-    rows are a shift form, so the code packs only g."""
+    rows are a shift form with no tail, handed to the code with the
+    spec's packed g, so the code packs nothing and compares no rows."""
     field, n, k = spec.field, spec.n, spec.k
     if k < 0:
         raise ValueError("defining set larger than the length")
@@ -385,7 +404,8 @@ def cyclic_generator_matrix(spec: CyclicSpec) -> LinearCode:
     zero = (field._zero,)
     return LinearCode._from_values(
         field, n, k,
-        tuple(zero * i + g + zero * (k - 1 - i) for i in range(k)))
+        tuple(zero * i + g + zero * (k - 1 - i) for i in range(k)),
+        shift=(spec._packed_g, []) if k >= 2 else None)
 
 
 # ---------------------------------------------------------------------------
@@ -497,16 +517,27 @@ def extend_code(code: LinearCode, gamma: Element) -> LinearCode:
     """Append to every row the coordinate -gamma * (sum of the row): on
     packed ints a sum of n products, exact at one reduction on the
     n-term layout of ``packed_field(field, n)``, read back as a value.
-    The extension packs its own rows on its (n + 1)-term layout; the
-    extension of a shift form with no tail is one, with the column as
-    its tail."""
-    field, n = code.field, code.n
+
+    Every row of a shift form (g, []) sums to g(1), so its column is the
+    one value c = -gamma * g(1), and the extension is a shift form too:
+    (g, [c]), or (g + [0], []) when c = 0, as ``_shift`` would find it.
+    When the (n + 1)-term layout is the n-term one, the extension is
+    handed that form; otherwise it packs its own rows on its layout."""
+    field, n, k = code.field, code.n, code.k
     arith = packed_field(field, n)
     minus_gamma = arith.encode(-gamma)
-    column = [arith.reduce(minus_gamma * sum(row)) for row in code._packed]
+    g, tail = code._shift or (None, None)
+    shift = None
+    if g is None or tail:
+        column = [arith.reduce(minus_gamma * sum(row)) for row in code._packed]
+    else:
+        c = arith.reduce(minus_gamma * sum(g))
+        column = [c] * k
+        if field._layout(n + 1) is field._layout(n):
+            shift = (g, [c]) if c else (g + [0], [])
     rows = tuple((*row, arith.unpack(c))
                  for row, c in zip(code._value_rows, column))
-    return LinearCode._from_values(field, n + 1, code.k, rows)
+    return LinearCode._from_values(field, n + 1, k, rows, shift=shift)
 
 
 # ---------------------------------------------------------------------------

@@ -296,17 +296,19 @@ def build_grs_hermitian(p: int, t: int, n: int, points=None,
     pts = [field.from_int(i) for i in indices]
     tower = quadratic_extension(field)
 
-    # u_i = 1/prod_{j != i}(a_i - a_j) on packed ints: a_i - a_j is the
-    # sum of two canonical values, a_i and -a_j, which one reduce takes
-    # exactly, and the n products are inverted in one batch
-    arith = packed_field(field)
+    # u_i = 1/prod_{j != i}(a_i - a_j) on packed ints of the 2-term
+    # layout: a_i - a_j is the sum of two canonical values, a_i and
+    # -a_j, so its product with a canonical value has digits within
+    # 2t(p - 1)**2, the 2-term bound, and one reduce per pair takes it
+    # exactly; the n products are inverted in one batch
+    arith = packed_field(field, 2)
     reduce, packed = arith.reduce, [arith.pack(a.value) for a in pts]
     minus = list(map(arith.neg, packed))
     prods = []
     for i, a in enumerate(packed):
         prod = arith.one
         for b in minus[:i] + minus[i + 1:]:
-            prod = reduce(prod * reduce(a + b))
+            prod = reduce(prod * (a + b))
         prods.append(prod)
     v = [solve_norm(tower, arith.decode(ui), guards)
          for ui in arith.inverses(prods)]

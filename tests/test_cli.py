@@ -1,4 +1,5 @@
-"""CLI behavior through main(argv); no subprocesses."""
+"""CLI behavior through main(argv); one subprocess, for the heap freeze
+that ``main`` makes once per process."""
 import contextlib
 import copy
 import functools
@@ -10,6 +11,8 @@ import operator
 import os
 import re
 import shlex
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 
@@ -1157,3 +1160,48 @@ def test_options_read_in_any_order_and_the_last_repeat_wins():
     assert vars(args) == {"command": "verify", "file": "code.json",
                           "mds": "columns", "trials": -7, "inner": "auto",
                           "pretty": True}
+
+
+# ``main`` run twice in a fresh interpreter, with its reads of the freeze
+# count and its freezes recorded, and then in another after the caller
+# froze its own heap: the freeze counts before and after each call and
+# what ``main`` did, on stderr, and the two records on stdout
+_FREEZE_RUN = """
+import gc, json, sys
+sys.path.insert(0, %r)
+from selfdual.cli import main
+freeze, count, calls = gc.freeze, gc.get_freeze_count, []
+gc.freeze = lambda: calls.append("freeze") or freeze()
+gc.get_freeze_count = lambda: calls.append("count") or count()
+if sys.argv[1] == "caller":
+    freeze()
+counts = [count()]
+for _ in range(2):
+    main(["construct", "euclidean-duadic", "--p", "7", "--n", "3"])
+    counts.append(count())
+sys.stderr.write(json.dumps([counts, calls]))
+"""
+
+
+@pytest.mark.parametrize("caller_froze", [False, True])
+def test_main_freezes_the_heap_once_and_never_after_a_caller(caller_froze):
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        os.pardir)
+    run = subprocess.run(
+        [sys.executable, "-c", _FREEZE_RUN % os.path.join(root, "src"),
+         "caller" if caller_froze else "main"],
+        capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    counts, calls = json.loads(run.stderr)
+    # the count is read once per process, since reading it walks the
+    # frozen heap; after that it only falls, as frozen objects die
+    if caller_froze:
+        assert calls == ["count"] and counts[0] > 0
+        assert counts[0] >= counts[1] >= counts[2]
+    else:
+        assert calls == ["count", "freeze"] and counts[0] == 0
+        assert counts[1] > 0 and counts[1] >= counts[2]
+    with open(os.path.join(root, "perfbench", "golden", "cli-cold.json"),
+              encoding="utf-8") as fh:
+        want = json.load(fh)["construct euclidean-duadic --p 7 --n 3"]
+    assert run.stdout == want["construct"]["stdout"] * 2

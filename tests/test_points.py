@@ -6,8 +6,9 @@ GF(q) or in the base of GF(q^2), their rows reversed or mixed, one
 multiplier or one entry changed, a zero multiplier or a repeated point,
 k = 1 and k > n, the form is found only where the rank and lex-column
 oracles agree that the code is MDS of rank k, and no verdict changes
-when it is withheld.  With the points and the roots read first, no
-route's build and no verify of its record builds a Zech table.
+when it is withheld; reversed rows on the point 0 are read upward from
+the last row.  With the points and the roots read first, no route's
+build and no verify of its record builds a Zech table.
 """
 import json
 from math import gcd
@@ -16,7 +17,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from selfdual import codes as codes_module, fields, linalg
+from selfdual import cli as cli_module, codes as codes_module
+from selfdual import fields, linalg
 from selfdual.cli import main
 from selfdual.codes import LinearCode, mds_check, verify_code
 from selfdual.constructions import (
@@ -127,12 +129,12 @@ def test_points_are_found_only_on_mds_codes_and_change_no_verdict(case):
         assert full and matrix_rank(rows, field) == k
         assert lex_column_oracle(code) == ("certified-exact", None)
     # the form as built is always found, and reversed rows with 1/a
-    # when no point is 0
+    # when no point is 0, or read upward from the last row, with a,
+    # when one is
     if 2 <= k <= n and mutation in ("none", "multiplier", "reversed"):
         want = points
-        if mutation == "reversed":
-            want = None if field.zero in points else [
-                a.inverse() for a in points]
+        if mutation == "reversed" and field.zero not in points:
+            want = [a.inverse() for a in points]
         decode = packed_field(field, n).decode
         assert (found and list(map(decode, found))) == want
     if not full:
@@ -207,6 +209,38 @@ def test_no_command_line_route_builds_a_zech_table(no_tables, tmp_path,
         assert main(["construct", *route.split()]) == 0
         record = json.loads(capsys.readouterr().out)
         assert _verify(record, tmp_path / "code.json", capsys) == 0
+
+
+@pytest.mark.parametrize("route", ["grs-hermitian --p 31 --n 30",
+                                   "grs-hermitian --p 5 --n 4"])
+def test_reversed_rows_on_point_0_are_read_upward_from_the_last(
+        route, monkeypatch, tmp_path, capsys):
+    # the default points 0..n - 1 put a zero in the first entry of every
+    # row but the first, so reversed rows start with a zero: their points
+    # are read from the last row up, and verify reduces nothing and
+    # prints what it prints for the record
+    path = tmp_path / "code.json"
+
+    def verify(record):
+        path.write_text(json.dumps(record))
+        return main(["verify", str(path)]), capsys.readouterr().out
+
+    assert main(["construct", *route.split()]) == 0
+    record = json.loads(capsys.readouterr().out)
+    want = verify(record)
+    record["generator"].reverse()
+    read = []
+
+    def keep(*args):
+        out = codes_module.code_from_json(*args)
+        read.append(out[0])
+        return out
+
+    monkeypatch.setattr(cli_module, "code_from_json", keep)
+    assert verify(record) == want
+    (code,) = read
+    assert code._value_rows[0][0] == code.field._zero
+    assert code._points is not None and "_form" not in code.__dict__
 
 
 @st.composite
