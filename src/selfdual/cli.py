@@ -376,7 +376,11 @@ def _freeze_heap() -> None:
     process exits, so no collection should walk it, neither during the
     command nor at shutdown.  A heap that an embedding program froze
     first is left as it is.  ``gc.get_freeze_count`` walks the whole
-    permanent generation, so it is read on the first call only."""
+    permanent generation, so it is read on the first call only.
+
+    The frozen objects, and any cycles among them, are never collected:
+    a long-running program that calls ``main`` in-process should call
+    ``gc.freeze()`` itself first, or ``gc.unfreeze()`` after ``main``."""
     if gc.get_freeze_count() == 0:
         gc.freeze()
 

@@ -151,18 +151,13 @@ class LinearCode(Frozen):
 
     @classmethod
     def _from_values(cls, field: Field, n: int, k: int, rows: tuple,
-                     packed: list | None = None,
-                     shift: tuple | None = None) -> "LinearCode":
+                     packed: list | None = None) -> "LinearCode":
         """The code whose generator rows hold the field values ``rows``;
         ``packed``, when given, is those rows already packed on the
-        n-term layout, held as the packed copy, and ``shift`` their
-        shift form, held as ``_shift``: a builder that made the rows
-        from g hands it over, so no rows are compared to find it."""
+        n-term layout, held as the packed copy."""
         code = cls.__new__(cls)
         if packed is not None:
             code.__dict__["_packed"] = packed
-        if shift is not None:
-            code.__dict__["_shift"] = shift
         code._hold(field, n, k, rows)
         return code
 
@@ -301,13 +296,6 @@ class CyclicSpec(Frozen):
     def k(self) -> int:
         return self.n - len(self.defining)
 
-    @functools.cached_property
-    def _packed_g(self) -> list:
-        """g packed on the n-term layout: the product's own copy when
-        ``generator_from_defining_set`` built g."""
-        pack = packed_field(self.field, self.n).pack
-        return [pack(c.value) for c in self.g]
-
 
 # root walks kept at once, each of at most dlog_limit packed values
 ROOT_CACHE_SIZE = 64
@@ -386,17 +374,14 @@ def generator_from_defining_set(field: Field, n: int, lam: Element,
         minus_root = arith.neg(powers[i])
         g = [reduce(lo + minus_root * hi)
              for lo, hi in zip([0] + g, g)] + [arith.one]
-    spec = CyclicSpec(field, n, lam, T, tuple(map(arith.decode, g)),
+    return CyclicSpec(field, n, lam, T, tuple(map(arith.decode, g)),
                       arith.decode(powers[1 % T.modulus]))
-    spec.__dict__["_packed_g"] = g
-    return spec
 
 
 def cyclic_generator_matrix(spec: CyclicSpec) -> LinearCode:
     """Rows are x**i * g(x), i = 0..k-1: g has degree n - k, so no row
     reaches x**n and none is reduced modulo x**n - lam.  For k >= 2 the
-    rows are a shift form with no tail, handed to the code with the
-    spec's packed g, so the code packs nothing and compares no rows."""
+    rows are a shift form, so the code packs only g."""
     field, n, k = spec.field, spec.n, spec.k
     if k < 0:
         raise ValueError("defining set larger than the length")
@@ -404,8 +389,7 @@ def cyclic_generator_matrix(spec: CyclicSpec) -> LinearCode:
     zero = (field._zero,)
     return LinearCode._from_values(
         field, n, k,
-        tuple(zero * i + g + zero * (k - 1 - i) for i in range(k)),
-        shift=(spec._packed_g, []) if k >= 2 else None)
+        tuple(zero * i + g + zero * (k - 1 - i) for i in range(k)))
 
 
 # ---------------------------------------------------------------------------
@@ -517,27 +501,16 @@ def extend_code(code: LinearCode, gamma: Element) -> LinearCode:
     """Append to every row the coordinate -gamma * (sum of the row): on
     packed ints a sum of n products, exact at one reduction on the
     n-term layout of ``packed_field(field, n)``, read back as a value.
-
-    Every row of a shift form (g, []) sums to g(1), so its column is the
-    one value c = -gamma * g(1), and the extension is a shift form too:
-    (g, [c]), or (g + [0], []) when c = 0, as ``_shift`` would find it.
-    When the (n + 1)-term layout is the n-term one, the extension is
-    handed that form; otherwise it packs its own rows on its layout."""
-    field, n, k = code.field, code.n, code.k
+    The extension packs its own rows on its (n + 1)-term layout; the
+    extension of a shift form with no tail is one, with the column as
+    its tail."""
+    field, n = code.field, code.n
     arith = packed_field(field, n)
     minus_gamma = arith.encode(-gamma)
-    g, tail = code._shift or (None, None)
-    shift = None
-    if g is None or tail:
-        column = [arith.reduce(minus_gamma * sum(row)) for row in code._packed]
-    else:
-        c = arith.reduce(minus_gamma * sum(g))
-        column = [c] * k
-        if field._layout(n + 1) is field._layout(n):
-            shift = (g, [c]) if c else (g + [0], [])
+    column = [arith.reduce(minus_gamma * sum(row)) for row in code._packed]
     rows = tuple((*row, arith.unpack(c))
                  for row, c in zip(code._value_rows, column))
-    return LinearCode._from_values(field, n + 1, k, rows, shift=shift)
+    return LinearCode._from_values(field, n + 1, code.k, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,6 @@ from selfdual.errors import (
     NotDividing,
     NotOverTower,
     RootsNotInField,
-    SelfDualError,
 )
 from selfdual.fields import (
     Element,
@@ -282,11 +281,9 @@ def packs(monkeypatch):
 def test_a_shift_form_packs_g_and_its_tail_once_however_it_was_made(packs):
     # the [27, 14] duadic code of the [28, 14] table code over GF(7^9)
     # and that table code, each as built and as read from its record:
-    # as built, each is handed its shift form, the generator product's
-    # packed g and the extension's one column value, so nothing packs;
-    # as read, a Gram check, a root check and the reduction together
-    # pack g and the tail once, d + 1 + |tail| values; the same rows
-    # out of order pack all k * n
+    # the builder packs nothing, and a Gram check, a root check and the
+    # reduction together pack g and the tail once, d + 1 + |tail|
+    # values; the same rows out of order pack all k * n
     field = make_field(7, 9)
     T = DefiningSet(27, tuple(range(1, 14)))
     spec = generator_from_defining_set(field, 27, field.one, T)
@@ -297,8 +294,7 @@ def test_a_shift_form_packs_g_and_its_tail_once_however_it_was_made(packs):
                            solve_gamma_euclidean(field, 27))
     records = [code_from_json(code_to_json(code))[0]
                for code in (cyclic, extended)]
-    for code, built in zip((cyclic, extended, *records),
-                           (True, True, False, False)):
+    for code in (cyclic, extended, *records):
         packs.clear()
         punctured = code.n == 28
         assert code._gram_zero(False) is punctured
@@ -307,7 +303,7 @@ def test_a_shift_form_packs_g_and_its_tail_once_however_it_was_made(packs):
         code._reduced()
         (g, tail), row = code._shift, code._value_rows[0]
         assert len(g) == 14 and len(tail) == punctured
-        assert packs.entries == ([] if built else list(row[:14] + row[27:]))
+        assert packs.entries == list(row[:14] + row[27:])
     packs.clear()
     shuffled = LinearCode._from_values(field, 28, 14,
                                        extended._value_rows[::-1])
@@ -816,9 +812,7 @@ def test_an_extension_packs_minus_gamma_and_its_own_g_and_tail(packs):
     # the [28, 14] table code over GF(7^9), whose 27- and 28-term layouts
     # pack values alike, and a [6, 3] extension over GF(121), whose 5-
     # and 6-term layouts do not: on both, the extension of a cyclic code
-    # whose shift form is known packs -gamma and no entry.  On the shared
-    # layout it is handed its shift form (g, [c]), the one the rows show,
-    # and packs nothing more; on the other it packs its own g and tail
+    # whose shift form is known packs -gamma, then its own g and tail
     # the first time a check reads them, and nothing more
     seven, tower = make_field(7, 9), _self_dual_code(5).field
     for field, T, gamma in (
@@ -832,55 +826,19 @@ def test_an_extension_packs_minus_gamma_and_its_own_g_and_tail(packs):
         packs.clear()
         extended = extend_code(code, gamma)
         assert packs.entries == [] and packs.elements == [(-gamma).value]
-        handed = "_shift" in extended.__dict__
-        assert handed is (field is seven)
         assert extended._gram_zero(False) is (field is seven)
         g, tail = extended._shift
         row = extended._value_rows[0]
-        assert len(tail) == 1
-        assert packs.entries == ([] if handed
-                                 else list(row[:len(g)] + row[n:]))
+        assert len(tail) == 1 and packs.entries == list(row[:len(g)] + row[n:])
         pack = linalg_module.packed_field(field, n + 1).pack
         assert extended._packed == [list(map(pack, row))
                                     for row in extended._value_rows]
-        assert len(packs.entries) == (0 if handed else len(g) + 1)
-        twin = LinearCode._from_values(field, n + 1, code.k,
-                                       extended._value_rows)
-        assert twin._shift == extended._shift
+        assert len(packs.entries) == len(g) + 1
         # the same rows reversed, no shift form, give the same extension
         # with its rows reversed
         rows = code._value_rows[::-1]
         assert extend_code(LinearCode._from_values(field, n, code.k, rows),
                            gamma)._value_rows == extended._value_rows[::-1]
-
-
-def test_every_handed_shift_form_is_the_one_the_rows_show():
-    # every code of the table pairs and of the 56 Hermitian sweep builds
-    # holds the shift form its rows show, whether its builder handed it
-    # over or it was found, and 55 of them have one; extending by
-    # gamma = 0 makes a zero column and hands (g + [0], [])
-    from test_points import _sweep_builds
-    builds = [(build_euclidean_duadic_extended, (p, t, length - 1))
-              for length, row in TABLE_ROWS for p, t in row]
-    forms = 0
-    for build, args in builds + _sweep_builds():
-        try:
-            code = build(*args).code
-        except SelfDualError:
-            continue
-        shown = LinearCode._from_values(code.field, code.n, code.k,
-                                        code._value_rows)._shift
-        assert code._shift == shown, (build.__name__, args)
-        forms += shown is not None
-    assert forms == 55
-    field = make_field(7, 9)
-    code = cyclic_generator_matrix(generator_from_defining_set(
-        field, 27, field.one, DefiningSet(27, tuple(range(1, 14)))))
-    extended = extend_code(code, field.zero)
-    g, tail = extended.__dict__["_shift"]
-    assert g[-1] == 0 and tail == []
-    assert extended._shift == LinearCode._from_values(
-        field, 28, 14, extended._value_rows)._shift
 
 
 # --- distance and MDS ---
