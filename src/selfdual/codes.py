@@ -8,13 +8,15 @@ The generator product, its division check, the extension, the Gram
 checks and the root check of a length-n code run on the n-term layout
 ``packed_field(field, n)``, which the term counts of the same lane width
 share, and the roots on one cached walk per layout.  A code
-holds its generator once, as rows of field values, and packs them there
-once; every packed check reads that copy.  A generator whose k >= 2
-rows are the shifts of one vector g, then a tail the same in every row
-(the *shift form*, ``LinearCode._shift``: every cyclic, constacyclic
-and duadic builder's code and its extension, as built or as read from
-a record), packs only g and the tail, and its packed copy is their
-shifts; it is checked through g alone:
+holds its generator once and packs it there once; every packed check
+reads that copy.  A generator whose k >= 2 rows are the shifts of one
+vector g, then a tail the same in every row, is a *shift form*
+(``LinearCode._shift``).  Every cyclic, constacyclic and duadic
+builder's code and its extension holds only that form, g and the tail
+packed (``LinearCode._from_shift``), and its rows of field values are
+a view of it; a record holds its rows of values and finds the form by
+comparing them.  A shift form's packed copy is the shifts of g and the
+tail, and it is checked through g alone:
 G G^T is Toeplitz, so the Gram checks test min(k, d + 1) lag sums of g
 plus the tail's inner product (``_lag_gram_is_zero``), and the root
 check evaluates g alone, since row i at alpha**e is alpha**(e*i) *
@@ -122,30 +124,52 @@ def _staircase(rows, zero) -> bool:
     return all(map(operator.lt, leads, leads[1:] + [n]))
 
 
+def _shift_rows(g, tail, k: int, zero):
+    """The k rows of the shift form (g, tail), one at a time: row i is i
+    copies of ``zero`` (a 1-tuple of a value, or [0] on packed ints),
+    then g, then k - 1 - i more, then ``tail``."""
+    return (zero * i + g + zero * (k - 1 - i) + tail for i in range(k))
+
+
+def _check_field(field: Field, elements) -> None:
+    """Refuse with ``MalformedInput`` an element of a field other than
+    ``field``; the identity test passes a field's own elements at once."""
+    for x in elements:
+        if x.field is not field and x.field != field:
+            raise MalformedInput("an element of GF(%d) given where GF(%d) "
+                                 "is needed" % (x.field.order, field.order))
+
+
 class LinearCode(Frozen):
     """An [n, k] code given by a full-rank k x n generator matrix.
 
-    The generator is held once, as its rows of field values,
-    ``_value_rows``, and packed once on the n-term layout of
-    ``packed_field(field, n)`` (``_packed``): both self-duality checks,
-    the root check, the evaluation form, the reduction and the extension
-    read that one copy, so no check needs an element object.  A shift
-    form (``_shift``) packs only g and its tail, and its packed rows are
-    their shifts.  The constructor takes element rows and keeps their
-    values; the builders and ``code_from_json`` hand over values
-    (``_from_values``).  ``generator``, the rows as elements, is a view
-    built only when something asks for it.
+    The generator is held once, in one of two forms.  A builder's
+    cyclic code or extension holds its shift form (``_shift``, made by
+    ``_from_shift``): g and its tail packed on the n-term layout of
+    ``packed_field(field, n)``.  Any other code holds its rows of field
+    values, ``_value_rows``, and finds a shift form in them if they
+    have one.  The constructor takes element rows, of ``field`` alone,
+    and keeps their values; the GRS builder and ``code_from_json`` hand
+    over values (``_from_values``).  The packed copy (``_packed``) is
+    the shifts of a shift form's g and tail, or the value rows packed
+    once: both self-duality checks, the root check, the evaluation
+    form, the reduction and the extension read that one copy, so no
+    check needs an element object.  A shift form's ``_value_rows`` and
+    ``generator``, the rows as elements, are views built only when
+    something asks for them.
 
-    The rank check needs no reduction when each row starts right of the
-    one above, as the shifted rows of the cyclic builders do, or when
-    the rows are an evaluation form (``_points``), as the GRS builder's
-    are; otherwise it counts the pivots of the reduced form, computed
-    once, on first use (``_reduced``).
+    A shift form is of rank k, as shifts of a nonzero g are.  The rank
+    check of value rows needs no reduction when each row starts right
+    of the one above, or when the rows are an evaluation form
+    (``_points``), as the GRS builder's are; otherwise it counts the
+    pivots of the reduced form, computed once, on first use
+    (``_reduced``).
     """
 
     _fields = ("field", "n", "k", "generator")
 
     def __init__(self, field: Field, n: int, k: int, generator: tuple):
+        _check_field(field, itertools.chain.from_iterable(generator))
         self._hold(field, n, k, tuple(tuple([x.value for x in row])
                                       for row in generator))
 
@@ -161,6 +185,22 @@ class LinearCode(Frozen):
         code._hold(field, n, k, rows)
         return code
 
+    @classmethod
+    def _from_shift(cls, field: Field, n: int, k: int, g: list,
+                    tail: list) -> "LinearCode":
+        """The code whose k >= 2 rows are the shift form (g, tail), both
+        packed on the n-term layout, as ``_shift`` would find it in
+        them: g nonzero, the tail empty or one nonzero value.  Shifts of
+        a nonzero g are independent, so the rank needs no check."""
+        if (k < 2 or len(g) + k - 1 + len(tail) != n or not any(g)
+                or len(tail) > 1 or not all(tail)):
+            raise ValueError("not the shift form of an [%d, %d] code"
+                             % (n, k))
+        code = cls.__new__(cls)
+        code._assign(field, n, k)
+        code.__dict__["_shift"] = (g, tail)
+        return code
+
     def _hold(self, field: Field, n: int, k: int, rows: tuple) -> None:
         self._assign(field, n, k)
         self.__dict__["_value_rows"] = rows
@@ -173,6 +213,14 @@ class LinearCode(Frozen):
             raise ValueError("generator rows are dependent")
 
     @functools.cached_property
+    def _value_rows(self) -> tuple:
+        """The rows of the shift form as field values: only a code made
+        by ``_from_shift`` gets here, as any other holds its rows."""
+        unpack = packed_field(self.field, self.n).unpack
+        g, tail = (tuple(map(unpack, part)) for part in self._shift)
+        return tuple(_shift_rows(g, tail, self.k, (self.field._zero,)))
+
+    @functools.cached_property
     def generator(self) -> tuple:
         field = self.field
         return tuple(tuple([Element(field, v) for v in row])
@@ -183,8 +231,7 @@ class LinearCode(Frozen):
         """The rows packed on the n-term layout: a shift form's are the
         shifts of its packed g, then its packed tail."""
         if self._shift is not None:
-            (g, tail), k = self._shift, self.k
-            return [[0] * i + g + [0] * (k - 1 - i) + tail for i in range(k)]
+            return list(_shift_rows(*self._shift, self.k, [0]))
         pack = packed_field(self.field, self.n).pack
         return [list(map(pack, row)) for row in self._value_rows]
 
@@ -193,18 +240,19 @@ class LinearCode(Frozen):
         """(g, tail), packed on the n-term layout, when k >= 2 and, for
         w = n or n - 1, row i is i zeros, then g of length w - k + 1,
         then zeros through column w - 1, then ``tail``, the same in
-        every row; None otherwise.  The rows of every cyclic,
-        constacyclic and duadic builder have this form with w = n, and
-        their extensions with w = n - 1.  g is not zero, since the
-        k >= 2 rows are independent."""
+        every row; None otherwise.  A code made by ``_from_shift`` holds
+        it; rows of values are compared with the ``_shift_rows`` of the
+        g and tail their first row shows.  Every cyclic, constacyclic
+        and duadic code has this form with w = n, and its extension with
+        w = n - 1.  g is not zero, since the k >= 2 rows are
+        independent."""
         k, n, rows = self.k, self.n, self._value_rows
         if k < 2:
             return None
         pad = (self.field._zero,)
         for w in (n, n - 1):
             g, tail = rows[0][:w - k + 1], rows[0][w:]
-            if all(row == pad * i + g + pad * (k - 1 - i) + tail
-                   for i, row in enumerate(rows)):
+            if all(map(operator.eq, rows, _shift_rows(g, tail, k, pad))):
                 pack = packed_field(self.field, n).pack
                 return list(map(pack, g)), list(map(pack, tail))
         return None
@@ -354,9 +402,11 @@ def generator_from_defining_set(field: Field, n: int, lam: Element,
 
     The root walk holds all m = ``T.modulus`` powers of alpha, so an m
     above ``dlog_limit`` is refused with ``DiscreteLogGuardExceeded``
-    before the field is packed.
+    before the field is packed, and a lam of another field with
+    ``MalformedInput``.
     """
     guards = current_guards(guards)
+    _check_field(field, (lam,))
     if T.modulus > guards.dlog_limit:
         raise DiscreteLogGuardExceeded(
             "defining set modulus %d exceeds the discrete-log guard %d"
@@ -381,15 +431,17 @@ def generator_from_defining_set(field: Field, n: int, lam: Element,
 def cyclic_generator_matrix(spec: CyclicSpec) -> LinearCode:
     """Rows are x**i * g(x), i = 0..k-1: g has degree n - k, so no row
     reaches x**n and none is reduced modulo x**n - lam.  For k >= 2 the
-    rows are a shift form, so the code packs only g."""
+    rows are the shift form (g, []), and the code is that form, g
+    packed once; k = 1 is the one row g."""
     field, n, k = spec.field, spec.n, spec.k
     if k < 0:
         raise ValueError("defining set larger than the length")
-    g = tuple([c.value for c in spec.g])
-    zero = (field._zero,)
-    return LinearCode._from_values(
-        field, n, k,
-        tuple(zero * i + g + zero * (k - 1 - i) for i in range(k)))
+    if k < 2:
+        return LinearCode._from_values(
+            field, n, k, (tuple([c.value for c in spec.g]),) * k)
+    pack = packed_field(field, n).pack
+    return LinearCode._from_shift(field, n, k,
+                                  [pack(c.value) for c in spec.g], [])
 
 
 # ---------------------------------------------------------------------------
@@ -500,17 +552,30 @@ def is_hermitian_self_dual(code: LinearCode) -> bool:
 def extend_code(code: LinearCode, gamma: Element) -> LinearCode:
     """Append to every row the coordinate -gamma * (sum of the row): on
     packed ints a sum of n products, exact at one reduction on the
-    n-term layout of ``packed_field(field, n)``, read back as a value.
-    The extension packs its own rows on its (n + 1)-term layout; the
-    extension of a shift form with no tail is one, with the column as
-    its tail."""
+    n-term layout of ``packed_field(field, n)``.  A gamma of another
+    field is refused with ``MalformedInput``.
+
+    The extension of a shift form (g, []) is the shift form (g, [c]),
+    c the column's one value, or (g + [0], []) when c = 0, as ``_shift``
+    would find it in the rows; g and c are packed again only when the
+    (n + 1)-term layout is not the n-term one.  Any other code's
+    extension holds its rows of values, each with its column value."""
     field, n = code.field, code.n
+    _check_field(field, (gamma,))
     arith = packed_field(field, n)
     minus_gamma = arith.encode(-gamma)
     column = [arith.reduce(minus_gamma * sum(row)) for row in code._packed]
-    rows = tuple((*row, arith.unpack(c))
-                 for row, c in zip(code._value_rows, column))
-    return LinearCode._from_values(field, n + 1, code.k, rows)
+    shift = code._shift
+    if shift is None or shift[1]:
+        rows = tuple((*row, arith.unpack(c))
+                     for row, c in zip(code._value_rows, column))
+        return LinearCode._from_values(field, n + 1, code.k, rows)
+    g, tail = (shift[0], column[:1]) if column[0] else (shift[0] + [0], [])
+    wide = packed_field(field, n + 1)
+    if wide is not arith:
+        g, tail = ([wide.pack(arith.unpack(v)) for v in part]
+                   for part in (g, tail))
+    return LinearCode._from_shift(field, n + 1, code.k, g, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -757,7 +822,8 @@ def _roots_prove_mds(code: LinearCode, T: DefiningSet, lam: Element | None,
     With a one-entry tail t the code is the shifts of g, of length
     r = n - k, on n' = n - 1 coordinates, each extended by t, so row i
     sums to g(1) over the first n' coordinates.  t != 0, since
-    ``_shift`` reads a zero tail as a last coefficient of g.  Let T be
+    ``_shift`` reads a zero tail as a last coefficient of g, and
+    ``_from_shift`` refuses one.  Let T be
     a run of r - 1 exponents with step 1 such that T with 0 is an
     arithmetic progression c, c + s, ..., c + (r - 1)*s of r residues
     mod m = T.modulus with a unit step s, gcd(s, m) = 1 (so 0 is not in

@@ -4,19 +4,23 @@ Minimum distances are cross-checked against a naive full message
 enumeration written here, independent of the scan in the package.
 """
 import functools
+import importlib.util
 import itertools
 import json
 import operator
 import random
 from collections import Counter
 from math import comb
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from selfdual import cli
 from selfdual import codes as codes_module
+from selfdual import constructions as constructions_module
 from selfdual import linalg as linalg_module
 from selfdual.codes import (
     CyclicSpec,
@@ -56,6 +60,7 @@ from selfdual.errors import (
 from selfdual.fields import (
     Element,
     Field,
+    FieldSpec,
     TowerSpec,
     element_order,
     frobenius,
@@ -71,7 +76,7 @@ from selfdual.linalg import (
     null_space,
     row_reduce,
 )
-from selfdual.table import TABLE_ROWS
+from selfdual.table import TABLE_ROWS, run_table_pair
 
 from oracles import (
     ENCODINGS,
@@ -248,14 +253,16 @@ def test_a_cyclic_code_packs_its_rows_as_the_shifts_of_its_generator(case):
 @pytest.fixture
 def packs(monkeypatch):
     """What the code layer packs while ``codes.packed_field`` hands out
-    counting layouts: ``entries``, the values given to ``pack`` itself
-    (a code's generator entries), and ``elements``, the elements given
-    to ``encode``.  Inverses and canonical indices pack uncounted."""
+    counting layouts, one per layout as it does: ``entries``, the
+    values given to ``pack`` itself (a code's generator entries), and
+    ``elements``, the elements given to ``encode``.  Inverses and
+    canonical indices pack uncounted."""
     record = SimpleNamespace(entries=[], elements=[])
+    made = {}
 
     class Counting(PackedField):
-        def __init__(self, field, terms=1):
-            super().__init__(field, field._layout(terms))
+        def __init__(self, field, layout):
+            super().__init__(field, layout)
             self.uncounted = self.pack
             self.pack = lambda v: record.entries.append(v) or self.uncounted(v)
 
@@ -273,28 +280,40 @@ def packs(monkeypatch):
         record.entries.clear()
         record.elements.clear()
 
+    def counting(field, terms=1):
+        key = field, field._layout(terms)
+        if key not in made:
+            made[key] = Counting(*key)
+        return made[key]
+
     record.clear = clear
-    monkeypatch.setattr(codes_module, "packed_field", Counting)
+    monkeypatch.setattr(codes_module, "packed_field", counting)
     return record
 
 
 def test_a_shift_form_packs_g_and_its_tail_once_however_it_was_made(packs):
     # the [27, 14] duadic code of the [28, 14] table code over GF(7^9)
     # and that table code, each as built and as read from its record:
-    # the builder packs nothing, and a Gram check, a root check and the
-    # reduction together pack g and the tail once, d + 1 + |tail|
-    # values; the same rows out of order pack all k * n
+    # the builder packs g, d + 1 = 14 values, once, and the extension
+    # only -gamma, as the 27- and 28-term layouts are one; then a Gram
+    # check, a root check and the reduction together pack nothing for a
+    # built code, and g and the tail once, d + 1 + |tail| values, for a
+    # record; the same rows out of order pack all k * n
     field = make_field(7, 9)
     T = DefiningSet(27, tuple(range(1, 14)))
     spec = generator_from_defining_set(field, 27, field.one, T)
+    gamma = solve_gamma_euclidean(field, 27)
     packs.clear()
     cyclic = cyclic_generator_matrix(spec)
-    assert packs.entries == []
-    extended = extend_code(cyclic_generator_matrix(spec),
-                           solve_gamma_euclidean(field, 27))
+    assert packs.entries == [c.value for c in spec.g]
+    assert packs.elements == []
+    packs.clear()
+    extended = extend_code(cyclic, gamma)
+    assert packs.entries == [] and packs.elements == [(-gamma).value]
     records = [code_from_json(code_to_json(code))[0]
                for code in (cyclic, extended)]
-    for code in (cyclic, extended, *records):
+    for code, built in ((cyclic, True), (extended, True),
+                        (records[0], False), (records[1], False)):
         packs.clear()
         punctured = code.n == 28
         assert code._gram_zero(False) is punctured
@@ -303,7 +322,7 @@ def test_a_shift_form_packs_g_and_its_tail_once_however_it_was_made(packs):
         code._reduced()
         (g, tail), row = code._shift, code._value_rows[0]
         assert len(g) == 14 and len(tail) == punctured
-        assert packs.entries == list(row[:14] + row[27:])
+        assert packs.entries == ([] if built else list(row[:14] + row[27:]))
     packs.clear()
     shuffled = LinearCode._from_values(field, 28, 14,
                                        extended._value_rows[::-1])
@@ -810,10 +829,10 @@ def test_packed_extension_matches_the_element_sum(spec, data):
 
 def test_an_extension_packs_minus_gamma_and_its_own_g_and_tail(packs):
     # the [28, 14] table code over GF(7^9), whose 27- and 28-term layouts
-    # pack values alike, and a [6, 3] extension over GF(121), whose 5-
-    # and 6-term layouts do not: on both, the extension of a cyclic code
-    # whose shift form is known packs -gamma, then its own g and tail
-    # the first time a check reads them, and nothing more
+    # are one, and a [6, 3] extension over GF(121), whose 5- and 6-term
+    # layouts are not: the extension of a cyclic code packs -gamma, and
+    # on the second layout g and the column value again, d + 2 values;
+    # its checks then pack nothing more
     seven, tower = make_field(7, 9), _self_dual_code(5).field
     for field, T, gamma in (
             (seven, DefiningSet(27, tuple(range(1, 14))),
@@ -825,20 +844,134 @@ def test_an_extension_packs_minus_gamma_and_its_own_g_and_tail(packs):
         assert code._shift is not None
         packs.clear()
         extended = extend_code(code, gamma)
-        assert packs.entries == [] and packs.elements == [(-gamma).value]
+        (g, tail), row = extended._shift, extended._value_rows[0]
+        assert len(g) == n - code.k + 1 and len(tail) == 1
+        assert packs.elements == [(-gamma).value]
+        assert packs.entries == ([] if field is seven
+                                 else list(row[:len(g)] + row[n:]))
+        wanted = list(packs.entries)
         assert extended._gram_zero(False) is (field is seven)
-        g, tail = extended._shift
-        row = extended._value_rows[0]
-        assert len(tail) == 1 and packs.entries == list(row[:len(g)] + row[n:])
         pack = linalg_module.packed_field(field, n + 1).pack
         assert extended._packed == [list(map(pack, row))
                                     for row in extended._value_rows]
-        assert len(packs.entries) == len(g) + 1
+        assert packs.entries == wanted
         # the same rows reversed, no shift form, give the same extension
         # with its rows reversed
         rows = code._value_rows[::-1]
         assert extend_code(LinearCode._from_values(field, n, code.k, rows),
                            gamma)._value_rows == extended._value_rows[::-1]
+
+
+# --- the one source of a shift form ---
+
+def _workloads():
+    """The benchmark's instance pools, read from their file as data."""
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_every_cyclic_build_holds_its_shift_form_alone(monkeypatch, capsys):
+    # every cyclic code and extension the builders make over the 22
+    # table pairs, the 56 sweep builds and the cli-cold pool is its
+    # shift form: the value rows a table op never asks for are never
+    # made, and once asked for they are the rows whose detected form,
+    # packed copy and record are the code's own
+    made = []
+
+    def keep(build):
+        def kept(*args):
+            made.append(build(*args))
+            return made[-1]
+        return kept
+
+    for name in ("cyclic_generator_matrix", "extend_code"):
+        monkeypatch.setattr(constructions_module, name,
+                            keep(getattr(constructions_module, name)))
+    workloads = _workloads()
+    for length, p, t in workloads.TABLE_PAIRS:
+        run_table_pair(length, p, t)
+    assert len(made) == 40
+    assert not any("_value_rows" in code.__dict__ for code in made)
+    for name, args in workloads.sweep_builds():
+        getattr(constructions_module, name)(*args)
+    for argv in workloads.CLI_POOL:
+        assert cli.main(["construct", *argv]) == 0
+    capsys.readouterr()
+    # two codes for each of 20 confirmed table pairs, 29 extended sweep
+    # builds and 7 extended pool entries; one for each of 6 constacyclic
+    # sweep builds and 5 constacyclic pool entries
+    assert len(made) == 2 * (20 + 29 + 7) + 6 + 5
+    for code in made:
+        twin = LinearCode._from_values(code.field, code.n, code.k,
+                                       code._value_rows)
+        assert code._shift is not None and code._shift == twin._shift
+        assert code._packed == twin._packed
+        assert code._value_rows == twin._value_rows
+        assert code_to_json(code) == code_to_json(twin)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.sampled_from(GRAM_FIELDS), st.data())
+def test_the_rows_of_a_shift_form_show_that_form_again(spec, data):
+    # any nonzero g and a tail of at most one nonzero value: detecting
+    # the form in the rows of the view gives back (g, tail)
+    field = _tower(*spec)
+    top = field.order - 1
+    k = data.draw(st.integers(2, 5))
+    g = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=6))
+    assume(any(g))
+    tail = data.draw(st.lists(st.integers(1, top), max_size=1))
+    n = len(g) + k - 1 + len(tail)
+    arith = linalg_module.packed_field(field, n)
+    g, tail = ([arith.pack(field._from_int(i)) for i in part]
+               for part in (g, tail))
+    code = LinearCode._from_shift(field, n, k, g, tail)
+    twin = LinearCode._from_values(field, n, k, code._value_rows)
+    assert twin._shift == (g, tail) and twin._packed == code._packed
+
+
+def test_a_shift_form_is_refused_unless_detection_would_find_it():
+    field = make_field(7, 1)
+    one, three = (linalg_module.packed_field(field, 6).pack(
+        field._from_int(i)) for i in (1, 3))
+    assert LinearCode._from_shift(field, 6, 3, [one, 0, three], [one]).k == 3
+    for n, k, g, tail in ((6, 3, [0, 0, 0], [one]),     # g = 0
+                          (6, 1, [one] * 5, [one]),     # k < 2
+                          (6, 3, [one, three], [one]),  # n != 5
+                          (6, 3, [one, 0, three], [0]),  # a zero tail
+                          (6, 2, [one, three], [one, one]),  # a long tail
+                          ):
+        with pytest.raises(ValueError):
+            LinearCode._from_shift(field, n, k, g, tail)
+
+
+def test_an_element_of_another_field_is_refused():
+    # extend_code, LinearCode(...) and generator_from_defining_set each
+    # refuse an element of another field, where before they read its
+    # coordinates as if they were the code's
+    f11, f13, f7 = make_field(11, 1), make_field(13, 1), make_field(7, 1)
+    f121 = quadratic_extension(f11)
+    code = cyclic_generator_matrix(generator_from_defining_set(
+        f11, 5, f11.one, DefiningSet(5, (1, 2))))
+    tower = cyclic_generator_matrix(generator_from_defining_set(
+        f121, 5, f121.one, DefiningSet(5, (1, 2))))
+    for base, gamma in ((code, f13.from_int(12)), (code, f7.from_int(3)),
+                        (tower, f11.from_int(3))):
+        with pytest.raises(MalformedInput):
+            extend_code(base, gamma)
+    with pytest.raises(MalformedInput):
+        LinearCode(f11, 2, 1, ((f11.one, f13.from_int(12)),))
+    with pytest.raises(MalformedInput):
+        generator_from_defining_set(f11, 5, f13.one, DefiningSet(5, (1, 2)))
+    # an equal field that is another object is the same field
+    twin = FieldSpec(11, 1, f11.modulus)
+    assert twin is not f11 and twin == f11
+    assert extend_code(code, Element(twin, f11._one)) == extend_code(
+        code, f11.one)
 
 
 # --- distance and MDS ---
