@@ -331,14 +331,38 @@ class CyclicSpec(Frozen):
     """Constacyclic structure: length, shift constant, roots, generator.
 
     ``g`` is monic, divides x**n - lam, and vanishes exactly at
-    alpha**i for i in the defining set.
+    alpha**i for i in the defining set.  Its coefficients are held once,
+    packed on the n-term layout of ``packed_field(field, n)`` (``_g``),
+    as ``generator_from_defining_set`` computes them and as the shift
+    form of ``cyclic_generator_matrix`` holds them; ``g``, the tuple of
+    elements, is a view built when something asks for it.
     """
 
     _fields = ("field", "n", "lam", "defining", "g", "alpha")
 
     def __init__(self, field: Field, n: int, lam: Element,
                  defining: DefiningSet, g: tuple, alpha: Element | None):
-        self._assign(field, n, lam, defining, g, alpha)
+        pack = packed_field(field, n).pack
+        self._hold(field, n, lam, defining, [pack(c.value) for c in g],
+                   alpha)
+
+    @classmethod
+    def _from_packed(cls, field: Field, n: int, lam: Element,
+                     defining: DefiningSet, g: list,
+                     alpha: Element | None) -> "CyclicSpec":
+        """The spec whose g is the list ``g`` of packed coefficients."""
+        spec = cls.__new__(cls)
+        spec._hold(field, n, lam, defining, g, alpha)
+        return spec
+
+    def _hold(self, field, n, lam, defining, g, alpha) -> None:
+        self.__dict__.update(field=field, n=n, lam=lam, defining=defining,
+                             alpha=alpha, _g=g)
+
+    @functools.cached_property
+    def g(self) -> tuple:
+        unpack = packed_field(self.field, self.n).unpack
+        return tuple([Element(self.field, unpack(v)) for v in self._g])
 
     @property
     def k(self) -> int:
@@ -424,24 +448,23 @@ def generator_from_defining_set(field: Field, n: int, lam: Element,
         minus_root = arith.neg(powers[i])
         g = [reduce(lo + minus_root * hi)
              for lo, hi in zip([0] + g, g)] + [arith.one]
-    return CyclicSpec(field, n, lam, T, tuple(map(arith.decode, g)),
-                      arith.decode(powers[1 % T.modulus]))
+    return CyclicSpec._from_packed(field, n, lam, T, g,
+                                   arith.decode(powers[1 % T.modulus]))
 
 
 def cyclic_generator_matrix(spec: CyclicSpec) -> LinearCode:
     """Rows are x**i * g(x), i = 0..k-1: g has degree n - k, so no row
     reaches x**n and none is reduced modulo x**n - lam.  For k >= 2 the
-    rows are the shift form (g, []), and the code is that form, g
-    packed once; k = 1 is the one row g."""
+    rows are the shift form (g, []), and the code is that form, on the
+    packed g the spec holds; k = 1 is the one row g."""
     field, n, k = spec.field, spec.n, spec.k
     if k < 0:
         raise ValueError("defining set larger than the length")
     if k < 2:
+        unpack = packed_field(field, n).unpack
         return LinearCode._from_values(
-            field, n, k, (tuple([c.value for c in spec.g]),) * k)
-    pack = packed_field(field, n).pack
-    return LinearCode._from_shift(field, n, k,
-                                  [pack(c.value) for c in spec.g], [])
+            field, n, k, (tuple(map(unpack, spec._g)),) * k)
+    return LinearCode._from_shift(field, n, k, spec._g, [])
 
 
 # ---------------------------------------------------------------------------
@@ -552,8 +575,11 @@ def is_hermitian_self_dual(code: LinearCode) -> bool:
 def extend_code(code: LinearCode, gamma: Element) -> LinearCode:
     """Append to every row the coordinate -gamma * (sum of the row): on
     packed ints a sum of n products, exact at one reduction on the
-    n-term layout of ``packed_field(field, n)``.  A gamma of another
-    field is refused with ``MalformedInput``.
+    n-term layout of ``packed_field(field, n)``.  Every row of a shift
+    form sums to sum(g) + sum(tail), so its column is one value, from
+    one sum, and its k packed rows are never built; any other code's
+    row sums come from its packed copy.  A gamma of another field is
+    refused with ``MalformedInput``.
 
     The extension of a shift form (g, []) is the shift form (g, [c]),
     c the column's one value, or (g + [0], []) when c = 0, as ``_shift``
@@ -564,11 +590,13 @@ def extend_code(code: LinearCode, gamma: Element) -> LinearCode:
     _check_field(field, (gamma,))
     arith = packed_field(field, n)
     minus_gamma = arith.encode(-gamma)
-    column = [arith.reduce(minus_gamma * sum(row)) for row in code._packed]
     shift = code._shift
+    sums = (map(sum, code._packed) if shift is None
+            else [sum(shift[0]) + sum(shift[1])])
+    column = [arith.reduce(minus_gamma * s) for s in sums]
     if shift is None or shift[1]:
-        rows = tuple((*row, arith.unpack(c))
-                     for row, c in zip(code._value_rows, column))
+        rows = tuple((*row, arith.unpack(c)) for row, c
+                     in zip(code._value_rows, itertools.cycle(column)))
         return LinearCode._from_values(field, n + 1, code.k, rows)
     g, tail = (shift[0], column[:1]) if column[0] else (shift[0] + [0], [])
     wide = packed_field(field, n + 1)

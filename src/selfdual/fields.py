@@ -25,8 +25,11 @@ so ``values_from_json`` reads canonical rows as their values.
 Every Kronecker-packed product in the package runs on
 ``Field._layout(terms)``, the layout of ``_packing`` for exact sums of
 up to ``terms`` products, built once per field and lane width: the term
-counts whose exact bounds give the same lanes share it.  A single
-product of two values, ``Field._mul``, is one of them: it packs both on
+counts whose exact bounds give the same lanes share it.  The one other
+is Rabin's test of a modulus candidate, on lanes sized once per (p, t)
+(``_ring_reduce``), so that a candidate builds no field and no layout.
+A single product of two values, ``Field._mul``, is one of them: it
+packs both on
 ``_layout(1)``, multiplies the two ints and reduces once, in GF(p),
 GF(p^t) and towers alike, so the rules x**t -> residue and
 y**2 -> -c1*y - c0 are written only in ``_packing``.
@@ -70,7 +73,8 @@ FIELD_CACHE_SIZE = 256   # make_field, find_primitive_element and helpers
 TOWER_CACHE_SIZE = 128   # quadratic_extension
 
 # make_field tries the roots a = 1, 2, ... up to this bound, all of GF(p)*
-# for p <= 257; beyond it a block of p - 1 candidates still costs one
+# for p <= 257, where a root-free candidate of degree t <= 3 needs no
+# Rabin test; beyond it a block of p - 1 candidates still costs one
 # evaluation per a, about one Rabin test in GF(p^2) at p = 10^4 (0.3 ms
 # on a 2-vCPU VM)
 ROOT_SCAN_LIMIT = 256
@@ -220,12 +224,7 @@ class Field:
         if not e:
             return self._one
         pack, reduce, unpack = self._layout(1)
-        x = r = pack(v)
-        for bit in bin(e)[3:]:
-            r = reduce(r * r)
-            if bit == "1":
-                r = reduce(r * x)
-        return unpack(r)
+        return unpack(_packed_pow(pack(v), e, reduce))
 
 
 class FieldSpec(Field, Frozen):
@@ -441,14 +440,15 @@ def poly_is_irreducible(coeffs: Sequence[int], p: int) -> bool:
     """Irreducibility over GF(p) of c, monic of degree t >= 1 once its
     trailing zeros are dropped (Rabin, SIAM J. Comput. 1980).
 
-    In the ring R = GF(p)[x]/(c) of ``FieldSpec``, c is irreducible iff
-    x**(p**t) = x and, for each prime l | t, x**(p**(t/l)) - x is a unit
-    (Rabin's gcd with c is 1).  The first condition makes c divide
-    x**(p**t) - x, which is squarefree, so R is a product of fields
-    GF(p**d), one per irreducible factor of c, with d | t; in each, x is
-    a root of that factor.  Then the units need no power: the product
-    u of x**(p**(t/l)) - x over the primes l | t is 0 exactly when c
-    is reducible.  If c is irreducible, R is one field in which x has
+    A degree-1 c is irreducible.  For t >= 2, in the ring
+    R = GF(p)[x]/(c), c is irreducible iff x**(p**t) = x and, for each
+    prime l | t, x**(p**(t/l)) - x is a unit (Rabin's gcd with c is 1).
+    The first condition makes c divide x**(p**t) - x, which is
+    squarefree, so R is a product of fields GF(p**d), one per
+    irreducible factor of c, with d | t; in each, x is a root of that
+    factor.  Then the units need no power: the product u of
+    x**(p**(t/l)) - x over the primes l | t is 0 exactly when c is
+    reducible.  If c is irreducible, R is one field in which x has
     degree t, so no x**(p**(t/l)) - x is 0, nor is their product.  If
     not, every factor has a degree d < t dividing t, so d | t/l for
     some prime l, and x**(p**(t/l)) = x in that component; every
@@ -460,20 +460,32 @@ def poly_is_irreducible(coeffs: Sequence[int], p: int) -> bool:
     t = len(c) - 1
     if t < 1 or c[-1] != 1:
         return False
-    return _rabin(FieldSpec(p, t, tuple(c)))
+    return t == 1 or _rabin(p, t, tuple(c))
 
 
-def _rabin(ring: FieldSpec) -> bool:
-    """Rabin's test of ``poly_is_irreducible`` in the ring
-    GF(p)[x]/(c) itself, so that a ring that passes is the field."""
-    p, t = ring.p, ring.t
-    x = ring._reduce([0, 1])
-    if ring._pow(x, p ** t) != x:
+def _rabin(p: int, t: int, modulus: tuple) -> bool:
+    """Rabin's test of ``poly_is_irreducible`` for the monic ``modulus``
+    c of degree t >= 2, on the packed ints of R = GF(p)[x]/(c) that
+    ``_ring_reduce`` reduces: no ring object and no layout is built, so
+    a c that fails costs only its powers, and ``_canonical_field`` builds
+    the field, and its layouts, for the c that passes alone.
+
+    x**(p**t) is taken as y**(p**(t - t/l)) for y = x**(p**(t/l)), l
+    the least prime of t, so that y, the first factor of u, costs no
+    power of its own.  A packed x**(p**(t/l)) - x is the sum with the
+    packed -x, p - 1 in lane 1, reduced.
+    """
+    reduce, s = _ring_reduce(p, t, modulus)
+    x, minus_x = 1 << s, (p - 1) << s
+    least, *others = [ell for ell, _ in trial_factorize(t)]
+    y = _packed_pow(x, p ** (t // least), reduce)
+    if _packed_pow(y, p ** (t - t // least), reduce) != x:
         return False
-    u = ring._one
-    for ell, _ in trial_factorize(t):
-        u = ring._mul(u, ring._sub(ring._pow(x, p ** (t // ell)), x))
-    return any(u)
+    u = 1
+    for w in [y, *(_packed_pow(x, p ** (t // ell), reduce)
+                   for ell in others)]:
+        u = reduce(u * reduce(w + minus_x))
+    return u != 0
 
 
 def admit_field(p: int, t: int, guards: GuardConfig | None = None) -> int:
@@ -516,9 +528,14 @@ def _canonical_field(p: int, t: int) -> FieldSpec:
     sum c_i p**i (the same order used for elements), so GF(16) gets
     x**4 + x + 1, not x**4 + x**3 + 1.  For t = 1 this yields the
     modulus x, i.e. the prime field itself.  A candidate with a root in
-    GF(p) has a linear factor and is skipped before Rabin's test, which
-    changes no modulus.  The ring that passes Rabin's test is the field
-    returned, with the layout the test built.  It reads no guard:
+    GF(p) has a linear factor and is skipped, which changes no modulus.
+    When the scan tried all of GF(p)*, p <= ``ROOT_SCAN_LIMIT`` + 1, and
+    t <= 3, a candidate with no root is irreducible: a reducible
+    polynomial of degree at most 3 has a factor of degree at most 1
+    (Lidl and Niederreiter, Finite Fields, ch. 3).  Any other candidate
+    is decided by Rabin's test, which builds no ring (``_rabin``): the
+    field, built for the one candidate kept, is the only ring that
+    builds a layout, on its first product.  It reads no guard:
     ``make_field`` admits p and t first.
     """
     if t == 1:
@@ -528,14 +545,14 @@ def _canonical_field(p: int, t: int) -> FieldSpec:
     # per a for the p - 1 candidates that share c1..c(t-1)
     powers = [[pow(a, i, p) for i in range(1, t + 1)]
               for a in range(1, min(p, ROOT_SCAN_LIMIT + 1))]
+    proved = t <= 3 and p <= ROOT_SCAN_LIMIT + 1
     for high in range(p ** (t - 1)):
         upper = [(high // p ** i) % p for i in range(t - 1)] + [1]
         rooted = {-sum(map(operator.mul, upper, row)) % p for row in powers}
         for c0 in range(1, p):
-            if c0 not in rooted:
-                ring = FieldSpec(p, t, (c0, *upper))
-                if _rabin(ring):
-                    return ring
+            if c0 not in rooted and (proved
+                                     or _rabin(p, t, (c0, *upper))):
+                return FieldSpec(p, t, (c0, *upper))
     raise SizeGuardExceeded("no irreducible polynomial found")  # unreachable
 
 
@@ -878,8 +895,8 @@ def _lanes(s: int, lanes) -> tuple[Callable, Callable]:
     2**(s*(lanes[-1] + 1)) to the tuple of its digits in ``lanes``, at
     least two: by a cast of its bytes for 16-, 32- and 64-bit lanes, by
     shifts for any other s.  ``lanes`` is a tuple or a range, and each
-    pair is built once: the candidate rings of one ``make_field`` and
-    the fields of one lane width share it."""
+    pair is built once: the rings of Rabin's test of one (p, t) and the
+    fields of one lane width share it."""
     shifts = [s * i for i in lanes]
 
     def pack(v):
@@ -1015,6 +1032,68 @@ def _folding(field: Field, bound: int, s: int):
     return reduce, s, tuple(range(t)), s * (2 * t - 1)
 
 
+def _packed_pow(x: int, e: int, reduce) -> int:
+    """x**e, e >= 1, by square and multiply on the packed int x."""
+    r = x
+    for bit in bin(e)[3:]:
+        r = reduce(r * r)
+        if bit == "1":
+            r = reduce(r * x)
+    return r
+
+
+def _residue(p: int, t: int, modulus) -> tuple[list, int]:
+    """(r, m): the coordinates of x**t = r(x) = -(c_0 + ... +
+    c_(t-1) x**(t-1)) modulo the monic ``modulus``, and m = t - d for d
+    the degree of r, so that x**m times any r lands below x**t."""
+    r = [-c % p for c in modulus[:t]]
+    return r, t - max((i for i, c in enumerate(r) if c), default=0)
+
+
+@functools.lru_cache(maxsize=FIELD_CACHE_SIZE)
+def _ring_plan(p: int, t: int) -> tuple:
+    """(s, k, M, quotients) of ``_ring_reduce`` for every monic modulus
+    of degree t >= 2 over GF(p): the lane division (``_quotient_step``)
+    for digits up to B*(1 + (t - 1)(p - 1)), B = t*(p - 1)**2 + p - 1,
+    and its quotient mask over the 2t - 1 lanes of a product."""
+    bound = (t * (p - 1) ** 2 + p - 1) * (1 + (t - 1) * (p - 1))
+    k, M, s = _quotient_step(bound, p)
+    return s, k, M, _lanes(s, range(2 * t - 1))[0]([(1 << s - k) - 1]
+                                                   * (2 * t - 1))
+
+
+def _ring_reduce(p: int, t: int, modulus) -> tuple[Callable, int]:
+    """(reduce, s) for Rabin's test in GF(p)[x]/(c), c the monic
+    ``modulus`` of degree t >= 2, on the lanes of s bits of
+    ``_ring_plan``, which depend on p and t alone: the ring adds only
+    its packed residue r of x**t (``_residue``), and builds no layout.
+
+    ``reduce`` maps a packed int of 2t - 1 digits, each at most
+    B = t*(p - 1)**2 + p - 1 (a product of two canonical values, or the
+    sum of two), to the packed canonical value.  It folds the high
+    digits by r and takes every lane mod p, as the layouts of
+    ``_packing`` do, ceil((t - 1)/m) times: r has degree t - m, so each
+    fold leaves m fewer digits past x**(t - 1).  The first fold adds
+    each of the t - 1 high digits at most once to a lane, times a
+    coordinate of r below p, so no lane exceeds B*(1 + (t - 1)(p - 1)),
+    the bound the lanes are sized for, whatever r is; a later fold
+    starts from digits below p and stays under it too.  No bound needs
+    the fold unit of ``_fold``, which sizes a field's own layouts more
+    tightly."""
+    s, k, M, quotients = _ring_plan(p, t)
+    r, m = _residue(p, t, modulus)
+    r, folds = _lanes(s, range(t))[0](r), range(-(-(t - 1) // m))
+    low, top = (1 << s * t) - 1, s * t
+
+    def reduce(v):
+        for _ in folds:
+            v = (v & low) + (v >> top) * r
+            v -= p * (v * M >> k & quotients)
+        return v
+
+    return reduce, s
+
+
 @functools.lru_cache(maxsize=FIELD_CACHE_SIZE)
 def _fold(field: FieldSpec) -> tuple:
     """(m, coords, unit) of the fold of ``_packing`` in ``field``,
@@ -1025,10 +1104,8 @@ def _fold(field: FieldSpec) -> tuple:
     digits that are all at a bound they give that bound times ``unit``
     in the largest lane."""
     p, t = field.p, field.t
-    # x**t = r(x) = -(c_0 + ... + c_(t-1) x**(t-1)), of degree d
-    xt = [-c % p for c in field.modulus[:t]]
-    d = max((i for i, c in enumerate(xt) if c), default=0)
-    m = t - d
+    # x**t = r(x), of degree d = t - m
+    xt, m = _residue(p, t, field.modulus)
     blocks = -(-(t - 1) // m)
     # polynomials with a coefficient in each lane of w bits: a lane
     # below is at most (1 + (t - 1)(p - 1))*(1 + (m - 1)(p - 1)),

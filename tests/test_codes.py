@@ -294,22 +294,26 @@ def packs(monkeypatch):
 def test_a_shift_form_packs_g_and_its_tail_once_however_it_was_made(packs):
     # the [27, 14] duadic code of the [28, 14] table code over GF(7^9)
     # and that table code, each as built and as read from its record:
-    # the builder packs g, d + 1 = 14 values, once, and the extension
-    # only -gamma, as the 27- and 28-term layouts are one; then a Gram
-    # check, a root check and the reduction together pack nothing for a
-    # built code, and g and the tail once, d + 1 + |tail| values, for a
-    # record; the same rows out of order pack all k * n
+    # the builders pack no value of g, which the generator product
+    # leaves packed and the spec and the code hold as one list, and the
+    # extension packs only -gamma, as the 27- and 28-term layouts are
+    # one, and builds no packed rows; then a Gram check, a root check
+    # and the reduction together pack nothing for a built code, and g
+    # and the tail once, d + 1 + |tail| values, for a record; the same
+    # rows out of order pack all k * n
     field = make_field(7, 9)
     T = DefiningSet(27, tuple(range(1, 14)))
-    spec = generator_from_defining_set(field, 27, field.one, T)
     gamma = solve_gamma_euclidean(field, 27)
     packs.clear()
-    cyclic = cyclic_generator_matrix(spec)
-    assert packs.entries == [c.value for c in spec.g]
-    assert packs.elements == []
+    spec = generator_from_defining_set(field, 27, field.one, T)
+    assert packs.entries == []
     packs.clear()
+    cyclic = cyclic_generator_matrix(spec)
+    assert packs.entries == [] and packs.elements == []
+    assert cyclic._shift == (spec._g, []) and cyclic._shift[0] is spec._g
     extended = extend_code(cyclic, gamma)
     assert packs.entries == [] and packs.elements == [(-gamma).value]
+    assert "_packed" not in cyclic.__dict__
     records = [code_from_json(code_to_json(code))[0]
                for code in (cyclic, extended)]
     for code, built in ((cyclic, True), (extended, True),
@@ -830,23 +834,26 @@ def test_packed_extension_matches_the_element_sum(spec, data):
 def test_an_extension_packs_minus_gamma_and_its_own_g_and_tail(packs):
     # the [28, 14] table code over GF(7^9), whose 27- and 28-term layouts
     # are one, and a [6, 3] extension over GF(121), whose 5- and 6-term
-    # layouts are not: the extension of a cyclic code packs -gamma, and
-    # on the second layout g and the column value again, d + 2 values;
-    # its checks then pack nothing more
+    # layouts are not: the cyclic code packs no value, the extension of
+    # it packs -gamma, and on the second layout g and the column value
+    # again, d + 2 values, and neither builds the cyclic code's packed
+    # rows; the extension's checks then pack nothing more
     seven, tower = make_field(7, 9), _self_dual_code(5).field
     for field, T, gamma in (
             (seven, DefiningSet(27, tuple(range(1, 14))),
              solve_gamma_euclidean(seven, 27)),
             (tower, DefiningSet(5, (1, 2)), tower.one)):
         n = T.modulus
+        packs.clear()
         code = cyclic_generator_matrix(
             generator_from_defining_set(field, n, field.one, T))
-        assert code._shift is not None
+        assert code._shift is not None and packs.entries == []
         packs.clear()
         extended = extend_code(code, gamma)
         (g, tail), row = extended._shift, extended._value_rows[0]
         assert len(g) == n - code.k + 1 and len(tail) == 1
         assert packs.elements == [(-gamma).value]
+        assert "_packed" not in code.__dict__
         assert packs.entries == ([] if field is seven
                                  else list(row[:len(g)] + row[n:]))
         wanted = list(packs.entries)

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     _pmod,
+    _pmul,
     _pmulmod,
     even_quadratic_oracle,
     least_nonsquare_oracle,
@@ -169,6 +170,70 @@ def test_canonical_modulus_is_the_oracle_search(p, t):
         _least_irreducible_oracle(p, t)
 
 
+def _searched(monkeypatch, p, t):
+    """The uncached search for GF(p^t), and the (modulus, verdict) of
+    each Rabin test it ran, in order."""
+    verdicts, rabin = [], fields._rabin
+
+    def testing(p_, t_, modulus):
+        verdicts.append((modulus, rabin(p_, t_, modulus)))
+        return verdicts[-1][1]
+
+    monkeypatch.setattr(fields, "_rabin", testing)
+    return fields._canonical_field.__wrapped__(p, t), verdicts
+
+
+@pytest.mark.parametrize("p, t", CANONICAL_FIELDS)
+def test_every_candidate_the_search_rejects_is_reducible(monkeypatch, p, t):
+    # a candidate that fails Rabin's test is reducible under the oracle
+    # (one skipped for a root has a linear factor); only the field's
+    # modulus passes it, and it runs only where the root scan proves
+    # nothing
+    field, verdicts = _searched(monkeypatch, p, t)
+    assert not any(poly_is_irreducible_oracle(c, p)
+                   for c, ok in verdicts if not ok)
+    proved = t <= 3 and p <= fields.ROOT_SCAN_LIMIT + 1
+    assert [c for c, ok in verdicts if ok] == ([] if proved
+                                               else [field.modulus])
+
+
+def _monic(p, degree):
+    """Every monic polynomial of ``degree`` over GF(p), constant term
+    first."""
+    return [[*low, 1] for low in itertools.product(range(p), repeat=degree)]
+
+
+@pytest.mark.parametrize("t", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_a_root_free_polynomial_of_degree_at_most_3_is_irreducible(p, t):
+    # exhaustively: the reducible monic polynomials of degree t are the
+    # products of a monic linear factor and a monic factor of degree
+    # t - 1, each of which has a root, so those without a root are the
+    # irreducible ones, and the oracle agrees
+    reducible = {tuple(_pmul(a, b, p))
+                 for a in _monic(p, 1) for b in _monic(p, t - 1)}
+    for c in _monic(p, t):
+        root_free = all(sum(v * pow(a, i, p) for i, v in enumerate(c)) % p
+                        for a in range(p))
+        assert root_free is (tuple(c) not in reducible), c
+        assert poly_is_irreducible_oracle(c, p) is root_free, c
+
+
+@pytest.mark.parametrize("p, proved", [(251, True), (257, True),
+                                       (263, False)])
+@pytest.mark.parametrize("t", [2, 3])
+def test_the_root_proof_holds_while_the_scan_covers_gf_p(monkeypatch, p, t,
+                                                         proved):
+    # the scan tries a = 1..ROOT_SCAN_LIMIT, all of GF(p)* up to
+    # p = 257; past it a candidate may have a root the scan skipped,
+    # and Rabin's test decides
+    field, verdicts = _searched(monkeypatch, p, t)
+    assert field.modulus == _least_irreducible_oracle(p, t)
+    assert (verdicts == []) is proved
+    if not proved:
+        assert verdicts[-1] == (field.modulus, True)
+
+
 def test_make_field_signature_lists_its_guards():
     assert "guards" in inspect.signature(make_field).parameters
 
@@ -221,34 +286,45 @@ def test_field_is_cached():
 
 def test_make_field_keeps_the_ring_that_passed_rabins_test(monkeypatch):
     # a fresh GF(3^4), out of the uncached search: two candidates pass
-    # the root scan, and each is the ring of its own Rabin test, with
-    # one layout; the second passes and is the field.  The [6, 3] code
-    # over it then runs on 5 and 6 terms, whose exact bounds give the
-    # same 32-bit lanes: one more layout, three in all
-    tested, built = [], []
-    rabin, packing = fields._rabin, fields._packing
+    # the root scan, and Rabin's test rejects the first and keeps the
+    # second, building no ring and no layout for either.  The field is
+    # the ring of the kept modulus, and builds its one-product layout,
+    # 16-bit lanes, once, on its first product.  The [6, 3] code over
+    # it then runs on 5 and 6 terms, whose exact bounds give the same
+    # 32-bit lanes: one more layout, two in all, and every fold is the
+    # field's own
+    tested, built, folded = [], [], set()
+    rabin, packing, fold = fields._rabin, fields._packing, fields._fold
 
-    def testing(ring):
-        tested.append(ring)
-        return rabin(ring)
+    def testing(p, t, modulus):
+        tested.append((modulus, rabin(p, t, modulus)))
+        return tested[-1][1]
 
     def counting(f, bound):
         if isinstance(f, FieldSpec) and (f.p, f.t) == (3, 4):
             built.append(fields._lane_width(f, bound))
         return packing(f, bound)
 
+    def folding(f):
+        folded.add(f.modulus)
+        return fold(f)
+
     monkeypatch.setattr(fields, "_rabin", testing)
     monkeypatch.setattr(fields, "_packing", counting)
+    monkeypatch.setattr(fields, "_fold", folding)
     field = fields._canonical_field.__wrapped__(3, 4)
-    assert len(tested) == 2 and field is tested[-1]
-    assert field.modulus == (2, 1, 0, 0, 1) and built == [16, 16]
+    assert tested == [((1, 0, 0, 0, 1), False), ((2, 1, 0, 0, 1), True)]
+    assert field.modulus == (2, 1, 0, 0, 1) and built == [] == [*folded]
+    assert field.one + field.one == field.scalar(2) and built == []
+    x = field.from_int(3)
+    assert x * x == field.from_int(9) and built == [16]
     T = DefiningSet(5, (1, 2))
     spec = generator_from_defining_set(field, 5, field.one, T)
     code = extend_code(cyclic_generator_matrix(spec),
                        solve_gamma_euclidean(field, 5))
     report, _ = verify_code(code, extended_defining=T, lam=field.one)
     assert report.euclidean_self_dual and report.distance_exact == 4
-    assert built == [16, 16, 32]
+    assert built == [16, 32] and folded == {field.modulus}
     assert field._layout(5) is field._layout(6) is not field._layout(1)
 
 
@@ -438,6 +514,27 @@ def test_reduce_on_every_layout_matches_the_schoolbook_product(
             want[i] = (want[i] + times * c) % p
     assert reduce(packed) == pack(want)
     assert unpack(reduce(packed)) == tuple(want)
+
+
+@settings(deadline=None, max_examples=200)
+@given(reduce_ring(), st.data())
+def test_the_ring_reduce_of_rabins_test_matches_the_schoolbook_product(
+        field, data):
+    # one product plus one value, the bound of the lanes of every ring
+    # of (p, t), whatever its modulus: a random product, or the square
+    # of the value with every coordinate p - 1, whose digits are the
+    # largest a product reaches, with every block count and spill
+    p, t = field.p, field.t
+    reduce, s = fields._ring_reduce(p, t, field.modulus)
+    assert s == fields._ring_plan(p, t)[0]
+    pack = fields._lanes(s, range(t))[0]
+    value = st.lists(st.integers(0, p - 1), min_size=t, max_size=t)
+    a, b = data.draw(st.sampled_from([([p - 1] * t, [p - 1] * t)])
+                     | st.tuples(value, value))
+    extra = data.draw(value)
+    want = [(u + v) % p for u, v in itertools.zip_longest(
+        _pmulmod(a, b, list(field.modulus), p), extra, fillvalue=0)]
+    assert reduce(pack(a) * pack(b) + pack(extra)) == pack(want)
 
 
 # --- multiplicative structure ---

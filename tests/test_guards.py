@@ -15,11 +15,14 @@ the ``bch`` rung and that of a cyclic route's generator.
 ``check_centered_duadic_splitting`` admits its field as ``make_field``
 does and bounds its n by ``dlog_limit``, and so does
 ``check_duadic_splitting``, before it builds the two halves.
-Last, a process whose environment holds a malformed override runs
-every builder, the record reader and the verifier on an explicit
-config: none of them reads the environment.
+A process whose environment holds a malformed override runs every
+builder, the record reader and the verifier on an explicit config: none
+of them reads the environment.  Last, every top-level export takes
+``guards``, or only objects that a guarded function built and values
+that size no work.
 """
 import functools
+import inspect
 import os
 import subprocess
 import sys
@@ -251,3 +254,57 @@ def test_an_explicit_config_is_used_and_the_environment_never_read():
     run = subprocess.run([sys.executable, "-c", _EXPLICIT_CONFIG_RUN],
                          env=env, capture_output=True, text=True, timeout=120)
     assert (run.returncode, run.stdout) == (0, "ok\n"), run.stderr
+
+
+# the objects a guarded function builds: a field (``make_field``, a
+# record's field, a route's field), its elements, a code, a verified
+# report and a cyclic spec (``generator_from_defining_set``)
+BUILT = {"Field", "Element", "LinearCode", "VerificationReport",
+         "CyclicSpec"}
+
+# the other parameters of exports that take no guards, each a value
+# that sizes no work beyond its own size
+UNSIZED = {
+    "ConstructionResult": {"theorem": "a label", "construction": "a label",
+                           "extras": "copied into the record"},
+    "DefiningSet": {"modulus": "a value: it keeps its elements mod it",
+                    "elements": "sorted once", "step": "a value"},
+    "GuardConfig": {key: "the guard itself" for key in GuardConfig._fields},
+    "LinearCode": {"n": "the shape of generator, checked against it",
+                   "k": "the shape of generator, checked against it",
+                   "generator": "rows of elements of field"},
+    "code_to_json": {"metadata": "copied into the record"},
+    "solve_gamma_euclidean": {"n": "read as the scalar n mod p"},
+}
+
+
+def _exports():
+    """(name, parameters) of every callable at the top level of
+    ``selfdual``, a class by its constructor; errors do no work."""
+    for name, obj in sorted(vars(selfdual).items()):
+        if name.startswith("_") or inspect.ismodule(obj) or not callable(obj):
+            continue
+        if inspect.isclass(obj) and issubclass(obj, BaseException):
+            continue
+        yield name, inspect.signature(obj).parameters
+
+
+def test_every_export_takes_guards_or_only_what_a_guarded_function_built():
+    # a new export that computes on plain integers must take guards and
+    # get a boundary row above, or name here why its input sizes nothing
+    unguarded = {}
+    for name, params in _exports():
+        if "guards" in params:
+            assert params["guards"].default is None, name
+            continue
+        for param in params.values():
+            kinds = set(str(param.annotation).replace(" ", "").split("|"))
+            if kinds - {"None"} <= BUILT:
+                continue
+            if param.name not in UNSIZED.get(name, {}):
+                unguarded.setdefault(name, []).append(param.name)
+    assert unguarded == {}
+    # and no entry of the table outlives the parameter it names
+    exports = dict(_exports())
+    assert all(set(names) <= set(exports[name])
+               for name, names in UNSIZED.items())
