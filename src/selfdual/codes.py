@@ -29,19 +29,19 @@ Verification never approximates: self-duality is an exact matrix
 product, distances are exhaustive scans under a guard, and MDS checks
 are exhaustive column tests, seeded Monte-Carlo sampling, or a
 consecutive-root-run certificate.  In automatic mode the column tests,
-the sampler and the exhaustive rung first read what the code's
-structure proves, with no reduction: rows that are an evaluation form
-v * a**i on distinct points (``LinearCode._points``, every GRS code),
-or a shift form with the roots a route or a record proposes
-(``_roots_prove_mds``), one that vanishes on a run of n - k roots, or
-an extended one whose n - k - 1 roots and exponent 0 form a
-progression with a unit step, the roots in GF(q) or GF(q^2).
-Otherwise each code reduces its packed copy once to R = [I | A], and
-those rungs read a Cauchy certificate on it, which decides every GRS
-code of length at most q without a search.  Each proof leaves the
-verdicts unchanged.  The column tests and the sampler then search R's
-packed values, never element objects; only the codeword scan builds
-a Zech table.
+the sampler and the exhaustive rung first read the one proof
+``prove_mds`` names.  It reads what the code's structure proves, with
+no reduction: rows that are an evaluation form v * a**i on distinct
+points (``LinearCode._points``, every GRS code), or a shift form with
+the roots a route or a record proposes (``_roots_prove_mds``), one
+that vanishes on a run of n - k roots, or an extended one whose
+n - k - 1 roots and exponent 0 form a progression with a unit step,
+the roots in GF(q) or GF(q^2).  Otherwise it reduces the code's packed
+copy once to R = [I | A] and reads a Cauchy certificate on it, which
+decides every GRS code of length at most q without a search.  Each
+proof leaves the verdicts unchanged.  The column tests and the sampler
+then search R's packed values, never element objects; only the
+codeword scan builds a Zech table.
 ``certify_mds`` is the one ladder that chooses among them, and
 ``verify_code`` the one place that turns its certificate and the Gram
 checks into a report, for the builders and the CLI alike.
@@ -100,19 +100,14 @@ class ReducedForm(Frozen):
 
     ``rows`` are R's rows packed on ``arith``, the n-term layout of
     ``packed_field(field, n)`` that holds the code's packed copy;
-    ``pivots`` are its pivot columns.  ``cauchy`` is the Cauchy
-    certificate's verdict on R = [I | A]: when it holds, every k-subset
-    of columns is independent, so the code is MDS.
+    ``pivots`` are its pivot columns.  ``prove_mds`` reads the Cauchy
+    certificate on R = [I | A].
     """
 
     _fields = ("arith", "rows", "pivots")
 
     def __init__(self, arith: PackedField, rows: list, pivots: tuple):
         self._assign(arith, rows, pivots)
-
-    @functools.cached_property
-    def cauchy(self) -> bool:
-        return _cauchy_certified(self.arith, self.rows, self.pivots)
 
 
 def _staircase(rows, zero) -> bool:
@@ -276,8 +271,8 @@ class LinearCode(Frozen):
         a Vandermonde matrix on distinct points scaled by nonzero
         columns, so their determinant prod(v_j) * prod(a_j - a_i), over
         i < j in S, is not zero.  Every MDS rung prints the same verdict
-        on an MDS code, so the rungs read this proof where they would
-        read the Cauchy certificate (``mds_check``, ``certify_mds``)."""
+        on an MDS code, so the rungs read this proof first
+        (``prove_mds``)."""
         k, n = self.k, self.n
         if not 2 <= k <= n or self._shift is not None:
             return None
@@ -694,14 +689,28 @@ def _cauchy_certified(arith, reduced, pivots) -> bool:
     return arith.cauchy_points(a_rows) is not None
 
 
-def _structure_proves_mds(code: LinearCode, roots: tuple | None,
-                          guards: GuardConfig) -> bool:
-    """Whether the code's points (``LinearCode._points``) or the proposed
-    ``roots``, a (defining set, lam) pair, prove it MDS
-    (``_roots_prove_mds``) with no reduction.  False only means no
-    proof."""
-    return code._points is not None or (
-        roots is not None and _roots_prove_mds(code, *roots, guards))
+def prove_mds(code: LinearCode, roots: tuple | None,
+              guards: GuardConfig) -> str | None:
+    """The name of the first proof that ``code`` is MDS, or None when
+    none holds; None only means no proof.
+
+    - ``"points"``: the rows are an evaluation form on distinct points
+      (``LinearCode._points``), with no reduction;
+    - ``"roots"``: ``roots``, the (defining set, lam) pair a route or a
+      record proposes, prove the shift form MDS (``_roots_prove_mds``),
+      with no reduction;
+    - ``"cauchy"``: the code's reduced form R = [I | A]
+      (``LinearCode._reduced``) has a Cauchy-like A
+      (``_cauchy_certified``), as for every GRS code of length at most
+      q, so every k-subset of columns is independent.
+    """
+    if code._points is not None:
+        return "points"
+    if roots is not None and _roots_prove_mds(code, *roots, guards):
+        return "roots"
+    if _cauchy_certified(*code._reduced()._values()):
+        return "cauchy"
+    return None
 
 
 def mds_check(code: LinearCode, mode: str, trials: int = 1000,
@@ -709,14 +718,11 @@ def mds_check(code: LinearCode, mode: str, trials: int = 1000,
               roots: tuple | None = None) -> MdsVerdict:
     """MDS verification in one of two modes.
 
-    Both first read what the code's structure proves
-    (``_structure_proves_mds``): its points, or ``roots``, the
-    (defining set, lam) a caller proposes.  When that proves nothing
-    they read the code's cached reduced form R = [I | A]
-    (``LinearCode._reduced``): when A is Cauchy-like, as for every GRS
-    code of length at most q, every k-subset of columns is independent.
-    Each proof makes each mode return what its search below would on an
-    MDS code: ``certified-exact``, or every trial passing.  Otherwise
+    Both first read the one proof ``prove_mds`` finds: the code's
+    points, ``roots``, the (defining set, lam) a caller proposes, or the
+    Cauchy certificate of its cached reduced form R = [I | A].  A proof
+    makes each mode return what its search below would on an MDS code:
+    ``certified-exact``, or every trial passing.  Otherwise
     ``exhaustive-columns`` tests that every k-subset of generator
     columns is independent (necessary and sufficient) with one
     elimination shared by all subsets, and refutes with the lex-first
@@ -733,14 +739,13 @@ def mds_check(code: LinearCode, mode: str, trials: int = 1000,
     if mode == "exhaustive-columns" and comb(n, k) > guards.column_limit:
         raise GuardExceeded("C(n, k) = %d exceeds the column guard"
                             % comb(n, k))
-    proved = _structure_proves_mds(code, roots, guards)
-    form = None if proved else code._reduced()
-    if proved or form.cauchy:
+    if prove_mds(code, roots, guards) is not None:
         return (MdsVerdict("certified-exact")
                 if mode == "exhaustive-columns" else
                 MdsVerdict("monte-carlo", trials=trials, passes=trials))
     # R = M G with M invertible, so a set of R's columns is dependent
     # exactly when the same set of G's columns is: both searches run on R
+    form = code._reduced()
     arith, reduced, pivots = form.arith, form.rows, form.pivots
     if mode == "exhaustive-columns":
         witness = first_dependent_subset(list(zip(*reduced)), k, arith.zero,
@@ -946,12 +951,13 @@ def certify_mds(code: LinearCode, *, defining: DefiningSet | None = None,
     evaluation (GRS) code.  ``mode="auto"`` takes the first rung the
     constants above choose, the guards afford and the facts allow; any
     other mode names the rung.  The column and Monte-Carlo rungs, and
-    in auto mode the exhaustive one, first try to prove the code MDS
-    from its points (``LinearCode._points``); in auto mode they then try
-    the roots of ``defining``, else ``extended_defining``, with ``lam``
-    (``_roots_prove_mds``); then the Cauchy certificate of its reduced
-    form.  Each proof yields the verdict the rung's own search returns
-    on an MDS code, and the facts never decide a verdict.  A guard that
+    in auto mode the exhaustive one, first read the one proof
+    ``prove_mds`` finds: the code's points (``LinearCode._points``); in
+    auto mode the roots of ``defining``, else ``extended_defining``,
+    with ``lam`` (``_roots_prove_mds``); then the Cauchy certificate of
+    its reduced form.  Each proof yields the verdict the rung's own
+    search returns on an MDS code, and the facts never decide a
+    verdict.  A guard that
     stops the rung is a ``guarded`` verdict and a refutation is a
     verdict, never an exception; fewer than one trial is refused with
     ``MalformedInput``.
@@ -983,10 +989,9 @@ def certify_mds(code: LinearCode, *, defining: DefiningSet | None = None,
     try:
         if tier == "exhaustive":
             _check_scan(code.field, k, guards)
-            # in auto mode the points, the proposed roots or a
-            # Cauchy-like reduced form prove d = n - k + 1 without the scan
-            if mode == "auto" and (_structure_proves_mds(code, roots, guards)
-                                   or code._reduced().cauchy):
+            # in auto mode a proof (the points, the proposed roots or a
+            # Cauchy-like reduced form) gives d = n - k + 1 without the scan
+            if mode == "auto" and prove_mds(code, roots, guards) is not None:
                 d = target
             else:
                 d = min_distance_exhaustive(code, guards)

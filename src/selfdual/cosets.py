@@ -41,9 +41,6 @@ class DefiningSet(Frozen):
                         % (x, step)
                     )
 
-    def as_set(self) -> frozenset:
-        return frozenset(self.elements)
-
     def __len__(self) -> int:
         return len(self.elements)
 

@@ -177,12 +177,13 @@ class Field:
         the packed sum to the packed canonical value of the field sum, 0
         exactly when that sum is 0.
 
-        The lanes are those of the exact bound (``_lane_width``), and
-        every term count whose exact bound gives the same lanes shares
-        one layout, built once per field and lane width for the widest
-        digit those lanes hold (``_widest_bound``).  No lane is widened:
-        only the quotient step inside ``reduce`` is sized for the larger
-        digit, and a packed canonical value depends on the lanes alone.
+        A layout is a function of its lane width alone.  The lanes are
+        those of the exact bound (``_lane_width``), and every term count
+        whose exact bound gives the same lanes shares one layout, built
+        once per field and lane width by ``_packing``, whose quotient
+        step takes the widest folded digit those lanes hold
+        (``_widest_digit``).  No lane is widened, and a packed canonical
+        value depends on the lanes alone.
 
         The sum is exact.  Its products have their digits at fixed
         positions, so it adds digit by digit, each digit at most
@@ -190,11 +191,12 @@ class Field:
         In GF(p^t), t > 1, ``reduce`` folds the t - 1 high digits into
         the t low ones by adding them times residue coordinates, which
         are not negative, so a folded digit is largest when every digit
-        is at that bound; ``_packing`` computes that largest digit X.
-        Its lane width holds X times the multiplier M of its lane
-        division, so no digit carries into the next before all are
-        taken mod p at once, and each quotient is exact up to X (see
-        ``_packing``).  A tower reduces its
+        is at that bound: the bound times the fold unit (``_fold``).
+        The lane width holds that digit times the multiplier M of its
+        lane division, so it is at most the widest digit of those lanes,
+        X, no digit carries into the next before all are taken mod p at
+        once, and each quotient is exact up to X (see ``_packing``).  A
+        tower reduces its
         three blocks at the same bound, then folds y**2 by adding a value
         with coordinates below p to one product of the level below, at
         most t*(p - 1)**2 * 2**(L - 1) + p - 1 <= B, so no digit inside
@@ -202,12 +204,10 @@ class Field:
         """
         layout = self._layouts.get(terms)
         if layout is None:
-            bound = _product_bound(self, terms) + self.char - 1
-            lanes = _lane_width(self, bound)
-            layout = self._lane_layouts.get(lanes)
+            s = _lane_width(self, _product_bound(self, terms) + self.char - 1)
+            layout = self._lane_layouts.get(s)
             if layout is None:
-                layout = self._lane_layouts[lanes] = _packing(
-                    self, _widest_bound(self, bound, lanes))[:3]
+                layout = self._lane_layouts[s] = _packing(self, s)[:3]
             self._layouts[terms] = layout
         return layout
 
@@ -911,9 +911,10 @@ def _lanes(s: int, lanes) -> tuple[Callable, Callable]:
     return pack, lambda v: pick(memoryview(v.to_bytes(size, order)).cast(fmt))
 
 
-def _packing(field: Field, bound: int):
+def _packing(field: Field, s: int):
     """(pack, reduce, unpack, bits) of the Kronecker layout of ``field``
-    for product digits up to ``bound``.
+    on lanes of s bits (``_lane_width``), for every product digit whose
+    fold those lanes hold.
 
     ``pack`` puts each GF(p) coordinate of a value in a lane of s bits
     of one int, and ``unpack`` reads the lanes of a packed canonical
@@ -929,8 +930,9 @@ def _packing(field: Field, bound: int):
     three blocks of that length side by side.
 
     ``reduce`` maps a product, a sum of products, or in GF(p^t) any
-    packed int of 2t - 1 digits, with every digit at most ``bound``, to
-    the packed canonical value in a few big-int operations.  In GF(p) a
+    packed int of 2t - 1 digits, with every digit at most a bound B whose
+    lanes are s bits wide, to the packed canonical value in a few big-int
+    operations.  In GF(p) a
     digit is just taken mod p.  In GF(p^t), t > 1, let x**t = r(x) mod
     the modulus, r of degree d, and m = t - d.  The t - 1 high digits
     fold in blocks of m: block b, the digits of x**(t + b*m + i), i < m,
@@ -943,11 +945,14 @@ def _packing(field: Field, bound: int):
     GF(5^9) and GF(3^11) (d = 3, 3, 2, 2); a dense modulus, d = t - 1,
     folds its high digits one by one.  The folds only add digits times
     residue coordinates, which are not negative, so every lane, the
-    spilled ones included, is largest when every digit is at ``bound``:
-    X, the largest lane of the folds on that input, ``bound`` times the
-    field's fold unit (``_fold``), bounds every folded digit x.
+    spilled ones included, is largest when every digit is at B: B times
+    the field's fold unit (``_fold``), which s bits hold times its M
+    (``_lane_width``), so it is at most X = ``_widest_digit(p, s)``, the
+    widest folded digit whose lane division fits s bits, and X bounds
+    every folded digit x.
 
-    Then every digit is taken mod p at once, as v - p*(v*M >> k & mask).
+    Then every digit is taken mod p at once, as v - p*(v*M >> k & mask),
+    (k, M) the lane division of X (``_quotient_step``).
     With 2**k >= X*p and M = ceil(2**k / p) = (2**k + f)/p, 0 <= f < p,
     x*M / 2**k = x/p + x*f/(p*2**k); the second term is below
     x/2**k <= 1/p, and x/p is at most 1 - 1/p past its floor, so
@@ -955,14 +960,13 @@ def _packing(field: Field, bound: int):
     v*M do not overlap; after the shift by k, each lane's quotient,
     below 2**(s - k), sits in its low s - k bits under the k bits the
     lane above leaves there, which the mask clears, and v - p*q takes
-    each digit mod p with no borrow.  s is the least of 16, 32 and 64
-    bits that holds X*M, read by a cast of the bytes, or else that bit
-    length, read by shifts.  A tower reduces its three blocks, then
-    y**2 -> -c1*y - c0; those constants are packed canonical values, so
-    no digit inside ``reduce`` exceeds ``bound`` (see ``Field._layout``).
+    each digit mod p with no borrow.  Lanes of 16, 32 and 64 bits are
+    read by a cast of the bytes, any other width by shifts.  A tower
+    reduces its three blocks, then y**2 -> -c1*y - c0; those constants
+    are packed canonical values, so no digit inside ``reduce`` exceeds B
+    (see ``Field._layout``).
     """
-    reduce, s, lanes, bits = _folding(field, bound,
-                                      _lane_width(field, bound))
+    reduce, lanes, bits = _folding(field, s)
     if len(lanes) == 1:  # GF(p): the value's one coordinate is the int
         return operator.itemgetter(0), reduce, (lambda v: (v,)), bits
     if lanes == (0, 1):  # every GF(p^2): a shift each way
@@ -973,13 +977,12 @@ def _packing(field: Field, bound: int):
     return pack, reduce, unpack, bits
 
 
-def _folding(field: Field, bound: int, s: int):
-    """(reduce, s, lanes, bits) of ``_packing``: ``reduce``, the lane
-    width s (``_lane_width``), the lanes of a value's coordinates,
-    lowest first, and the bit length of a product of two packed
-    values."""
+def _folding(field: Field, s: int):
+    """(reduce, lanes, bits) of ``_packing`` on lanes of s bits:
+    ``reduce``, the lanes of a value's coordinates, lowest first, and
+    the bit length of a product of two packed values."""
     if isinstance(field, TowerSpec):
-        base_reduce, s, lanes, bits = _folding(field.base, bound, s)
+        base_reduce, lanes, bits = _folding(field.base, s)
         base_pack = _lanes(s, lanes)[0]
         block = (1 << bits) - 1
         c0, c1, _ = field.ext_modulus
@@ -994,13 +997,13 @@ def _folding(field: Field, bound: int, s: int):
             return base_reduce(u0 + neg_c0 * u2) + (u1 << bits)
 
         high = tuple(bits // s + i for i in lanes)
-        return reduce, s, lanes + high, 3 * bits
+        return reduce, lanes + high, 3 * bits
     p, t = field.p, field.t
     if t == 1:  # no polynomial to reduce: one digit, one coefficient
-        return p.__rmod__, s, (0,), s
-    m, coords, unit = _fold(field)
+        return p.__rmod__, (0,), s
+    m, coords, _ = _fold(field)
     blocks = len(coords)
-    k, M, _ = _quotient_step(bound * unit, p)
+    k, M, _ = _quotient_step(_widest_digit(p, s), p)
     pack = _lanes(s, range(t))[0]
     residues = list(map(pack, coords))
     low, top = (1 << s * t) - 1, s * t
@@ -1029,7 +1032,7 @@ def _folding(field: Field, bound: int, s: int):
             v = (v & low) + (v >> top) * r0
             return v - p * (v * M >> k & quotients)
 
-    return reduce, s, tuple(range(t)), s * (2 * t - 1)
+    return reduce, tuple(range(t)), s * (2 * t - 1)
 
 
 def _packed_pow(x: int, e: int, reduce) -> int:
@@ -1138,9 +1141,10 @@ def _quotient_step(most: int, p: int) -> tuple[int, int, int]:
 
 
 def _lane_width(field: Field, bound: int) -> int:
-    """The lane width s of ``_packing(field, bound)``, with no layout
-    built: in GF(p^t), t > 1, that of ``_quotient_step`` for the
-    largest folded digit, the bound times the fold unit (``_fold``).
+    """The lane width s of the layout of ``field`` for product digits up
+    to ``bound`` (``_packing``), with no layout built: in GF(p^t),
+    t > 1, that of ``_quotient_step`` for the largest folded digit, the
+    bound times the fold unit (``_fold``).
     A GF(p) digit takes its bit length, but a value of more than two
     coordinates is read by a cast of its bytes, so GF(p) lanes below it
     widen to a cast width; a GF(p^2) value keeps the narrowest lanes,
@@ -1157,20 +1161,6 @@ def _lane_width(field: Field, bound: int) -> int:
     if field.t == 1:
         return _cast_width(bound.bit_length()) if wide else bound.bit_length()
     return _quotient_step(bound * _fold(field)[2], field.p)[2]
-
-
-def _widest_bound(field: Field, bound: int, s: int) -> int:
-    """The largest digit bound whose lanes are those of ``bound``, s
-    bits wide (``_lane_width``): a layout built for it reduces every sum
-    whose bound lies between, at the same lane width.  A GF(p) lane of
-    s bits holds every digit below 2**s, and GF(p) itself, of width 0,
-    any digit at all; in GF(p^t), t > 1, the folded digit is the bound
-    times the fold unit (``_fold``)."""
-    while isinstance(field, TowerSpec):
-        field = field.base
-    if field.t == 1:
-        return (1 << s) - 1 if s else bound
-    return _widest_digit(field.p, s) // _fold(field)[2]
 
 
 @functools.lru_cache(maxsize=FIELD_CACHE_SIZE)

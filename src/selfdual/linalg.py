@@ -8,26 +8,19 @@ Cauchy certificate ``cauchy_points`` are written once, on ``_Reducer``,
 for the two integer encodings: the logs of ``DlogTable``, whose one
 addition ``add_multiple`` also serves its codeword scan, and the packed
 values of ``PackedField``, on which every code is reduced, walked and
-certified.  Element
-objects do no linear algebra: the element ``row_reduce``,
-``det_nonzero`` and ``null_space`` run on ``packed_field`` and decode.
+certified.  A ``DlogTable`` is built by a plain walk of packed products
+on the field's own layout, and in the package only the codeword scan
+builds one.  Element objects do no linear algebra: the element
+``row_reduce``, ``det_nonzero`` and ``null_space`` run on
+``packed_field`` and decode.
 """
 from __future__ import annotations
 
 import collections
 import functools
 import itertools
-import math
-import operator
 
-from .fields import (
-    Element,
-    Field,
-    TowerSpec,
-    _cast_width,
-    _lanes,
-    find_primitive_element,
-)
+from .fields import Element, Field, TowerSpec, find_primitive_element
 
 
 def first_dependent_subset(columns, k: int, zero, step):
@@ -199,70 +192,37 @@ class _Reducer:
 
 
 class DlogTable(_Reducer):
-    """Log-table arithmetic for a field of order at most a few million.
+    """Log-table arithmetic for the small fields of the codeword scan.
 
     Elements are encoded as the exponent of the canonical primitive
     element, with -1 for zero.  Addition goes through the table
     z[d] = log(1 + g**d), built once per field.
 
-    The powers of g come in baby steps and giant steps (Shanks): with
-    e = j*B + i, the B baby powers g**i are packed products of the
-    field, and a giant step multiplies all B of them by h = g**B at
-    once.  B is about sqrt(D*(q - 1)/2), where the B baby products cost
-    about what the (q - 1)/B giant steps of D*D big-int products do.  The canonical index of an element is
-    sum(c_l * p**l) over its D = log_p(q) coordinates in GF(p), the
-    field's value, and x -> h*x is GF(p)-linear on them, with the matrix
-    whose column l is h times the unit of coordinate l.  So coordinate l
-    of the B powers sits in one int, lane i of s bits holding that of
-    g**(j*B + i), and a giant step is D*D products of a matrix entry and
-    such an int, then one reduction of every lane mod p.
-
-    A lane of such a sum is at most X = D*(p - 1)**2.  It is taken mod p
-    as v - p*(v*M >> k & mask), with 2**k >= X*p and
-    M = ceil(2**k / p) = (2**k + f)/p, 0 <= f < p: then
-    x*M / 2**k = x/p + x*f/(p*2**k), whose second term is below
-    x/2**k <= 1/p while x/p is at most 1 - 1/p past its floor, so
-    x*M >> k = floor(x/p) for every lane x <= X.  The lane width s holds
-    X*M, so the lanes of v*M do not overlap; after the shift by k each
-    lane's quotient sits in its low s - k bits under the k bits the lane
-    above leaves there, which the mask clears, and v - p*q takes every
-    lane mod p with no borrow.  s also holds q - 1, so the B canonical
-    indices sum(p**l * lane of coordinate l) are read by one cast of the
-    bytes for 16-, 32- and 64-bit lanes, by shifts for wider ones.
-    ``log`` inverts ``pow_idx``.  Adding 1 only touches coordinate 0, so
-    1 + x has the next canonical index, or p less at the end of a run
-    of p indices, and ``zech`` reads ``log`` there.
+    The powers of g come from a plain walk: g**(e + 1) is one packed
+    product of g**e and g on the field's one-product layout
+    (``Field._layout(1)``), and ``pow_idx`` reads the canonical index of
+    each.  The walk costs q - 1 products, and the codeword scan, the one
+    caller in the package, builds a table only under the codeword guard
+    on q**k with k >= 2, so q is at most the square root of that guard
+    (3,162 entries at the default 10**7).  ``log`` inverts ``pow_idx``.
+    Adding 1 only touches coordinate 0, so 1 + x has the next canonical
+    index, or p less at the end of a run of p indices, and ``zech``
+    reads ``log`` there.
     """
 
     zero = -1  # the encoding of the field's zero
     one = 0  # and of its one, g**0
 
     def __init__(self, field: Field):
-        q, p, D = field.order, field.char, field.degree
-        B = max(2, min(q - 1, math.isqrt(D * (q - 1) // 2)))
-        pack1, reduce1, unpack1 = field._layout(1)
-        g = pack1(find_primitive_element(field).value)
-        babies, x = [], pack1(field._one)
-        for _ in range(B):
-            babies.append(unpack1(x))
-            x = reduce1(x * g)
-        # x is g**B; column l of its matrix is x times unit l
-        units = [(0,) * l + (1,) + (0,) * (D - 1 - l) for l in range(D)]
-        matrix = list(zip(*[unpack1(reduce1(x * pack1(u))) for u in units]))
-        top = D * (p - 1) ** 2
-        k = (top * p - 1).bit_length()
-        M = -(-(1 << k) // p)
-        s = _cast_width(max((top * M).bit_length(), (q - 1).bit_length()))
-        pack, read = _lanes(s, range(B))
-        quotients = pack([(1 << s - k) - 1] * B)
-        coords = list(map(pack, zip(*babies)))
-        weights = [p ** l for l in range(D)]
-        pow_idx = []  # exponent -> canonical element index
-        for _ in range(-(-(q - 1) // B)):
-            pow_idx.extend(read(sum(map(operator.mul, weights, coords))))
-            coords = [v - p * (v * M >> k & quotients) for v in
-                      [sum(map(operator.mul, row, coords)) for row in matrix]]
-        del pow_idx[q - 1:]
+        q, p = field.order, field.char
+        pack, reduce, unpack = field._layout(1)
+        g = pack(find_primitive_element(field).value)
+        x, powers = pack(field._one), []
+        for _ in range(q - 1):
+            powers.append(x)
+            x = reduce(x * g)
+        # exponent -> canonical element index
+        pow_idx = list(map(field._index, map(unpack, powers)))
         log = [-1] * (q + 1)  # canonical element index -> exponent
         for e, idx in enumerate(pow_idx):
             log[idx] = e

@@ -278,10 +278,10 @@ def test_a_build_and_its_verify_build_each_n_term_layout_once(
     packing = fields._packing
     built = Counter()
 
-    def counting(f, bound):
+    def counting(f, s):
         if f == field:
-            built[fields._lane_width(f, bound)] += 1
-        return packing(f, bound)
+            built[s] += 1
+        return packing(f, s)
 
     monkeypatch.setattr(fields, "_packing", counting)
     result = constructions.build_euclidean_duadic_extended(7, 9, 27)

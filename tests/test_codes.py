@@ -1482,8 +1482,11 @@ def test_auto_exhaustive_rung_scans_only_what_the_certificate_declines(
 
 
 def test_auto_exhaustive_rung_keeps_its_codeword_guard():
+    # its points withheld, the code is still proved, by the Cauchy
+    # certificate of its reduced form, and the guard still refuses
     code = vandermonde(make_field(11, 1), 8, 3)
-    assert code._reduced().cauchy
+    code.__dict__["_points"] = None
+    assert codes_module.prove_mds(code, None, GuardConfig()) == "cauchy"
     guards = GuardConfig(codeword_limit=11**3 - 1)
     message = "q**k = 1331 exceeds the codeword guard"
     assert certify_mds(code, guards=guards) == MdsCertificate(
@@ -1502,7 +1505,7 @@ def test_a_packed_certificate_builds_no_table():
     assert code._points is not None
     code.__dict__["_points"] = None
     assert isinstance(code._reduced().arith, linalg_module.PackedField)
-    assert code._reduced().cauchy
+    assert codes_module.prove_mds(code, None, GuardConfig()) == "cauchy"
     assert mds_check(code, "exhaustive-columns") == \
         MdsVerdict("certified-exact")
     assert mds_check(code, "monte-carlo", trials=5) == \
@@ -1523,7 +1526,8 @@ def test_the_column_rung_walks_a_packed_form_without_a_table(planted):
         cols[6] = [a + field.from_int(5) * b
                    for a, b in zip(cols[2], cols[4])]
     code = LinearCode(field, 8, 4, tuple(zip(*cols)))
-    assert code._points is None and not code._reduced().cauchy
+    assert code._points is None
+    assert codes_module.prove_mds(code, None, GuardConfig()) is None
     status, witness = lex_column_oracle(code)
     assert (status == "refuted") == planted
     assert mds_check(code, "exhaustive-columns") == MdsVerdict(
@@ -1568,7 +1572,8 @@ def test_every_reduction_is_packed_and_builds_no_table(changed,
         assert isinstance(form.arith, PackedField)
         assert element_rows(form) == [list(row) for row in row_reduce_oracle(
             code.generator, code.field)[0]]
-        assert not (changed and form.cauchy)
+        assert not (changed and codes_module.prove_mds(code, None,
+                                                       GuardConfig()))
         status, witness = lex_column_oracle(code)
         assert (status == "refuted") == changed
         for guards in (GuardConfig(), GuardConfig(dlog_limit=6)):

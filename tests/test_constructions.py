@@ -119,7 +119,7 @@ def test_euclidean_duadic_small():
     assert r.report.euclidean_self_dual is True
     assert r.theorem == "Thm2" and r.construction == "euclidean-duadic"
     assert is_euclidean_self_dual(r.code)
-    assert r.cyclic.defining.as_set() == {1}
+    assert frozenset(r.cyclic.defining.elements) == {1}
 
 
 def test_euclidean_duadic_char2():

@@ -44,7 +44,7 @@ def test_defining_set_normalization():
     T = DefiningSet(7, (5, 12, 5, 3))
     assert T.elements == (3, 5)
     assert len(T) == 2
-    assert T.as_set() == {3, 5}
+    assert frozenset(T.elements) == {3, 5}
 
 
 def test_defining_set_step_validation():

@@ -300,10 +300,10 @@ def test_make_field_keeps_the_ring_that_passed_rabins_test(monkeypatch):
         tested.append((modulus, rabin(p, t, modulus)))
         return tested[-1][1]
 
-    def counting(f, bound):
+    def counting(f, s):
         if isinstance(f, FieldSpec) and (f.p, f.t) == (3, 4):
-            built.append(fields._lane_width(f, bound))
-        return packing(f, bound)
+            built.append(s)
+        return packing(f, s)
 
     def folding(f):
         folded.add(f.modulus)
@@ -429,7 +429,8 @@ def test_pow_matches_the_object_square_and_multiply(case):
 def test_kronecker_is_exact_at_the_lane_width_edges(p, t, terms, lane):
     field = make_field(p, t)
     bound = fields._product_bound(field, terms) + p - 1
-    assert fields._packing(field, bound)[3] == lane * (2 * t - 1)
+    assert fields._lane_width(field, bound) == lane
+    assert fields._packing(field, lane)[3] == lane * (2 * t - 1)
     layout_pack, reduce, _ = field._layout(terms)
 
     def pack(x):

@@ -1,10 +1,14 @@
 """The log-table and packed kernels against element arithmetic and
 elimination oracles, and cache bounds."""
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from selfdual.codes import LinearCode, certify_mds, min_distance_exhaustive
+from selfdual.config import GuardConfig
+from selfdual.errors import GuardExceeded
 from selfdual.fields import (
     FIELD_CACHE_SIZE,
     TOWER_CACHE_SIZE,
@@ -91,8 +95,8 @@ def power_walk_tables(field):
 
 # DET_FIELDS (GF(2), GF(3), and GF(4)^2, an even tower with c1 != 0),
 # then GF(8)^2, the other such tower, the Hermitian towers GF(47)^2,
-# GF(7^2)^2 and GF(3^3)^2, and GF(65537), whose giant-step lanes need
-# more than 64 bits and are read by shifts
+# GF(7^2)^2 and GF(3^3)^2, and GF(65537), a walk longer than any table
+# a scan builds under the default guards
 WALK_FIELDS = DET_FIELDS + [(31, 3, 0), (2, 12, 0), (131, 2, 0),
                             (2, 3, 1), (47, 1, 1), (7, 2, 1), (3, 3, 1),
                             (65537, 1, 0)]
@@ -101,7 +105,7 @@ WALK_FIELDS = DET_FIELDS + [(31, 3, 0), (2, 12, 0), (131, 2, 0),
 @pytest.mark.parametrize("p, t, towers", WALK_FIELDS,
                          ids=["GF(%d^%d)%s" % (p, t, "^2" * towers)
                               for p, t, towers in WALK_FIELDS])
-def test_giant_steps_match_the_power_walk(p, t, towers):
+def test_the_packed_walk_matches_the_element_power_walk(p, t, towers):
     field = _field(p, t, towers)
     if towers and p == 2:
         assert field.ext_modulus[1]  # y**2 + c1*y + c0 with c1 != 0
@@ -112,7 +116,7 @@ def test_giant_steps_match_the_power_walk(p, t, towers):
 
 # fields whose q - 1 is prime (GF(3), GF(2^t) for t = 2, 3, 5, 7), a
 # perfect square (GF(2), GF(5), GF(17), GF(37), GF(101), GF(257)), or
-# neither, so that the last giant step runs past q - 1
+# neither
 TABLE_FIELDS = [(3, 1, 0), (2, 2, 0), (2, 3, 0), (2, 5, 0), (2, 7, 0),
                 (2, 1, 0), (5, 1, 0), (17, 1, 0), (37, 1, 0), (101, 1, 0),
                 (257, 1, 0), (3, 3, 0), (5, 2, 0), (3, 1, 1), (2, 2, 1),
@@ -134,6 +138,71 @@ def test_table_entries_are_powers_of_the_primitive_element(spec, data):
         x = g ** e
         assert table.pow_idx[e] == field.index(x)
         assert table.zech[e] == table.log[field.index(x + field.one)]
+
+
+# fields of the scanned codes: GF(p), GF(p^t) and a tower, up to
+# GF(53^2), whose k = 2 scan the default codeword guard admits
+TRAFFIC_FIELDS = [(2, 1, 0), (7, 1, 0), (2, 3, 0), (3, 2, 0), (5, 1, 1),
+                  (31, 1, 0), (127, 1, 0), (53, 2, 0)]
+CODEWORD_LIMITS = [10, 10**3, 10**4, 10**5, 10**6, 10**7]
+
+
+def _random_code(rng, field, k):
+    """A random [n, k] code, n from k to k + 3."""
+    n = rng.randint(k, k + 3)
+    while True:
+        rows = tuple(tuple(field.from_int(rng.randrange(field.order))
+                           for _ in range(n)) for _ in range(k))
+        try:
+            return LinearCode(field, n, k, rows)
+        except ValueError:  # dependent rows
+            pass
+
+
+def test_a_scan_builds_a_table_only_under_the_codeword_guard():
+    # random codes through the automatic ladder, the named exhaustive
+    # rung and the scan itself, under codeword guards up to the default:
+    # only a scan of k >= 2 builds a table, and the guard holds q**k, so
+    # every table has q**2 <= codeword_limit (3,162 entries at most by
+    # default)
+    rng = random.Random(49)
+    built, seen = [], set()
+    init = DlogTable.__init__
+
+    def recording(self, field):
+        built.append(field.order)
+        init(self, field)
+
+    with mock.patch.object(DlogTable, "__init__", recording):
+        for spec in TRAFFIC_FIELDS:
+            field = _field(*spec)
+            for limit in CODEWORD_LIMITS:
+                guards = GuardConfig(codeword_limit=limit)
+                for k in (1, 2, 3):
+                    code = _random_code(rng, field, k)
+                    with mock.patch.dict(_TABLES, clear=True):
+                        certify_mds(code, guards=guards)
+                        certify_mds(code, mode="exhaustive", guards=guards)
+                        try:
+                            min_distance_exhaustive(code, guards)
+                        except GuardExceeded:
+                            pass
+                    assert all(q * q <= limit for q in built), (spec, limit)
+                    seen.update((q, limit) for q in built)
+                    built.clear()
+    # every field built a table under some guard, GF(53^2) only under
+    # the default
+    assert {q for q, _ in seen} == {_field(*spec).order
+                                    for spec in TRAFFIC_FIELDS}
+    assert {limit for q, limit in seen if q == 53 ** 2} == {10**7}
+
+
+@pytest.mark.parametrize("p, t", [(53, 2), (3137, 1)])
+def test_the_walk_near_the_default_cap_matches_the_element_walk(p, t):
+    field = make_field(p, t)
+    assert field.order ** 2 <= GuardConfig().codeword_limit
+    table = DlogTable(field)
+    assert (table.pow_idx, table.log, table.zech) == power_walk_tables(field)
 
 
 @pytest.mark.parametrize("p, t, towers", [(7, 1, 0), (2, 3, 0), (3, 1, 1)])

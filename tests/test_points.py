@@ -352,8 +352,8 @@ def test_the_workloads_share_a_layout_only_on_equal_lanes(
     monkeypatch.undo()
     exact = {}
     for field, terms in reached:
-        pack = fields._packing(field, fields._product_bound(field, terms)
-                               + field.char - 1)[0]
+        pack = fields._packing(field, fields._lane_width(
+            field, fields._product_bound(field, terms) + field.char - 1))[0]
         offsets = _lane_offsets(field, pack)
         assert _lane_offsets(field, field._layout(terms)[0]) == offsets
         exact.setdefault(field, {})[terms] = offsets
