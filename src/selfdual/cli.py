@@ -52,6 +52,18 @@ def _emit(obj, pretty: bool) -> None:
     print(json.dumps(obj, indent=2 if pretty else None))
 
 
+def _read_json(path: str):
+    """The JSON value in the file ``path``, read as its bytes, unbuffered,
+    and decoded once: strict UTF-8 with universal newlines, so that a
+    file reads as it would through a text-mode ``open`` and every
+    refusal names the same position."""
+    with open(path, "rb", buffering=0) as fh:
+        text = fh.read().decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return json.loads(text)
+
+
 def _require_n(args) -> int:
     if args.n is None:
         raise MalformedInput("route %r needs --n" % args.route)
@@ -99,8 +111,7 @@ def cmd_verify(args) -> int:
         raise MalformedInput("--trials must be at least 1, got %d"
                              % args.trials)
     try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+        obj = _read_json(args.file)
     except (OSError, ValueError, RecursionError) as exc:
         # RecursionError: arrays or objects nested too deep to parse
         raise MalformedInput("cannot read %s: %s" % (args.file, exc)) from exc

@@ -14,9 +14,10 @@ vector g, then a tail the same in every row, is a *shift form*
 (``LinearCode._shift``).  Every cyclic, constacyclic and duadic
 builder's code and its extension holds only that form, g and the tail
 packed (``LinearCode._from_shift``), and its rows of field values are
-a view of it; a record holds its rows of values and finds the form by
-comparing them.  A shift form's packed copy is the shifts of g and the
-tail, and it is checked through g alone:
+a view of it; ``code_from_json`` finds the form in a record's flat
+coordinates and holds it the same way, and ``_shift_of`` finds it there
+and in any code's rows of values alike.  A shift form's packed copy is
+the shifts of g and the tail, and it is checked through g alone:
 G G^T is Toeplitz, so the Gram checks test min(k, d + 1) lag sums of g
 plus the tail's inner product (``_lag_gram_is_zero``), and the root
 check evaluates g alone, since row i at alpha**e is alpha**(e*i) *
@@ -55,7 +56,7 @@ import random
 from math import comb, gcd
 
 from .config import GuardConfig, current_guards
-from .cosets import DefiningSet, consecutive_run
+from .cosets import DefiningSet, circular_run, consecutive_run
 from .errors import (
     DiscreteLogGuardExceeded,
     FactorizationGuardExceeded,
@@ -74,6 +75,7 @@ from .fields import (
     Field,
     TowerSpec,
     check_field_size,
+    coordinates_from_json,
     element_order,
     field_from_json,
     field_to_json,
@@ -121,9 +123,45 @@ def _staircase(rows, zero) -> bool:
 
 def _shift_rows(g, tail, k: int, zero):
     """The k rows of the shift form (g, tail), one at a time: row i is i
-    copies of ``zero`` (a 1-tuple of a value, or [0] on packed ints),
-    then g, then k - 1 - i more, then ``tail``."""
+    copies of ``zero`` (a 1-tuple of a value, [0] on packed ints, or D
+    zeros on D coordinates per entry), then g, then k - 1 - i more, then
+    ``tail``."""
     return (zero * i + g + zero * (k - 1 - i) + tail for i in range(k))
+
+
+def _shift_of(flat: list, k: int, n: int, zero: list) -> tuple | None:
+    """(g, tail), slices of ``flat``, when ``flat`` is k >= 2 rows of n
+    entries, one after another, that are a shift form: for w = n or
+    n - 1, row i is i entries ``zero``, then g of w - k + 1 entries,
+    then zeros through entry w - 1, then ``tail``, the same in every
+    row; None otherwise.  An entry is len(zero) items of ``flat``: a
+    value, or the coordinates of one.  g may be zero; a nonzero one
+    makes independent rows.
+
+    The rows of such a form without their tails, one after another,
+    repeat g and k zero entries, a period of w + 1 entries; row i is
+    then that period turned right by i entries, which moves only zeros
+    to its front.  So the last n - w columns are compared with k copies
+    of the tail and taken out, and what is left is compared once with
+    itself a period on."""
+    width = len(zero)
+    size = n * width
+    if not 2 <= k <= n or len(flat) != k * size:
+        return None
+    for w in (n, n - 1):
+        span, period = (w - k + 1) * width, (w + 1) * width
+        tail, window = flat[w * width:size], flat
+        if tail:
+            if any(flat[w * width + i::size] != tail[i:i + 1] * k
+                   for i in range(width)):
+                continue
+            window = flat[:]
+            for i in range(width):
+                del window[size - 1 - i::size - i]
+        if (window[span:period] == zero * k
+                and window[period:] == window[:-period]):
+            return window[:span], tail
+    return None
 
 
 def _check_field(field: Field, elements) -> None:
@@ -139,12 +177,13 @@ class LinearCode(Frozen):
     """An [n, k] code given by a full-rank k x n generator matrix.
 
     The generator is held once, in one of two forms.  A builder's
-    cyclic code or extension holds its shift form (``_shift``, made by
+    cyclic code or extension, and a record whose coordinates show that
+    form (``code_from_json``), hold its shift form (``_shift``, made by
     ``_from_shift``): g and its tail packed on the n-term layout of
     ``packed_field(field, n)``.  Any other code holds its rows of field
     values, ``_value_rows``, and finds a shift form in them if they
     have one.  The constructor takes element rows, of ``field`` alone,
-    and keeps their values; the GRS builder and ``code_from_json`` hand
+    and keeps their values; the GRS builder and any other record hand
     over values (``_from_values``).  The packed copy (``_packed``) is
     the shifts of a shift form's g and tail, or the value rows packed
     once: both self-duality checks, the root check, the evaluation
@@ -236,21 +275,22 @@ class LinearCode(Frozen):
         w = n or n - 1, row i is i zeros, then g of length w - k + 1,
         then zeros through column w - 1, then ``tail``, the same in
         every row; None otherwise.  A code made by ``_from_shift`` holds
-        it; rows of values are compared with the ``_shift_rows`` of the
-        g and tail their first row shows.  Every cyclic, constacyclic
-        and duadic code has this form with w = n, and its extension with
-        w = n - 1.  g is not zero, since the k >= 2 rows are
-        independent."""
-        k, n, rows = self.k, self.n, self._value_rows
-        if k < 2:
+        it; rows of values are read by ``_shift_of``, as a record's
+        coordinates are.  Every cyclic, constacyclic and duadic code has
+        this form with w = n, and its extension with w = n - 1.  g is
+        not zero, since the k >= 2 rows are independent."""
+        rows, zero = self._value_rows, self.field._zero
+        # k >= 2 rows of the form hold a zero first in the last row and
+        # in the last two entries of the first, which an evaluation
+        # form's rows never both do: those are not flattened
+        if self.k < 2 or rows[-1][0] != zero or zero not in rows[0][-2:]:
             return None
-        pad = (self.field._zero,)
-        for w in (n, n - 1):
-            g, tail = rows[0][:w - k + 1], rows[0][w:]
-            if all(map(operator.eq, rows, _shift_rows(g, tail, k, pad))):
-                pack = packed_field(self.field, n).pack
-                return list(map(pack, g)), list(map(pack, tail))
-        return None
+        shift = _shift_of([*itertools.chain.from_iterable(rows)], self.k,
+                          self.n, [zero])
+        if shift is None:
+            return None
+        pack = packed_field(self.field, self.n).pack
+        return list(map(pack, shift[0])), list(map(pack, shift[1]))
 
     @functools.cached_property
     def _points(self) -> list | None:
@@ -876,8 +916,9 @@ def _roots_prove_mds(code: LinearCode, T: DefiningSet, lam: Element | None,
     So the r rows span an MDS code of dimension r, its dual is MDS of
     dimension k, and it holds C, of dimension k: it is C.
 
-    T with 0 is a progression with step 1/u exactly when u times it is
-    a run with step 1; u = 1 is tried, then u = 2, each in O(|T|), and
+    T with 0 is a progression with step 1/u exactly when u times it,
+    as plain residues mod m, is a run with step 1 (``circular_run``);
+    u = 1 is tried, then u = 2, each in O(|T|), and
     any other step leaves the verdict to the reduced form.  u = 2 finds
     a run of r >= 2 residues only for odd m, as twice any residue is
     even mod an even m, so the step 1/u is a unit whenever a run is
@@ -895,8 +936,8 @@ def _roots_prove_mds(code: LinearCode, T: DefiningSet, lam: Element | None,
     with_zero = (0, *T.elements)
     return (len(tail) == 1 and T.step == 1
             and len(T) == consecutive_run(T) == r - 1
-            and any(consecutive_run(DefiningSet(
-                m, [u * e for e in with_zero])) == r for u in (1, 2))
+            and any(circular_run({u * e % m for e in with_zero}, m) == r
+                    for u in (1, 2))
             and _roots_mismatch(code, T, lam, True, guards) is None)
 
 
@@ -1115,11 +1156,15 @@ def code_to_json(code: LinearCode, metadata: dict | None = None):
 
 def code_from_json(obj, guards: GuardConfig | None = None):
     """(code, metadata) of a JSON code record, its field admitted and its
-    rank checked under ``guards``.  The generator is read by
-    ``values_from_json``, in bulk when it is canonical, and the code
-    holds those values as they are (``LinearCode._from_values``): its
-    checks read them and its packed copy, and ``generator``, the rows
-    as elements, is built only if something asks for it."""
+    rank checked under ``guards``.  A canonical generator is read in
+    bulk as its flat coordinates (``coordinates_from_json``).  When
+    ``_shift_of`` finds a shift form with a nonzero g in them, the code
+    holds that form alone, g and the tail packed once, as a cyclic
+    builder's code does (``LinearCode._from_shift``); otherwise it holds
+    the rows of values they make.  Any other generator is reduced or
+    refused entry by entry (``values_from_json``) and held as its rows
+    of values.  Either way ``generator``, the rows as elements, is
+    built only if something asks for it."""
     guards = current_guards(guards)
     field = field_from_json(obj["field"], guards)
     n = json_int(obj["n"])
@@ -1128,6 +1173,23 @@ def code_from_json(obj, guards: GuardConfig | None = None):
         # the zero code has no codeword, distance or column subset to
         # verify; LinearCode still allows it as the dual of a k = n code
         raise MalformedInput("a code record needs k >= 1, got k = %d" % k)
-    rows = values_from_json(field, obj["generator"])
-    return (LinearCode._from_values(field, n, k, rows),
-            obj.get("metadata", {}))
+    rows = obj["generator"]
+    flat = coordinates_from_json(field, rows)
+    degree = field.degree
+    shift = (_shift_of(flat, k, n, [0] * degree)
+             if flat is not None and len(rows[0]) == n else None)
+    if shift is not None and any(shift[0]):
+        pack = packed_field(field, n).pack
+        g, tail = ([*map(pack, zip(*[iter(part)] * degree))]
+                   for part in shift)
+        code = LinearCode._from_shift(field, n, k, g, tail)
+    elif flat is not None:
+        # any other rows, of a wrong shape or dependent ones included,
+        # are held or refused by their rank check
+        values = zip(*[iter(flat)] * degree)
+        code = LinearCode._from_values(field, n, k,
+                                       tuple(zip(*[values] * len(rows[0]))))
+    else:
+        code = LinearCode._from_values(field, n, k,
+                                       values_from_json(field, rows))
+    return code, obj.get("metadata", {})

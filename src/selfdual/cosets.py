@@ -151,19 +151,22 @@ def consecutive_run(T: DefiningSet) -> int:
 
     Members are mapped to positions j = (x - base)/step modulo the class
     size, and the longest circular block of consecutive positions is
-    returned.  A run of length L certifies minimum distance >= L + 1 for
-    the code whose roots carry these exponents.
+    returned (``circular_run``).  A run of length L certifies minimum
+    distance >= L + 1 for the code whose roots carry these exponents.
     """
-    if not T.elements:
-        return 0
     size = T.modulus // T.step
     base = 1 % T.step if T.step > 1 else 0
-    positions = sorted(((x - base) // T.step) % size for x in T.elements)
-    if len(positions) == size:
+    return circular_run({((x - base) // T.step) % size for x in T.elements},
+                        size)
+
+
+def circular_run(present: set, size: int) -> int:
+    """The length of the longest circular block of consecutive residues
+    mod ``size`` in ``present``, a set of residues in [0, size)."""
+    if len(present) == size:
         return size
-    present = set(positions)
     best = 0
-    for j in positions:
+    for j in present:
         if (j - 1) % size in present:
             continue
         length = 1

@@ -20,7 +20,7 @@ the tower's index base.index(a) + Q*base.index(b) reads the same
 digits.  Field methods do the arithmetic on values; ``Element`` pairs a
 value with its field for everything outside this module.  A JSON
 element is the same coordinates, nested as two halves per tower level,
-so ``values_from_json`` reads canonical rows as their values.
+so ``coordinates_from_json`` reads canonical rows as their values.
 
 Every Kronecker-packed product in the package runs on
 ``Field._layout(terms)``, the layout of ``_packing`` for exact sums of
@@ -1266,28 +1266,41 @@ def values_to_json(field: Field, rows) -> list:
     return nested
 
 
+def coordinates_from_json(field: Field, rows) -> list | None:
+    """The coordinates of ``rows``, a JSON array of rows of elements of
+    ``field``, flat, row after row, ``field.degree`` per entry, when
+    every entry is canonical: the nested arrays of its coordinates (two
+    halves per tower level, then t integers in [0, p)) in rows as long
+    as the first.  None otherwise.
+
+    One bulk pass per nesting level checks every length and flattens
+    the level.  A number, a bool or null where an array belongs has no
+    length; a string or an object of the right length flattens to its
+    characters or keys, strings, which the last pass refuses: every leaf
+    must be an ``int`` exactly.  Only the distinct leaves are compared
+    with 0 and p.
+    """
+    if not (type(rows) is list and rows and type(rows[0]) is list
+            and rows[0]):
+        return None
+    flat = rows
+    try:
+        for width in (len(rows[0]), *field._json_widths):
+            if {*map(len, flat)} != {width}:
+                return None
+            flat = functools.reduce(operator.iconcat, flat, [])
+    except TypeError:
+        return None
+    if {*map(type, flat)} != {int}:
+        return None
+    distinct = {*flat}
+    return flat if 0 <= min(distinct) and max(distinct) < field.char else None
+
+
 def values_from_json(field: Field, rows) -> tuple:
     """The rows of values of ``rows``, a JSON array of rows of elements
-    of ``field``, such as a generator matrix.
-
-    When every entry is canonical, the nested arrays of its coordinates
-    (two halves per tower level, then t integers in [0, p)), the whole
-    matrix is checked and flattened in a few bulk passes per nesting
-    level and read as it is: its values are its coordinates.  Otherwise
-    every entry goes through ``_from_json``, row by row and in order, so
-    each is reduced or refused, with the same exception, as
-    ``element_from_json`` does.
-    """
-    if type(rows) is list and rows and type(rows[0]) is list and rows[0]:
-        n, flat = len(rows[0]), rows
-        for width in (n, *field._json_widths):
-            if not ({*map(type, flat)} <= {list}
-                    and {*map(len, flat)} <= {width}):
-                break
-            flat = [*itertools.chain.from_iterable(flat)]
-        else:
-            if {*map(type, flat)} <= {int} and (
-                    0 <= min(flat) and max(flat) < field.char):
-                values = zip(*[iter(flat)] * field.degree)
-                return tuple(zip(*[values] * n))
+    of ``field``, such as a generator matrix: every entry goes through
+    ``_from_json``, row by row and in order, so each is reduced or
+    refused, with the same exception, as ``element_from_json`` does.
+    ``coordinates_from_json`` reads a canonical array in bulk."""
     return tuple(tuple(map(field._from_json, row)) for row in rows)

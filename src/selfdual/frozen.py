@@ -18,8 +18,7 @@ class Frozen:
 
     def _assign(self, *values) -> None:
         """Set the fields, in the order of ``_fields``, to ``values``."""
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
+        self.__dict__.update(zip(self._fields, values))
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

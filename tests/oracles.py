@@ -111,6 +111,22 @@ def constacyclic_shift(word, lam):
     return (lam * word[-1],) + tuple(word[:-1])
 
 
+def shift_of_oracle(rows, n, zero):
+    """(g, tail) when the k >= 2 rows, each n entries of len(zero) items,
+    are a shift form, compared row by row with its definition: for
+    w = n or n - 1, row i is i entries ``zero``, then g of w - k + 1
+    entries, then k - 1 - i more, then the tail; None otherwise."""
+    k, width = len(rows), len(zero)
+    if not 2 <= k <= n:
+        return None
+    for w in (n, n - 1):
+        g, tail = rows[0][:(w - k + 1) * width], rows[0][w * width:]
+        if all(row == zero * i + g + zero * (k - 1 - i) + tail
+               for i, row in enumerate(rows)):
+            return g, tail
+    return None
+
+
 def generator_oracle(field, alpha, exponents):
     """The product of x - alpha**i over the exponents, on element objects."""
     g = [field.one]

@@ -666,8 +666,14 @@ def test_the_row_decoder_reads_every_record_as_the_entry_decoder(data):
     want = _decoded(lambda: tuple(
         tuple(element_from_json(field, x).value for x in row)
         for row in obj["generator"]))
-    got = _decoded(lambda: fields.values_from_json(field, obj["generator"]))
-    assert got == want
+    flat = fields.coordinates_from_json(field, obj["generator"])
+    if flat is not None:
+        # the bulk read takes only the canonical encoding of the values
+        # the entry decoder reads, and reads their coordinates
+        assert not isinstance(want[0], type)
+        assert (json.dumps(fields.values_to_json(field, want))
+                == json.dumps(obj["generator"]))
+        assert flat == [c for row in want for value in row for c in value]
     if isinstance(want[0], type):
         expected = (2, json.dumps({"error": "MalformedInput",
                                    "message": "bad code record: %s"
@@ -676,6 +682,131 @@ def test_the_row_decoder_reads_every_record_as_the_entry_decoder(data):
         expected = _verify_stdout(dict(obj, generator=[
             [field._to_json(v) for v in row] for row in want]))
     assert _verify_stdout(obj) == expected
+
+
+@functools.lru_cache(maxsize=None)
+def _golden_shift_records():
+    """Golden records of shift forms over GF(31), GF(31^2) and the tower
+    GF(11^2): the [16, 8] table codes and the [6, 3] Hermitian duadic
+    code of the cli-cold pool, each extended, so a tail ends each row."""
+    golden = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "golden")
+    with open(os.path.join(golden, "euclidean-table.json"),
+              encoding="utf-8") as fh:
+        table = json.load(fh)
+    with open(os.path.join(golden, "cli-cold.json"), encoding="utf-8") as fh:
+        pool = json.load(fh)
+    return {"gf31": table["table 16 31^1"]["code"],
+            "gf31^2": table["table 16 31^2"]["code"],
+            "tower": pool["construct hermitian-duadic --p 11 --n 5"]
+            ["construct"]["stdout"]}
+
+
+def _leaf(entry):
+    """The path to the first int inside a JSON element."""
+    path = ()
+    while type(entry) is list:
+        path, entry = path + (0,), entry[0]
+    return path
+
+
+def _edited(obj, row, new, whole=False):
+    """``obj`` with column 1 of ``row`` (0 or -1) changed: the entry
+    replaced by ``new(entry)`` when ``whole``, else its first leaf by
+    ``new(leaf)``."""
+    obj = copy.deepcopy(obj)
+    entries = obj["generator"][row]
+    if whole:
+        entries[1] = new(entries[1])
+    else:
+        path = _leaf(entries[1])
+        parent = functools.reduce(operator.getitem, path[:-1], entries[1])
+        parent[path[-1]] = new(parent[path[-1]])
+    return obj
+
+
+# a leaf becomes a bool, a float, a string or null; an entry gains or
+# loses its last coordinate (whole, new)
+_EDITS = {"true": (False, lambda c: True), "1.0": (False, lambda c: 1.0),
+          '"1"': (False, lambda c: "1"), "null": (False, lambda c: None),
+          "longer": (True, lambda e: e + [1]),
+          "shorter": (True, lambda e: e[:-1])}
+
+
+@pytest.mark.parametrize("edit", sorted(_EDITS))
+@pytest.mark.parametrize("row", [0, -1])
+@pytest.mark.parametrize("name", ["gf31", "gf31^2", "tower"])
+def test_an_edited_shift_form_record_is_read_as_entry_by_entry(name, row,
+                                                               edit):
+    # the bulk read and the shift form it finds change nothing in what a
+    # record with one entry out of canonical form reads as: what the
+    # entry decoder, entry by entry, refuses, code_from_json and verify
+    # refuse with the same exception and message, exit 2; what it reads,
+    # verify reads as the record's canonical form
+    whole, new = _EDITS[edit]
+    obj = _edited(json.loads(_golden_shift_records()[name]), row, new,
+                  whole)
+    field = field_from_json(obj["field"])
+    want = _decoded(lambda: tuple(
+        tuple(element_from_json(field, x).value for x in entries)
+        for entries in obj["generator"]))
+    got = _decoded(lambda: code_from_json(obj)[0])
+    if isinstance(want[0], type):
+        assert got == want
+        expected = (2, json.dumps({"error": "MalformedInput",
+                                   "message": "bad code record: %s"
+                                   % want[1]}) + "\n")
+    else:
+        canonical = dict(obj, generator=[[field._to_json(v) for v in entries]
+                                         for entries in want])
+        twin = code_from_json(canonical)[0]
+        assert got == twin and got._value_rows == want
+        expected = _verify_stdout(canonical)
+    assert _verify_stdout(obj) == expected
+    if name == "gf31" and edit == "true":
+        assert expected == (2, json.dumps({
+            "error": "MalformedInput",
+            "message": "bad code record: an element of GF(p^t) must be "
+                       "an array of integers, got [True]"}) + "\n")
+
+
+@pytest.mark.parametrize("row", [1, -1])
+@pytest.mark.parametrize("name", ["gf31", "gf31^2", "tower"])
+def test_a_non_canonical_leaf_is_reduced_and_the_shift_form_held(name, row):
+    # a leaf moved by p, or by -p to a negative int, outside the first
+    # row: the record is reduced entry by entry and still holds its shift
+    # form, packed as its canonical twin's, with the same checks, report
+    # and verify output
+    obj = json.loads(_golden_shift_records()[name])
+    twin, metadata = code_from_json(obj)
+    p = twin.field.char
+    for move in (p, -p):
+        edited = _edited(obj, row, lambda c: c + move)
+        code = code_from_json(edited)[0]
+        assert code == twin and code._shift == twin._shift is not None
+        assert code._packed == twin._packed
+        for conjugate in (False, True)[:1 + (name == "tower")]:
+            assert code._gram_zero(conjugate) == twin._gram_zero(conjugate)
+        facts = {"defining": DefiningSet.from_json(metadata["defining_set"]),
+                 "lam": element_from_json(twin.field, metadata["lambda"])}
+        assert (codes.verify_code(code, **facts)[0]
+                == codes.verify_code(twin, **facts)[0])
+        assert _verify_stdout(edited) == _verify_stdout(obj)
+
+
+@pytest.mark.parametrize("name", ["gf31", "gf31^2", "tower"])
+def test_a_zero_g_with_a_nonzero_tail_is_dependent(name, capsys):
+    # every row the zeros of g and the record's nonzero tail: k equal rows
+    obj = json.loads(_golden_shift_records()[name])
+    field = field_from_json(obj["field"])
+    zero = field._to_json(field._zero)
+    obj["generator"] = [[zero] * (obj["n"] - 1) + row[-1:]
+                        for row in obj["generator"]]
+    with pytest.raises(ValueError, match="^generator rows are dependent$"):
+        code_from_json(obj)
+    assert _verify_stdout(obj) == (2, json.dumps({
+        "error": "MalformedInput",
+        "message": "bad code record: generator rows are dependent"}) + "\n")
 
 
 def _verify_in_process(obj, mds):
@@ -969,6 +1100,42 @@ def test_verify_refuses_a_file_nested_too_deep(tmp_path, capsys):
         cli.cmd_verify(cli.parse_args(["verify", str(path)]))
     rc, lines = run_cli(capsys, "verify", str(path))
     assert rc == 2 and lines[0]["error"] == "MalformedInput"
+
+
+# bytes that a text-mode open and the JSON decoder each read in their own
+# way: bad UTF-8 early and late, byte order marks, NUL bytes, line ends
+# \r\n and \r around an error and inside a string, an encoded
+# surrogate, Latin-1, nothing, trailing data, nesting too deep and
+# infinities
+_AWKWARD_FILES = (
+    b'{"a": \xff\xfe 1}', b'{"a": 1}\n\n   \xc3', b'\xef\xbb\xbf{"a": 1}',
+    '{"a": 1}'.encode("utf-16"), '{"a": 1}'.encode("utf-16-le"),
+    b'\x00\x00{"a": 1}', b'{\r\n"a":\r\n\r\n x}', b'{\r"a":\r\r x}',
+    b'{"a\rb": 1}', b'{"a": "\xc3\xa9\r"}', b'{"a": "\xed\xa0\x80"}',
+    b'{"a": "\xe9"}', b'', b'{"a": 1}\r\n{"b": 2}', b'{"a":\r\n 1}\r\n',
+    b'[' + b'\r' * 8191 + b'\r\n' * 5000 + b'x]',
+    b'[' + b' ' * 100000 + b'\xff]', b'[' * 100000, b'[Infinity, -1e999]')
+
+
+@pytest.mark.parametrize("data", _AWKWARD_FILES + (None,))
+def test_a_record_file_reads_as_through_a_text_mode_open(data, tmp_path):
+    # verify reads its file's bytes and decodes them once, which must
+    # give the value, or the exception and message, of json.load on a
+    # UTF-8 text-mode open; None is a file that does not exist, and the
+    # directory is tried too
+    path = tmp_path / "code.json"
+    if data is not None:
+        path.write_bytes(data)
+
+    def text_mode(name):
+        with open(name, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+
+    for name in (str(path), str(tmp_path)):
+        want = _decoded(lambda: text_mode(name))
+        assert _decoded(lambda: cli._read_json(name)) == want
+        if data is None or name == str(tmp_path):
+            assert want[0] in (FileNotFoundError, IsADirectoryError)
 
 
 # --- the command-line parser against the argparse oracle ---

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from selfdual import cli
 from selfdual import codes as codes_module
@@ -37,6 +37,7 @@ from selfdual.codes import (
     is_hermitian_self_dual,
     mds_check,
     min_distance_exhaustive,
+    verify_code,
 )
 from selfdual.config import GuardConfig
 from selfdual.constructions import (
@@ -96,6 +97,7 @@ from oracles import (
     poly_mul,
     row_reduce_oracle,
     same_code,
+    shift_of_oracle,
 )
 
 
@@ -297,10 +299,10 @@ def test_a_shift_form_packs_g_and_its_tail_once_however_it_was_made(packs):
     # the builders pack no value of g, which the generator product
     # leaves packed and the spec and the code hold as one list, and the
     # extension packs only -gamma, as the 27- and 28-term layouts are
-    # one, and builds no packed rows; then a Gram check, a root check
-    # and the reduction together pack nothing for a built code, and g
-    # and the tail once, d + 1 + |tail| values, for a record; the same
-    # rows out of order pack all k * n
+    # one, and builds no packed rows; a record packs g and the tail
+    # once, d + 1 + |tail| values, while it is read, and holds no value
+    # rows; then a Gram check, a root check and the reduction together
+    # pack nothing for either; the same rows out of order pack all k * n
     field = make_field(7, 9)
     T = DefiningSet(27, tuple(range(1, 14)))
     gamma = solve_gamma_euclidean(field, 27)
@@ -314,19 +316,24 @@ def test_a_shift_form_packs_g_and_its_tail_once_however_it_was_made(packs):
     extended = extend_code(cyclic, gamma)
     assert packs.entries == [] and packs.elements == [(-gamma).value]
     assert "_packed" not in cyclic.__dict__
-    records = [code_from_json(code_to_json(code))[0]
-               for code in (cyclic, extended)]
-    for code, built in ((cyclic, True), (extended, True),
-                        (records[0], False), (records[1], False)):
+    records = []
+    for code in (cyclic, extended):
+        obj = code_to_json(code)
+        row = code._value_rows[0]
+        packs.clear()
+        records.append(code_from_json(obj)[0])
+        assert packs.entries == list(row[:14] + row[27:])
+        assert "_value_rows" not in records[-1].__dict__
+    for code in (cyclic, extended, *records):
         packs.clear()
         punctured = code.n == 28
         assert code._gram_zero(False) is punctured
         assert codes_module._roots_mismatch(code, T, field.one,
                                             punctured, GuardConfig()) is None
         code._reduced()
-        (g, tail), row = code._shift, code._value_rows[0]
+        g, tail = code._shift
         assert len(g) == 14 and len(tail) == punctured
-        assert packs.entries == ([] if built else list(row[:14] + row[27:]))
+        assert packs.entries == []
     packs.clear()
     shuffled = LinearCode._from_values(field, 28, 14,
                                        extended._value_rows[::-1])
@@ -921,24 +928,92 @@ def test_every_cyclic_build_holds_its_shift_form_alone(monkeypatch, capsys):
         assert code_to_json(code) == code_to_json(twin)
 
 
-@settings(deadline=None, max_examples=100)
-@given(st.sampled_from(GRAM_FIELDS), st.data())
-def test_the_rows_of_a_shift_form_show_that_form_again(spec, data):
-    # any nonzero g and a tail of at most one nonzero value: detecting
-    # the form in the rows of the view gives back (g, tail)
-    field = _tower(*spec)
+@st.composite
+def shift_form(draw):
+    """(field, n, k, g, tail): any nonzero g and a tail of at most one
+    nonzero value, packed on the n-term layout, over a field of
+    ``GRAM_FIELDS``."""
+    field = _tower(*draw(st.sampled_from(GRAM_FIELDS)))
     top = field.order - 1
-    k = data.draw(st.integers(2, 5))
-    g = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=6))
+    k = draw(st.integers(2, 5))
+    g = draw(st.lists(st.integers(0, top), min_size=1, max_size=6))
     assume(any(g))
-    tail = data.draw(st.lists(st.integers(1, top), max_size=1))
+    tail = draw(st.lists(st.integers(1, top), max_size=1))
     n = len(g) + k - 1 + len(tail)
     arith = linalg_module.packed_field(field, n)
     g, tail = ([arith.pack(field._from_int(i)) for i in part]
                for part in (g, tail))
+    return field, n, k, g, tail
+
+
+@st.composite
+def flat_rows(draw):
+    """(flat, k, n, zero): k rows of n entries of ``width`` items, one
+    after another, over the items 0..2: a shift form with or without a
+    tail, or random rows, with up to two items changed."""
+    width = draw(st.integers(1, 3))
+    k = draw(st.integers(0, 6))
+    n = draw(st.integers(max(k - 1, 1), 9))
+    item = st.integers(0, 2)
+    zero = [0] * width
+    if draw(st.booleans()) and 2 <= k <= n:
+        w = draw(st.sampled_from([n, n - 1]))
+        g = draw(st.lists(item, min_size=(w - k + 1) * width,
+                          max_size=(w - k + 1) * width))
+        tail = draw(st.lists(item, min_size=(n - w) * width,
+                             max_size=(n - w) * width))
+        flat = [x for i in range(k)
+                for x in zero * i + g + zero * (k - 1 - i) + tail]
+    else:
+        flat = draw(st.lists(item, min_size=k * n * width,
+                             max_size=k * n * width))
+    for _ in range(draw(st.integers(0, 2)) if flat else 0):
+        flat[draw(st.integers(0, len(flat) - 1))] = draw(item)
+    return flat, k, n, zero
+
+
+@settings(deadline=None, max_examples=400)
+@given(flat_rows())
+def test_the_flat_shift_detection_is_the_row_by_row_definition(case):
+    flat, k, n, zero = case
+    size = n * len(zero)
+    rows = [flat[i:i + size] for i in range(0, k * size, size)]
+    assert codes_module._shift_of(flat, k, n, zero) == shift_of_oracle(
+        rows, n, zero)
+
+
+@settings(deadline=None, max_examples=100)
+@given(shift_form())
+def test_the_rows_of_a_shift_form_show_that_form_again(form):
+    # detecting the form in the rows of the view gives back (g, tail)
+    field, n, k, g, tail = form
     code = LinearCode._from_shift(field, n, k, g, tail)
     twin = LinearCode._from_values(field, n, k, code._value_rows)
     assert twin._shift == (g, tail) and twin._packed == code._packed
+
+
+@settings(deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(form=shift_form())
+def test_the_record_of_a_shift_form_reads_back_as_the_built_code(packs,
+                                                                 form):
+    # code_from_json finds the form in the record's coordinates and
+    # packs g and the tail once, and nothing else, while it reads it; the
+    # record holds no value rows, and its form, packed copy, Gram
+    # verdicts and report are the built code's
+    field, n, k, g, tail = form
+    code = LinearCode._from_shift(field, n, k, g, tail)
+    obj = code_to_json(code)
+    unpack = linalg_module.packed_field(field, n).unpack
+    packs.clear()
+    record = code_from_json(obj)[0]
+    assert packs.entries == [unpack(v) for v in g + tail]
+    assert "_value_rows" not in record.__dict__
+    assert record._shift == (g, tail) and record._packed == code._packed
+    for conjugate in (False, True)[:1 + isinstance(field, TowerSpec)]:
+        assert record._gram_zero(conjugate) == code._gram_zero(conjugate)
+    assert verify_code(record) == verify_code(code)
+    assert record == code
 
 
 def test_a_shift_form_is_refused_unless_detection_would_find_it():

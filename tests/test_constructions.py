@@ -5,6 +5,7 @@ structural identities (self-duality, generator divisibility, the
 splittings the preconditions prove) are asserted here whether or not
 the builders check them, so a regression in either place is caught.
 """
+import json
 import os
 from collections import Counter
 from math import gcd
@@ -489,6 +490,24 @@ def route_facts(result) -> dict:
     return {before: spec.defining, "lam": spec.lam}
 
 
+def record_report(result):
+    """(code, report, promoted): the code of the result's JSON record
+    and ``verify_code`` of it with the facts its builder vouches for,
+    where the one difference, a root-run bound that meets the Singleton
+    bound, is ``promoted`` to the exact distance, as a builder reports
+    it."""
+    code, _ = code_from_json(json.loads(json.dumps(result.to_json())))
+    report, cert = verify_code(code, **route_facts(result))
+    singleton = code.n - code.k + 1
+    promoted = cert.tier == "bch" and cert.distance_lower_bound == singleton
+    assert promoted == (report.distance_lower_bound == singleton)
+    if promoted:
+        report = VerificationReport(report.euclidean_self_dual,
+                                    report.hermitian_self_dual, singleton,
+                                    None, report.mds)
+    return code, report, promoted
+
+
 @pytest.mark.parametrize("build, args", [
     # the seven README examples
     (build_euclidean_duadic_extended, (7, 1, 3)),
@@ -504,20 +523,37 @@ def route_facts(result) -> dict:
     (build_hermitian_extended_duadic, (47, 1, 23)),
 ], ids=lambda x: getattr(x, "__name__", None))
 def test_a_builders_report_is_verify_code_of_its_record(build, args):
-    # the one difference: a root-run bound that meets the Singleton
-    # bound is reported as the exact distance
     result = build(*args)
-    code, _ = code_from_json(result.to_json())
-    report, cert = verify_code(code, **route_facts(result))
-    singleton = code.n - code.k + 1
-    promoted = cert.tier == "bch" and cert.distance_lower_bound == singleton
-    assert promoted == (report.distance_lower_bound == singleton)
-    if promoted:
-        report = VerificationReport(report.euclidean_self_dual,
-                                    report.hermitian_self_dual, singleton,
-                                    None, report.mds)
+    _, report, promoted = record_report(result)
     assert result.report == report
     assert promoted == (args == (31, 1, 32))
+
+
+@pytest.mark.parametrize("p, t", [(5, 3), (127, 1)])
+def test_dispatch_builds_and_proves_every_even_length_at_q_125_and_127(p, t):
+    # the paper's every even n <= q + 1 at q = 125 = 5^3, a GF(p^t) under
+    # the tower, and q = 127: each build is Hermitian self-dual, its
+    # record verifies to the builder's report, and prove_mds names the
+    # proof of its route: the points of a GRS code, the roots of a
+    # cyclic one, the Cauchy certificate of the one-row code
+    proofs, statuses = Counter(), Counter()
+    for n in range(2, p ** t + 2, 2):
+        result = exists_hermitian_dispatch(p, t, n)
+        assert (result.code.n, result.code.k) == (n, n // 2)
+        assert is_hermitian_self_dual(result.code)
+        code, report, _ = record_report(result)
+        assert report == result.report
+        facts = route_facts(result)
+        roots = (None if "lam" not in facts else
+                 (facts.get("defining", facts.get("extended_defining")),
+                  facts["lam"]))
+        proofs[codes_module.prove_mds(code, roots, GuardConfig())] += 1
+        statuses[result.report.mds.status] += 1
+    assert None not in proofs
+    builds = (p ** t + 1) // 2
+    assert proofs == {"points": builds - 2, "roots": 1, "cauchy": 1}
+    assert statuses == {"certified-structural": builds - 9,
+                        "certified-exact": 8, "certified-bch": 1}
 
 
 def _readme_library_example():
