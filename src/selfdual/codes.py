@@ -41,8 +41,10 @@ the roots in GF(q) or GF(q^2).  Otherwise it reduces the code's packed
 copy once to R = [I | A] and reads a Cauchy certificate on it, which
 decides every GRS code of length at most q without a search.  Each
 proof leaves the verdicts unchanged.  The column tests and the sampler
-then search R's packed values, never element objects; only the
-codeword scan builds a Zech table.
+then search R's packed values, never element objects.  Every reduction,
+walk, minor and certificate runs on ``PackedField``; the Zech-log
+table of ``DlogTable`` serves only the codeword scan, and only that
+scan builds one.
 ``certify_mds`` is the one ladder that chooses among them, and
 ``verify_code`` the one place that turns its certificate and the Gram
 checks into a report, for the builders and the CLI alike.
@@ -715,11 +717,11 @@ def _check_trials(trials: int) -> None:
 
 
 def _cauchy_certified(arith, reduced, pivots) -> bool:
-    """Whether reduced rows R = [I | A], encoded by ``arith`` (a
-    ``DlogTable`` or a ``PackedField``), have a Cauchy-like A, so that no
-    square block of A is singular and every k-subset of columns of R is
-    independent.  With one row or one column of A, nonzero entries
-    suffice.  False means only that this certificate does not apply."""
+    """Whether reduced rows R = [I | A], packed on the ``PackedField``
+    ``arith``, have a Cauchy-like A, so that no square block of A is
+    singular and every k-subset of columns of R is independent.  With
+    one row or one column of A, nonzero entries suffice.  False means
+    only that this certificate does not apply."""
     k = len(reduced)
     if pivots != tuple(range(k)):
         return False
@@ -788,7 +790,7 @@ def mds_check(code: LinearCode, mode: str, trials: int = 1000,
     form = code._reduced()
     arith, reduced, pivots = form.arith, form.rows, form.pivots
     if mode == "exhaustive-columns":
-        witness = first_dependent_subset(list(zip(*reduced)), k, arith.zero,
+        witness = first_dependent_subset(list(zip(*reduced)), k,
                                          arith.eliminate)
         return MdsVerdict("certified-exact" if witness is None
                           else "refuted", witness=witness)

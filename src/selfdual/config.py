@@ -14,6 +14,7 @@ which rung of the MDS ladder runs is chosen by ``codes.certify_mds``.
 """
 from __future__ import annotations
 
+import functools
 import os
 
 from .errors import MalformedInput
@@ -47,8 +48,10 @@ class GuardConfig(Frozen):
       splitting``, ``check_centered_duadic_splitting`` and
       ``check_duadic_splitting`` (powers of q mod n).
     - ``codeword_limit``: ``min_distance_exhaustive()`` refuses when
-      q**k exceeds this; it bounds the scan's Zech-log table too, the
-      one table the package builds.
+      q**k exceeds this; as k >= 2 for a table, it bounds the scan's
+      Zech-log table too, to q**2 <= the limit.  That table is the one
+      log encoding the package builds: every reduction, walk and
+      minor runs on packed values.
     - ``column_limit``: ``mds_check(exhaustive-columns)`` refuses when
       C(n, k) exceeds this.
     """
@@ -67,27 +70,34 @@ class GuardConfig(Frozen):
         """Defaults overridden by ``SELFDUAL_GUARD_OVERRIDE``.
 
         Raises ``MalformedInput`` on an unknown key, a value that is not
-        an integer, or a limit below 1.
+        an integer, or a limit below 1.  Each raw value is parsed once:
+        a changed variable is parsed afresh, and a refused one is never
+        cached, so it is refused on every call.
         """
-        raw = os.environ.get(_ENV_VAR, "").strip()
-        overrides = {}
-        for part in raw.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            key, _, value = part.partition("=")
-            field = _KEY_TO_FIELD.get(key.strip())
-            try:
-                limit = int(value)
-            except ValueError:
-                limit = 0
-            if field is None or limit < 1:
-                raise MalformedInput(
-                    "%s: bad entry %r, expected key=limit with a limit "
-                    ">= 1 and a key among %s"
-                    % (_ENV_VAR, part, ", ".join(_KEY_TO_FIELD)))
-            overrides[field] = limit
-        return GuardConfig(**overrides)
+        return _parse_override(os.environ.get(_ENV_VAR, ""))
+
+
+@functools.lru_cache(maxsize=8)
+def _parse_override(raw: str) -> GuardConfig:
+    """The guards of one raw value of ``SELFDUAL_GUARD_OVERRIDE``."""
+    overrides = {}
+    for part in raw.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        key, _, value = part.partition("=")
+        field = _KEY_TO_FIELD.get(key.strip())
+        try:
+            limit = int(value)
+        except ValueError:
+            limit = 0
+        if field is None or limit < 1:
+            raise MalformedInput(
+                "%s: bad entry %r, expected key=limit with a limit "
+                ">= 1 and a key among %s"
+                % (_ENV_VAR, part, ", ".join(_KEY_TO_FIELD)))
+        overrides[field] = limit
+    return GuardConfig(**overrides)
 
 
 def current_guards(guards: "GuardConfig | None" = None) -> GuardConfig:

@@ -1,18 +1,19 @@
-"""Matrix routines over discrete-log ints and packed ints.
+"""Matrix routines over packed ints, and the log table of the codeword
+scan.
 
 Every independence question on columns (a minor, all k-subsets of
 columns) is one lex column walk, ``first_dependent_subset``.  Its step
 ``eliminate``, Gauss-Jordan ``row_reduce`` (pivoting on the first
 nonzero entry: the reduced form is unique), ``det_nonzero`` and the
-Cauchy certificate ``cauchy_points`` are written once, on ``_Reducer``,
-for the two integer encodings: the logs of ``DlogTable``, whose one
-addition ``add_multiple`` also serves its codeword scan, and the packed
-values of ``PackedField``, on which every code is reduced, walked and
-certified.  A ``DlogTable`` is built by a plain walk of packed products
-on the field's own layout, and in the package only the codeword scan
-builds one.  Element objects do no linear algebra: the element
-``row_reduce``, ``det_nonzero`` and ``null_space`` run on
-``packed_field`` and decode.
+Cauchy certificate ``cauchy_points`` are written once, as methods of
+``PackedField``, on whose packed values every code is reduced, walked
+and certified.  ``DlogTable`` holds the log encoding of the codeword
+scan alone: its one addition ``add_multiple`` and ``min_weight``.  It is
+built by a plain walk of packed products on the field's own layout, and
+in the package only the codeword scan builds one; its ``det_nonzero``
+maps logs to packed values and decides there.  Element objects do no
+linear algebra: the element ``row_reduce``, ``det_nonzero`` and
+``null_space`` run on ``packed_field`` and decode.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ import itertools
 from .fields import Element, Field, TowerSpec, find_primitive_element
 
 
-def first_dependent_subset(columns, k: int, zero, step):
+def first_dependent_subset(columns, k: int, step):
     """The lex-first linearly dependent k-subset of ``columns``, or None.
 
     A depth-first walk over the subsets in ``itertools.combinations``
@@ -34,7 +35,8 @@ def first_dependent_subset(columns, k: int, zero, step):
     pivot, later_residuals)``, to the next depth.  A zero residual makes
     every subset with that prefix dependent, and the first of them is
     the witness.  With k = len(columns) the walk decides whether the
-    given vectors are independent.
+    given vectors are independent.  The entries are packed values, whose
+    zero is the int 0.
     """
     n = len(columns)
     chosen = []
@@ -45,7 +47,7 @@ def first_dependent_subset(columns, k: int, zero, step):
         for c in range(start, n - need + 1):
             residual = residuals[c - start]
             for pivot, x in enumerate(residual):
-                if x != zero:
+                if x:
                     break
             else:
                 return tuple(chosen) + tuple(range(c, c + need))
@@ -63,140 +65,14 @@ def first_dependent_subset(columns, k: int, zero, step):
     return walk(0, [list(col) for col in columns])
 
 
-class _Reducer:
-    """Gauss-Jordan, the walk's step, the determinant and the Cauchy
-    certificate, once for both integer encodings.  A subclass gives
-    ``field``, ``zero``, ``one``, ``encode`` (of an element),
-    ``encode_index`` (of the element of a canonical index), ``decode``
-    and primitives: ``mul``, ``neg`` and ``inverse`` of nonzero values,
-    ``inverses`` of a list of them, ``products(u, v)``, the entrywise
-    product of two rows of them, ``scale(row, f)``, a new row f * row,
-    and ``add_multiple(row, f, terms)``, row[t] += f * x for each
-    (t, x) in ``terms`` in place.  Each is called once per row; the
-    loops over entries stay in ``inverses``, ``products``, ``scale``
-    and ``add_multiple``.
-    """
-
-    def row_reduce(self, rows: list[list[int]]):
-        """Reduced row echelon form; returns (rref_rows, pivot_columns),
-        which decode to the same element rows on either encoding."""
-        zero = self.zero
-        mat = [list(row) for row in rows]
-        pivots = []
-        for col in range(len(mat[0]) if mat else 0):
-            r = len(pivots)
-            sel = next((i for i in range(r, len(mat))
-                        if mat[i][col] != zero), None)
-            if sel is None:
-                continue
-            top = self.scale(mat[sel], self.inverse(mat[sel][col]))
-            mat[sel], mat[r] = mat[r], top
-            rest = [(t, x) for t, x in enumerate(top) if x != zero]
-            for i, row in enumerate(mat):
-                if i != r and row[col] != zero:
-                    self.add_multiple(row, self.neg(row[col]), rest)
-            pivots.append(col)
-            if len(pivots) == len(mat):
-                break
-        return mat[:len(pivots)], tuple(pivots)
-
-    def eliminate(self, pivot_col, p, rows):
-        """The walk's step: each row drops coordinate p after losing
-        row[p] / pivot_col[p] times ``pivot_col``."""
-        zero = self.zero
-        base = self.neg(self.inverse(pivot_col[p]))
-        rest = [(t - (t > p), x) for t, x in enumerate(pivot_col)
-                if t != p and x != zero]
-        out = []
-        for row in rows:
-            new = row[:p] + row[p + 1:]
-            if row[p] != zero:
-                self.add_multiple(new, self.mul(row[p], base), rest)
-            out.append(new)
-        return out
-
-    def det_nonzero(self, rows: list[list[int]]) -> bool:
-        """Whether a square matrix is nonsingular: its rows are
-        independent exactly when its columns are."""
-        return first_dependent_subset(rows, len(rows), self.zero,
-                                      self.eliminate) is None
-
-    def cauchy_points(self, a_rows: list[list[int]]):
-        """Encoded (x, y, c, d) with A[i][j] * (x[i] - y[j]) = c[i] * d[j]
-        for every entry, the x distinct, the y distinct and every c, d
-        nonzero, or None when the recovery finds none.  A has at least
-        two rows and two columns.  Such an A is Cauchy-like: each square
-        block is a Cauchy matrix scaled by nonzero rows and columns, so
-        none is singular (Roth-Seroussi).
-
-        Up to a Moebius map and a scaling, x[0] = 0, x[1] = 1, c[0] = 1;
-        rows 0 and 1 then give every y and d from c[1], and columns 0 and
-        1 every other x and c.  For a Cauchy-like A each nonzero c[1] is
-        one placement of its n points, and at most n - 2 of them put a
-        point at infinity, so the trials c[1], the first min(n + 1, q - 1)
-        nonzero elements in canonical order, find one when n <= q.  The
-        recovery only proposes; the check is the proof.  The inverses of
-        row 1 and of columns 0-1 of A are one batch for all trials; each
-        trial inverts one batch for y and one for c.
-        """
-        zero, one = self.zero, self.one
-        minus_one = self.neg(one)
-        a0, a1, rest = a_rows[0], a_rows[1], a_rows[2:]
-        width = len(a0)
-        if any(x == zero for row in a_rows for x in row):
-            return None
-        inv = self.inverses(list(a1) + [row[0] for row in rest]
-                            + [row[1] for row in rest])
-        ratio = self.products(a0, inv[:width])  # A[0][j] / A[1][j]
-        inv0, inv1 = inv[width:width + len(rest)], inv[width + len(rest):]
-        minus_a0 = self.scale(a0, minus_one)
-        field = self.field
-        trials = min(len(a_rows) + width + 1, field.order - 1)
-        for index in range(1, trials + 1):
-            c1 = self.encode_index(index)
-            # y[j] = 1 / (1 - c1 * A[0][j] / A[1][j])
-            poles = [one] * width
-            self.add_multiple(poles, self.neg(c1), enumerate(ratio))
-            if zero in poles:  # y[j] at infinity
-                continue
-            y = self.inverses(poles)
-            d = self.products(y, minus_a0)  # -y[j] A[0][j]
-            # c[i] = (y1 - y0) / (d0 / A[i][0] - d1 / A[i][1])
-            # x[i] = y0 + c[i] * d0 / A[i][0]
-            gap = [y[1]]
-            self.add_multiple(gap, minus_one, [(0, y[0])])
-            u = self.scale(inv0, d[0])
-            den = u[:]
-            self.add_multiple(den, self.neg(d[1]), enumerate(inv1))
-            if gap[0] == zero or zero in den:
-                continue
-            c = [one, c1] + self.scale(self.inverses(den), gap[0])
-            x = [zero, one] + [y[0]] * len(rest)
-            self.add_multiple(x, one, enumerate(self.products(c[2:], u), 2))
-            if (len(set(x)) == len(x) and len(set(y)) == width
-                    and self._cauchy_holds(a_rows, x, y, c, d)):
-                return x, y, c, d
-        return None
-
-    def _cauchy_holds(self, a_rows, x, y, c, d) -> bool:
-        """Whether A[i][j] * (x[i] - y[j]) = c[i] * d[j] for every entry;
-        c and d are nonzero, and a zero x[i] - y[j] fails."""
-        zero, minus_one = self.zero, self.neg(self.one)
-        terms = list(enumerate(y))
-        for row, xi, ci in zip(a_rows, x, c):
-            diff = [xi] * len(y)
-            self.add_multiple(diff, minus_one, terms)
-            if zero in diff or self.products(row, diff) != self.scale(d, ci):
-                return False
-        return True
-
-
-class DlogTable(_Reducer):
-    """Log-table arithmetic for the small fields of the codeword scan.
+class DlogTable:
+    """The log encoding of the codeword scan, for its small fields.
 
     Elements are encoded as the exponent of the canonical primitive
     element, with -1 for zero.  Addition goes through the table
-    z[d] = log(1 + g**d), built once per field.
+    z[d] = log(1 + g**d), built once per field.  The table does no
+    linear algebra: ``det_nonzero`` maps logs to packed values and asks
+    ``PackedField.det_nonzero``.
 
     The powers of g come from a plain walk: g**(e + 1) is one packed
     product of g**e and g on the field's one-product layout
@@ -209,9 +85,6 @@ class DlogTable(_Reducer):
     index, or p less at the end of a run of p indices, and ``zech``
     reads ``log`` there.
     """
-
-    zero = -1  # the encoding of the field's zero
-    one = 0  # and of its one, g**0
 
     def __init__(self, field: Field):
         q, p = field.order, field.char
@@ -234,8 +107,8 @@ class DlogTable(_Reducer):
         self.q = q
         self.log = log
         self.pow_idx = pow_idx
+        self.powers = powers  # exponent -> packed value, on packed_field
         self.zech = zech
-        self.half = 0 if p == 2 else (q - 1) // 2
 
     def encode(self, x: Element) -> int:
         return self.log[self.field.index(x)]
@@ -243,36 +116,6 @@ class DlogTable(_Reducer):
     def encode_row(self, values) -> list[int]:
         # the log of index 0, the zero, is -1
         return list(map(self.log.__getitem__, map(self.field._index, values)))
-
-    def encode_index(self, index: int) -> int:
-        return self.log[index]
-
-    def decode(self, e: int) -> Element:
-        if e == -1:
-            return self.field.zero
-        return self.field.from_int(self.pow_idx[e])
-
-    def mul(self, a: int, b: int) -> int:
-        return (a + b) % (self.q - 1)
-
-    def neg(self, a: int) -> int:
-        # the field's -1 is g**half (half = 0 in characteristic 2)
-        return (a + self.half) % (self.q - 1)
-
-    def inverse(self, a: int) -> int:
-        return -a % (self.q - 1)
-
-    def inverses(self, values) -> list[int]:
-        m = self.q - 1
-        return [-v % m for v in values]
-
-    def products(self, u, v) -> list[int]:
-        m = self.q - 1
-        return [(a + b) % m for a, b in zip(u, v)]
-
-    def scale(self, row, shift: int) -> list[int]:
-        m = self.q - 1
-        return [-1 if x == -1 else (x + shift) % m for x in row]
 
     def add_multiple(self, row, shift, terms):
         """row[t] += g**shift * g**x for each (t, x) in ``terms``, in place,
@@ -297,10 +140,10 @@ class DlogTable(_Reducer):
         The children at the last row r are counted, not built: w + g**c*r
         is zero at coordinate j where r_j = w_j = 0, and, where both are
         nonzero, for the one c with g**c = -w_j / r_j, which is
-        log w_j - log r_j + half (mod q - 1), as -1 = g**half.  So with z
-        the coordinates where both are zero, the least weight over c is
+        log w_j - log r_j + log(-1) (mod q - 1).  So with z the
+        coordinates where both are zero, the least weight over c is
         n - z - (the size of the largest class of equal
-        log w_j - log r_j, the shift by half moving every class alike),
+        log w_j - log r_j, the shift by log(-1) moving every class alike),
         and of the child w itself (c = 0 drops r) n - z - (the
         coordinates where only r is nonzero): one tally of n coordinates
         for the q children of each prefix.
@@ -335,26 +178,26 @@ class DlogTable(_Reducer):
             rec(pivot + 1, list(rows[pivot]))
         return best
 
+    def det_nonzero(self, rows: list[list[int]]) -> bool:
+        """Whether a square matrix of logs is nonsingular, decided on
+        the field's packed values (``packed_field(field)``, the layout
+        the walk multiplied on), the log -1 packed as 0."""
+        powers = self.powers
+        return packed_field(self.field).det_nonzero(
+            [[0 if e == -1 else powers[e] for e in row] for row in rows])
+
 
 # tables kept at once; the least recently used one is dropped beyond it
 DLOG_CACHE_SIZE = 64
-_TABLES: dict = {}  # field -> DlogTable, least recently used first
 
 
+@functools.lru_cache(maxsize=DLOG_CACHE_SIZE)
 def dlog_table(field: Field) -> DlogTable:
-    """The field's cached table, built on first use.  Threads that ask
-    for the same missing table at once may each build one; every copy
-    is the same table."""
-    table = _TABLES.pop(field, None)
-    if table is None:
-        table = DlogTable(field)
-        if len(_TABLES) >= DLOG_CACHE_SIZE:
-            _TABLES.pop(next(iter(_TABLES)), None)
-    _TABLES[field] = table
-    return table
+    """The field's cached table, built on first use."""
+    return DlogTable(field)
 
 
-class PackedField(_Reducer):
+class PackedField:
     """Packed-int arithmetic on one Kronecker layout of ``field``,
     ``field._layout(terms)``: every code's reduction, column walk,
     sampled minors and Cauchy certificate, and every exact sum of up to
@@ -365,6 +208,14 @@ class PackedField(_Reducer):
     ``reduce(u + (-f)*v)``, one reduction per update.  Every int held is
     canonical, so equal values are equal ints on one layout.  An inverse
     is one field inverse; ``inverses`` inverts a whole batch with one.
+
+    The primitives are ``mul``, ``neg`` and ``inverse`` of nonzero
+    values, ``inverses`` of a list of them, ``products(u, v)``, the
+    entrywise product of two rows, ``scale(row, f)``, a new row f * row,
+    and ``add_multiple(row, f, terms)``, row[t] += f * x for each (t, x)
+    in ``terms`` in place.  Gauss-Jordan, the walk's step, the
+    determinant and the Cauchy certificate call each once per row; the
+    loops over entries stay in the primitives.
     """
 
     zero = 0
@@ -436,6 +287,118 @@ class PackedField(_Reducer):
         for t, x in terms:
             row[t] = reduce(row[t] + f * x)
 
+    def row_reduce(self, rows: list[list[int]]):
+        """Reduced row echelon form of packed rows; returns (rref_rows,
+        pivot_columns)."""
+        zero = self.zero
+        mat = [list(row) for row in rows]
+        pivots = []
+        for col in range(len(mat[0]) if mat else 0):
+            r = len(pivots)
+            sel = next((i for i in range(r, len(mat))
+                        if mat[i][col] != zero), None)
+            if sel is None:
+                continue
+            top = self.scale(mat[sel], self.inverse(mat[sel][col]))
+            mat[sel], mat[r] = mat[r], top
+            rest = [(t, x) for t, x in enumerate(top) if x != zero]
+            for i, row in enumerate(mat):
+                if i != r and row[col] != zero:
+                    self.add_multiple(row, self.neg(row[col]), rest)
+            pivots.append(col)
+            if len(pivots) == len(mat):
+                break
+        return mat[:len(pivots)], tuple(pivots)
+
+    def eliminate(self, pivot_col, p, rows):
+        """The walk's step: each row drops coordinate p after losing
+        row[p] / pivot_col[p] times ``pivot_col``."""
+        zero = self.zero
+        base = self.neg(self.inverse(pivot_col[p]))
+        rest = [(t - (t > p), x) for t, x in enumerate(pivot_col)
+                if t != p and x != zero]
+        out = []
+        for row in rows:
+            new = row[:p] + row[p + 1:]
+            if row[p] != zero:
+                self.add_multiple(new, self.mul(row[p], base), rest)
+            out.append(new)
+        return out
+
+    def det_nonzero(self, rows: list[list[int]]) -> bool:
+        """Whether a square matrix is nonsingular: its rows are
+        independent exactly when its columns are."""
+        return first_dependent_subset(rows, len(rows),
+                                      self.eliminate) is None
+
+    def cauchy_points(self, a_rows: list[list[int]]):
+        """Encoded (x, y, c, d) with A[i][j] * (x[i] - y[j]) = c[i] * d[j]
+        for every entry, the x distinct, the y distinct and every c, d
+        nonzero, or None when the recovery finds none.  A has at least
+        two rows and two columns.  Such an A is Cauchy-like: each square
+        block is a Cauchy matrix scaled by nonzero rows and columns, so
+        none is singular (Roth-Seroussi).
+
+        Up to a Moebius map and a scaling, x[0] = 0, x[1] = 1, c[0] = 1;
+        rows 0 and 1 then give every y and d from c[1], and columns 0 and
+        1 every other x and c.  For a Cauchy-like A each nonzero c[1] is
+        one placement of its n points, and at most n - 2 of them put a
+        point at infinity, so the trials c[1], the first min(n + 1, q - 1)
+        nonzero elements in canonical order, find one when n <= q.  The
+        recovery only proposes; the check is the proof.  The inverses of
+        row 1 and of columns 0-1 of A are one batch for all trials; each
+        trial inverts one batch for y and one for c.
+        """
+        zero, one = self.zero, self.one
+        minus_one = self.neg(one)
+        a0, a1, rest = a_rows[0], a_rows[1], a_rows[2:]
+        width = len(a0)
+        if any(x == zero for row in a_rows for x in row):
+            return None
+        inv = self.inverses(list(a1) + [row[0] for row in rest]
+                            + [row[1] for row in rest])
+        ratio = self.products(a0, inv[:width])  # A[0][j] / A[1][j]
+        inv0, inv1 = inv[width:width + len(rest)], inv[width + len(rest):]
+        minus_a0 = self.scale(a0, minus_one)
+        field = self.field
+        trials = min(len(a_rows) + width + 1, field.order - 1)
+        for index in range(1, trials + 1):
+            c1 = self.encode_index(index)
+            # y[j] = 1 / (1 - c1 * A[0][j] / A[1][j])
+            poles = [one] * width
+            self.add_multiple(poles, self.neg(c1), enumerate(ratio))
+            if zero in poles:  # y[j] at infinity
+                continue
+            y = self.inverses(poles)
+            d = self.products(y, minus_a0)  # -y[j] A[0][j]
+            # c[i] = (y1 - y0) / (d0 / A[i][0] - d1 / A[i][1])
+            # x[i] = y0 + c[i] * d0 / A[i][0]
+            gap = [y[1]]
+            self.add_multiple(gap, minus_one, [(0, y[0])])
+            u = self.scale(inv0, d[0])
+            den = u[:]
+            self.add_multiple(den, self.neg(d[1]), enumerate(inv1))
+            if gap[0] == zero or zero in den:
+                continue
+            c = [one, c1] + self.scale(self.inverses(den), gap[0])
+            x = [zero, one] + [y[0]] * len(rest)
+            self.add_multiple(x, one, enumerate(self.products(c[2:], u), 2))
+            if (len(set(x)) == len(x) and len(set(y)) == width
+                    and self._cauchy_holds(a_rows, x, y, c, d)):
+                return x, y, c, d
+        return None
+
+    def _cauchy_holds(self, a_rows, x, y, c, d) -> bool:
+        """Whether A[i][j] * (x[i] - y[j]) = c[i] * d[j] for every entry;
+        c and d are nonzero, and a zero x[i] - y[j] fails."""
+        zero, minus_one = self.zero, self.neg(self.one)
+        terms = list(enumerate(y))
+        for row, xi, ci in zip(a_rows, x, c):
+            diff = [xi] * len(y)
+            self.add_multiple(diff, minus_one, terms)
+            if zero in diff or self.products(row, diff) != self.scale(d, ci):
+                return False
+        return True
 
 def packed_field(field: Field, terms: int = 1) -> PackedField:
     """The packed arithmetic for sums of up to ``terms`` products, one

@@ -3,8 +3,8 @@
 Each is written from the definition on field element objects; the two
 duals build on the package's ``null_space`` and ``frobenius``.  The
 rank counts the rows of ``row_reduce_oracle``, the Gauss-Jordan on
-element objects that the package ran before it reduced only on integer
-encodings.  None of them runs through the lex column walk,
+element objects that the package ran before it reduced only on packed
+values.  None of them runs through the lex column walk,
 ``first_dependent_subset``, that the package decides independence
 with, and the lex oracle tests every k-subset of columns, self-dual
 code or not.  The tower arithmetic recurses through element objects of
@@ -27,11 +27,10 @@ p**t - 1 powers, scan gamma's coset on element objects and an even-q
 quadratic's roots one by one.
 ``cli_parser_oracle`` is the argparse parser the command line used
 before it read its arguments from ``cli._SPEC``.
-``ENCODINGS`` is no oracle: it names the package's two integer
-encodings of a field, for the tests that run one kernel on both.  Nor
-are ``codeword``, ``element_rows``, ``same_code`` and
-``extension_weight_audit``: they read a code through the package's own
-reduced form and codeword scan, and only the tests use them.
+``codeword``, ``element_rows``, ``same_code`` and
+``extension_weight_audit`` are no oracles: they read a code through the
+package's own reduced form and codeword scan, and only the tests use
+them.
 """
 import argparse
 import functools
@@ -50,12 +49,8 @@ from selfdual.fields import (
     frobenius,
     solve_norm,
 )
-from selfdual.linalg import dlog_table, null_space, packed_field
+from selfdual.linalg import null_space
 from selfdual.numtheory import factorize
-
-# a field's Zech-table logs and its packed values, by name
-ENCODINGS = {"zech": dlog_table,
-             "packed": packed_field}
 
 
 def poly_eval(c, x, field):

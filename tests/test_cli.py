@@ -19,7 +19,7 @@ from collections import Counter
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from selfdual import cli, codes, constructions, fields, linalg
+from selfdual import cli, codes, config, constructions, fields, linalg
 from selfdual.cli import main
 from selfdual.codes import (
     LinearCode,
@@ -366,10 +366,14 @@ def test_malformed_guard_override_is_refused(override, monkeypatch, capsys):
 
 
 def test_the_guard_override_is_read_on_every_call(monkeypatch):
-    # a changed value takes effect and a bad one is refused on every
-    # call, not just the first
+    # a changed value takes effect, an unset one gives the defaults and
+    # a bad one is refused on every call, not just the first; each value
+    # is parsed once, and a refusal is never cached
+    parse = config._parse_override
+    parse.cache_clear()
     monkeypatch.setenv("SELFDUAL_GUARD_OVERRIDE", "columns=7")
-    assert current_guards().column_limit == 7
+    seven = current_guards()
+    assert seven.column_limit == 7 and current_guards() is seven
     monkeypatch.setenv("SELFDUAL_GUARD_OVERRIDE", "columns=8")
     assert current_guards().column_limit == 8
     monkeypatch.setenv("SELFDUAL_GUARD_OVERRIDE", "columns=0")
@@ -378,6 +382,54 @@ def test_the_guard_override_is_read_on_every_call(monkeypatch):
             current_guards()
     monkeypatch.delenv("SELFDUAL_GUARD_OVERRIDE")
     assert current_guards() == GuardConfig()
+    info = parse.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 5, 3)
+    monkeypatch.setenv("SELFDUAL_GUARD_OVERRIDE", "columns=7")
+    assert current_guards() is seven
+
+
+@pytest.mark.parametrize("key, field", list(config._KEY_TO_FIELD.items()))
+def test_a_changed_guard_override_takes_effect(key, field, monkeypatch):
+    # each key, changed between two calls: the second call reads the new
+    # value, and the other limits keep their defaults
+    defaults = GuardConfig()
+    for limit in (3, 4, 3):
+        monkeypatch.setenv("SELFDUAL_GUARD_OVERRIDE", "%s=%d" % (key, limit))
+        guards = current_guards()
+        assert getattr(guards, field) == limit
+        assert all(getattr(guards, other) == getattr(defaults, other)
+                   for other in GuardConfig._fields if other != field)
+
+
+@pytest.mark.parametrize("override", [None, "", " , "])
+def test_an_unset_or_empty_guard_override_gives_the_defaults(override,
+                                                            monkeypatch):
+    monkeypatch.setenv("SELFDUAL_GUARD_OVERRIDE", "columns=7")
+    assert current_guards().column_limit == 7
+    if override is None:
+        monkeypatch.delenv("SELFDUAL_GUARD_OVERRIDE")
+    else:
+        monkeypatch.setenv("SELFDUAL_GUARD_OVERRIDE", override)
+    assert current_guards() == GuardConfig()
+
+
+@pytest.mark.parametrize("override", ["codewrods=1", "columns=abc",
+                                      "columns=0", "columns=-3", "columns",
+                                      "columns=7,dlog_limit=0"])
+def test_a_malformed_guard_override_raises_on_every_call(override,
+                                                         monkeypatch):
+    # the cache of parsed values never holds a refusal: each call parses
+    # the value again and raises again
+    parse = config._parse_override
+    monkeypatch.setenv("SELFDUAL_GUARD_OVERRIDE", override)
+    for _ in range(3):
+        size, misses = parse.cache_info().currsize, parse.cache_info().misses
+        with pytest.raises(MalformedInput):
+            current_guards()
+        info = parse.cache_info()
+        assert (info.currsize, info.misses) == (size, misses + 1)
+    monkeypatch.setenv("SELFDUAL_GUARD_OVERRIDE", "columns=9")
+    assert current_guards().column_limit == 9
 
 
 def test_field_size_override_refuses_larger_fields(tmp_path, monkeypatch,

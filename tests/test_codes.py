@@ -80,7 +80,6 @@ from selfdual.linalg import (
 from selfdual.table import TABLE_ROWS, run_table_pair
 
 from oracles import (
-    ENCODINGS,
     codeword,
     constacyclic_shift,
     det_nonzero_oracle,
@@ -1189,11 +1188,11 @@ def test_column_walk_expands_only_prefixes_that_fit(dlog_limit, monkeypatch):
     walk = codes_module.first_dependent_subset
     expanded = []
 
-    def counting_walk(columns, k, zero, step):
+    def counting_walk(columns, k, step):
         def counted(pivot_col, p, rows):
             expanded.append(len(pivot_col))
             return step(pivot_col, p, rows)
-        return walk(columns, k, zero, counted)
+        return walk(columns, k, counted)
 
     # built first: the builder certifies its code
     code = hermitian_n5_code(3)
@@ -1344,10 +1343,10 @@ def test_monte_carlo_calls_det_nonzero_once_per_trial(dlog_limit,
     assert calls == {name: verdict.passes + 1}
 
 
-def cauchy_certificate(code, encoding):
-    """(accepted, points) of the Cauchy certificate on one of
-    ``ENCODINGS``; points are the decoded (x, y, c, d), or None."""
-    arith = ENCODINGS[encoding](code.field)
+def cauchy_certificate(code):
+    """(accepted, points) of the Cauchy certificate on packed values;
+    points are the decoded (x, y, c, d), or None."""
+    arith = linalg_module.packed_field(code.field)
     reduced, pivots = arith.row_reduce(
         [[arith.encode(x) for x in row] for row in code.generator])
     accepted = codes_module._cauchy_certified(arith, reduced, pivots)
@@ -1394,13 +1393,12 @@ def grs_code(draw):
         assume(False)
 
 
-@pytest.mark.parametrize("encoding", ENCODINGS)
 @settings(deadline=None, max_examples=200)
 @given(code=st.one_of(grs_code(), code_with_planted_dependency()),
        trials=st.integers(1, 30))
-def test_cauchy_certificate_is_sound(encoding, code, trials):
+def test_cauchy_certificate_is_sound(code, trials):
     want = lex_column_oracle(code)
-    accepted, points = cauchy_certificate(code, encoding)
+    accepted, points = cauchy_certificate(code)
     if accepted:
         assert want == ("certified-exact", None)
     if points is not None:
@@ -1425,35 +1423,32 @@ GRS_FIXTURES = [(_table_code, row[0], p, t) for row in TABLE_ROWS
 ]
 
 
-@pytest.mark.parametrize("encoding", ENCODINGS)
 @pytest.mark.parametrize("fixture", GRS_FIXTURES,
                          ids=lambda f: ",".join(map(str, f[1:])))
-def test_cauchy_certificate_accepts_the_shipped_grs_codes(fixture, encoding):
+def test_cauchy_certificate_accepts_the_shipped_grs_codes(fixture):
     build, *args = fixture
     code = build(*args)
-    accepted, points = cauchy_certificate(code, encoding)
+    accepted, points = cauchy_certificate(code)
     assert accepted
     assert_cauchy_like(code, points)
 
 
-@pytest.mark.parametrize("encoding", ENCODINGS)
 @pytest.mark.parametrize("p", [3, 7, 13])
-def test_cauchy_certificate_declines_the_hermitian_n5_codes(p, encoding):
+def test_cauchy_certificate_declines_the_hermitian_n5_codes(p):
     code = hermitian_n5_code(p)
-    assert cauchy_certificate(code, encoding) == (False, None)
+    assert cauchy_certificate(code) == (False, None)
     assert mds_check(code, "exhaustive-columns") == \
         MdsVerdict("certified-exact")
 
 
-@pytest.mark.parametrize("encoding", ENCODINGS)
 @pytest.mark.parametrize("p, t", [(7, 1), (2, 3)])
-def test_cauchy_certificate_stops_at_the_trial_bound(p, t, encoding):
+def test_cauchy_certificate_stops_at_the_trial_bound(p, t):
     field = make_field(p, t)
     q = field.order
     # n = q: the q - 1 trials outnumber the n - 2 placements that put a
     # point at infinity
     grs = vandermonde(field, q, 3)
-    accepted, points = cauchy_certificate(grs, encoding)
+    accepted, points = cauchy_certificate(grs)
     assert accepted
     assert_cauchy_like(grs, points)
     # the doubly-extended RS code is MDS, but every placement of its
@@ -1463,11 +1458,10 @@ def test_cauchy_certificate_stops_at_the_trial_bound(p, t, encoding):
     infinity = (field.zero,) * (k - 1) + (field.one,)
     extended = LinearCode(field, q + 1, k, tuple(
         row + (x,) for row, x in zip(rows, infinity)))
-    assert cauchy_certificate(extended, encoding) == (False, None)
-    # dlog_limit = q - 1 leaves the field without a table: packed path
-    guards = GuardConfig(dlog_limit=q - (encoding == "packed"))
-    assert mds_check(extended, "exhaustive-columns", guards=guards) == \
-        MdsVerdict("certified-exact")
+    assert cauchy_certificate(extended) == (False, None)
+    for guards in (GuardConfig(dlog_limit=q), GuardConfig(dlog_limit=q - 1)):
+        assert mds_check(extended, "exhaustive-columns", guards=guards) == \
+            MdsVerdict("certified-exact")
 
 
 @pytest.mark.parametrize("dlog_limit", [2**20, 1])
@@ -1484,8 +1478,7 @@ def test_one_changed_entry_of_a_cauchy_block_is_refuted_by_the_walk(
     rows[2][k + 2] = a[1][2] * a[2][1] / a[1][1]
     assert rows[2][k + 2] != a[2][2]
     code = LinearCode(f, 8, k, tuple(map(tuple, rows)))
-    encoding = "zech" if dlog_limit > 1 else "packed"
-    assert cauchy_certificate(code, encoding) == (False, None)
+    assert cauchy_certificate(code) == (False, None)
     status, witness = lex_column_oracle(code)
     assert status == "refuted"
     guards = GuardConfig(dlog_limit=dlog_limit)
@@ -1569,11 +1562,18 @@ def test_auto_exhaustive_rung_keeps_its_codeword_guard():
         warning=message + "; no distance computed")
 
 
+def table_asks():
+    """How often ``dlog_table`` has been asked for a table, cached or
+    not: a path that leaves it unchanged asked for none."""
+    info = dlog_table.cache_info()
+    return info.hits + info.misses
+
+
 def test_a_packed_certificate_builds_no_table():
     # a [10, 5] GRS code over GF(5^6), its points withheld: the reduced
     # form is packed, and the certificate holds
     field = make_field(5, 6)
-    linalg_module._TABLES.pop(field, None)
+    asks = table_asks()
     points = [field.from_int(3 ** i) for i in range(10)]
     code = LinearCode(field, 10, 5, tuple(tuple(a ** i for a in points)
                                           for i in range(5)))
@@ -1585,7 +1585,7 @@ def test_a_packed_certificate_builds_no_table():
         MdsVerdict("certified-exact")
     assert mds_check(code, "monte-carlo", trials=5) == \
         MdsVerdict("monte-carlo", trials=5, passes=5)
-    assert field not in linalg_module._TABLES
+    assert table_asks() == asks
 
 
 @pytest.mark.parametrize("planted", [False, True])
@@ -1593,7 +1593,7 @@ def test_the_column_rung_walks_a_packed_form_without_a_table(planted):
     # a random [8, 4] code over GF(31^2): the certificate declines it,
     # and the walk on R matches the per-subset oracle on G
     field = make_field(31, 2)
-    linalg_module._TABLES.pop(field, None)
+    asks = table_asks()
     rng = random.Random(8)
     cols = [[field.from_int(rng.randrange(field.order)) for _ in range(4)]
             for _ in range(8)]
@@ -1607,7 +1607,7 @@ def test_the_column_rung_walks_a_packed_form_without_a_table(planted):
     assert (status == "refuted") == planted
     assert mds_check(code, "exhaustive-columns") == MdsVerdict(
         status, witness=witness)
-    assert field not in linalg_module._TABLES
+    assert table_asks() == asks
 
 
 @pytest.mark.parametrize("changed", [False, True])
@@ -1637,10 +1637,9 @@ def test_every_reduction_is_packed_and_builds_no_table(changed,
     def refuse(*args, **kwargs):
         raise AssertionError("a DlogTable method ran")
 
-    for cls in (DlogTable, linalg_module._Reducer):
-        for name, attr in vars(cls).items():
-            if callable(attr):
-                monkeypatch.setattr(DlogTable, name, refuse)
+    for name, attr in vars(DlogTable).items():
+        if callable(attr):
+            monkeypatch.setattr(DlogTable, name, refuse)
     for code in codes:
         assert code._points is None
         form = code._reduced()
@@ -1788,11 +1787,12 @@ def test_mds_check_above_the_table_cap_refutes_the_planted_dependency(p, t):
     code = LinearCode(field, 7, 3, tuple(zip(*cols)))
     status, witness = lex_column_oracle(code)
     assert status == "refuted"
+    asks = table_asks()
     assert mds_check(code, "exhaustive-columns") == \
         MdsVerdict("refuted", witness=witness)
     assert mds_check(code, "monte-carlo", trials=40) == \
         monte_carlo_oracle(code, 40)
-    assert field not in linalg_module._TABLES
+    assert table_asks() == asks
 
 
 def test_certify_mds_rung_follows_facts_and_guards():

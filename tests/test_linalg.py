@@ -1,5 +1,6 @@
-"""The log-table and packed kernels against element arithmetic and
+"""The log table and the packed kernels against element arithmetic and
 elimination oracles, and cache bounds."""
+import itertools
 import random
 from unittest import mock
 
@@ -19,15 +20,15 @@ from selfdual.fields import (
 from selfdual.linalg import (
     DLOG_CACHE_SIZE,
     DlogTable,
-    _TABLES,
     det_nonzero,
     dlog_table,
+    first_dependent_subset,
     packed_field,
     row_reduce,
 )
 from selfdual.numtheory import is_prime
 
-from oracles import ENCODINGS, det_nonzero_oracle, row_reduce_oracle
+from oracles import det_nonzero_oracle, matrix_rank, row_reduce_oracle
 
 # (p, t, number of quadratic extensions on top of GF(p^t))
 DET_FIELDS = [(2, 1, 0), (2, 2, 0), (2, 3, 0), (2, 1, 1), (2, 2, 1),
@@ -56,7 +57,8 @@ def _singular(rng, field, k):
 @pytest.mark.parametrize("p, t, towers", DET_FIELDS,
                          ids=["GF(%d^%d)%s" % (p, t, "^2" * towers)
                               for p, t, towers in DET_FIELDS])
-def test_zech_determinant_matches_the_element_path(p, t, towers):
+def test_the_log_determinant_adapter_matches_the_element_path(p, t, towers):
+    # DlogTable.det_nonzero maps logs to packed values and decides there
     field = _field(p, t, towers)
     table = DlogTable(field)
     rng = random.Random("%d:%d:%d" % (p, t, towers))
@@ -111,7 +113,12 @@ def test_the_packed_walk_matches_the_element_power_walk(p, t, towers):
         assert field.ext_modulus[1]  # y**2 + c1*y + c0 with c1 != 0
     table = DlogTable(field)
     assert (table.pow_idx, table.log, table.zech) == power_walk_tables(field)
-    assert table.half == (0 if p == 2 else (field.order - 1) // 2)
+    # the adapter's packed powers are those of the packed arithmetic
+    packed = packed_field(field)
+    assert table.powers == list(map(packed.encode_index, table.pow_idx))
+    # the field's -1 is g**((q - 1) / 2), or g**0 in characteristic 2
+    assert table.encode(-field.one) == (0 if p == 2 else
+                                        (field.order - 1) // 2)
 
 
 # fields whose q - 1 is prime (GF(3), GF(2^t) for t = 2, 3, 5, 7), a
@@ -180,13 +187,13 @@ def test_a_scan_builds_a_table_only_under_the_codeword_guard():
                 guards = GuardConfig(codeword_limit=limit)
                 for k in (1, 2, 3):
                     code = _random_code(rng, field, k)
-                    with mock.patch.dict(_TABLES, clear=True):
-                        certify_mds(code, guards=guards)
-                        certify_mds(code, mode="exhaustive", guards=guards)
-                        try:
-                            min_distance_exhaustive(code, guards)
-                        except GuardExceeded:
-                            pass
+                    dlog_table.cache_clear()
+                    certify_mds(code, guards=guards)
+                    certify_mds(code, mode="exhaustive", guards=guards)
+                    try:
+                        min_distance_exhaustive(code, guards)
+                    except GuardExceeded:
+                        pass
                     assert all(q * q <= limit for q in built), (spec, limit)
                     seen.update((q, limit) for q in built)
                     built.clear()
@@ -227,6 +234,42 @@ def test_a_two_row_scan_counts_without_adding_rows(p, t, towers,
                              for row in rows]) == want
 
 
+@pytest.mark.parametrize("p, t, towers", DET_FIELDS,
+                         ids=["GF(%d^%d)%s" % (p, t, "^2" * towers)
+                              for p, t, towers in DET_FIELDS])
+def test_the_scan_weight_matches_every_word_by_element_arithmetic(p, t,
+                                                                  towers):
+    # independent rows of 1 to 3, a third of their entries zero (the log
+    # -1), against the weight of every nonzero message's word; planted,
+    # the sum of all the rows has weight 1, a word whose every
+    # coefficient is 1
+    field = _field(p, t, towers)
+    table = DlogTable(field)
+    rng = random.Random("scan:%d:%d:%d" % (p, t, towers))
+    els = [field.from_int(i) for i in range(field.order)]
+    for k, planted in [(1, False), (2, False), (2, True), (3, False),
+                       (3, True), (3, True)]:
+        n = rng.randint(k + 1, 6)
+        while True:
+            rows = [[field.zero if rng.random() < 1 / 3 else rng.choice(els)
+                     for _ in range(n)] for _ in range(k)]
+            if planted:
+                light = [field.zero] * n
+                light[rng.randrange(n)] = rng.choice(els[1:])
+                rows[0] = [w - sum(col, field.zero)
+                           for w, col in zip(light, zip(*rows[1:]))]
+            if matrix_rank(rows, field) == k:
+                break
+        want = min(sum(1 for col in zip(*rows)
+                       if sum((a * x for a, x in zip(msg, col)), field.zero))
+                   for msg in itertools.product(els, repeat=k) if any(msg))
+        encoded = [[table.encode(x) for x in row] for row in rows]
+        assert encoded == [table.encode_row([x.value for x in row])
+                           for row in rows]
+        assert table.min_weight(encoded) == want
+        assert want == 1 or not planted
+
+
 def _random_rows(field, data):
     """Up to 5 rows of up to 7 random entries, often with a dependent row
     inserted, so that the rank is below the count."""
@@ -241,18 +284,6 @@ def _random_rows(field, data):
             combo = [a + c * x for a, x in zip(combo, row)]
         rows.insert(data.draw(st.integers(0, len(rows))), combo)
     return rows
-
-
-@settings(deadline=None, max_examples=200)
-@given(st.sampled_from(DET_FIELDS), st.data())
-def test_zech_row_reduce_decodes_to_the_element_form(spec, data):
-    field = _field(*spec)
-    table = dlog_table(field)
-    rows = _random_rows(field, data)
-    reduced, pivots = table.row_reduce(
-        [[table.encode(x) for x in row] for row in rows])
-    decoded = tuple(tuple(map(table.decode, row)) for row in reduced)
-    assert (decoded, pivots) == row_reduce_oracle(rows, field)
 
 
 # DET_FIELDS, then fields beyond any default table: GF(3^16) and GF(7^9)
@@ -310,6 +341,40 @@ def test_packed_determinant_and_step_match_the_element_oracle(spec, data):
         for row in others]
 
 
+@pytest.mark.parametrize("p, t, towers", DET_FIELDS,
+                         ids=["GF(%d^%d)%s" % (p, t, "^2" * towers)
+                              for p, t, towers in DET_FIELDS])
+def test_the_column_walk_finds_the_lex_first_dependent_subset(p, t,
+                                                              towers):
+    # packed columns, zero entries among them, often one planted in the
+    # span of two earlier ones, against one determinant per k-subset in
+    # itertools.combinations order
+    field = _field(p, t, towers)
+    packed = packed_field(field)
+    rng = random.Random("walk:%d:%d:%d" % (p, t, towers))
+    els = [field.from_int(i) for i in range(field.order)]
+    verdicts = set()
+    for trial in range(40):
+        k = rng.randint(1, 4)
+        n = rng.randint(k, 8)
+        cols = [[field.zero if rng.random() < 1 / 4 else rng.choice(els)
+                 for _ in range(k)] for _ in range(n)]
+        if trial % 2 and n > 2:
+            i, j = rng.sample(range(n - 1), 2)
+            a, b = rng.choice(els), rng.choice(els)
+            cols[rng.randrange(max(i, j) + 1, n)] = [
+                a * x + b * y for x, y in zip(cols[i], cols[j])]
+        want = next((subset for subset in
+                     itertools.combinations(range(n), k)
+                     if not det_nonzero_oracle(
+                         [[cols[j][i] for j in subset] for i in range(k)],
+                         field)), None)
+        encoded = [list(map(packed.encode, col)) for col in cols]
+        assert first_dependent_subset(encoded, k, packed.eliminate) == want
+        verdicts.add(want is None)
+    assert verdicts == {True, False}
+
+
 @settings(deadline=None, max_examples=100)
 @given(st.sampled_from(PACKED_FIELDS), st.data())
 def test_packed_batch_inverse_matches_each_inverse(spec, data):
@@ -323,9 +388,9 @@ def test_packed_batch_inverse_matches_each_inverse(spec, data):
 
 @st.composite
 def cauchy_block(draw):
-    """(field, A) with A the block of a reduced GRS generator [I | A]
-    over a field within the default table cap, often with one entry
-    changed (to zero, too), so that both certificates must decline."""
+    """(field, A, changed) with A the block of a reduced GRS generator
+    [I | A] of length n <= q, often with one entry changed (to zero,
+    too), so that the certificate may decline."""
     field = _field(*draw(st.sampled_from(DET_FIELDS + [(13, 1, 0),
                                                         (31, 2, 0)])))
     q = field.order
@@ -339,26 +404,24 @@ def cauchy_block(draw):
     reduced, pivots = row_reduce(rows, field)
     assume(pivots == tuple(range(k)))
     a_rows = [list(row[k:]) for row in reduced]
-    if draw(st.booleans()):
+    changed = draw(st.booleans())
+    if changed:
         i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, n - k - 1))
         a_rows[i][j] = field.from_int(draw(st.integers(0, q - 1)))
-    return field, a_rows
+    return field, a_rows, changed
 
 
 @settings(deadline=None, max_examples=300)
 @given(cauchy_block())
-def test_both_encodings_recover_the_same_cauchy_points(block):
-    field, a_rows = block
-    found = []
-    for encoding in ENCODINGS.values():
-        arith = encoding(field)
-        points = arith.cauchy_points([list(map(arith.encode, row))
-                                      for row in a_rows])
-        found.append(None if points is None else
-                     [list(map(arith.decode, part)) for part in points])
-    assert found[0] == found[1]
-    if found[0] is not None:  # the identity, by element arithmetic
-        x, y, c, d = found[0]
+def test_recovered_cauchy_points_satisfy_the_identity(block):
+    field, a_rows, changed = block
+    packed = packed_field(field)
+    points = packed.cauchy_points([list(map(packed.encode, row))
+                                   for row in a_rows])
+    # the trials find points for every GRS block of length n <= q
+    assert points is not None or changed
+    if points is not None:  # the identity, by element arithmetic
+        x, y, c, d = [list(map(packed.decode, part)) for part in points]
         assert len(set(x)) == len(x) and len(set(y)) == len(y)
         assert all(c) and all(d)
         for row, xi, ci in zip(a_rows, x, c):
@@ -379,6 +442,7 @@ def test_add_multiple_decodes_to_element_arithmetic(p, t, towers, data):
     field = _field(p, t, towers)
     table = dlog_table(field)
     m = field.order - 1
+    half = 0 if p == 2 else m // 2  # -1 = g**half
     log = st.integers(0, m - 1)
 
     def decode(e):
@@ -391,7 +455,7 @@ def test_add_multiple_decodes_to_element_arithmetic(p, t, towers, data):
     for pos in data.draw(st.lists(st.integers(0, n - 1), unique=True)):
         if row[pos] != -1 and data.draw(st.booleans()):
             # g**shift * g**x = -row[pos]: the sum cancels to zero
-            terms.append((pos, (row[pos] + table.half - shift) % m))
+            terms.append((pos, (row[pos] + half - shift) % m))
         else:
             terms.append((pos, data.draw(log)))
     want = [decode(e) for e in row]
@@ -404,15 +468,14 @@ def test_add_multiple_decodes_to_element_arithmetic(p, t, towers, data):
     # is -g**e
     e = data.draw(log)
     cancelled = [e]
-    table.add_multiple(cancelled, shift, [(0, (e + table.half - shift) % m)])
+    table.add_multiple(cancelled, shift, [(0, (e + half - shift) % m)])
     assert cancelled == [-1]
 
 
-@pytest.mark.parametrize("encoding", ENCODINGS)
-def test_cauchy_points_refuse_a_point_shared_by_x_and_y(encoding):
+def test_cauchy_points_refuse_a_point_shared_by_x_and_y():
     # A[i][j] = 1 / (x_i - y_j): c = d = 1, and the first trial recovers x
     f = make_field(13, 1)
-    arith = ENCODINGS[encoding](f)
+    arith = packed_field(f)
 
     def cauchy(x, y):
         return [[arith.zero if xi == yj else
@@ -423,7 +486,6 @@ def test_cauchy_points_refuse_a_point_shared_by_x_and_y(encoding):
     assert found[0] == [arith.encode(f.from_int(v)) for v in (0, 1, 5)]
     # with y_2 = x_2 = 5, put A = g = c_2 * d_2 * g at the pole (2, 2):
     # only the guard on x_i - y_j = 0 tells this A from a Cauchy-like one
-    # on log ints, where the zero difference is the log -1
     a_rows = cauchy((0, 1, 5), (2, 3, 5))
     a_rows[2][2] = arith.encode(find_primitive_element(f))
     assert arith.cauchy_points(a_rows) is None
@@ -440,16 +502,20 @@ def test_module_caches_stay_bounded():
         find_primitive_element(make_field(p, 1))
     for p in primes[:TOWER_CACHE_SIZE + 8]:
         quadratic_extension(make_field(p, 1))
-    for p in primes[:DLOG_CACHE_SIZE + 8]:
-        dlog_table(make_field(p, 1))
+    dlog_table.cache_clear()
+    tables = [dlog_table(make_field(p, 1))
+              for p in primes[:DLOG_CACHE_SIZE + 8]]
     assert make_field.cache_info().currsize == FIELD_CACHE_SIZE
     assert find_primitive_element.cache_info().currsize == FIELD_CACHE_SIZE
     assert quadratic_extension.cache_info().currsize == TOWER_CACHE_SIZE
-    assert len(_TABLES) == DLOG_CACHE_SIZE
+    assert dlog_table.cache_info().currsize == DLOG_CACHE_SIZE
     # least recently used first out: the newest table is kept, the
     # oldest is built again
     newest = make_field(primes[DLOG_CACHE_SIZE + 7], 1)
-    table = _TABLES[newest]
-    assert dlog_table(newest) is table
-    assert make_field(2, 1) not in _TABLES
-    assert dlog_table(make_field(2, 1)) is _TABLES[make_field(2, 1)]
+    misses = dlog_table.cache_info().misses
+    assert dlog_table(newest) is tables[-1]
+    assert dlog_table.cache_info().misses == misses
+    oldest = dlog_table(make_field(2, 1))
+    assert oldest is not tables[0]
+    assert dlog_table.cache_info().misses == misses + 1
+    assert dlog_table(make_field(2, 1)) is oldest
