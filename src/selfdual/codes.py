@@ -660,17 +660,18 @@ def _check_scan(field: Field, k: int, guards: GuardConfig) -> None:
 def _projective_scan(field: Field, rows, guards: GuardConfig) -> int:
     """``DlogTable.min_weight`` of ``rows`` of field values, which must
     be independent, or for k = 1 the weight of the lone row, after
-    ``_check_scan``.  The table needs no guard of its own: the scan
-    counts the last coefficient, so it visits only the
-    (q**(k - 1) - 1)/(q - 1) prefixes, but the codeword guard still
-    holds q**k, with k >= 2, so the table's q entries are at most the
-    square root of that guard.
+    ``_check_scan``.  The scan counts the last coefficient, so it
+    visits only the (q**(k - 1) - 1)/(q - 1) prefixes, but the codeword
+    guard still holds q**k, with k >= 2, so the table's q entries are at
+    most the square root of that guard.  Under a raised codeword guard
+    the table's own walk is held to ``dlog_limit``, and a q - 1 above it
+    is refused with ``DiscreteLogGuardExceeded``.
     """
     k = len(rows)
     _check_scan(field, k, guards)
     if k == 1:
         return len(rows[0]) - rows[0].count(field._zero)
-    table = dlog_table(field)
+    table = dlog_table(field, guards)
     return table.min_weight(list(map(table.encode_row, rows)))
 
 
@@ -873,12 +874,13 @@ def _roots_mismatch(code: LinearCode, T: DefiningSet, lam: Element | None,
         powers = _root_powers(arith, n, lam, m)
     except (ZeroElement, RootsNotInField, ValueError) as exc:
         return "roots do not fit n = %d: %s" % (n, exc)
-    # V has |T| * n entries alpha**(e*j) but only the m packed powers;
-    # a row times a column of V is exact on the n-term layout
-    checks = [[powers[e * j % m] for j in range(len(rows[0]))]
-              for e in T.elements]
-    if any(arith.reduce(sum(map(operator.mul, pa, pb)))
-           for pa in rows for pb in checks):
+    # a row at alpha**e is its dot product with alpha**(e*j), j < width:
+    # a read of stride e (m for e = 0) along the walk, repeated so that
+    # e*j needs no reduction mod m; each sum is exact on the n-term layout
+    width, strides = len(rows[0]), [e or m for e in T.elements]
+    walk = powers * -(-max(strides, default=0) * width // m)
+    if any(arith.reduce(sum(map(operator.mul, row, walk[:s * width:s])))
+           for s in strides for row in rows):
         return "generator rows do not vanish at the defining set's roots"
     return None
 

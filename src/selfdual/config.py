@@ -44,9 +44,11 @@ class GuardConfig(Frozen):
       base order q above it stops the norm walk of the Hermitian
       routes (q - 1 base powers), a defining set modulus m above it
       stops the root walk of the root-run rung and of a cyclic route's
-      generator (m powers), and an n above it stops ``selfdual
-      splitting``, ``check_centered_duadic_splitting`` and
-      ``check_duadic_splitting`` (powers of q mod n).
+      generator (m powers), a q - 1 above it stops the Zech-log table
+      of the codeword scan (q - 1 powers of the primitive element), and
+      an n above it stops ``selfdual splitting``,
+      ``check_centered_duadic_splitting`` and ``check_duadic_splitting``
+      (powers of q mod n).
     - ``codeword_limit``: ``min_distance_exhaustive()`` refuses when
       q**k exceeds this; as k >= 2 for a table, it bounds the scan's
       Zech-log table too, to q**2 <= the limit.  That table is the one

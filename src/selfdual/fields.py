@@ -32,7 +32,10 @@ A single product of two values, ``Field._mul``, is one of them: it
 packs both on
 ``_layout(1)``, multiplies the two ints and reduces once, in GF(p),
 GF(p^t) and towers alike, so the rules x**t -> residue and
-y**2 -> -c1*y - c0 are written only in ``_packing``.
+y**2 -> -c1*y - c0 are written only in ``_packing``.  A tower's reduce
+is three reduces of its base, whatever its characteristic: the block of
+y**2 to u2, then the blocks of 1 and of y with (-c0)*u2 and (-c1)*u2
+added, and ``_product_bound`` counts that added product where c1 != 0.
 
 Powers square and multiply ints, not values.  GF(p) uses the built-in
 ``pow``.  GF(p^t) squares and multiplies the value packed on
@@ -155,20 +158,14 @@ class Field:
 
     def _add(self, a, b):
         p = self.char
-        if self.degree == 1:
-            return ((a[0] + b[0]) % p,)
         return tuple([(x + y) % p for x, y in zip(a, b)])
 
     def _sub(self, a, b):
         p = self.char
-        if self.degree == 1:
-            return ((a[0] - b[0]) % p,)
         return tuple([(x - y) % p for x, y in zip(a, b)])
 
     def _neg(self, a):
         p = self.char
-        if self.degree == 1:
-            return (-a[0] % p,)
         return tuple([-x % p for x in a])
 
     def _layout(self, terms: int):
@@ -196,11 +193,11 @@ class Field:
         lane division, so it is at most the widest digit of those lanes,
         X, no digit carries into the next before all are taken mod p at
         once, and each quotient is exact up to X (see ``_packing``).  A
-        tower reduces its
-        three blocks at the same bound, then folds y**2 by adding a value
-        with coordinates below p to one product of the level below, at
-        most t*(p - 1)**2 * 2**(L - 1) + p - 1 <= B, so no digit inside
-        ``reduce`` exceeds the bound either.
+        tower hands its base the block of y**2, then the blocks of 1 and
+        of y, each with one more product of the base added, (-c0)*u2 or
+        (-c1)*u2: sums of base products and the value, whose count
+        ``_product_bound`` takes, so no digit inside ``reduce`` exceeds
+        B either.
         """
         layout = self._layouts.get(terms)
         if layout is None:
@@ -297,10 +294,6 @@ class TowerSpec(Field, Frozen):
         self._assign(base, ext_modulus)
         Field.__init__(self, base.char, 2 * base.degree, (base, ext_modulus))
         _set(self, "_json_widths", (2, *base._json_widths))
-        c1 = ext_modulus[1]
-        # None when c1 = 0, as in every canonical tower of odd q: the c1
-        # term of the conjugate drops out
-        _set(self, "_c1", c1.value if c1 else None)
 
     @functools.cached_property
     def y(self) -> "Element":
@@ -326,23 +319,16 @@ class TowerSpec(Field, Frozen):
         return self.base._from_json(obj[0]) + self.base._from_json(obj[1])
 
     def _scale(self, v, s):
-        """s*v for a base value s, on the two halves of v: one scalar
-        multiply per coordinate over GF(p), else two base products."""
-        base = self.base
-        if base.degree == 1:
-            p, s = self.char, s[0]
-            return tuple([c * s % p for c in v])
-        half = base.degree
-        return base._mul(v[:half], s) + base._mul(v[half:], s)
+        """s*v for a base value s: one tower product, s embedded."""
+        return self._mul(v, s + self.base._zero)
 
     def _conj(self, x):
-        """x**q on values (see ``frobenius``)."""
+        """x**q = (a - b*c1) - b*y on values (see ``frobenius``)."""
         base = self.base
         half = base.degree
         b = x[half:]
-        if self._c1 is None:
-            return x[:half] + base._neg(b)
-        return base._sub(x[:half], base._mul(b, self._c1)) + base._neg(b)
+        return (base._sub(x[:half], base._mul(b, self.ext_modulus[1].value))
+                + base._neg(b))
 
     def _norm(self, x):
         """x * conj(x) = x**(Q + 1), a base value: the base half of
@@ -961,10 +947,23 @@ def _packing(field: Field, s: int):
     below 2**(s - k), sits in its low s - k bits under the k bits the
     lane above leaves there, which the mask clears, and v - p*q takes
     each digit mod p with no borrow.  Lanes of 16, 32 and 64 bits are
-    read by a cast of the bytes, any other width by shifts.  A tower
-    reduces its three blocks, then y**2 -> -c1*y - c0; those constants
-    are packed canonical values, so no digit inside ``reduce`` exceeds B
-    (see ``Field._layout``).
+    read by a cast of the bytes, any other width by shifts.
+
+    A tower takes three reduces of its base per ``reduce``: the block of
+    y**2 to the canonical u2, then the block of 1 plus (-c0)*u2 and the
+    block of y plus (-c1)*u2, the rule y**2 -> -c1*y - c0 on the packed
+    canonical constants.  No block is reduced before its sum, so each
+    sum is a sum of base products and the value, which the base reduces
+    exactly when the lanes hold its count (``_product_bound``): for a
+    sum of ``terms`` tower products, the block of y holds 2*terms base
+    products, plus (-c1)*u2 where c1 != 0, and the block of 1 holds
+    terms + 1 <= 2*terms.  In a canonical tower of odd q, c1 = 0, so the
+    block of y adds nothing and the block of 1, at most half the
+    tower's bound plus p - 1 before (-c0)*u2, stays within it after.
+    Every canonical tower of even q has c1 = 1, and a record may name a
+    tower of odd q with c1 != 0; there (-c1)*u2 can put a whole base
+    product, t*(p - 1)**2 * 2**(L - 1), on top of the bound, so the
+    tower's bound counts it.
     """
     reduce, lanes, bits = _folding(field, s)
     if len(lanes) == 1:  # GF(p): the value's one coordinate is the int
@@ -989,12 +988,10 @@ def _folding(field: Field, s: int):
         neg_c0, neg_c1 = base_pack((-c0).value), base_pack((-c1).value)
 
         def reduce(v):
-            u0 = base_reduce(v & block)
-            u1 = base_reduce(v >> bits & block)
             u2 = base_reduce(v >> 2 * bits)
-            if neg_c1:  # 0 in every canonical tower of odd q
-                u1 = base_reduce(u1 + neg_c1 * u2)
-            return base_reduce(u0 + neg_c0 * u2) + (u1 << bits)
+            return (base_reduce((v & block) + neg_c0 * u2)
+                    + (base_reduce((v >> bits & block) + neg_c1 * u2)
+                       << bits))
 
         high = tuple(bits // s + i for i in lanes)
         return reduce, lanes + high, 3 * bits
@@ -1186,19 +1183,25 @@ def _cast_width(need: int) -> int:
 
 
 def _product_bound(field: Field, terms: int) -> int:
-    """The largest digit of a sum of ``terms`` packed products.
+    """The largest digit that ``reduce`` meets on a sum of ``terms``
+    packed products; ``Field._layout`` adds p - 1 for its one value.
 
     In GF(p^t) a digit of a packed product is a sum of at most t
-    products of coordinates, each at most (p - 1)**2; a tower level
-    adds two such products in its middle block (ad + bc), so with L
-    levels above GF(p^t) a product digit is at most
-    t*(p - 1)**2 * 2**L.  A product has its digits at fixed positions,
-    so a sum of ``terms`` of them adds digit by digit.
+    products of coordinates, each at most (p - 1)**2, and a product has
+    its digits at fixed positions, so a sum of ``terms`` of them adds
+    digit by digit.  A tower's reduce hands its base the block of y: its
+    middle block (ad + bc), two base products per term, plus (-c1)*u2,
+    one more where c1 != 0 (``_packing``); its other blocks hold fewer.
+    So each tower level doubles the count of base products and adds one
+    where c1 != 0: with L levels above GF(p^t) and c1 = 0 throughout, as
+    in every canonical tower of odd q, t*(p - 1)**2 * 2**L per term, and
+    with c1 != 0 throughout, as in every canonical tower of even q,
+    t*(p - 1)**2 * (2**L - 1) more in all.
     """
-    base, levels = field, 0
-    while isinstance(base, TowerSpec):
-        base, levels = base.base, levels + 1
-    return terms * base.t * (base.p - 1) ** 2 << levels
+    while isinstance(field, TowerSpec):
+        terms = 2 * terms + bool(field.ext_modulus[1])
+        field = field.base
+    return terms * field.t * (field.p - 1) ** 2
 
 
 # ---------------------------------------------------------------------------

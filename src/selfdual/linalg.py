@@ -21,6 +21,8 @@ import collections
 import functools
 import itertools
 
+from .config import GuardConfig, current_guards
+from .errors import DiscreteLogGuardExceeded
 from .fields import Element, Field, TowerSpec, find_primitive_element
 
 
@@ -80,14 +82,22 @@ class DlogTable:
     each.  The walk costs q - 1 products, and the codeword scan, the one
     caller in the package, builds a table only under the codeword guard
     on q**k with k >= 2, so q is at most the square root of that guard
-    (3,162 entries at the default 10**7).  ``log`` inverts ``pow_idx``.
+    (3,162 entries at the default 10**7).  The walk is one over the
+    powers of g, so a field whose q - 1 exceeds the ``dlog_limit`` of
+    ``guards`` is refused with ``DiscreteLogGuardExceeded`` before any
+    product, whatever the codeword guard.  ``log`` inverts ``pow_idx``.
     Adding 1 only touches coordinate 0, so 1 + x has the next canonical
     index, or p less at the end of a run of p indices, and ``zech``
     reads ``log`` there.
     """
 
-    def __init__(self, field: Field):
+    def __init__(self, field: Field, guards: GuardConfig | None = None):
         q, p = field.order, field.char
+        limit = current_guards(guards).dlog_limit
+        if q - 1 > limit:
+            raise DiscreteLogGuardExceeded(
+                "a log table of %d powers exceeds the discrete-log guard %d"
+                % (q - 1, limit))
         pack, reduce, unpack = field._layout(1)
         g = pack(find_primitive_element(field).value)
         x, powers = pack(field._one), []
@@ -192,9 +202,10 @@ DLOG_CACHE_SIZE = 64
 
 
 @functools.lru_cache(maxsize=DLOG_CACHE_SIZE)
-def dlog_table(field: Field) -> DlogTable:
-    """The field's cached table, built on first use."""
-    return DlogTable(field)
+def dlog_table(field: Field, guards: GuardConfig | None = None) -> DlogTable:
+    """The field's table, built on first use under ``guards`` and
+    cached with them."""
+    return DlogTable(field, guards)
 
 
 class PackedField:

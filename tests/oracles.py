@@ -318,6 +318,27 @@ def tower_mul_oracle(field, x, y):
                  - tower_mul_oracle(base, bd, c1))
 
 
+def coordinate_oracle(field, op, *xs):
+    """``op`` on the GF(p) coordinates of ``xs``, one coordinate at a
+    time, mod p, the coordinates read from the documented index
+    encoding: x + y, x - y and -x in every field, as each is
+    coordinatewise over GF(p)."""
+    p, d = field.char, field.degree
+    digits = [[field.index(x) // p ** k % p for k in range(d)] for x in xs]
+    return field.from_int(sum(op(*c) % p * p ** k
+                              for k, c in enumerate(zip(*digits))))
+
+
+def conj_oracle(tower, x):
+    """x**Q for the base order Q, by ``pow_oracle``: the conjugate."""
+    return pow_oracle(tower, x, tower.base.order)
+
+
+def scale_oracle(tower, x, s):
+    """s*x for a base element s, embedded as s + 0*y."""
+    return tower_mul_oracle(tower, x, _join(tower, s, tower.base.zero))
+
+
 def tower_inv_oracle(field, x):
     """1/x from (a + b y)((a - b c1) - b y) = a**2 - a b c1 + b**2 c0."""
     if not isinstance(field, TowerSpec):

@@ -51,6 +51,7 @@ from selfdual.constructions import (
 )
 from selfdual.cosets import DefiningSet
 from selfdual.errors import (
+    DiscreteLogGuardExceeded,
     GuardExceeded,
     MalformedInput,
     NoCyclicStructure,
@@ -797,6 +798,39 @@ def test_the_shift_form_and_the_general_path_agree(case):
             == codes_module._roots_mismatch(twin, T, lam, punctured, guards))
 
 
+@pytest.mark.parametrize("p, t, n", [(7, 1, 6), (3, 2, 8), (2, 4, 15),
+                                     (31, 1, 10)])
+def test_the_root_check_evaluates_every_row_at_every_root(p, t, n):
+    # the root check reads alpha**(e*j) along the walk with stride e;
+    # against the rows evaluated on element objects at the root powers,
+    # for the code's own T, for T with 0 (stride m), for the empty T,
+    # for the largest exponent and for a random T, on the shift form and
+    # on the same rows reversed, which take the general path
+    field = make_field(p, t)
+    rng = random.Random(n)
+    seen = set()
+    for _ in range(8):
+        T = DefiningSet(n, tuple(rng.sample(range(1, n),
+                                            rng.randrange(1, n // 2))))
+        spec = generator_from_defining_set(field, n, field.one, T)
+        code = cyclic_generator_matrix(spec)
+        rows = code.generator
+        reversed_code = LinearCode._from_values(
+            field, n, code.k, code._value_rows[::-1])
+        probes = [T, DefiningSet(n, (0, *T.elements)), DefiningSet(n, ()),
+                  DefiningSet(n, (n - 1,)),
+                  DefiningSet(n, tuple(rng.sample(range(n), 3)))]
+        for probe in probes:
+            vanish = all(not poly_eval(row, spec.alpha ** e, field)
+                         for row in rows for e in probe.elements)
+            for c in (code, reversed_code):
+                got = codes_module._roots_mismatch(c, probe, field.one,
+                                                   False, GuardConfig())
+                assert (got is None) == vanish, (probe, got)
+            seen.add(vanish)
+    assert seen == {True, False}
+
+
 # --- extension ---
 
 def test_extend_code_appends_scaled_row_sums():
@@ -1088,10 +1122,13 @@ def test_zech_scan_multiplies_no_element_objects(field, monkeypatch):
     # element class
     monkeypatch.setattr(Element, "__mul__", refuse)
     monkeypatch.setattr(Field, "_mul", refuse)
-    # a dlog_limit below q still leaves the scan on log integers
-    no_tables = GuardConfig(dlog_limit=1)
-    assert min_distance_exhaustive(code, no_tables) == want
-    assert extension_weight_audit(code, no_tables)[0] == want
+    # the least dlog_limit that admits the table's q - 1 powers leaves
+    # the scan on log integers; one less refuses the table
+    least = GuardConfig(dlog_limit=field.order - 1)
+    assert min_distance_exhaustive(code, least) == want
+    assert extension_weight_audit(code, least)[0] == want
+    with pytest.raises(DiscreteLogGuardExceeded):
+        min_distance_exhaustive(code, GuardConfig(dlog_limit=field.order - 2))
 
 
 def test_zero_code_is_refused_by_both_scans():

@@ -7,6 +7,7 @@ import functools
 import inspect
 import itertools
 import json
+import operator
 import random
 import time
 
@@ -17,12 +18,15 @@ from oracles import (
     _pmod,
     _pmul,
     _pmulmod,
+    conj_oracle,
+    coordinate_oracle,
     even_quadratic_oracle,
     least_nonsquare_oracle,
     poly_is_irreducible_oracle,
     pow_oracle,
     primitive_element_oracle,
     rabin_units_oracle,
+    scale_oracle,
     sqrt_oracle,
     tower_mul_oracle,
 )
@@ -455,6 +459,187 @@ def test_kronecker_is_exact_at_the_lane_width_edges(p, t, terms, lane):
     rem = _pmod([bound % p] * (2 * t - 1), field.modulus, p)
     assert reduce(sum(bound << lane * i for i in range(2 * t - 1))) == \
         layout_pack(tuple(rem + [0] * (t - len(rem))))
+
+
+def _tower(p, t, levels):
+    field = make_field(p, t)
+    for _ in range(levels):
+        field = quadratic_extension(field)
+    return field
+
+
+def _dense_tower(p, t):
+    """GF(q^2) on the least irreducible y**2 + c1*y + c0 whose -c1 has
+    every coordinate p - 1, so that (-c1)*u2 is a full product of the
+    base: no canonical tower has such a c1 (c1 = 0 for odd q, 1 for
+    even q), but a record may name one."""
+    base = make_field(p, t)
+    c1 = -base.from_int(base.order - 1)
+    c0 = next(x for x in base.elements()
+              if fields._quadratic_is_irreducible(base, x, c1))
+    return TowerSpec(base, (c0, c1, base.one))
+
+
+# odd and even q, over GF(p) and over GF(p^t) for t = 2, 5 and 8, towers
+# of towers, and towers whose -c1 has every coordinate p - 1
+TOWERS = {
+    "GF(31)^2": lambda: _tower(31, 1, 1),
+    "GF(2)^2": lambda: _tower(2, 1, 1),
+    "GF(7^2)^2": lambda: _tower(7, 2, 1),
+    "GF(2^2)^2": lambda: _tower(2, 2, 1),
+    "GF(3^5)^2": lambda: _tower(3, 5, 1),
+    "GF(2^5)^2": lambda: _tower(2, 5, 1),
+    "GF(3^8)^2": lambda: _tower(3, 8, 1),
+    "GF(2^8)^2": lambda: _tower(2, 8, 1),
+    "GF(3^3)^2^2": lambda: _tower(3, 3, 2),
+    "GF(2^3)^2^2": lambda: _tower(2, 3, 2),
+    "GF(7^2)^2, dense c1": lambda: _dense_tower(7, 2),
+    "GF(3^5)^2, dense c1": lambda: _dense_tower(3, 5),
+    "GF(2^8)^2, dense c1": lambda: _dense_tower(2, 8),
+}
+
+
+def _width(field, terms):
+    return fields._lane_width(
+        field, fields._product_bound(field, terms) + field.char - 1)
+
+
+def _lane_edges(field):
+    """(terms, lane) for the largest term count of each lane width, up
+    to the first width past 64 bits: the width never falls as the
+    term count grows, so each edge is a search."""
+    edges, terms = [], 1
+    while not edges or edges[-1][1] <= 64:
+        lane, high = _width(field, terms), terms
+        while _width(field, 2 * high) == lane:
+            high *= 2
+        low, high = high, 2 * high  # width(low) == lane < width(high)
+        while high - low > 1:
+            mid = (low + high) // 2
+            low, high = (mid, high) if _width(field, mid) == lane \
+                else (low, mid)
+        edges.append((low, lane))
+        terms = low + 1
+    return edges
+
+
+@pytest.mark.parametrize("name", TOWERS)
+def test_the_tower_fold_is_exact_at_the_lane_width_edges(name):
+    # the tower reduce takes three base reduces: the y**2 block, then the
+    # blocks of 1 and of y with (-c0)*u2 and (-c1)*u2 added; at the
+    # largest term count of each lane width, a sum of that many products
+    # plus one value, with every operand's coordinates p - 1 and with
+    # random ones, reduces to the value-tuple oracle's sum; over GF(p^t),
+    # so do blocks at the digit envelope of such sums (``_envelope``)
+    field = TOWERS[name]()
+    rng = random.Random(name)
+    top = field.from_int(field.order - 1)
+    square = tower_mul_oracle(field, top, top)
+
+    def add(x, y):
+        return coordinate_oracle(field, operator.add, x, y)
+
+    def times(terms, x):
+        return tower_mul_oracle(field, field.scalar(terms), x)
+
+    def random_element():
+        return field.from_int(rng.randrange(field.order))
+
+    edges = _lane_edges(field)
+    assert len(edges) >= 2 and edges[-1][1] > 64
+    for terms, lane in edges:
+        pack, reduce, unpack = field._layout(terms)
+        assert (pack, reduce, unpack) == field._lane_layouts[lane]
+        assert _width(field, terms + 1) > lane
+        packed = terms * pack(top.value) ** 2 + pack(top.value)
+        want = add(times(terms, square), top)
+        assert reduce(packed) == pack(want.value)
+        pairs = [(random_element(), random_element())
+                 for _ in range(min(terms, 8))]
+        value = random_element()
+        packed = ((terms - len(pairs)) * pack(top.value) ** 2
+                  + sum(pack(a.value) * pack(b.value) for a, b in pairs)
+                  + pack(value.value))
+        want = add(times(terms - len(pairs), square), value)
+        for a, b in pairs:
+            want = add(want, tower_mul_oracle(field, a, b))
+        assert unpack(reduce(packed)) == want.value
+        if not isinstance(field.base, TowerSpec):
+            assert reduce(_envelope(field, terms, lane)) == \
+                pack(_envelope_value(field, terms).value)
+
+
+def _envelope_digits(field, terms):
+    """The largest digit of the blocks of 1 and of y of a sum of
+    ``terms`` products and one value in GF(q^2) over GF(p^t): one and
+    two products of the base per term, plus p - 1."""
+    p, unit = field.char, field.base.degree * (field.char - 1) ** 2
+    return terms * unit + p - 1, 2 * terms * unit + p - 1
+
+
+def _envelope(field, terms, lane):
+    """The packed int whose blocks of 1 and y have every digit at its
+    ``_envelope_digits`` and whose y**2 block is the value with every
+    coordinate p - 1, so that the fold adds (-c0) and (-c1) times it: no
+    sum of products reaches it, and it is the worst case the lanes hold
+    for the tower's bound."""
+    p, t = field.char, field.base.degree
+    bits = fields._packing(field, lane)[3] // 3
+    digits = (*_envelope_digits(field, terms), p - 1)
+    return sum(d << bits * i + lane * j for i, d in enumerate(digits)
+               for j in range(t if i == 2 else 2 * t - 1))
+
+
+def _envelope_value(field, terms):
+    """The value of ``_envelope``: each block of 2t - 1 digits mod the
+    base modulus, then y**2 = -c1*y - c0, on the oracles."""
+    base, p = field.base, field.char
+    c0, c1, _ = field.ext_modulus
+
+    def block(digit):
+        rem = _pmod([digit % p] * (2 * base.degree - 1), list(base.modulus),
+                    p)
+        return base.from_int(sum(c * p ** k for k, c in enumerate(rem)))
+
+    top = base.from_int(base.order - 1)
+    a, b = (coordinate_oracle(base, operator.sub, block(d),
+                              tower_mul_oracle(base, c, top))
+            for d, c in zip(_envelope_digits(field, terms), (c0, c1)))
+    return field.from_int(base.index(a) + base.order * base.index(b))
+
+
+OPERATION_FIELDS = {
+    "GF(7)": lambda: make_field(7, 1),
+    "GF(2)": lambda: make_field(2, 1),
+    "GF(3^4)": lambda: make_field(3, 4),
+    "GF(2^5)": lambda: make_field(2, 5),
+    **TOWERS,
+}
+
+
+@pytest.mark.parametrize("name", OPERATION_FIELDS)
+def test_value_operations_match_the_oracles(name):
+    # _add, _sub and _neg on every field, one path for every degree, and
+    # a tower's _conj, (a - b*c1) - b*y for every c1, and _scale, one
+    # tower product, against the coordinate and power oracles
+    field = OPERATION_FIELDS[name]()
+    rng = random.Random(name)
+    picks = [0, 1, field.order - 1] + [rng.randrange(field.order)
+                                       for _ in range(12)]
+    for i, j in zip(picks, reversed(picks)):
+        x, y = field.from_int(i), field.from_int(j)
+        for method, op in [(field._add, operator.add),
+                           (field._sub, operator.sub)]:
+            assert method(x.value, y.value) == \
+                coordinate_oracle(field, op, x, y).value
+        assert field._neg(x.value) == \
+            coordinate_oracle(field, operator.neg, x).value
+        if isinstance(field, TowerSpec):
+            s = field.base.from_int(j % field.base.order)
+            assert field._conj(x.value) == conj_oracle(field, x).value
+            assert frobenius(field, x) == conj_oracle(field, x)
+            assert field._scale(x.value, s.value) == \
+                scale_oracle(field, x, s).value
 
 
 @functools.cache

@@ -7,12 +7,14 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from selfdual import linalg as linalg_module
 from selfdual.codes import LinearCode, certify_mds, min_distance_exhaustive
 from selfdual.config import GuardConfig
-from selfdual.errors import GuardExceeded
+from selfdual.errors import DiscreteLogGuardExceeded, GuardExceeded
 from selfdual.fields import (
     FIELD_CACHE_SIZE,
     TOWER_CACHE_SIZE,
+    Field,
     find_primitive_element,
     make_field,
     quadratic_extension,
@@ -176,9 +178,9 @@ def test_a_scan_builds_a_table_only_under_the_codeword_guard():
     built, seen = [], set()
     init = DlogTable.__init__
 
-    def recording(self, field):
+    def recording(self, field, guards=None):
         built.append(field.order)
-        init(self, field)
+        init(self, field, guards)
 
     with mock.patch.object(DlogTable, "__init__", recording):
         for spec in TRAFFIC_FIELDS:
@@ -202,6 +204,44 @@ def test_a_scan_builds_a_table_only_under_the_codeword_guard():
     assert {q for q, _ in seen} == {_field(*spec).order
                                     for spec in TRAFFIC_FIELDS}
     assert {limit for q, limit in seen if q == 53 ** 2} == {10**7}
+
+
+@pytest.mark.parametrize("build, p, t", [(DlogTable, 3, 16),
+                                         (dlog_table, 7, 9)])
+def test_a_log_table_past_the_discrete_log_guard_is_refused_at_once(
+        monkeypatch, build, p, t):
+    # q - 1 = 43,046,720 and 40,353,606 powers, above the default 2**20:
+    # refused before a layout, a primitive element or any product
+    field = make_field(p, t)
+
+    def refuse(*args):
+        raise AssertionError("a product before the refusal")
+
+    monkeypatch.setattr(Field, "_layout", refuse)
+    monkeypatch.setattr(linalg_module, "find_primitive_element", refuse)
+    with pytest.raises(DiscreteLogGuardExceeded):
+        build(field)
+
+
+def test_the_log_table_guard_is_the_one_in_force(monkeypatch):
+    # q - 1 = 48 powers build at dlog_limit = 48 and are refused at 47,
+    # an explicit config over the environment; nothing refused is
+    # cached, and GF(31^3), the per-layer probe's table, builds under
+    # the default guards
+    field = make_field(7, 2)
+    dlog_table.cache_clear()
+    monkeypatch.setenv("SELFDUAL_GUARD_OVERRIDE", "dlog_limit=47")
+    for build in (DlogTable, dlog_table):
+        with pytest.raises(DiscreteLogGuardExceeded):
+            build(field)
+        with pytest.raises(DiscreteLogGuardExceeded):
+            build(field, GuardConfig(dlog_limit=47))
+        assert len(build(field, GuardConfig(dlog_limit=48)).pow_idx) == 48
+    assert dlog_table.cache_info().currsize == 1
+    monkeypatch.setenv("SELFDUAL_GUARD_OVERRIDE", "dlog_limit=48")
+    assert len(dlog_table(field).pow_idx) == 48
+    monkeypatch.delenv("SELFDUAL_GUARD_OVERRIDE")
+    assert len(DlogTable(make_field(31, 3)).pow_idx) == 31 ** 3 - 1
 
 
 @pytest.mark.parametrize("p, t", [(53, 2), (3137, 1)])
